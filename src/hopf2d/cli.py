@@ -7,6 +7,9 @@ Subcommands::
     hopf2d peps     --rep d4 --sizes 1x1,1x2,2x2
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+Any other exception (a ``DomainError`` or ``ShapeError`` inside a check, say)
+is a bug in the engine, not in the configuration, and propagates with its
+traceback.
 Reports are deterministic for a fixed config and seed (stable key order,
 seed echoed, no timestamps).
 """
@@ -29,6 +32,7 @@ from .coalgebra import (
     CheckInstance,
     CheckReport,
     ConfigurationError,
+    DomainError,
     SingularParameterError,
     _Timer,
     apply_splitter,
@@ -88,10 +92,13 @@ def _parse_q_list(values, seed, count=10):
 
 def _example_config(args):
     cfg = {"example": args.example}
-    if args.example == "pivot":
-        cfg["theta_over_pi"] = args.theta_over_pi or 0.0
-    if args.example == "taft":
-        cfg["n"] = args.taft_n or 2
+    try:
+        if args.example == "pivot":
+            cfg["theta_over_pi"] = float(args.theta_over_pi or 0.0)
+        if args.example == "taft":
+            cfg["n"] = int(args.taft_n or 2)
+    except (TypeError, ValueError) as exc:
+        raise CliConfigError(f"bad example parameter: {exc}") from None
     if args.example == "uq":
         q = _parse_q_list(args.q, args.seed, 1)[0]
         cfg["q_re"], cfg["q_im"] = q.real, q.imag
@@ -107,7 +114,7 @@ def _one_site_rules(ex):
             dx[sym] = [(c, w.cells[0], w.cells[1]) for w, c in sx.items()]
             sy = apply_splitter(ex, "y", word1(sym))
             dy[sym] = [(c, w.cells[0], w.cells[1]) for w, c in sy.items()]
-        except Exception:
+        except DomainError:
             continue
     return dx, dy
 
@@ -298,8 +305,8 @@ def cmd_peps(args) -> int:
         inst = pepsmod.d4_instance()
         if args.mutate:
             kind, _, idx = args.mutate.partition(":")
-            if kind != "drop":
-                raise CliConfigError(f"unknown mutation {args.mutate!r}")
+            if kind != "drop" or not idx.isdigit():
+                raise CliConfigError(f"unknown mutation {args.mutate!r}, expected drop:K")
             inst = pepsmod.mutate_drop(inst, int(idx))
         report = pepsmod.check_peps_vs_boxplus(inst, ex, "v", sizes, tol=args.tol)
         path = os.path.join(outdir, "peps_d4.json")
@@ -367,7 +374,10 @@ def _apply_config_file(args):
     if not args.config:
         return args
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliConfigError(f"config file {args.config}: {exc}") from None
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -398,7 +408,7 @@ def main(argv=None) -> int:
         args = _apply_config_file(args)
         return args.fn(args)
     except (CliConfigError, ConfigurationError, SingularParameterError,
-            ResourceLimitError, ValueError) as exc:
+            ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

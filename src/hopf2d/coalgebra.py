@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import math
 import time
 
 from .grids import (
@@ -149,53 +150,45 @@ def apply_splitter(ex: CoalgebraExample, direction: str, word: GridWord) -> Form
     return out
 
 
-def _splice_cols(word: GridWord, j: int, block: GridWord) -> GridWord:
-    """Replace column j of ``word`` by the two columns of ``block``."""
-    n, m = word.shape.rows, word.shape.cols
-    shape = GridShape(n, m + 1)
-    cells = []
-    for i in range(1, n + 1):
-        row = list(word.row(i).cells)
-        cells.extend(row[: j - 1] + list(block.row(i).cells) + row[j:])
-    return GridWord(shape, tuple(cells))
+def _splice_cols(word: GridWord, j: int, block: GridWord, shape: GridShape) -> GridWord:
+    """Replace column j of ``word`` by the two columns of ``block`` (``shape`` is n x (m+1))."""
+    m = word.shape.cols
+    cells, pairs = word.cells, block.cells
+    out = []
+    for off in range(word.shape.rows):
+        row = off * m
+        out += cells[row:row + j - 1]
+        out += pairs[2 * off:2 * off + 2]
+        out += cells[row + j:row + m]
+    return GridWord(shape, tuple(out))
 
 
-def _splice_rows(word: GridWord, i: int, block: GridWord) -> GridWord:
-    """Replace row i of ``word`` by the two rows of ``block``."""
-    n, m = word.shape.rows, word.shape.cols
-    shape = GridShape(n + 1, m)
-    rows = [word.row(k).cells for k in range(1, n + 1)]
-    rows[i - 1: i] = [block.row(1).cells, block.row(2).cells]
-    cells = tuple(c for r in rows for c in r)
-    return GridWord(shape, cells)
+def _splice_rows(word: GridWord, i: int, block: GridWord, shape: GridShape) -> GridWord:
+    """Replace row i of ``word`` by the two rows of ``block`` (``shape`` is (n+1) x m)."""
+    m = word.shape.cols
+    cells = word.cells
+    return GridWord(shape, cells[:(i - 1) * m] + block.cells + cells[i * m:])
 
 
 def grow(ex: CoalgebraExample, s: FormalSum, direction: str, block: int | None = None) -> FormalSum:
     """Split one row or column slice of every term, splicing the result in place.
 
     ``block`` is the 1-based column (direction 'x') or row ('y') to split;
-    the default is the last one, matching boundary growth.
+    the default is the last one, matching boundary growth.  The spliced
+    terms of all input terms are merged by one :class:`FormalSum` build.
     """
     n, m = s.shape.rows, s.shape.cols
     if direction == "x":
-        j = m if block is None else block
-        out = FormalSum.zero(GridShape(n, m + 1))
-        for word, coeff in s.items():
-            split = ex.splitter_x(word.col(j))
-            out = out + FormalSum(
-                out.shape, [(_splice_cols(word, j, b), coeff * c) for b, c in split.items()]
-            )
-        return out
-    if direction == "y":
-        i = n if block is None else block
-        out = FormalSum.zero(GridShape(n + 1, m))
-        for word, coeff in s.items():
-            split = ex.splitter_y(word.row(i))
-            out = out + FormalSum(
-                out.shape, [(_splice_rows(word, i, b), coeff * c) for b, c in split.items()]
-            )
-        return out
-    raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+        k = m if block is None else block
+        shape, take, splice = GridShape(n, m + 1), GridWord.col, _splice_cols
+    elif direction == "y":
+        k = n if block is None else block
+        shape, take, splice = GridShape(n + 1, m), GridWord.row, _splice_rows
+    else:
+        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    return FormalSum(shape, ((splice(word, k, b, shape), coeff * c)
+                             for word, coeff in s.unordered_items()
+                             for b, c in apply_splitter(ex, direction, take(word, k)).unordered_items()))
 
 
 def boxplus(ex: CoalgebraExample, v: Symbol, n: int, m: int, order: str = "y_first") -> FormalSum:
@@ -232,8 +225,8 @@ def boxplus_sum(ex: CoalgebraExample, s: FormalSum, n: int, m: int) -> FormalSum
     """
     if s.shape != GridShape(1, 1):
         raise ShapeError("boxplus_sum wants a 1 x 1 sum")
-    out = FormalSum.zero(GridShape(n, m))
-    for word, coeff in s.items():
+    terms = []
+    for word, coeff in s.unordered_items():
         sym = word.cells[0]
         try:
             grown = boxplus(ex, sym, n, m)
@@ -242,8 +235,13 @@ def boxplus_sum(ex: CoalgebraExample, s: FormalSum, n: int, m: int) -> FormalSum
             if rule is None:
                 raise
             grown = boxplus_from_1d(rule, sym, n, m, key=ex.meta.get("order_key"))
-        out = out + coeff * grown
-    return out
+        terms += _scaled(grown, coeff)
+    return FormalSum(GridShape(n, m), terms)
+
+
+def _scaled(s: FormalSum, scalar):
+    """The terms of ``scalar * s``, unordered, for one merged build by the caller."""
+    return ((w, c * scalar) for w, c in s.unordered_items())
 
 
 def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int, key=None) -> FormalSum:
@@ -306,8 +304,11 @@ class CheckReport:
 
     @property
     def max_residual(self) -> float:
-        finite = [i.residual for i in self.instances if i.residual == i.residual]
-        return max(finite, default=0.0)
+        """Largest instance residual; NaN if any residual is NaN, 0.0 if there are none."""
+        residuals = [i.residual for i in self.instances]
+        if any(r != r for r in residuals):
+            return math.nan
+        return max(residuals, default=0.0)
 
     @property
     def ok(self) -> bool:
@@ -324,11 +325,23 @@ class CheckReport:
             ],
             "max_residual": self.max_residual,
         }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(_json_numbers(obj), sort_keys=True, allow_nan=False)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
+
+
+def _json_numbers(value):
+    """``value`` with every non-finite float spelled as a string ('nan', 'inf',
+    '-inf'), which standard JSON has no number for."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {k: _json_numbers(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_numbers(v) for v in value]
+    return value
 
 
 class _Timer:
@@ -351,14 +364,15 @@ def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckRepor
     instances = []
     with _Timer() as t:
         for w in words:
-            doubled = apply_splitter(ex, direction, w)
-            left = FormalSum.zero(_triple_shape(direction, w.shape))
-            right = FormalSum.zero(left.shape)
-            for b, c in doubled.items():
+            left, right = [], []
+            for b, c in apply_splitter(ex, direction, w).unordered_items():
                 first, second = _halves(direction, b)
-                left = left + c * _attach(direction, apply_splitter(ex, direction, first), second, second_last=True)
-                right = right + c * _attach(direction, apply_splitter(ex, direction, second), first, second_last=False)
-            res = sum_difference(left, right)
+                left += _scaled(_attach(direction, apply_splitter(ex, direction, first), second,
+                                        second_last=True), c)
+                right += _scaled(_attach(direction, apply_splitter(ex, direction, second), first,
+                                         second_last=False), c)
+            shape = _triple_shape(direction, w.shape)
+            res = sum_difference(FormalSum(shape, left), FormalSum(shape, right))
             instances.append(CheckInstance(repr(w), res <= tol, res))
     sizes = [(n, 1)] if direction == "x" else [(1, n)]
     return CheckReport("quasi_1d_assoc_" + direction, sizes, instances, t.elapsed)
@@ -426,15 +440,14 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
     instances = []
     with _Timer() as t:
         for w in words:
-            doubled = apply_splitter(ex, direction, w)
-            left = FormalSum.zero(w.shape)
-            right = FormalSum.zero(w.shape)
-            for b, c in doubled.items():
+            left, right = [], []
+            for b, c in apply_splitter(ex, direction, w).unordered_items():
                 first, second = _halves(direction, b)
-                left = left + (c * eps(first)) * FormalSum.unit(second)
-                right = right + (c * eps(second)) * FormalSum.unit(first)
+                left.append((second, c * eps(first)))
+                right.append((first, c * eps(second)))
             target = FormalSum.unit(w)
-            res = max(sum_difference(left, target), sum_difference(right, target))
+            res = max(sum_difference(FormalSum(w.shape, left), target),
+                      sum_difference(FormalSum(w.shape, right), target))
             instances.append(CheckInstance(repr(w), res <= tol, res))
     sizes = [(n, 1)] if direction == "x" else [(1, n)]
     return CheckReport("counit_" + direction, sizes, instances, t.elapsed)
@@ -543,21 +556,15 @@ def dual_product(functionals, ex, v, n, m, gathering="cols") -> complex:
 
 def _cellwise_vertical(dy, left, right):
     """Split both cells of a horizontal pair vertically into a 2 x 2 sum."""
-    out = FormalSum.zero(GridShape(2, 2))
-    for cl, l1, l2 in dy[left]:
-        for cr, r1, r2 in dy[right]:
-            w = GridWord(GridShape(2, 2), (l1, r1, l2, r2))
-            out = out + FormalSum.unit(w, cl * cr)
-    return out
+    shape = GridShape(2, 2)
+    return FormalSum(shape, [(GridWord(shape, (l1, r1, l2, r2)), cl * cr)
+                             for cl, l1, l2 in dy[left] for cr, r1, r2 in dy[right]])
 
 
 def _cellwise_horizontal(dx, bottom, top):
-    out = FormalSum.zero(GridShape(2, 2))
-    for cb, b1, b2 in dx[bottom]:
-        for ct, t1, t2 in dx[top]:
-            w = GridWord(GridShape(2, 2), (b1, b2, t1, t2))
-            out = out + FormalSum.unit(w, cb * ct)
-    return out
+    shape = GridShape(2, 2)
+    return FormalSum(shape, [(GridWord(shape, (b1, b2, t1, t2)), cb * ct)
+                             for cb, b1, b2 in dx[bottom] for ct, t1, t2 in dx[top]])
 
 
 def _pair_sum(pairs, swapped=False) -> FormalSum:
@@ -581,13 +588,12 @@ def check_trivial_proposition(dx, dy, instance_syms, tol=EQ_TOL) -> CheckReport:
     instances = []
     with _Timer() as t:
         results = []
+        shape = GridShape(2, 2)
         for sym in instance_syms:
-            lhs = FormalSum.zero(GridShape(2, 2))
-            for c, s1, s2 in dx[sym]:
-                lhs = lhs + c * _cellwise_vertical(dy, s1, s2)
-            rhs = FormalSum.zero(GridShape(2, 2))
-            for c, s1, s2 in dy[sym]:
-                rhs = rhs + c * _cellwise_horizontal(dx, s1, s2)
+            lhs = FormalSum(shape, [t for c, s1, s2 in dx[sym]
+                                    for t in _scaled(_cellwise_vertical(dy, s1, s2), c)])
+            rhs = FormalSum(shape, [t for c, s1, s2 in dy[sym]
+                                    for t in _scaled(_cellwise_horizontal(dx, s1, s2), c)])
             res = sum_difference(lhs, rhs)
             results.append((sym, res <= tol, res))
         premise_all = all(h for _, h, _ in results)

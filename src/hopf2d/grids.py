@@ -10,17 +10,27 @@ row and then jumping to the row above, so for a 3 x 3 grid::
     1 2 3
 
 Cells of a :class:`GridWord` are stored in this linear order.
+
+Formal sums are accumulated one way throughout the package: collect every
+(word, coefficient) term of a result, repeats allowed, and build the
+:class:`FormalSum` once from them; its constructor merges duplicates in one
+dict.  Adding sums term by term in a loop would rebuild that dict on every
+step.  Internal loops walk the terms unordered; sorting happens only at
+output, in :meth:`FormalSum.items`, iteration, ``repr`` and JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+from operator import attrgetter
+import sys
 
 # Coefficients below this magnitude are dropped during canonicalization.
 CANON_TOL = 1e-14
 # Default tolerance for comparing formal sums coefficientwise.
 EQ_TOL = 1e-10
+_FLOAT_MAX = sys.float_info.max
 
 
 class ShapeError(ValueError):
@@ -29,6 +39,10 @@ class ShapeError(ValueError):
 
 class SiteRangeError(ValueError):
     """A lattice coordinate is outside the grid."""
+
+
+class NonFiniteError(ValueError):
+    """A formal sum coefficient is NaN or infinite."""
 
 
 @dataclass(frozen=True, order=True)
@@ -93,6 +107,9 @@ class GridShape:
         return f"{self.rows}x{self.cols}"
 
 
+_SYMBOL_ID = attrgetter("id")
+
+
 def site_index(i: int, j: int, shape: GridShape) -> int:
     """Linear index (1-based) of the site at row ``i`` (from the bottom), column ``j``."""
     if not (1 <= i <= shape.rows and 1 <= j <= shape.cols):
@@ -100,21 +117,36 @@ def site_index(i: int, j: int, shape: GridShape) -> int:
     return (i - 1) * shape.cols + j
 
 
-@dataclass(frozen=True)
 class GridWord:
     """One lattice configuration: a symbol on every site of a grid.
 
-    ``cells`` is stored in linear site order (bottom row first).
+    ``cells`` is stored in linear site order (bottom row first).  Words are
+    immutable; their hash is computed once, from the shape and the symbol
+    ids, because every accumulation step probes a dict with them.  A word
+    equals another word of the same shape and cells, and nothing else.
     """
 
-    shape: GridShape
-    cells: tuple[Symbol, ...]
+    __slots__ = ("shape", "cells", "_hash")
 
-    def __post_init__(self):
-        if len(self.cells) != self.shape.sites:
-            raise ShapeError(
-                f"{len(self.cells)} cells do not fill {self.shape}"
-            )
+    def __init__(self, shape: GridShape, cells: tuple[Symbol, ...]):
+        if len(cells) != shape.rows * shape.cols:
+            raise ShapeError(f"{len(cells)} cells do not fill {shape}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_hash",
+                           hash((shape.rows, shape.cols, *map(_SYMBOL_ID, cells))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GridWord is immutable; cannot set {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, GridWord):
+            return NotImplemented
+        return (self._hash == other._hash and self.shape == other.shape
+                and self.cells == other.cells)
 
     def cell(self, i, j):
         return self.cells[site_index(i, j, self.shape) - 1]
@@ -127,8 +159,9 @@ class GridWord:
 
     def col(self, j) -> "GridWord":
         """The n x 1 column word at column ``j`` (1 = leftmost)."""
-        return GridWord(GridShape(self.shape.rows, 1),
-                        tuple(self.cell(i, j) for i in range(1, self.shape.rows + 1)))
+        if not 1 <= j <= self.shape.cols:
+            raise SiteRangeError(f"column {j} outside {self.shape}")
+        return GridWord(GridShape(self.shape.rows, 1), self.cells[j - 1::self.shape.cols])
 
     def rows_top_down(self):
         """Rows as lists of names, top row first (the layout grids are displayed in)."""
@@ -147,7 +180,7 @@ class GridWord:
         return GridWord(GridShape(n, m), tuple(cells))
 
     def _key(self):
-        return (self.shape.rows, self.shape.cols, tuple(s.id for s in self.cells))
+        return (self.shape.rows, self.shape.cols, tuple(map(_SYMBOL_ID, self.cells)))
 
     def __lt__(self, other):
         return self._key() < other._key()
@@ -164,8 +197,16 @@ def word1(sym: Symbol) -> GridWord:
 class FormalSum:
     """A finite complex-linear combination of grid words of a common shape.
 
-    Instances are canonical (coefficients below ``CANON_TOL`` dropped,
-    duplicate words merged) and treated as immutable.
+    Instances are canonical (duplicate words merged, coefficients below
+    ``CANON_TOL`` dropped) and treated as immutable.  Every coefficient is
+    finite: a NaN or infinite one raises :class:`NonFiniteError` instead of
+    vanishing.
+
+    The constructor is the accumulator: ``terms`` may repeat words, and a
+    caller combining many terms passes them all to one constructor call
+    rather than adding sums in a loop.  Terms are stored unordered;
+    :meth:`unordered_items` serves internal loops, while :meth:`items`,
+    iteration, ``repr`` and :meth:`to_json` sort.
     """
 
     __slots__ = ("shape", "_terms")
@@ -176,11 +217,17 @@ class FormalSum:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for word, coeff in items:
-                if word.shape != shape:
+                if word.shape is not shape and word.shape != shape:
                     raise ShapeError(f"term shape {word.shape} != sum shape {shape}")
-                c = acc.get(word, 0j) + complex(coeff)
-                acc[word] = c
-        self._terms = {w: c for w, c in acc.items() if abs(c) > CANON_TOL}
+                acc[word] = acc.get(word, 0j) + complex(coeff)
+        kept = {}
+        for word, c in acc.items():
+            mag = abs(c)
+            if not mag <= _FLOAT_MAX:  # NaN or infinite
+                raise NonFiniteError(f"coefficient {c} of [{word!r}] is not finite")
+            if mag > CANON_TOL:
+                kept[word] = c
+        self._terms = kept
 
     @staticmethod
     def unit(word: GridWord, coeff=1.0) -> "FormalSum":
@@ -193,6 +240,10 @@ class FormalSum:
     def items(self):
         """Terms in deterministic (lexicographic) order."""
         return sorted(self._terms.items(), key=lambda kv: kv[0]._key())
+
+    def unordered_items(self):
+        """Terms in no guaranteed order, for loops whose result does not depend on it."""
+        return self._terms.items()
 
     def coeff(self, word: GridWord) -> complex:
         return self._terms.get(word, 0j)
@@ -271,15 +322,19 @@ def concat_h(a: FormalSum, b: FormalSum) -> FormalSum:
     """Juxtapose two sums side by side (``a`` on the left); bilinear."""
     if a.shape.rows != b.shape.rows:
         raise ShapeError(f"row mismatch: {a.shape} vs {b.shape}")
-    n = a.shape.rows
-    shape = GridShape(n, a.shape.cols + b.shape.cols)
+    ma, mb = a.shape.cols, b.shape.cols
+    shape = GridShape(a.shape.rows, ma + mb)
+    offsets = range(a.shape.rows)
+    b_rows = [([wb.cells[k * mb:(k + 1) * mb] for k in offsets], cb)
+              for wb, cb in b._terms.items()]
     terms = []
     for wa, ca in a._terms.items():
-        for wb, cb in b._terms.items():
+        a_rows = [wa.cells[k * ma:(k + 1) * ma] for k in offsets]
+        for rows, cb in b_rows:
             cells = []
-            for i in range(1, n + 1):
-                cells.extend(wa.row(i).cells)
-                cells.extend(wb.row(i).cells)
+            for ra, rb in zip(a_rows, rows):
+                cells += ra
+                cells += rb
             terms.append((GridWord(shape, tuple(cells)), ca * cb))
     return FormalSum(shape, terms)
 

@@ -2,8 +2,12 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from hopf2d import cli
 from hopf2d.cli import main
+from hopf2d.coalgebra import DomainError
+from hopf2d.grids import ShapeError
 from hopf2d.linops import read_matrix_market
 
 
@@ -142,3 +146,39 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert read_all(out1) == read_all(out2)
+
+
+def test_engine_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken_check(*args, **kwargs):
+        raise DomainError("engine bug inside a check")
+
+    monkeypatch.setattr(cli, "check_xy_compat", broken_check)
+    with pytest.raises(DomainError):
+        main(["verify", "--example", "pivot", "--sizes", "2x2", "--checks", "xycompat",
+              "--out", str(tmp_path / "r")])
+
+
+def test_rule_extraction_skips_only_domain_errors(tmp_path, monkeypatch):
+    args = ["verify", "--example", "pivot", "--checks", "proposition",
+            "--out", str(tmp_path / "r")]
+
+    def raising(exc):
+        def splitter(*args, **kwargs):
+            raise exc
+        return splitter
+
+    monkeypatch.setattr(cli, "apply_splitter", raising(DomainError("no 1-site rule")))
+    assert main(args) == 0  # symbols without 1-site rules are skipped
+    monkeypatch.setattr(cli, "apply_splitter", raising(ShapeError("wrong split shape")))
+    with pytest.raises(ShapeError):
+        main(args)
+
+
+def test_bad_config_file_and_mutation_are_config_errors(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    cfg.write_text(json.dumps({"example": "pivot", "theta_over_pi": "quarter"}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert main(["peps", "--rep", "d4", "--mutate", "drop:x", "--sizes", "1x2",
+                 "--out", str(tmp_path / "c")]) == 2

@@ -1,9 +1,13 @@
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopf2d.coalgebra import (
+    CheckInstance,
+    CheckReport,
     DomainError,
     apply_splitter,
     boxplus,
@@ -276,3 +280,75 @@ def test_growth_order_independence_remaining_instances():
                 blocks = s.shape.cols if d == "x" else s.shape.rows
                 s = grow(ex, s, d, block=rng.randint(1, blocks))
             assert sums_equal(s, target), (ex.name, sym)
+
+
+TAFT3 = make_taft(TaftConfig(3, complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))))
+ORDER_CASES = [(PIVOT, "v"), (make_pivot(theta=math.pi / 4), "v"), (make_uq_symbolic(1.7), "S+"),
+               (TAFT3, "x"), (make_lie_like(["a", "c"]), "a")]
+sizes = st.integers(min_value=1, max_value=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(ORDER_CASES))), sizes, sizes)
+def test_growth_order_independence_property(case, n, m):
+    ex, sym = ORDER_CASES[case]
+    a = boxplus(ex, sym, n, m, order="y_first")
+    b = boxplus(ex, sym, n, m, order="x_first")
+    assert (a.shape.rows, a.shape.cols) == (n, m)
+    assert sums_equal(a, b), (ex.name, n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["1", "g", "x"]), sizes, sizes)
+def test_taft_engine_matches_1d_oracle_property(sym, n, m):
+    got = boxplus(TAFT3, sym, n, m)
+    oracle = boxplus_from_1d(TAFT3.meta["delta_1site"], TAFT3.alphabet[sym], n, m)
+    assert sums_equal(got, oracle, 1e-12)
+
+
+def test_pivot_growth_12x12_placement_terms():
+    n = m = 12
+    s = boxplus(PIVOT, "v", n, m)
+    assert len(s) == n * m
+    a, b, v = (AB[c] for c in "abv")
+    for k in range(n * m):  # mark at linear site k, a before it, b after it
+        cells = (a,) * k + (v,) + (b,) * (n * m - k - 1)
+        assert s.coeff(GridWord(GridShape(n, m), cells)) == 1.0
+
+
+def test_grow_builds_without_adding_sums(monkeypatch):
+    def no_add(self, other):
+        raise AssertionError("grow added sums term by term")
+
+    expected = boxplus(PIVOT, "v", 3, 4)
+    monkeypatch.setattr(FormalSum, "__add__", no_add)
+    got = boxplus(make_pivot(theta=0.0), "v", 3, 4)
+    assert got.items() == expected.items()
+
+
+def test_report_nan_residual_is_not_hidden():
+    report = CheckReport("demo", [(1, 1)], [
+        CheckInstance("ok", True, 1e-13),
+        CheckInstance("broken", math.nan <= 1e-10, math.nan, {"worst": math.inf}),
+    ])
+    assert not report.ok
+    assert math.isnan(report.max_residual)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    obj = json.loads(report.to_json(), parse_constant=reject)
+    assert obj["max_residual"] == "nan"
+    assert obj["instances"][1]["residual"] == "nan"
+    assert obj["instances"][1]["details"] == {"worst": "inf"}
+    assert obj["instances"][0]["residual"] == 1e-13
+
+
+def test_report_finite_json_unchanged():
+    report = CheckReport("demo", [(2, 2)], [CheckInstance("a", True, 0.0),
+                                            CheckInstance("b", True, 2.5e-16)])
+    assert report.max_residual == 2.5e-16
+    assert report.to_json() == json.dumps({
+        "check": "demo", "sizes": [[2, 2]], "max_residual": 2.5e-16,
+        "instances": [{"input": "a", "pass": True, "residual": 0.0},
+                      {"input": "b", "pass": True, "residual": 2.5e-16}]}, sort_keys=True)

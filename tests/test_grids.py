@@ -8,6 +8,7 @@ from hopf2d.grids import (
     FormalSum,
     GridShape,
     GridWord,
+    NonFiniteError,
     ShapeError,
     SiteRangeError,
     concat_h,
@@ -138,3 +139,49 @@ def test_term_iteration_deterministic():
     shape = GridShape(1, 2)
     s = FormalSum(shape, [(GridWord(shape, (V, B)), 1.0), (GridWord(shape, (A, V)), 1.0)])
     assert [tuple(c.name for c in word.cells) for word in s] == [("a", "v"), ("v", "b")]
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1, float("-inf")),
+                                 complex(float("nan"), 1)])
+def test_non_finite_coefficient_raises(bad):
+    with pytest.raises(NonFiniteError):
+        FormalSum.unit(word1(V), bad)
+    # a NaN must not vanish and so compare equal to zero
+    with pytest.raises(ValueError):
+        sums_equal(FormalSum.unit(word1(V)) * bad, FormalSum.zero(GridShape(1, 1)))
+
+
+def test_overflow_to_infinity_raises():
+    big = FormalSum.unit(word1(V), 1e308)
+    with pytest.raises(NonFiniteError):
+        big + big
+
+
+shapes = st.sampled_from([GridShape(1, 3), GridShape(3, 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells3, cells3, shapes, shapes)
+def test_gridword_hash_eq_contract(c1, c2, s1, s2):
+    w1, w2 = GridWord(s1, c1), GridWord(s2, c2)
+    assert (w1 == w2) == (s1 == s2 and c1 == c2)
+    if w1 == w2:
+        assert hash(w1) == hash(w2)
+    assert GridWord(s1, c1) == w1 and hash(GridWord(s1, c1)) == hash(w1)
+    assert w1 != c1 and w1 != (s1, c1) and w1 is not None
+    assert len({w1, w2, GridWord(s1, c1)}) == (1 if w1 == w2 else 2)
+
+
+def test_gridword_is_immutable():
+    word = w([["a", "v"]])
+    with pytest.raises(AttributeError):
+        word.cells = (B, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(cells3, coeffs), max_size=6))
+def test_json_round_trip_property(terms):
+    s = sum_1x3(terms)
+    back = FormalSum.from_json(s.to_json(), AB)
+    assert sums_equal(s, back, 0.0)
+    assert back.to_json() == s.to_json()
