@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .coalgebra import CheckInstance, CheckReport, ConfigurationError, _Timer
+from .coalgebra import CheckInstance, CheckReport, ConfigurationError, _Timer, _json_numbers
 from .grids import Alphabet, FormalSum, GridShape, GridWord
 from .linops import ResourceLimitError
 
@@ -362,7 +362,7 @@ class BoundarySolveResult:
             "parameters": self.parameters,
             "boundary": json.loads(self.boundary.to_json()) if self.boundary else None,
         }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(_json_numbers(obj), sort_keys=True, allow_nan=False)
 
 
 def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySolveResult:

@@ -21,8 +21,9 @@ import numpy as np
 from .coalgebra import CheckInstance, CheckReport, _Timer, boxplus
 from .grids import FormalSum
 from .instances import make_uq_symbolic
-from .linops import Representation
+from .linops import Representation, kron_terms
 from .uqsu2 import DISPLAY_TO_LINEAR_2X2, spin_half_rep, _require_regular
+from .uqsu2 import delta_op as delta_2site  # the two-site coproduct, dense 4 x 4
 
 SZ = np.diag([0.5, -0.5]).astype(complex)
 SP = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -51,16 +52,6 @@ def r_matrix_factorized(q) -> np.ndarray:
     diag = np.exp(2.0 * logq * np.kron(SZ, SZ).diagonal())
     core = np.eye(4, dtype=complex) + (q - 1.0 / q) * np.kron(SP, SM)
     return np.diag(diag) * cmath.exp(0.5 * logq) @ core
-
-
-def delta_2site(gen: str, q) -> np.ndarray:
-    """Two-site coproduct of a lattice generator, dense 4 x 4."""
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    out = np.zeros((4, 4), dtype=complex)
-    for word, c in boxplus(ex, gen, 1, 2).items():
-        out += c * np.kron(rep[word.cells[0]], rep[word.cells[1]])
-    return out
 
 
 def delta_perm(gen: str, q) -> np.ndarray:
@@ -123,21 +114,11 @@ def r2d(q) -> np.ndarray:
     )
 
 
-def _display_kron(rep: Representation, word) -> np.ndarray:
-    cells = word.cells
-    out = None
-    for k in (1, 2, 3, 4):
-        m = rep[cells[DISPLAY_TO_LINEAR_2X2[k] - 1]]
-        out = m if out is None else np.kron(out, m)
-    return out
-
-
 def evaluate_display_2x2(s: FormalSum, rep: Representation) -> np.ndarray:
     """Evaluate a 2 x 2 formal sum with tensor positions in display layout."""
-    out = np.zeros((16, 16), dtype=complex)
-    for word, c in s.items():
-        out += c * _display_kron(rep, word)
-    return out
+    terms = [(c, [rep[word.cells[DISPLAY_TO_LINEAR_2X2[k] - 1]] for k in (1, 2, 3, 4)])
+             for word, c in s.items()]
+    return kron_terms(terms, rep.dim, 4).toarray()
 
 
 def boxplus_2x2_display(gen: str, q) -> np.ndarray:
@@ -327,15 +308,9 @@ def plaquette_grids(gen: str = "S") -> list:
 def _grids_operator(grids, q, sgen) -> np.ndarray:
     rep = spin_half_rep(q)
     mats = {s.name: rep.matrices[s] for s in rep.alphabet}
-    out = np.zeros((16, 16), dtype=complex)
-    for term in grids:
-        acc = None
-        for k in (1, 2, 3, 4):
-            name = sgen if term[k] == "S" else term[k]
-            m = mats[name]
-            acc = m if acc is None else np.kron(acc, m)
-        out += acc
-    return out
+    terms = [(1.0, [mats[sgen if term[k] == "S" else term[k]] for k in (1, 2, 3, 4)])
+             for term in grids]
+    return kron_terms(terms, 2, 4).toarray()
 
 
 def conjugation_chain(q, sgen="S+"):

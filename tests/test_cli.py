@@ -94,7 +94,7 @@ def test_build_op_rmatrix2d(tmp_path):
 
 
 def test_build_op_size_cap(tmp_path):
-    code = main(["build-op", "--gen", "S+", "--q", "1.3", "--size", "4x4",
+    code = main(["build-op", "--gen", "S+", "--q", "1.3", "--size", "4x5",
                  "--out", str(tmp_path / "ops")])
     assert code == 2
 

@@ -7,8 +7,11 @@ from hopf2d.linops import (
     Representation,
     RepresentationError,
     ResourceLimitError,
+    SparseOperator,
     evaluate,
+    kron_terms,
     operator_difference,
+    worst_entry,
     read_matrix_market,
     write_matrix_market,
 )
@@ -139,3 +142,77 @@ def test_matrix_market_complex_entries(tmp_path):
     op.write_matrix_market(path)
     back = read_matrix_market(path).toarray()
     assert back[0, 0] == 1j and back[1, 0] == 2 - 3j
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker kernel against a dense numpy oracle
+
+_entry = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                                   allow_infinity=False))
+
+
+@st.composite
+def _kron_sums(draw):
+    """(d, sites, terms, matrices): dense or non-monomial complex factors with
+    zero entries, shared between terms, and possibly no terms at all."""
+    d = draw(st.sampled_from([2, 3]))
+    sites = draw(st.integers(1, 4))
+    mats = draw(st.lists(st.lists(_entry, min_size=d * d, max_size=d * d)
+                         .map(lambda e: np.array(e, dtype=complex).reshape(d, d)),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(_entry, st.lists(st.integers(0, len(mats) - 1),
+                                                     min_size=sites, max_size=sites)),
+                          max_size=4))
+    return d, sites, [(c, [mats[i] for i in idx]) for c, idx in picks], mats
+
+
+def _numpy_kron_sum(terms, d, sites):
+    out = np.zeros((d ** sites, d ** sites), dtype=complex)
+    for coeff, factors in terms:
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = np.kron(acc, f)
+        out += coeff * acc
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kron_sums())
+def test_kron_terms_and_evaluate_match_numpy_kron_chain(case):
+    d, sites, terms, mats = case
+    want = _numpy_kron_sum(terms, d, sites)
+    atol = 1e-13 * (1.0 + np.abs(want).max())
+    got = kron_terms(terms, d, sites)
+    assert got.dim == d ** sites
+    assert np.allclose(got.toarray(), want, rtol=0, atol=atol)
+
+    # the same terms as a formal sum on a 1 x sites strip
+    ab = Alphabet([f"m{i}" for i in range(len(mats))])
+    rep = Representation(ab, {f"m{i}": m for i, m in enumerate(mats)})
+    shape = GridShape(1, sites)
+    sym = {id(m): ab[f"m{i}"] for i, m in enumerate(mats)}
+    s = FormalSum(shape, [(GridWord(shape, tuple(sym[id(f)] for f in factors)), c)
+                          for c, factors in terms])
+    oracle = _numpy_kron_sum([(c, [rep[x] for x in w.cells]) for w, c in s.items()], d, sites)
+    assert np.allclose(evaluate(s, rep).toarray(), oracle, rtol=0, atol=atol)
+
+
+def test_kron_terms_rejects_wrong_factor_count_and_shape():
+    with pytest.raises(ValueError):
+        kron_terms([(1.0, [np.eye(2)])], 2, 2)
+    with pytest.raises(ValueError):
+        kron_terms([(1.0, [np.eye(3), np.eye(3)])], 2, 2)
+
+
+def test_kron_terms_rejects_keys_past_int64():
+    # one nonzero per factor: cheap to expand, but row * dim + col would wrap
+    raising = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ResourceLimitError):
+        kron_terms([(1.0, [raising] * 32)], 2, 32)
+
+
+def test_worst_entry_names_largest_difference():
+    a = SparseOperator(np.diag([1.0, 2.0, 3.0]))
+    b = SparseOperator(np.diag([1.0, 2.5, 3.0]) + np.eye(3, k=1) * 0.1)
+    assert worst_entry(a, b) == {"row": 1, "col": 1, "lhs": [2.0, 0.0], "rhs": [2.5, 0.0]}
+    assert worst_entry(a, a) == {}

@@ -175,3 +175,13 @@ def test_d2_solver_certifies_infeasibility_with_plaquette():
     # the report serializes
     obj = json.loads(result.to_json())
     assert obj["feasible"] is False
+
+
+def test_solve_result_json_spells_non_finite_numbers():
+    res = peps.BoundarySolveResult(False, None, [(1, 1)], float("nan"), None, None,
+                                   {"beta": [[float("inf"), 0.0]]})
+    text = res.to_json()
+    assert "NaN" not in text and "Infinity" not in text
+    obj = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
+    assert obj["residual"] == "nan"
+    assert obj["parameters"]["beta"] == [["inf", 0.0]]

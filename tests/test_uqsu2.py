@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopf2d.coalgebra import SingularParameterError
-from hopf2d.linops import ResourceLimitError, operator_difference
+from hopf2d.linops import ResourceLimitError, SparseOperator, operator_difference
 from hopf2d import uqsu2 as uq
 
 
@@ -47,7 +47,7 @@ def test_boxplus_op_q1_is_plain_sum():
 
 def test_boxplus_op_size_cap():
     with pytest.raises(ResourceLimitError):
-        uq.boxplus_op("S+", 2.0, 4, 4)
+        uq.boxplus_op("S+", 2.0, 4, 5)
 
 
 @settings(max_examples=12, deadline=None)
@@ -69,6 +69,60 @@ def test_ks_relation_and_commutator():
         assert uq.check_commutator(q, 2, 2).ok
     assert uq.check_ks_relation(1.1, 3, 2).ok
     assert uq.check_commutator(1.1, 3, 2).ok
+
+
+def test_ks_relation_and_commutator_at_the_16_site_cap():
+    assert uq.check_ks_relation(1.3, 4, 4).ok
+    assert uq.check_commutator(1.3, 4, 4).ok
+
+
+def _planted(real, gen, entry, delta=0.5):
+    """``boxplus_op`` with ``delta`` added at one entry of one generator."""
+    def op(g, q, n, m, cross_check=True):
+        out = real(g, q, n, m, cross_check=cross_check)
+        if g != gen:
+            return out
+        mat = out.mat.tolil()
+        mat[entry] += delta
+        return SparseOperator(mat)
+    return op
+
+
+def _assert_names(inst, entry):
+    worst = inst.details["worst_entry"]
+    assert (worst["row"], worst["col"]) == entry
+    lhs, rhs = complex(*worst["lhs"]), complex(*worst["rhs"])
+    assert abs(abs(lhs - rhs) - inst.residual) <= 1e-12
+
+
+def test_failing_ks_relation_names_the_planted_entry(monkeypatch):
+    monkeypatch.setattr(uq, "boxplus_op", _planted(uq.boxplus_op, "S+", (5, 5)))
+    report = uq.check_ks_relation(1.3, 2, 2)
+    failing = [i for i in report.instances if not i.passed]
+    assert sorted(i.input for i in failing) == ["K+*S+", "K-*S+"]
+    for inst in failing:
+        _assert_names(inst, (5, 5))
+    assert all(not i.details for i in report.instances if i.passed)
+
+
+def test_failing_commutator_names_the_planted_entry(monkeypatch):
+    monkeypatch.setattr(uq, "boxplus_op", _planted(uq.boxplus_op, "K+2", (9, 9)))
+    (inst,) = uq.check_commutator(1.3, 2, 2).instances
+    assert not inst.passed
+    _assert_names(inst, (9, 9))
+
+
+def test_cross_check_mismatch_names_the_planted_entry(monkeypatch):
+    real = uq.direct_boxplus_op
+
+    def placement(gen, q, n, m):
+        mat = real(gen, q, n, m).mat.tolil()
+        mat[3, 7] += 1.0
+        return SparseOperator(mat)
+
+    monkeypatch.setattr(uq, "direct_boxplus_op", placement)
+    with pytest.raises(AssertionError, match=r"'row': 3, 'col': 7"):
+        uq.boxplus_op("S-", 1.3, 2, 2)
 
 
 def test_commutator_rejects_singular_q():
