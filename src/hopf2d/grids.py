@@ -318,6 +318,21 @@ def sum_difference(a: FormalSum, b: FormalSum) -> float:
     return max(abs(a.coeff(w) - b.coeff(w)) for w in words)
 
 
+def worst_word(got: FormalSum, want: FormalSum) -> dict:
+    """Where two sums of one shape differ most: the word and both
+    coefficients as [real, imag]; empty if they are equal.  Ties go to the
+    first word in sorted order."""
+    worst, gap = None, 0.0
+    for w in sorted(set(got._terms) | set(want._terms), key=GridWord._key):
+        d = abs(got.coeff(w) - want.coeff(w))
+        if d > gap:
+            worst, gap = w, d
+    if worst is None:
+        return {}
+    g, t = got.coeff(worst), want.coeff(worst)
+    return {"word": repr(worst), "got": [g.real, g.imag], "want": [t.real, t.imag]}
+
+
 def concat_h(a: FormalSum, b: FormalSum) -> FormalSum:
     """Juxtapose two sums side by side (``a`` on the left); bilinear."""
     if a.shape.rows != b.shape.rows:

@@ -1,10 +1,13 @@
+import cmath
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopf2d.coalgebra import ConfigurationError, boxplus
-from hopf2d.grids import GridWord, sums_equal
+from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, NonFiniteError, sums_equal
 from hopf2d.instances import make_pivot
 from hopf2d.linops import ResourceLimitError
 from hopf2d import peps
@@ -60,10 +63,45 @@ def test_published_interior_entry_leaks_double_marks():
     assert not sums_equal(got, boxplus(PIVOT, "v", 2, 2), 1e-10)
 
 
+def test_d4_exact_to_6x6():
+    sizes = [(n, m) for n in range(1, 7) for m in range(1, 7)]
+    report = peps.check_peps_vs_boxplus(peps.d4_instance(), PIVOT, "v", sizes, tol=1e-12)
+    assert report.ok and len(report.instances) == 36
+
+
+def _dense_d3():
+    """All 243 components of a bond-dimension-3 tensor over three symbols."""
+    comps = {(p, l, t, r, b): 1.0 + 0.1j * (l - r)
+             for p in "abv" for l, t, r, b in itertools.product(range(3), repeat=4)}
+    tensor = peps.PepsTensor(peps._pivot_alphabet(), 3, comps)
+    one = np.eye(1, dtype=complex)
+    return peps.PepsInstance(
+        tensor, peps.BoundarySpec(1, {s: {k: one for k in range(3)} for s in "ltrb"}, one))
+
+
 def test_contract_caps():
-    inst = peps.d4_instance()
+    # a 1x3 row of the dense tensor has 3**11 bond-consistent states, past
+    # the sweep budget; the d4 tensor at the same size has a handful
+    inst = _dense_d3()
     with pytest.raises(ResourceLimitError):
-        peps.contract(inst, 4, 3)
+        peps.contract(inst, 1, 3)
+    open_sides = peps.BoundarySpec(1, dict(inst.boundary.sides, l=None, r=None))
+    target = FormalSum(GridShape(1, 3))
+    with pytest.raises(ResourceLimitError):
+        peps.solve_boundary(peps.PepsInstance(inst.tensor, open_sides), {(1, 3): target})
+    assert len(peps.contract(peps.d4_instance(), 1, 3)) == 3
+
+
+def test_non_finite_numbers_raise():
+    inst = peps.d4_instance()
+    comps = dict(inst.tensor.components)
+    comps[("a", 0, 0, 0, 0)] = float("nan")
+    nan_inst = peps.PepsInstance(peps.PepsTensor(inst.tensor.alphabet, 4, comps), inst.boundary)
+    with pytest.raises(NonFiniteError):
+        peps.contract(nan_inst, 2, 2)
+    inf_corner = peps.BoundarySpec(1, inst.boundary.sides, np.array([[float("inf")]]))
+    with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+        peps.contract(peps.PepsInstance(inst.tensor, inf_corner), 1, 2)
 
 
 def test_corner_linearity():
@@ -99,12 +137,36 @@ def test_mutation_indexing_and_detection():
     mutated = peps.mutate_drop(inst, 0)
     report = peps.check_peps_vs_boxplus(mutated, PIVOT, "v", [(1, 1), (1, 2)])
     assert not report.ok  # detected at a size <= 1x2
+    # a failing instance names its worst word with both coefficients
+    worst = report.instances[1].details["worst_word"]
+    want = boxplus(PIVOT, "v", 1, 2)
+    assert worst["word"] in {repr(w) for w in want}
+    assert worst["got"] == [0.0, 0.0] and worst["want"] == [1.0, 0.0]
+    passing = peps.check_peps_vs_boxplus(inst, PIVOT, "v", [(1, 2)])
+    assert passing.ok and passing.instances[0].details == {}
     for k in range(9):
         mutated = peps.mutate_drop(inst, k)
         report = peps.check_peps_vs_boxplus(mutated, PIVOT, "v", ALL_SIZES)
         assert not report.ok, k
     with pytest.raises(ConfigurationError):
         peps.mutate_drop(inst, 9)
+
+
+def test_tensor_and_boundary_json_spell_non_finite_numbers():
+    inst = peps.d4_instance()
+    comps = dict(inst.tensor.components)
+    comps[("a", 0, 0, 0, 0)] = complex(float("nan"), float("-inf"))
+    tensor = peps.PepsTensor(inst.tensor.alphabet, 4, comps)
+    spec = peps.BoundarySpec(1, {"l": {0: np.array([[float("inf")]])}, "t": None},
+                             np.array([[float("nan")]]))
+    for text in (tensor.to_json(), spec.to_json()):
+        assert "NaN" not in text and "Infinity" not in text
+        json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
+    back = peps.PepsTensor.from_json(tensor.to_json()).components[("a", 0, 0, 0, 0)]
+    assert cmath.isnan(back.real) and back.imag == float("-inf")
+    back_spec = peps.BoundarySpec.from_json(spec.to_json())
+    assert back_spec.sides["l"][0][0, 0] == float("inf")
+    assert cmath.isnan(back_spec.corner[0, 0])
 
 
 def test_tensor_json_round_trip():
@@ -185,3 +247,105 @@ def test_solve_result_json_spells_non_finite_numbers():
     obj = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
     assert obj["residual"] == "nan"
     assert obj["parameters"]["beta"] == [["inf", 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# the row sweep against a brute-force oracle
+
+
+ORACLE_SIZES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def _oracle_table(tensor, boundary, n, m):
+    """{word: {pattern: amplitude}} from every component assignment, in the
+    order of itertools.product over the sites, bottom row first."""
+    site = {(i, j): i * m + j for i in range(n) for j in range(m)}
+    pairs = ([(site[(i, j)], 3, site[(i, j + 1)], 1) for i in range(n) for j in range(m - 1)]
+             + [(site[(i, j)], 2, site[(i + 1, j)], 4) for i in range(n - 1) for j in range(m)])
+    edges = ([("l", site[(i, 0)], 1) for i in range(n)]
+             + [("t", site[(n - 1, j)], 2) for j in range(m)]
+             + [("r", site[(i, m - 1)], 3) for i in reversed(range(n))]
+             + [("b", site[(0, j)], 4) for j in reversed(range(m))])
+    out = {}
+    for choice in itertools.product(list(tensor.components.items()), repeat=n * m):
+        keys = [key for key, _ in choice]
+        if any(keys[a][x] != keys[b][y] for a, x, b, y in pairs):
+            continue
+        pattern = tuple((s, keys[k][x]) for s, k, x in edges)
+        if any(boundary.sides.get(s) is not None and boundary.sides[s].get(b) is None
+               for s, b in pattern):
+            continue
+        amp = 1.0 + 0j
+        for _, val in choice:
+            amp *= val
+        word = GridWord(GridShape(n, m), tuple(tensor.alphabet[key[0]] for key in keys))
+        patterns = out.setdefault(word, {})
+        patterns[pattern] = patterns.get(pattern, 0j) + amp
+    return out
+
+
+def _oracle_contract(tensor, boundary, n, m, table):
+    terms = []
+    for word, patterns in table.items():
+        for pattern, amp in patterns.items():
+            acc = np.eye(boundary.chi, dtype=complex)
+            for s, b in pattern:
+                acc = acc @ boundary.sides[s][b]
+            terms.append((word, complex(np.trace(acc @ boundary.corner)) * amp))
+    return FormalSum(GridShape(n, m), terms)
+
+
+@st.composite
+def _small_instances(draw):
+    d = draw(st.integers(2, 3))
+    bond = st.integers(0, d - 1)
+    # one component with four equal bonds tiles every patch by itself; a
+    # pair of twins that swap one internal bond for another gives two bond
+    # assignments of the same word and perimeter, which the sweep must add
+    same, other = draw(bond), draw(bond)
+    keys = [("x", same, same, same, same)] + draw(st.sampled_from([
+        [], [("x", same, same, other, same), ("x", other, same, same, same)],
+        [("x", same, other, same, same), ("x", same, same, same, other)]]))
+    keys += draw(st.lists(st.tuples(st.sampled_from("xy"), bond, bond, bond, bond),
+                          max_size=3))
+    amp = st.complex_numbers(min_magnitude=0.3, max_magnitude=2.0,
+                             allow_nan=False, allow_infinity=False)
+    tensor = peps.PepsTensor(Alphabet(["x", "y"]), d, {k: draw(amp) for k in keys})
+    chi = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def mat():
+        return rng.normal(size=(chi, chi)) + 1j * rng.normal(size=(chi, chi))
+
+    sides = {}
+    for s in "ltrb":
+        kept = draw(st.one_of(st.just(set(range(d))), st.sets(bond)))
+        sides[s] = {b: mat() for b in kept}
+    unset = draw(st.sets(st.sampled_from("ltrb")))
+    open_sides = {s: (None if s in unset else t) for s, t in sides.items()}
+    return (tensor, peps.BoundarySpec(chi, open_sides),
+            peps.BoundarySpec(chi, sides, mat()), draw(st.integers(0, 20)))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("n, m", ORACLE_SIZES)
+@settings(max_examples=25, deadline=None)
+@given(case=_small_instances())
+def test_sweep_and_contract_match_brute_force(n, m, case):
+    tensor, open_spec, full_spec, rotate = case
+    # sweep tables at every height up to n, unset sides pruning nothing
+    for h, table in peps._sweep(tensor, open_spec, m, range(1, n + 1)):
+        want = _oracle_table(tensor, open_spec, h, m)
+        assert list(table) == list(want)
+        for word, patterns in want.items():
+            assert list(table[word]) == list(patterns)
+            assert all(_close(table[word][p], a) for p, a in patterns.items())
+    # the contraction of the complete boundary, perimeter start rotated
+    table = _oracle_table(tensor, full_spec, n, m)
+    got = peps.contract(peps.PepsInstance(tensor, full_spec), n, m, rotate=rotate)
+    want = _oracle_contract(tensor, full_spec, n, m, table)
+    scale = 1.0 + max((abs(c) for _, c in want.unordered_items()), default=0.0)
+    assert sums_equal(got, want, 1e-10 * scale)
