@@ -92,13 +92,10 @@ def _parse_q_list(values, seed, count=10):
 
 def _example_config(args):
     cfg = {"example": args.example}
-    try:
-        if args.example == "pivot":
-            cfg["theta_over_pi"] = float(args.theta_over_pi or 0.0)
-        if args.example == "taft":
-            cfg["n"] = int(args.taft_n or 2)
-    except (TypeError, ValueError) as exc:
-        raise CliConfigError(f"bad example parameter: {exc}") from None
+    if args.example == "pivot":
+        cfg["theta_over_pi"] = args.theta_over_pi or 0.0
+    if args.example == "taft":
+        cfg["n"] = args.taft_n or 2
     if args.example == "uq":
         q = _parse_q_list(args.q, args.seed, 1)[0]
         cfg["q_re"], cfg["q_im"] = q.real, q.imag
@@ -370,7 +367,14 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args):
+def _apply_config_file(parser, args):
+    """Fill the options left at their defaults from the ``--config`` JSON file.
+
+    Each value goes through the same conversion as on the command line: the
+    option's ``type`` and ``choices``, with lists of sizes, checks and q
+    values joined as their flags spell them.  A value the parser would
+    reject is a :class:`CliConfigError`.
+    """
     if not args.config:
         return args
     with open(args.config, encoding="utf-8") as fh:
@@ -378,34 +382,48 @@ def _apply_config_file(args):
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliConfigError(f"config file {args.config}: {exc}") from None
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(attr)
+        if action is None:
             raise CliConfigError(f"unknown config key {key!r}")
-        default = _DEFAULTS.get(attr)
-        if getattr(args, attr) == default:
-            if attr == "sizes" and isinstance(value, list):
-                value = ",".join(f"{n}x{m}" for n, m in value)
-            if attr == "checks" and isinstance(value, list):
-                value = ",".join(value)
-            if attr == "q" and isinstance(value, list):
-                value = [str(x) for x in value]
-            setattr(args, attr, value)
+        if getattr(args, attr) == action.default:
+            setattr(args, attr, _config_value(action, key, value))
     return args
 
 
-_DEFAULTS = {
-    "out": None, "tol": 1e-10, "seed": 42, "q": None, "sizes": None,
-    "checks": None, "theta_over_pi": None, "taft_n": None, "example": "pivot",
-    "gen": None, "size": None, "rep": "d4", "mutate": None,
-}
+def _config_value(action, key, value):
+    """A config-file value as the parser would have stored it from the flag."""
+    if value is None:
+        return None
+    if action.nargs == 0:  # store_true flags
+        if not isinstance(value, bool):
+            raise CliConfigError(f"config key {key!r} wants true or false, got {value!r}")
+        return value
+    convert = action.type or str
+    try:
+        if action.dest == "sizes" and isinstance(value, list):
+            value = ",".join(f"{n}x{m}" for n, m in value)
+        elif action.dest == "checks" and isinstance(value, list):
+            value = ",".join(value)
+        if isinstance(action, argparse._AppendAction):
+            return [convert(str(v)) for v in (value if isinstance(value, list) else [value])]
+        value = convert(str(value))
+    except (TypeError, ValueError) as exc:
+        raise CliConfigError(f"bad config value for {key!r}: {value!r} ({exc})") from None
+    if action.choices is not None and value not in action.choices:
+        raise CliConfigError(f"config key {key!r} must be one of {sorted(action.choices)}, "
+                             f"got {value!r}")
+    return value
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(parser, args)
         return args.fn(args)
     except (CliConfigError, ConfigurationError, SingularParameterError,
             ResourceLimitError) as exc:

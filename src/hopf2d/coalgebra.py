@@ -30,6 +30,7 @@ from .grids import (
     concat_v,
     sum_difference,
     word1,
+    worst_word,
 )
 from .linops import Representation, evaluate, identity_operator, operator_difference
 
@@ -48,28 +49,52 @@ class SingularParameterError(ValueError):
 
 @dataclass
 class Splitter:
-    """Partial map doubling a column (direction 'x') or row (direction 'y')."""
+    """Partial map doubling a column (direction 'x') or row (direction 'y').
+
+    ``rule`` and ``domain`` must be pure functions of the word, and the
+    :class:`FormalSum` a rule returns is immutable, like every sum.  So each
+    in-domain word is tested and split once: the result is stored in this
+    splitter's memo, keyed by the word, and later calls with an equal word
+    return the stored sum.  An out-of-domain word never enters the memo and
+    raises :class:`DomainError` on every call.  The memo belongs to the
+    splitter and so lives exactly as long as the example that holds it.
+    """
 
     direction: str
     rule: object          # GridWord -> FormalSum over the doubled shape
     domain: object        # GridWord -> bool
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, word: GridWord) -> FormalSum:
-        if not self.domain(word):
-            raise DomainError(f"{word!r} outside the {self.direction}-splitter domain")
-        return self.rule(word)
+        out = self._memo.get(word)
+        if out is None:
+            if not self.domain(word):
+                raise DomainError(f"{word!r} outside the {self.direction}-splitter domain")
+            out = self._memo[word] = self.rule(word)
+        return out
 
 
 @dataclass
 class CounitRule:
+    """Partial counit on slice words, memoized like :class:`Splitter`.
+
+    ``rule`` and ``domain`` must be pure functions of the word; each
+    in-domain word's value is computed once and stored, and an
+    out-of-domain word raises :class:`DomainError` on every call.
+    """
+
     direction: str
     rule: object          # GridWord -> complex
     domain: object
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, word: GridWord) -> complex:
-        if not self.domain(word):
-            raise DomainError(f"{word!r} outside the {self.direction}-counit domain")
-        return complex(self.rule(word))
+        out = self._memo.get(word)
+        if out is None:
+            if not self.domain(word):
+                raise DomainError(f"{word!r} outside the {self.direction}-counit domain")
+            out = self._memo[word] = complex(self.rule(word))
+        return out
 
 
 @dataclass
@@ -372,10 +397,22 @@ def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckRepor
                 right += _scaled(_attach(direction, apply_splitter(ex, direction, second), first,
                                          second_last=False), c)
             shape = _triple_shape(direction, w.shape)
-            res = sum_difference(FormalSum(shape, left), FormalSum(shape, right))
-            instances.append(CheckInstance(repr(w), res <= tol, res))
+            instances.append(_compared(repr(w), FormalSum(shape, left), FormalSum(shape, right),
+                                       tol))
     sizes = [(n, 1)] if direction == "x" else [(1, n)]
     return CheckReport("quasi_1d_assoc_" + direction, sizes, instances, t.elapsed)
+
+
+def _compared(label, got: FormalSum, want: FormalSum, tol, res=None) -> CheckInstance:
+    """The instance comparing two sums; a failing one names its worst word.
+
+    ``res`` is the residual when the caller has it already.
+    """
+    if res is None:
+        res = sum_difference(got, want)
+    if res <= tol:
+        return CheckInstance(label, True, res)
+    return CheckInstance(label, False, res, {"worst_word": worst_word(got, want)})
 
 
 def _triple_shape(direction, slice_shape):
@@ -400,40 +437,51 @@ def _attach(direction, doubled: FormalSum, other: GridWord, second_last: bool):
 
 
 def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
-    """Base 2x2 compatibility per symbol, plus the two growth orders to (n, m).
+    """Corner growth in both orders, per symbol, at every size up to n x m.
 
-    The base case compares growing a symbol vertically-then-horizontally
-    against horizontally-then-vertically.  For every intermediate size
-    (k, l) with k < n, l < m the two orders of simultaneous corner growth
-    from the (k, l) element are compared as well.
+    At every corner (k, l) with 1 <= k < n and 1 <= l < m, the canonical
+    k x l element is grown by a row and then a column, and by a column and
+    then a row.  The two results must agree, and the first must equal the
+    canonical (k+1) x (l+1) element.  The (1, 1) corner is the base case
+    ``base2x2``, where the first result is the canonical 2 x 2 element
+    itself; it runs even when n or m is 1.  The canonical elements are
+    grown once, as one table: the column first, then each row by
+    ``grow(..., "x")``, exactly as :func:`boxplus` grows them.  The report
+    names the single size [n, m], which stands for every size up to n x m.
     """
     if symbols is None:
         symbols = ex.grow_symbols
+    corners = [(k, l) for k in range(1, n) for l in range(1, m)] or [(1, 1)]
+    rows, cols = max(k for k, _ in corners) + 1, max(l for _, l in corners) + 1
     instances = []
     with _Timer() as t:
         for sym in symbols:
             sym = ex.alphabet[sym] if isinstance(sym, str) else sym
-            a = grow(ex, grow(ex, FormalSum.unit(word1(sym)), "y"), "x")
-            b = grow(ex, grow(ex, FormalSum.unit(word1(sym)), "x"), "y")
-            res = sum_difference(a, b)
-            instances.append(CheckInstance(f"base2x2:{sym}", res <= tol, res))
-            k, l = 2, 2
-            while k < n and l < m:
-                base = boxplus(ex, sym, k, l)
+            table, column = {}, FormalSum.unit(word1(sym))
+            for k in range(1, rows + 1):
+                if k > 1:
+                    column = grow(ex, column, "y")
+                table[k, 1] = column
+                for l in range(2, cols + 1):
+                    table[k, l] = grow(ex, table[k, l - 1], "x")
+            for k, l in corners:
+                base = table[k, l]
                 path_a = grow(ex, grow(ex, base, "y"), "x")
                 path_b = grow(ex, grow(ex, base, "x"), "y")
-                res = sum_difference(path_a, path_b)
-                instances.append(CheckInstance(f"corner{k}x{l}:{sym}", res <= tol, res))
-                res2 = sum_difference(path_a, boxplus(ex, sym, k + 1, l + 1))
-                instances.append(
-                    CheckInstance(f"corner{k}x{l}:{sym}:vs_canonical", res2 <= tol, res2)
-                )
-                k, l = k + 1, l + 1
+                if (k, l) == (1, 1):
+                    instances.append(_compared(f"base2x2:{sym}", path_a, path_b, tol))
+                    continue
+                instances.append(_compared(f"corner{k}x{l}:{sym}", path_a, path_b, tol))
+                instances.append(_compared(f"corner{k}x{l}:{sym}:vs_canonical", path_a,
+                                           table[k + 1, l + 1], tol))
     return CheckReport("xy_compat", [(n, m)], instances, t.elapsed)
 
 
 def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
-    """Both one-sided counit contractions undo the splitter on the given words."""
+    """Both one-sided counit contractions undo the splitter on the given words.
+
+    A failing instance names the worst word of the worse side.
+    """
     if words is None:
         words = ex.samples(direction, n)
     eps = ex.counit(direction)
@@ -446,9 +494,10 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
                 left.append((second, c * eps(first)))
                 right.append((first, c * eps(second)))
             target = FormalSum.unit(w)
-            res = max(sum_difference(FormalSum(w.shape, left), target),
-                      sum_difference(FormalSum(w.shape, right), target))
-            instances.append(CheckInstance(repr(w), res <= tol, res))
+            sides = [FormalSum(w.shape, left), FormalSum(w.shape, right)]
+            gaps = [sum_difference(side, target) for side in sides]
+            worse = 1 if gaps[1] > gaps[0] else 0
+            instances.append(_compared(repr(w), sides[worse], target, tol, max(gaps)))
     sizes = [(n, 1)] if direction == "x" else [(1, n)]
     return CheckReport("counit_" + direction, sizes, instances, t.elapsed)
 

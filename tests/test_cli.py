@@ -180,5 +180,32 @@ def test_bad_config_file_and_mutation_are_config_errors(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
     cfg.write_text(json.dumps({"example": "pivot", "theta_over_pi": "quarter"}))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    for bad in ({"tol": "abc"}, {"seed": "x"}, {"seed": 4.5}, {"example": "nope"},
+                {"sizes": [[2]]}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["verify", "--config", str(cfg), "--checks", "counit",
+                     "--out", str(tmp_path / "d")]) == 2, bad
+        assert not (tmp_path / "d").exists(), bad
+    cfg.write_text(json.dumps({"solve_boundary": "yes"}))
+    assert main(["peps", "--rep", "d2", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
     assert main(["peps", "--rep", "d4", "--mutate", "drop:x", "--sizes", "1x2",
                  "--out", str(tmp_path / "c")]) == 2
+
+
+def test_config_values_get_the_parser_types(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "7", "tol": "1e-9", "sizes": [[2, 2]],
+                               "checks": ["counit"]}))
+    out = tmp_path / "r"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "counit_x.json").read_text())
+    assert payload["seed"] == 7
+
+
+def test_xycompat_covers_every_size_up_to_the_largest(tmp_path):
+    out = tmp_path / "r"
+    assert main(["verify", "--sizes", "2x5", "--checks", "xycompat", "--out", str(out)]) == 0
+    payload = json.loads((out / "xy_compat.json").read_text())
+    assert payload["sizes"] == [[2, 5]]
+    inputs = {i["input"] for i in payload["instances"]}
+    assert {f"corner1x{l}:v:vs_canonical" for l in (2, 3, 4)} <= inputs

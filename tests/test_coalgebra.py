@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hopf2d.coalgebra import (
     CheckInstance,
     CheckReport,
     DomainError,
+    Splitter,
     apply_splitter,
     boxplus,
     boxplus_from_1d,
@@ -20,7 +23,7 @@ from hopf2d.coalgebra import (
     dual_product,
     grow,
 )
-from hopf2d.grids import FormalSum, GridShape, GridWord, sums_equal, word1
+from hopf2d.grids import FormalSum, GridShape, GridWord, sum_difference, sums_equal, word1
 from hopf2d.instances import (
     make_cross,
     make_cyclic_group,
@@ -352,3 +355,120 @@ def test_report_finite_json_unchanged():
         "check": "demo", "sizes": [[2, 2]], "max_residual": 2.5e-16,
         "instances": [{"input": "a", "pass": True, "residual": 0.0},
                       {"input": "b", "pass": True, "residual": 2.5e-16}]}, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# memoized splitters and counits
+
+
+def _counting(rule, runs):
+    def counted(word):
+        runs[word] += 1
+        return rule(word)
+    return counted
+
+
+def test_splitter_rule_runs_once_per_distinct_word():
+    ex = make_pivot(theta=0.0)
+    runs = {"x": Counter(), "y": Counter()}
+    ex.splitter_x = Splitter("x", _counting(ex.splitter_x.rule, runs["x"]), ex.splitter_x.domain)
+    ex.splitter_y = Splitter("y", _counting(ex.splitter_y.rule, runs["y"]), ex.splitter_y.domain)
+    assert boxplus(ex, "v", 5, 5).items() == boxplus(make_pivot(theta=0.0), "v", 5, 5).items()
+    for d in "xy":
+        assert set(runs[d].values()) == {1}
+        assert set(runs[d]) == set(ex.splitter(d)._memo)
+    # the 5 x 5 growth makes 1+2+3+4 row splits and 5+10+15+20 column splits
+    assert sum(len(r) for r in runs.values()) < 60
+
+
+def test_out_of_domain_words_never_enter_the_memo():
+    ex = make_pivot(theta=0.0)
+    bad = w(ex, [["a"], ["v"], ["b"]])  # a above v: wrong side
+    for rule in (ex.splitter_x, ex.counit_x):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                rule(bad)
+        assert rule._memo == {}
+
+
+def test_examples_from_one_constructor_share_no_memo():
+    first, second = make_pivot(theta=0.0), make_pivot(theta=0.0)
+    boxplus(first, "v", 3, 3)
+    assert check_counit(first, "y", 3).ok
+    assert first.splitter_x._memo and first.splitter_y._memo and first.counit_y._memo
+    for rule in (second.splitter_x, second.splitter_y, second.counit_x, second.counit_y):
+        assert rule._memo == {}
+
+
+def _planted_pivot():
+    """pivot(0) whose x-splitter returns the split of the column b/b doubled."""
+    ex = make_pivot(theta=0.0)
+    bb = w(ex, [["b"], ["b"]])
+    honest = ex.splitter_x
+    ex.splitter_x = Splitter("x", lambda word: honest.rule(word) * (2 if word == bb else 1),
+                             honest.domain)
+    return ex
+
+
+def test_xy_compat_walks_every_corner():
+    report = check_xy_compat(make_pivot(theta=0.0), 2, 3, symbols=["v"])
+    assert [i.input for i in report.instances] == [
+        "base2x2:v", "corner1x2:v", "corner1x2:v:vs_canonical"]
+    assert report.sizes == [(2, 3)]
+    corners = {i.input.split(":")[0] for i in check_xy_compat(PIVOT, 4, 3).instances}
+    assert corners == {"base2x2"} | {f"corner{k}x{l}" for k in (1, 2, 3) for l in (1, 2)} - {
+        "corner1x1"}
+    assert [i.input for i in check_xy_compat(PIVOT, 1, 4, symbols=["v"]).instances] == [
+        "base2x2:v"]
+
+
+def test_planted_splitter_fails_and_names_its_worst_word():
+    ex = _planted_pivot()
+    reports = [check_xy_compat(ex, 2, 3, symbols=["v"]), check_quasi_1d_assoc(ex, "x", 2),
+               check_counit(ex, "x", 2)]
+    failed = {r.check: [i.input for i in r.instances if not i.passed] for r in reports}
+    assert failed == {"xy_compat": ["corner1x2:v"], "quasi_1d_assoc_x": ["b/v"],
+                      "counit_x": ["b/b"]}
+    for r in reports:
+        for inst in r.instances:
+            if inst.passed:
+                assert inst.details == {}
+            else:
+                worst = inst.details["worst_word"]
+                assert sorted(worst) == ["got", "want", "word"]
+                assert abs(complex(*worst["got"]) - complex(*worst["want"])) == inst.residual
+    counit_worst = reports[2].instances[2].details["worst_word"]
+    assert counit_worst == {"word": "b/b", "got": [2.0, 0.0], "want": [1.0, 0.0]}
+    honest = check_xy_compat(make_pivot(theta=0.0), 2, 3, symbols=["v"])
+    assert honest.ok and all(i.details == {} for i in honest.instances)
+
+
+SHIPPED = [make_cyclic_group(3), make_lie_like(["a", "c"]), make_quasi1d_group(),
+           make_quasi1d_lie(), make_cross(), make_pivot(theta=0.0), make_pivot(theta=math.pi / 4),
+           make_taft(TaftConfig(2, -1.0)), make_taft(TaftConfig(3, cmath.exp(2j * math.pi / 3))),
+           make_uq_symbolic(1.7)]
+
+
+def _contract_last(s: FormalSum, direction, eps) -> FormalSum:
+    """Apply the counit to the last column ('x') or the top row ('y') of every term."""
+    n, m = s.shape.rows, s.shape.cols
+    if direction == "x":
+        shape = GridShape(n, m - 1)
+        return FormalSum(shape, [
+            (GridWord(shape, tuple(c for i in range(n) for c in word.cells[i * m:(i + 1) * m - 1])),
+             coeff * eps(word.col(m))) for word, coeff in s.unordered_items()])
+    shape = GridShape(n - 1, m)
+    return FormalSum(shape, [(GridWord(shape, word.cells[:(n - 1) * m]), coeff * eps(word.row(n)))
+                             for word, coeff in s.unordered_items()])
+
+
+@pytest.mark.parametrize("ex", SHIPPED, ids=lambda ex: ex.name)
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=4))
+def test_counit_undoes_growth_property(ex, short, long):
+    for sym in ex.grow_symbols:
+        got = _contract_last(boxplus(ex, sym, short, long), "x", ex.counit_x)
+        assert sum_difference(got, boxplus(ex, sym, short, long - 1)) == 0.0, (sym, short, long)
+        got = _contract_last(boxplus(ex, sym, long, short, order="x_first"), "y", ex.counit_y)
+        want = boxplus(ex, sym, long - 1, short, order="x_first")
+        assert sum_difference(got, want) == 0.0, (sym, long, short)
