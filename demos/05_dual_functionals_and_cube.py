@@ -3,7 +3,9 @@
 Linear functionals placed on every site act on a grown lattice element;
 gathering them as rows or as columns gives the same number because the
 two growth orders agree.  The same marked-symbol construction extends to
-a cube, where the three axis orders must produce one and the same sum.
+a cube, where every axis order must produce one and the same sum.  The
+cube report also covers 3x3x3 and 4x4x4 under all six axis orders; this
+script prints its 2x2x2 instances.
 """
 
 from hopf2d import dual_product, make_pivot
@@ -33,7 +35,7 @@ print(f"column gathering: {cols.real:g}   row gathering: {rows.real:g}")
 
 print("\n== the cube ==")
 report = cube_xyz_compat()
-for inst in report.instances:
+for inst in report.instances[:3]:
     extra = f", {inst.details['terms']} terms" if inst.details else ""
     print(f"symbol {inst.input}: residual {inst.residual:.1e}{extra}")
 print("three growth orders agree; the marked sum is the 7-fold coproduct")

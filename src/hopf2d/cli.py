@@ -367,13 +367,16 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, args):
-    """Fill the options left at their defaults from the ``--config`` JSON file.
+def _apply_config_file(args, argv):
+    """Fill the options not given on the command line ``argv`` from the
+    ``--config`` JSON file.
 
-    Each value goes through the same conversion as on the command line: the
-    option's ``type`` and ``choices``, with lists of sizes, checks and q
-    values joined as their flags spell them.  A value the parser would
-    reject is a :class:`CliConfigError`.
+    An option counts as given when a parse whose defaults are all
+    suppressed records it, so an explicit flag wins even when its value
+    equals the default.  Each config value goes through the same conversion
+    as on the command line: the option's ``type`` and ``choices``, with
+    lists of sizes, checks and q values joined as their flags spell them.
+    A value the parser would reject is a :class:`CliConfigError`.
     """
     if not args.config:
         return args
@@ -382,14 +385,18 @@ def _apply_config_file(parser, args):
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliConfigError(f"config file {args.config}: {exc}") from None
+    parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
+    for action in actions.values():
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         action = actions.get(attr)
         if action is None:
             raise CliConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == action.default:
+        if attr not in given:
             setattr(args, attr, _config_value(action, key, value))
     return args
 
@@ -423,7 +430,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(parser, args)
+        args = _apply_config_file(args, argv)
         return args.fn(args)
     except (CliConfigError, ConfigurationError, SingularParameterError,
             ResourceLimitError) as exc:

@@ -1,33 +1,35 @@
-"""The 2D coproduct engine and its axiom checks.
+"""The lattice coproduct engine and its axiom checks.
 
-A coalgebra instance supplies two families of partial splitter maps: the
-horizontal one doubles an n x 1 column into an n x 2 block, the vertical
-one doubles a 1 x m row into a 2 x m block.  Growing a single symbol by
-repeatedly splitting row and column slices produces the lattice elements
-checked here for quasi-1D associativity, xy-compatibility, counit,
-homomorphism and antipode laws.
+A coalgebra instance supplies one family of partial splitter maps per
+lattice axis: the x-splitter doubles an n x 1 column into an n x 2 block,
+the y-splitter a 1 x m row into a 2 x m block, and a cube's z-splitter a
+single layer into two.  Growing a single symbol by repeatedly splitting
+slices along the axes produces the lattice elements checked here for
+quasi-1D associativity, xy-compatibility, counit, homomorphism and
+antipode laws, and the marked-symbol cube.
 
 Tensor-factor convention: the first factor of a split is the earlier block
-in linear site order, i.e. the left column for horizontal splits and the
-bottom row for vertical ones.
+in linear site order, i.e. the left column for x-splits, the bottom row for
+y-splits and the lower layer for z-splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 import json
 import math
 import time
 
 from .grids import (
+    AXES,
     EQ_TOL,
+    Alphabet,
     FormalSum,
     GridShape,
     GridWord,
     ShapeError,
     Symbol,
-    concat_h,
-    concat_v,
     sum_difference,
     word1,
     worst_word,
@@ -49,14 +51,17 @@ class SingularParameterError(ValueError):
 
 @dataclass
 class Splitter:
-    """Partial map doubling a column (direction 'x') or row (direction 'y').
+    """Partial map doubling a slice of extent 1 along its axis ('x' doubles
+    a column, 'y' a row, 'z' a layer) into a block of extent 2.
 
     ``rule`` and ``domain`` must be pure functions of the word, and the
     :class:`FormalSum` a rule returns is immutable, like every sum.  So each
-    in-domain word is tested and split once: the result is stored in this
+    in-domain word is checked and split once: the result is stored in this
     splitter's memo, keyed by the word, and later calls with an equal word
-    return the stored sum.  An out-of-domain word never enters the memo and
-    raises :class:`DomainError` on every call.  The memo belongs to the
+    return the stored sum.  The check raises :class:`ShapeError` for a word
+    whose extent along the axis is not 1 and for a result whose extent is
+    not 2, and :class:`DomainError` for an out-of-domain word; none of these
+    enter the memo, so they raise on every call.  The memo belongs to the
     splitter and so lives exactly as long as the example that holds it.
     """
 
@@ -68,9 +73,15 @@ class Splitter:
     def __call__(self, word: GridWord) -> FormalSum:
         out = self._memo.get(word)
         if out is None:
+            axis, shape = self.direction, word.shape
+            if shape.extents[shape.axis(axis)] != 1:
+                raise ShapeError(f"{axis}-splitter wants extent 1 along {axis}, got {shape}")
             if not self.domain(word):
-                raise DomainError(f"{word!r} outside the {self.direction}-splitter domain")
-            out = self._memo[word] = self.rule(word)
+                raise DomainError(f"{word!r} outside the {axis}-splitter domain")
+            out, want = self.rule(word), shape.resized(axis, 2)
+            if out.shape != want:
+                raise ShapeError(f"splitter returned {out.shape}, expected {want}")
+            self._memo[word] = out
         return out
 
 
@@ -127,7 +138,10 @@ class AntipodeRule:
 
 @dataclass
 class CoalgebraExample:
-    """An alphabet with splitter, counit and optional algebra data."""
+    """An alphabet with splitter, counit and optional algebra data.
+
+    Planar examples leave ``splitter_z`` unset; a cube example sets it.
+    """
 
     name: str
     alphabet: object
@@ -142,12 +156,19 @@ class CoalgebraExample:
     sample_columns: object = None   # n -> list[GridWord] in the x-domain
     sample_rows: object = None      # m -> list[GridWord] in the y-domain
     meta: dict = field(default_factory=dict)
+    splitter_z: Splitter | None = None
 
-    def splitter(self, direction) -> Splitter:
-        return self.splitter_x if direction == "x" else self.splitter_y
+    def splitter(self, axis) -> Splitter:
+        return self._along("splitter", axis)
 
-    def counit(self, direction) -> CounitRule:
-        return self.counit_x if direction == "x" else self.counit_y
+    def counit(self, axis) -> CounitRule:
+        return self._along("counit", axis)
+
+    def _along(self, kind, axis):
+        rule = getattr(self, f"{kind}_{axis}", None) if axis in AXES else None
+        if rule is None:
+            raise ValueError(f"{self.name} has no {kind} along axis {axis!r}")
+        return rule
 
     def samples(self, direction, n):
         fn = self.sample_columns if direction == "x" else self.sample_rows
@@ -156,64 +177,29 @@ class CoalgebraExample:
         return fn(n)
 
 
-def apply_splitter(ex: CoalgebraExample, direction: str, word: GridWord) -> FormalSum:
-    """Apply the direction's splitter to a single column/row word."""
-    if direction == "x":
-        if word.shape.cols != 1:
-            raise ShapeError(f"x-splitter wants an n x 1 column, got {word.shape}")
-        out = ex.splitter_x(word)
-        expect = GridShape(word.shape.rows, 2)
-    elif direction == "y":
-        if word.shape.rows != 1:
-            raise ShapeError(f"y-splitter wants a 1 x m row, got {word.shape}")
-        out = ex.splitter_y(word)
-        expect = GridShape(2, word.shape.cols)
-    else:
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    if out.shape != expect:
-        raise ShapeError(f"splitter returned {out.shape}, expected {expect}")
-    return out
+def apply_splitter(ex: CoalgebraExample, axis: str, word: GridWord) -> FormalSum:
+    """Apply the axis's splitter to a slice word (extent 1 along ``axis``).
 
-
-def _splice_cols(word: GridWord, j: int, block: GridWord, shape: GridShape) -> GridWord:
-    """Replace column j of ``word`` by the two columns of ``block`` (``shape`` is n x (m+1))."""
-    m = word.shape.cols
-    cells, pairs = word.cells, block.cells
-    out = []
-    for off in range(word.shape.rows):
-        row = off * m
-        out += cells[row:row + j - 1]
-        out += pairs[2 * off:2 * off + 2]
-        out += cells[row + j:row + m]
-    return GridWord(shape, tuple(out))
-
-
-def _splice_rows(word: GridWord, i: int, block: GridWord, shape: GridShape) -> GridWord:
-    """Replace row i of ``word`` by the two rows of ``block`` (``shape`` is (n+1) x m)."""
-    m = word.shape.cols
-    cells = word.cells
-    return GridWord(shape, cells[:(i - 1) * m] + block.cells + cells[i * m:])
-
-
-def grow(ex: CoalgebraExample, s: FormalSum, direction: str, block: int | None = None) -> FormalSum:
-    """Split one row or column slice of every term, splicing the result in place.
-
-    ``block`` is the 1-based column (direction 'x') or row ('y') to split;
-    the default is the last one, matching boundary growth.  The spliced
-    terms of all input terms are merged by one :class:`FormalSum` build.
+    The splitter raises :class:`ShapeError` unless the word has extent 1
+    along the axis and the result extent 2.
     """
-    n, m = s.shape.rows, s.shape.cols
-    if direction == "x":
-        k = m if block is None else block
-        shape, take, splice = GridShape(n, m + 1), GridWord.col, _splice_cols
-    elif direction == "y":
-        k = n if block is None else block
-        shape, take, splice = GridShape(n + 1, m), GridWord.row, _splice_rows
-    else:
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    return FormalSum(shape, ((splice(word, k, b, shape), coeff * c)
+    return ex.splitter(axis)(word)
+
+
+def grow(ex: CoalgebraExample, s: FormalSum, axis: str, block: int | None = None) -> FormalSum:
+    """Split one slice along ``axis`` of every term, splicing the result in place.
+
+    ``block`` is the 1-based slice to split (a column for 'x', a row for
+    'y', a layer for 'z'); the default is the last one, matching boundary
+    growth.  The spliced terms of all input terms are merged by one
+    :class:`FormalSum` build.
+    """
+    part, grown, take, put = s.shape.slicing(
+        axis, s.shape.extents[s.shape.axis(axis)] if block is None else block)
+    split = ex.splitter(axis)
+    return FormalSum(grown, ((GridWord(grown, put(word.cells + b.cells)), coeff * c)
                              for word, coeff in s.unordered_items()
-                             for b, c in apply_splitter(ex, direction, take(word, k)).unordered_items()))
+                             for b, c in split(GridWord(part, take(word.cells))).unordered_items()))
 
 
 def boxplus(ex: CoalgebraExample, v: Symbol, n: int, m: int, order: str = "y_first") -> FormalSum:
@@ -225,19 +211,16 @@ def boxplus(ex: CoalgebraExample, v: Symbol, n: int, m: int, order: str = "y_fir
     """
     if isinstance(v, str):
         v = ex.alphabet[v]
-    s = FormalSum.unit(word1(v))
-    if order == "y_first":
-        for _ in range(n - 1):
-            s = grow(ex, s, "y")
-        for _ in range(m - 1):
-            s = grow(ex, s, "x")
-    elif order == "x_first":
-        for _ in range(m - 1):
-            s = grow(ex, s, "x")
-        for _ in range(n - 1):
-            s = grow(ex, s, "y")
-    else:
+    if order not in ("y_first", "x_first"):
         raise ValueError(f"unknown growth order {order!r}")
+    steps = "y" * (n - 1) + "x" * (m - 1)
+    return _grown(ex, FormalSum.unit(word1(v)), steps if order == "y_first" else steps[::-1])
+
+
+def _grown(ex, s: FormalSum, axes) -> FormalSum:
+    """``s`` grown by one slice along each axis of ``axes`` in turn."""
+    for axis in axes:
+        s = grow(ex, s, axis)
     return s
 
 
@@ -383,24 +366,25 @@ class _Timer:
 
 
 def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
-    """(split x id) o split == (id x split) o split on the given slice words."""
+    """(split x id) o split == (id x split) o split on the given slice words.
+
+    The two sides grow the split word's first and second slice.
+    """
     if words is None:
         words = ex.samples(direction, n)
     instances = []
     with _Timer() as t:
         for w in words:
-            left, right = [], []
-            for b, c in apply_splitter(ex, direction, w).unordered_items():
-                first, second = _halves(direction, b)
-                left += _scaled(_attach(direction, apply_splitter(ex, direction, first), second,
-                                        second_last=True), c)
-                right += _scaled(_attach(direction, apply_splitter(ex, direction, second), first,
-                                         second_last=False), c)
-            shape = _triple_shape(direction, w.shape)
-            instances.append(_compared(repr(w), FormalSum(shape, left), FormalSum(shape, right),
-                                       tol))
-    sizes = [(n, 1)] if direction == "x" else [(1, n)]
-    return CheckReport("quasi_1d_assoc_" + direction, sizes, instances, t.elapsed)
+            doubled = apply_splitter(ex, direction, w)
+            instances.append(_compared(repr(w), grow(ex, doubled, direction, 1),
+                                       grow(ex, doubled, direction, 2), tol))
+    return CheckReport("quasi_1d_assoc_" + direction, _slice_sizes(direction, n), instances,
+                       t.elapsed)
+
+
+def _slice_sizes(direction, n):
+    """The report sizes of a check on planar slices of n sites along ``direction``."""
+    return [GridShape(n, n).resized(direction, 1).extents]
 
 
 def _compared(label, got: FormalSum, want: FormalSum, tol, res=None) -> CheckInstance:
@@ -415,25 +399,9 @@ def _compared(label, got: FormalSum, want: FormalSum, tol, res=None) -> CheckIns
     return CheckInstance(label, False, res, {"worst_word": worst_word(got, want)})
 
 
-def _triple_shape(direction, slice_shape):
-    if direction == "x":
-        return GridShape(slice_shape.rows, 3)
-    return GridShape(3, slice_shape.cols)
-
-
-def _halves(direction, block: GridWord):
+def _halves(axis, block: GridWord):
     """The two slice factors of a doubled block, earlier one first."""
-    if direction == "x":
-        return block.col(1), block.col(2)
-    return block.row(1), block.row(2)
-
-
-def _attach(direction, doubled: FormalSum, other: GridWord, second_last: bool):
-    """Juxtapose a doubled slice with a spectator slice on the proper side."""
-    other_sum = FormalSum.unit(other)
-    if direction == "x":
-        return concat_h(doubled, other_sum) if second_last else concat_h(other_sum, doubled)
-    return concat_v(doubled, other_sum) if second_last else concat_v(other_sum, doubled)
+    return block.slice(axis, 1), block.slice(axis, 2)
 
 
 def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
@@ -498,8 +466,7 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
             gaps = [sum_difference(side, target) for side in sides]
             worse = 1 if gaps[1] > gaps[0] else 0
             instances.append(_compared(repr(w), sides[worse], target, tol, max(gaps)))
-    sizes = [(n, 1)] if direction == "x" else [(1, n)]
-    return CheckReport("counit_" + direction, sizes, instances, t.elapsed)
+    return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
 
 
 def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> CheckReport:
@@ -541,8 +508,7 @@ def check_antipode(ex, rep: Representation, direction, n, words=None, tol=EQ_TOL
             target = eps(w) * identity_operator(dim)
             res = max(operator_difference(left, target), operator_difference(right, target))
             instances.append(CheckInstance(repr(w), res <= tol, res))
-    sizes = [(n, 1)] if direction == "x" else [(1, n)]
-    return CheckReport("antipode_" + direction, sizes, instances, t.elapsed)
+    return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -661,110 +627,51 @@ def check_trivial_proposition(dx, dy, instance_syms, tol=EQ_TOL) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# the 2 x 2 x 2 cube for the marked-symbol construction
+# the marked-symbol cube
 
 
-def _cube_index(site):
-    """Linear order on the cube: x fastest, then y, then z."""
-    x, y, z = site
-    return (z - 1) * 4 + (y - 1) * 2 + x
-
-
-def _cube_sites(extents):
-    ex, ey, ez = extents
-    return sorted(
-        [(x, y, z) for x in range(1, ex + 1) for y in range(1, ey + 1) for z in range(1, ez + 1)],
-        key=_cube_index,
-    )
-
-
-def _cube_grow(terms, sites, extents, axis, syms):
-    """Double the current box along ``axis`` with the marked-symbol rule.
-
-    ``terms`` maps cell tuples (aligned with ``sites``) to coefficients.
-    A term holding the marked symbol v lands it in either copy, with every
-    other site getting ``a`` before it and ``b`` after it in linear order;
-    a constant term is doubled literally.
-    """
-    a, b, v = syms
-    ax = "xyz".index(axis)
-    if extents[ax] != 1:
-        raise DomainError(f"cube axis {axis} already grown")
-    new_extents = tuple(e * 2 if k == ax else e for k, e in enumerate(extents))
-    new_sites = _cube_sites(new_extents)
-    out = {}
-    for cells, coeff in terms.items():
-        term = dict(zip(sites, cells))
-        vpos = [s for s, sym in term.items() if sym == v]
-        if len(vpos) > 1:
-            raise DomainError("multiple marked symbols in a cube term")
-        if vpos:
-            for c in (1, 2):
-                landing = tuple(c if k == ax else coord for k, coord in enumerate(vpos[0]))
-                word = tuple(
-                    v if s == landing
-                    else (a if _cube_index(s) < _cube_index(landing) else b)
-                    for s in new_sites
-                )
-                out[word] = out.get(word, 0j) + coeff
-        else:
-            letters = set(term.values())
-            if len(letters) != 1:
-                raise DomainError("mixed marked-free cube slice")
-            letter = letters.pop()
-            word = tuple(letter for _ in new_sites)
-            out[word] = out.get(word, 0j) + coeff
-    return out, new_sites, new_extents
-
-
-def _cube_terms(start_sym, order, syms):
-    """Grow one symbol from a single site along the given axis order."""
-    extents = (1, 1, 1)
-    sites = [(1, 1, 1)]
-    terms = {(start_sym,): 1.0 + 0j}
-    for axis in order:
-        terms, sites, extents = _cube_grow(terms, sites, extents, axis, syms)
-    return terms
-
-
-def _cube_diff(t1, t2):
-    words = set(t1) | set(t2)
-    if not words:
-        return 0.0
-    return max(abs(complex(t1.get(w, 0)) - complex(t2.get(w, 0))) for w in words)
+CUBE_SIZES = (2, 3, 4)
 
 
 def cube_xyz_compat(tol=EQ_TOL) -> CheckReport:
-    """Three growth orders of the 2x2x2 marked-symbol cube agree.
+    """Every axis order grows the k x k x k marked-symbol cube to one sum.
 
-    Sites are ordered x fastest, then y, then z; the marked symbol is
-    preceded by ``a`` and followed by ``b`` in that order.  The oracle for
-    the marked symbol is the 7-fold 1D coproduct rearranged onto the cube.
+    The cube's splitters are the marked-symbol family under the reading key
+    (z, y, x): x fastest, then y, then z, which is the linear site order.
+    For k in :data:`CUBE_SIZES` each symbol grows along all six axis orders,
+    each axis to extent k in turn.  The grown ``v`` must be the oracle: v at
+    one site, ``a`` on every site before it and ``b`` on every site after
+    it in reading order, each with coefficient 1; ``a`` and ``b`` must fill
+    the cube.  The 2 x 2 x 2 instances are labelled by the symbol alone,
+    larger ones as ``symbol:kxkxk``; a failing instance names its worst word.
     """
-    from .grids import Alphabet
+    from .instances import MarkedFamily
 
     alphabet = Alphabet(["a", "b", "v"])
-    a, b, v = alphabet["a"], alphabet["b"], alphabet["v"]
-    orders = [("x", "y", "z"), ("x", "z", "y"), ("z", "y", "x")]
+    a, b, v = alphabet.symbols
+    key = lambda x, y, z: (z, y, x)
+    family = MarkedFamily(markers={v: (a, b)}, cut_pairs=[(a, b)], grouplike={a, b}, key=key)
+    ex = family.example("cube", alphabet, splitter_z=family.splitter("z"))
+    orders = list(permutations(AXES))
     instances = []
     with _Timer() as t:
-        for sym in (v, a, b):
-            grown = [_cube_terms(sym, order, (a, b, v)) for order in orders]
-            res = max(_cube_diff(grown[0], grown[1]), _cube_diff(grown[0], grown[2]))
-            details = {}
-            if sym == v:
-                sites = _cube_sites((2, 2, 2))
-                oracle = {}
-                for p in sites:
-                    word = tuple(
-                        v if s == p else (a if _cube_index(s) < _cube_index(p) else b)
-                        for s in sites
-                    )
-                    oracle[word] = 1.0
-                res = max(res, _cube_diff(grown[0], oracle))
-                details = {"terms": len(grown[0])}
-            else:
-                expected = {tuple(sym for _ in range(8)): 1.0}
-                res = max(res, _cube_diff(grown[0], expected))
-            instances.append(CheckInstance(str(sym), res <= tol, res, details))
-    return CheckReport("cube_xyz_compat", [(2, 2)], instances, t.elapsed)
+        for k in CUBE_SIZES:
+            shape = GridShape(k, k, k)
+            for sym in (v, a, b):
+                if sym == v:
+                    want = FormalSum(shape, [
+                        (GridWord(shape, tuple(v if s == p else (a if key(*s) < key(*p) else b)
+                                               for s in shape.coords)), 1.0)
+                        for p in shape.coords])
+                else:
+                    want = FormalSum.unit(GridWord(shape, (sym,) * shape.sites))
+                got = [_grown(ex, FormalSum.unit(GridWord(GridShape(1, 1, 1), (sym,))),
+                              "".join(axis * (k - 1) for axis in order)) for order in orders]
+                gaps = [sum_difference(g, want) for g in got]
+                worst = max(range(len(got)), key=gaps.__getitem__)
+                label = str(sym) if k == 2 else f"{sym}:{shape}"
+                inst = _compared(label, got[worst], want, tol, gaps[worst])
+                if sym == v:
+                    inst.details["terms"] = len(got[worst])
+                instances.append(inst)
+    return CheckReport("cube_xyz_compat", [(k, k, k) for k in CUBE_SIZES], instances, t.elapsed)

@@ -9,7 +9,11 @@ row and then jumping to the row above, so for a 3 x 3 grid::
     4 5 6
     1 2 3
 
-Cells of a :class:`GridWord` are stored in this linear order.
+Cells of a :class:`GridWord` are stored in this linear order.  A
+:class:`GridShape` lists its extents slowest axis first, so the same order
+carries over to a stack of such grids (a cube): axis ``x`` runs along the
+last extent, ``y`` along the one before it and ``z`` along the one before
+that.
 
 Formal sums are accumulated one way throughout the package: collect every
 (word, coefficient) term of a result, repeats allowed, and build the
@@ -21,9 +25,12 @@ output, in :meth:`FormalSum.items`, iteration, ``repr`` and JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 import json
-from operator import attrgetter
+import math
+from operator import attrgetter, itemgetter
 import sys
 
 # Coefficients below this magnitude are dropped during canonicalization.
@@ -31,6 +38,8 @@ CANON_TOL = 1e-14
 # Default tolerance for comparing formal sums coefficientwise.
 EQ_TOL = 1e-10
 _FLOAT_MAX = sys.float_info.max
+# axis names, fastest first: x is a shape's last extent, y the one before it
+AXES = ("x", "y", "z")
 
 
 class ShapeError(ValueError):
@@ -90,21 +99,80 @@ class Alphabet:
         return tuple(self[c] if isinstance(c, str) else c for c in cells)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class GridShape:
-    rows: int
-    cols: int
+    """The extents of a grid, slowest axis first: ``GridShape(n, m)`` has n
+    rows of m columns, ``GridShape(l, n, m)`` stacks l such layers.
+    ``rows`` and ``cols`` are the y and x extents."""
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid shape must be positive, got {self}")
+    extents: tuple
+    sites: int = field(compare=False)
 
-    @property
-    def sites(self):
-        return self.rows * self.cols
+    def __init__(self, *extents):
+        if not 2 <= len(extents) <= len(AXES) or min(extents) < 1:
+            raise ValueError(f"grid shape must be 2 or 3 positive extents, got {extents}")
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "sites", math.prod(extents))
+
+    rows = property(lambda self: self.extents[-2])
+    cols = property(lambda self: self.extents[-1])
 
     def __repr__(self):
-        return f"{self.rows}x{self.cols}"
+        return "x".join(map(str, self.extents))
+
+    def axis(self, name) -> int:
+        """The position in ``extents`` of the axis called ``name``."""
+        a = len(self.extents) - 1 - AXES.index(name) if name in AXES else -1
+        if a < 0:
+            raise ShapeError(f"a {self} grid has no axis {name!r}")
+        return a
+
+    def resized(self, axis, extent) -> "GridShape":
+        """This shape with ``extent`` along ``axis``."""
+        a = self.axis(axis)
+        return GridShape(*self.extents[:a], extent, *self.extents[a + 1:])
+
+    @property
+    def coords(self):
+        """Site coordinates (x, y[, z]), 1-based, in linear site order."""
+        return _coords(self.extents)
+
+    def slicing(self, axis, k):
+        """Slice ``k`` (1-based) along ``axis`` as ``(part, grown, take, put)``.
+
+        ``take(cells)`` gives the slice's cells, a word of shape ``part``
+        (extent 1 along the axis).  ``put(cells + block)`` replaces the
+        slice by a doubled block (extent 2) and gives the cells of the grown
+        word, of shape ``grown``.
+        """
+        return _slicing(self.extents, self.axis(axis), k)
+
+
+@lru_cache(maxsize=256)
+def _coords(extents):
+    return tuple(p[::-1] for p in product(*(range(1, e + 1) for e in extents)))
+
+
+# growth and the checks cut the same few slices over and over, so the index
+# maps are built once per (shape, axis, slice) and kept in a bounded cache
+@lru_cache(maxsize=256)
+def _slicing(extents, a, k):
+    e = extents[a]
+    if not 1 <= k <= e:
+        raise SiteRangeError(f"slice {k} outside 1..{e}")
+    outer, inner = math.prod(extents[:a]), math.prod(extents[a + 1:])
+    size = outer * e * inner
+    take, put = [], []
+    for o in range(outer):
+        start = o * e * inner
+        take += range(start + (k - 1) * inner, start + k * inner)
+        put += range(start, start + (k - 1) * inner)
+        put += range(size + 2 * o * inner, size + 2 * (o + 1) * inner)
+        put += range(start + k * inner, start + e * inner)
+    get = itemgetter(*take)  # a tuple from two or more indices, the bare cell from one
+    shape = lambda x: GridShape(*extents[:a], x, *extents[a + 1:])
+    return (shape(1), shape(e + 1), get if len(take) > 1 else lambda cells: (get(cells),),
+            itemgetter(*put))
 
 
 _SYMBOL_ID = attrgetter("id")
@@ -129,12 +197,11 @@ class GridWord:
     __slots__ = ("shape", "cells", "_hash")
 
     def __init__(self, shape: GridShape, cells: tuple[Symbol, ...]):
-        if len(cells) != shape.rows * shape.cols:
+        if len(cells) != shape.sites:
             raise ShapeError(f"{len(cells)} cells do not fill {shape}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_hash",
-                           hash((shape.rows, shape.cols, *map(_SYMBOL_ID, cells))))
+        object.__setattr__(self, "_hash", hash((*shape.extents, *map(_SYMBOL_ID, cells))))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GridWord is immutable; cannot set {name!r}")
@@ -145,26 +212,29 @@ class GridWord:
     def __eq__(self, other):
         if not isinstance(other, GridWord):
             return NotImplemented
-        return (self._hash == other._hash and self.shape == other.shape
+        return (self._hash == other._hash
+                and (self.shape is other.shape or self.shape == other.shape)
                 and self.cells == other.cells)
 
     def cell(self, i, j):
         return self.cells[site_index(i, j, self.shape) - 1]
 
+    def slice(self, axis, k) -> "GridWord":
+        """The word on slice ``k`` (1-based) along ``axis``, extent 1 there."""
+        part, _, take, _ = self.shape.slicing(axis, k)
+        return GridWord(part, take(self.cells))
+
     def row(self, i) -> "GridWord":
         """The 1 x m row word at height ``i`` (1 = bottom)."""
-        m = self.shape.cols
-        off = (i - 1) * m
-        return GridWord(GridShape(1, m), self.cells[off:off + m])
+        return self.slice("y", i)
 
     def col(self, j) -> "GridWord":
         """The n x 1 column word at column ``j`` (1 = leftmost)."""
-        if not 1 <= j <= self.shape.cols:
-            raise SiteRangeError(f"column {j} outside {self.shape}")
-        return GridWord(GridShape(self.shape.rows, 1), self.cells[j - 1::self.shape.cols])
+        return self.slice("x", j)
 
     def rows_top_down(self):
-        """Rows as lists of names, top row first (the layout grids are displayed in)."""
+        """Rows of a planar word as lists of names, top row first (the layout
+        grids are displayed in)."""
         return [[self.cell(i, j).name for j in range(1, self.shape.cols + 1)]
                 for i in range(self.shape.rows, 0, -1)]
 
@@ -180,13 +250,19 @@ class GridWord:
         return GridWord(GridShape(n, m), tuple(cells))
 
     def _key(self):
-        return (self.shape.rows, self.shape.cols, tuple(map(_SYMBOL_ID, self.cells)))
+        return (*self.shape.extents, tuple(map(_SYMBOL_ID, self.cells)))
 
     def __lt__(self, other):
         return self._key() < other._key()
 
     def __repr__(self):
-        return "/".join(" ".join(r) for r in self.rows_top_down())
+        """Rows top first, separated by '/'; the layers of a cube z = 1 first,
+        separated by ' | '."""
+        names = [c.name for c in self.cells]
+        m, layer = self.shape.cols, self.shape.rows * self.shape.cols
+        return " | ".join("/".join(" ".join(names[r:r + m])
+                                   for r in range(start + layer - m, start - 1, -m))
+                          for start in range(0, len(names), layer))
 
 
 def word1(sym: Symbol) -> GridWord:
@@ -288,7 +364,7 @@ class FormalSum:
             for w, c in self.items()
         ]
         return json.dumps(
-            {"shape": [self.shape.rows, self.shape.cols], "terms": terms},
+            {"shape": list(self.shape.extents), "terms": terms},
             sort_keys=True,
         )
 
@@ -333,34 +409,34 @@ def worst_word(got: FormalSum, want: FormalSum) -> dict:
     return {"word": repr(worst), "got": [g.real, g.imag], "want": [t.real, t.imag]}
 
 
+def join(axis, first: GridWord, second: GridWord) -> GridWord:
+    """The word holding ``second`` after ``first`` along ``axis``: to its
+    right ('x'), above it ('y') or on top of it ('z')."""
+    shape = _joined(axis, first.shape, second.shape)
+    outer = math.prod(shape.extents[:shape.axis(axis)])
+    na, nb = first.shape.sites // outer, second.shape.sites // outer
+    return GridWord(shape, tuple(
+        c for o in range(outer)
+        for c in first.cells[o * na:(o + 1) * na] + second.cells[o * nb:(o + 1) * nb]))
+
+
+def _joined(axis, a: GridShape, b: GridShape) -> GridShape:
+    if a.resized(axis, 1) != b.resized(axis, 1):
+        raise ShapeError(f"cannot join {a} and {b} along {axis}")
+    return a.resized(axis, a.extents[a.axis(axis)] + b.extents[b.axis(axis)])
+
+
 def concat_h(a: FormalSum, b: FormalSum) -> FormalSum:
     """Juxtapose two sums side by side (``a`` on the left); bilinear."""
-    if a.shape.rows != b.shape.rows:
-        raise ShapeError(f"row mismatch: {a.shape} vs {b.shape}")
-    ma, mb = a.shape.cols, b.shape.cols
-    shape = GridShape(a.shape.rows, ma + mb)
-    offsets = range(a.shape.rows)
-    b_rows = [([wb.cells[k * mb:(k + 1) * mb] for k in offsets], cb)
-              for wb, cb in b._terms.items()]
-    terms = []
-    for wa, ca in a._terms.items():
-        a_rows = [wa.cells[k * ma:(k + 1) * ma] for k in offsets]
-        for rows, cb in b_rows:
-            cells = []
-            for ra, rb in zip(a_rows, rows):
-                cells += ra
-                cells += rb
-            terms.append((GridWord(shape, tuple(cells)), ca * cb))
-    return FormalSum(shape, terms)
+    return _concat("x", a, b)
 
 
 def concat_v(a: FormalSum, b: FormalSum) -> FormalSum:
     """Stack two sums vertically (``a`` at the bottom); bilinear."""
-    if a.shape.cols != b.shape.cols:
-        raise ShapeError(f"column mismatch: {a.shape} vs {b.shape}")
-    shape = GridShape(a.shape.rows + b.shape.rows, a.shape.cols)
-    terms = []
-    for wa, ca in a._terms.items():
-        for wb, cb in b._terms.items():
-            terms.append((GridWord(shape, wa.cells + wb.cells), ca * cb))
-    return FormalSum(shape, terms)
+    return _concat("y", a, b)
+
+
+def _concat(axis, a: FormalSum, b: FormalSum) -> FormalSum:
+    return FormalSum(_joined(axis, a.shape, b.shape),
+                     [(join(axis, wa, wb), ca * cb)
+                      for wa, ca in a._terms.items() for wb, cb in b._terms.items()])

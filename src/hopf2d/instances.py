@@ -31,7 +31,7 @@ from .coalgebra import (
     MultiplicationRule,
     Splitter,
 )
-from .grids import Alphabet, FormalSum, GridShape, GridWord
+from .grids import AXES, Alphabet, FormalSum, GridShape, GridWord, join
 from .linops import Representation
 
 TWO_PI = 2.0 * math.pi
@@ -116,7 +116,9 @@ class MarkedFamily:
 
     ``markers`` maps each marked symbol to its (earlier, later) letter pair;
     ``cut_pairs`` lists letter pairs whose monotone mixed slices are valid;
-    ``grouplike`` symbols double literally as constant slices.
+    ``grouplike`` symbols double literally as constant slices.  ``key`` maps
+    site coordinates (x, y[, z]), read from the word's shape, to a sortable
+    reading order.
     """
 
     markers: dict
@@ -124,22 +126,9 @@ class MarkedFamily:
     grouplike: set
     key: object
 
-    def slice_positions(self, direction, n):
-        if direction == "x":
-            return [(1, y) for y in range(1, n + 1)]
-        return [(x, 1) for x in range(1, n + 1)]
-
-    def doubled_positions(self, direction, n):
-        if direction == "x":
-            return [(c, y) for y in range(1, n + 1) for c in (1, 2)]
-        return [(x, c) for c in (1, 2) for x in range(1, n + 1)]
-
-    def doubled_shape(self, direction, n):
-        return GridShape(n, 2) if direction == "x" else GridShape(2, n)
-
-    def _classify(self, word, direction):
-        """Return ('marker', pos, sym) or ('free', None, None); raise KeyError if invalid."""
-        pos = self.slice_positions(direction, len(word.cells))
+    def _classify(self, word):
+        """Return ('marker', pos, sym) or ('free', None, None); None if invalid."""
+        pos = word.shape.coords
         marked = [(p, c) for p, c in zip(pos, word.cells) if c in self.markers]
         if len(marked) > 1:
             return None
@@ -172,49 +161,45 @@ class MarkedFamily:
                     return ("free", None, None)
         return None
 
-    def domain(self, direction):
-        return lambda w: self._classify(w, direction) is not None
+    def domain(self, word):
+        return self._classify(word) is not None
 
-    def splitter(self, direction) -> Splitter:
+    def splitter(self, axis) -> Splitter:
+        i = AXES.index(axis)  # the axis's place in a coordinate tuple
+
         def split(word):
-            n = len(word.cells)
-            kind = self._classify(word, direction)
-            shape = self.doubled_shape(direction, n)
-            dpos = self.doubled_positions(direction, n)
-            pos = self.slice_positions(direction, n)
+            kind = self._classify(word)
+            shape = word.shape.resized(axis, 2)
             if kind[0] == "free":
-                lookup = dict(zip(pos, word.cells))
-                src = (lambda p: (1, p[1])) if direction == "x" else (lambda p: (p[0], 1))
-                cells = tuple(lookup[src(p)] for p in dpos)
-                return FormalSum.unit(GridWord(shape, cells))
+                return FormalSum.unit(join(axis, word, word))
             _, p0, v = kind
             a, b = self.markers[v]
             terms = []
             for c in (1, 2):
-                landing = (c, p0[1]) if direction == "x" else (p0[0], c)
+                landing = p0[:i] + (c,) + p0[i + 1:]
                 kl = self.key(*landing)
                 cells = tuple(
                     v if p == landing else (a if self.key(*p) < kl else b)
-                    for p in dpos
+                    for p in shape.coords
                 )
                 terms.append((GridWord(shape, cells), 1.0))
             return FormalSum(shape, terms)
 
-        return Splitter(direction, split, self.domain(direction))
+        return Splitter(axis, split, self.domain)
 
-    def counit(self, direction) -> CounitRule:
+    def counit(self, axis) -> CounitRule:
         def eps(word):
-            kind = self._classify(word, direction)
+            kind = self._classify(word)
             return 0.0 if kind[0] == "marker" else 1.0
 
-        return CounitRule(direction, eps, self.domain(direction))
+        return CounitRule(axis, eps, self.domain)
 
     def samples(self, direction, n):
         """Canonical in-domain slice words: every marker position plus all cuts."""
-        pos = self.slice_positions(direction, n)
+        shape = GridShape(n, n).resized(direction, 1)
+        pos = shape.coords
         ordered = sorted(pos, key=lambda p: self.key(*p))
         out = []
-        shape = GridShape(n, 1) if direction == "x" else GridShape(1, n)
 
         def build(assign):
             lookup = dict(assign)
@@ -241,33 +226,29 @@ class MarkedFamily:
                 unique.append(w)
         return unique
 
-
-def _family_example(name, alphabet, family, **kw) -> CoalgebraExample:
-    return CoalgebraExample(
-        name=name,
-        alphabet=alphabet,
-        splitter_x=family.splitter("x"),
-        splitter_y=family.splitter("y"),
-        counit_x=family.counit("x"),
-        counit_y=family.counit("y"),
-        sample_columns=lambda n: family.samples("x", n),
-        sample_rows=lambda m: family.samples("y", m),
-        **kw,
-    )
+    def example(self, name, alphabet, **kw) -> CoalgebraExample:
+        """The planar example with this family's splitters, counits and samples."""
+        return CoalgebraExample(
+            name=name,
+            alphabet=alphabet,
+            splitter_x=self.splitter("x"),
+            splitter_y=self.splitter("y"),
+            counit_x=self.counit("x"),
+            counit_y=self.counit("y"),
+            sample_columns=lambda n: self.samples("x", n),
+            sample_rows=lambda m: self.samples("y", m),
+            **kw,
+        )
 
 
 # ---------------------------------------------------------------------------
 # cellwise splitters (group-like and primitive coproducts)
 
 
-def _assemble(direction, firsts, seconds):
-    n = len(firsts)
-    if direction == "x":
-        cells = []
-        for y in range(n):
-            cells.extend((firsts[y], seconds[y]))
-        return GridWord(GridShape(n, 2), tuple(cells))
-    return GridWord(GridShape(2, n), tuple(firsts) + tuple(seconds))
+def _assemble(part: GridShape, axis, firsts, seconds) -> GridWord:
+    """The doubled block of a slice of shape ``part``: cells ``firsts`` in its
+    first copy along ``axis``, ``seconds`` in its second."""
+    return join(axis, GridWord(part, firsts), GridWord(part, seconds))
 
 
 def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
@@ -281,10 +262,8 @@ def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
                 for coef, firsts, seconds in combos
                 for rc, s1, s2 in rules[c]
             ]
-        shape = GridShape(len(word.cells), 2) if direction == "x" else GridShape(2, len(word.cells))
-        return FormalSum(
-            shape, [(_assemble(direction, f, s), coef) for coef, f, s in combos]
-        )
+        return FormalSum(word.shape.resized(direction, 2),
+                         [(_assemble(word.shape, direction, f, s), coef) for coef, f, s in combos])
 
     if domain is None:
         domain = lambda w: all(c in rules for c in w.cells)
@@ -474,11 +453,10 @@ def make_quasi1d_group(inner=None, inner_counit=None, names=None) -> CoalgebraEx
     def split_x(word):
         n = len(word.cells)
         sym = word.cells[0]
-        shape = GridShape(n, 2)
         terms = []
         for c, s1, s2 in rules[sym]:
-            terms.append((_assemble("x", (s1,) * n, (s2,) * n), c))
-        return FormalSum(shape, terms)
+            terms.append((_assemble(word.shape, "x", (s1,) * n, (s2,) * n), c))
+        return FormalSum(GridShape(n, 2), terms)
 
     def eps_x(word):
         return eps_in[word.cells[0]]
@@ -704,8 +682,7 @@ def make_pivot(cfg: PivotConfig | None = None, theta: float | None = None) -> Co
         grouplike={a, b},
         key=reading_order_key(theta_q),
     )
-    ex = _family_example(f"pivot(theta={theta_q:g})", alphabet, family,
-                         grow_symbols=(a, b, v))
+    ex = family.example(f"pivot(theta={theta_q:g})", alphabet, grow_symbols=(a, b, v))
     ex.meta = {"theta": theta_q, "family": family}
     return ex
 
@@ -816,11 +793,11 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
             acc = tensor_mul(acc, delta_x)
         delta_1site[sym] = [(c, s1, s2) for (s1, s2), c in acc.items()]
 
-    ex = _family_example(f"taft(n={n})", alphabet, family,
-                         multiplication=mult,
-                         antipode=AntipodeRule(sitewise, anti_y),
-                         unit=one,
-                         grow_symbols=(one, g, x))
+    ex = family.example(f"taft(n={n})", alphabet,
+                        multiplication=mult,
+                        antipode=AntipodeRule(sitewise, anti_y),
+                        unit=one,
+                        grow_symbols=(one, g, x))
     ex.meta = {"taft": cfg, "family": family, "delta_1site": delta_1site}
     return ex
 
@@ -885,9 +862,9 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
             return sitewise(word)
         return FormalSum.unit(word, scale[marks[0]])
 
-    ex = _family_example(f"uq(q={q:g})", alphabet, family,
-                         antipode=AntipodeRule(sitewise, anti_y), unit=one,
-                         grow_symbols=tuple(alphabet.symbols))
+    ex = family.example(f"uq(q={q:g})", alphabet,
+                        antipode=AntipodeRule(sitewise, anti_y), unit=one,
+                        grow_symbols=tuple(alphabet.symbols))
     ex.meta = {"q": q, "family": family}
     return ex
 

@@ -75,11 +75,9 @@ def site_permutation_matrix(new_to_old, d=2) -> np.ndarray:
     n = len(new_to_old)
     dim = d ** n
     P = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        digits = [(b // d ** (n - 1 - k)) % d for k in range(n)]
-        new_digits = [digits[new_to_old[k]] for k in range(n)]
-        bn = sum(v * d ** (n - 1 - k) for k, v in enumerate(new_digits))
-        P[bn, b] = 1.0
+    # entry bn of the transposed index array is the old state b that bn reads
+    old = np.arange(dim).reshape((d,) * n).transpose(new_to_old).ravel()
+    P[np.arange(dim), old] = 1.0
     return P
 
 
@@ -164,11 +162,9 @@ def classical_r2d() -> np.ndarray:
 
 
 def single_site(mat, i, n_sites=4) -> np.ndarray:
-    out = None
-    for k in range(1, n_sites + 1):
-        m = mat if k == i else ID2
-        out = m if out is None else np.kron(out, m)
-    return out
+    """``mat`` on tensor position i (1-based), the identity elsewhere."""
+    return kron_terms([(1.0, [mat if k == i else ID2 for k in range(1, n_sites + 1)])],
+                      2, n_sites).toarray()
 
 
 def classical_identities_residual() -> dict:

@@ -14,6 +14,7 @@ mapped onto the internal bottom-row-first linear order by
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -178,38 +179,44 @@ def singlet_amplitude(q, bi: int, bj: int) -> complex:
     return 0j
 
 
+def _pair_product(pairs, total_sites) -> np.ndarray:
+    """Product of two-site factors on disjoint ordered pairs of linear sites.
+
+    ``pairs`` lists ``((i, j), amplitude)`` with 1-based sites i, j and
+    ``amplitude`` mapping the pair's bits (bi, bj) to a number (a missing
+    pattern is 0); sites outside every pair are spin up.  Each basis state's
+    amplitude is the Python product of its factors in pair order.
+    """
+    covered = [s for pair, _ in pairs for s in pair]
+    if len(set(covered)) != len(covered):
+        raise ValueError("pairs must be disjoint")
+    psi = np.zeros(2 ** total_sites, dtype=complex)
+    for bits in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=len(pairs)):
+        amp, b = 1.0 + 0j, 0
+        for ((i, j), amplitude), (bi, bj) in zip(pairs, bits):
+            amp *= amplitude.get((bi, bj), 0j)
+            b |= bi << (total_sites - i) | bj << (total_sites - j)
+        psi[b] = amp
+    return psi
+
+
+def _singlet_amplitudes(q) -> dict:
+    return {bits: singlet_amplitude(q, *bits) for bits in ((0, 1), (1, 0))}
+
+
 def q_singlet(q, site_pair=(1, 2), total_sites=2) -> np.ndarray:
     """The two-site q-singlet embedded on an ordered site pair.
 
     Site indices are linear (1-based); any remaining sites are filled with
     the spin-up basis state so products can be assembled by pairs.
     """
-    i, j = site_pair
-    psi = np.zeros(2 ** total_sites, dtype=complex)
-    for b in range(len(psi)):
-        bits = [(b >> (total_sites - 1 - s)) & 1 for s in range(total_sites)]
-        amp = singlet_amplitude(q, bits[i - 1], bits[j - 1])
-        if any(bits[s] for s in range(total_sites) if s not in (i - 1, j - 1)):
-            amp = 0j
-        psi[b] = amp
-    return psi
+    return _pair_product([(site_pair, _singlet_amplitudes(q))], total_sites)
 
 
 def singlet_product(q, pairs, total_sites) -> np.ndarray:
     """Product of q-singlets on disjoint ordered pairs of linear sites."""
-    covered = [s for pair in pairs for s in pair]
-    if len(set(covered)) != len(covered):
-        raise ValueError("singlet pairs must be disjoint")
-    psi = np.zeros(2 ** total_sites, dtype=complex)
-    for b in range(len(psi)):
-        bits = [(b >> (total_sites - 1 - s)) & 1 for s in range(total_sites)]
-        amp = 1.0 + 0j
-        for (i, j) in pairs:
-            amp *= singlet_amplitude(q, bits[i - 1], bits[j - 1])
-        if any(bits[s - 1] for s in range(1, total_sites + 1) if s not in covered):
-            amp = 0j
-        psi[b] = amp
-    return psi
+    amplitudes = _singlet_amplitudes(q)
+    return _pair_product([(pair, amplitudes) for pair in pairs], total_sites)
 
 
 def delta_op(gen: str, q) -> np.ndarray:
@@ -243,26 +250,17 @@ def singlet_pair_checks(q, tol=1e-10) -> CheckReport:
     return CheckReport("singlet_pair", [(1, 2)], instances, t.elapsed)
 
 
+_PATTERNS = {"01+10": {(0, 1): 1.0, (1, 0): 1.0}, "11": {(1, 1): 1.0}, "00": {(0, 0): 1.0}}
+
+
 def _display_state(specs) -> np.ndarray:
     """Four-site basis pattern from display-label constraints.
 
     ``specs`` maps the display pair (i, j) to one of '01+10', '11', '00'.
     """
-    psi = np.zeros(16, dtype=complex)
-    for b in range(16):
-        bits_lin = [(b >> (3 - s)) & 1 for s in range(4)]
-        bits = {k: bits_lin[DISPLAY_TO_LINEAR_2X2[k] - 1] for k in (1, 2, 3, 4)}
-        amp = 1.0
-        for (i, j), kind in specs.items():
-            pair = (bits[i], bits[j])
-            if kind == "01+10":
-                amp *= 1.0 if pair in ((0, 1), (1, 0)) else 0.0
-            elif kind == "11":
-                amp *= 1.0 if pair == (1, 1) else 0.0
-            elif kind == "00":
-                amp *= 1.0 if pair == (0, 0) else 0.0
-        psi[b] = amp
-    return psi
+    return _pair_product(
+        [((DISPLAY_TO_LINEAR_2X2[i], DISPLAY_TO_LINEAR_2X2[j]), _PATTERNS[kind])
+         for (i, j), kind in specs.items()], 4)
 
 
 def vertical_singlet_residual(q, tol=1e-10) -> dict:

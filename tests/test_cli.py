@@ -209,3 +209,20 @@ def test_xycompat_covers_every_size_up_to_the_largest(tmp_path):
     assert payload["sizes"] == [[2, 5]]
     inputs = {i["input"] for i in payload["instances"]}
     assert {f"corner1x{l}:v:vs_canonical" for l in (2, 3, 4)} <= inputs
+
+
+def test_explicit_flags_beat_the_config_file_even_at_their_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    out = tmp_path / "r"
+    assert main(["verify", "--sizes", "2x2", "--checks", "counit", "--seed", "42",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "counit_x.json").read_text())["seed"] == 42
+    cfg.write_text(json.dumps({"seed": 7, "example": "cross", "solve_boundary": True}))
+    assert main(["verify", "--sizes", "2x2", "--checks", "counit", "--example", "pivot",
+                 "--config", str(cfg), "--out", str(out)]) == 2  # no such verify option
+    cfg.write_text(json.dumps({"seed": 7, "example": "cross"}))
+    assert main(["verify", "--sizes", "2x2", "--checks", "counit", "--example", "pivot",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "counit_x.json").read_text())
+    assert (payload["seed"], payload["example"]) == (7, "pivot(theta=0)")

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -23,7 +24,8 @@ from hopf2d.coalgebra import (
     dual_product,
     grow,
 )
-from hopf2d.grids import FormalSum, GridShape, GridWord, sum_difference, sums_equal, word1
+from hopf2d.grids import (FormalSum, GridShape, GridWord, ShapeError, sum_difference, sums_equal,
+                          word1)
 from hopf2d.instances import (
     make_cross,
     make_cyclic_group,
@@ -472,3 +474,115 @@ def test_counit_undoes_growth_property(ex, short, long):
         got = _contract_last(boxplus(ex, sym, long, short, order="x_first"), "y", ex.counit_y)
         want = boxplus(ex, sym, long - 1, short, order="x_first")
         assert sum_difference(got, want) == 0.0, (sym, long, short)
+
+
+def _growth_dump(ex) -> str:
+    """Every grow symbol of ``ex`` grown to every size up to 4 x 4 in both
+    orders, one line per term with its coefficient as float hex."""
+    lines = []
+    for sym in ex.grow_symbols:
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for order in ("y_first", "x_first"):
+                    lines.append(f"{sym} {n}x{m} {order}")
+                    lines += [f"{word!r} {c.real.hex()} {c.imag.hex()}"
+                              for word, c in boxplus(ex, sym, n, m, order=order).items()]
+    return "\n".join(lines)
+
+
+# sha256 of _growth_dump per shipped instance, pinned from the growth engine
+# that walked columns and rows with separate splice helpers
+GROWTH_DIGESTS = {
+    "group_like": "e606d458dddc26d92103a6d4522ac951bf57a246a45fa1a1d1f35dadf89ca85c",
+    "lie_like": "ad4c78f5acdb2cf9413ff6c26d5595c09537567896ef8a5e96fb250b27b8b852",
+    "quasi1d_group": "7143208511994a8e49c1755fe4eeaf3678f949b8a9d4ee9fdc31d149e25d80bc",
+    "quasi1d_lie": "69668b286c7a162ef1dbc8ddf63f3fd6afe8807086707581cff51b34ff3e06a9",
+    "cross": "4cdfdaaef9d3f5144975971ac782e4cdb1c2ea8b56e833ddf19ebdd40bdaa8ff",
+    "pivot(theta=0)": "d973ef0276ed745a7983d4083c35d0709a5b563c4730b597912951428a1dd184",
+    "pivot(theta=0.785398)": "e057d2052904fd2929d7f5d6750f9c16d9645a6e3883889e3ce96c9b8cc455f3",
+    "taft(n=2)": "1b996993f0e84656d9feca1300406f44896e9738238ff90a183e333624eb29c7",
+    "taft(n=3)": "1b996993f0e84656d9feca1300406f44896e9738238ff90a183e333624eb29c7",
+    "uq(q=1.7+0j)": "62d187159e12b4d1f90fd1f1d166dca7ae49e44e627541b34e8e34c14f9d20a9",
+}
+
+
+@pytest.mark.parametrize("ex", SHIPPED, ids=lambda ex: ex.name)
+def test_grown_sums_are_byte_identical(ex):
+    digest = hashlib.sha256(_growth_dump(ex).encode()).hexdigest()
+    assert digest == GROWTH_DIGESTS[ex.name]
+
+
+def test_cube_report_names_every_size_and_order():
+    report = cube_xyz_compat()
+    assert report.sizes == [(2, 2, 2), (3, 3, 3), (4, 4, 4)]
+    assert json.loads(report.to_json())["sizes"] == [[2, 2, 2], [3, 3, 3], [4, 4, 4]]
+    assert [i.input for i in report.instances] == [
+        "v", "a", "b", "v:3x3x3", "a:3x3x3", "b:3x3x3", "v:4x4x4", "a:4x4x4", "b:4x4x4"]
+    assert [i.details for i in report.instances if i.input[0] == "v"] == [
+        {"terms": 8}, {"terms": 27}, {"terms": 64}]
+    assert report.ok and report.max_residual == 0.0
+
+
+def _cube_example():
+    from hopf2d.grids import Alphabet
+    from hopf2d.instances import MarkedFamily
+
+    alphabet = Alphabet(["a", "b", "v"])
+    a, b, v = alphabet.symbols
+    family = MarkedFamily({v: (a, b)}, [(a, b)], {a, b}, lambda x, y, z: (z, y, x))
+    return family.example("cube", alphabet, splitter_z=family.splitter("z")), (a, b, v)
+
+
+def test_cube_grows_through_the_planar_engine_in_an_interleaved_order():
+    ex, (a, b, v) = _cube_example()
+    s = FormalSum.unit(GridWord(GridShape(1, 1, 1), (v,)))
+    for axis in "xyzxyz":
+        s = grow(ex, s, axis)
+    shape = GridShape(3, 3, 3)
+    assert s.shape == shape and len(s) == 27
+    for p in range(27):
+        cells = (a,) * p + (v,) + (b,) * (26 - p)
+        assert s.coeff(GridWord(shape, cells)) == 1.0
+    with pytest.raises(ValueError):
+        PIVOT.splitter("z")
+    with pytest.raises(ShapeError):
+        grow(PIVOT, boxplus(PIVOT, "v", 2, 2), "z")
+    with pytest.raises(ShapeError):
+        apply_splitter(ex, "z", s.items()[0][0].slice("x", 1))  # extent 3 along z
+    with pytest.raises(ShapeError):
+        apply_splitter(PIVOT, "x", w(PIVOT, [["a", "b"]]))
+
+
+def test_planted_z_splitter_fails_the_cube_and_names_its_word(monkeypatch):
+    from hopf2d.instances import MarkedFamily
+
+    honest = MarkedFamily.splitter
+
+    def planted(self, axis):
+        """Once x and y are grown, a mark landing in the upper copy of a
+        layer gets ``b`` on the lower copy's last site, where ``a`` belongs."""
+        split = honest(self, axis)
+        if axis != "z":
+            return split
+        (v, (a, b)), = self.markers.items()
+
+        def rule(word):
+            out = split.rule(word)
+            _, ny, nx = word.shape.extents
+            if ny != nx or nx == 1:
+                return out
+            half = word.shape.sites
+            return FormalSum(out.shape, [
+                (GridWord(out.shape, t.cells[:half - 1] + (b,) + t.cells[half:])
+                 if v in t.cells[half:] else t, c)
+                for t, c in out.unordered_items()])
+
+        return Splitter("z", rule, split.domain)
+
+    monkeypatch.setattr(MarkedFamily, "splitter", planted)
+    report = cube_xyz_compat()
+    failed = {i.input: i.details["worst_word"] for i in report.instances if not i.passed}
+    assert sorted(failed) == ["v", "v:3x3x3", "v:4x4x4"]
+    assert failed["v"] == {"word": "a a/a a | a v/a a", "got": [0.0, 0.0], "want": [1.0, 0.0]}
+    assert all(worst["word"].count(" | ") == int(k[-1]) - 1
+               for k, worst in failed.items() if k != "v")

@@ -185,3 +185,38 @@ def test_json_round_trip_property(terms):
     back = FormalSum.from_json(s.to_json(), AB)
     assert sums_equal(s, back, 0.0)
     assert back.to_json() == s.to_json()
+
+
+def test_planar_shapes_keep_their_repr_json_hash_and_key():
+    shape = GridShape(3, 4)
+    assert (shape.rows, shape.cols, shape.sites, repr(shape)) == (3, 4, 12, "3x4")
+    assert shape.extents == (3, 4) and shape == GridShape(3, 4) and shape != GridShape(4, 3)
+    word = w([["a", "v"], ["b", "b"]])
+    assert hash(word) == hash((2, 2, B.id, B.id, A.id, V.id))
+    assert word._key() == (2, 2, (B.id, B.id, A.id, V.id))
+    assert json.loads(FormalSum.unit(word).to_json())["shape"] == [2, 2]
+    with pytest.raises(AttributeError):
+        shape.extents = (1, 1)
+    for bad in [(0, 2), (2,), (1, 1, 1, 1)]:
+        with pytest.raises(ValueError):
+            GridShape(*bad)
+
+
+def test_cube_shapes_name_their_axes_and_print_every_layer():
+    shape = GridShape(2, 3, 4)
+    assert (repr(shape), shape.sites, shape.rows, shape.cols) == ("2x3x4", 24, 3, 4)
+    assert [shape.axis(a) for a in "xyz"] == [2, 1, 0]
+    assert shape.resized("z", 5) == GridShape(5, 3, 4)
+    assert shape.coords[:2] == ((1, 1, 1), (2, 1, 1)) and shape.coords[-1] == (4, 3, 2)
+    with pytest.raises(ShapeError):
+        GridShape(3, 4).axis("z")
+    # cells in linear order: x fastest, then y, then z
+    cube = GridWord(GridShape(2, 2, 2), (A, A, A, A, A, V, B, B))
+    assert repr(cube) == "a a/a a | b b/a v"
+    assert cube.slice("z", 2).cells == (A, V, B, B)
+    assert cube.slice("y", 1) == GridWord(GridShape(2, 1, 2), (A, A, A, V))
+    assert cube.slice("x", 2) == GridWord(GridShape(2, 2, 1), (A, A, V, B))
+    with pytest.raises(SiteRangeError):
+        cube.slice("x", 3)
+    s = FormalSum.unit(cube, 0.5j)
+    assert sums_equal(FormalSum.from_json(s.to_json(), AB), s, 0.0)

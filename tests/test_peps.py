@@ -349,3 +349,41 @@ def test_sweep_and_contract_match_brute_force(n, m, case):
     want = _oracle_contract(tensor, full_spec, n, m, table)
     scale = 1.0 + max((abs(c) for _, c in want.unordered_items()), default=0.0)
     assert sums_equal(got, want, 1e-10 * scale)
+
+
+GAUGE_SIZES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+gauge_entries = st.lists(
+    st.builds(cmath.rect, st.floats(0.5, 2.0), st.floats(0.0, 2 * cmath.pi)),
+    min_size=4, max_size=4)
+
+
+def _gauged_d4(g, h):
+    """d4 under diagonal bond gauges: g on the horizontal bonds, h on the
+    vertical ones; the 1 x 1 side matrices absorb what the perimeter leaves."""
+    base = peps.d4_instance()
+    comps = {(p, l, t, r, b): val * g[r] / g[l] * h[t] / h[b]
+             for (p, l, t, r, b), val in base.tensor.components.items()}
+    scale = {"l": lambda k: g[k], "r": lambda k: 1 / g[k],
+             "b": lambda k: h[k], "t": lambda k: 1 / h[k]}
+    sides = {s: {k: np.array([[scale[s](k)]], dtype=complex) for k in table}
+             for s, table in base.boundary.sides.items()}
+    return peps.PepsInstance(peps.PepsTensor(base.tensor.alphabet, 4, comps),
+                             peps.BoundarySpec(1, sides, np.eye(1, dtype=complex)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(gauge_entries, gauge_entries)
+def test_every_mutation_of_a_gauged_d4_is_caught(g, h):
+    inst = _gauged_d4(g, h)
+    assert peps.check_peps_vs_boxplus(inst, PIVOT, "v", GAUGE_SIZES).ok
+    for k, key in enumerate(peps.component_order(inst.tensor)):
+        assert not peps.check_peps_vs_boxplus(
+            peps.mutate_drop(inst, k), PIVOT, "v", GAUGE_SIZES).ok, key
+        comps = dict(inst.tensor.components)
+        comps[key] *= 1 + 1e-8
+        nudged = peps.PepsInstance(peps.PepsTensor(inst.tensor.alphabet, 4, comps),
+                                   inst.boundary)
+        report = peps.check_peps_vs_boxplus(nudged, PIVOT, "v", GAUGE_SIZES)
+        failed = [i for i in report.instances if not i.passed]
+        assert failed, key
+        assert all(i.details["worst_word"]["word"] for i in failed)

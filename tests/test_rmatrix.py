@@ -199,3 +199,21 @@ def test_pair_conjugation_identities():
             per = np.kron(m[gen], m["K-"]) + np.kron(m["K+"], m[gen])
             assert np.abs(r @ std @ rinv - per).max() < 1e-12
             assert np.abs(rinv @ per @ r - std).max() < 1e-12
+
+
+def test_site_permutation_and_single_site_match_their_loop_references():
+    import itertools
+
+    for d, n in ((2, 3), (3, 3), (2, 4)):
+        for new_to_old in itertools.permutations(range(n)):
+            ref = np.zeros((d ** n, d ** n), dtype=complex)
+            for b in range(d ** n):
+                digits = [(b // d ** (n - 1 - k)) % d for k in range(n)]
+                bn = sum(digits[new_to_old[k]] * d ** (n - 1 - k) for k in range(n))
+                ref[bn, b] = 1.0
+            assert np.array_equal(rm.site_permutation_matrix(list(new_to_old), d), ref)
+    for i in range(1, 5):
+        ref = np.ones((1, 1))
+        for k in range(1, 5):
+            ref = np.kron(ref, rm.SZ if k == i else rm.ID2)
+        assert np.array_equal(rm.single_site(rm.SZ, i), ref)

@@ -233,3 +233,20 @@ def test_singlet_identities_below_unit_q():
     assert uq.singlet_pair_checks(0.5).ok
     out = uq.vertical_singlet_residual(0.5)
     assert out["S+"]["pass"] and out["S-"]["pass"]
+
+
+def test_singlet_states_match_the_basis_state_loop():
+    q = 0.848 + 0.530j
+    for sites, pairs in ((2, [(1, 2)]), (3, [(3, 1)]), (4, [(3, 1), (4, 2)]),
+                         (4, [(1, 2), (3, 4)]), (4, [(3, 2), (4, 1)])):
+        ref = np.zeros(2 ** sites, dtype=complex)
+        for b in range(2 ** sites):
+            bits = [(b >> (sites - 1 - s)) & 1 for s in range(sites)]
+            amp = 1.0 + 0j
+            for i, j in pairs:
+                amp *= uq.singlet_amplitude(q, bits[i - 1], bits[j - 1])
+            covered = {s for pair in pairs for s in pair}
+            ref[b] = 0j if any(bits[s - 1] for s in range(1, sites + 1) if s not in covered) else amp
+        assert np.array_equal(uq.singlet_product(q, pairs, sites), ref)
+        if len(pairs) == 1:
+            assert np.array_equal(uq.q_singlet(q, pairs[0], sites), ref)
