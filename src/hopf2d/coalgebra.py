@@ -171,6 +171,8 @@ class CoalgebraExample:
         return rule
 
     def samples(self, direction, n):
+        if direction not in ("x", "y"):
+            raise ValueError(f"{self.name} has no samples along axis {direction!r}")
         fn = self.sample_columns if direction == "x" else self.sample_rows
         if fn is None:
             return []

@@ -245,12 +245,6 @@ class MarkedFamily:
 # cellwise splitters (group-like and primitive coproducts)
 
 
-def _assemble(part: GridShape, axis, firsts, seconds) -> GridWord:
-    """The doubled block of a slice of shape ``part``: cells ``firsts`` in its
-    first copy along ``axis``, ``seconds`` in its second."""
-    return join(axis, GridWord(part, firsts), GridWord(part, seconds))
-
-
 def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
     """Split every cell independently by 1-site Sweedler rules."""
 
@@ -263,7 +257,8 @@ def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
                 for rc, s1, s2 in rules[c]
             ]
         return FormalSum(word.shape.resized(direction, 2),
-                         [(_assemble(word.shape, direction, f, s), coef) for coef, f, s in combos])
+                         [(join(direction, GridWord(word.shape, f), GridWord(word.shape, s)), coef)
+                          for coef, f, s in combos])
 
     if domain is None:
         domain = lambda w: all(c in rules for c in w.cells)
@@ -455,7 +450,8 @@ def make_quasi1d_group(inner=None, inner_counit=None, names=None) -> CoalgebraEx
         sym = word.cells[0]
         terms = []
         for c, s1, s2 in rules[sym]:
-            terms.append((_assemble(word.shape, "x", (s1,) * n, (s2,) * n), c))
+            terms.append((join("x", GridWord(word.shape, (s1,) * n),
+                                GridWord(word.shape, (s2,) * n)), c))
         return FormalSum(GridShape(n, 2), terms)
 
     def eps_x(word):

@@ -586,3 +586,11 @@ def test_planted_z_splitter_fails_the_cube_and_names_its_word(monkeypatch):
     assert failed["v"] == {"word": "a a/a a | a v/a a", "got": [0.0, 0.0], "want": [1.0, 0.0]}
     assert all(worst["word"].count(" | ") == int(k[-1]) - 1
                for k, worst in failed.items() if k != "v")
+
+
+def test_samples_and_rules_exist_only_along_the_example_axes():
+    assert PIVOT.samples("x", 2) and PIVOT.samples("y", 2)
+    for read in (lambda: PIVOT.samples("z", 2), lambda: PIVOT.splitter("z"),
+                 lambda: PIVOT.counit("w")):
+        with pytest.raises(ValueError):
+            read()

@@ -220,3 +220,12 @@ def test_cube_shapes_name_their_axes_and_print_every_layer():
         cube.slice("x", 3)
     s = FormalSum.unit(cube, 0.5j)
     assert sums_equal(FormalSum.from_json(s.to_json(), AB), s, 0.0)
+
+
+def test_planar_site_accessors_refuse_a_cube_word():
+    cube = GridWord(GridShape(2, 1, 1), (A, B))
+    for read in (lambda: site_index(1, 1, cube.shape), lambda: cube.cell(1, 1),
+                 cube.rows_top_down):
+        with pytest.raises(ShapeError):
+            read()
+    assert repr(cube) == "a | b"
