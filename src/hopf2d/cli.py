@@ -7,8 +7,10 @@ Subcommands::
     hopf2d peps     --rep d4 --sizes 1x1,1x2,2x2
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-Any other exception (a ``DomainError`` or ``ShapeError`` inside a check, say)
-is a bug in the engine, not in the configuration, and propagates with its
+Growth that leaves a splitter's domain fails its check instance (residual
+inf, ``details.domain_error``).  Any other exception (a ``ShapeError``
+inside a check, or a sample word outside its own splitter's domain, say) is
+a bug in the engine, not in the configuration, and propagates with its
 traceback.
 Reports are deterministic for a fixed config and seed (stable key order,
 seed echoed, no timestamps).

@@ -1,12 +1,14 @@
 """The lattice coproduct engine and its axiom checks.
 
-A coalgebra instance supplies one family of partial splitter maps per
-lattice axis: the x-splitter doubles an n x 1 column into an n x 2 block,
-the y-splitter a 1 x m row into a 2 x m block, and a cube's z-splitter a
-single layer into two.  Growing a single symbol by repeatedly splitting
-slices along the axes produces the lattice elements checked here for
-quasi-1D associativity, xy-compatibility, counit, homomorphism and
-antipode laws, and the marked-symbol cube.
+A coalgebra instance supplies its partial splitter maps, counits, sample
+words and antipode as tables keyed by lattice axis: the x-splitter doubles
+an n x 1 column into an n x 2 block, the y-splitter a 1 x m row into a
+2 x m block, and a cube's z-splitter a single layer into two.  Asking for
+an axis the instance lacks raises ``ValueError``.  Growing a single symbol
+by repeatedly splitting slices along the axes produces the lattice
+elements checked here for quasi-1D associativity, xy-compatibility,
+counit, homomorphism and antipode laws, and the marked-symbol cube; growth
+that leaves a splitter's domain fails the check instance that needed it.
 
 Tensor-factor convention: the first factor of a split is the earlier block
 in linear site order, i.e. the left column for x-splits, the bottom row for
@@ -121,62 +123,58 @@ class MultiplicationRule:
 
 @dataclass
 class AntipodeRule:
-    """Direction-indexed antipode on slice words.
+    """Axis-indexed antipode on slice words.
 
     Cellwise splitters admit a sitewise antipode; splitters that embed the
-    whole slice (the vertical ones here) need their own family rule, so the
-    two directions carry separate partial functions.
+    whole slice (the vertical ones here) need their own family rule, so
+    ``rules`` holds one partial function per axis.
     """
 
-    rule_x: object        # GridWord -> FormalSum of the same shape
-    rule_y: object
+    rules: dict           # axis -> (GridWord -> FormalSum of the same shape)
 
     def __call__(self, direction: str, word: GridWord) -> FormalSum:
-        rule = self.rule_x if direction == "x" else self.rule_y
-        return rule(word)
+        return _along(self.rules, "the antipode", "rule", direction)(word)
 
 
 @dataclass
 class CoalgebraExample:
-    """An alphabet with splitter, counit and optional algebra data.
+    """An alphabet with per-axis splitter, counit and sample tables and
+    optional algebra data.
 
-    Planar examples leave ``splitter_z`` unset; a cube example sets it.
+    ``splitters``, ``counits`` and ``samplers`` are keyed by axis name: a
+    planar example fills them for x and y, and a cube example adds its
+    z-splitter.  A sampler maps n to slice words of n sites along its axis,
+    each in that axis's splitter and counit domains.  Asking for an axis
+    the example lacks raises :class:`ValueError`.
     """
 
     name: str
     alphabet: object
-    splitter_x: Splitter
-    splitter_y: Splitter
-    counit_x: CounitRule
-    counit_y: CounitRule
+    splitters: dict       # axis -> Splitter
+    counits: dict         # axis -> CounitRule
+    samplers: dict        # axis -> (n -> list[GridWord])
     multiplication: MultiplicationRule | None = None
     antipode: AntipodeRule | None = None
     unit: Symbol | None = None
     grow_symbols: tuple = ()
-    sample_columns: object = None   # n -> list[GridWord] in the x-domain
-    sample_rows: object = None      # m -> list[GridWord] in the y-domain
     meta: dict = field(default_factory=dict)
-    splitter_z: Splitter | None = None
 
     def splitter(self, axis) -> Splitter:
-        return self._along("splitter", axis)
+        return _along(self.splitters, self.name, "splitter", axis)
 
     def counit(self, axis) -> CounitRule:
-        return self._along("counit", axis)
-
-    def _along(self, kind, axis):
-        rule = getattr(self, f"{kind}_{axis}", None) if axis in AXES else None
-        if rule is None:
-            raise ValueError(f"{self.name} has no {kind} along axis {axis!r}")
-        return rule
+        return _along(self.counits, self.name, "counit", axis)
 
     def samples(self, direction, n):
-        if direction not in ("x", "y"):
-            raise ValueError(f"{self.name} has no samples along axis {direction!r}")
-        fn = self.sample_columns if direction == "x" else self.sample_rows
-        if fn is None:
-            return []
-        return fn(n)
+        return _along(self.samplers, self.name, "samples", direction)(n)
+
+
+def _along(table, owner, kind, axis):
+    """``table[axis]``; a :class:`ValueError` naming ``owner`` if it has none."""
+    try:
+        return table[axis]
+    except KeyError:
+        raise ValueError(f"{owner} has no {kind} along axis {axis!r}") from None
 
 
 def apply_splitter(ex: CoalgebraExample, axis: str, word: GridWord) -> FormalSum:
@@ -370,7 +368,9 @@ class _Timer:
 def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
     """(split x id) o split == (id x split) o split on the given slice words.
 
-    The two sides grow the split word's first and second slice.
+    The two sides grow the split word's first and second slice.  A word
+    outside the splitter domain raises :class:`DomainError`; growth that
+    leaves it fails the word's instance (see :func:`_checked`).
     """
     if words is None:
         words = ex.samples(direction, n)
@@ -378,8 +378,8 @@ def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckRepor
     with _Timer() as t:
         for w in words:
             doubled = apply_splitter(ex, direction, w)
-            instances.append(_compared(repr(w), grow(ex, doubled, direction, 1),
-                                       grow(ex, doubled, direction, 2), tol))
+            instances.append(_checked(repr(w), lambda: _compared(
+                repr(w), grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
     return CheckReport("quasi_1d_assoc_" + direction, _slice_sizes(direction, n), instances,
                        t.elapsed)
 
@@ -401,6 +401,16 @@ def _compared(label, got: FormalSum, want: FormalSum, tol, res=None) -> CheckIns
     return CheckInstance(label, False, res, {"worst_word": worst_word(got, want)})
 
 
+def _checked(label, compare) -> CheckInstance:
+    """The instance ``compare()`` returns, or, when it leaves a partial map's
+    domain, a failing one with residual inf whose ``domain_error`` detail
+    names the word."""
+    try:
+        return compare()
+    except DomainError as exc:
+        return CheckInstance(label, False, math.inf, {"domain_error": str(exc)})
+
+
 def _halves(axis, block: GridWord):
     """The two slice factors of a doubled block, earlier one first."""
     return block.slice(axis, 1), block.slice(axis, 2)
@@ -414,60 +424,69 @@ def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
     then a row.  The two results must agree, and the first must equal the
     canonical (k+1) x (l+1) element.  The (1, 1) corner is the base case
     ``base2x2``, where the first result is the canonical 2 x 2 element
-    itself; it runs even when n or m is 1.  The canonical elements are
-    grown once, as one table: the column first, then each row by
-    ``grow(..., "x")``, exactly as :func:`boxplus` grows them.  The report
+    itself; it runs even when n or m is 1.  Every sum is grown once per
+    symbol, from the longest grown prefix of its axis sequence; the
+    canonical k x l element grows the column first, then the rows, exactly
+    as :func:`boxplus` grows it.  Growth that leaves a splitter's domain
+    fails the instances that need it (see :func:`_checked`).  The report
     names the single size [n, m], which stands for every size up to n x m.
     """
     if symbols is None:
         symbols = ex.grow_symbols
     corners = [(k, l) for k in range(1, n) for l in range(1, m)] or [(1, 1)]
-    rows, cols = max(k for k, _ in corners) + 1, max(l for _, l in corners) + 1
     instances = []
     with _Timer() as t:
         for sym in symbols:
             sym = ex.alphabet[sym] if isinstance(sym, str) else sym
-            table, column = {}, FormalSum.unit(word1(sym))
-            for k in range(1, rows + 1):
-                if k > 1:
-                    column = grow(ex, column, "y")
-                table[k, 1] = column
-                for l in range(2, cols + 1):
-                    table[k, l] = grow(ex, table[k, l - 1], "x")
+            grown = {"": FormalSum.unit(word1(sym))}  # axis sequence -> sum
+
+            def along(axes):
+                if axes not in grown:
+                    grown[axes] = grow(ex, along(axes[:-1]), axes[-1])
+                return grown[axes]
+
+            def compared(label, got, want):
+                return _checked(label, lambda: _compared(label, along(got), along(want), tol))
+
             for k, l in corners:
-                base = table[k, l]
-                path_a = grow(ex, grow(ex, base, "y"), "x")
-                path_b = grow(ex, grow(ex, base, "x"), "y")
+                base = "y" * (k - 1) + "x" * (l - 1)
                 if (k, l) == (1, 1):
-                    instances.append(_compared(f"base2x2:{sym}", path_a, path_b, tol))
+                    instances.append(compared(f"base2x2:{sym}", base + "yx", base + "xy"))
                     continue
-                instances.append(_compared(f"corner{k}x{l}:{sym}", path_a, path_b, tol))
-                instances.append(_compared(f"corner{k}x{l}:{sym}:vs_canonical", path_a,
-                                           table[k + 1, l + 1], tol))
+                instances.append(compared(f"corner{k}x{l}:{sym}", base + "yx", base + "xy"))
+                instances.append(compared(f"corner{k}x{l}:{sym}:vs_canonical", base + "yx",
+                                          "y" * k + "x" * l))
     return CheckReport("xy_compat", [(n, m)], instances, t.elapsed)
 
 
 def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
     """Both one-sided counit contractions undo the splitter on the given words.
 
-    A failing instance names the worst word of the worse side.
+    A failing instance names the worst word of the worse side.  A word
+    outside the splitter domain raises :class:`DomainError`; a split half
+    outside the counit domain fails the word's instance (see :func:`_checked`).
     """
     if words is None:
         words = ex.samples(direction, n)
     eps = ex.counit(direction)
+
+    def contracted(w, doubled):
+        left, right = [], []
+        for b, c in doubled.unordered_items():
+            first, second = _halves(direction, b)
+            left.append((second, c * eps(first)))
+            right.append((first, c * eps(second)))
+        target = FormalSum.unit(w)
+        sides = [FormalSum(w.shape, left), FormalSum(w.shape, right)]
+        gaps = [sum_difference(side, target) for side in sides]
+        worse = 1 if gaps[1] > gaps[0] else 0
+        return _compared(repr(w), sides[worse], target, tol, max(gaps))
+
     instances = []
     with _Timer() as t:
         for w in words:
-            left, right = [], []
-            for b, c in apply_splitter(ex, direction, w).unordered_items():
-                first, second = _halves(direction, b)
-                left.append((second, c * eps(first)))
-                right.append((first, c * eps(second)))
-            target = FormalSum.unit(w)
-            sides = [FormalSum(w.shape, left), FormalSum(w.shape, right)]
-            gaps = [sum_difference(side, target) for side in sides]
-            worse = 1 if gaps[1] > gaps[0] else 0
-            instances.append(_compared(repr(w), sides[worse], target, tol, max(gaps)))
+            doubled = apply_splitter(ex, direction, w)
+            instances.append(_checked(repr(w), lambda: contracted(w, doubled)))
     return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
 
 
@@ -645,7 +664,8 @@ def cube_xyz_compat(tol=EQ_TOL) -> CheckReport:
     one site, ``a`` on every site before it and ``b`` on every site after
     it in reading order, each with coefficient 1; ``a`` and ``b`` must fill
     the cube.  The 2 x 2 x 2 instances are labelled by the symbol alone,
-    larger ones as ``symbol:kxkxk``; a failing instance names its worst word.
+    larger ones as ``symbol:kxkxk``; a failing instance names its worst word,
+    or the word that left a splitter's domain (see :func:`_checked`).
     """
     from .instances import MarkedFamily
 
@@ -653,7 +673,8 @@ def cube_xyz_compat(tol=EQ_TOL) -> CheckReport:
     a, b, v = alphabet.symbols
     key = lambda x, y, z: (z, y, x)
     family = MarkedFamily(markers={v: (a, b)}, cut_pairs=[(a, b)], grouplike={a, b}, key=key)
-    ex = family.example("cube", alphabet, splitter_z=family.splitter("z"))
+    ex = family.example("cube", alphabet)
+    ex.splitters["z"] = family.splitter("z")
     orders = list(permutations(AXES))
     instances = []
     with _Timer() as t:
@@ -667,13 +688,17 @@ def cube_xyz_compat(tol=EQ_TOL) -> CheckReport:
                         for p in shape.coords])
                 else:
                     want = FormalSum.unit(GridWord(shape, (sym,) * shape.sites))
-                got = [_grown(ex, FormalSum.unit(GridWord(GridShape(1, 1, 1), (sym,))),
-                              "".join(axis * (k - 1) for axis in order)) for order in orders]
-                gaps = [sum_difference(g, want) for g in got]
-                worst = max(range(len(got)), key=gaps.__getitem__)
                 label = str(sym) if k == 2 else f"{sym}:{shape}"
-                inst = _compared(label, got[worst], want, tol, gaps[worst])
-                if sym == v:
-                    inst.details["terms"] = len(got[worst])
-                instances.append(inst)
+
+                def compared():
+                    got = [_grown(ex, FormalSum.unit(GridWord(GridShape(1, 1, 1), (sym,))),
+                                  "".join(axis * (k - 1) for axis in order)) for order in orders]
+                    gaps = [sum_difference(g, want) for g in got]
+                    worst = max(range(len(got)), key=gaps.__getitem__)
+                    inst = _compared(label, got[worst], want, tol, gaps[worst])
+                    if sym == v:
+                        inst.details["terms"] = len(got[worst])
+                    return inst
+
+                instances.append(_checked(label, compared))
     return CheckReport("cube_xyz_compat", [(k, k, k) for k in CUBE_SIZES], instances, t.elapsed)

@@ -219,26 +219,47 @@ class MarkedFamily:
         for g in sorted(self.grouplike, key=lambda s: s.id):
             if g not in cut_letters:
                 out.append(build([(p, g) for p in pos]))
-        seen, unique = set(), []
-        for w in out:
-            if w.cells not in seen:
-                seen.add(w.cells)
-                unique.append(w)
-        return unique
+        return list(dict.fromkeys(out))
 
     def example(self, name, alphabet, **kw) -> CoalgebraExample:
         """The planar example with this family's splitters, counits and samples."""
-        return CoalgebraExample(
-            name=name,
-            alphabet=alphabet,
-            splitter_x=self.splitter("x"),
-            splitter_y=self.splitter("y"),
-            counit_x=self.counit("x"),
-            counit_y=self.counit("y"),
-            sample_columns=lambda n: self.samples("x", n),
-            sample_rows=lambda m: self.samples("y", m),
-            **kw,
-        )
+        return CoalgebraExample(name, alphabet, **_planar_tables(lambda axis: (
+            self.splitter(axis), self.counit(axis), lambda n: self.samples(axis, n))), **kw)
+
+
+# ---------------------------------------------------------------------------
+# per-axis example tables and sample words
+
+
+def _planar_tables(rules) -> dict:
+    """The splitters, counits and samplers tables of an example whose
+    ``rules(axis)`` gives the (splitter, counit, sampler) of each planar axis."""
+    per_axis = {axis: rules(axis) for axis in "xy"}
+    return {table: {axis: r[k] for axis, r in per_axis.items()}
+            for k, table in enumerate(("splitters", "counits", "samplers"))}
+
+
+def _slice_shape(axis, n) -> GridShape:
+    """The planar slice of n sites along the other axis, extent 1 along ``axis``."""
+    return GridShape(n, n).resized(axis, 1)
+
+
+def _spread(n, p, before, mark, after) -> tuple:
+    """n cells: ``mark`` at 0-based position p, ``before`` and ``after`` around it."""
+    return (before,) * p + (mark,) + (after,) * (n - p - 1)
+
+
+def _constant_samples(axis, letters):
+    """Sampler of the constant slices along ``axis``, one per letter."""
+    return lambda n: [GridWord(_slice_shape(axis, n), (s,) * n) for s in letters]
+
+
+def _one_letter_samples(axis, unit, letters):
+    """Sampler of the slices along ``axis`` holding one letter at one site on a
+    unit background, letters outer, without repeats (a unit letter gives
+    the unit slice once)."""
+    return lambda n: [GridWord(_slice_shape(axis, n), cells) for cells in dict.fromkeys(
+        _spread(n, p, unit, s, unit) for s in letters for p in range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +303,17 @@ def _sitewise_rule(table):
 
 def _sitewise_antipode(table) -> AntipodeRule:
     """Same sitewise antipode in both directions (cellwise splitters)."""
-    rule = _sitewise_rule(table)
-    return AntipodeRule(rule, rule)
+    return AntipodeRule(dict.fromkeys("xy", _sitewise_rule(table)))
+
+
+def _cellwise_tables(rules, eps_table, sampler) -> dict:
+    """Tables of an example whose splitters split every cell by the total
+    1-site ``rules`` and whose counits multiply ``eps_table`` over the cells,
+    alike along both planar axes; ``sampler(axis)`` gives the samples."""
+    total = lambda w: True
+    eps = _product_counit(eps_table)
+    return _planar_tables(lambda axis: (
+        _cellwise_splitter(axis, rules, total), CounitRule(axis, eps, total), sampler(axis)))
 
 
 def _product_counit(eps_table) -> object:
@@ -308,8 +338,6 @@ def make_group_like(names, table=None, unit=None) -> CoalgebraExample:
     """
     alphabet = Alphabet(names)
     rules = {s: [(1.0, s, s)] for s in alphabet}
-    eps = _product_counit({s: 1.0 for s in alphabet})
-    total = lambda w: True
     mult = None
     antipode = None
     unit_sym = alphabet[unit] if unit else None
@@ -330,27 +358,14 @@ def make_group_like(names, table=None, unit=None) -> CoalgebraExample:
         mult = MultiplicationRule(unit_sym, product)
         antipode = _sitewise_antipode({s: (1.0, inverse[s]) for s in alphabet})
 
-    def samples(n):
-        shape_c = GridShape(n, 1)
-        return [GridWord(shape_c, tuple(s for _ in range(n))) for s in alphabet]
-
-    def samples_r(m):
-        shape_r = GridShape(1, m)
-        return [GridWord(shape_r, tuple(s for _ in range(m))) for s in alphabet]
-
     return CoalgebraExample(
-        name="group_like",
-        alphabet=alphabet,
-        splitter_x=_cellwise_splitter("x", rules, total),
-        splitter_y=_cellwise_splitter("y", rules, total),
-        counit_x=CounitRule("x", eps, total),
-        counit_y=CounitRule("y", eps, total),
+        "group_like", alphabet,
+        **_cellwise_tables(rules, {s: 1.0 for s in alphabet},
+                           lambda axis: _constant_samples(axis, alphabet)),
         multiplication=mult,
         antipode=antipode,
         unit=unit_sym,
         grow_symbols=tuple(alphabet.symbols),
-        sample_columns=samples,
-        sample_rows=samples_r,
     )
 
 
@@ -384,34 +399,13 @@ def make_lie_like(primitive_names, unit="1") -> CoalgebraExample:
     for s in alphabet:
         if s != u:
             rules[s] = [(1.0, u, s), (1.0, s, u)]
-    eps = _product_counit({s: (1.0 if s == u else 0.0) for s in alphabet})
-    total = lambda w: True
-    anti = _sitewise_antipode({s: ((1.0, s) if s == u else (-1.0, s)) for s in alphabet})
-
-    def samples(direction, n):
-        shape = GridShape(n, 1) if direction == "x" else GridShape(1, n)
-        out = [GridWord(shape, tuple(u for _ in range(n)))]
-        for s in alphabet:
-            if s == u:
-                continue
-            for p in range(n):
-                cells = [u] * n
-                cells[p] = s
-                out.append(GridWord(shape, tuple(cells)))
-        return out
-
     return CoalgebraExample(
-        name="lie_like",
-        alphabet=alphabet,
-        splitter_x=_cellwise_splitter("x", rules, total),
-        splitter_y=_cellwise_splitter("y", rules, total),
-        counit_x=CounitRule("x", eps, total),
-        counit_y=CounitRule("y", eps, total),
-        antipode=anti,
+        "lie_like", alphabet,
+        **_cellwise_tables(rules, {s: (1.0 if s == u else 0.0) for s in alphabet},
+                           lambda axis: _one_letter_samples(axis, u, alphabet)),
+        antipode=_sitewise_antipode({s: ((1.0, s) if s == u else (-1.0, s)) for s in alphabet}),
         unit=u,
         grow_symbols=tuple(alphabet.symbols),
-        sample_columns=lambda n: samples("x", n),
-        sample_rows=lambda m: samples("y", m),
     )
 
 
@@ -454,28 +448,15 @@ def make_quasi1d_group(inner=None, inner_counit=None, names=None) -> CoalgebraEx
                                 GridWord(word.shape, (s2,) * n)), c))
         return FormalSum(GridShape(n, 2), terms)
 
-    def eps_x(word):
-        return eps_in[word.cells[0]]
-
-    def samples_x(n):
-        return [GridWord(GridShape(n, 1), (s,) * n) for s in alphabet if s in rules]
-
-    def samples_y(m):
-        out = []
-        for s in alphabet:
-            out.append(GridWord(GridShape(1, m), (s,) * m))
-        return out
-
     return CoalgebraExample(
-        name="quasi1d_group",
-        alphabet=alphabet,
-        splitter_x=Splitter("x", split_x, const_domain),
-        splitter_y=_cellwise_splitter("y", copy_rules, total),
-        counit_x=CounitRule("x", eps_x, const_domain),
-        counit_y=CounitRule("y", lambda w: 1.0, total),
+        "quasi1d_group", alphabet,
+        splitters={"x": Splitter("x", split_x, const_domain),
+                   "y": _cellwise_splitter("y", copy_rules, total)},
+        counits={"x": CounitRule("x", lambda w: eps_in[w.cells[0]], const_domain),
+                 "y": CounitRule("y", lambda w: 1.0, total)},
+        samplers={"x": _constant_samples("x", [s for s in alphabet if s in rules]),
+                  "y": _constant_samples("y", alphabet)},
         grow_symbols=tuple(s for s in alphabet.symbols if s in rules),
-        sample_columns=samples_x,
-        sample_rows=samples_y,
     )
 
 
@@ -506,42 +487,17 @@ def make_quasi1d_lie(inner=None, inner_counit=None, names=None, unit="1") -> Coa
         return FormalSum(shape, [(GridWord(shape, ones + w), 1.0),
                                  (GridWord(shape, w + ones), 1.0)])
 
-    def eps_y(word):
-        return 1.0 if all(c == u for c in word.cells) else 0.0
-
-    def samples_y(m):
-        out = [GridWord(GridShape(1, m), (u,) * m)]
-        for s in alphabet:
-            if s == u:
-                continue
-            for p in range(m):
-                cells = [u] * m
-                cells[p] = s
-                out.append(GridWord(GridShape(1, m), tuple(cells)))
-        return out
-
-    def samples_x(n):
-        out = []
-        for s in alphabet:
-            if s not in rules:
-                continue
-            for p in range(n):
-                cells = [u] * n
-                cells[p] = s
-                out.append(GridWord(GridShape(n, 1), tuple(cells)))
-        return out
-
     return CoalgebraExample(
-        name="quasi1d_lie",
-        alphabet=alphabet,
-        splitter_x=_cellwise_splitter("x", rules),
-        splitter_y=Splitter("y", split_y, total),
-        counit_x=CounitRule("x", _product_counit(eps_in), lambda w: all(c in eps_in for c in w.cells)),
-        counit_y=CounitRule("y", eps_y, total),
+        "quasi1d_lie", alphabet,
+        splitters={"x": _cellwise_splitter("x", rules), "y": Splitter("y", split_y, total)},
+        counits={"x": CounitRule("x", _product_counit(eps_in),
+                                 lambda w: all(c in eps_in for c in w.cells)),
+                 "y": CounitRule("y", lambda w: 1.0 if all(c == u for c in w.cells) else 0.0,
+                                 total)},
+        samplers={"x": _one_letter_samples("x", u, [s for s in alphabet if s in rules]),
+                  "y": _one_letter_samples("y", u, [u, *alphabet])},
         unit=u,
         grow_symbols=tuple(alphabet.symbols),
-        sample_columns=samples_x,
-        sample_rows=samples_y,
     )
 
 
@@ -553,104 +509,53 @@ def make_cross() -> CoalgebraExample:
     """Six-letter instance spreading a mark into a cross of t, b, l, r arms."""
     alphabet = Alphabet(["1", "t", "b", "r", "l", "v"])
     one, t_, b_, r_, l_, v_ = (alphabet[n] for n in ["1", "t", "b", "r", "l", "v"])
-    free = {one, t_, b_, r_, l_}
-
-    def classify_col(word):
-        cells = word.cells
-        marked = [y for y, c in enumerate(cells) if c == v_]
-        if len(marked) == 1:
-            y0 = marked[0]
-            ok = all(c == b_ for c in cells[:y0]) and all(c == t_ for c in cells[y0 + 1:])
-            return ("v", y0) if ok else None
-        if not marked and set(cells) <= free:
-            return ("free", None)
-        return None
-
-    def classify_row(word):
-        cells = word.cells
-        marked = [x for x, c in enumerate(cells) if c == v_]
-        if len(marked) == 1:
-            x0 = marked[0]
-            ok = all(c == l_ for c in cells[:x0]) and all(c == r_ for c in cells[x0 + 1:])
-            return ("v", x0) if ok else None
-        if not marked and set(cells) <= free:
-            return ("free", None)
-        return None
-
-    def arm_col(n, y0, letter):
-        cells = [one] * n
-        cells[y0] = letter
-        return tuple(cells)
-
-    def split_x(word):
-        n = len(word.cells)
-        shape = GridShape(n, 2)
-        kind = classify_col(word)
-        if kind[0] == "free":
-            cells = tuple(c for cell in word.cells for c in (cell, cell))
-            return FormalSum.unit(GridWord(shape, cells))
-        y0 = kind[1]
-        w = word.cells
-        left_arm = arm_col(n, y0, l_)
-        right_arm = arm_col(n, y0, r_)
-        t1 = tuple(c for pair in zip(w, right_arm) for c in pair)
-        t2 = tuple(c for pair in zip(left_arm, w) for c in pair)
-        return FormalSum(shape, [(GridWord(shape, t1), 1.0), (GridWord(shape, t2), 1.0)])
-
-    def split_y(word):
-        m = len(word.cells)
-        shape = GridShape(2, m)
-        kind = classify_row(word)
-        if kind[0] == "free":
-            return FormalSum.unit(GridWord(shape, word.cells + word.cells))
-        x0 = kind[1]
-        w = word.cells
-        top_arm = arm_col(m, x0, t_)
-        bottom_arm = arm_col(m, x0, b_)
-        return FormalSum(shape, [(GridWord(shape, w + top_arm), 1.0),
-                                 (GridWord(shape, bottom_arm + w), 1.0)])
-
-    def eps_col(word):
-        return 0.0 if classify_col(word)[0] == "v" else 1.0
-
-    def eps_row(word):
-        return 0.0 if classify_row(word)[0] == "v" else 1.0
-
-    def samples_x(n):
-        shape = GridShape(n, 1)
-        out = []
-        for y0 in range(n):
-            cells = [b_] * y0 + [v_] + [t_] * (n - y0 - 1)
-            out.append(GridWord(shape, tuple(cells)))
-            out.append(GridWord(shape, arm_col(n, y0, r_)))
-            out.append(GridWord(shape, arm_col(n, y0, l_)))
-        for s in (one, t_, b_):
-            out.append(GridWord(shape, (s,) * n))
-        return out
-
-    def samples_y(m):
-        shape = GridShape(1, m)
-        out = []
-        for x0 in range(m):
-            cells = [l_] * x0 + [v_] + [r_] * (m - x0 - 1)
-            out.append(GridWord(shape, tuple(cells)))
-            out.append(GridWord(shape, arm_col(m, x0, t_)))
-            out.append(GridWord(shape, arm_col(m, x0, b_)))
-        for s in (one, r_, l_):
-            out.append(GridWord(shape, (s,) * m))
-        return out
-
+    # per axis: the letters before and after the mark along a marked slice,
+    # and the arm letters of the first and second copy across it
+    letters = {"x": ((b_, t_), (l_, r_)), "y": ((l_, r_), (b_, t_))}
     return CoalgebraExample(
-        name="cross",
-        alphabet=alphabet,
-        splitter_x=Splitter("x", split_x, lambda w: classify_col(w) is not None),
-        splitter_y=Splitter("y", split_y, lambda w: classify_row(w) is not None),
-        counit_x=CounitRule("x", eps_col, lambda w: classify_col(w) is not None),
-        counit_y=CounitRule("y", eps_row, lambda w: classify_row(w) is not None),
-        grow_symbols=tuple(alphabet.symbols),
-        sample_columns=samples_x,
-        sample_rows=samples_y,
-    )
+        "cross", alphabet,
+        **_planar_tables(lambda axis: _cross_rules(axis, one, v_, *letters[axis])),
+        grow_symbols=tuple(alphabet.symbols))
+
+
+def _cross_rules(axis, one, v, along, across):
+    """The cross instance's (splitter, counit, sampler) along ``axis``.
+
+    A marked slice holds v with ``along = (before, after)`` on either side;
+    splitting it puts the slice in one copy and, in the other, a unit
+    slice with the arm letter of ``across = (first, second)`` level with
+    the mark.  A slice without v over the other letters doubles literally.
+    """
+    before, after = along
+    first_arm, second_arm = across
+    free = {one, before, after, first_arm, second_arm}
+
+    def mark(word):
+        """The mark's 0-based position, -1 for a free slice, None off the domain."""
+        cells = tuple(word.cells)
+        if v not in cells:
+            return -1 if set(cells) <= free else None
+        p = cells.index(v)
+        return p if cells == _spread(len(cells), p, before, v, after) else None
+
+    def split(word):
+        p = mark(word)
+        if p < 0:
+            return FormalSum.unit(join(axis, word, word))
+        arm = lambda letter: GridWord(word.shape, _spread(len(word.cells), p, one, letter, one))
+        return FormalSum(word.shape.resized(axis, 2), [(join(axis, word, arm(second_arm)), 1.0),
+                                                       (join(axis, arm(first_arm), word), 1.0)])
+
+    def samples(n):
+        shape = _slice_shape(axis, n)
+        out = [GridWord(shape, cells) for p in range(n) for cells in (
+            _spread(n, p, before, v, after), _spread(n, p, one, second_arm, one),
+            _spread(n, p, one, first_arm, one))]
+        return out + [GridWord(shape, (s,) * n) for s in (one, after, before)]
+
+    in_domain = lambda w: mark(w) is not None
+    return (Splitter(axis, split, in_domain),
+            CounitRule(axis, lambda w: 0.0 if mark(w) >= 0 else 1.0, in_domain), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +696,7 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
 
     ex = family.example(f"taft(n={n})", alphabet,
                         multiplication=mult,
-                        antipode=AntipodeRule(sitewise, anti_y),
+                        antipode=AntipodeRule({"x": sitewise, "y": anti_y}),
                         unit=one,
                         grow_symbols=(one, g, x))
     ex.meta = {"taft": cfg, "family": family, "delta_1site": delta_1site}
@@ -859,7 +764,7 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
         return FormalSum.unit(word, scale[marks[0]])
 
     ex = family.example(f"uq(q={q:g})", alphabet,
-                        antipode=AntipodeRule(sitewise, anti_y), unit=one,
+                        antipode=AntipodeRule({"x": sitewise, "y": anti_y}), unit=one,
                         grow_symbols=tuple(alphabet.symbols))
     ex.meta = {"q": q, "family": family}
     return ex

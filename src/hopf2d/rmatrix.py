@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from .coalgebra import CheckInstance, CheckReport, _Timer, boxplus
-from .grids import FormalSum
+from .grids import FormalSum, GridWord
 from .instances import make_uq_symbolic
-from .linops import Representation, kron_terms
+from .linops import Representation, evaluate, kron_terms
 from .uqsu2 import DISPLAY_TO_LINEAR_2X2, spin_half_rep, _require_regular
 from .uqsu2 import delta_op as delta_2site  # the two-site coproduct, dense 4 x 4
 
@@ -113,10 +113,14 @@ def r2d(q) -> np.ndarray:
 
 
 def evaluate_display_2x2(s: FormalSum, rep: Representation) -> np.ndarray:
-    """Evaluate a 2 x 2 formal sum with tensor positions in display layout."""
-    terms = [(c, [rep[word.cells[DISPLAY_TO_LINEAR_2X2[k] - 1]] for k in (1, 2, 3, 4)])
-             for word, c in s.items()]
-    return kron_terms(terms, rep.dim, 4).toarray()
+    """Evaluate a 2 x 2 formal sum with tensor positions in display layout:
+    ordinary evaluation of the sum with its cells reordered display first."""
+
+    def to_display(word):
+        return GridWord(word.shape, tuple(word.cells[DISPLAY_TO_LINEAR_2X2[k] - 1]
+                                          for k in (1, 2, 3, 4)))
+
+    return evaluate(s.map_words(to_display), rep).toarray()
 
 
 def boxplus_2x2_display(gen: str, q) -> np.ndarray:
@@ -133,8 +137,6 @@ def boxplus_perm_sum(gen: str, q) -> FormalSum:
     swap = {al["K+"]: al["K-"], al["K-"]: al["K+"]}
 
     def flip(word):
-        from .grids import GridWord
-
         return GridWord(word.shape, tuple(swap.get(c, c) for c in word.cells))
 
     return boxplus(ex, gen, 2, 2).map_words(flip)

@@ -158,6 +158,29 @@ def test_engine_error_is_not_a_config_error(tmp_path, monkeypatch):
               "--out", str(tmp_path / "r")])
 
 
+def test_growth_out_of_the_domain_is_a_failed_check(tmp_path, monkeypatch):
+    from tests.test_coalgebra import _out_of_domain_pivot
+
+    monkeypatch.setattr(cli, "example_from_config", lambda cfg: _out_of_domain_pivot())
+    out = tmp_path / "r"
+    assert main(["verify", "--sizes", "3x3", "--checks", "assoc,xycompat,counit",
+                 "--out", str(out)]) == 1
+    reports = {name: json.loads(text) for name, text in read_all(out).items()}
+    assert len(reports) == 13
+    failed = {name: [i["details"]["domain_error"] for i in rep["instances"]
+                     if i["residual"] == "inf"]
+              for name, rep in reports.items() if rep["max_residual"] == "inf"}
+    assert failed == {
+        "quasi_1d_assoc_x_2.json": ["v/b outside the x-splitter domain"],
+        "quasi_1d_assoc_x_3.json": ["b/v/b outside the x-splitter domain",
+                                    "v/a/b outside the x-splitter domain"],
+        "counit_x_2.json": ["v/b outside the x-counit domain"],
+        "counit_x_3.json": ["b/v/b outside the x-counit domain",
+                            "v/a/b outside the x-counit domain"],
+        "xy_compat.json": ["v/b outside the x-splitter domain"]
+        + ["b/v/b outside the x-splitter domain"] * 2}
+
+
 def test_rule_extraction_skips_only_domain_errors(tmp_path, monkeypatch):
     args = ["verify", "--example", "pivot", "--checks", "proposition",
             "--out", str(tmp_path / "r")]

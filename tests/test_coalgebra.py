@@ -142,7 +142,7 @@ def test_counit_contraction_shrinks_lattice():
     # contracting the last column of the grown element gives the narrower one
     for n, m in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         s = boxplus(PIVOT, "v", n, m)
-        eps = PIVOT.counit_x
+        eps = PIVOT.counit("x")
         reduced = FormalSum.zero(GridShape(n, m - 1))
         for term, c in s.items():
             val = eps(term.col(m))
@@ -373,8 +373,10 @@ def _counting(rule, runs):
 def test_splitter_rule_runs_once_per_distinct_word():
     ex = make_pivot(theta=0.0)
     runs = {"x": Counter(), "y": Counter()}
-    ex.splitter_x = Splitter("x", _counting(ex.splitter_x.rule, runs["x"]), ex.splitter_x.domain)
-    ex.splitter_y = Splitter("y", _counting(ex.splitter_y.rule, runs["y"]), ex.splitter_y.domain)
+    ex.splitters["x"] = Splitter("x", _counting(ex.splitter("x").rule, runs["x"]),
+                                 ex.splitter("x").domain)
+    ex.splitters["y"] = Splitter("y", _counting(ex.splitter("y").rule, runs["y"]),
+                                 ex.splitter("y").domain)
     assert boxplus(ex, "v", 5, 5).items() == boxplus(make_pivot(theta=0.0), "v", 5, 5).items()
     for d in "xy":
         assert set(runs[d].values()) == {1}
@@ -386,7 +388,7 @@ def test_splitter_rule_runs_once_per_distinct_word():
 def test_out_of_domain_words_never_enter_the_memo():
     ex = make_pivot(theta=0.0)
     bad = w(ex, [["a"], ["v"], ["b"]])  # a above v: wrong side
-    for rule in (ex.splitter_x, ex.counit_x):
+    for rule in (ex.splitter("x"), ex.counit("x")):
         for _ in range(2):
             with pytest.raises(DomainError):
                 rule(bad)
@@ -397,8 +399,9 @@ def test_examples_from_one_constructor_share_no_memo():
     first, second = make_pivot(theta=0.0), make_pivot(theta=0.0)
     boxplus(first, "v", 3, 3)
     assert check_counit(first, "y", 3).ok
-    assert first.splitter_x._memo and first.splitter_y._memo and first.counit_y._memo
-    for rule in (second.splitter_x, second.splitter_y, second.counit_x, second.counit_y):
+    assert first.splitter("x")._memo and first.splitter("y")._memo and first.counit("y")._memo
+    for rule in (second.splitter("x"), second.splitter("y"), second.counit("x"),
+                 second.counit("y")):
         assert rule._memo == {}
 
 
@@ -406,9 +409,9 @@ def _planted_pivot():
     """pivot(0) whose x-splitter returns the split of the column b/b doubled."""
     ex = make_pivot(theta=0.0)
     bb = w(ex, [["b"], ["b"]])
-    honest = ex.splitter_x
-    ex.splitter_x = Splitter("x", lambda word: honest.rule(word) * (2 if word == bb else 1),
-                             honest.domain)
+    honest = ex.splitter("x")
+    ex.splitters["x"] = Splitter("x", lambda word: honest.rule(word) * (2 if word == bb else 1),
+                                 honest.domain)
     return ex
 
 
@@ -445,6 +448,54 @@ def test_planted_splitter_fails_and_names_its_worst_word():
     assert honest.ok and all(i.details == {} for i in honest.instances)
 
 
+def _out_of_domain_pivot():
+    """pivot(0) whose x-split of a column of height >= 2 writes ``b`` at the
+    bottom of the right copy, where the honest split has ``a``, whenever the
+    mark lands there: growth then meets the column v/b."""
+    ex = make_pivot(theta=0.0)
+    a, b, v = ex.alphabet.symbols
+    honest = ex.splitter("x")
+
+    def rule(word):
+        out = honest.rule(word)
+        if word.shape.rows == 1:
+            return out
+        return FormalSum(out.shape, [
+            (GridWord(t.shape, t.cells[:1] + (b,) + t.cells[2:])
+             if v in t.cells[1::2] and t.cells[1] == a else t, c)
+            for t, c in out.unordered_items()])
+
+    ex.splitters["x"] = Splitter("x", rule, honest.domain)
+    return ex
+
+
+def test_growth_out_of_the_domain_fails_the_instance_and_names_the_word():
+    ex, honest = _out_of_domain_pivot(), make_pivot(theta=0.0)
+    checks = [lambda e: check_xy_compat(e, 3, 3), lambda e: check_quasi_1d_assoc(e, "x", 2),
+              lambda e: check_counit(e, "x", 2)]
+    errors = {}
+    for check in checks:
+        report, want = check(ex), check(honest)
+        assert not report.ok and want.ok
+        assert [i.input for i in report.instances] == [i.input for i in want.instances]
+        for inst in report.instances:
+            if "domain_error" in inst.details:
+                assert not inst.passed and inst.residual == math.inf
+                errors.setdefault(report.check, []).append(
+                    (inst.input, inst.details["domain_error"]))
+        assert json.loads(report.to_json())["max_residual"] == "inf"
+    assert errors == {
+        "xy_compat": [("corner1x2:v:vs_canonical", "v/b outside the x-splitter domain"),
+                      ("corner2x2:v", "b/v/b outside the x-splitter domain"),
+                      ("corner2x2:v:vs_canonical", "b/v/b outside the x-splitter domain")],
+        "quasi_1d_assoc_x": [("v/a", "v/b outside the x-splitter domain")],
+        "counit_x": [("v/a", "v/b outside the x-counit domain")]}
+    outside = [w(ex, [["a"], ["v"]])]  # a above v: an input word off the domain still raises
+    for check in (check_quasi_1d_assoc, check_counit):
+        with pytest.raises(DomainError):
+            check(ex, "x", 2, words=outside)
+
+
 SHIPPED = [make_cyclic_group(3), make_lie_like(["a", "c"]), make_quasi1d_group(),
            make_quasi1d_lie(), make_cross(), make_pivot(theta=0.0), make_pivot(theta=math.pi / 4),
            make_taft(TaftConfig(2, -1.0)), make_taft(TaftConfig(3, cmath.exp(2j * math.pi / 3))),
@@ -469,9 +520,9 @@ def _contract_last(s: FormalSum, direction, eps) -> FormalSum:
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=4))
 def test_counit_undoes_growth_property(ex, short, long):
     for sym in ex.grow_symbols:
-        got = _contract_last(boxplus(ex, sym, short, long), "x", ex.counit_x)
+        got = _contract_last(boxplus(ex, sym, short, long), "x", ex.counit("x"))
         assert sum_difference(got, boxplus(ex, sym, short, long - 1)) == 0.0, (sym, short, long)
-        got = _contract_last(boxplus(ex, sym, long, short, order="x_first"), "y", ex.counit_y)
+        got = _contract_last(boxplus(ex, sym, long, short, order="x_first"), "y", ex.counit("y"))
         want = boxplus(ex, sym, long - 1, short, order="x_first")
         assert sum_difference(got, want) == 0.0, (sym, long, short)
 
@@ -530,7 +581,9 @@ def _cube_example():
     alphabet = Alphabet(["a", "b", "v"])
     a, b, v = alphabet.symbols
     family = MarkedFamily({v: (a, b)}, [(a, b)], {a, b}, lambda x, y, z: (z, y, x))
-    return family.example("cube", alphabet, splitter_z=family.splitter("z")), (a, b, v)
+    ex = family.example("cube", alphabet)
+    ex.splitters["z"] = family.splitter("z")
+    return ex, (a, b, v)
 
 
 def test_cube_grows_through_the_planar_engine_in_an_interleaved_order():
@@ -588,9 +641,55 @@ def test_planted_z_splitter_fails_the_cube_and_names_its_word(monkeypatch):
                for k, worst in failed.items() if k != "v")
 
 
+def test_planted_z_splitter_that_leaves_the_domain_fails_the_cube(monkeypatch):
+    from hopf2d.instances import MarkedFamily
+
+    honest = MarkedFamily.splitter
+
+    def planted(self, axis):
+        """A mark landing in the upper copy of a layer, past its first site,
+        gets ``b`` on the site before it, where ``a`` belongs."""
+        split = honest(self, axis)
+        if axis != "z":
+            return split
+        (v, (a, b)), = self.markers.items()
+
+        def rule(word):
+            out, terms = split.rule(word), []
+            for t, c in out.unordered_items():
+                p = t.cells.index(v) if v in t.cells else 0
+                if p > word.shape.sites:
+                    t = GridWord(t.shape, t.cells[:p - 1] + (b,) + t.cells[p:])
+                terms.append((t, c))
+            return FormalSum(out.shape, terms)
+
+        return Splitter("z", rule, split.domain)
+
+    monkeypatch.setattr(MarkedFamily, "splitter", planted)
+    report = cube_xyz_compat()
+    assert len(report.instances) == 9
+    failed = {i.input: i for i in report.instances if not i.passed}
+    assert sorted(failed) == ["v", "v:3x3x3", "v:4x4x4"]
+    assert failed["v"].residual == math.inf
+    assert failed["v"].details == {"domain_error": "a a | b v outside the y-splitter domain"}
+
+
+@pytest.mark.parametrize("ex", SHIPPED, ids=lambda ex: ex.name)
+def test_samples_are_distinct_slices_in_both_domains_of_their_axis(ex):
+    for axis in ex.samplers:
+        for n in range(1, 5):
+            words = ex.samples(axis, n)
+            assert words and len(set(words)) == len(words), (axis, n)
+            for word in words:
+                assert word.shape.extents[word.shape.axis(axis)] == 1
+                assert ex.splitter(axis).domain(word), (axis, word)
+                assert ex.counit(axis).domain(word), (axis, word)
+
+
 def test_samples_and_rules_exist_only_along_the_example_axes():
     assert PIVOT.samples("x", 2) and PIVOT.samples("y", 2)
+    uq = make_uq_symbolic(1.3)
     for read in (lambda: PIVOT.samples("z", 2), lambda: PIVOT.splitter("z"),
-                 lambda: PIVOT.counit("w")):
+                 lambda: PIVOT.counit("w"), lambda: uq.antipode("z", word1(uq.unit))):
         with pytest.raises(ValueError):
             read()

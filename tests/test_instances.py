@@ -116,10 +116,10 @@ def test_cross_splitters_printed_rules():
 
 def test_cross_counit_families():
     ex = make_cross()
-    assert ex.counit_x(w(ex, [["t"], ["v"], ["b"]])) == 0.0
-    assert ex.counit_x(w(ex, [["1"], ["l"], ["1"]])) == 1.0
-    assert ex.counit_y(w(ex, [["l", "v", "r"]])) == 0.0
-    assert ex.counit_y(w(ex, [["1", "t", "1"]])) == 1.0
+    assert ex.counit("x")(w(ex, [["t"], ["v"], ["b"]])) == 0.0
+    assert ex.counit("x")(w(ex, [["1"], ["l"], ["1"]])) == 1.0
+    assert ex.counit("y")(w(ex, [["l", "v", "r"]])) == 0.0
+    assert ex.counit("y")(w(ex, [["1", "t", "1"]])) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +224,9 @@ def test_taft_counit():
     ex = make_taft(TaftConfig(2, -1.0))
     al = ex.alphabet
     one_site = lambda s: GridWord(GridShape(1, 1), (al[s],))
-    assert ex.counit_x(one_site("x")) == 0.0
-    assert ex.counit_x(one_site("g")) == 1.0
-    assert ex.counit_x(one_site("1")) == 1.0
+    assert ex.counit("x")(one_site("x")) == 0.0
+    assert ex.counit("x")(one_site("g")) == 1.0
+    assert ex.counit("x")(one_site("1")) == 1.0
 
 
 def test_taft_homomorphism_regular_rep():
