@@ -9,11 +9,27 @@ row and then jumping to the row above, so for a 3 x 3 grid::
     4 5 6
     1 2 3
 
-Cells of a :class:`GridWord` are stored in this linear order.  A
+``GridWord.cells`` lists a word's symbols in this linear order.  A
 :class:`GridShape` lists its extents slowest axis first, so the same order
 carries over to a stack of such grids (a cube): axis ``x`` runs along the
 last extent, ``y`` along the one before it and ``z`` along the one before
 that.
+
+How words are stored.  A word is the tuple of its x-slices: its columns on
+a plane, its ``(l, n, 1)`` slices in a cube, each itself a word one slice
+wide whose hash is taken over its symbol ids.  A wider word's hash is taken
+over its extents and its x-slices' hashes, so it is the same however the
+word was made.  A word holds its x-slices, its cells or both, and builds
+the missing view on first use and keeps it.  Growth along x (a
+:class:`Slicing` step) hands the splitter the column the word holds and
+replaces that one x-slice by the block's two: O(m) for m x-slices, and the
+grown word shares every other x-slice object with the word it came from.
+Its cells are built only if they are read.  A step along y or z changes
+every x-slice, so it gathers the cells through index maps, O(n·m), as a
+step along x does on a word that holds only cells; the grown word holds
+cells, and its x-slices are built when they are asked for.  Growing a
+column first and then its rows (``y_first``) therefore costs O(m) per term
+in every x-step.
 
 Formal sums are accumulated one way throughout the package: collect every
 (word, coefficient) term of a result, repeats allowed, and build the
@@ -27,9 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 import json
 import math
+import operator
 from operator import attrgetter, itemgetter
 import sys
 
@@ -54,15 +71,63 @@ class NonFiniteError(ValueError):
     """A formal sum coefficient is NaN or infinite."""
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """A named generator, identified by a small integer id within its alphabet."""
+class Symbol(int):
+    """A named generator, identified by a small integer id within its alphabet.
 
-    id: int
-    name: str
+    A symbol is its id as an ``int``, so a word's cells hash as their ids in
+    C, without an attribute lookup per cell.  Otherwise it behaves as a
+    (id, name) record: it equals only a symbol of the same id and name,
+    orders by (id, name), is true, and prints as its name.
+    """
+
+    def __new__(cls, id: int, name: str):
+        sym = super().__new__(cls, id)
+        object.__setattr__(sym, "name", name)
+        object.__setattr__(sym, "_record", (int(id), name))  # compared in C
+        return sym
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"Symbol is immutable; cannot set {key!r}")
+
+    id = property(int.__int__, doc="The symbol's id within its alphabet.")
+    __hash__ = int.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._record == other._record
+
+    def __ne__(self, other):
+        return not self == other
+
+    def _compare(self, other, op):
+        if other.__class__ is not self.__class__:  # not NotImplemented: int would answer
+            raise TypeError(f"cannot order a symbol and {type(other).__name__!r}")
+        return op(self._record, other._record)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
+
+    def __bool__(self):
+        return True
 
     def __repr__(self):
         return self.name
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return format(self.name, spec)
+
+    def __reduce__(self):
+        return Symbol, (int(self), self.name)
 
 
 class Alphabet:
@@ -137,15 +202,9 @@ class GridShape:
         """Site coordinates (x, y[, z]), 1-based, in linear site order."""
         return _coords(self.extents)
 
-    def slicing(self, axis, k):
-        """Slice ``k`` (1-based) along ``axis`` as ``(part, grown, take, put)``.
-
-        ``take(cells)`` gives the slice's cells, a word of shape ``part``
-        (extent 1 along the axis).  ``put(cells + block)`` replaces the
-        slice by a doubled block (extent 2) and gives the cells of the grown
-        word, of shape ``grown``.
-        """
-        return _slicing(self.extents, self.axis(axis), k)
+    def slicing(self, axis, k) -> "Slicing":
+        """Slice ``k`` (1-based) along ``axis`` of this shape's words."""
+        return _slicings(self.extents, self.axis(axis), k)
 
 
 # Growth and the checks ask for the same few slicings and coordinate lists
@@ -159,6 +218,10 @@ def _coords(extents):
 
 @lru_cache(maxsize=256)
 def _slicing(extents, a, k):
+    """``(part, grown, take, put)`` of slice ``k`` along extent ``a``: the
+    slice's shape, the shape with the slice doubled, and the index maps
+    that take the slice's cells out of a word's (``take(cells)``) and put a
+    doubled block's cells in their place (``put(cells + block)``)."""
     e = extents[a]
     if not 1 <= k <= e:
         raise SiteRangeError(f"slice {k} outside 1..{e}")
@@ -179,7 +242,15 @@ def _slicing(extents, a, k):
             itemgetter(*put))
 
 
-_SYMBOL_ID = attrgetter("id")
+@lru_cache(maxsize=256)
+def _slicings(extents, a, k):
+    """The :class:`Slicing` of slice ``k`` along extent ``a``; it holds
+    shapes and index maps, no words, so one serves every caller."""
+    return Slicing(extents, a, k)
+
+
+_HASH = attrgetter("_hash")
+_CELLS = attrgetter("_cells")
 
 
 def site_index(i: int, j: int, shape: GridShape) -> int:
@@ -195,23 +266,50 @@ def site_index(i: int, j: int, shape: GridShape) -> int:
 class GridWord:
     """One lattice configuration: a symbol on every site of a grid.
 
-    ``cells`` is stored in linear site order (bottom row first).  Words are
-    immutable; their hash is computed once, from the shape and the symbol
-    ids, because every accumulation step probes a dict with them.  A word
-    equals another word of the same shape and cells, and nothing else.
+    A word is the tuple of its x-slices (see the module docstring): its hash
+    is taken over its extents and their hashes, computed once, because every
+    accumulation step probes a dict with it.  It keeps two views, the
+    x-slices and ``cells`` in linear site order (bottom row first); a word
+    made from cells builds its x-slices on first use, and a word made by
+    splicing x-slices builds its cells on first use.  How a word was made
+    never shows: it equals another word of the same shape and cells, and
+    nothing else, and is immutable.
     """
 
-    __slots__ = ("shape", "cells", "_hash")
+    # ``shape`` and ``cells`` are read-only properties over slots that only
+    # _from_cells and _from_slices set, and _x_slices and ``cells`` fill in
+    # (a ``__setattr__`` refusing every assignment made words three times
+    # slower to build).  ``_slices`` stays None on a word one x-slice wide:
+    # it is its own x-slice.
+    __slots__ = ("_shape", "_slices", "_cells", "_hash")
 
-    def __init__(self, shape: GridShape, cells: tuple[Symbol, ...]):
+    def __new__(cls, shape: GridShape, cells: tuple[Symbol, ...]):
+        cells = tuple(cells)
         if len(cells) != shape.sites:
             raise ShapeError(f"{len(cells)} cells do not fill {shape}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_hash", hash((*shape.extents, *map(_SYMBOL_ID, cells))))
+        return _from_cells(shape, cells)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GridWord is immutable; cannot set {name!r}")
+    shape = property(attrgetter("_shape"), doc="The word's :class:`GridShape`.")
+
+    @property
+    def cells(self) -> tuple[Symbol, ...]:
+        """The symbols in linear site order."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = tuple(chain.from_iterable(zip(*map(_CELLS, self._slices))))
+        return cells
+
+    def _x_slices(self) -> tuple["GridWord", ...]:
+        """The x-slices, left to right, each of extent 1 along x."""
+        slices = self._slices
+        if slices is None:
+            extents = self._shape.extents
+            m = extents[-1]
+            if m == 1:
+                return (self,)
+            part = _slicing(extents, len(extents) - 1, 1)[0]
+            slices = self._slices = tuple(_from_cells(part, self._cells[j::m]) for j in range(m))
+        return slices
 
     def __hash__(self):
         return self._hash
@@ -219,17 +317,19 @@ class GridWord:
     def __eq__(self, other):
         if not isinstance(other, GridWord):
             return NotImplemented
-        return (self._hash == other._hash
-                and self.shape == other.shape
-                and self.cells == other.cells)
+        if self._hash != other._hash or self._shape.extents != other._shape.extents:
+            return False
+        a, b = self._slices, other._slices
+        if a is not None and b is not None:
+            return a == b
+        return (self._cells or self.cells) == (other._cells or other.cells)
 
     def cell(self, i, j):
         return self.cells[site_index(i, j, self.shape) - 1]
 
     def slice(self, axis, k) -> "GridWord":
         """The word on slice ``k`` (1-based) along ``axis``, extent 1 there."""
-        part, _, take, _ = self.shape.slicing(axis, k)
-        return GridWord(part, take(self.cells))
+        return self._shape.slicing(axis, k).cut(self)
 
     def row(self, i) -> "GridWord":
         """The 1 x m row word at height ``i`` (1 = bottom)."""
@@ -257,7 +357,7 @@ class GridWord:
         return GridWord(GridShape(n, m), tuple(cells))
 
     def _key(self):
-        return (*self.shape.extents, tuple(map(_SYMBOL_ID, self.cells)))
+        return (*self._shape.extents, tuple(map(operator.index, self.cells)))
 
     def __lt__(self, other):
         return self._key() < other._key()
@@ -270,6 +370,81 @@ class GridWord:
         return " | ".join("/".join(" ".join(names[r:r + m])
                                    for r in range(start + layer - m, start - 1, -m))
                           for start in range(0, len(names), layer))
+
+
+def _from_slices(shape: GridShape, slices) -> GridWord:
+    """The word of ``shape``, two or more x-slices wide, with these x-slices."""
+    word = _new(GridWord)
+    word._shape, word._slices, word._cells = shape, slices, None
+    word._hash = hash((*shape.extents, *map(_HASH, slices)))
+    return word
+
+
+def _from_cells(shape: GridShape, cells: tuple) -> GridWord:
+    """The word of ``shape`` with these cells, as many as its sites.
+
+    Its hash is the one its x-slices give it: over the symbol ids if it is
+    one x-slice wide, else over its extents and the hashes of its x-slices.
+    """
+    word = _new(GridWord)
+    word._shape, word._slices, word._cells = shape, None, cells
+    extents = shape.extents
+    m = extents[-1]
+    word._hash = (hash(cells) if m == 1 else
+                  hash((*extents, *map(hash, map(cells.__getitem__, _strides(m))))))
+    return word
+
+
+@lru_cache(maxsize=None)
+def _strides(m):
+    """The slices picking each of m x-slices out of a cell tuple."""
+    return tuple(slice(j, None, m) for j in range(m))
+
+
+_new = object.__new__
+
+
+class Slicing:
+    """Slice ``k`` (1-based) along extent ``a`` of the words of one shape,
+    from :meth:`GridShape.slicing`.
+
+    ``part`` is the shape of the slice (extent 1 along the axis) and
+    ``grown`` the shape with the slice doubled (extent 2 in its place).
+    :meth:`cut` takes the slice out of a word and :meth:`splice` puts a
+    doubled block, a word of shape ``grown.resized(axis, 2)``, in its place.
+
+    Along x, on a word that holds its x-slices (or is one), both are tuple
+    operations on them, O(m) for m x-slices, and the grown word holds
+    x-slices too.  Otherwise, along y and z (where every x-slice changes)
+    and on a word that holds only its cells, both gather the word's cells
+    through index maps and make the new word from its cells.
+    """
+
+    __slots__ = ("part", "grown", "_k", "_take", "_put")
+
+    def __init__(self, extents, a, k):
+        self.part, self.grown, self._take, self._put = _slicing(extents, a, k)
+        self._k = k if a == len(extents) - 1 else None  # along x
+
+    def cut(self, word: GridWord) -> GridWord:
+        if self._k is not None:
+            slices = word._slices
+            if slices is not None:
+                return slices[self._k - 1]
+            if word._shape.extents[-1] == 1:
+                return word
+        return _from_cells(self.part, self._take(word._cells or word.cells))
+
+    def splice(self, word: GridWord, block: GridWord) -> GridWord:
+        k = self._k
+        if k is not None:
+            slices = word._slices
+            if slices is None and word._shape.extents[-1] == 1:
+                slices = (word,)
+            if slices is not None:
+                return _from_slices(self.grown, slices[:k - 1] + block._x_slices() + slices[k:])
+        return _from_cells(self.grown, self._put((word._cells or word.cells)
+                                                 + (block._cells or block.cells)))
 
 
 def word1(sym: Symbol) -> GridWord:
@@ -420,11 +595,13 @@ def join(axis, first: GridWord, second: GridWord) -> GridWord:
     """The word holding ``second`` after ``first`` along ``axis``: to its
     right ('x'), above it ('y') or on top of it ('z')."""
     shape = _joined(axis, first.shape, second.shape)
+    if axis == "x":
+        return _from_slices(shape, first._x_slices() + second._x_slices())
     outer = math.prod(shape.extents[:shape.axis(axis)])
     na, nb = first.shape.sites // outer, second.shape.sites // outer
+    a, b = first.cells, second.cells
     return GridWord(shape, tuple(
-        c for o in range(outer)
-        for c in first.cells[o * na:(o + 1) * na] + second.cells[o * nb:(o + 1) * nb]))
+        c for o in range(outer) for c in a[o * na:(o + 1) * na] + b[o * nb:(o + 1) * nb]))
 
 
 def _joined(axis, a: GridShape, b: GridShape) -> GridShape:

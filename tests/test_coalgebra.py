@@ -16,7 +16,9 @@ from hopf2d.coalgebra import (
     apply_splitter,
     boxplus,
     boxplus_from_1d,
+    boxplus_sum,
     check_counit,
+    check_homomorphism,
     check_quasi_1d_assoc,
     check_trivial_proposition,
     check_xy_compat,
@@ -36,6 +38,7 @@ from hopf2d.instances import (
     make_taft,
     make_uq_symbolic,
     TaftConfig,
+    taft_regular_rep,
 )
 
 PIVOT = make_pivot(theta=0.0)
@@ -693,3 +696,78 @@ def test_samples_and_rules_exist_only_along_the_example_axes():
                  lambda: PIVOT.counit("w"), lambda: uq.antipode("z", word1(uq.unit))):
         with pytest.raises(ValueError):
             read()
+
+
+def _out_of_domain_taft():
+    """taft(2) whose x-split of a column of height >= 2 writes ``g`` at the
+    bottom of the right copy, where the honest split has ``1``, whenever the
+    mark lands there: growth of ``x`` then meets the column x/g."""
+    ex = make_taft(TaftConfig(2, -1.0))
+    one, g, x = (ex.alphabet[s] for s in ("1", "g", "x"))
+    honest = ex.splitter("x")
+
+    def rule(word):
+        out = honest.rule(word)
+        if word.shape.rows == 1:
+            return out
+        return FormalSum(out.shape, [
+            (GridWord(t.shape, t.cells[:1] + (g,) + t.cells[2:])
+             if x in t.cells[1::2] and t.cells[1] == one else t, c)
+            for t, c in out.unordered_items()])
+
+    ex.splitters["x"] = Splitter("x", rule, honest.domain)
+    return ex
+
+
+def test_only_symbols_outside_the_first_splitter_fall_back_to_the_1d_rule():
+    ex = _out_of_domain_taft()
+    x, gx = ex.alphabet["x"], ex.alphabet["gx"]
+    with pytest.raises(DomainError, match="x/g outside the x-splitter domain"):
+        boxplus(ex, x, 2, 3)
+    # x is in the y-splitter's domain, so its growth error is not papered over
+    with pytest.raises(DomainError, match="x/g outside the x-splitter domain"):
+        boxplus_sum(ex, FormalSum.unit(word1(x)), 2, 3)
+    # gx is outside it: the product symbol still takes the 1D rule
+    want = boxplus_from_1d(ex.meta["delta_1site"], gx, 2, 3)
+    assert sums_equal(boxplus_sum(ex, FormalSum.unit(word1(gx), 2.0), 2, 3), want * 2.0, 0.0)
+    report = check_homomorphism(ex, taft_regular_rep(ex), 2, 3, [("g", "g"), ("x", "g")])
+    assert [(i.input, i.passed, i.residual) for i in report.instances] == [
+        ("g*g", True, 0.0), ("x*g", False, math.inf)]
+    assert report.instances[1].details == {"domain_error": "x/g outside the x-splitter domain"}
+    assert json.loads(report.to_json())["max_residual"] == "inf"
+    honest = make_taft(TaftConfig(2, -1.0))
+    assert check_homomorphism(honest, taft_regular_rep(honest), 2, 3, [("x", "g")]).ok
+
+
+def _placement(shape, mark, before, after, key):
+    """The marked-symbol element: the mark once on each site, ``before`` on
+    the sites preceding it under ``key`` (row, col), ``after`` on the rest."""
+    sites = [(i, j) for i in range(1, shape.rows + 1) for j in range(1, shape.cols + 1)]
+    return FormalSum(shape, [
+        (GridWord(shape, tuple(mark if q == p else (before if key(*q) < key(*p) else after)
+                               for q in sites)), 1.0) for p in sites])
+
+
+@pytest.mark.parametrize("theta,key", [(0.0, lambda i, j: (i, j)),
+                                       (math.pi / 4, lambda i, j: (i, -j))],
+                         ids=["theta=0", "theta=pi/4"])
+@pytest.mark.parametrize("order", ["y_first", "x_first"])
+def test_pivot_16x16_is_its_placement_in_both_orders(theta, key, order):
+    ex = make_pivot(theta=theta)
+    a, b, v = ex.alphabet.symbols
+    got = boxplus(ex, v, 16, 16, order=order)
+    assert len(got) == 256 and all(c == 1 for _, c in got.unordered_items())
+    assert sum_difference(got, _placement(GridShape(16, 16), v, a, b, key)) == 0.0
+
+
+def test_uq_and_taft_12x12_match_their_oracles():
+    uq = make_uq_symbolic(1.7)
+    got = boxplus(uq, "S+", 12, 12)
+    al = uq.alphabet
+    want = _placement(GridShape(12, 12), al["S+"], al["K-"], al["K+"], lambda i, j: (i, j))
+    assert len(got) == 144 and sum_difference(got, want) == 0.0
+    taft = make_taft(TaftConfig(3, cmath.exp(2j * math.pi / 3)))
+    got = boxplus(taft, "x", 12, 12)
+    want = boxplus_from_1d(taft.meta["delta_1site"], taft.alphabet["x"], 12, 12)
+    assert len(got) == 144 and all(c == 1 for _, c in got.unordered_items())
+    assert sum_difference(got, want) == 0.0

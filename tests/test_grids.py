@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopf2d.coalgebra import CoalgebraExample, Splitter, grow
 from hopf2d.grids import (
     Alphabet,
     FormalSum,
@@ -13,6 +14,7 @@ from hopf2d.grids import (
     SiteRangeError,
     concat_h,
     concat_v,
+    join,
     site_index,
     sum_difference,
     sums_equal,
@@ -192,7 +194,10 @@ def test_planar_shapes_keep_their_repr_json_hash_and_key():
     assert (shape.rows, shape.cols, shape.sites, repr(shape)) == (3, 4, 12, "3x4")
     assert shape.extents == (3, 4) and shape == GridShape(3, 4) and shape != GridShape(4, 3)
     word = w([["a", "v"], ["b", "b"]])
-    assert hash(word) == hash((2, 2, B.id, B.id, A.id, V.id))
+    # the hash is taken over the extents and the x-slice (column) hashes, and
+    # a column's over its symbol ids, bottom first
+    assert hash(word) == hash((2, 2, hash((B.id, A.id)), hash((B.id, V.id))))
+    assert hash(word.col(1)) == hash((B.id, A.id))
     assert word._key() == (2, 2, (B.id, B.id, A.id, V.id))
     assert json.loads(FormalSum.unit(word).to_json())["shape"] == [2, 2]
     with pytest.raises(AttributeError):
@@ -229,3 +234,140 @@ def test_planar_site_accessors_refuse_a_cube_word():
         with pytest.raises(ShapeError):
             read()
     assert repr(cube) == "a | b"
+
+
+# -- words held as x-slices ---------------------------------------------------
+
+REPR_SHAPES = [GridShape(*e) for e in [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 4), (4, 2),
+                                       (2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3)]]
+
+
+@st.composite
+def words(draw):
+    shape = draw(st.sampled_from(REPR_SHAPES))
+    return GridWord(shape, tuple(draw(st.lists(st.sampled_from([A, B, V]), min_size=shape.sites,
+                                               max_size=shape.sites))))
+
+
+def _on_slice(word, axis, k):
+    """The cells of ``word`` whose coordinate along ``axis`` is ``k``, in site order."""
+    i = "xyz".index(axis)
+    return tuple(c for c, p in zip(word.cells, word.shape.coords) if p[i] == k)
+
+
+def _same_word(got, want):
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert got.cells == want.cells
+    assert got._key() == want._key()
+    assert repr(got) == repr(want)
+
+
+def _by_x_slices(word):
+    """``word`` rebuilt by joining its x-slices left to right."""
+    out = word.slice("x", 1)
+    for k in range(2, word.shape.cols + 1):
+        out = join("x", out, word.slice("x", k))
+    return out
+
+
+def _copier():
+    """An example whose splitter along each axis doubles a slice as two copies."""
+    splitters = {axis: Splitter(axis, lambda s, axis=axis: FormalSum.unit(join(axis, s, s)),
+                                lambda s: True) for axis in "xyz"}
+    return CoalgebraExample("copier", AB, splitters, {}, {})
+
+
+@settings(max_examples=120, deadline=None)
+@given(words())
+def test_a_word_is_the_same_word_however_it_was_reached(word):
+    shape = word.shape
+    axes = "xyz"[:len(shape.extents)]
+    _same_word(_by_x_slices(word), word)
+    # one cell changed, the word differs whichever way either is held
+    other = GridWord(shape, (B if word.cells[0] != B else A,) + word.cells[1:])
+    for x in (word, _by_x_slices(word)):
+        for y in (other, _by_x_slices(other)):
+            assert x != y and y != x
+    for held in (word, _by_x_slices(word)):
+        for name in ("shape", "cells", "other"):
+            with pytest.raises(AttributeError):
+                setattr(held, name, None)
+    for axis in axes:
+        e = shape.extents[shape.axis(axis)]
+        for k in range(1, e + 1):
+            part = shape.resized(axis, 1)
+            _same_word(word.slice(axis, k), GridWord(part, _on_slice(word, axis, k)))
+            _same_word(_by_x_slices(word).slice(axis, k), word.slice(axis, k))
+        for bad in (0, e + 1):
+            for held in (word, _by_x_slices(word)):
+                with pytest.raises(SiteRangeError):
+                    held.slice(axis, bad)
+        if e > 1:  # the first slice joined to the rest along the axis
+            first = GridWord(shape.resized(axis, 1), _on_slice(word, axis, 1))
+            i = "xyz".index(axis)
+            rest = GridWord(shape.resized(axis, e - 1), tuple(
+                c for c, p in zip(word.cells, shape.coords) if p[i] > 1))
+            _same_word(join(axis, first, rest), word)
+    # growth along each axis at each slice: the slice followed by its copy
+    ex = _copier()
+    cells = dict(zip(shape.coords, word.cells))
+    for axis in axes:
+        i = "xyz".index(axis)
+        for k in range(1, shape.extents[shape.axis(axis)] + 1):
+            grown = shape.resized(axis, shape.extents[shape.axis(axis)] + 1)
+            want = GridWord(grown, tuple(
+                cells[q[:i] + (q[i] - (q[i] > k),) + q[i + 1:]] for q in grown.coords))
+            for held in (word, _by_x_slices(word)):
+                (got, c), = grow(ex, FormalSum.unit(held), axis, k).unordered_items()
+                assert c == 1
+                _same_word(got, want)
+                # and once more along x, from the grown word whichever way it is held
+                (again, _), = grow(ex, FormalSum.unit(got), "x").unordered_items()
+                (want2, _), = grow(ex, FormalSum.unit(want), "x").unordered_items()
+                _same_word(again, want2)
+
+
+def test_hash_and_growth_do_not_depend_on_the_string_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import hopf2d
+
+    script = (
+        "import hashlib\n"
+        "from hopf2d.coalgebra import boxplus\n"
+        "from hopf2d.grids import GridShape, GridWord\n"
+        "from hopf2d.instances import make_pivot\n"
+        "ex = make_pivot(theta=0.0)\n"
+        "a, b, v = ex.alphabet.symbols\n"
+        "print(hash(GridWord(GridShape(2, 3), (a, b, v, b, b, a))))\n"
+        "s = boxplus(ex, 'v', 4, 5, order='x_first')\n"
+        "print(hashlib.sha256(s.to_json().encode()).hexdigest())\n"
+        "print(hashlib.sha256(repr(list(s.unordered_items())).encode()).hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopf2d.__file__)))
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True, text=True, timeout=60).stdout)
+    assert outs[0] == outs[1] and len(outs[0].split()) == 3
+
+
+def test_symbols_are_their_ids_and_keep_their_names():
+    import copy
+    import pickle
+
+    other = Alphabet(["a", "x"])
+    assert A.id == 0 and int(A) == 0 and hash(A) == 0 and hash(V) == V.id == 2
+    assert A == AB["a"] and A == other["a"] and A != other["x"] and A != 0 and A != "a"
+    assert (str(A), repr(V), f"{B}*{V:>3}", bool(A)) == ("a", "v", "b*  v", True)
+    assert sorted([V, other["x"], B, A]) == [A, B, other["x"], V]  # by (id, name)
+    assert A < B < other["x"] < V and not A < A and A <= A and V >= B
+    with pytest.raises(TypeError):
+        A < 1
+    with pytest.raises(AttributeError):
+        A.name = "z"
+    for back in (copy.copy(V), pickle.loads(pickle.dumps(V))):
+        assert back == V and back.name == "v" and back.id == 2
