@@ -135,9 +135,10 @@ def _run_checks(args, report_meta):
     ex = example_from_config(_example_config(args))
     max_n = max(n for n, _ in sizes)
     max_m = max(m for _, m in sizes)
-    qs = None
+    qs = uq_reports = None
+    names = [c.strip() for c in checks if c.strip()]
     reports = []
-    for name in [c.strip() for c in checks if c.strip()]:
+    for name in names:
         if name == "assoc":
             for direction, extent in (("x", max_n), ("y", max_m)):
                 for k in range(1, extent + 1):
@@ -167,7 +168,8 @@ def _run_checks(args, report_meta):
             if args.example != "uq":
                 raise CliConfigError(f"check {name!r} needs --example uq")
             qs = qs or _parse_q_list(args.q, args.seed)
-            reports.append(_uq_check(name, qs, sizes, tol))
+            uq_reports = uq_reports or _uq_checks(names, qs, sizes, tol)
+            reports.append(uq_reports[name])
         elif name in ("rmatrix1d", "rmatrix2d", "semiclassical"):
             qs = qs or _parse_q_list(args.q, args.seed, 20)
             reports.append(_rmatrix_check(name, qs, tol))
@@ -176,35 +178,54 @@ def _run_checks(args, report_meta):
     return ex, reports
 
 
-def _uq_check(name, qs, sizes, tol):
-    instances = []
-    with _Timer() as t:
-        for q in qs:
-            if name == "ks":
-                for (n, m) in sizes:
-                    r = uqsu2.check_ks_relation(q, n, m, tol=tol)
-                    instances.extend(_prefixed(r, f"q={q:g},{n}x{m}"))
-            elif name == "commutator":
-                for (n, m) in sizes:
-                    r = uqsu2.check_commutator(q, n, m, tol=tol)
-                    instances.extend(_prefixed(r, f"q={q:g},{n}x{m}"))
-            elif name == "kernel":
-                k = uqsu2.kernel_2x2(q)
-                ok = k["dimension"] == 2 and all(v <= tol for v in k["family_residuals"].values())
-                res = max(k["family_residuals"].values())
-                basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
-                instances.append(CheckInstance(
-                    f"q={q:g}", ok, res,
-                    {"dimension": k["dimension"], "basis": basis}))
-            elif name == "singlets":
-                r = uqsu2.singlet_pair_checks(q, tol=tol)
-                instances.extend(_prefixed(r, f"q={q:g}"))
-                vres = uqsu2.vertical_singlet_residual(q, tol=tol)
-                for gen in ("S+", "S-"):
-                    instances.append(CheckInstance(
-                        f"q={q:g} vertical {gen}", vres[gen]["pass"],
-                        vres[gen]["residual_vs_pattern"]))
-    return CheckReport(name, list(sizes), instances, t.elapsed)
+def _uq_checks(names, qs, sizes, tol):
+    """The deformed-su(2) operator checks among ``names``, one report each.
+
+    The loop runs over q, then size, then check, and every check of one
+    (q, size) step takes its operators from one :class:`uqsu2.OperatorTable`,
+    dropped when the step ends; ``kernel`` and ``singlets`` run at the
+    (q, 2x2) step.  Each report lists its instances q first, then size.
+    The commutator runs first in a step: its two products are the step's
+    largest arrays (4M entries each at 4x4), and running them before the ks
+    products and differences keeps the peak memory at that of the
+    commutator alone.
+    """
+    per_size = [nm for nm in ("commutator", "ks") if nm in names]
+    per_q = [nm for nm in ("kernel", "singlets") if nm in names]
+    steps = [(size, list(per_size)) for size in sizes]
+    if per_q:  # at the first 2x2 step, or at one of their own
+        at_2x2 = next((checks for size, checks in steps if size == (2, 2)), None)
+        if at_2x2 is None:
+            steps.append(((2, 2), at_2x2 := []))
+        at_2x2 += per_q
+    instances = {name: [] for name in per_size + per_q}
+    elapsed = dict.fromkeys(instances, 0.0)
+    for q in qs:
+        for (n, m), checks in steps:
+            ops = uqsu2.OperatorTable(q, n, m)
+            for name in checks:
+                with _Timer() as t:
+                    instances[name] += _uq_instances(name, q, n, m, ops, tol)
+                elapsed[name] += t.elapsed
+    return {name: CheckReport(name, list(sizes), instances[name], elapsed[name])
+            for name in instances}
+
+
+def _uq_instances(name, q, n, m, ops, tol):
+    if name == "ks":
+        return _prefixed(uqsu2.check_ks_relation(q, n, m, tol=tol, ops=ops), f"q={q:g},{n}x{m}")
+    if name == "commutator":
+        return _prefixed(uqsu2.check_commutator(q, n, m, tol=tol, ops=ops), f"q={q:g},{n}x{m}")
+    if name == "kernel":
+        k = uqsu2.kernel_2x2(q, ops=ops)
+        ok = k["dimension"] == 2 and all(v <= tol for v in k["family_residuals"].values())
+        res = max(k["family_residuals"].values())
+        basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
+        return [CheckInstance(f"q={q:g}", ok, res, {"dimension": k["dimension"], "basis": basis})]
+    out = _prefixed(uqsu2.singlet_pair_checks(q, tol=tol), f"q={q:g}")
+    vres = uqsu2.vertical_singlet_residual(q, tol=tol, ops=ops)
+    return out + [CheckInstance(f"q={q:g} vertical {gen}", vres[gen]["pass"],
+                                vres[gen]["residual_vs_pattern"]) for gen in ("S+", "S-")]
 
 
 def _rmatrix_check(name, qs, tol):
@@ -271,10 +292,9 @@ def cmd_build_op(args) -> int:
         mat = rmx.r2d(q)
         name = f"rmatrix2d_q{q.real:g}{'+' if q.imag >= 0 else ''}{q.imag:g}j.mtx"
         path = os.path.join(outdir, name)
-        write_matrix_market(np.asarray(mat), path)
+        nnz = write_matrix_market(np.asarray(mat), path)
         manifest = {"generator": "rmatrix2d", "q": [q.real, q.imag], "n": 2, "m": 2,
-                    "dim": 16, "nnz": int(np.count_nonzero(np.abs(mat) > 1e-15)),
-                    "file": name}
+                    "dim": 16, "nnz": nnz, "file": name}
     else:
         if not args.gen:
             raise CliConfigError("build-op needs --gen or --rmatrix2d")
@@ -283,9 +303,9 @@ def cmd_build_op(args) -> int:
         op = uqsu2.boxplus_op(args.gen, q, n, m)
         name = f"boxplus_{args.gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
         path = os.path.join(outdir, name)
-        op.write_matrix_market(path)
+        nnz = op.write_matrix_market(path)
         manifest = {"generator": args.gen, "q": [q.real, q.imag], "n": n, "m": m,
-                    "dim": op.dim, "nnz": op.nnz, "file": name}
+                    "dim": op.dim, "nnz": nnz, "file": name}
     mpath = os.path.join(outdir, "manifest.json")
     with open(mpath, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")

@@ -95,8 +95,8 @@ class SparseOperator:
     def max_abs(self):
         return 0.0 if self.mat.nnz == 0 else float(np.abs(self.mat.data).max())
 
-    def write_matrix_market(self, path):
-        write_matrix_market(self.mat, path)
+    def write_matrix_market(self, path) -> int:
+        return write_matrix_market(self.mat, path)
 
 
 def operator_difference(a: SparseOperator, b: SparseOperator) -> float:
@@ -186,20 +186,47 @@ def evaluate(s: FormalSum, rep: Representation, dim_cap: int | None = None) -> S
     return kron_terms(terms, rep.dim, sites)
 
 
-def write_matrix_market(mat, path):
-    """Write a sparse complex matrix in Matrix Market coordinate format (1-based)."""
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    order = np.lexsort((coo.col, coo.row))
-    data = coo.data[order]
-    cells = zip((coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(),
-                data.real.tolist(), data.imag.tolist())
-    # one %-format call for all entries runs about twice as fast as one per line
-    body = ("%d %d %.17g %.17g\n" * coo.nnz) % tuple(x for cell in cells for x in cell)
+def write_matrix_market(mat, path) -> int:
+    """Write a sparse or dense complex matrix in Matrix Market coordinate
+    format (1-based) and return the number of entries written.
+
+    Entries go out in row-major order, duplicates summed, stored zeros of a
+    sparse matrix kept.  Each line reads as ``"%d %d %.17g %.17g\n"`` of its
+    row, column, real and imaginary part, but each distinct row, column and
+    (real, imaginary) pair is formatted only once: values are told apart by
+    their bit patterns, so ``-0.0`` and ``0.0`` or NaNs of different payload
+    keep their own text.  The body is one join over an object array that
+    holds, for every entry, its row, column and value texts.
+    """
+    if sp.issparse(mat) and mat.format == "csr" and mat.has_canonical_format:
+        row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        col, data = mat.indices, mat.data
+    else:
+        coo = sp.coo_matrix(mat)
+        coo.sum_duplicates()
+        order = np.lexsort((coo.col, coo.row))
+        row, col, data = coo.row[order], coo.col[order], coo.data[order]
+    nnz = len(data)
+    bits = np.ascontiguousarray(data, dtype=complex).view(np.int64).reshape(nnz, 2)
+    _, re_key = np.unique(bits[:, 0], return_inverse=True)
+    _, im_key = np.unique(bits[:, 1], return_inverse=True)
+    _, first, value = np.unique(re_key * nnz + im_key, return_index=True, return_inverse=True)
+    values = ["%.17g %.17g\n" % (re, im) for re, im in bits[first].view(np.float64).tolist()]
+    # every line's three parts refer to the distinct texts, so no line is built
+    parts = np.empty((nnz, 3), dtype=object)
+    parts[:, 0], parts[:, 1] = _labels(row), _labels(col)
+    parts[:, 2] = np.array(values, dtype=object)[value]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate complex general\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        fh.write(body)
+        fh.write(f"{mat.shape[0]} {mat.shape[1]} {nnz}\n")
+        fh.write("".join(parts.ravel().tolist()))
+    return nnz
+
+
+def _labels(index):
+    """The 1-based labels of 0-based indices, each followed by a space."""
+    distinct, at = np.unique(index, return_inverse=True)
+    return np.array([f"{i + 1} " for i in distinct.tolist()], dtype=object)[at]
 
 
 def read_matrix_market(path):

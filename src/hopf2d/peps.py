@@ -122,7 +122,7 @@ class PepsInstance:
     boundary: BoundarySpec
 
 
-def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
+def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=()):
     """Bond-consistent m-wide patches, swept one row at a time.
 
     Yields ``(n, {grid word: {perimeter pattern: amplitude}})`` for each n in
@@ -133,6 +133,9 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
     patterns appear in the order of their first assignment in row-major site
     order, components in the tensor's insertion order.  A step holding more
     than :data:`SWEEP_STATE_CAP` states raises :class:`ResourceLimitError`.
+    A word's cells are the tensor's symbols, each replaced by the same
+    symbol (same id and name) from ``symbols`` where that holds one, so the
+    words compare with words made from ``symbols`` by identity.
     """
     shapes = {n: GridShape(n, m) for n in heights}
     live = {s: {bond for bond, mat in table.items() if mat is not None}
@@ -169,7 +172,8 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
             by_bottom.setdefault(bs, []).append((cells, l, ts, r, amp))
             if ok_b is None or ok_b.issuperset(bs):
                 states[(cells, (l,), (r,), bs, ts)] = amp
-    syms = {s.name: s for s in tensor.alphabet}
+    shared = {(s.id, s.name): s for s in symbols}
+    syms = {s.name: shared.get((s.id, s.name), s) for s in tensor.alphabet}
     for n in range(1, max(shapes, default=0) + 1):
         if n > 1:
             nxt = {}
@@ -198,19 +202,21 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
         yield n, table
 
 
-def contract(inst: PepsInstance, n: int, m: int, tol=1e-14, rotate: int = 0) -> FormalSum:
+def contract(inst: PepsInstance, n: int, m: int, tol=1e-14, rotate: int = 0,
+             symbols=()) -> FormalSum:
     """Exact contraction of an n x m patch into a symbolic formal sum.
 
     Each distinct perimeter pattern is traced once; a (word, pattern)
     contribution of magnitude at most ``tol`` is dropped, and a non-finite
     one raises :class:`grids.NonFiniteError`.  ``rotate`` shifts the
     starting point of the closed perimeter cycle; by cyclicity of the trace
-    the result must not depend on it.
+    the result must not depend on it.  The words take their symbols from
+    ``symbols`` where it holds the same ones, as in :func:`_sweep`.
     """
     tensor, boundary = inst.tensor, inst.boundary
     if not boundary.complete():
         raise ConfigurationError("boundary specification is incomplete")
-    ((_, table),) = _sweep(tensor, boundary, m, [n])
+    ((_, table),) = _sweep(tensor, boundary, m, [n], symbols)
     corner = np.asarray(boundary.corner, dtype=complex)
     traces, terms = {}, []
     for word, patterns in table.items():
@@ -381,8 +387,10 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySol
     heights = {}
     for n, m in sizes:
         heights.setdefault(m, set()).add(n)
+    symbols = {c for target in targets.values() for w, _ in target.unordered_items()
+               for c in w.cells}
     swept = {(n, m): table for m, hs in heights.items()
-             for n, table in _sweep(tensor, boundary, m, hs)}
+             for n, table in _sweep(tensor, boundary, m, hs, symbols)}
     tables = {size: swept[size] for size in sizes}
     rows, rhs = [], []
     for size in sizes:
@@ -461,7 +469,7 @@ def check_peps_vs_boxplus(inst, example, v, sizes, tol=1e-10) -> CheckReport:
     instances = []
     with _Timer() as t:
         for (n, m) in sizes:
-            got = contract(inst, n, m)
+            got = contract(inst, n, m, symbols=example.alphabet)
             want = boxplus(example, v, n, m)
             res = sum_difference(got, want)
             details = {} if res <= tol else {"worst_word": worst_word(got, want)}

@@ -9,6 +9,14 @@ in the singlet and R-matrix sections follow the top-row-first numbering
 
 mapped onto the internal bottom-row-first linear order by
 :data:`DISPLAY_TO_LINEAR_2X2`.
+
+A lattice operator is built by :func:`boxplus_op`: grown through the
+coalgebra engine, evaluated, and cross-checked against the placement
+construction.  The checks take their operators from an
+:class:`OperatorTable` of one (q, n, m), which builds each generator on its
+first lookup and shares it with every later check given the same table; a
+check called without a table builds its own.  The CLI keeps one table per
+(q, size) step of ``verify`` and drops it when the step ends.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ from .linops import (
 DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
 
 # site cap for lattice operators, from measured work: at 16 sites (dimension
-# 2**16 = 65536) the 4x4 ks plus commutator checks take about 1.2 s and
-# 340 MiB peak resident memory on a 2-core x86 machine
+# 2**16 = 65536) a `verify --checks ks,commutator --sizes 4x4` process takes
+# about 1.6 s and 340 MiB peak resident memory with one q, and 3.5 s and
+# 345 MiB with three (median of 5 runs on a 2-core x86 machine)
 SITE_CAP = 16
 
 
@@ -125,6 +134,32 @@ def boxplus_op(gen: str, q, n: int, m: int, cross_check: bool = True) -> SparseO
     return op
 
 
+class OperatorTable(dict):
+    """The lattice operators of one (q, n, m), by generator name.
+
+    Each operator is built through :func:`boxplus_op`, and so cross-checked
+    against the placement construction, on its first lookup; later lookups
+    return the same operator.  The operators live as long as the table.
+    """
+
+    def __init__(self, q, n: int, m: int):
+        super().__init__()
+        self.q, self.n, self.m = q, n, m
+
+    def __missing__(self, gen):
+        op = self[gen] = boxplus_op(gen, self.q, self.n, self.m)
+        return op
+
+
+def _table(ops, q, n, m) -> OperatorTable:
+    """``ops``, or a new table if it is None; a table of another (q, n, m) raises."""
+    if ops is None:
+        return OperatorTable(q, n, m)
+    if (ops.q, ops.n, ops.m) != (q, n, m):
+        raise ValueError(f"operator table of q={ops.q}, {ops.n}x{ops.m} used at q={q}, {n}x{m}")
+    return ops
+
+
 def _operator_instance(label, lhs, rhs, tol) -> CheckInstance:
     """Max-entry residual of lhs - rhs; a failing instance names its worst entry."""
     res = operator_difference(lhs, rhs)
@@ -133,12 +168,19 @@ def _operator_instance(label, lhs, rhs, tol) -> CheckInstance:
     return CheckInstance(label, False, res, {"worst_entry": worst_entry(lhs, rhs)})
 
 
-def check_ks_relation(q, n, m, tol=1e-10) -> CheckReport:
-    """K S = q^(+-1) S K lifted to the whole lattice, max-entry residual."""
+def check_ks_relation(q, n, m, tol=1e-10, ops=None) -> CheckReport:
+    """K S = q^(+-1) S K lifted to the whole lattice, max-entry residual.
+
+    The operators come from ``ops``, an :class:`OperatorTable` of this
+    (q, n, m), or from a new table.
+    """
     q = _require_regular(q)
     instances = []
     with _Timer() as t:
-        ops = {g: boxplus_op(g, q, n, m) for g in ("K+", "K-", "S+", "S-")}
+        table = _table(ops, q, n, m)
+        # the diagonal K strings first: built after S+ and S-, they raised
+        # the peak memory of the 4x4 check by 12 MiB
+        ops = {g: table[g] for g in ("K+", "K-", "S+", "S-")}
         for alpha, kname in ((1, "K+"), (-1, "K-")):
             for sign, sname in ((1, "S+"), (-1, "S-")):
                 lhs = ops[kname] @ ops[sname]
@@ -147,15 +189,16 @@ def check_ks_relation(q, n, m, tol=1e-10) -> CheckReport:
     return CheckReport("ks_relation", [(n, m)], instances, t.elapsed)
 
 
-def check_commutator(q, n, m, tol=1e-10) -> CheckReport:
-    """[raise, lower] telescopes to the difference of squared K strings."""
+def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
+    """[raise, lower] telescopes to the difference of squared K strings.
+
+    The operators come from ``ops`` as in :func:`check_ks_relation`.
+    """
     q = _require_nonsingular(q)
     instances = []
     with _Timer() as t:
-        sp_ = boxplus_op("S+", q, n, m)
-        sm_ = boxplus_op("S-", q, n, m)
-        kp2 = boxplus_op("K+2", q, n, m)
-        km2 = boxplus_op("K-2", q, n, m)
+        ops = _table(ops, q, n, m)
+        sp_, sm_, kp2, km2 = (ops[g] for g in ("S+", "S-", "K+2", "K-2"))
         lhs = sp_ @ sm_ - sm_ @ sp_
         rhs = (kp2 - km2) * (1.0 / (q - 1.0 / q))
         instances.append(_operator_instance(f"commutator q={q:g}", lhs, rhs, tol))
@@ -263,16 +306,18 @@ def _display_state(specs) -> np.ndarray:
          for (i, j), kind in specs.items()], 4)
 
 
-def vertical_singlet_residual(q, tol=1e-10) -> dict:
+def vertical_singlet_residual(q, tol=1e-10, ops=None) -> dict:
     """Image of two vertical q-singlets under the plaquette operators.
 
     The vertical singlets sit on display columns (3,1) and (4,2), bottom site
     first; one overall normalization 1/sqrt(q - 1/q) is stripped so the
     component magnitude is exactly (q^(1/2) - q^(-1/2))/sqrt(q - 1/q).
     Returns the measured coefficient, its predicted value and the residual
-    against the signed support pattern.
+    against the signed support pattern.  The operators come from ``ops``,
+    an :class:`OperatorTable` of (q, 2, 2), or from a new table.
     """
     q = _require_nonsingular(q)
+    ops = _table(ops, q, 2, 2)
     pairs = [(DISPLAY_TO_LINEAR_2X2[3], DISPLAY_TO_LINEAR_2X2[1]),
              (DISPLAY_TO_LINEAR_2X2[4], DISPLAY_TO_LINEAR_2X2[2])]
     psi = singlet_product(q, pairs, 4) * cmath.sqrt(q - 1.0 / q)
@@ -285,7 +330,7 @@ def vertical_singlet_residual(q, tol=1e-10) -> dict:
         - _display_state({(1, 3): "00", (2, 4): "01+10"}),
     }
     for gen, pattern in patterns.items():
-        w = boxplus_op(gen, q, 2, 2).mat @ psi
+        w = ops[gen].mat @ psi
         support = np.abs(w[np.abs(pattern) > 0.5])
         measured = float(support.mean()) if support.size else 0.0
         res = float(np.abs(w - coef * pattern).max())
@@ -297,17 +342,18 @@ def vertical_singlet_residual(q, tol=1e-10) -> dict:
     return out
 
 
-def kernel_2x2(q, svd_tol=1e-10) -> dict:
+def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
     """Joint null space of the 2 x 2 plaquette raising/lowering operators.
 
     Computed by SVD of the stacked 32 x 16 matrix with a relative singular
     value threshold.  Also measures the two-parameter singlet family that
     spans the kernel (horizontal pair and crossed pair, orientations as
-    printed) and the reversed-orientation control.
+    printed) and the reversed-orientation control.  The operators come from
+    ``ops`` as in :func:`vertical_singlet_residual`.
     """
     q = _require_nonsingular(q)
-    sp_op = boxplus_op("S+", q, 2, 2).toarray()
-    sm_op = boxplus_op("S-", q, 2, 2).toarray()
+    ops = _table(ops, q, 2, 2)
+    sp_op, sm_op = ops["S+"].toarray(), ops["S-"].toarray()
     stacked = np.vstack([sp_op, sm_op])
     u, sigma, vh = np.linalg.svd(stacked)
     cutoff = svd_tol * (sigma.max() if sigma.size else 1.0)

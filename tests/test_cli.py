@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +37,29 @@ def test_verify_uq_checks(tmp_path):
                  "--checks", "ks,commutator,kernel", "--sizes", "2x2",
                  "--out", str(tmp_path / "r")])
     assert code == 0
+
+
+def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatch):
+    real, calls, built = cli.uqsu2.boxplus_op, {}, []
+
+    def op(gen, q, n, m, cross_check=True):
+        step = (complex(q), n, m)
+        # every operator of an earlier (q, size) step is gone before this one's are built
+        assert all(ref() is None for s, ref in built if s != step), (gen, step)
+        calls[(gen, *step)] = calls.get((gen, *step), 0) + 1
+        out = real(gen, q, n, m, cross_check=cross_check)
+        built.append((step, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(cli.uqsu2, "boxplus_op", op)
+    argv = ["verify", "--example", "uq", "--checks", "ks,commutator,kernel,singlets",
+            "--sizes", "2x2,2x3", "--out", str(tmp_path / "r")]
+    assert main(argv[:3] + ["--q", "1.3"] + argv[3:]) == 0
+    gens = ("K+", "K-", "S+", "S-", "K+2", "K-2")
+    assert calls == {(g, 1.3, n, m): 1 for g in gens for n, m in ((2, 2), (2, 3))}
+    calls.clear()
+    assert main(argv[:3] + ["--q", "1.3", "--q", "0.7"] + argv[3:]) == 0
+    assert set(calls.values()) == {1} and len(calls) == 24
 
 
 def test_verify_singular_q_is_config_error(tmp_path):
@@ -91,6 +115,8 @@ def test_build_op_rmatrix2d(tmp_path):
     assert manifest["dim"] == 16
     mat = read_matrix_market(out / manifest["file"])
     assert mat.shape == (16, 16)
+    header = (out / manifest["file"]).read_text().splitlines()[1]
+    assert int(header.split()[2]) == manifest["nnz"]
 
 
 def test_build_op_size_cap(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, word1, concat_h, concat_v
@@ -142,6 +143,66 @@ def test_matrix_market_complex_entries(tmp_path):
     op.write_matrix_market(path)
     back = read_matrix_market(path).toarray()
     assert back[0, 0] == 1j and back[1, 0] == 2 - 3j
+
+
+def _write_matrix_market_per_entry(mat, path):
+    """The per-entry writer the formatted-once writer replaced, as its oracle."""
+    coo = sp.coo_matrix(mat)
+    coo.sum_duplicates()
+    order = np.lexsort((coo.col, coo.row))
+    data = coo.data[order]
+    cells = zip((coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(),
+                data.real.tolist(), data.imag.tolist())
+    body = ("%d %d %.17g %.17g\n" * coo.nnz) % tuple(x for cell in cells for x in cell)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%%MatrixMarket matrix coordinate complex general\n")
+        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
+        fh.write(body)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 1e-300, np.inf, -np.inf, np.nan,
+            np.frombuffer(np.uint64(0xFFF8000000000001).tobytes())[0]]  # NaN, other payload
+
+
+def _random_csr(rng, n, nnz, pool):
+    vals = rng.choice(pool, nnz) if pool is not None else (
+        rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz))
+    return sp.csr_matrix((vals, (rng.integers(0, n, nnz), rng.integers(0, n, nnz))),
+                         shape=(n, n))
+
+
+def _writer_cases():
+    rng = np.random.default_rng(9)
+    few = np.array([0.5 - 1j, 2.0, -1j, 1e-17 + 3j])
+    special = np.array([complex(a, b) for a in _SPECIAL for b in _SPECIAL])
+    coo = sp.coo_matrix((np.array([1 + 1j, 2.0, -0.0 + 1j, 1e-16, 3j]),
+                         (np.array([2, 0, 2, 0, 1]), np.array([1, 3, 1, 3, 0]))), shape=(3, 4))
+    dense = rng.standard_normal((16, 16)) * (rng.random((16, 16)) < 0.3)
+    return {
+        "few distinct values": _random_csr(rng, 300, 2000, few),
+        "all values distinct": _random_csr(rng, 300, 2000, None),
+        "nan, inf and signed zeros": sp.csr_matrix(
+            (special, (np.arange(special.size) // 9, np.arange(special.size) % 9)), shape=(9, 9)),
+        "coo with duplicates": coo,
+        "dense array": dense + 1j * dense[::-1],
+        "dense real array": dense,
+        "empty": sp.csr_matrix((5, 7), dtype=complex),
+        "1x1": np.array([[-0.0 + 2.5j]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_writer_cases()))
+def test_matrix_market_writer_matches_the_per_entry_writer(tmp_path, case):
+    mat = _writer_cases()[case]
+    got, want = tmp_path / "got.mtx", tmp_path / "want.mtx"
+    nnz = write_matrix_market(mat, got)
+    _write_matrix_market_per_entry(mat, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert nnz == int(got.read_text().splitlines()[1].split()[2])
+    back = read_matrix_market(got).toarray()
+    ref = sp.coo_matrix(mat).toarray()
+    assert back.shape == ref.shape
+    np.testing.assert_array_equal(back, ref)  # NaN equals NaN here
 
 
 # ---------------------------------------------------------------------------

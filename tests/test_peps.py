@@ -10,7 +10,7 @@ from hopf2d.coalgebra import ConfigurationError, boxplus
 from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, NonFiniteError, sums_equal
 from hopf2d.instances import make_pivot
 from hopf2d.linops import ResourceLimitError
-from hopf2d import peps
+from hopf2d import grids, peps
 
 PIVOT = make_pivot(theta=0.0)
 ALL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
@@ -209,6 +209,23 @@ def test_d2_solver_feasible_on_strips():
     base = peps.contract(completed, 2, 1)
     for k in (1, 3, 5):
         assert sums_equal(peps.contract(completed, 2, 1, rotate=k), base, 1e-12)
+
+
+def test_peps_words_share_the_target_symbols(monkeypatch):
+    # the tensors have their own alphabet; comparing their words with the
+    # grown targets must not fall back to the Python-level Symbol.__eq__
+    calls, real = [], grids.Symbol.__eq__
+    monkeypatch.setattr(grids.Symbol, "__eq__", lambda a, b: calls.append(1) or real(a, b))
+    sizes = [(n, m) for n in range(1, 4) for m in range(1, 4)]
+    targets = {s: boxplus(PIVOT, "v", *s) for s in sizes}
+    calls.clear()
+    assert peps.solve_boundary(peps.d2_instance(), targets, sizes).certificate is not None
+    assert peps.check_peps_vs_boxplus(peps.d4_instance(), PIVOT, "v", sizes).ok
+    assert calls == []
+    # a symbol of another id keeps the tensor's own object, so it still differs
+    other = Alphabet(["v", "a", "b"])
+    got = peps.contract(peps.d4_instance(), 1, 2, symbols=other)
+    assert all(c.name != "a" or c.id == 0 for w in got for c in w.cells)
 
 
 def test_d2_solver_scaled_target_scales_corner_linearly():

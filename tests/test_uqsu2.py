@@ -125,6 +125,36 @@ def test_cross_check_mismatch_names_the_planted_entry(monkeypatch):
         uq.boxplus_op("S-", 1.3, 2, 2)
 
 
+def _counting(monkeypatch):
+    """Patch ``boxplus_op`` to count its calls per (gen, q, n, m)."""
+    real, calls = uq.boxplus_op, {}
+
+    def op(gen, q, n, m, cross_check=True):
+        calls[(gen, complex(q), n, m)] = calls.get((gen, complex(q), n, m), 0) + 1
+        return real(gen, q, n, m, cross_check=cross_check)
+
+    monkeypatch.setattr(uq, "boxplus_op", op)
+    return calls
+
+
+def test_checks_sharing_a_table_build_each_operator_once(monkeypatch):
+    calls = _counting(monkeypatch)
+    ops = uq.OperatorTable(1.3, 2, 3)
+    assert uq.check_ks_relation(1.3, 2, 3, ops=ops).ok
+    assert uq.check_commutator(1.3, 2, 3, ops=ops).ok
+    assert calls == {(g, 1.3, 2, 3): 1 for g in ("K+", "K-", "S+", "S-", "K+2", "K-2")}
+    plaquette = uq.OperatorTable(1.3, 2, 2)
+    uq.kernel_2x2(1.3, ops=plaquette)
+    uq.vertical_singlet_residual(1.3, ops=plaquette)
+    assert sorted(plaquette) == ["S+", "S-"]
+    assert calls[("S+", 1.3, 2, 2)] == calls[("S-", 1.3, 2, 2)] == 1
+    # called on its own, a check builds its own table
+    uq.check_commutator(1.3, 2, 3)
+    assert calls[("S+", 1.3, 2, 3)] == 2
+    with pytest.raises(ValueError, match="operator table"):
+        uq.check_ks_relation(1.7, 2, 3, ops=ops)
+
+
 def test_commutator_rejects_singular_q():
     with pytest.raises(SingularParameterError):
         uq.check_commutator(1.0, 2, 2)
