@@ -52,8 +52,8 @@ DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
 
 # site cap for lattice operators, from measured work: at 16 sites (dimension
 # 2**16 = 65536) a `verify --checks ks,commutator --sizes 4x4` process takes
-# about 1.6 s and 340 MiB peak resident memory with one q, and 3.5 s and
-# 345 MiB with three (median of 5 runs on a 2-core x86 machine)
+# about 1.6 s and 337 MiB peak resident memory with one q, and 3.4 s and
+# 343 MiB with three (medians of 10 runs on a 2-core x86 machine)
 SITE_CAP = 16
 
 
