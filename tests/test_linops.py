@@ -184,6 +184,8 @@ def _writer_cases():
         "nan, inf and signed zeros": sp.csr_matrix(
             (special, (np.arange(special.size) // 9, np.arange(special.size) % 9)), shape=(9, 9)),
         "coo with duplicates": coo,
+        "csr with unsorted columns": sp.csr_matrix(
+            (np.array([1j, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 2, 3])), shape=(2, 3)),
         "dense array": dense + 1j * dense[::-1],
         "dense real array": dense,
         "empty": sp.csr_matrix((5, 7), dtype=complex),
