@@ -724,6 +724,10 @@ def taft_regular_rep(ex: CoalgebraExample) -> Representation:
 # the symbolic quantum-group instance
 
 
+# the deformed-su(2) alphabet, in id order; shared with uqsu2.spin_half_rep
+UQ_NAMES = ("1", "S+", "S-", "Sz", "K+", "K-", "K+2", "K-2")
+
+
 def make_uq_symbolic(q: complex) -> CoalgebraExample:
     """Deformed su(2) generators on the lattice, as a marked-symbol instance.
 
@@ -735,9 +739,8 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
     q = complex(q)
     if q == 0:
         raise ConfigurationError("q must be nonzero")
-    names = ["1", "S+", "S-", "Sz", "K+", "K-", "K+2", "K-2"]
-    alphabet = Alphabet(names)
-    one, sp, sm, sz, kp, km, kp2, km2 = (alphabet[n] for n in names)
+    alphabet = Alphabet(UQ_NAMES)
+    one, sp, sm, sz, kp, km, kp2, km2 = alphabet.symbols
     family = MarkedFamily(
         markers={sp: (km, kp), sm: (km, kp), sz: (one, one)},
         cut_pairs=[(km, kp), (km2, kp2)],

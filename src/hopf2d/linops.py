@@ -4,6 +4,11 @@ A :class:`Representation` sends every alphabet symbol to a d x d complex
 matrix; a grid word then maps to the Kronecker product of its cell matrices
 taken in linear site order (site 1 = leftmost Kronecker factor), and a
 formal sum to the corresponding linear combination.
+
+Every :class:`SparseOperator` stores at most one entry per coordinate.
+Canonical form (sorted columns in each row, no stored zeros) is established
+only where order or the entry count can be seen: ``nnz``, ``entries``,
+``write_matrix_market`` and :func:`worst_entry`.
 """
 
 from __future__ import annotations
@@ -52,14 +57,36 @@ class Representation:
 class SparseOperator:
     """Sparse complex operator on the lattice Hilbert space.
 
-    Thin wrapper around a CSR matrix with canonical COO export and
-    Matrix Market serialization.
+    Thin wrapper around a CSR matrix that stores at most one entry per
+    coordinate.  The constructor canonicalizes its own copy of the argument
+    (sorted columns, no stored zeros).  Results of ``+ - * @``,
+    :func:`kron_terms` and :func:`identity_operator` wrap scipy's
+    duplicate-free result as it comes, columns possibly unsorted and zeros
+    possibly stored; neither changes what ``max_abs``, ``toarray`` and
+    ``mat @ v`` return.  ``nnz``, ``entries`` and ``write_matrix_market``
+    canonicalize in place first.
     """
 
     def __init__(self, mat):
-        self.mat = sp.csr_matrix(mat, dtype=complex)
-        self.mat.sum_duplicates()
-        self.mat.eliminate_zeros()
+        self.mat = sp.csr_matrix(mat, dtype=complex, copy=True)
+        self._canonical = False
+        self._canonicalize()
+
+    @classmethod
+    def _wrap(cls, mat):
+        """An operator around a duplicate-free complex CSR matrix that nothing
+        else holds, taken as it is."""
+        op = cls.__new__(cls)
+        op.mat, op._canonical = mat, False
+        return op
+
+    def _canonicalize(self):
+        """Sort each row's columns and drop stored zeros, in place; return the matrix."""
+        if not self._canonical:
+            self.mat.sum_duplicates()
+            self.mat.eliminate_zeros()
+            self._canonical = True
+        return self.mat
 
     @property
     def dim(self):
@@ -67,40 +94,51 @@ class SparseOperator:
 
     @property
     def nnz(self):
-        return self.mat.nnz
+        return self._canonicalize().nnz
 
     def entries(self):
         """Canonical coordinate list [(row, col, value)], row-major sorted, 0-based."""
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return [(int(coo.row[k]), int(coo.col[k]), complex(coo.data[k])) for k in order]
+        mat = self._canonicalize()
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        return list(zip(rows.tolist(), mat.indices.tolist(), mat.data.tolist()))
 
     def toarray(self):
         return self.mat.toarray()
 
     def __add__(self, other):
-        return SparseOperator(self.mat + other.mat)
+        return SparseOperator._wrap(self.mat + other.mat)
 
     def __sub__(self, other):
-        return SparseOperator(self.mat - other.mat)
+        return SparseOperator._wrap(self.mat - other.mat)
 
     def __mul__(self, scalar):
-        return SparseOperator(self.mat * scalar)
+        return SparseOperator._wrap(self.mat * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        return SparseOperator(self.mat @ other.mat)
+        return SparseOperator._wrap(self.mat @ other.mat)
 
     def max_abs(self):
         return 0.0 if self.mat.nnz == 0 else float(np.abs(self.mat.data).max())
 
     def write_matrix_market(self, path) -> int:
-        return write_matrix_market(self.mat, path)
+        return write_matrix_market(self._canonicalize(), path)
 
 
 def operator_difference(a: SparseOperator, b: SparseOperator) -> float:
-    """Max-abs-entry norm of a - b."""
+    """Max-abs-entry norm of a - b.
+
+    When a and b store the same coordinates in the same order this reads
+    ``max |a.data - b.data|`` without building a - b; each entry is the same
+    one subtraction either way, so the bits agree, NaN and inf included.
+    """
+    x, y = a.mat, b.mat
+    if (x.shape == y.shape and np.array_equal(x.indptr, y.indptr)
+            and np.array_equal(x.indices, y.indices)):
+        with np.errstate(invalid="ignore", over="ignore"):  # as quiet as scipy's a - b
+            diff = x.data - y.data
+        return 0.0 if x.nnz == 0 else float(np.abs(diff).max())
     return (a - b).max_abs()
 
 
@@ -108,7 +146,7 @@ def worst_entry(a: SparseOperator, b: SparseOperator) -> dict:
     """Where a and b differ most: the 0-based (row, col) and both values as
     [real, imag]; empty if they are equal.  Ties go to the first entry in
     row-major order."""
-    diff = (a - b).mat
+    diff = (a - b)._canonicalize()
     if diff.nnz == 0:
         return {}
     k = int(np.argmax(np.abs(diff.data)))
@@ -119,7 +157,7 @@ def worst_entry(a: SparseOperator, b: SparseOperator) -> dict:
 
 
 def identity_operator(dim) -> SparseOperator:
-    return SparseOperator(sp.identity(dim, dtype=complex, format="csr"))
+    return SparseOperator._wrap(sp.identity(dim, dtype=complex, format="csr"))
 
 
 def kron_terms(terms, d: int, sites: int) -> SparseOperator:
@@ -158,7 +196,7 @@ def kron_terms(terms, d: int, sites: int) -> SparseOperator:
         keys.append(key)
         vals.append(np.full(1, coeff, dtype=complex) if v is None else v * coeff)
     if not vals:
-        return SparseOperator(sp.csr_matrix((dim, dim), dtype=complex))
+        return SparseOperator._wrap(sp.csr_matrix((dim, dim), dtype=complex))
     key = np.concatenate(keys)
     order = np.argsort(key, kind="stable")  # each term's keys come in long sorted runs
     key = key[order]
@@ -170,7 +208,7 @@ def kron_terms(terms, d: int, sites: int) -> SparseOperator:
     # unbuffered and, the sort being stable, in term order within each entry
     np.add.at(data, np.cumsum(first) - 1, np.concatenate(vals)[order])
     indptr = np.searchsorted(uniq, np.arange(dim + 1, dtype=np.int64) * dim)
-    return SparseOperator(sp.csr_matrix((data, uniq % dim, indptr), shape=(dim, dim)))
+    return SparseOperator._wrap(sp.csr_matrix((data, uniq % dim, indptr), shape=(dim, dim)))
 
 
 def evaluate(s: FormalSum, rep: Representation, dim_cap: int | None = None) -> SparseOperator:

@@ -36,7 +36,8 @@ from .coalgebra import (
     check_antipode,
     check_counit,
 )
-from .instances import make_uq_symbolic
+from .grids import Alphabet
+from .instances import UQ_NAMES, make_uq_symbolic
 from .linops import (
     Representation,
     ResourceLimitError,
@@ -52,8 +53,8 @@ DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
 
 # site cap for lattice operators, from measured work: at 16 sites (dimension
 # 2**16 = 65536) a `verify --checks ks,commutator --sizes 4x4` process takes
-# about 1.6 s and 337 MiB peak resident memory with one q, and 3.4 s and
-# 343 MiB with three (medians of 10 runs on a 2-core x86 machine)
+# about 1.2 s and 340 MiB peak resident memory with one q, and 2.6 s and
+# 341 MiB with three (medians of 17 runs on a 2-core x86 machine)
 SITE_CAP = 16
 
 
@@ -72,10 +73,14 @@ def _require_nonsingular(q):
 
 
 def spin_half_rep(q, alphabet=None) -> Representation:
-    """Spin-1/2 matrices for the deformed-su(2) alphabet at a given q."""
+    """Spin-1/2 matrices for the deformed-su(2) alphabet at a given q.
+
+    Without ``alphabet`` the symbols are a fresh alphabet of the names and
+    ids that :func:`make_uq_symbolic` uses, without building the example.
+    """
     q = _require_regular(q)
     if alphabet is None:
-        alphabet = make_uq_symbolic(q).alphabet
+        alphabet = Alphabet(UQ_NAMES)
     rq = cmath.sqrt(q)
     mats = {
         "1": np.eye(2, dtype=complex),

@@ -17,7 +17,7 @@ from hopf2d.linops import (
     write_matrix_market,
 )
 from hopf2d.instances import make_uq_symbolic
-from hopf2d.uqsu2 import spin_half_rep
+from hopf2d.uqsu2 import boxplus_op, spin_half_rep
 from hopf2d.coalgebra import boxplus
 
 
@@ -279,3 +279,99 @@ def test_worst_entry_names_largest_difference():
     b = SparseOperator(np.diag([1.0, 2.5, 3.0]) + np.eye(3, k=1) * 0.1)
     assert worst_entry(a, b) == {"row": 1, "col": 1, "lhs": [2.0, 0.0], "rhs": [2.5, 0.0]}
     assert worst_entry(a, a) == {}
+
+
+# ---------------------------------------------------------------------------
+# canonical form at the output boundaries only
+
+
+def test_constructor_leaves_the_callers_matrix_alone():
+    # row 0 stores (0, 1) = 1 before a stored zero at (0, 0)
+    m = sp.csr_matrix((np.array([1.0, 0.0, 2.0], dtype=complex), np.array([1, 0, 0]),
+                       np.array([0, 2, 3])), shape=(2, 2))
+    op = SparseOperator(m)
+    assert m.nnz == 3 and m.indices.tolist() == [1, 0, 0]
+    assert m.data.tolist() == [1, 0, 2]
+    assert op.nnz == 2 and op.entries() == [(0, 1, 1), (1, 0, 2)]
+    m.data[:] = 99
+    assert op.entries() == [(0, 1, 1), (1, 0, 2)]
+
+
+def _lazy_operators():
+    """Arithmetic and kernel results that are not in canonical form, by name,
+    and a canonical operator whose largest entries tie within each row."""
+    sp_, sm_ = boxplus_op("S+", 1.0, 2, 3), boxplus_op("S-", 1.0, 2, 3)
+    raising, k = np.array([[0, 1], [0, 0]]), np.diag([2.0, 0.5])
+    return {
+        "unsorted product": lambda: sm_ @ sp_,
+        "difference with cancellations": lambda: sm_ @ sp_ - sp_ @ sm_,
+        "stored zeros of a scalar multiple": lambda: (sm_ @ sp_) * 0.0,
+        "stored zeros of cancelling terms": lambda: kron_terms(
+            [(1.0, [raising] + [k] * 5), (-1.0, [raising] + [k] * 5),
+             (1.0, [k] * 5 + [raising])], 2, 6),
+    }, SparseOperator((sp_ + sm_).mat)
+
+
+@pytest.mark.parametrize("case", sorted(_lazy_operators()[0]))
+def test_output_boundaries_read_like_the_canonical_operator(tmp_path, case):
+    cases, hopping = _lazy_operators()
+    make = cases[case]
+    eager = SparseOperator(make().mat)
+    if case == "unsorted product":
+        assert not make().mat.has_sorted_indices  # the case this test is about
+    assert make().nnz == eager.nnz
+    assert make().entries() == eager.entries()
+    zero = SparseOperator(sp.csr_matrix(eager.mat.shape, dtype=complex))
+    for other in (zero, hopping):  # at q = 1 the hopping entries all tie at 1
+        assert worst_entry(make(), other) == worst_entry(eager, other)
+        assert worst_entry(other, make()) == worst_entry(other, eager)
+    got, want = tmp_path / "lazy.mtx", tmp_path / "eager.mtx"
+    assert make().write_matrix_market(got) == eager.write_matrix_market(want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                   st.floats(-4, 4))
+
+
+@st.composite
+def _operator_pairs(draw):
+    """Two duplicate-free n x n operators with columns in any order and zeros
+    possibly stored: the second has the first's coordinates in the same order,
+    in another order within each row, or coordinates of its own."""
+    n = draw(st.integers(1, 5))
+
+    def pattern():
+        rows = [draw(st.permutations(range(n)))[:draw(st.integers(0, n))] for _ in range(n)]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        return indptr, np.array([c for r in rows for c in r], dtype=np.int32)
+
+    def operator(indptr, indices):
+        data = np.array([complex(draw(_value), draw(_value)) for _ in indices], dtype=complex)
+        return SparseOperator._wrap(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+
+    a_coords = pattern()
+    indptr, indices = a_coords
+    kind = draw(st.sampled_from(["same order", "reordered", "own"]))
+    if kind == "same order":
+        b_coords = a_coords
+    elif kind == "reordered":
+        b_coords = (indptr, np.array([c for i, j in zip(indptr[:-1], indptr[1:])
+                                      for c in draw(st.permutations(indices[i:j].tolist()))],
+                                     dtype=np.int32))
+    else:
+        b_coords = pattern()
+    return operator(*a_coords), operator(*b_coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operator_pairs())
+def test_operator_difference_has_the_bits_of_the_subtraction(pair):
+    a, b = pair
+    got, want = operator_difference(a, b), (a - b).max_abs()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        dense = np.abs(a.toarray() - b.toarray()).max()
+    if np.isnan(want) or np.isnan(dense):
+        assert np.isnan(got) and np.isnan(want) and np.isnan(dense)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() == np.float64(dense).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hopf2d.coalgebra import SingularParameterError
 from hopf2d.linops import ResourceLimitError, SparseOperator, operator_difference
 from hopf2d import uqsu2 as uq
+from hopf2d.instances import make_uq_symbolic
 
 
 def test_spin_half_rep_invariants():
@@ -32,6 +33,17 @@ def test_spin_half_rep_limits():
     assert np.allclose(m4["K+"], np.diag([2.0, 0.5]))
     with pytest.raises(SingularParameterError):
         uq.spin_half_rep(0.0)
+
+
+def test_spin_half_rep_names_the_example_symbols_without_building_it(monkeypatch):
+    want = [(int(s), s.name) for s in make_uq_symbolic(1.3).alphabet]
+
+    def refuse(q):
+        raise AssertionError("spin_half_rep built an example")
+
+    monkeypatch.setattr(uq, "make_uq_symbolic", refuse)
+    assert [(int(s), s.name) for s in uq.spin_half_rep(1.3).alphabet] == want
+    assert uq.direct_boxplus_op("S+", 1.3, 2, 2).nnz == 32
 
 
 def test_boxplus_op_q1_is_plain_sum():
