@@ -185,10 +185,10 @@ def _uq_checks(names, qs, sizes, tol):
     (q, size) step takes its operators from one :class:`uqsu2.OperatorTable`,
     dropped when the step ends; ``kernel`` and ``singlets`` run at the
     (q, 2x2) step.  Each report lists its instances q first, then size.
-    The commutator runs first in a step: its two products are the step's
-    largest arrays (4M entries each at 4x4), and running them before the ks
-    products and differences keeps the peak memory at that of the
-    commutator alone.
+    Neither check forms an array larger than S+ or S-, so a step's peak
+    memory is that of building its operators; both checks build S+ and S-
+    first, which keeps it lowest, and the order of the checks in a step does
+    not change it.
     """
     per_size = [nm for nm in ("commutator", "ks") if nm in names]
     per_q = [nm for nm in ("kernel", "singlets") if nm in names]

@@ -338,10 +338,6 @@ class CheckReport:
         }
         return json.dumps(_json_numbers(obj), sort_keys=True, allow_nan=False)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
 
 def _json_numbers(value):
     """``value`` with every non-finite float spelled as a string ('nan', 'inf',
@@ -380,9 +376,9 @@ def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckRepor
     instances = []
     with _Timer() as t:
         for w in words:
-            doubled = apply_splitter(ex, direction, w)
-            instances.append(_checked(repr(w), lambda: _compared(
-                repr(w), grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
+            label, doubled = repr(w), apply_splitter(ex, direction, w)
+            instances.append(_checked(label, lambda: _compared(
+                label, grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
     return CheckReport("quasi_1d_assoc_" + direction, _slice_sizes(direction, n), instances,
                        t.elapsed)
 
@@ -473,7 +469,7 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
         words = ex.samples(direction, n)
     eps = ex.counit(direction)
 
-    def contracted(w, doubled):
+    def contracted(label, w, doubled):
         left, right = [], []
         for b, c in doubled.unordered_items():
             first, second = _halves(direction, b)
@@ -483,13 +479,13 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
         sides = [FormalSum(w.shape, left), FormalSum(w.shape, right)]
         gaps = [sum_difference(side, target) for side in sides]
         worse = 1 if gaps[1] > gaps[0] else 0
-        return _compared(repr(w), sides[worse], target, tol, max(gaps))
+        return _compared(label, sides[worse], target, tol, max(gaps))
 
     instances = []
     with _Timer() as t:
         for w in words:
-            doubled = apply_splitter(ex, direction, w)
-            instances.append(_checked(repr(w), lambda: contracted(w, doubled)))
+            label, doubled = repr(w), apply_splitter(ex, direction, w)
+            instances.append(_checked(label, lambda: contracted(label, w, doubled)))
     return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
 
 

@@ -197,16 +197,22 @@ def kron_terms(terms, d: int, sites: int) -> SparseOperator:
         vals.append(np.full(1, coeff, dtype=complex) if v is None else v * coeff)
     if not vals:
         return SparseOperator._wrap(sp.csr_matrix((dim, dim), dtype=complex))
-    key = np.concatenate(keys)
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    del keys, vals  # the per-term pieces, before the sort's copies
     order = np.argsort(key, kind="stable")  # each term's keys come in long sorted runs
-    key = key[order]
+    key, val = key[order], val[order]
+    del order
     first = np.empty(len(key), dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    uniq = key[first]
-    data = np.zeros(len(uniq), dtype=complex)
-    # unbuffered and, the sort being stable, in term order within each entry
-    np.add.at(data, np.cumsum(first) - 1, np.concatenate(vals)[order])
+    if first.all():  # no coordinate repeats: each entry is its one value
+        uniq, data = key, val
+        data += 0.0  # as 0 + v in the scatter-add below: -0.0 parts become 0.0
+    else:
+        uniq = key[first]
+        data = np.zeros(len(uniq), dtype=complex)
+        # unbuffered and, the sort being stable, in term order within each entry
+        np.add.at(data, np.cumsum(first) - 1, val)
     indptr = np.searchsorted(uniq, np.arange(dim + 1, dtype=np.int64) * dim)
     return SparseOperator._wrap(sp.csr_matrix((data, uniq % dim, indptr), shape=(dim, dim)))
 

@@ -26,6 +26,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coalgebra import (
     CheckInstance,
@@ -51,11 +52,20 @@ from .linops import (
 # display plaquette label -> linear site index (bottom row first)
 DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
 
-# site cap for lattice operators, from measured work: at 16 sites (dimension
-# 2**16 = 65536) a `verify --checks ks,commutator --sizes 4x4` process takes
-# about 1.2 s and 340 MiB peak resident memory with one q, and 2.6 s and
-# 341 MiB with three (medians of 17 runs on a 2-core x86 machine)
-SITE_CAP = 16
+# site cap for lattice operators, from measured work: at 18 sites (dimension
+# 2**18 = 262144) a `verify --checks ks,commutator --sizes 3x6` process takes
+# about 4.4 s and 319 MiB peak resident memory with one q and 11 s and
+# 340 MiB with three, the peak set by building and cross-checking S+ and S-
+# (medians of 5 and 9 runs on a 2-core x86 machine); at 20 sites (4x5) one
+# run took 33 s and 1.2 GiB
+SITE_CAP = 18
+
+# rows per block of the commutator check, whose peak memory is that of one
+# block's products: a 4x4 `verify --checks ks,commutator` process takes
+# about 1.3 s and 115 MiB peak resident memory, as much as building its
+# operators (medians of 9 runs; whole-matrix products took 1.4 s and 340
+# MiB); at 3x4 a single 4096-row block added 9 MiB to the operators' peak
+BLOCK_ROWS = 1024
 
 
 def _require_regular(q):
@@ -165,49 +175,98 @@ def _table(ops, q, n, m) -> OperatorTable:
     return ops
 
 
-def _operator_instance(label, lhs, rhs, tol) -> CheckInstance:
-    """Max-entry residual of lhs - rhs; a failing instance names its worst entry."""
-    res = operator_difference(lhs, rhs)
+def _operator_instance(label, res, tol, worst) -> CheckInstance:
+    """The instance of max-entry residual ``res``; a failing one names the
+    entry that ``worst()`` returns."""
     if res <= tol:
         return CheckInstance(label, True, res)
-    return CheckInstance(label, False, res, {"worst_entry": worst_entry(lhs, rhs)})
+    return CheckInstance(label, False, res, {"worst_entry": worst()})
+
+
+def _diagonal(op: SparseOperator) -> np.ndarray:
+    """The diagonal of an operator that stores no nonzero entry off it."""
+    mat = op.mat
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    if np.any(mat.data[mat.indices != rows] != 0):  # NaN != 0 too
+        raise AssertionError("K string stores an off-diagonal entry")
+    return mat.diagonal()
+
+
+def _on_coordinates(mat, data) -> SparseOperator:
+    """The operator with ``data`` at the stored coordinates of ``mat``, in their
+    order.  It shares ``mat``'s index arrays, so it is only to be read:
+    :func:`operator_difference` and :func:`worst_entry` leave it as it is."""
+    return SparseOperator._wrap(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
 
 
 def check_ks_relation(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     """K S = q^(+-1) S K lifted to the whole lattice, max-entry residual.
 
-    The operators come from ``ops``, an :class:`OperatorTable` of this
-    (q, n, m), or from a new table.
+    The K strings are diagonal, so no sparse product is formed: ``K S`` is
+    S's stored entries scaled by K at their row and ``S K`` the same entries
+    scaled by K at their column.  Each entry is the one product that
+    ``K @ S`` and ``S @ K`` would form, and both sides keep S's coordinates,
+    so :func:`operator_difference` compares them entry by entry.  The
+    operators come from ``ops``, an :class:`OperatorTable` of this (q, n, m),
+    or from a new table.
     """
     q = _require_regular(q)
     instances = []
     with _Timer() as t:
         table = _table(ops, q, n, m)
-        # the diagonal K strings first: built after S+ and S-, they raised
-        # the peak memory of the 4x4 check by 12 MiB
-        ops = {g: table[g] for g in ("K+", "K-", "S+", "S-")}
+        # S+ and S- first: built after the K strings, they raised the peak
+        # memory of a 4x4 `verify --checks ks` run from 115 to 135 MiB
+        s = {g: table[g].mat for g in ("S+", "S-")}
+        k = {g: _diagonal(table[g]) for g in ("K+", "K-")}
         for alpha, kname in ((1, "K+"), (-1, "K-")):
             for sign, sname in ((1, "S+"), (-1, "S-")):
-                lhs = ops[kname] @ ops[sname]
-                rhs = (q ** (sign * alpha)) * (ops[sname] @ ops[kname])
-                instances.append(_operator_instance(f"{kname}*{sname}", lhs, rhs, tol))
+                mat = s[sname]
+                lhs = np.repeat(k[kname], np.diff(mat.indptr))  # K at each entry's row
+                lhs *= mat.data
+                rhs = k[kname][mat.indices]  # K at each entry's column
+                np.multiply(mat.data, rhs, out=rhs)
+                rhs *= q ** (sign * alpha)
+                lhs, rhs = _on_coordinates(mat, lhs), _on_coordinates(mat, rhs)
+                res = operator_difference(lhs, rhs)
+                instances.append(_operator_instance(f"{kname}*{sname}", res, tol,
+                                                    lambda: worst_entry(lhs, rhs)))
     return CheckReport("ks_relation", [(n, m)], instances, t.elapsed)
 
 
 def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     """[raise, lower] telescopes to the difference of squared K strings.
 
+    The residual is accumulated over blocks of :data:`BLOCK_ROWS` rows: each
+    block forms ``S+[B] @ S- - S-[B] @ S+`` and subtracts the block's rows of
+    ``(K+2 - K-2) * (1/(q - 1/q))``, so no full-size product is built.  Every
+    entry is the same arithmetic as in the whole-matrix difference.  A
+    failing instance names the first worst entry in row-major order, NaN
+    before any number, as :func:`worst_entry` does on the whole matrices.
     The operators come from ``ops`` as in :func:`check_ks_relation`.
     """
     q = _require_nonsingular(q)
-    instances = []
     with _Timer() as t:
         ops = _table(ops, q, n, m)
-        sp_, sm_, kp2, km2 = (ops[g] for g in ("S+", "S-", "K+2", "K-2"))
-        lhs = sp_ @ sm_ - sm_ @ sp_
-        rhs = (kp2 - km2) * (1.0 / (q - 1.0 / q))
-        instances.append(_operator_instance(f"commutator q={q:g}", lhs, rhs, tol))
-    return CheckReport("commutator", [(n, m)], instances, t.elapsed)
+        sp_, sm_, kp2, km2 = (ops[g].mat for g in ("S+", "S-", "K+2", "K-2"))
+        scale = 1.0 / (q - 1.0 / q)
+
+        def block(start):
+            b = slice(start, start + BLOCK_ROWS)
+            return (SparseOperator._wrap(sp_[b] @ sm_ - sm_[b] @ sp_),
+                    SparseOperator._wrap((kp2[b] - km2[b]) * scale))
+
+        starts = range(0, sp_.shape[0], BLOCK_ROWS)
+        maxima = np.array([operator_difference(*block(start)) for start in starts])
+        # the first NaN if there is one, else the first maximum
+        start = starts[int(np.argmax(maxima))]
+
+        def worst():
+            entry = worst_entry(*block(start))
+            entry["row"] += start
+            return entry
+
+        inst = _operator_instance(f"commutator q={q:g}", float(maxima.max()), tol, worst)
+    return CheckReport("commutator", [(n, m)], [inst], t.elapsed)
 
 
 # ---------------------------------------------------------------------------

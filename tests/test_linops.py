@@ -260,6 +260,19 @@ def test_kron_terms_and_evaluate_match_numpy_kron_chain(case):
     assert np.allclose(evaluate(s, rep).toarray(), oracle, rtol=0, atol=atol)
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_kron_terms_stores_each_sum_as_added_to_zero(copies):
+    # (0 - 2j) * (0 - 3j) = -6 - 0j: accumulated from zero, as with repeated
+    # coordinates (copies=2), and without a repeat, its -0.0 part reads +0.0
+    a, b = np.diag([complex(0, -2), 1.0]), np.diag([complex(0, -3), -1.0])
+    want = np.zeros((4, 4), dtype=complex)
+    for _ in range(copies):
+        want += 1.0 * np.kron(a, b)
+    got = kron_terms([(1.0, [a, b])] * copies, 2, 2)
+    assert got.nnz == 4  # in canonical order; toarray would add each entry to a zero
+    assert np.array_equal(got.mat.data.view(np.int64), want[want != 0].view(np.int64))
+
+
 def test_kron_terms_rejects_wrong_factor_count_and_shape():
     with pytest.raises(ValueError):
         kron_terms([(1.0, [np.eye(2)])], 2, 2)

@@ -1,12 +1,13 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopf2d.coalgebra import SingularParameterError
-from hopf2d.linops import ResourceLimitError, SparseOperator, operator_difference
+from hopf2d.linops import ResourceLimitError, SparseOperator, operator_difference, worst_entry
 from hopf2d import uqsu2 as uq
 from hopf2d.instances import make_uq_symbolic
 
@@ -60,6 +61,8 @@ def test_boxplus_op_q1_is_plain_sum():
 def test_boxplus_op_size_cap():
     with pytest.raises(ResourceLimitError):
         uq.boxplus_op("S+", 2.0, 4, 5)
+    with pytest.raises(ResourceLimitError):  # the first size past the cap
+        uq.boxplus_op("S+", 2.0, 1, uq.SITE_CAP + 1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -88,14 +91,26 @@ def test_ks_relation_and_commutator_at_the_16_site_cap():
     assert uq.check_commutator(1.3, 4, 4).ok
 
 
+def test_ks_relation_and_commutator_at_the_18_site_cap():
+    ops = uq.OperatorTable(1.3, 3, 6)
+    assert uq.check_commutator(1.3, 3, 6, ops=ops).ok
+    assert uq.check_ks_relation(1.3, 3, 6, ops=ops).ok
+
+
 def _planted(real, gen, entry, delta=0.5):
     """``boxplus_op`` with ``delta`` added at one entry of one generator."""
+    return _planted_at(real, gen, {entry: delta})
+
+
+def _planted_at(real, gen, deltas):
+    """``boxplus_op`` with ``deltas[entry]`` added at each entry of one generator."""
     def op(g, q, n, m, cross_check=True):
         out = real(g, q, n, m, cross_check=cross_check)
         if g != gen:
             return out
         mat = out.mat.tolil()
-        mat[entry] += delta
+        for entry, delta in deltas.items():
+            mat[entry] += delta
         return SparseOperator(mat)
     return op
 
@@ -122,6 +137,119 @@ def test_failing_commutator_names_the_planted_entry(monkeypatch):
     (inst,) = uq.check_commutator(1.3, 2, 2).instances
     assert not inst.passed
     _assert_names(inst, (9, 9))
+
+
+def _whole_matrix_sides(q, ops):
+    """The (lhs, rhs) pairs of the four KS relations and the commutator, in
+    report order, as whole-matrix sparse products: the reference the scaled
+    and blocked checks must reproduce."""
+    q = complex(q)
+    for alpha, kname in ((1, "K+"), (-1, "K-")):
+        for sign, sname in ((1, "S+"), (-1, "S-")):
+            yield ops[kname] @ ops[sname], (q ** (sign * alpha)) * (ops[sname] @ ops[kname])
+    sp_, sm_ = ops["S+"], ops["S-"]
+    yield sp_ @ sm_ - sm_ @ sp_, (ops["K+2"] - ops["K-2"]) * (1.0 / (q - 1.0 / q))
+
+
+def _checked_instances(q, n, m, ops):
+    return (uq.check_ks_relation(q, n, m, ops=ops).instances
+            + uq.check_commutator(q, n, m, ops=ops).instances)
+
+
+def _same_as_whole_matrix(q, n, m):
+    """Each instance has the residual bits and ``worst_entry`` of the whole-matrix check."""
+    ops = uq.OperatorTable(q, n, m)
+    for inst, (lhs, rhs) in zip(_checked_instances(q, n, m, ops), _whole_matrix_sides(q, ops)):
+        assert _bits(inst.residual) == _bits(operator_difference(lhs, rhs)), inst.input
+        want = {} if inst.passed else {"worst_entry": worst_entry(lhs, rhs)}
+        assert repr(inst.details) == repr(want), inst.input  # repr: nan == nan
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+DIM_3X4 = 2 ** 12
+
+
+def test_planted_entries_at_block_edges_are_named(monkeypatch):
+    real, b = uq.boxplus_op, uq.BLOCK_ROWS
+    assert DIM_3X4 >= 3 * b  # 3x4 spans a first, a middle and a last block
+    # the last row, the first row of a block (on and off the diagonal) and the
+    # last row before that block boundary
+    for entry in ((DIM_3X4 - 1, DIM_3X4 - 1), (b, b), (2 * b, 7), (b - 1, b - 1)):
+        monkeypatch.setattr(uq, "boxplus_op", _planted(real, "K+2", entry))
+        (inst,) = uq.check_commutator(1.3, 3, 4).instances
+        assert not inst.passed
+        _assert_names(inst, entry)
+        _same_as_whole_matrix(1.3, 3, 4)
+        if entry[0] == entry[1]:
+            monkeypatch.setattr(uq, "boxplus_op", _planted(real, "S+", entry))
+            report = uq.check_ks_relation(1.3, 3, 4)
+            assert sorted(i.input for i in report.instances if not i.passed) == ["K+*S+", "K-*S+"]
+            for inst in report.instances:
+                if not inst.passed:
+                    _assert_names(inst, entry)
+            _same_as_whole_matrix(1.3, 3, 4)
+
+
+def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
+    real, entry = uq.boxplus_op, (DIM_3X4 - 2, DIM_3X4 - 2)
+    monkeypatch.setattr(uq, "boxplus_op", _planted(real, "S+", entry, math.nan))
+    ks = uq.check_ks_relation(1.3, 3, 4)
+    (comm,) = uq.check_commutator(1.3, 3, 4).instances
+    for inst in [comm] + [i for i in ks.instances if i.input == "K+*S+"]:
+        assert math.isnan(inst.residual) and not inst.passed
+    assert math.isnan(ks.max_residual)
+    _same_as_whole_matrix(1.3, 3, 4)
+    # a NaN in the last block beats a larger finite residual in the first one
+    monkeypatch.setattr(uq, "boxplus_op", _planted_at(real, "K+2", {(5, 5): 1e6, entry: math.nan}))
+    (comm,) = uq.check_commutator(1.3, 3, 4).instances
+    assert math.isnan(comm.residual) and not comm.passed
+    worst = comm.details["worst_entry"]
+    assert (worst["row"], worst["col"]) == entry and math.isnan(worst["rhs"][0])
+    _same_as_whole_matrix(1.3, 3, 4)
+
+
+def test_ks_relation_refuses_a_k_string_off_the_diagonal(monkeypatch):
+    monkeypatch.setattr(uq, "boxplus_op", _planted(uq.boxplus_op, "K-", (1, 0)))
+    with pytest.raises(AssertionError, match="off-diagonal"):
+        uq.check_ks_relation(1.3, 2, 2)
+
+
+_REAL_Q = st.floats(min_value=0.2, max_value=5.0).filter(lambda x: abs(x - 1) > 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_REAL_Q, st.booleans(), st.sampled_from([(2, 2), (3, 4)]))
+def test_real_q_residuals_have_the_bits_of_the_whole_matrix_checks(x, negative, size):
+    _same_as_whole_matrix(-x if negative else x, *size)
+
+
+@settings(max_examples=1, deadline=None)
+@example(-0.8)
+@given(_REAL_Q)
+def test_real_q_residuals_have_the_bits_of_the_whole_matrix_checks_at_4x4(x):
+    _same_as_whole_matrix(x, 4, 4)
+
+
+# the scaled K S and S K entries come from numpy's complex product, not
+# scipy's: for complex q they may differ in the last bits
+KS_ROUNDING = 4 * np.finfo(float).eps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.1, max_value=3.0),
+       st.sampled_from([(2, 2), (3, 4)]))
+def test_complex_q_ks_residuals_agree_with_the_products_to_rounding(r, theta, size):
+    q = r * cmath.exp(1j * theta)
+    ops = uq.OperatorTable(q, *size)
+    *ks, comm = _checked_instances(q, *size, ops)
+    *ks_sides, comm_sides = _whole_matrix_sides(q, ops)
+    for inst, (lhs, rhs) in zip(ks, ks_sides):
+        largest = max(lhs.max_abs(), rhs.max_abs())
+        assert abs(inst.residual - operator_difference(lhs, rhs)) <= KS_ROUNDING * largest
+    assert _bits(comm.residual) == _bits(operator_difference(*comm_sides))
 
 
 def test_cross_check_mismatch_names_the_planted_entry(monkeypatch):
