@@ -80,7 +80,7 @@ class Splitter:
                 raise ShapeError(f"{axis}-splitter wants extent 1 along {axis}, got {shape}")
             if not self.domain(word):
                 raise DomainError(f"{word!r} outside the {axis}-splitter domain")
-            out, want = self.rule(word), shape.resized(axis, 2)
+            out, want = self.rule(word), shape.slicing(axis, 1).grown
             if out.shape != want:
                 raise ShapeError(f"splitter returned {out.shape}, expected {want}")
             self._memo[word] = out

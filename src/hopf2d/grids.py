@@ -570,10 +570,9 @@ def sum_difference(a: FormalSum, b: FormalSum) -> float:
     """Max coefficient mismatch over the union of terms (inf on shape mismatch)."""
     if a.shape != b.shape:
         return float("inf")
-    words = set(a._terms) | set(b._terms)
-    if not words:
-        return 0.0
-    return max(abs(a.coeff(w) - b.coeff(w)) for w in words)
+    ta, tb = a._terms, b._terms
+    return max(chain((abs(c - tb.get(w, 0j)) for w, c in ta.items()),
+                     (abs(c) for w, c in tb.items() if w not in ta)), default=0.0)
 
 
 def worst_word(got: FormalSum, want: FormalSum) -> dict:
@@ -594,7 +593,7 @@ def worst_word(got: FormalSum, want: FormalSum) -> dict:
 def join(axis, first: GridWord, second: GridWord) -> GridWord:
     """The word holding ``second`` after ``first`` along ``axis``: to its
     right ('x'), above it ('y') or on top of it ('z')."""
-    shape = _joined(axis, first.shape, second.shape)
+    shape = _joined(axis, first.shape.extents, second.shape.extents)
     if axis == "x":
         return _from_slices(shape, first._x_slices() + second._x_slices())
     outer = math.prod(shape.extents[:shape.axis(axis)])
@@ -604,7 +603,13 @@ def join(axis, first: GridWord, second: GridWord) -> GridWord:
         c for o in range(outer) for c in a[o * na:(o + 1) * na] + b[o * nb:(o + 1) * nb]))
 
 
-def _joined(axis, a: GridShape, b: GridShape) -> GridShape:
+# A fresh example splits each distinct slice word once, and every free or
+# cellwise split joins two slices, so one example asks for the same few
+# joined shapes over and over; building one cost four GridShapes.
+@lru_cache(maxsize=256)
+def _joined(axis, a: tuple, b: tuple) -> GridShape:
+    """The shape joining shapes of extents ``a`` and ``b`` along ``axis``."""
+    a, b = GridShape(*a), GridShape(*b)
     if a.resized(axis, 1) != b.resized(axis, 1):
         raise ShapeError(f"cannot join {a} and {b} along {axis}")
     return a.resized(axis, a.extents[a.axis(axis)] + b.extents[b.axis(axis)])
@@ -621,6 +626,6 @@ def concat_v(a: FormalSum, b: FormalSum) -> FormalSum:
 
 
 def _concat(axis, a: FormalSum, b: FormalSum) -> FormalSum:
-    return FormalSum(_joined(axis, a.shape, b.shape),
+    return FormalSum(_joined(axis, a.shape.extents, b.shape.extents),
                      [(join(axis, wa, wb), ca * cb)
                       for wa, ca in a._terms.items() for wb, cb in b._terms.items()])

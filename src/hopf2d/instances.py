@@ -5,7 +5,9 @@ lattice with an "earlier" letter filling the sites that precede it in a
 linear order and a "later" letter on the sites that follow it.  The linear
 order is a lattice reading order (primary axis plus two sweep directions)
 selected by an angle; angle zero gives the bottom-row-first, left-to-right
-order.  Group-like letters double literally.
+order.  Group-like letters double literally.  A marked family
+(:class:`MarkedFamily`) lists the finite domain of each slice shape the first
+time it meets the shape, so classifying a slice word is one dict lookup.
 
 The half-plane assignment (letter "b" on the disk section between the
 angles [theta, theta+pi) around the marked site) is exposed separately as
@@ -17,7 +19,7 @@ admits row/column growth maps (see the package docs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import cmath
 import math
 
@@ -31,7 +33,7 @@ from .coalgebra import (
     MultiplicationRule,
     Splitter,
 )
-from .grids import AXES, Alphabet, FormalSum, GridShape, GridWord, join
+from .grids import Alphabet, FormalSum, GridShape, GridWord, join
 from .linops import Representation
 
 TWO_PI = 2.0 * math.pi
@@ -119,107 +121,104 @@ class MarkedFamily:
     ``grouplike`` symbols double literally as constant slices.  ``key`` maps
     site coordinates (x, y[, z]), read from the word's shape, to a sortable
     reading order.
+
+    On each slice shape the domain is finite: every marker at every site,
+    with its earlier letter on the sites before it in reading order and its
+    later letter on the rest (a word holding a second marker is out), every
+    cut of a cut pair (earlier letter on a prefix of the reading order,
+    later letter on the rest) and every group-like constant.  On the first
+    use of a shape the family ranks its sites, calling ``key`` once per
+    site, and lists that domain in a dict from cells to class.  The domain,
+    the counits and the splitters then classify a word with one lookup, and
+    a marked split lays out its two terms by the ranks of the doubled block.
+    The tables hold cells, not words or sums, and live as long as the family.
     """
 
     markers: dict
     cut_pairs: list
     grouplike: set
     key: object
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _classify(self, word):
-        """Return ('marker', pos, sym) or ('free', None, None); None if invalid."""
-        pos = word.shape.coords
-        marked = [(p, c) for p, c in zip(pos, word.cells) if c in self.markers]
-        if len(marked) > 1:
-            return None
-        if len(marked) == 1:
-            (p0, v) = marked[0]
-            a, b = self.markers[v]
-            k0 = self.key(*p0)
-            for p, c in zip(pos, word.cells):
-                if p == p0:
-                    continue
-                want = a if self.key(*p) < k0 else b
-                if c != want:
-                    return None
-            return ("marker", p0, v)
-        letters = set(word.cells)
-        if len(letters) == 1 and next(iter(letters)) in self.grouplike:
-            return ("free", None, None)
-        for a, b in self.cut_pairs:
-            if letters <= {a, b}:
-                ordered = sorted(zip(pos, word.cells), key=lambda pc: self.key(*pc[0]))
-                seen_b = False
-                ok = True
-                for _, c in ordered:
-                    if c == b:
-                        seen_b = True
-                    elif seen_b:
-                        ok = False
-                        break
-                if ok:
-                    return ("free", None, None)
-        return None
+    def _rank(self, shape) -> tuple:
+        """Each site's place in the reading order, in linear site order;
+        sites with equal keys share a place."""
+        rank = self._ranks.get(shape.extents)
+        if rank is None:
+            keys = [self.key(*p) for p in shape.coords]
+            place = {k: r for r, k in enumerate(sorted(set(keys)))}
+            rank = self._ranks[shape.extents] = tuple(map(place.__getitem__, keys))
+        return rank
+
+    def _placed(self, shape, site, v) -> tuple:
+        """The cells of ``shape`` holding marker ``v`` at 0-based ``site``,
+        its earlier letter on the sites before it in reading order and its
+        later letter on the others."""
+        a, b = self.markers[v]
+        rank = self._rank(shape)
+        mark = rank[site]
+        cells = tuple(a if r < mark else b for r in rank)
+        return cells[:site] + (v,) + cells[site + 1:]
+
+    def _table(self, shape) -> dict:
+        """The shape's domain, cells -> (site, marker) for a marked slice and
+        None for a free one, in sample order: markers outer and sites in
+        reading order, then the cuts, then the group-like constants."""
+        table = self._tables.get(shape.extents)
+        if table is None:
+            rank = self._rank(shape)
+            order = sorted(range(len(rank)), key=rank.__getitem__)
+            marks = lambda cells: sum(c in self.markers for c in cells)
+            table = self._tables[shape.extents] = {}
+            for v in self.markers:
+                for site in order:
+                    cells = self._placed(shape, site, v)
+                    if marks(cells) == 1:
+                        table[cells] = (site, v)
+            free = []
+            for a, b in self.cut_pairs:
+                cells = [b] * len(rank)
+                free.append(tuple(cells))
+                for site in order:
+                    cells[site] = a
+                    free.append(tuple(cells))
+            free += [(g,) * len(rank) for g in sorted(self.grouplike, key=lambda s: s.id)]
+            for cells in free:
+                if not marks(cells):
+                    table.setdefault(cells, None)
+        return table
 
     def domain(self, word):
-        return self._classify(word) is not None
+        return word.cells in self._table(word.shape)
 
     def splitter(self, axis) -> Splitter:
-        i = AXES.index(axis)  # the axis's place in a coordinate tuple
-
         def split(word):
-            kind = self._classify(word)
-            shape = word.shape.resized(axis, 2)
-            if kind[0] == "free":
+            shape = word.shape
+            marked = self._table(shape)[word.cells]
+            if marked is None:
                 return FormalSum.unit(join(axis, word, word))
-            _, p0, v = kind
-            a, b = self.markers[v]
-            terms = []
-            for c in (1, 2):
-                landing = p0[:i] + (c,) + p0[i + 1:]
-                kl = self.key(*landing)
-                cells = tuple(
-                    v if p == landing else (a if self.key(*p) < kl else b)
-                    for p in shape.coords
-                )
-                terms.append((GridWord(shape, cells), 1.0))
-            return FormalSum(shape, terms)
+            site, v = marked
+            # in the block, each run of ``inner`` consecutive slice sites
+            # sits right before its copy
+            inner = math.prod(shape.extents[shape.axis(axis) + 1:])
+            first = site + site // inner * inner
+            grown = shape.slicing(axis, 1).grown
+            return FormalSum(grown, [(GridWord(grown, self._placed(grown, landing, v)), 1.0)
+                                     for landing in (first, first + inner)])
 
         return Splitter(axis, split, self.domain)
 
     def counit(self, axis) -> CounitRule:
         def eps(word):
-            kind = self._classify(word)
-            return 0.0 if kind[0] == "marker" else 1.0
+            return 1.0 if self._table(word.shape)[word.cells] is None else 0.0
 
         return CounitRule(axis, eps, self.domain)
 
     def samples(self, direction, n):
         """Canonical in-domain slice words: every marker position plus all cuts."""
-        shape = GridShape(n, n).resized(direction, 1)
-        pos = shape.coords
-        ordered = sorted(pos, key=lambda p: self.key(*p))
-        out = []
-
-        def build(assign):
-            lookup = dict(assign)
-            return GridWord(shape, tuple(lookup[p] for p in pos))
-
-        for v, (a, b) in self.markers.items():
-            for i in range(n):
-                assign = [(p, a) for p in ordered[:i]] + [(ordered[i], v)] + [
-                    (p, b) for p in ordered[i + 1:]
-                ]
-                out.append(build(assign))
-        for a, b in self.cut_pairs:
-            for t in range(n + 1):
-                assign = [(p, a) for p in ordered[:t]] + [(p, b) for p in ordered[t:]]
-                out.append(build(assign))
-        cut_letters = {s for pair in self.cut_pairs for s in pair}
-        for g in sorted(self.grouplike, key=lambda s: s.id):
-            if g not in cut_letters:
-                out.append(build([(p, g) for p in pos]))
-        return list(dict.fromkeys(out))
+        shape = _slice_shape(direction, n)
+        return [GridWord(shape, cells) for cells in self._table(shape)]
 
     def example(self, name, alphabet, **kw) -> CoalgebraExample:
         """The planar example with this family's splitters, counits and samples."""
@@ -277,7 +276,7 @@ def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
                 for coef, firsts, seconds in combos
                 for rc, s1, s2 in rules[c]
             ]
-        return FormalSum(word.shape.resized(direction, 2),
+        return FormalSum(word.shape.slicing(direction, 1).grown,
                          [(join(direction, GridWord(word.shape, f), GridWord(word.shape, s)), coef)
                           for coef, f, s in combos])
 
@@ -543,8 +542,9 @@ def _cross_rules(axis, one, v, along, across):
         if p < 0:
             return FormalSum.unit(join(axis, word, word))
         arm = lambda letter: GridWord(word.shape, _spread(len(word.cells), p, one, letter, one))
-        return FormalSum(word.shape.resized(axis, 2), [(join(axis, word, arm(second_arm)), 1.0),
-                                                       (join(axis, arm(first_arm), word), 1.0)])
+        return FormalSum(word.shape.slicing(axis, 1).grown,
+                         [(join(axis, word, arm(second_arm)), 1.0),
+                          (join(axis, arm(first_arm), word), 1.0)])
 
     def samples(n):
         shape = _slice_shape(axis, n)
@@ -619,7 +619,9 @@ def taft_basis_name(i: int, j: int) -> str:
 def make_taft(cfg: TaftConfig) -> CoalgebraExample:
     """Marked-symbol instance over the n^2-dimensional basis g^i x^j, with
     normal-form multiplication (x g = omega g x, g^n = 1, x^n = 0) and the
-    antipode forced by the Hopf axioms."""
+    antipode forced by the Hopf axioms.  The antipode table and the 1-site
+    coproduct ``meta['delta_1site']`` multiply basis elements by exponent
+    arithmetic, one normal-form product at a time."""
     n, omega = cfg.n, complex(cfg.omega)
     names = [taft_basis_name(i, j) for j in range(n) for i in range(n)]
     alphabet = Alphabet(names)
@@ -627,29 +629,35 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
     exponents = {sym: ij for ij, sym in idx.items()}
     one, g, x = idx[(0, 0)], idx[(1, 0)], idx[(0, 1)]
 
-    def product(u, w):
+    def mul(u, w):
+        """``u w`` in normal form as (symbol, coefficient), None where it vanishes."""
         (i1, j1), (i2, j2) = exponents[u], exponents[w]
         if j1 + j2 >= n:
+            return None
+        return idx[((i1 + i2) % n, j1 + j2)], omega ** (j1 * i2)
+
+    def product(u, w):
+        uw = mul(u, w)
+        if uw is None:
             return FormalSum.zero(GridShape(1, 1))
-        coef = omega ** (j1 * i2)
-        sym = idx[((i1 + i2) % n, j1 + j2)]
-        return FormalSum.unit(GridWord(GridShape(1, 1), (sym,)), coef)
+        return FormalSum.unit(GridWord(GridShape(1, 1), uw[:1]), uw[1])
 
     mult = MultiplicationRule(one, product)
+    ginv = idx[(n - 1, 0)]
 
-    # S(g^i x^j) = S(x)^j S(g)^i with S(g) = g^(n-1), S(x) = -x g^(n-1)
+    # S(g^i x^j) = S(x)^j S(g)^i with S(g) = g^(n-1), S(x) = -x g^(n-1); no
+    # factor vanishes, since the x exponent stays below j < n
     anti_table = {}
     for (i, j), sym in idx.items():
-        coef, cur = 1.0 + 0j, idx[(0, 0)]
+        coef, cur = 1.0 + 0j, one
         for _ in range(j):
             coef *= -1.0
-            for term, c in product(cur, x).items():
-                cur, coef = term.cells[0], coef * c
-            for term, c in product(cur, idx[((n - 1) % n, 0)]).items():
-                cur, coef = term.cells[0], coef * c
+            for w in (x, ginv):
+                cur, c = mul(cur, w)
+                coef *= c
         for _ in range(i):
-            for term, c in product(cur, idx[(n - 1, 0)]).items():
-                cur, coef = term.cells[0], coef * c
+            cur, c = mul(cur, ginv)
+            coef *= c
         anti_table[sym] = (coef, cur)
 
     family = MarkedFamily(
@@ -659,7 +667,6 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
         key=reading_order_key(0.0),
     )
     sitewise = _sitewise_rule(anti_table)
-    ginv = idx[(n - 1, 0)]
 
     def anti_y(word):
         # marked rows embed the whole slice: S(row) = -(S(1).u.S(g) per site)
@@ -667,19 +674,19 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
             return sitewise(word)
         coef, cells = -1.0 + 0j, []
         for u in word.cells:
-            for term, c in product(u, ginv).items():
-                cells.append(term.cells[0])
-                coef *= c
+            s, c = mul(u, ginv)
+            cells.append(s)
+            coef *= c
         return FormalSum.unit(GridWord(word.shape, tuple(cells)), coef)
 
     def tensor_mul(acc, factor):
         out = {}
         for (u1, u2), c in acc.items():
             for (w1, w2), d in factor.items():
-                for t1, c1 in product(u1, w1).items():
-                    for t2, c2 in product(u2, w2).items():
-                        k = (t1.cells[0], t2.cells[0])
-                        out[k] = out.get(k, 0j) + c * d * c1 * c2
+                p1, p2 = mul(u1, w1), mul(u2, w2)
+                if p1 is not None and p2 is not None:
+                    k = (p1[0], p2[0])
+                    out[k] = out.get(k, 0j) + c * d * p1[1] * p2[1]
         return {k: v for k, v in out.items() if abs(v) > 1e-14}
 
     # full 1-site coproduct on the basis: delta(g^i x^j) = (g x g)^i (1 x x + x x g)^j

@@ -118,6 +118,26 @@ def test_concat_v_shape_error():
         concat_v(FormalSum.unit(w([["a", "b"]])), FormalSum.unit(word1(V)))
 
 
+def _union_difference(a, b):
+    """Max coefficient mismatch over the union of both supports."""
+    words = {w for w, _ in a.unordered_items()} | {w for w, _ in b.unordered_items()}
+    return max((abs(a.coeff(w) - b.coeff(w)) for w in words), default=0.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(cells3, coeffs), max_size=5),
+       st.lists(st.tuples(cells3, coeffs), max_size=5), st.booleans())
+def test_sum_difference_is_the_max_over_the_union_of_supports(t1, t2, disjoint):
+    if disjoint:  # only the first sum has words starting with v
+        t1 = [((V,) + c[1:], k) for c, k in t1]
+        t2 = [(c, k) for c, k in t2 if c[0] != V]
+    x, y = sum_1x3(t1), sum_1x3(t2)
+    for a, b in ((x, y), (y, x), (x, x), (x, x * 1.5)):
+        assert sum_difference(a, b) == _union_difference(a, b)
+    column = FormalSum(GridShape(3, 1), [(GridWord(GridShape(3, 1), c), k) for c, k in t2])
+    assert sum_difference(x, column) == float("inf")
+
+
 def test_sums_equal_tolerance_and_support():
     x = FormalSum.unit(word1(B))
     assert sums_equal(x, x, 1e-10)
