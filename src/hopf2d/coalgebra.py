@@ -32,11 +32,13 @@ from .grids import (
     GridWord,
     ShapeError,
     Symbol,
+    join,
     sum_difference,
     word1,
     worst_word,
 )
-from .linops import Representation, evaluate, identity_operator, operator_difference
+from .linops import (Representation, evaluate, identity_operator, kron_terms,
+                     operator_difference, worst_entry)
 
 
 class DomainError(ValueError):
@@ -85,6 +87,26 @@ class Splitter:
                 raise ShapeError(f"splitter returned {out.shape}, expected {want}")
             self._memo[word] = out
         return out
+
+
+def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
+    """Split every cell independently by 1-site Sweedler rules."""
+
+    def split(word):
+        combos = [(1.0 + 0j, (), ())]
+        for c in word.cells:
+            combos = [
+                (coef * rc, firsts + (s1,), seconds + (s2,))
+                for coef, firsts, seconds in combos
+                for rc, s1, s2 in rules[c]
+            ]
+        return FormalSum(word.shape.slicing(direction, 1).grown,
+                         [(join(direction, GridWord(word.shape, f), GridWord(word.shape, s)), coef)
+                          for coef, f, s in combos])
+
+    if domain is None:
+        domain = lambda w: all(c in rules for c in w.cells)
+    return Splitter(direction, split, domain)
 
 
 @dataclass
@@ -282,16 +304,10 @@ def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int, key=None) -> Formal
         key=lambda ij: key(ij[1], ij[0]),
     )
     rank = {site: k for k, site in enumerate(order)}
-    out = {}
-    for word, coeff in terms.items():
-        cells = tuple(
-            word[rank[(i, j)]]
-            for i in range(1, n + 1)
-            for j in range(1, m + 1)
-        )
-        gw = GridWord(shape, cells)
-        out[gw] = out.get(gw, 0j) + coeff
-    return FormalSum(shape, out)
+    factor = [rank[(i, j)] for i in range(1, n + 1) for j in range(1, m + 1)]
+    # the map onto the grid is one-to-one, so no two terms share a grid word
+    return FormalSum(shape, [(GridWord(shape, tuple(word[k] for k in factor)), coeff)
+                             for word, coeff in terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -514,28 +530,39 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
 
 
 def check_antipode(ex, rep: Representation, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
-    """mu (S x id) split == counit times identity, numerically in ``rep``."""
+    """mu (S x id) split == counit times identity, numerically in ``rep``.
+
+    Two words of one shape multiply site by site, so each side is one
+    :func:`kron_terms` sum whose factors are the products ``rep[x] @ rep[y]``.
+    A failing instance names the worst side's worst entry (:func:`worst_entry`).
+    """
     if ex.antipode is None:
         raise ConfigurationError(f"{ex.name} carries no antipode rule")
     if words is None:
         words = ex.samples(direction, n)
     eps = ex.counit(direction)
+
+    def sitewise(coeff, u, w):  # the term of coeff * (u . w)
+        return coeff, [rep[x] @ rep[y] for x, y in zip(u.cells, w.cells)]
+
     instances = []
     with _Timer() as t:
         for w in words:
-            doubled = apply_splitter(ex, direction, w)
-            dim = rep.dim ** n
-            left = identity_operator(dim) * 0.0
-            right = identity_operator(dim) * 0.0
-            for b, c in doubled.items():
+            left, right = [], []
+            for b, c in apply_splitter(ex, direction, w).unordered_items():
                 first, second = _halves(direction, b)
-                left = left + c * (evaluate(ex.antipode(direction, first), rep)
-                                   @ evaluate(FormalSum.unit(second), rep))
-                right = right + c * (evaluate(FormalSum.unit(first), rep)
-                                     @ evaluate(ex.antipode(direction, second), rep))
-            target = eps(w) * identity_operator(dim)
-            res = max(operator_difference(left, target), operator_difference(right, target))
-            instances.append(CheckInstance(repr(w), res <= tol, res))
+                left += [sitewise(c * a, u, second)
+                         for u, a in ex.antipode(direction, first).unordered_items()]
+                right += [sitewise(c * a, first, u)
+                          for u, a in ex.antipode(direction, second).unordered_items()]
+            target = eps(w) * identity_operator(rep.dim ** w.shape.sites)
+            sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
+            gaps = [operator_difference(side, target) for side in sides]
+            worse = 0 if gaps[0] >= gaps[1] or gaps[0] != gaps[0] else 1  # NaN is worse
+            inst = CheckInstance(repr(w), gaps[worse] <= tol, gaps[worse])
+            if not inst.passed:
+                inst.details["worst_entry"] = worst_entry(sides[worse], target)
+            instances.append(inst)
     return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
 
 
@@ -597,19 +624,6 @@ def dual_product(functionals, ex, v, n, m, gathering="cols") -> complex:
 # the cocommutativity proposition for factorized splitters
 
 
-def _cellwise_vertical(dy, left, right):
-    """Split both cells of a horizontal pair vertically into a 2 x 2 sum."""
-    shape = GridShape(2, 2)
-    return FormalSum(shape, [(GridWord(shape, (l1, r1, l2, r2)), cl * cr)
-                             for cl, l1, l2 in dy[left] for cr, r1, r2 in dy[right]])
-
-
-def _cellwise_horizontal(dx, bottom, top):
-    shape = GridShape(2, 2)
-    return FormalSum(shape, [(GridWord(shape, (b1, b2, t1, t2)), cb * ct)
-                             for cb, b1, b2 in dx[bottom] for ct, t1, t2 in dx[top]])
-
-
 def _pair_sum(pairs, swapped=False) -> FormalSum:
     shape = GridShape(1, 2)
     terms = []
@@ -628,15 +642,18 @@ def check_trivial_proposition(dx, dy, instance_syms, tol=EQ_TOL) -> CheckReport:
     instance, the conclusions dx == dy and dx == dx-opposite are asserted
     as literal rule equalities on those instances.
     """
+    split_x, split_y = _cellwise_splitter("x", dx), _cellwise_splitter("y", dy)
+    row, column = GridShape(1, 2), GridShape(2, 1)
     instances = []
     with _Timer() as t:
         results = []
         shape = GridShape(2, 2)
         for sym in instance_syms:
+            # dx gives a 1 x 2 row whose cells dy splits, dy a 2 x 1 column for dx
             lhs = FormalSum(shape, [t for c, s1, s2 in dx[sym]
-                                    for t in _scaled(_cellwise_vertical(dy, s1, s2), c)])
+                                    for t in _scaled(split_y(GridWord(row, (s1, s2))), c)])
             rhs = FormalSum(shape, [t for c, s1, s2 in dy[sym]
-                                    for t in _scaled(_cellwise_horizontal(dx, s1, s2), c)])
+                                    for t in _scaled(split_x(GridWord(column, (s1, s2))), c)])
             res = sum_difference(lhs, rhs)
             results.append((sym, res <= tol, res))
         premise_all = all(h for _, h, _ in results)

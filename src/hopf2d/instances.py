@@ -32,6 +32,7 @@ from .coalgebra import (
     CounitRule,
     MultiplicationRule,
     Splitter,
+    _cellwise_splitter,
 )
 from .grids import Alphabet, FormalSum, GridShape, GridWord, join
 from .linops import Representation
@@ -262,27 +263,7 @@ def _one_letter_samples(axis, unit, letters):
 
 
 # ---------------------------------------------------------------------------
-# cellwise splitters (group-like and primitive coproducts)
-
-
-def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
-    """Split every cell independently by 1-site Sweedler rules."""
-
-    def split(word):
-        combos = [(1.0 + 0j, (), ())]
-        for c in word.cells:
-            combos = [
-                (coef * rc, firsts + (s1,), seconds + (s2,))
-                for coef, firsts, seconds in combos
-                for rc, s1, s2 in rules[c]
-            ]
-        return FormalSum(word.shape.slicing(direction, 1).grown,
-                         [(join(direction, GridWord(word.shape, f), GridWord(word.shape, s)), coef)
-                          for coef, f, s in combos])
-
-    if domain is None:
-        domain = lambda w: all(c in rules for c in w.cells)
-    return Splitter(direction, split, domain)
+# cellwise tables and sitewise rules (group-like and primitive coproducts)
 
 
 def _sitewise_rule(table):

@@ -9,11 +9,18 @@ Everything in this module uses the plaquette site labels
 as tensor positions 1..4 (display layout), so products like R_12 R_34 read
 literally.  Lattice elements built in the engine's bottom-row-first linear
 order are converted through :data:`uqsu2.DISPLAY_TO_LINEAR_2X2`.
+
+A pair operator is placed on its two sites by :func:`linops.kron_terms`,
+one Kronecker term per nonzero entry.  The plaquette R-matrix :func:`r2d`
+is the conjugator of the six steps of :data:`CHAIN_STEPS`, which carry the
+plaquette element to its permuted version, and the plaquette classical r
+is the matching signed sum of pair r's.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import reduce
 import math
 
 import numpy as np
@@ -29,6 +36,7 @@ SZ = np.diag([0.5, -0.5]).astype(complex)
 SP = np.array([[0, 1], [0, 0]], dtype=complex)
 SM = np.array([[0, 0], [1, 0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+_UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
 
 
 def r_matrix(q) -> np.ndarray:
@@ -55,61 +63,59 @@ def r_matrix_factorized(q) -> np.ndarray:
 
 
 def delta_perm(gen: str, q) -> np.ndarray:
-    """Permuted coproduct: the K letters swap roles across the pair."""
+    """Permuted coproduct: the 1 x 2 element of S+ or S- with its K letters
+    swapped; a group-like K letter's is its coproduct."""
     q = _require_regular(q)
-    rep = spin_half_rep(q)
-    mats = {s.name: rep.matrices[s] for s in rep.alphabet}
-    if gen in ("S+", "S-"):
-        return np.kron(mats[gen], mats["K-"]) + np.kron(mats["K+"], mats[gen])
     if gen in ("K+", "K-"):
-        return np.kron(mats[gen], mats[gen])
-    raise ValueError(f"no permuted coproduct for {gen!r}")
-
-
-def site_permutation_matrix(new_to_old, d=2) -> np.ndarray:
-    """Permutation matrix sending |b_old> to the reordered |b_new>.
-
-    ``new_to_old[k]`` is the old tensor position (0-based) that the new
-    position k reads from.
-    """
-    n = len(new_to_old)
-    dim = d ** n
-    P = np.zeros((dim, dim), dtype=complex)
-    # entry bn of the transposed index array is the old state b that bn reads
-    old = np.arange(dim).reshape((d,) * n).transpose(new_to_old).ravel()
-    P[np.arange(dim), old] = 1.0
-    return P
+        return delta_2site(gen, q)
+    if gen not in ("S+", "S-"):
+        raise ValueError(f"no permuted coproduct for {gen!r}")
+    return evaluate(boxplus_perm_sum(gen, q, 1, 2), spin_half_rep(q)).toarray()
 
 
 def embed_pair(mat4: np.ndarray, i: int, j: int, n_sites: int = 4) -> np.ndarray:
-    """Embed a two-site operator on (1-based) tensor positions i and j.
+    """Place a two-site operator on (1-based) tensor positions i and j.
 
-    Built by conjugating with an explicit site permutation so non-adjacent
-    pairs keep the literal product order.
+    One Kronecker term per nonzero entry (r, c) of ``mat4``, whose row bits
+    are r = 2 r_i + r_j and column bits c = 2 c_i + c_j: the matrix unit
+    |r_i><c_i| on site i, |r_j><c_j| on site j and the identity elsewhere.
     """
-    rest = [k for k in range(n_sites) if k not in (i - 1, j - 1)]
-    new_to_old = [i - 1, j - 1] + rest
-    P = site_permutation_matrix(new_to_old)
-    big = np.kron(mat4, np.eye(2 ** (n_sites - 2), dtype=complex))
-    return P.conj().T @ big @ P
+    terms = []
+    for r, c in zip(*np.nonzero(mat4)):
+        factors = [ID2] * n_sites
+        factors[i - 1] = _UNITS[r >> 1][c >> 1]
+        factors[j - 1] = _UNITS[r & 1][c & 1]
+        terms.append((mat4[r, c], factors))
+    return kron_terms(terms, 2, n_sites).toarray()
 
 
 def r_pair(q, i, j) -> np.ndarray:
     return embed_pair(r_matrix(q), i, j)
 
 
+# the six-step conjugation chain: R_pair (.) R_pair^-1 for conj, the inverse for inv
+CHAIN_STEPS = (((1, 2), "conj"), ((3, 4), "conj"), ((2, 3), "inv"),
+               ((1, 3), "inv"), ((2, 4), "inv"), ((1, 4), "inv"))
+
+
+def _step(q, pair, mode):
+    """A chain step's conjugator and its inverse: (R_pair, R_pair^-1) for
+    'conj', (R_pair^-1, R_pair) for 'inv'."""
+    rp = r_pair(q, *pair)
+    rinv = np.linalg.inv(rp)
+    return (rp, rinv) if mode == "conj" else (rinv, rp)
+
+
 def r2d(q) -> np.ndarray:
-    """Plaquette R-matrix as the six-factor product of pair R-matrices."""
+    """Plaquette R-matrix: the conjugator of :data:`CHAIN_STEPS`, the product
+    of the steps' conjugators with the first step rightmost."""
     q = _require_regular(q)
-    inv = np.linalg.inv
-    return (
-        inv(r_pair(q, 1, 4))
-        @ inv(r_pair(q, 2, 4))
-        @ inv(r_pair(q, 1, 3))
-        @ inv(r_pair(q, 2, 3))
-        @ r_pair(q, 3, 4)
-        @ r_pair(q, 1, 2)
-    )
+    return reduce(np.matmul, [_step(q, pair, mode)[0] for pair, mode in reversed(CHAIN_STEPS)])
+
+
+def _signed_pair_sum(pair_op) -> np.ndarray:
+    """Sum of ``pair_op(i, j)`` over :data:`CHAIN_STEPS`: + for conj, - for inv."""
+    return sum((1 if mode == "conj" else -1) * pair_op(*pair) for pair, mode in CHAIN_STEPS)
 
 
 def evaluate_display_2x2(s: FormalSum, rep: Representation) -> np.ndarray:
@@ -130,8 +136,8 @@ def boxplus_2x2_display(gen: str, q) -> np.ndarray:
     return evaluate_display_2x2(boxplus(ex, gen, 2, 2), rep)
 
 
-def boxplus_perm_sum(gen: str, q) -> FormalSum:
-    """The permuted plaquette element: every K letter swapped in the grids."""
+def boxplus_perm_sum(gen: str, q, n: int = 2, m: int = 2) -> FormalSum:
+    """The permuted n x m element: every K letter swapped in the grids."""
     ex = make_uq_symbolic(q)
     al = ex.alphabet
     swap = {al["K+"]: al["K-"], al["K-"]: al["K+"]}
@@ -139,7 +145,7 @@ def boxplus_perm_sum(gen: str, q) -> FormalSum:
     def flip(word):
         return GridWord(word.shape, tuple(swap.get(c, c) for c in word.cells))
 
-    return boxplus(ex, gen, 2, 2).map_words(flip)
+    return boxplus(ex, gen, n, m).map_words(flip)
 
 
 def boxplus_perm(gen: str, q) -> np.ndarray:
@@ -156,11 +162,8 @@ def classical_r() -> np.ndarray:
 
 def classical_r2d() -> np.ndarray:
     """Signed six-pair sum solving the plaquette first-order intertwining."""
-
-    def rr(i, j):
-        return embed_pair(classical_r(), i, j)
-
-    return rr(1, 2) + rr(3, 4) - rr(1, 4) - rr(1, 3) - rr(2, 3) - rr(2, 4)
+    r = classical_r()
+    return _signed_pair_sum(lambda i, j: embed_pair(r, i, j))
 
 
 def single_site(mat, i, n_sites=4) -> np.ndarray:
@@ -189,7 +192,7 @@ def classical_identities_residual() -> dict:
         total = sum(single_site(s, k) for k in range(1, 5))
         rb = classical_r2d()
         lhs4 = rb @ total - total @ rb
-        rhs4 = a_pm(1, 2) + a_pm(3, 4) - a_pm(1, 4) - a_pm(1, 3) - a_pm(2, 3) - a_pm(2, 4)
+        rhs4 = _signed_pair_sum(a_pm)
         out[f"plaquette {name}"] = float(np.abs(lhs4 - rhs4).max())
         rhs_lit = (
             single_site(s, 1) @ (-single_site(SZ, 2) + single_site(SZ, 3) + single_site(SZ, 4))
@@ -252,17 +255,7 @@ def check_semiclassical(h_values, tol_slope=(0.9, 1.1)) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# the six-step conjugation chain
-
-
-CHAIN_STEPS = (
-    ((1, 2), "conj"),
-    ((3, 4), "conj"),
-    ((2, 3), "inv"),
-    ((1, 3), "inv"),
-    ((2, 4), "inv"),
-    ((1, 4), "inv"),
-)
+# the conjugation chain on symbolic grids
 
 
 def _chain_transform(grids, pair, mode):
@@ -293,7 +286,7 @@ def _chain_transform(grids, pair, mode):
     return out
 
 
-def plaquette_grids(gen: str = "S") -> list:
+def plaquette_grids() -> list:
     """The four symbolic plaquette grids, in display labels."""
     return [
         {1: "S", 2: "K+", 3: "K-", 4: "K-"},
@@ -326,9 +319,8 @@ def conjugation_chain(q, sgen="S+"):
     for (pair, mode) in CHAIN_STEPS:
         grids = _chain_transform(grids, pair, mode)
         steps.append(grids)
-        rp = r_pair(q, *pair)
-        prev = ops[-1]
-        conj = rp @ prev @ np.linalg.inv(rp) if mode == "conj" else np.linalg.inv(rp) @ prev @ rp
+        g, ginv = _step(q, pair, mode)
+        conj = g @ ops[-1] @ ginv
         cur = _grids_operator(grids, q, sgen)
         residuals.append(float(np.abs(cur - conj).max()))
         ops.append(cur)

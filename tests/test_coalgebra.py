@@ -5,10 +5,12 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopf2d.coalgebra import (
+    AntipodeRule,
     CheckInstance,
     CheckReport,
     DomainError,
@@ -17,6 +19,7 @@ from hopf2d.coalgebra import (
     boxplus,
     boxplus_from_1d,
     boxplus_sum,
+    check_antipode,
     check_counit,
     check_homomorphism,
     check_quasi_1d_assoc,
@@ -241,6 +244,52 @@ def test_proposition_uq_premise_fails():
     marks = {str(s): i.details["premise_holds"]
              for s, i in zip(dx, report.instances)}
     assert not marks["S+"] and not marks["S-"]
+
+
+def _lie_rep(ex):
+    """a -> the raising matrix, the unit -> the identity."""
+    from hopf2d.linops import Representation
+
+    return Representation(ex.alphabet, {"1": np.eye(2), "a": [[0, 1], [0, 0]]})
+
+
+def test_planted_lie_antipode_fails_both_directions_and_names_its_worst_entry():
+    # S(a) = +a: mu (S x id) of a column with a at one site is 2 a there, not 0
+    ex = make_lie_like(["a"])
+    rep = _lie_rep(ex)
+    for direction in "xy":
+        assert check_antipode(ex, rep, direction, 3).ok
+    ex.antipode = AntipodeRule(dict.fromkeys("xy", FormalSum.unit))
+    for direction in "xy":
+        report = check_antipode(ex, rep, direction, 3)
+        failed = [i for i in report.instances if not i.passed]
+        assert len(failed) == 3, direction  # a at each of the three sites
+        for inst in failed:
+            assert inst.residual == 2.0
+            worst = inst.details["worst_entry"]
+            assert sorted(worst) == ["col", "lhs", "rhs", "row"]
+            assert worst["lhs"] == [2.0, 0.0] and worst["rhs"] == [0.0, 0.0]
+        assert all(i.details == {} for i in report.instances if i.passed)
+
+
+def test_planted_uq_antipode_scale_fails_both_directions():
+    # the S+ scale -1/q in place of -q, on both axes
+    from hopf2d.uqsu2 import spin_half_rep
+
+    q = 1.3
+    ex = make_uq_symbolic(q)
+    rep = spin_half_rep(q, ex.alphabet)
+    honest, sp_ = ex.antipode, ex.alphabet["S+"]
+    ex.antipode = AntipodeRule({
+        axis: (lambda w, axis=axis: honest(axis, w) * (q ** -2 if sp_ in w.cells else 1.0))
+        for axis in "xy"})
+    for direction in "xy":
+        report = check_antipode(ex, rep, direction, 2)
+        failed = {i.input: i for i in report.instances if not i.passed}
+        assert failed and all("S+" in label for label in failed), direction
+        for inst in failed.values():
+            assert math.isfinite(inst.residual) and inst.residual > 1e-3
+            assert sorted(inst.details["worst_entry"]) == ["col", "lhs", "rhs", "row"]
 
 
 def test_cube_xyz_compat():

@@ -5,7 +5,9 @@ is pinned by its sha256.  The pins were taken from the parent of the change
 that added this test, except the four quasi1d-lie x reports
 (``quasi_1d_assoc_x_2/3``, ``counit_x_2/3``), which were re-pinned when the
 quasi1d-lie x sampler stopped repeating the unit column; the CHANGES.md
-entry of that change records both digests.
+entry of that change records both digests.  The ``build-op-rmatrix2d`` pin
+was taken before ``embed_pair`` and ``r2d`` moved onto ``kron_terms`` and
+the chain steps, and held after.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ RUNS = {
     "uq-rmatrix": (["verify", "--example", "uq",
                     "--checks", "rmatrix1d,rmatrix2d,semiclassical"], 0),
     "build-op": (["build-op", "--gen", "S+", "--q", "1.3", "--size", "2x3"], 0),
+    "build-op-rmatrix2d": (["build-op", "--rmatrix2d", "--q", "1.5"], 0),
     "peps-d4": (["peps", "--rep", "d4", "--sizes", "1x1,1x2,2x2,3x3"], 0),
     "peps-mutate": (["peps", "--rep", "d4", "--mutate", "drop:0", "--sizes", "1x2"], 1),
     "peps-d2": (["peps", "--rep", "d2", "--solve-boundary", "--sizes", "1x1,1x2,2x1,2x2,3x3"], 0),
@@ -192,6 +195,10 @@ DIGESTS = {
     "build-op": {
         "boxplus_Sp_2x3.mtx": "d8dd083687a4adc6c2f6c0319aacae1018cd6cf24b306a8044598b409cacf705",
         "manifest.json": "852889d68324bf4515a85ffd09cd4a88c44ef05e37890c4fdae3471c68403fca",
+    },
+    "build-op-rmatrix2d": {
+        "manifest.json": "c2dcd762134c1506b260aa2cf0321f71853cd70163178964f0a267c6ce9a6486",
+        "rmatrix2d_q1.5+0j.mtx": "4608ab5e5474294bc00a26966e3dea0e987b6f7acaff9dd3c5e7fa179efc30ab",
     },
     "peps-d4": {
         "peps_d4.json": "edea462d368959fa63af12a898aa825eca6fce950484c86cbfb95fec3f793362",

@@ -45,7 +45,12 @@ def test_pair_intertwining_seeded():
 
 
 def test_delta_perm_swap_conjugation():
-    swap = rm.site_permutation_matrix([1, 0])
+    swap = np.array([
+        [1, 0, 0, 0],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+    ], dtype=complex)
     for q in (2.0, 0.7):
         for gen in ("S+", "S-"):
             direct = rm.delta_perm(gen, q)
@@ -55,17 +60,25 @@ def test_delta_perm_swap_conjugation():
 
 
 def test_embed_pair_oracle():
-    a = np.arange(16, dtype=complex).reshape(4, 4)
-    assert np.allclose(rm.embed_pair(a, 1, 2), np.kron(a, np.eye(4)))
-    assert np.allclose(rm.embed_pair(a, 3, 4), np.kron(np.eye(4), a))
-    # a diagonal pair operator placed on (1, 3): entry for bits (b1..b4)
-    # reads the factor at index 2*b1 + b3
-    d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    emb = rm.embed_pair(d, 1, 3)
-    manual = np.array([d[2 * b1 + b3, 2 * b1 + b3].real
-                       for b1 in (0, 1) for b2 in (0, 1)
-                       for b3 in (0, 1) for b4 in (0, 1)])
-    assert np.allclose(np.diag(emb).real, manual)
+    # a dense, complex, non-Hermitian pair operator on every ordered pair:
+    # the entry at row bits b and column bits c (site 1 the most significant)
+    # reads a[2 b_i + b_j, 2 c_i + c_j] when b and c agree off the pair, else 0
+    rng = np.random.RandomState(5)
+    a = rng.uniform(0.5, 2.0, (4, 4)) + 1j * rng.uniform(-2.0, -0.5, (4, 4))
+    assert not np.allclose(a, a.conj().T)
+    bits = [[(b >> (3 - k)) & 1 for k in range(4)] for b in range(16)]
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i == j:
+                continue
+            rest = [k for k in range(4) if k not in (i - 1, j - 1)]
+            ref = np.zeros((16, 16), dtype=complex)
+            for r in range(16):
+                for c in range(16):
+                    br, bc = bits[r], bits[c]
+                    if all(br[k] == bc[k] for k in rest):
+                        ref[r, c] = a[2 * br[i - 1] + br[j - 1], 2 * bc[i - 1] + bc[j - 1]]
+            assert np.array_equal(rm.embed_pair(a, i, j), ref), (i, j)
 
 
 def test_plaquette_intertwining_exact():
@@ -201,17 +214,7 @@ def test_pair_conjugation_identities():
             assert np.abs(rinv @ per @ r - std).max() < 1e-12
 
 
-def test_site_permutation_and_single_site_match_their_loop_references():
-    import itertools
-
-    for d, n in ((2, 3), (3, 3), (2, 4)):
-        for new_to_old in itertools.permutations(range(n)):
-            ref = np.zeros((d ** n, d ** n), dtype=complex)
-            for b in range(d ** n):
-                digits = [(b // d ** (n - 1 - k)) % d for k in range(n)]
-                bn = sum(digits[new_to_old[k]] * d ** (n - 1 - k) for k in range(n))
-                ref[bn, b] = 1.0
-            assert np.array_equal(rm.site_permutation_matrix(list(new_to_old), d), ref)
+def test_single_site_matches_its_loop_reference():
     for i in range(1, 5):
         ref = np.ones((1, 1))
         for k in range(1, 5):
