@@ -243,12 +243,12 @@ def _rmatrix_check(name, qs, tol):
                                        - rmx.delta_perm(gen, q) @ r).max())
                     instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= 1e-12, res))
             else:
-                big = rmx.r2d(q)
+                chain = rmx.conjugation_chain(q, "S+")
+                big = chain["conjugator"]  # r2d(q), from the chain's own steps
                 for gen in ("S+", "S-"):
                     res = float(np.abs(big @ rmx.boxplus_2x2_display(gen, q)
                                        - rmx.boxplus_perm(gen, q) @ big).max())
                     instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
-                chain = rmx.conjugation_chain(q, "S+")
                 res = max(chain["residuals"])
                 instances.append(CheckInstance(f"q={q:g} chain", res <= tol, res))
     return CheckReport(name, [(2, 2)], instances, t.elapsed)

@@ -213,17 +213,13 @@ def grow(ex: CoalgebraExample, s: FormalSum, axis: str, block: int | None = None
 
     ``block`` is the 1-based slice to split (a column for 'x', a row for
     'y', a layer for 'z'); the default is the last one, matching boundary
-    growth.  The spliced terms of all input terms are merged by one
-    :class:`FormalSum` build.  Along x, a term held as x-slices hands the
-    splitter the column it holds and is spliced in O(m) for m columns (see
-    :class:`~hopf2d.grids.Slicing`).
+    growth.  The step is one pass of :meth:`~hopf2d.grids.Slicing.grow`:
+    the splitter is called once per term, and the grown terms are merged
+    into one dict as they are made.  Along x, a term held as x-slices hands
+    the splitter the column it holds and is spliced in O(m) for m columns.
     """
-    slicing = s.shape.slicing(
-        axis, s.shape.extents[s.shape.axis(axis)] if block is None else block)
-    split, cut, splice = ex.splitter(axis), slicing.cut, slicing.splice
-    return FormalSum(slicing.grown, ((splice(word, b), coeff * c)
-                                     for word, coeff in s.unordered_items()
-                                     for b, c in split(cut(word)).unordered_items()))
+    extent = s.shape.extents[s.shape.axis(axis)]
+    return s.shape.slicing(axis, extent if block is None else block).grow(s, ex.splitter(axis))
 
 
 def boxplus(ex: CoalgebraExample, v: Symbol, n: int, m: int, order: str = "y_first") -> FormalSum:

@@ -31,12 +31,16 @@ cells, and its x-slices are built when they are asked for.  Growing a
 column first and then its rows (``y_first``) therefore costs O(m) per term
 in every x-step.
 
-Formal sums are accumulated one way throughout the package: collect every
-(word, coefficient) term of a result, repeats allowed, and build the
-:class:`FormalSum` once from them; its constructor merges duplicates in one
-dict.  Adding sums term by term in a loop would rebuild that dict on every
-step.  Internal loops walk the terms unordered; sorting happens only at
-output, in :meth:`FormalSum.items`, iteration, ``repr`` and JSON.
+Formal sums are accumulated one way throughout the package: the terms of a
+result, repeats allowed, are merged into one dict in the order they come,
+and one filter canonicalizes that dict once, dropping coefficients of
+magnitude at most ``CANON_TOL`` and raising :class:`NonFiniteError` on a
+NaN or infinite one.  The :class:`FormalSum` constructor does this for the
+terms a caller collects; a growth step (:meth:`Slicing.grow`) and ``+``
+merge as they go and keep the filtered dict.  Adding sums term by term in a
+loop would rebuild that dict on every step.  Internal loops walk the terms
+unordered; sorting happens only at output, in :meth:`FormalSum.items`,
+iteration, ``repr`` and JSON.
 """
 
 from __future__ import annotations
@@ -410,41 +414,59 @@ class Slicing:
 
     ``part`` is the shape of the slice (extent 1 along the axis) and
     ``grown`` the shape with the slice doubled (extent 2 in its place).
-    :meth:`cut` takes the slice out of a word and :meth:`splice` puts a
-    doubled block, a word of shape ``grown.resized(axis, 2)``, in its place.
+    :meth:`cut` takes the slice out of a word, and :meth:`grow` runs a whole
+    growth step: it replaces the slice of every term by the blocks, words
+    of shape ``grown.resized(axis, 2)``, that a splitter makes of it.
 
-    Along x, on a word that holds its x-slices (or is one), both are tuple
-    operations on them, O(m) for m x-slices, and the grown word holds
-    x-slices too.  Otherwise, along y and z (where every x-slice changes)
-    and on a word that holds only its cells, both gather the word's cells
-    through index maps and make the new word from its cells.
+    Along x, on a word that holds its x-slices (or is one), cutting and
+    splicing are tuple operations on them, O(m) for m x-slices, and the
+    grown word holds x-slices too.  Otherwise, along y and z (where every
+    x-slice changes) and on a word that holds only its cells, both gather
+    the word's cells through index maps and make the new word from its
+    cells, so each word keeps the view it was made with.
     """
 
-    __slots__ = ("part", "grown", "_k", "_take", "_put")
+    __slots__ = ("part", "grown", "_extents", "_k", "_take", "_put")
 
     def __init__(self, extents, a, k):
         self.part, self.grown, self._take, self._put = _slicing(extents, a, k)
+        self._extents = extents
         self._k = k if a == len(extents) - 1 else None  # along x
 
-    def cut(self, word: GridWord) -> GridWord:
+    def _held(self, word: GridWord):
+        """The word's x-slices if this is an x-slicing and it holds them or is one."""
         if self._k is not None:
-            slices = word._slices
-            if slices is not None:
-                return slices[self._k - 1]
-            if word._shape.extents[-1] == 1:
-                return word
+            return word._slices or ((word,) if word._shape.extents[-1] == 1 else None)
+
+    def cut(self, word: GridWord) -> GridWord:
+        slices = self._held(word)
+        if slices is not None:
+            return slices[self._k - 1]
         return _from_cells(self.part, self._take(word._cells or word.cells))
 
-    def splice(self, word: GridWord, block: GridWord) -> GridWord:
-        k = self._k
-        if k is not None:
-            slices = word._slices
-            if slices is None and word._shape.extents[-1] == 1:
-                slices = (word,)
+    def grow(self, s: "FormalSum", split) -> "FormalSum":
+        """One growth step: the sum of c·c'·(w with b in place of its slice)
+        over the terms c·w of ``s`` and c'·b of ``split(slice of w)``, with
+        ``split`` called once per term and the grown words, built to shape
+        and so not checked again, merged in the order they are made."""
+        if s.shape.extents != self._extents:
+            raise ShapeError(f"a {s.shape} sum has no slice of {GridShape(*self._extents)}")
+        k, grown, put = self._k, self.grown, self._put
+        acc = {}
+        get = acc.get
+        for word, coeff in s._terms.items():
+            slices = self._held(word)
             if slices is not None:
-                return _from_slices(self.grown, slices[:k - 1] + block._x_slices() + slices[k:])
-        return _from_cells(self.grown, self._put((word._cells or word.cells)
-                                                 + (block._cells or block.cells)))
+                head, tail = slices[:k - 1], slices[k:]
+                for b, c in split(slices[k - 1])._terms.items():
+                    w = _from_slices(grown, head + (b._slices or b._x_slices()) + tail)
+                    acc[w] = get(w, 0j) + coeff * c
+            else:
+                cells = word._cells or word.cells
+                for b, c in split(_from_cells(self.part, self._take(cells)))._terms.items():
+                    w = _from_cells(grown, put(cells + (b._cells or b.cells)))
+                    acc[w] = get(w, 0j) + coeff * c
+        return _made(grown, _drop_small(acc))
 
 
 def word1(sym: Symbol) -> GridWord:
@@ -478,14 +500,7 @@ class FormalSum:
                 if word.shape is not shape and word.shape != shape:
                     raise ShapeError(f"term shape {word.shape} != sum shape {shape}")
                 acc[word] = acc.get(word, 0j) + complex(coeff)
-        kept = {}
-        for word, c in acc.items():
-            mag = abs(c)
-            if not mag <= _FLOAT_MAX:  # NaN or infinite
-                raise NonFiniteError(f"coefficient {c} of [{word!r}] is not finite")
-            if mag > CANON_TOL:
-                kept[word] = c
-        self._terms = kept
+        self._terms = _drop_small(acc)
 
     @staticmethod
     def unit(word: GridWord, coeff=1.0) -> "FormalSum":
@@ -518,7 +533,7 @@ class FormalSum:
         terms = dict(self._terms)
         for w, c in other._terms.items():
             terms[w] = terms.get(w, 0j) + c
-        return FormalSum(self.shape, terms)
+        return _made(self.shape, _drop_small(terms))
 
     def __sub__(self, other):
         return self + other * (-1)
@@ -559,6 +574,29 @@ class FormalSum:
             word = GridWord(shape, alphabet.words(t["cells"]))
             terms.append((word, complex(t["re"], t["im"])))
         return FormalSum(shape, terms)
+
+
+def _drop_small(acc: dict) -> dict:
+    """Canonicalize merged terms in place: drop each word whose coefficient
+    has magnitude at most ``CANON_TOL``; raise :class:`NonFiniteError`
+    naming the first word whose coefficient is NaN or infinite."""
+    small = []
+    for word, c in acc.items():
+        mag = abs(c)
+        if not mag <= _FLOAT_MAX:  # NaN or infinite
+            raise NonFiniteError(f"coefficient {c} of [{word!r}] is not finite")
+        if mag <= CANON_TOL:
+            small.append(word)
+    for word in small:
+        del acc[word]
+    return acc
+
+
+def _made(shape: GridShape, terms: dict) -> FormalSum:
+    """The sum of ``shape`` that owns ``terms``, canonical words of that shape."""
+    out = _new(FormalSum)
+    out.shape, out._terms = shape, terms
+    return out
 
 
 def sums_equal(a: FormalSum, b: FormalSum, tol: float = EQ_TOL) -> bool:

@@ -305,23 +305,27 @@ def _grids_operator(grids, q, sgen) -> np.ndarray:
 
 
 def conjugation_chain(q, sgen="S+"):
-    """Run the six conjugation steps, returning symbolic grids and residuals.
+    """Run the six conjugation steps, returning symbolic grids, residuals
+    and the chain's conjugator.
 
     Each step's symbolic grid sum is compared numerically against the
     actual conjugation of the previous operator; the final grids must be
-    the permuted plaquette element.
+    the permuted plaquette element.  ``conjugator`` is the product of the
+    steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)`` bit for bit.
     """
     q = _require_regular(q)
     grids = plaquette_grids()
     ops = [_grids_operator(grids, q, sgen)]
     steps = [grids]
-    residuals = []
+    residuals, gs = [], []
     for (pair, mode) in CHAIN_STEPS:
         grids = _chain_transform(grids, pair, mode)
         steps.append(grids)
         g, ginv = _step(q, pair, mode)
+        gs.append(g)
         conj = g @ ops[-1] @ ginv
         cur = _grids_operator(grids, q, sgen)
         residuals.append(float(np.abs(cur - conj).max()))
         ops.append(cur)
-    return {"steps": steps, "residuals": residuals, "operators": ops}
+    return {"steps": steps, "residuals": residuals, "operators": ops,
+            "conjugator": reduce(np.matmul, gs[::-1])}

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,3 +393,108 @@ def test_symbols_are_their_ids_and_keep_their_names():
         A.name = "z"
     for back in (copy.copy(V), pickle.loads(pickle.dumps(V))):
         assert back == V and back.name == "v" and back.id == 2
+
+
+# -- one growth step -------------------------------------------------------------
+
+
+def _grown_by_coords(word, axis, k, block):
+    """``word`` with its slice ``k`` along ``axis`` replaced by ``block``,
+    built cell by cell from site coordinates."""
+    i, shape = "xyz".index(axis), word.shape
+    grown = shape.resized(axis, shape.extents[shape.axis(axis)] + 1)
+    cells = dict(zip(shape.coords, word.cells))
+    inner = dict(zip(block.shape.coords, block.cells))
+    return GridWord(grown, tuple(
+        cells[q] if q[i] < k else
+        inner[q[:i] + (q[i] - k + 1,) + q[i + 1:]] if q[i] <= k + 1 else
+        cells[q[:i] + (q[i] - 1,) + q[i + 1:]] for q in grown.coords))
+
+
+def _merging(c1, c2):
+    """An example splitting a slice s as c1·(s then s) + c2·(all a then all b):
+    the second term drops s, so input terms that differ only on the split
+    slice land on one word and merge."""
+    def rule(s, axis):
+        const = [GridWord(s.shape, (sym,) * s.shape.sites) for sym in (A, B)]
+        return FormalSum(s.shape.slicing(axis, 1).grown,
+                         [(join(axis, s, s), c1), (join(axis, *const), c2)])
+
+    splitters = {axis: Splitter(axis, lambda s, axis=axis: rule(s, axis), lambda s: True)
+                 for axis in "xyz"}
+    return CoalgebraExample("merging", AB, splitters, {}, {})
+
+
+def _bits(items):
+    return [(word, word.cells, c.real.hex(), c.imag.hex()) for word, c in items]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), words(), coeffs, coeffs)
+def test_a_growth_step_is_the_sum_built_from_coordinates(data, base, c1, c2):
+    shape = base.shape
+    ex = _merging(c1, c2)
+    for axis in "xyz"[:len(shape.extents)]:
+        i = "xyz".index(axis)
+        for k in range(1, shape.extents[shape.axis(axis)] + 1):
+            # base and copies of it changed on slice k (these merge) or anywhere
+            variants = data.draw(st.lists(st.tuples(
+                st.lists(st.sampled_from([A, B, V]), min_size=shape.sites, max_size=shape.sites),
+                st.booleans(), coeffs, st.booleans()), min_size=1, max_size=5))
+            terms = []
+            for cells, on_slice, coeff, by_slices in variants:
+                if on_slice:
+                    cells = [n if p[i] == k else c for c, n, p in zip(base.cells, cells, shape.coords)]
+                word = GridWord(shape, tuple(cells))
+                terms.append((_by_x_slices(word) if by_slices else word, coeff))
+            s = FormalSum(shape, terms)
+            split = ex.splitter(axis)
+            want = FormalSum(shape.resized(axis, shape.extents[shape.axis(axis)] + 1), [
+                (_grown_by_coords(word, axis, k, b), coeff * c)
+                for word, coeff in s.unordered_items()
+                for b, c in split(word.slice(axis, k)).unordered_items()])
+            got = grow(ex, s, axis, k)
+            assert got.shape == want.shape
+            assert _bits(got.unordered_items()) == _bits(want.unordered_items())
+
+
+# a column grows through its cells, a row held as x-slices through its x-slices
+@pytest.mark.parametrize("axis, shape, held", [("y", GridShape(2, 1), lambda word: word),
+                                               ("x", GridShape(1, 2), _by_x_slices)])
+def test_a_growth_step_names_the_word_an_overflow_or_nan_reaches(axis, shape, held):
+    def grown(cells):
+        word = GridWord(shape.resized(axis, 3), cells)
+        return re.escape(f"[{word!r}]")
+
+    def terms(*pairs):
+        return FormalSum(shape, [(held(GridWord(shape, cells)), c) for cells, c in pairs])
+
+    with pytest.raises(NonFiniteError, match=r"\(inf\+0j\) of " + grown((A, V, V))):
+        grow(_merging(1e10, 0.0), terms(((A, V), 1e300)), axis)
+    # +inf and -inf from two terms that merge on one word sum to NaN
+    with pytest.raises(NonFiniteError, match=r"\(nan\+0j\) of " + grown((A, A, B))):
+        grow(_merging(1.0, 1e10), terms(((A, V), 1e300), ((A, B), -1e300)), axis)
+    # and an exact cancellation drops the word
+    got = grow(_merging(1.0, 0.5), terms(((A, V), 2.0), ((A, B), -2.0)), axis)
+    assert [word.cells for word, _ in got.unordered_items()] == [(A, V, V), (A, B, B)]
+    assert [c for _, c in got.unordered_items()] == [2, -2]
+    # coefficients are summed from 0j: the -0.0 real part of 1j·(-1) reads +0.0
+    (_, c), = grow(_merging(-1.0, 0.0), terms(((A, V), 1j)), axis).unordered_items()
+    assert c == -1j and math.copysign(1.0, c.real) == 1.0
+
+
+def test_a_growth_step_refuses_a_sum_of_another_shape():
+    s = FormalSum.unit(GridWord(GridShape(2, 3), (A,) * 6))
+    for axis in "xy":
+        with pytest.raises(ShapeError, match="2x3 sum has no slice of 3x2"):
+            GridShape(3, 2).slicing(axis, 1).grow(s, _merging(1.0, 1.0).splitter(axis))
+
+
+def test_a_sum_leaves_the_dict_it_was_built_from_untouched():
+    small, kept = word1(A), word1(V)
+    terms = {small: 1e-20, kept: 2}
+    s = FormalSum(GridShape(1, 1), terms)
+    assert terms == {small: 1e-20, kept: 2} and list(terms) == [small, kept]
+    assert dict(s.unordered_items()) == {kept: 2 + 0j}
+    total = s + s
+    assert dict(s.unordered_items()) == {kept: 2 + 0j} and total.coeff(kept) == 4

@@ -165,6 +165,13 @@ def test_conjugation_chain_ends_at_permuted_element():
             assert np.abs(chain["operators"][-1] - rm.boxplus_perm(gen, q)).max() < 1e-12
 
 
+@pytest.mark.parametrize("q", [1.37, 0.8 + 0.6j])
+def test_the_chain_conjugator_is_r2d_bit_for_bit(q):
+    got, want = rm.conjugation_chain(q, "S+")["conjugator"], rm.r2d(q)
+    assert got.dtype == want.dtype and got.shape == want.shape == (16, 16)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_classical_r_entries():
     expected = np.array([
         [0.5, 0, 0, 0],
