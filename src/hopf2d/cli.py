@@ -36,7 +36,6 @@ from .coalgebra import (
     ConfigurationError,
     DomainError,
     SingularParameterError,
-    _Timer,
     apply_splitter,
     boxplus,
     check_counit,
@@ -128,7 +127,7 @@ def _rep_for(ex, example_kind):
     raise CliConfigError(f"no canonical representation for example {example_kind!r}")
 
 
-def _run_checks(args, report_meta):
+def _run_checks(args):
     sizes = _parse_sizes(args.sizes or "2x2,3x3")
     checks = (args.checks or "assoc,xycompat,counit").split(",")
     tol = args.tol
@@ -199,16 +198,12 @@ def _uq_checks(names, qs, sizes, tol):
             steps.append(((2, 2), at_2x2 := []))
         at_2x2 += per_q
     instances = {name: [] for name in per_size + per_q}
-    elapsed = dict.fromkeys(instances, 0.0)
     for q in qs:
         for (n, m), checks in steps:
             ops = uqsu2.OperatorTable(q, n, m)
             for name in checks:
-                with _Timer() as t:
-                    instances[name] += _uq_instances(name, q, n, m, ops, tol)
-                elapsed[name] += t.elapsed
-    return {name: CheckReport(name, list(sizes), instances[name], elapsed[name])
-            for name in instances}
+                instances[name] += _uq_instances(name, q, n, m, ops, tol)
+    return {name: CheckReport(name, list(sizes), instances[name]) for name in instances}
 
 
 def _uq_instances(name, q, n, m, ops, tol):
@@ -229,29 +224,28 @@ def _uq_instances(name, q, n, m, ops, tol):
 
 
 def _rmatrix_check(name, qs, tol):
+    if name == "semiclassical":
+        return rmx.check_semiclassical([0.2, 0.1, 0.05, 0.025, 0.0125])
     instances = []
-    with _Timer() as t:
-        if name == "semiclassical":
-            return rmx.check_semiclassical([0.2, 0.1, 0.05, 0.025, 0.0125])
-        for q in qs:
-            if name == "rmatrix1d":
-                r = rmx.r_matrix(q)
-                res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
-                instances.append(CheckInstance(f"q={q:g} closed==factorized", res <= 1e-12, res))
-                for gen in ("S+", "S-"):
-                    res = float(np.abs(r @ rmx.delta_2site(gen, q)
-                                       - rmx.delta_perm(gen, q) @ r).max())
-                    instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= 1e-12, res))
-            else:
-                chain = rmx.conjugation_chain(q, "S+")
-                big = chain["conjugator"]  # r2d(q), from the chain's own steps
-                for gen in ("S+", "S-"):
-                    res = float(np.abs(big @ rmx.boxplus_2x2_display(gen, q)
-                                       - rmx.boxplus_perm(gen, q) @ big).max())
-                    instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
-                res = max(chain["residuals"])
-                instances.append(CheckInstance(f"q={q:g} chain", res <= tol, res))
-    return CheckReport(name, [(2, 2)], instances, t.elapsed)
+    for q in qs:
+        if name == "rmatrix1d":
+            r = rmx.r_matrix(q)
+            res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
+            instances.append(CheckInstance(f"q={q:g} closed==factorized", res <= 1e-12, res))
+            for gen in ("S+", "S-"):
+                res = float(np.abs(r @ rmx.delta_2site(gen, q)
+                                   - rmx.delta_perm(gen, q) @ r).max())
+                instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= 1e-12, res))
+        else:
+            chain = rmx.conjugation_chain(q, "S+")
+            big = chain["conjugator"]  # r2d(q), from the chain's own steps
+            for gen in ("S+", "S-"):
+                res = float(np.abs(big @ rmx.boxplus_2x2_display(gen, q)
+                                   - rmx.boxplus_perm(gen, q) @ big).max())
+                instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
+            res = max(chain["residuals"])
+            instances.append(CheckInstance(f"q={q:g} chain", res <= tol, res))
+    return CheckReport(name, [(2, 2)], instances)
 
 
 def _prefixed(report, prefix):
@@ -261,7 +255,7 @@ def _prefixed(report, prefix):
 
 
 def cmd_verify(args) -> int:
-    ex, reports = _run_checks(args, None)
+    ex, reports = _run_checks(args)
     outdir = args.out or "reports"
     os.makedirs(outdir, exist_ok=True)
     all_ok = True

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 import json
 import math
-import time
 
 from .grids import (
     AXES,
@@ -136,7 +135,6 @@ class CounitRule:
 class MultiplicationRule:
     """Sitewise product via structure constants on the symbol basis."""
 
-    unit: Symbol
     product: object       # (Symbol, Symbol) -> FormalSum over 1x1 words
 
     def __call__(self, u: Symbol, w: Symbol) -> FormalSum:
@@ -261,7 +259,7 @@ def boxplus_sum(ex: CoalgebraExample, s: FormalSum, n: int, m: int) -> FormalSum
     for word, coeff in s.unordered_items():
         sym = word.cells[0]
         if rule is not None and first is not None and not ex.splitter(first).domain(word):
-            grown = boxplus_from_1d(rule, sym, n, m, key=ex.meta.get("order_key"))
+            grown = boxplus_from_1d(rule, sym, n, m)
         else:
             grown = boxplus(ex, sym, n, m)
         terms += _scaled(grown, coeff)
@@ -273,19 +271,17 @@ def _scaled(s: FormalSum, scalar):
     return ((w, c * scalar) for w, c in s.unordered_items())
 
 
-def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int, key=None) -> FormalSum:
+def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int) -> FormalSum:
     """Rearrange the (n*m - 1)-fold 1D coproduct onto the lattice.
 
     ``delta_rule`` maps a symbol to Sweedler pairs [(coeff, s1, s2)];
-    factor k of the iterated coproduct lands on the k-th lattice site in
-    the reading order given by ``key`` (default: bottom rows first, left
-    to right).  This is the identification making the lattice elements an
-    algebra homomorphism image of the 1D bialgebra, and serves as an
-    independent oracle for the grown elements.
+    factor k of the iterated coproduct (0-based) lands on linear site k + 1,
+    i.e. bottom row first, left to right.  This is the identification making
+    the lattice elements an algebra homomorphism image of the 1D bialgebra,
+    and serves as an independent oracle for the grown elements.
     """
-    sites = n * m
     terms = {(sym,): 1.0 + 0j}
-    for _ in range(sites - 1):
+    for _ in range(n * m - 1):
         new = {}
         for word, coeff in terms.items():
             for c, s1, s2 in delta_rule[word[0]]:
@@ -293,17 +289,7 @@ def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int, key=None) -> Formal
                 new[grownw] = new.get(grownw, 0j) + coeff * c
         terms = new
     shape = GridShape(n, m)
-    if key is None:
-        key = lambda x, y: (y, x)
-    order = sorted(
-        ((i, j) for i in range(1, n + 1) for j in range(1, m + 1)),
-        key=lambda ij: key(ij[1], ij[0]),
-    )
-    rank = {site: k for k, site in enumerate(order)}
-    factor = [rank[(i, j)] for i in range(1, n + 1) for j in range(1, m + 1)]
-    # the map onto the grid is one-to-one, so no two terms share a grid word
-    return FormalSum(shape, [(GridWord(shape, tuple(word[k] for k in factor)), coeff)
-                             for word, coeff in terms.items()])
+    return FormalSum(shape, [(GridWord(shape, word), coeff) for word, coeff in terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +309,6 @@ class CheckReport:
     check: str
     sizes: list
     instances: list
-    elapsed: float = 0.0
 
     @property
     def max_residual(self) -> float:
@@ -363,13 +348,12 @@ def _json_numbers(value):
     return value
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
+def _instance(label, res, tol, where) -> CheckInstance:
+    """The instance of residual ``res``: passing if ``res <= tol``, else
+    failing with the details that ``where()`` returns (NaN fails)."""
+    if res <= tol:
+        return CheckInstance(label, True, res)
+    return CheckInstance(label, False, res, where())
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +370,11 @@ def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckRepor
     if words is None:
         words = ex.samples(direction, n)
     instances = []
-    with _Timer() as t:
-        for w in words:
-            label, doubled = repr(w), apply_splitter(ex, direction, w)
-            instances.append(_checked(label, lambda: _compared(
-                label, grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
-    return CheckReport("quasi_1d_assoc_" + direction, _slice_sizes(direction, n), instances,
-                       t.elapsed)
+    for w in words:
+        label, doubled = repr(w), apply_splitter(ex, direction, w)
+        instances.append(_checked(label, lambda: _compared(
+            label, grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
+    return CheckReport("quasi_1d_assoc_" + direction, _slice_sizes(direction, n), instances)
 
 
 def _slice_sizes(direction, n):
@@ -407,9 +389,7 @@ def _compared(label, got: FormalSum, want: FormalSum, tol, res=None) -> CheckIns
     """
     if res is None:
         res = sum_difference(got, want)
-    if res <= tol:
-        return CheckInstance(label, True, res)
-    return CheckInstance(label, False, res, {"worst_word": worst_word(got, want)})
+    return _instance(label, res, tol, lambda: {"worst_word": worst_word(got, want)})
 
 
 def _checked(label, compare) -> CheckInstance:
@@ -446,28 +426,27 @@ def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
         symbols = ex.grow_symbols
     corners = [(k, l) for k in range(1, n) for l in range(1, m)] or [(1, 1)]
     instances = []
-    with _Timer() as t:
-        for sym in symbols:
-            sym = ex.alphabet[sym] if isinstance(sym, str) else sym
-            grown = {"": FormalSum.unit(word1(sym))}  # axis sequence -> sum
+    for sym in symbols:
+        sym = ex.alphabet[sym] if isinstance(sym, str) else sym
+        grown = {"": FormalSum.unit(word1(sym))}  # axis sequence -> sum
 
-            def along(axes):
-                if axes not in grown:
-                    grown[axes] = grow(ex, along(axes[:-1]), axes[-1])
-                return grown[axes]
+        def along(axes):
+            if axes not in grown:
+                grown[axes] = grow(ex, along(axes[:-1]), axes[-1])
+            return grown[axes]
 
-            def compared(label, got, want):
-                return _checked(label, lambda: _compared(label, along(got), along(want), tol))
+        def compared(label, got, want):
+            return _checked(label, lambda: _compared(label, along(got), along(want), tol))
 
-            for k, l in corners:
-                base = "y" * (k - 1) + "x" * (l - 1)
-                if (k, l) == (1, 1):
-                    instances.append(compared(f"base2x2:{sym}", base + "yx", base + "xy"))
-                    continue
-                instances.append(compared(f"corner{k}x{l}:{sym}", base + "yx", base + "xy"))
-                instances.append(compared(f"corner{k}x{l}:{sym}:vs_canonical", base + "yx",
-                                          "y" * k + "x" * l))
-    return CheckReport("xy_compat", [(n, m)], instances, t.elapsed)
+        for k, l in corners:
+            base = "y" * (k - 1) + "x" * (l - 1)
+            if (k, l) == (1, 1):
+                instances.append(compared(f"base2x2:{sym}", base + "yx", base + "xy"))
+                continue
+            instances.append(compared(f"corner{k}x{l}:{sym}", base + "yx", base + "xy"))
+            instances.append(compared(f"corner{k}x{l}:{sym}:vs_canonical", base + "yx",
+                                      "y" * k + "x" * l))
+    return CheckReport("xy_compat", [(n, m)], instances)
 
 
 def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
@@ -494,17 +473,17 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
         return _compared(label, sides[worse], target, tol, max(gaps))
 
     instances = []
-    with _Timer() as t:
-        for w in words:
-            label, doubled = repr(w), apply_splitter(ex, direction, w)
-            instances.append(_checked(label, lambda: contracted(label, w, doubled)))
-    return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
+    for w in words:
+        label, doubled = repr(w), apply_splitter(ex, direction, w)
+        instances.append(_checked(label, lambda: contracted(label, w, doubled)))
+    return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances)
 
 
 def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> CheckReport:
     """boxplus(u) . boxplus(w) == boxplus(u w) as operators in ``rep``.
 
-    Growth that leaves a splitter's domain fails the pair's instance (see
+    A failing instance names its worst entry (:func:`worst_entry`).  Growth
+    that leaves a splitter's domain fails the pair's instance (see
     :func:`_checked`).
     """
     if ex.multiplication is None:
@@ -513,16 +492,15 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
     def compared(u, w):
         lhs = evaluate(boxplus(ex, u, n, m), rep) @ evaluate(boxplus(ex, w, n, m), rep)
         rhs = evaluate(boxplus_sum(ex, ex.multiplication(u, w), n, m), rep)
-        res = operator_difference(lhs, rhs)
-        return CheckInstance(f"{u}*{w}", res <= tol, res)
+        return _instance(f"{u}*{w}", operator_difference(lhs, rhs), tol,
+                         lambda: {"worst_entry": worst_entry(lhs, rhs)})
 
     instances = []
-    with _Timer() as t:
-        for u, w in pairs:
-            u = ex.alphabet[u] if isinstance(u, str) else u
-            w = ex.alphabet[w] if isinstance(w, str) else w
-            instances.append(_checked(f"{u}*{w}", lambda: compared(u, w)))
-    return CheckReport("homomorphism", [(n, m)], instances, t.elapsed)
+    for u, w in pairs:
+        u = ex.alphabet[u] if isinstance(u, str) else u
+        w = ex.alphabet[w] if isinstance(w, str) else w
+        instances.append(_checked(f"{u}*{w}", lambda: compared(u, w)))
+    return CheckReport("homomorphism", [(n, m)], instances)
 
 
 def check_antipode(ex, rep: Representation, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
@@ -542,24 +520,21 @@ def check_antipode(ex, rep: Representation, direction, n, words=None, tol=EQ_TOL
         return coeff, [rep[x] @ rep[y] for x, y in zip(u.cells, w.cells)]
 
     instances = []
-    with _Timer() as t:
-        for w in words:
-            left, right = [], []
-            for b, c in apply_splitter(ex, direction, w).unordered_items():
-                first, second = _halves(direction, b)
-                left += [sitewise(c * a, u, second)
-                         for u, a in ex.antipode(direction, first).unordered_items()]
-                right += [sitewise(c * a, first, u)
-                          for u, a in ex.antipode(direction, second).unordered_items()]
-            target = eps(w) * identity_operator(rep.dim ** w.shape.sites)
-            sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
-            gaps = [operator_difference(side, target) for side in sides]
-            worse = 0 if gaps[0] >= gaps[1] or gaps[0] != gaps[0] else 1  # NaN is worse
-            inst = CheckInstance(repr(w), gaps[worse] <= tol, gaps[worse])
-            if not inst.passed:
-                inst.details["worst_entry"] = worst_entry(sides[worse], target)
-            instances.append(inst)
-    return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances, t.elapsed)
+    for w in words:
+        left, right = [], []
+        for b, c in apply_splitter(ex, direction, w).unordered_items():
+            first, second = _halves(direction, b)
+            left += [sitewise(c * a, u, second)
+                     for u, a in ex.antipode(direction, first).unordered_items()]
+            right += [sitewise(c * a, first, u)
+                      for u, a in ex.antipode(direction, second).unordered_items()]
+        target = eps(w) * identity_operator(rep.dim ** w.shape.sites)
+        sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
+        gaps = [operator_difference(side, target) for side in sides]
+        worse = 0 if gaps[0] >= gaps[1] or gaps[0] != gaps[0] else 1  # NaN is worse
+        instances.append(_instance(repr(w), gaps[worse], tol,
+                                   lambda: {"worst_entry": worst_entry(sides[worse], target)}))
+    return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances)
 
 
 # ---------------------------------------------------------------------------
@@ -641,30 +616,29 @@ def check_trivial_proposition(dx, dy, instance_syms, tol=EQ_TOL) -> CheckReport:
     split_x, split_y = _cellwise_splitter("x", dx), _cellwise_splitter("y", dy)
     row, column = GridShape(1, 2), GridShape(2, 1)
     instances = []
-    with _Timer() as t:
-        results = []
-        shape = GridShape(2, 2)
-        for sym in instance_syms:
-            # dx gives a 1 x 2 row whose cells dy splits, dy a 2 x 1 column for dx
-            lhs = FormalSum(shape, [t for c, s1, s2 in dx[sym]
-                                    for t in _scaled(split_y(GridWord(row, (s1, s2))), c)])
-            rhs = FormalSum(shape, [t for c, s1, s2 in dy[sym]
-                                    for t in _scaled(split_x(GridWord(column, (s1, s2))), c)])
-            res = sum_difference(lhs, rhs)
-            results.append((sym, res <= tol, res))
-        premise_all = all(h for _, h, _ in results)
-        for sym, holds, res in results:
-            details = {"premise_holds": holds}
-            passed = True
-            if premise_all:
-                same = sum_difference(_pair_sum(dx[sym]), _pair_sum(dy[sym]))
-                cocomm = sum_difference(_pair_sum(dx[sym]), _pair_sum(dx[sym], swapped=True))
-                details["dx_eq_dy_residual"] = same
-                details["cocommutative_residual"] = cocomm
-                passed = same <= tol and cocomm <= tol
-                res = max(res, same, cocomm)
-            instances.append(CheckInstance(str(sym), passed, res, details))
-    return CheckReport("trivial_proposition", [(2, 2)], instances, t.elapsed)
+    results = []
+    shape = GridShape(2, 2)
+    for sym in instance_syms:
+        # dx gives a 1 x 2 row whose cells dy splits, dy a 2 x 1 column for dx
+        lhs = FormalSum(shape, [t for c, s1, s2 in dx[sym]
+                                for t in _scaled(split_y(GridWord(row, (s1, s2))), c)])
+        rhs = FormalSum(shape, [t for c, s1, s2 in dy[sym]
+                                for t in _scaled(split_x(GridWord(column, (s1, s2))), c)])
+        res = sum_difference(lhs, rhs)
+        results.append((sym, res <= tol, res))
+    premise_all = all(h for _, h, _ in results)
+    for sym, holds, res in results:
+        details = {"premise_holds": holds}
+        passed = True
+        if premise_all:
+            same = sum_difference(_pair_sum(dx[sym]), _pair_sum(dy[sym]))
+            cocomm = sum_difference(_pair_sum(dx[sym]), _pair_sum(dx[sym], swapped=True))
+            details["dx_eq_dy_residual"] = same
+            details["cocommutative_residual"] = cocomm
+            passed = same <= tol and cocomm <= tol
+            res = max(res, same, cocomm)
+        instances.append(CheckInstance(str(sym), passed, res, details))
+    return CheckReport("trivial_proposition", [(2, 2)], instances)
 
 
 # ---------------------------------------------------------------------------
@@ -697,28 +671,27 @@ def cube_xyz_compat(tol=EQ_TOL) -> CheckReport:
     ex.splitters["z"] = family.splitter("z")
     orders = list(permutations(AXES))
     instances = []
-    with _Timer() as t:
-        for k in CUBE_SIZES:
-            shape = GridShape(k, k, k)
-            for sym in (v, a, b):
+    for k in CUBE_SIZES:
+        shape = GridShape(k, k, k)
+        for sym in (v, a, b):
+            if sym == v:
+                want = FormalSum(shape, [
+                    (GridWord(shape, tuple(v if s == p else (a if key(*s) < key(*p) else b)
+                                           for s in shape.coords)), 1.0)
+                    for p in shape.coords])
+            else:
+                want = FormalSum.unit(GridWord(shape, (sym,) * shape.sites))
+            label = str(sym) if k == 2 else f"{sym}:{shape}"
+
+            def compared():
+                got = [_grown(ex, FormalSum.unit(GridWord(GridShape(1, 1, 1), (sym,))),
+                              "".join(axis * (k - 1) for axis in order)) for order in orders]
+                gaps = [sum_difference(g, want) for g in got]
+                worst = max(range(len(got)), key=gaps.__getitem__)
+                inst = _compared(label, got[worst], want, tol, gaps[worst])
                 if sym == v:
-                    want = FormalSum(shape, [
-                        (GridWord(shape, tuple(v if s == p else (a if key(*s) < key(*p) else b)
-                                               for s in shape.coords)), 1.0)
-                        for p in shape.coords])
-                else:
-                    want = FormalSum.unit(GridWord(shape, (sym,) * shape.sites))
-                label = str(sym) if k == 2 else f"{sym}:{shape}"
+                    inst.details["terms"] = len(got[worst])
+                return inst
 
-                def compared():
-                    got = [_grown(ex, FormalSum.unit(GridWord(GridShape(1, 1, 1), (sym,))),
-                                  "".join(axis * (k - 1) for axis in order)) for order in orders]
-                    gaps = [sum_difference(g, want) for g in got]
-                    worst = max(range(len(got)), key=gaps.__getitem__)
-                    inst = _compared(label, got[worst], want, tol, gaps[worst])
-                    if sym == v:
-                        inst.details["terms"] = len(got[worst])
-                    return inst
-
-                instances.append(_checked(label, compared))
-    return CheckReport("cube_xyz_compat", [(k, k, k) for k in CUBE_SIZES], instances, t.elapsed)
+            instances.append(_checked(label, compared))
+    return CheckReport("cube_xyz_compat", [(k, k, k) for k in CUBE_SIZES], instances)

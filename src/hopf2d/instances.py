@@ -37,7 +37,6 @@ from .coalgebra import (
 from .grids import Alphabet, FormalSum, GridShape, GridWord, join
 from .linops import Representation
 
-TWO_PI = 2.0 * math.pi
 THETA_STEP = math.pi / 8.0
 
 
@@ -335,7 +334,7 @@ def make_group_like(names, table=None, unit=None) -> CoalgebraExample:
                 inverse[u] = w
         if set(inverse) != set(alphabet.symbols):
             raise ConfigurationError("group table has no inverse for some symbol")
-        mult = MultiplicationRule(unit_sym, product)
+        mult = MultiplicationRule(product)
         antipode = _sitewise_antipode({s: (1.0, inverse[s]) for s in alphabet})
 
     return CoalgebraExample(
@@ -623,7 +622,7 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
             return FormalSum.zero(GridShape(1, 1))
         return FormalSum.unit(GridWord(GridShape(1, 1), uw[:1]), uw[1])
 
-    mult = MultiplicationRule(one, product)
+    mult = MultiplicationRule(product)
     ginv = idx[(n - 1, 0)]
 
     # S(g^i x^j) = S(x)^j S(g)^i with S(g) = g^(n-1), S(x) = -x g^(n-1); no

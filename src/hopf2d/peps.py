@@ -28,8 +28,8 @@ import json
 
 import numpy as np
 
-from .coalgebra import CheckInstance, CheckReport, ConfigurationError, _Timer, _json_numbers
-from .grids import Alphabet, FormalSum, GridShape, GridWord, worst_word
+from .coalgebra import CheckReport, ConfigurationError, _compared, _json_numbers, boxplus
+from .grids import CANON_TOL, Alphabet, FormalSum, GridShape, GridWord
 from .linops import ResourceLimitError
 
 # budget on the states of one sweep step (partial rows or partial patches),
@@ -202,15 +202,14 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
         yield n, table
 
 
-def contract(inst: PepsInstance, n: int, m: int, tol=1e-14, rotate: int = 0,
-             symbols=()) -> FormalSum:
+def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) -> FormalSum:
     """Exact contraction of an n x m patch into a symbolic formal sum.
 
     Each distinct perimeter pattern is traced once; a (word, pattern)
-    contribution of magnitude at most ``tol`` is dropped, and a non-finite
-    one raises :class:`grids.NonFiniteError`.  ``rotate`` shifts the
-    starting point of the closed perimeter cycle; by cyclicity of the trace
-    the result must not depend on it.  The words take their symbols from
+    contribution of magnitude at most :data:`grids.CANON_TOL` is dropped,
+    and a non-finite one raises :class:`grids.NonFiniteError`.  ``rotate``
+    shifts the starting point of the closed perimeter cycle; by cyclicity of
+    the trace the result must not depend on it.  The words take their symbols from
     ``symbols`` where it holds the same ones, as in :func:`_sweep`.
     """
     tensor, boundary = inst.tensor, inst.boundary
@@ -232,7 +231,7 @@ def contract(inst: PepsInstance, n: int, m: int, tol=1e-14, rotate: int = 0,
                     acc = acc @ mat
                 tr = traces[pattern] = complex(np.trace(acc))
             w = tr * amp
-            if not abs(w) <= tol:  # NaN and inf go on to FormalSum, which rejects them
+            if not abs(w) <= CANON_TOL:  # NaN and inf go on to FormalSum, which rejects them
                 terms.append((word, w))
     return FormalSum(GridShape(n, m), terms)
 
@@ -463,15 +462,6 @@ def _infeasibility_certificate(tables, targets):
 
 def check_peps_vs_boxplus(inst, example, v, sizes, tol=1e-10) -> CheckReport:
     """Contracted patches match the grown coalgebra elements, term by term."""
-    from .coalgebra import boxplus
-    from .grids import sum_difference
-
-    instances = []
-    with _Timer() as t:
-        for (n, m) in sizes:
-            got = contract(inst, n, m, symbols=example.alphabet)
-            want = boxplus(example, v, n, m)
-            res = sum_difference(got, want)
-            details = {} if res <= tol else {"worst_word": worst_word(got, want)}
-            instances.append(CheckInstance(f"{n}x{m}", res <= tol, res, details))
-    return CheckReport("peps_vs_boxplus", list(sizes), instances, t.elapsed)
+    instances = [_compared(f"{n}x{m}", contract(inst, n, m, symbols=example.alphabet),
+                           boxplus(example, v, n, m), tol) for n, m in sizes]
+    return CheckReport("peps_vs_boxplus", list(sizes), instances)

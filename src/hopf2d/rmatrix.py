@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .coalgebra import CheckInstance, CheckReport, _Timer, boxplus
+from .coalgebra import CheckInstance, CheckReport, boxplus
 from .grids import FormalSum, GridWord
 from .instances import make_uq_symbolic
 from .linops import Representation, evaluate, kron_terms
@@ -216,42 +216,41 @@ def check_semiclassical(h_values, tol_slope=(0.9, 1.1)) -> CheckReport:
     if len(hs) < 4 or hs[0] <= 1e-4 or hs[-1] >= 0.3:
         raise ValueError("need at least 4 h values inside (1e-4, 0.3)")
     instances = []
-    with _Timer() as t:
-        r1, r2 = classical_r(), classical_r2d()
-        errs1, errs2 = [], []
-        for h in hs:
-            q = math.exp(h)
-            e1 = np.abs((r_matrix(q) - np.eye(4)) / (2 * h) - r1).max()
-            e2 = np.abs((r2d(q) - np.eye(16)) / (2 * h) - r2).max()
-            errs1.append(float(e1))
-            errs2.append(float(e2))
-        for label, errs in (("pair", errs1), ("plaquette", errs2)):
-            slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-            ok = tol_slope[0] <= slope <= tol_slope[1]
-            instances.append(
-                CheckInstance(
-                    f"{label} slope", ok, abs(slope - 1.0),
-                    {"slope": slope, "h": hs, "error": errs},
-                )
+    r1, r2 = classical_r(), classical_r2d()
+    errs1, errs2 = [], []
+    for h in hs:
+        q = math.exp(h)
+        e1 = np.abs((r_matrix(q) - np.eye(4)) / (2 * h) - r1).max()
+        e2 = np.abs((r2d(q) - np.eye(16)) / (2 * h) - r2).max()
+        errs1.append(float(e1))
+        errs2.append(float(e2))
+    for label, errs in (("pair", errs1), ("plaquette", errs2)):
+        slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+        ok = tol_slope[0] <= slope <= tol_slope[1]
+        instances.append(
+            CheckInstance(
+                f"{label} slope", ok, abs(slope - 1.0),
+                {"slope": slope, "h": hs, "error": errs},
             )
-        # Richardson pair at the two smallest h: the error roughly halves
-        ratio1 = errs1[1] / errs1[0] if errs1[0] else float("inf")
-        hr = hs[1] / hs[0]
-        instances.append(
-            CheckInstance("pair refinement", abs(ratio1 - hr) < 0.35 * hr, abs(ratio1 - hr),
-                          {"ratio": ratio1, "h_ratio": hr})
         )
-        # traceless extrapolation hits the plaquette classical r
-        h0 = hs[0]
-        x_h = (r2d(math.exp(2 * h0)) - np.eye(16)) / (4 * h0)
-        x_h2 = (r2d(math.exp(h0)) - np.eye(16)) / (2 * h0)
-        extrap = 2 * x_h2 - x_h
-        err_extrap = float(np.abs(_traceless(extrap) - _traceless(r2)).max())
-        instances.append(
-            CheckInstance("plaquette extrapolation", err_extrap < errs2[0], err_extrap,
-                          {"plain_error": errs2[0]})
-        )
-    return CheckReport("semiclassical", [(1, 2), (2, 2)], instances, t.elapsed)
+    # Richardson pair at the two smallest h: the error roughly halves
+    ratio1 = errs1[1] / errs1[0] if errs1[0] else float("inf")
+    hr = hs[1] / hs[0]
+    instances.append(
+        CheckInstance("pair refinement", abs(ratio1 - hr) < 0.35 * hr, abs(ratio1 - hr),
+                      {"ratio": ratio1, "h_ratio": hr})
+    )
+    # traceless extrapolation hits the plaquette classical r
+    h0 = hs[0]
+    x_h = (r2d(math.exp(2 * h0)) - np.eye(16)) / (4 * h0)
+    x_h2 = (r2d(math.exp(h0)) - np.eye(16)) / (2 * h0)
+    extrap = 2 * x_h2 - x_h
+    err_extrap = float(np.abs(_traceless(extrap) - _traceless(r2)).max())
+    instances.append(
+        CheckInstance("plaquette extrapolation", err_extrap < errs2[0], err_extrap,
+                      {"plain_error": errs2[0]})
+    )
+    return CheckReport("semiclassical", [(1, 2), (2, 2)], instances)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +31,7 @@ from .coalgebra import (
     CheckInstance,
     CheckReport,
     SingularParameterError,
-    _Timer,
+    _instance,
     boxplus,
     check_antipode,
     check_counit,
@@ -175,14 +174,6 @@ def _table(ops, q, n, m) -> OperatorTable:
     return ops
 
 
-def _operator_instance(label, res, tol, worst) -> CheckInstance:
-    """The instance of max-entry residual ``res``; a failing one names the
-    entry that ``worst()`` returns."""
-    if res <= tol:
-        return CheckInstance(label, True, res)
-    return CheckInstance(label, False, res, {"worst_entry": worst()})
-
-
 def _diagonal(op: SparseOperator) -> np.ndarray:
     """The diagonal of an operator that stores no nonzero entry off it."""
     mat = op.mat
@@ -212,25 +203,23 @@ def check_ks_relation(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     """
     q = _require_regular(q)
     instances = []
-    with _Timer() as t:
-        table = _table(ops, q, n, m)
-        # S+ and S- first: built after the K strings, they raised the peak
-        # memory of a 4x4 `verify --checks ks` run from 115 to 135 MiB
-        s = {g: table[g].mat for g in ("S+", "S-")}
-        k = {g: _diagonal(table[g]) for g in ("K+", "K-")}
-        for alpha, kname in ((1, "K+"), (-1, "K-")):
-            for sign, sname in ((1, "S+"), (-1, "S-")):
-                mat = s[sname]
-                lhs = np.repeat(k[kname], np.diff(mat.indptr))  # K at each entry's row
-                lhs *= mat.data
-                rhs = k[kname][mat.indices]  # K at each entry's column
-                np.multiply(mat.data, rhs, out=rhs)
-                rhs *= q ** (sign * alpha)
-                lhs, rhs = _on_coordinates(mat, lhs), _on_coordinates(mat, rhs)
-                res = operator_difference(lhs, rhs)
-                instances.append(_operator_instance(f"{kname}*{sname}", res, tol,
-                                                    lambda: worst_entry(lhs, rhs)))
-    return CheckReport("ks_relation", [(n, m)], instances, t.elapsed)
+    table = _table(ops, q, n, m)
+    # S+ and S- first: built after the K strings, they raised the peak
+    # memory of a 4x4 `verify --checks ks` run from 115 to 135 MiB
+    s = {g: table[g].mat for g in ("S+", "S-")}
+    k = {g: _diagonal(table[g]) for g in ("K+", "K-")}
+    for alpha, kname in ((1, "K+"), (-1, "K-")):
+        for sign, sname in ((1, "S+"), (-1, "S-")):
+            mat = s[sname]
+            lhs = np.repeat(k[kname], np.diff(mat.indptr))  # K at each entry's row
+            lhs *= mat.data
+            rhs = k[kname][mat.indices]  # K at each entry's column
+            np.multiply(mat.data, rhs, out=rhs)
+            rhs *= q ** (sign * alpha)
+            lhs, rhs = _on_coordinates(mat, lhs), _on_coordinates(mat, rhs)
+            instances.append(_instance(f"{kname}*{sname}", operator_difference(lhs, rhs), tol,
+                                       lambda: {"worst_entry": worst_entry(lhs, rhs)}))
+    return CheckReport("ks_relation", [(n, m)], instances)
 
 
 def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
@@ -245,28 +234,27 @@ def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     The operators come from ``ops`` as in :func:`check_ks_relation`.
     """
     q = _require_nonsingular(q)
-    with _Timer() as t:
-        ops = _table(ops, q, n, m)
-        sp_, sm_, kp2, km2 = (ops[g].mat for g in ("S+", "S-", "K+2", "K-2"))
-        scale = 1.0 / (q - 1.0 / q)
+    ops = _table(ops, q, n, m)
+    sp_, sm_, kp2, km2 = (ops[g].mat for g in ("S+", "S-", "K+2", "K-2"))
+    scale = 1.0 / (q - 1.0 / q)
 
-        def block(start):
-            b = slice(start, start + BLOCK_ROWS)
-            return (SparseOperator._wrap(sp_[b] @ sm_ - sm_[b] @ sp_),
-                    SparseOperator._wrap((kp2[b] - km2[b]) * scale))
+    def block(start):
+        b = slice(start, start + BLOCK_ROWS)
+        return (SparseOperator._wrap(sp_[b] @ sm_ - sm_[b] @ sp_),
+                SparseOperator._wrap((kp2[b] - km2[b]) * scale))
 
-        starts = range(0, sp_.shape[0], BLOCK_ROWS)
-        maxima = np.array([operator_difference(*block(start)) for start in starts])
-        # the first NaN if there is one, else the first maximum
-        start = starts[int(np.argmax(maxima))]
+    starts = range(0, sp_.shape[0], BLOCK_ROWS)
+    maxima = np.array([operator_difference(*block(start)) for start in starts])
+    # the first NaN if there is one, else the first maximum
+    start = starts[int(np.argmax(maxima))]
 
-        def worst():
-            entry = worst_entry(*block(start))
-            entry["row"] += start
-            return entry
+    def where():
+        entry = worst_entry(*block(start))
+        entry["row"] += start
+        return {"worst_entry": entry}
 
-        inst = _operator_instance(f"commutator q={q:g}", float(maxima.max()), tol, worst)
-    return CheckReport("commutator", [(n, m)], [inst], t.elapsed)
+    inst = _instance(f"commutator q={q:g}", float(maxima.max()), tol, where)
+    return CheckReport("commutator", [(n, m)], [inst])
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +326,22 @@ def singlet_pair_checks(q, tol=1e-10) -> CheckReport:
     and K- x K+ maps it onto the inverse-q singlet with the stated ratio."""
     q = _require_nonsingular(q)
     instances = []
-    with _Timer() as t:
-        s = q_singlet(q)
-        for gen in ("S+", "S-"):
-            res = float(np.abs(delta_op(gen, q) @ s).max())
-            instances.append(CheckInstance(f"annihilation {gen}", res <= tol, res))
-        for gen in ("K+", "K-"):
-            res = float(np.abs(delta_op(gen, q) @ s - s).max())
-            instances.append(CheckInstance(f"invariance {gen}", res <= tol, res))
-        rep = spin_half_rep(q)
-        km = rep.matrices[rep.alphabet["K-"]]
-        kp = rep.matrices[rep.alphabet["K+"]]
-        lhs = np.kron(km, kp) @ s
-        ratio = cmath.sqrt(1.0 / q - q) / cmath.sqrt(q - 1.0 / q)
-        rhs = ratio * q_singlet(1.0 / q)
-        res = float(np.abs(lhs - rhs).max())
-        instances.append(CheckInstance("K-xK+ inversion", res <= tol, res))
-    return CheckReport("singlet_pair", [(1, 2)], instances, t.elapsed)
+    s = q_singlet(q)
+    for gen in ("S+", "S-"):
+        res = float(np.abs(delta_op(gen, q) @ s).max())
+        instances.append(CheckInstance(f"annihilation {gen}", res <= tol, res))
+    for gen in ("K+", "K-"):
+        res = float(np.abs(delta_op(gen, q) @ s - s).max())
+        instances.append(CheckInstance(f"invariance {gen}", res <= tol, res))
+    rep = spin_half_rep(q)
+    km = rep.matrices[rep.alphabet["K-"]]
+    kp = rep.matrices[rep.alphabet["K+"]]
+    lhs = np.kron(km, kp) @ s
+    ratio = cmath.sqrt(1.0 / q - q) / cmath.sqrt(q - 1.0 / q)
+    rhs = ratio * q_singlet(1.0 / q)
+    res = float(np.abs(lhs - rhs).max())
+    instances.append(CheckInstance("K-xK+ inversion", res <= tol, res))
+    return CheckReport("singlet_pair", [(1, 2)], instances)
 
 
 _PATTERNS = {"01+10": {(0, 1): 1.0, (1, 0): 1.0}, "11": {(1, 1): 1.0}, "00": {(0, 0): 1.0}}
@@ -461,11 +448,10 @@ def check_counit_antipode_families(q, n, tol=1e-10) -> CheckReport:
     ex = make_uq_symbolic(q)
     rep = spin_half_rep(q, ex.alphabet)
     instances = []
-    with _Timer() as t:
-        for direction in ("x", "y"):
-            rc = check_counit(ex, direction, n, tol=tol)
-            ra = check_antipode(ex, rep, direction, n, tol=tol)
-            for inst in rc.instances + ra.instances:
-                inst.input = f"{direction}:{inst.input}"
-                instances.append(inst)
-    return CheckReport("counit_antipode_families", [(n, 1), (1, n)], instances, t.elapsed)
+    for direction in ("x", "y"):
+        rc = check_counit(ex, direction, n, tol=tol)
+        ra = check_antipode(ex, rep, direction, n, tol=tol)
+        for inst in rc.instances + ra.instances:
+            inst.input = f"{direction}:{inst.input}"
+            instances.append(inst)
+    return CheckReport("counit_antipode_families", [(n, 1), (1, n)], instances)

@@ -14,6 +14,7 @@ from hopf2d.coalgebra import (
     CheckInstance,
     CheckReport,
     DomainError,
+    MultiplicationRule,
     Splitter,
     apply_splitter,
     boxplus,
@@ -32,6 +33,7 @@ from hopf2d.coalgebra import (
 from hopf2d.grids import (FormalSum, GridShape, GridWord, ShapeError, sum_difference, sums_equal,
                           word1)
 from hopf2d.instances import (
+    cyclic_regular_rep,
     make_cross,
     make_cyclic_group,
     make_lie_like,
@@ -786,6 +788,25 @@ def test_only_symbols_outside_the_first_splitter_fall_back_to_the_1d_rule():
     assert json.loads(report.to_json())["max_residual"] == "inf"
     honest = make_taft(TaftConfig(2, -1.0))
     assert check_homomorphism(honest, taft_regular_rep(honest), 2, 3, [("x", "g")]).ok
+
+
+def test_a_failing_homomorphism_pair_names_its_worst_entry():
+    ex = make_cyclic_group(3)
+    one, g, g2 = ex.alphabet.symbols
+    honest = ex.multiplication
+    # plant a wrong product: g * g gives the unit instead of g2
+    ex.multiplication = MultiplicationRule(
+        lambda u, w: FormalSum.unit(word1(one)) if (u, w) == (g, g) else honest(u, w))
+    report = check_homomorphism(ex, cyclic_regular_rep(ex), 2, 2, [("g", "g"), ("g", "g2")])
+    bad, good = report.instances
+    assert (bad.input, bad.passed, good.input, good.passed) == ("g*g", False, "g*g2", True)
+    entry = bad.details["worst_entry"]
+    assert set(bad.details) == {"worst_entry"}
+    assert set(entry) == {"row", "col", "lhs", "rhs"}
+    assert abs(complex(*entry["lhs"]) - complex(*entry["rhs"])) == bad.residual == 1.0
+    assert good.details == {} and good.residual == 0.0
+    written = json.loads(report.to_json())["instances"]
+    assert ["details" in i for i in written] == [True, False]
 
 
 def _placement(shape, mark, before, after, key):

@@ -104,6 +104,30 @@ def test_non_finite_numbers_raise():
         peps.contract(peps.PepsInstance(inst.tensor, inf_corner), 1, 2)
 
 
+@pytest.mark.parametrize("mark,kept", [(grids.CANON_TOL, []),
+                                        (1.0000001e-14, [["a", "v"], ["v", "b"]])])
+def test_contract_drops_contributions_up_to_the_canonical_tolerance(mark, kept):
+    # at 1 x 2 each word's coefficient is the mark component itself
+    inst = peps.d4_instance()
+    comps = dict(inst.tensor.components)
+    comps[("v", 0, 3, 3, 0)] = mark
+    scaled = peps.PepsInstance(peps.PepsTensor(inst.tensor.alphabet, 4, comps), inst.boundary)
+    got = peps.contract(scaled, 1, 2)
+    assert [[c.name for c in word.cells] for word, _ in got.items()] == kept
+    assert all(c == mark for _, c in got.items())
+
+
+@pytest.mark.parametrize("amp,want", [(grids.CANON_TOL, 0.0), (1.0000001e-14, 2.0000002e-14)])
+def test_contract_drops_each_contribution_before_the_sum(amp, want):
+    # two bond assignments give the 1 x 1 word 'a'; each contribution is
+    # filtered on its own, so two at CANON_TOL leave nothing, not 2e-14
+    one = np.eye(1, dtype=complex)
+    tensor = peps.PepsTensor(Alphabet(["a"]), 2, {("a", 0, 0, 0, 0): amp, ("a", 1, 1, 1, 1): amp})
+    boundary = peps.BoundarySpec(1, {s: {0: one, 1: one} for s in "ltrb"}, one)
+    got = peps.contract(peps.PepsInstance(tensor, boundary), 1, 1)
+    assert [c for _, c in got.items()] == ([want] if want else [])
+
+
 def test_corner_linearity():
     # scaling the corner scales the whole sum: the trace is linear in it
     inst = peps.d4_instance()
