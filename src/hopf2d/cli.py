@@ -226,16 +226,18 @@ def _uq_instances(name, q, n, m, ops, tol):
 def _rmatrix_check(name, qs, tol):
     if name == "semiclassical":
         return rmx.check_semiclassical([0.2, 0.1, 0.05, 0.025, 0.0125])
+    # the two-site checks keep their own 1e-12 ceiling; --tol can only tighten it
+    tol_1d = min(tol, 1e-12)
     instances = []
     for q in qs:
         if name == "rmatrix1d":
             r = rmx.r_matrix(q)
             res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
-            instances.append(CheckInstance(f"q={q:g} closed==factorized", res <= 1e-12, res))
+            instances.append(CheckInstance(f"q={q:g} closed==factorized", res <= tol_1d, res))
             for gen in ("S+", "S-"):
                 res = float(np.abs(r @ rmx.delta_2site(gen, q)
                                    - rmx.delta_perm(gen, q) @ r).max())
-                instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= 1e-12, res))
+                instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol_1d, res))
         else:
             chain = rmx.conjugation_chain(q, "S+")
             big = chain["conjugator"]  # r2d(q), from the chain's own steps
@@ -245,7 +247,7 @@ def _rmatrix_check(name, qs, tol):
                 instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
             res = max(chain["residuals"])
             instances.append(CheckInstance(f"q={q:g} chain", res <= tol, res))
-    return CheckReport(name, [(2, 2)], instances)
+    return CheckReport(name, [(1, 2)] if name == "rmatrix1d" else [(2, 2)], instances)
 
 
 def _prefixed(report, prefix):
@@ -350,7 +352,10 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="residual bound of every check; rmatrix1d uses min(TOL, 1e-12), "
+                            "semiclassical uses its own slope window [0.9, 1.1] and "
+                            "refinement bounds instead")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--q", action="append", default=None)
         p.add_argument("--config", default=None)

@@ -14,8 +14,10 @@ m are built once, column by column, with their internal horizontal bonds
 summed out; the patch then grows one row at a time, and each internal
 vertical bond is summed out as soon as the next row covers it.  What
 survives of an n x m patch is its grid word and its perimeter bond pattern,
-so each (word, pattern) pair is enumerated once, however many bond
-assignments lead to it.
+the four bond tuples (lefts, tops, rights, bottoms) the sweep state already
+carries, so each (word, pattern) pair is enumerated once, however many bond
+assignments lead to it.  Only the consumers turn a pattern into walk order:
+:func:`contract` for its trace cycle, :func:`solve_boundary` for its rows.
 
 Output is a formal sum over symbol grids, directly comparable with the
 grown coalgebra elements.
@@ -29,14 +31,14 @@ import json
 import numpy as np
 
 from .coalgebra import CheckReport, ConfigurationError, _compared, _json_numbers, boxplus
-from .grids import CANON_TOL, Alphabet, FormalSum, GridShape, GridWord
+from .grids import Alphabet, FormalSum, GridShape, GridWord
 from .linops import ResourceLimitError
 
 # budget on the states of one sweep step (partial rows or partial patches),
-# from measured work on a 2-core x86 machine: a dense bond-dimension-3
-# tensor over three symbols passes it in 0.5 s (1x3 rows) to 1.3 s (2x2
-# patches) at about 90 MiB peak resident memory, while the shipped d4
-# tensor needs 570 states at 6 x 6 and 15350 at 10 x 10 (0.5 s)
+# from measured work on a 2-core x86 machine (min of 3): a dense
+# bond-dimension-3 tensor over three symbols passes it in 0.34 s (1x3 rows)
+# to 0.82 s (2x2 patches) at about 90 MiB peak resident memory, while the
+# shipped d4 tensor needs 570 states at 6 x 6 and 15350 at 10 x 10 (0.23 s)
 SWEEP_STATE_CAP = 100_000
 
 
@@ -126,113 +128,126 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
     """Bond-consistent m-wide patches, swept one row at a time.
 
     Yields ``(n, {grid word: {perimeter pattern: amplitude}})`` for each n in
-    ``heights``, in increasing order; the pattern lists ``(side, bond)`` in
-    perimeter walk order and the amplitude sums the component products over
-    every internal bond assignment.  A side whose table is set prunes the
-    bonds it annihilates; an unset side (None) prunes nothing.  Words and
-    patterns appear in the order of their first assignment in row-major site
-    order, components in the tensor's insertion order.  A step holding more
-    than :data:`SWEEP_STATE_CAP` states raises :class:`ResourceLimitError`.
-    A word's cells are the tensor's symbols, each replaced by the same
-    symbol (same id and name) from ``symbols`` where that holds one, so the
-    words compare with words made from ``symbols`` by identity.
+    ``heights``, in increasing order.  A pattern is the bond tuples
+    ``(lefts, tops, rights, bottoms)``: lefts and rights bottom to top, tops
+    and bottoms left to right; the amplitude sums the component products
+    over every internal bond assignment.  A side whose table is set prunes
+    the bonds it annihilates; an unset side (None) prunes nothing.  Words
+    and patterns appear in the order of their first assignment in row-major
+    site order, components in the tensor's insertion order.  A step holding
+    more than :data:`SWEEP_STATE_CAP` states raises
+    :class:`ResourceLimitError`.  The states hold symbol names, a patch's
+    rows as ids of distinct row words; a yielded word's cells are the
+    tensor's symbols, each replaced by the same symbol (same id and name)
+    from ``symbols`` where that holds one, so the words compare with words
+    made from ``symbols`` by identity.
     """
     shapes = {n: GridShape(n, m) for n in heights}
     live = {s: {bond for bond, mat in table.items() if mat is not None}
             for s, table in boundary.sides.items() if table is not None}
     ok_l, ok_t, ok_r, ok_b = (live.get(s) for s in "ltrb")
 
-    def budget(states, what):
-        if len(states) >= SWEEP_STATE_CAP:
-            raise ResourceLimitError(
-                f"{what} of width {m} pass the {SWEEP_STATE_CAP}-state sweep budget")
+    def over_budget(what):
+        return ResourceLimitError(
+            f"{what} of width {m} pass the {SWEEP_STATE_CAP}-state sweep budget")
 
     # one row, left to right: (cells, left bond, bottoms, tops, right frontier)
     by_left, rows = {}, {}
     for (phys, l, t, r, b), val in tensor.components.items():
-        by_left.setdefault(l, []).append((phys, t, r, b, val))
+        by_left.setdefault(l, []).append(((phys,), (t,), r, (b,), val))
         if ok_l is None or l in ok_l:
             rows[((phys,), l, (b,), (t,), r)] = val
     for _ in range(1, m):
         nxt = {}
         for (cells, l, bs, ts, f), amp in rows.items():
-            for phys, t, r, b, val in by_left.get(f, ()):
-                key = (cells + (phys,), l, bs + (b,), ts + (t,), r)
-                if key in nxt:
-                    nxt[key] += amp * val
-                else:
-                    budget(nxt, "partial rows")
+            for cell, t, r, b, val in by_left.get(f, ()):
+                key = (cells + cell, l, bs + b, ts + t, r)
+                old = nxt.get(key)
+                if old is None:
+                    if len(nxt) >= SWEEP_STATE_CAP:
+                        raise over_budget("partial rows")
                     nxt[key] = amp * val
+                else:
+                    nxt[key] = old + amp * val
         rows = nxt
 
-    # the patch, bottom to top: (cells, lefts, rights, bottoms, top frontier)
-    by_bottom, states = {}, {}
+    # the patch, bottom to top: (row ids, lefts, rights, bottoms, top frontier);
+    # an id stands for one row's cells, so a step extends the key by one id
+    by_bottom, states, row_ids = {}, {}, {}
     for (cells, l, bs, ts, r), amp in rows.items():
         if ok_r is None or r in ok_r:
-            by_bottom.setdefault(bs, []).append((cells, l, ts, r, amp))
+            rid = row_ids.setdefault(cells, (len(row_ids),))
+            by_bottom.setdefault(bs, []).append((rid, (l,), ts, (r,), amp))
             if ok_b is None or ok_b.issuperset(bs):
-                states[(cells, (l,), (r,), bs, ts)] = amp
+                states[(rid, (l,), (r,), bs, ts)] = amp
+    row_cells = list(row_ids)
     shared = {(s.id, s.name): s for s in symbols}
     syms = {s.name: shared.get((s.id, s.name), s) for s in tensor.alphabet}
     for n in range(1, max(shapes, default=0) + 1):
         if n > 1:
             nxt = {}
-            for (cells, ls, rs, bs, f), amp in states.items():
-                for rcells, l, ts, r, ramp in by_bottom.get(f, ()):
-                    key = (cells + rcells, ls + (l,), rs + (r,), bs, ts)
-                    if key in nxt:
-                        nxt[key] += amp * ramp
-                    else:
-                        budget(nxt, f"{n}-row patches")
+            for (ids, ls, rs, bs, f), amp in states.items():
+                for rid, l, ts, r, ramp in by_bottom.get(f, ()):
+                    key = (ids + rid, ls + l, rs + r, bs, ts)
+                    old = nxt.get(key)
+                    if old is None:
+                        if len(nxt) >= SWEEP_STATE_CAP:
+                            raise over_budget(f"{n}-row patches")
                         nxt[key] = amp * ramp
+                    else:
+                        nxt[key] = old + amp * ramp
             states = nxt
         if n not in shapes:
             continue
         table, words = {}, {}
-        for (cells, ls, rs, bs, ts), amp in states.items():
+        for (ids, ls, rs, bs, ts), amp in states.items():
             if ok_t is not None and not ok_t.issuperset(ts):
                 continue
-            word = words.get(cells)
-            if word is None:
-                word = words[cells] = GridWord(shapes[n], tuple(syms[c] for c in cells))
-                table[word] = {}
-            pattern = (*zip("l" * n, ls), *zip("t" * m, ts),
-                       *zip("r" * n, rs[::-1]), *zip("b" * m, bs[::-1]))
-            table[word][pattern] = amp
+            patterns = words.get(ids)
+            if patterns is None:
+                cells = tuple(syms[c] for i in ids for c in row_cells[i])
+                patterns = words[ids] = table[GridWord(shapes[n], cells)] = {}
+            patterns[(ls, ts, rs, bs)] = amp
         yield n, table
 
 
 def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) -> FormalSum:
     """Exact contraction of an n x m patch into a symbolic formal sum.
 
-    Each distinct perimeter pattern is traced once; a (word, pattern)
-    contribution of magnitude at most :data:`grids.CANON_TOL` is dropped,
-    and a non-finite one raises :class:`grids.NonFiniteError`.  ``rotate``
-    shifts the starting point of the closed perimeter cycle; by cyclicity of
-    the trace the result must not depend on it.  The words take their symbols from
-    ``symbols`` where it holds the same ones, as in :func:`_sweep`.
+    Each distinct perimeter pattern is traced once, its cycle walking the
+    lefts, the tops, the rights reversed, the bottoms reversed, then the
+    corner.  The contributions of a word are summed before
+    :class:`grids.FormalSum` drops a total of magnitude at most
+    :data:`grids.CANON_TOL` or raises :class:`grids.NonFiniteError` on a
+    non-finite one.  ``rotate`` shifts the starting point of the closed
+    perimeter cycle; by cyclicity of the trace the result must not depend
+    on it.  The words take their symbols from ``symbols`` where it holds
+    the same ones, as in :func:`_sweep`.
     """
     tensor, boundary = inst.tensor, inst.boundary
     if not boundary.complete():
         raise ConfigurationError("boundary specification is incomplete")
     ((_, table),) = _sweep(tensor, boundary, m, [n], symbols)
+    # every side is set, so the sweep left no annihilated bond
+    left, top, right, bottom = ({bond: np.asarray(mat, dtype=complex)
+                                 for bond, mat in boundary.sides[s].items() if mat is not None}
+                                for s in "ltrb")
     corner = np.asarray(boundary.corner, dtype=complex)
+    k = rotate % (2 * (n + m) + 1)
     traces, terms = {}, []
     for word, patterns in table.items():
         for pattern, amp in patterns.items():
             tr = traces.get(pattern)
             if tr is None:
-                # every side is set, so the sweep left no annihilated bond
-                cycle = [np.asarray(boundary.sides[s][bond], dtype=complex)
-                         for s, bond in pattern] + [corner]
-                k = rotate % len(cycle)
+                ls, ts, rs, bs = pattern
+                cycle = ([left[b] for b in ls] + [top[b] for b in ts]
+                         + [right[b] for b in rs[::-1]] + [bottom[b] for b in bs[::-1]]
+                         + [corner])
                 acc = np.eye(boundary.chi, dtype=complex)
                 for mat in cycle[k:] + cycle[:k]:
                     acc = acc @ mat
                 tr = traces[pattern] = complex(np.trace(acc))
-            w = tr * amp
-            if not abs(w) <= CANON_TOL:  # NaN and inf go on to FormalSum, which rejects them
-                terms.append((word, w))
+            terms.append((word, tr * amp))
     return FormalSum(GridShape(n, m), terms)
 
 
@@ -380,9 +395,7 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySol
         sizes = sorted(targets)
     tensor, boundary = inst.tensor, inst.boundary
     nb = tensor.bond_dim
-    # unknowns: beta[bond] for left edges, delta[bond] for right edges
-    cols = {("l", b): b for b in range(nb)}
-    cols.update({("r", b): nb + b for b in range(nb)})
+    # unknowns: beta[bond] for left edges, then delta[bond] for right edges
     heights = {}
     for n, m in sizes:
         heights.setdefault(m, set()).add(n)
@@ -397,14 +410,15 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySol
         target = targets[size]
         words = set(table) | set(w for w in target)
         for word in sorted(words, key=lambda w: w._key()):
-            row = np.zeros(2 * nb, dtype=complex)
-            for pattern, amp in table.get(word, {}).items():
-                for side, bond in pattern:
-                    if side in ("l", "r"):
-                        row[cols[(side, bond)]] += amp
+            row = [0j] * (2 * nb)
+            for (ls, _, rs, _), amp in table.get(word, {}).items():
+                for bond in ls:
+                    row[bond] += amp
+                for bond in rs[::-1]:
+                    row[nb + bond] += amp
             rows.append(row)
             rhs.append(target.coeff(word))
-    a = np.array(rows)
+    a = np.array(rows, dtype=complex)
     b = np.array(rhs)
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.abs(a @ sol - b).max()) if len(b) else 0.0
@@ -413,12 +427,12 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySol
         eye = np.eye(2, dtype=complex)
         sig_plus = np.array([[0, 1], [0, 0]], dtype=complex)
         sides = dict(boundary.sides)
-        sides["l"] = {bnd: eye + sol[cols[("l", bnd)]] * sig_plus for bnd in range(nb)}
-        sides["r"] = {bnd: eye + sol[cols[("r", bnd)]] * sig_plus for bnd in range(nb)}
+        sides["l"] = {bnd: eye + sol[bnd] * sig_plus for bnd in range(nb)}
+        sides["r"] = {bnd: eye + sol[nb + bnd] * sig_plus for bnd in range(nb)}
         completed = BoundarySpec(2, sides, np.array([[0, 0], [1, 0]], dtype=complex))
         params = {
-            "beta": [complex(sol[cols[("l", bnd)]]) for bnd in range(nb)],
-            "delta": [complex(sol[cols[("r", bnd)]]) for bnd in range(nb)],
+            "beta": [complex(c) for c in sol[:nb]],
+            "delta": [complex(c) for c in sol[nb:]],
         }
         return BoundarySolveResult(
             True, completed, list(sizes), residual,

@@ -81,6 +81,17 @@ def test_verify_rmatrix_and_semiclassical(tmp_path):
     assert code == 0
 
 
+def test_rmatrix1d_honours_tol(tmp_path):
+    # residuals of about 2.2e-16 pass the default bound but not a tighter --tol
+    out = tmp_path / "r"
+    argv = ["verify", "--example", "uq", "--checks", "rmatrix1d", "--q", "1.37"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--tol", "1e-300", "--out", str(out)]) == 1
+    report = json.loads((out / "rmatrix1d.json").read_text())
+    assert report["sizes"] == [[1, 2]]
+    assert not any(inst["pass"] for inst in report["instances"])
+
+
 def test_build_op_writes_matrix_and_manifest(tmp_path):
     out = tmp_path / "ops"
     code = main(["build-op", "--gen", "S+", "--q", "1.3", "--size", "2x3",

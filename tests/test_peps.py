@@ -117,10 +117,12 @@ def test_contract_drops_contributions_up_to_the_canonical_tolerance(mark, kept):
     assert all(c == mark for _, c in got.items())
 
 
-@pytest.mark.parametrize("amp,want", [(grids.CANON_TOL, 0.0), (1.0000001e-14, 2.0000002e-14)])
-def test_contract_drops_each_contribution_before_the_sum(amp, want):
-    # two bond assignments give the 1 x 1 word 'a'; each contribution is
-    # filtered on its own, so two at CANON_TOL leave nothing, not 2e-14
+@pytest.mark.parametrize("amp,want", [(grids.CANON_TOL / 2, 0.0),
+                                      (grids.CANON_TOL, 2 * grids.CANON_TOL),
+                                      (1.0000001e-14, 2.0000002e-14)])
+def test_contract_filters_each_word_total(amp, want):
+    # two bond assignments give the 1 x 1 word 'a'; only their sum meets
+    # the canonical filter, so two at CANON_TOL give 2e-14, not nothing
     one = np.eye(1, dtype=complex)
     tensor = peps.PepsTensor(Alphabet(["a"]), 2, {("a", 0, 0, 0, 0): amp, ("a", 1, 1, 1, 1): amp})
     boundary = peps.BoundarySpec(1, {s: {0: one, 1: one} for s in "ltrb"}, one)
@@ -280,6 +282,30 @@ def test_d2_solver_certifies_infeasibility_with_plaquette():
     assert obj["feasible"] is False
 
 
+def test_d2_solve_pins_every_size_to_5x5():
+    # the exact bits of the solve past the pinned peps-d2 report's 3 x 3:
+    # every size to 5 x 5 is infeasible, the strips alone are solvable
+    sizes = [(n, m) for n in range(1, 6) for m in range(1, 6)]
+    targets = {s: boxplus(PIVOT, "v", *s) for s in sizes}
+    result = peps.solve_boundary(peps.d2_instance(), targets, sizes)
+    assert (result.feasible, result.solution_space_dim) == (False, None)
+    assert float.hex(result.residual) == "0x1.f4a97034aedd9p-1"
+    cert = result.certificate
+    assert (cert["size"], cert["grid_1"], cert["grid_2"], cert["shared_patterns"]) == (
+        [2, 2], "a v/a a", "v b/a a", 1)
+    assert cert["multiplicity_ratio"] == [2.0, 0.0]
+    assert cert["target_1"] == cert["target_2"] == [1.0, 0.0]
+    strips = [(1, k) for k in range(1, 6)] + [(k, 1) for k in range(2, 6)]
+    result = peps.solve_boundary(peps.d2_instance(), {s: targets[s] for s in strips}, strips)
+    assert (result.feasible, result.solution_space_dim) == (True, 1)
+    assert float.hex(result.residual) == "0x1.c000000000000p-49"
+    hexed = {k: [[float.hex(x) for x in c] for c in v] for k, v in result.parameters.items()}
+    assert hexed == {
+        "beta": [["0x1.ffffffffffffdp-2", "0x0.0p+0"], ["-0x1.0000000000002p-1", "0x0.0p+0"]],
+        "delta": [["-0x1.0000000000002p-1", "0x0.0p+0"], ["0x1.0000000000002p-1", "0x0.0p+0"]],
+    }
+
+
 def test_solve_result_json_spells_non_finite_numbers():
     res = peps.BoundarySolveResult(False, None, [(1, 1)], float("nan"), None, None,
                                    {"beta": [[float("inf"), 0.0]]})
@@ -368,6 +394,13 @@ def _small_instances(draw):
             peps.BoundarySpec(chi, sides, mat()), draw(st.integers(0, 20)))
 
 
+def _walk(pattern):
+    """A sweep pattern as the oracle's perimeter walk of (side, bond) pairs."""
+    ls, ts, rs, bs = pattern
+    return (*(("l", b) for b in ls), *(("t", b) for b in ts),
+            *(("r", b) for b in rs[::-1]), *(("b", b) for b in bs[::-1]))
+
+
 def _close(a, b):
     return abs(a - b) <= 1e-12 * (1.0 + abs(b))
 
@@ -382,8 +415,9 @@ def test_sweep_and_contract_match_brute_force(n, m, case):
         want = _oracle_table(tensor, open_spec, h, m)
         assert list(table) == list(want)
         for word, patterns in want.items():
-            assert list(table[word]) == list(patterns)
-            assert all(_close(table[word][p], a) for p, a in patterns.items())
+            walked = {_walk(p): a for p, a in table[word].items()}
+            assert list(walked) == list(patterns)
+            assert all(_close(walked[p], a) for p, a in patterns.items())
     # the contraction of the complete boundary, perimeter start rotated
     table = _oracle_table(tensor, full_spec, n, m)
     got = peps.contract(peps.PepsInstance(tensor, full_spec), n, m, rotate=rotate)

@@ -4,8 +4,10 @@ Each command runs in-process through ``cli.main`` and every file it writes
 is pinned by its sha256.  The pins were taken from the parent of the change
 that added this test, except the four quasi1d-lie x reports
 (``quasi_1d_assoc_x_2/3``, ``counit_x_2/3``), which were re-pinned when the
-quasi1d-lie x sampler stopped repeating the unit column; the CHANGES.md
-entry of that change records both digests.  The ``build-op-rmatrix2d`` pin
+quasi1d-lie x sampler stopped repeating the unit column, and the
+``uq-rmatrix`` ``rmatrix1d.json`` pin, re-taken when that report began to
+name its two-site size ``[[1, 2]]``; the CHANGES.md entries of those
+changes record both digests.  The ``build-op-rmatrix2d`` pin
 was taken before ``embed_pair`` and ``r2d`` moved onto ``kron_terms`` and
 the chain steps, and held after.
 """
@@ -188,7 +190,7 @@ DIGESTS = {
         "singlets.json": "03eb22e51c0a778ce048fcac130c89dfb61fb312573481f2100e5b7fd8b020e4",
     },
     "uq-rmatrix": {
-        "rmatrix1d.json": "dec6989951b29d325a3e39e3bd6031d4e0567453046c236919b99da1a6523935",
+        "rmatrix1d.json": "afe0f2ed0a95d45436526f34a11e3fac161f1a41d41a08feed688297e564196e",
         "rmatrix2d.json": "97c6e750a2a430f448163eb518fdfb3e83984fad4ef350c9c5ef27bf6f98dea2",
         "semiclassical.json": "416e8529e5e01179583c720913802cc1a619f1f25f70f0e2c8d2888293aa5652",
     },
