@@ -23,13 +23,13 @@ for gen in ("S+", "S-"):
     print(f"pair intertwining for {gen}: residual {res:.1e}")
 
 print("\n== the conjugation chain ==")
+# each word prints top row first, rows split by '/': the sites 1 2 / 3 4
 chain = rm.conjugation_chain(q, "S+")
-for k, (grids, (pair, mode)) in enumerate(zip(chain["steps"][1:], rm.CHAIN_STEPS)):
+print("the plaquette element:", chain["steps"][0])
+for k, (words, (pair, mode)) in enumerate(zip(chain["steps"][1:], rm.CHAIN_STEPS)):
     arrow = f"R{pair[0]}{pair[1]}" + ("(.)R^-1" if mode == "conj" else "^-1(.)R")
     print(f"step {k + 1} {arrow}: residual {chain['residuals'][k]:.1e}")
-    if k in (0, 5):
-        for term in grids:
-            print("    ", {s: term[s] for s in (1, 2, 3, 4)})
+    print("    ", words)
 
 print("\n== the plaquette intertwining ==")
 big = rm.r2d(q)

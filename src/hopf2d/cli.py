@@ -183,7 +183,8 @@ def _uq_checks(names, qs, sizes, tol):
     The loop runs over q, then size, then check, and every check of one
     (q, size) step takes its operators from one :class:`uqsu2.OperatorTable`,
     dropped when the step ends; ``kernel`` and ``singlets`` run at the
-    (q, 2x2) step.  Each report lists its instances q first, then size.
+    (q, 2x2) step, and their reports name 2x2 (and 1x2 for the singlets'
+    pair checks).  Each report lists its instances q first, then size.
     Neither check forms an array larger than S+ or S-, so a step's peak
     memory is that of building its operators; both checks build S+ and S-
     first, which keeps it lowest, and the order of the checks in a step does
@@ -203,7 +204,9 @@ def _uq_checks(names, qs, sizes, tol):
             ops = uqsu2.OperatorTable(q, n, m)
             for name in checks:
                 instances[name] += _uq_instances(name, q, n, m, ops, tol)
-    return {name: CheckReport(name, list(sizes), instances[name]) for name in instances}
+    ran = {"kernel": [(2, 2)], "singlets": [(1, 2), (2, 2)]}
+    return {name: CheckReport(name, ran.get(name, list(sizes)), instances[name])
+            for name in instances}
 
 
 def _uq_instances(name, q, n, m, ops, tol):

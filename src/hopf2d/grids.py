@@ -221,32 +221,6 @@ def _coords(extents):
 
 
 @lru_cache(maxsize=256)
-def _slicing(extents, a, k):
-    """``(part, grown, take, put)`` of slice ``k`` along extent ``a``: the
-    slice's shape, the shape with the slice doubled, and the index maps
-    that take the slice's cells out of a word's (``take(cells)``) and put a
-    doubled block's cells in their place (``put(cells + block)``)."""
-    e = extents[a]
-    if not 1 <= k <= e:
-        raise SiteRangeError(f"slice {k} outside 1..{e}")
-    outer, inner = math.prod(extents[:a]), math.prod(extents[a + 1:])
-    size = outer * e * inner
-    take, put = [], []
-    for o in range(outer):
-        start = o * e * inner
-        take += range(start + (k - 1) * inner, start + k * inner)
-        put += range(start, start + (k - 1) * inner)
-        put += range(size + 2 * o * inner, size + 2 * (o + 1) * inner)
-        put += range(start + k * inner, start + e * inner)
-    # itemgetter gathers cells several times faster than tuple(map(...)); with
-    # the latter, growth ran 25% slower
-    get = itemgetter(*take)  # a tuple from two or more indices, the bare cell from one
-    shape = lambda x: GridShape(*extents[:a], x, *extents[a + 1:])
-    return (shape(1), shape(e + 1), get if len(take) > 1 else lambda cells: (get(cells),),
-            itemgetter(*put))
-
-
-@lru_cache(maxsize=256)
 def _slicings(extents, a, k):
     """The :class:`Slicing` of slice ``k`` along extent ``a``; it holds
     shapes and index maps, no words, so one serves every caller."""
@@ -311,7 +285,7 @@ class GridWord:
             m = extents[-1]
             if m == 1:
                 return (self,)
-            part = _slicing(extents, len(extents) - 1, 1)[0]
+            part = _slicings(extents, len(extents) - 1, 1).part
             slices = self._slices = tuple(_from_cells(part, self._cells[j::m]) for j in range(m))
         return slices
 
@@ -429,7 +403,27 @@ class Slicing:
     __slots__ = ("part", "grown", "_extents", "_k", "_take", "_put")
 
     def __init__(self, extents, a, k):
-        self.part, self.grown, self._take, self._put = _slicing(extents, a, k)
+        # take(cells) gathers the slice's cells out of a word's, put(cells + block)
+        # puts a doubled block's cells in their place
+        e = extents[a]
+        if not 1 <= k <= e:
+            raise SiteRangeError(f"slice {k} outside 1..{e}")
+        outer, inner = math.prod(extents[:a]), math.prod(extents[a + 1:])
+        size = outer * e * inner
+        take, put = [], []
+        for o in range(outer):
+            start = o * e * inner
+            take += range(start + (k - 1) * inner, start + k * inner)
+            put += range(start, start + (k - 1) * inner)
+            put += range(size + 2 * o * inner, size + 2 * (o + 1) * inner)
+            put += range(start + k * inner, start + e * inner)
+        # itemgetter gathers cells several times faster than tuple(map(...)); with
+        # the latter, growth ran 25% slower
+        get = itemgetter(*take)  # a tuple from two or more indices, the bare cell from one
+        self._take = get if len(take) > 1 else lambda cells: (get(cells),)
+        self._put = itemgetter(*put)
+        self.part = GridShape(*extents[:a], 1, *extents[a + 1:])
+        self.grown = GridShape(*extents[:a], e + 1, *extents[a + 1:])
         self._extents = extents
         self._k = k if a == len(extents) - 1 else None  # along x
 

@@ -34,7 +34,7 @@ from .coalgebra import (
     Splitter,
     _cellwise_splitter,
 )
-from .grids import Alphabet, FormalSum, GridShape, GridWord, join
+from .grids import CANON_TOL, Alphabet, FormalSum, GridShape, GridWord, join
 from .linops import Representation
 
 THETA_STEP = math.pi / 8.0
@@ -667,7 +667,7 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
                 if p1 is not None and p2 is not None:
                     k = (p1[0], p2[0])
                     out[k] = out.get(k, 0j) + c * d * p1[1] * p2[1]
-        return {k: v for k, v in out.items() if abs(v) > 1e-14}
+        return {k: v for k, v in out.items() if abs(v) > CANON_TOL}
 
     # full 1-site coproduct on the basis: delta(g^i x^j) = (g x g)^i (1 x x + x x g)^j
     delta_g = {(g, g): 1.0 + 0j}

@@ -14,7 +14,9 @@ A pair operator is placed on its two sites by :func:`linops.kron_terms`,
 one Kronecker term per nonzero entry.  The plaquette R-matrix :func:`r2d`
 is the conjugator of the six steps of :data:`CHAIN_STEPS`, which carry the
 plaquette element to its permuted version, and the plaquette classical r
-is the matching signed sum of pair r's.
+is the matching signed sum of pair r's.  :func:`conjugation_chain` runs
+those steps on the engine's own 2 x 2 ``boxplus`` sum and checks that it
+ends at :func:`boxplus_perm_sum`.
 """
 
 from __future__ import annotations
@@ -26,16 +28,12 @@ import math
 import numpy as np
 
 from .coalgebra import CheckInstance, CheckReport, boxplus
-from .grids import FormalSum, GridWord
+from .grids import FormalSum, GridWord, sums_equal, worst_word
 from .instances import make_uq_symbolic
 from .linops import Representation, evaluate, kron_terms
-from .uqsu2 import DISPLAY_TO_LINEAR_2X2, spin_half_rep, _require_regular
+from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, spin_half_rep, _require_regular
 from .uqsu2 import delta_op as delta_2site  # the two-site coproduct, dense 4 x 4
 
-SZ = np.diag([0.5, -0.5]).astype(complex)
-SP = np.array([[0, 1], [0, 0]], dtype=complex)
-SM = np.array([[0, 0], [1, 0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
 
 
@@ -89,10 +87,6 @@ def embed_pair(mat4: np.ndarray, i: int, j: int, n_sites: int = 4) -> np.ndarray
     return kron_terms(terms, 2, n_sites).toarray()
 
 
-def r_pair(q, i, j) -> np.ndarray:
-    return embed_pair(r_matrix(q), i, j)
-
-
 # the six-step conjugation chain: R_pair (.) R_pair^-1 for conj, the inverse for inv
 CHAIN_STEPS = (((1, 2), "conj"), ((3, 4), "conj"), ((2, 3), "inv"),
                ((1, 3), "inv"), ((2, 4), "inv"), ((1, 4), "inv"))
@@ -101,7 +95,7 @@ CHAIN_STEPS = (((1, 2), "conj"), ((3, 4), "conj"), ((2, 3), "inv"),
 def _step(q, pair, mode):
     """A chain step's conjugator and its inverse: (R_pair, R_pair^-1) for
     'conj', (R_pair^-1, R_pair) for 'inv'."""
-    rp = r_pair(q, *pair)
+    rp = embed_pair(r_matrix(q), *pair)
     rinv = np.linalg.inv(rp)
     return (rp, rinv) if mode == "conj" else (rinv, rp)
 
@@ -254,77 +248,74 @@ def check_semiclassical(h_values, tol_slope=(0.9, 1.1)) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# the conjugation chain on symbolic grids
+# the conjugation chain on the engine's plaquette element
 
 
-def _chain_transform(grids, pair, mode):
-    """Apply one conjugation step to symbolic plaquette grids.
+def _chain_transform(s: FormalSum, pair, mode, flip) -> FormalSum:
+    """Apply one conjugation step to a 2 x 2 sum of S+/S- and K letters.
 
-    ``grids`` is a list of dicts {display site: letter} with letters among
-    'S', 'K+', 'K-'.  Terms carrying the standard pair pattern swap to the
-    permuted one under ``mode='conj'`` and back under ``mode='inv'``;
-    same-letter K pairs are spectators.  Anything else is rejected: the
-    chain only ever meets these two cases.
+    The display pair (i, j) names two cells of every word through
+    :data:`DISPLAY_TO_LINEAR_2X2`.  A word carrying the standard pair
+    pattern (S K+ or K- S, S being S+ or S-) swaps to the permuted one
+    (S K- or K+ S) under ``mode='conj'`` and back under ``mode='inv'``: the
+    K letter beside the S trades places with the other through ``flip``.
+    Same-letter pairs are spectators.  Anything else is rejected: the chain
+    only ever meets these two cases.
     """
-    i, j = pair
-    out = []
-    for term in grids:
-        a, b = term[i], term[j]
-        new = dict(term)
-        if "S" in (a, b):
-            if mode == "conj":
-                mapping = {("S", "K+"): ("S", "K-"), ("K-", "S"): ("K+", "S")}
-            else:
-                mapping = {("S", "K-"): ("S", "K+"), ("K+", "S"): ("K-", "S")}
-            if (a, b) not in mapping:
+    li, lj = (DISPLAY_TO_LINEAR_2X2[k] - 1 for k in pair)
+    # the K letter the step swaps: right of an S, and left of one
+    right, left = ("K+", "K-") if mode == "conj" else ("K-", "K+")
+
+    def step(word):
+        cells = list(word.cells)
+        a, b = cells[li].name, cells[lj].name
+        s_first = a in ("S+", "S-")
+        if s_first or b in ("S+", "S-"):
+            k, want = (lj, right) if s_first else (li, left)
+            if cells[k].name != want:
                 raise ValueError(f"pair {pair} pattern {(a, b)} breaks the chain")
-            new[i], new[j] = mapping[(a, b)]
+            cells[k] = flip[cells[k]]
         elif a != b:
             raise ValueError(f"mixed spectator K pair on {pair}")
-        out.append(new)
-    return out
+        return GridWord(word.shape, tuple(cells))
 
-
-def plaquette_grids() -> list:
-    """The four symbolic plaquette grids, in display labels."""
-    return [
-        {1: "S", 2: "K+", 3: "K-", 4: "K-"},
-        {1: "K-", 2: "S", 3: "K-", 4: "K-"},
-        {1: "K+", 2: "K+", 3: "S", 4: "K+"},
-        {1: "K+", 2: "K+", 3: "K-", 4: "S"},
-    ]
-
-
-def _grids_operator(grids, q, sgen) -> np.ndarray:
-    rep = spin_half_rep(q)
-    mats = {s.name: rep.matrices[s] for s in rep.alphabet}
-    terms = [(1.0, [mats[sgen if term[k] == "S" else term[k]] for k in (1, 2, 3, 4)])
-             for term in grids]
-    return kron_terms(terms, 2, 4).toarray()
+    return s.map_words(step)
 
 
 def conjugation_chain(q, sgen="S+"):
-    """Run the six conjugation steps, returning symbolic grids, residuals
-    and the chain's conjugator.
+    """Run the six conjugation steps on the plaquette element, returning
+    the sums, residuals and the chain's conjugator.
 
-    Each step's symbolic grid sum is compared numerically against the
-    actual conjugation of the previous operator; the final grids must be
-    the permuted plaquette element.  ``conjugator`` is the product of the
-    steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)`` bit for bit.
+    The chain starts from the engine's ``boxplus`` of ``sgen`` on 2 x 2 and
+    rewrites its words one step of :data:`CHAIN_STEPS` at a time, so
+    ``steps`` holds seven :class:`FormalSum` s.  Each step's sum, evaluated
+    by :func:`evaluate_display_2x2` into ``operators``, is compared
+    numerically against the actual conjugation of the previous operator;
+    the last sum must equal :func:`boxplus_perm_sum`, or ``ValueError``
+    names the word where they differ most.  ``conjugator`` is the product
+    of the steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)``
+    bit for bit.
     """
     q = _require_regular(q)
-    grids = plaquette_grids()
-    ops = [_grids_operator(grids, q, sgen)]
-    steps = [grids]
+    ex = make_uq_symbolic(q)
+    al = ex.alphabet
+    rep = spin_half_rep(q, al)
+    flip = {al["K+"]: al["K-"], al["K-"]: al["K+"]}
+    s = boxplus(ex, sgen, 2, 2)
+    steps, ops = [s], [evaluate_display_2x2(s, rep)]
     residuals, gs = [], []
     for (pair, mode) in CHAIN_STEPS:
-        grids = _chain_transform(grids, pair, mode)
-        steps.append(grids)
+        s = _chain_transform(s, pair, mode, flip)
+        steps.append(s)
         g, ginv = _step(q, pair, mode)
         gs.append(g)
-        conj = g @ ops[-1] @ ginv
-        cur = _grids_operator(grids, q, sgen)
-        residuals.append(float(np.abs(cur - conj).max()))
+        cur = evaluate_display_2x2(s, rep)
+        residuals.append(float(np.abs(cur - g @ ops[-1] @ ginv).max()))
         ops.append(cur)
+    want = boxplus_perm_sum(sgen, q)
+    if not sums_equal(s, want):
+        worst = worst_word(s, want)
+        raise ValueError(f"the chain ends off the permuted element at [{worst['word']}]: "
+                         f"coefficient {worst['got']}, want {worst['want']}")
     return {"steps": steps, "residuals": residuals, "operators": ops,
             "conjugator": reduce(np.matmul, gs[::-1])}

@@ -51,6 +51,14 @@ from .linops import (
 # display plaquette label -> linear site index (bottom row first)
 DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
 
+# the q-independent spin-1/2 matrices, shared read-only by every representation
+ID2 = np.eye(2, dtype=complex)
+SP = np.array([[0, 1], [0, 0]], dtype=complex)
+SM = np.array([[0, 0], [1, 0]], dtype=complex)
+SZ = np.diag([0.5, -0.5]).astype(complex)
+for _mat in (ID2, SP, SM, SZ):
+    _mat.flags.writeable = False
+
 # site cap for lattice operators, from measured work: at 18 sites (dimension
 # 2**18 = 262144) a `verify --checks ks,commutator --sizes 3x6` process takes
 # about 4.4 s and 319 MiB peak resident memory with one q and 11 s and
@@ -92,10 +100,10 @@ def spin_half_rep(q, alphabet=None) -> Representation:
         alphabet = Alphabet(UQ_NAMES)
     rq = cmath.sqrt(q)
     mats = {
-        "1": np.eye(2, dtype=complex),
-        "S+": np.array([[0, 1], [0, 0]], dtype=complex),
-        "S-": np.array([[0, 0], [1, 0]], dtype=complex),
-        "Sz": np.diag([0.5, -0.5]).astype(complex),
+        "1": ID2,
+        "S+": SP,
+        "S-": SM,
+        "Sz": SZ,
         "K+": np.diag([rq, 1 / rq]),
         "K-": np.diag([1 / rq, rq]),
         "K+2": np.diag([q, 1 / q]),

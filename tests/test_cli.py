@@ -62,6 +62,14 @@ def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatc
     assert set(calls.values()) == {1} and len(calls) == 24
 
 
+def test_kernel_and_singlets_name_the_sizes_they_run_at(tmp_path):
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "uq", "--q", "2.0", "--checks", "kernel,singlets",
+                 "--sizes", "3x3", "--out", str(out)]) == 0
+    assert json.loads((out / "kernel.json").read_text())["sizes"] == [[2, 2]]
+    assert json.loads((out / "singlets.json").read_text())["sizes"] == [[1, 2], [2, 2]]
+
+
 def test_verify_singular_q_is_config_error(tmp_path):
     code = main(["verify", "--example", "uq", "--q", "1.0",
                  "--checks", "commutator", "--sizes", "2x2",
@@ -89,6 +97,24 @@ def test_rmatrix1d_honours_tol(tmp_path):
     assert main(argv + ["--tol", "1e-300", "--out", str(out)]) == 1
     report = json.loads((out / "rmatrix1d.json").read_text())
     assert report["sizes"] == [[1, 2]]
+    assert not any(inst["pass"] for inst in report["instances"])
+
+
+def test_rmatrix2d_fails_on_a_wrong_chain_conjugator(tmp_path, monkeypatch):
+    # the pair (2, 3) step conjugates the wrong way round: the chain's words still
+    # reach the permuted element, but its residual and the plaquette R-matrix fail
+    real = cli.rmx._step
+
+    def step(q, pair, mode):
+        g, ginv = real(q, pair, mode)
+        return (ginv, g) if pair == (2, 3) else (g, ginv)
+
+    argv = ["verify", "--example", "uq", "--checks", "rmatrix2d", "--q", "1.5",
+            "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli.rmx, "_step", step)
+    assert main(argv) == 1
+    report = json.loads((tmp_path / "r" / "rmatrix2d.json").read_text())
     assert not any(inst["pass"] for inst in report["instances"])
 
 

@@ -6,8 +6,14 @@ that added this test, except the four quasi1d-lie x reports
 (``quasi_1d_assoc_x_2/3``, ``counit_x_2/3``), which were re-pinned when the
 quasi1d-lie x sampler stopped repeating the unit column, and the
 ``uq-rmatrix`` ``rmatrix1d.json`` pin, re-taken when that report began to
-name its two-site size ``[[1, 2]]``; the CHANGES.md entries of those
-changes record both digests.  The ``build-op-rmatrix2d`` pin
+name its two-site size ``[[1, 2]]``, and the ``uq-relations`` ``kernel.json``
+(8009f3c0aadc107f7b54fac6ddc937c39f797d0b2eef38d5480d8fca72874e7c ->
+5ec80cb3d36aead3a9b195e0b8257f6ac9f2f46a10e106fba00a935c74e50aea) and
+``singlets.json`` (03eb22e51c0a778ce048fcac130c89dfb61fb312573481f2100e5b7fd8b020e4
+-> b847d8b54ce851298e161234d2fa9df881a621435c70da2af10cbae70e6edc13) pins,
+re-taken when those reports began to name the sizes they run at, ``[[2, 2]]``
+and ``[[1, 2], [2, 2]]``, instead of ``--sizes``; the CHANGES.md entries of
+those changes record both digests.  The ``build-op-rmatrix2d`` pin
 was taken before ``embed_pair`` and ``r2d`` moved onto ``kron_terms`` and
 the chain steps, and held after.
 """
@@ -185,9 +191,9 @@ DIGESTS = {
     },
     "uq-relations": {
         "commutator.json": "add0515702d20fcbca74505999225c26bef67ba9457f51f81ef398c16238af84",
-        "kernel.json": "8009f3c0aadc107f7b54fac6ddc937c39f797d0b2eef38d5480d8fca72874e7c",
+        "kernel.json": "5ec80cb3d36aead3a9b195e0b8257f6ac9f2f46a10e106fba00a935c74e50aea",
         "ks.json": "614badcea4bb02403631cf3d11bedc1c0f3a51749ec72157d973a8aa60cfe001",
-        "singlets.json": "03eb22e51c0a778ce048fcac130c89dfb61fb312573481f2100e5b7fd8b020e4",
+        "singlets.json": "b847d8b54ce851298e161234d2fa9df881a621435c70da2af10cbae70e6edc13",
     },
     "uq-rmatrix": {
         "rmatrix1d.json": "afe0f2ed0a95d45436526f34a11e3fac161f1a41d41a08feed688297e564196e",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,12 @@ FROZEN_CHAIN = [
 
 
 def _normalize(grids):
+    """A printed step, or a chain sum read as one: each word's four display
+    sites with S+/S- read as "S", every coefficient exactly 1."""
+    if isinstance(grids, rm.FormalSum):
+        assert all(c == 1 for _, c in grids.items()), grids
+        grids = [{k: "S" if w.cells[i - 1].name in ("S+", "S-") else w.cells[i - 1].name
+                  for k, i in rm.DISPLAY_TO_LINEAR_2X2.items()} for w in grids]
     return sorted(tuple(sorted(t.items())) for t in grids)
 
 
@@ -163,6 +170,24 @@ def test_conjugation_chain_ends_at_permuted_element():
             chain = rm.conjugation_chain(q, gen)
             assert max(chain["residuals"]) < 1e-10
             assert np.abs(chain["operators"][-1] - rm.boxplus_perm(gen, q)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", range(len(rm.CHAIN_STEPS)))
+def test_a_flipped_step_mode_breaks_the_chain_at_its_pair(monkeypatch, k):
+    steps = list(rm.CHAIN_STEPS)
+    pair, mode = steps[k]
+    steps[k] = (pair, "inv" if mode == "conj" else "conj")
+    monkeypatch.setattr(rm, "CHAIN_STEPS", tuple(steps))
+    with pytest.raises(ValueError, match=re.escape(f"pair {pair} pattern")):
+        rm.conjugation_chain(1.5, "S+")
+
+
+@pytest.mark.parametrize("sgen", ["S+", "S-"])
+def test_a_chain_short_of_its_last_step_ends_off_the_permuted_element(monkeypatch, sgen):
+    monkeypatch.setattr(rm, "CHAIN_STEPS", rm.CHAIN_STEPS[:-1])
+    word = re.escape(f"[K+ K-/K+ {sgen}]")  # display layout: its S on site 4 of pair (1, 4)
+    with pytest.raises(ValueError, match=f"ends off the permuted element at {word}"):
+        rm.conjugation_chain(1.5, sgen)
 
 
 @pytest.mark.parametrize("q", [1.37, 0.8 + 0.6j])
