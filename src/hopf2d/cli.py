@@ -244,9 +244,10 @@ def _rmatrix_check(name, qs, tol):
         else:
             chain = rmx.conjugation_chain(q, "S+")
             big = chain["conjugator"]  # r2d(q), from the chain's own steps
-            for gen in ("S+", "S-"):
-                res = float(np.abs(big @ rmx.boxplus_2x2_display(gen, q)
-                                   - rmx.boxplus_perm(gen, q) @ big).max())
+            ops = chain["operators"]  # S+'s plaquette element first, its permuted one last
+            for gen, (display, perm) in (("S+", (ops[0], ops[-1])),
+                                         ("S-", rmx.plaquette_pair("S-", q))):
+                res = float(np.abs(big @ display - perm @ big).max())
                 instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
             res = max(chain["residuals"])
             instances.append(CheckInstance(f"q={q:g} chain", res <= tol, res))

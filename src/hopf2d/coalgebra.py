@@ -32,6 +32,7 @@ from .grids import (
     ShapeError,
     Symbol,
     join,
+    slicing,
     sum_difference,
     word1,
     worst_word,
@@ -216,8 +217,7 @@ def grow(ex: CoalgebraExample, s: FormalSum, axis: str, block: int | None = None
     into one dict as they are made.  Along x, a term held as x-slices hands
     the splitter the column it holds and is spliced in O(m) for m columns.
     """
-    extent = s.shape.extents[s.shape.axis(axis)]
-    return s.shape.slicing(axis, extent if block is None else block).grow(s, ex.splitter(axis))
+    return slicing(s.shape.extents, axis, block).grow(s, ex.splitter(axis))
 
 
 def boxplus(ex: CoalgebraExample, v: Symbol, n: int, m: int, order: str = "y_first") -> FormalSum:

@@ -15,21 +15,30 @@ carries over to a stack of such grids (a cube): axis ``x`` runs along the
 last extent, ``y`` along the one before it and ``z`` along the one before
 that.
 
-How words are stored.  A word is the tuple of its x-slices: its columns on
-a plane, its ``(l, n, 1)`` slices in a cube, each itself a word one slice
-wide whose hash is taken over its symbol ids.  A wider word's hash is taken
-over its extents and its x-slices' hashes, so it is the same however the
-word was made.  A word holds its x-slices, its cells or both, and builds
-the missing view on first use and keeps it.  Growth along x (a
-:class:`Slicing` step) hands the splitter the column the word holds and
-replaces that one x-slice by the block's two: O(m) for m x-slices, and the
-grown word shares every other x-slice object with the word it came from.
-Its cells are built only if they are read.  A step along y or z changes
-every x-slice, so it gathers the cells through index maps, O(n·m), as a
-step along x does on a word that holds only cells; the grown word holds
-cells, and its x-slices are built when they are asked for.  Growing a
-column first and then its rows (``y_first``) therefore costs O(m) per term
-in every x-step.
+How words are stored.  A word holds its x-slices (its columns on a plane,
+its ``(l, n, 1)`` slices in a cube, each itself a word one slice wide), its
+cells, or both, and builds the missing view on first use and keeps it.
+Every word hashes to one polynomial over its sites, the two-dimensional
+rolling hash of Karp and Rabin (IBM J. Res. Dev. 31, 249 (1987))::
+
+    H = sum over sites of (symbol id + 1)·b_x^(x-1)·b_y^(y-1)[·b_z^(z-1)]  mod 2^61 - 1
+
+From cells it is a dot product with the shape's site weights, from
+x-slices ``sum_j b_x^(j-1)·H(slice j)``, so it is the same however the
+word was made.  Growth along x (a :class:`Slicing` step) hands the splitter
+the column the word holds and replaces that one x-slice by the block's two:
+O(m) for m x-slices, and the grown word shares every other x-slice object
+with the word it came from.  Its cells are built only if they are read.  A
+step along y or z changes every x-slice, so it gathers the cells through
+index maps, O(n·m), as a step along x does on a word that holds only cells;
+the grown word holds cells, and its x-slices are built when they are asked
+for.  A step on the last slice k along axis a, which is every boundary
+step, takes each grown word's hash from the word's, the cut slice's and
+the block's in O(1): ``H + b_a^(k-1)·(H(block) - H(cut))``; only growth
+of an inner slice hashes the grown word afresh.  Growing a column first
+and then its rows (``y_first``) therefore costs O(m) per term in every
+x-step, while growing the rows first pays O(n·m) per term in every y-step
+to gather the cells.
 
 Formal sums are accumulated one way throughout the package: the terms of a
 result, repeats allowed, are merged into one dict in the order they come,
@@ -47,11 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, filterfalse, product, repeat
 import json
 import math
 import operator
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul, sub
 import sys
 
 # Coefficients below this magnitude are dropped during canonicalization.
@@ -61,6 +70,11 @@ EQ_TOL = 1e-10
 _FLOAT_MAX = sys.float_info.max
 # axis names, fastest first: x is a shape's last extent, y the one before it
 AXES = ("x", "y", "z")
+# Word hashes are taken mod 2^61 - 1, Python's own int-hash modulus, with one
+# base per axis in AXES order (see the module docstring).  The bases are
+# arbitrary: equality never trusts a hash, so no sum depends on them.
+_P = sys.hash_info.modulus
+_BASES = (0x1A2B3C4D5E6F7081, 0x0F1E2D3C4B5A6978, 0x13579BDF02468ACE)
 
 
 class ShapeError(ValueError):
@@ -191,10 +205,7 @@ class GridShape:
 
     def axis(self, name) -> int:
         """The position in ``extents`` of the axis called ``name``."""
-        a = len(self.extents) - 1 - AXES.index(name) if name in AXES else -1
-        if a < 0:
-            raise ShapeError(f"a {self} grid has no axis {name!r}")
-        return a
+        return _axis(self.extents, name)
 
     def resized(self, axis, extent) -> "GridShape":
         """This shape with ``extent`` along ``axis``."""
@@ -208,23 +219,42 @@ class GridShape:
 
     def slicing(self, axis, k) -> "Slicing":
         """Slice ``k`` (1-based) along ``axis`` of this shape's words."""
-        return _slicings(self.extents, self.axis(axis), k)
+        return slicing(self.extents, axis, k)
 
 
-# Growth and the checks ask for the same few slicings and coordinate lists
-# over and over: a benchmark workload uses at most 48 distinct slicings and 16
-# coordinate lists (the cube check 63 and 40), each thousands of times a
-# second.  Building them on every call made the axiom suite 30% slower.
+def _axis(extents, name) -> int:
+    a = len(extents) - 1 - AXES.index(name) if name in AXES else -1
+    if a < 0:
+        raise ShapeError(f"a {'x'.join(map(str, extents))} grid has no axis {name!r}")
+    return a
+
+
+# Growth and the checks ask for the same few slicings, coordinate lists and
+# weight lists over and over: a benchmark workload asks for at most 67
+# distinct slicings and 19 coordinate and weight lists (the cube check 103
+# and 40), each thousands of times a second.  Building them on every call
+# made the axiom suite 30% slower.
 @lru_cache(maxsize=256)
 def _coords(extents):
     return tuple(p[::-1] for p in product(*(range(1, e + 1) for e in extents)))
 
 
 @lru_cache(maxsize=256)
-def _slicings(extents, a, k):
-    """The :class:`Slicing` of slice ``k`` along extent ``a``; it holds
-    shapes and index maps, no words, so one serves every caller."""
-    return Slicing(extents, a, k)
+def _weights(extents):
+    """Each site's hash weight b_x^(x-1)·b_y^(y-1)[·b_z^(z-1)] mod ``_P`` in
+    linear site order, and their sum mod ``_P``."""
+    weights = tuple(math.prod(pow(b, c - 1, _P) for b, c in zip(_BASES, p)) % _P
+                    for p in _coords(extents))
+    return weights, sum(weights) % _P
+
+
+@lru_cache(maxsize=256)
+def slicing(extents, axis, k=None) -> "Slicing":
+    """The :class:`Slicing` of slice ``k`` (1-based; None for the last one)
+    along ``axis`` of the words of these extents.  It holds shapes, index
+    maps and hash factors, no words, so one serves every caller."""
+    a = _axis(extents, axis)
+    return Slicing(extents, a, extents[a] if k is None else k)
 
 
 _HASH = attrgetter("_hash")
@@ -244,14 +274,16 @@ def site_index(i: int, j: int, shape: GridShape) -> int:
 class GridWord:
     """One lattice configuration: a symbol on every site of a grid.
 
-    A word is the tuple of its x-slices (see the module docstring): its hash
-    is taken over its extents and their hashes, computed once, because every
-    accumulation step probes a dict with it.  It keeps two views, the
-    x-slices and ``cells`` in linear site order (bottom row first); a word
-    made from cells builds its x-slices on first use, and a word made by
-    splicing x-slices builds its cells on first use.  How a word was made
-    never shows: it equals another word of the same shape and cells, and
-    nothing else, and is immutable.
+    A word keeps two views, its x-slices and ``cells`` in linear site order
+    (bottom row first); a word made from cells builds its x-slices on first
+    use, and a word made by splicing x-slices builds its cells on first use.
+    Its hash is the site polynomial of the module docstring, set once when
+    the word is made, because every accumulation step probes a dict with it;
+    a growth step sets it from the word it grew, the cut slice and the block.
+    How a word was made never shows: it equals another word of the same
+    shape and cells, and nothing else, which equality decides by comparing
+    x-slices or cells (a hash only tells unequal words apart), and it is
+    immutable.
     """
 
     # ``shape`` and ``cells`` are read-only properties over slots that only
@@ -285,7 +317,7 @@ class GridWord:
             m = extents[-1]
             if m == 1:
                 return (self,)
-            part = _slicings(extents, len(extents) - 1, 1).part
+            part = slicing(extents, "x", 1).part
             slices = self._slices = tuple(_from_cells(part, self._cells[j::m]) for j in range(m))
         return slices
 
@@ -350,33 +382,28 @@ class GridWord:
                           for start in range(0, len(names), layer))
 
 
-def _from_slices(shape: GridShape, slices) -> GridWord:
-    """The word of ``shape``, two or more x-slices wide, with these x-slices."""
+def _from_slices(shape: GridShape, slices, h=None) -> GridWord:
+    """The word of ``shape``, two or more x-slices wide, with these x-slices
+    and hash ``h``; by default ``sum_j b_x^(j-1)·H(slice j)``, the x-slice
+    hashes weighted as the sites of the bottom row are."""
     word = _new(GridWord)
     word._shape, word._slices, word._cells = shape, slices, None
-    word._hash = hash((*shape.extents, *map(_HASH, slices)))
+    word._hash = (sum(map(mul, _weights(shape.extents)[0], map(_HASH, slices))) % _P
+                  if h is None else h)
     return word
 
 
-def _from_cells(shape: GridShape, cells: tuple) -> GridWord:
-    """The word of ``shape`` with these cells, as many as its sites.
-
-    Its hash is the one its x-slices give it: over the symbol ids if it is
-    one x-slice wide, else over its extents and the hashes of its x-slices.
-    """
+def _from_cells(shape: GridShape, cells: tuple, h=None) -> GridWord:
+    """The word of ``shape`` with these cells, as many as its sites, and
+    hash ``h``; by default the dot product of the symbol ids + 1 with the
+    shape's site weights."""
     word = _new(GridWord)
     word._shape, word._slices, word._cells = shape, None, cells
-    extents = shape.extents
-    m = extents[-1]
-    word._hash = (hash(cells) if m == 1 else
-                  hash((*extents, *map(hash, map(cells.__getitem__, _strides(m))))))
+    if h is None:
+        weights, total = _weights(shape.extents)
+        h = (sum(map(mul, weights, cells)) + total) % _P
+    word._hash = h
     return word
-
-
-@lru_cache(maxsize=None)
-def _strides(m):
-    """The slices picking each of m x-slices out of a cell tuple."""
-    return tuple(slice(j, None, m) for j in range(m))
 
 
 _new = object.__new__
@@ -384,7 +411,7 @@ _new = object.__new__
 
 class Slicing:
     """Slice ``k`` (1-based) along extent ``a`` of the words of one shape,
-    from :meth:`GridShape.slicing`.
+    from :func:`slicing` or :meth:`GridShape.slicing`.
 
     ``part`` is the shape of the slice (extent 1 along the axis) and
     ``grown`` the shape with the slice doubled (extent 2 in its place).
@@ -397,10 +424,12 @@ class Slicing:
     grown word holds x-slices too.  Otherwise, along y and z (where every
     x-slice changes) and on a word that holds only its cells, both gather
     the word's cells through index maps and make the new word from its
-    cells, so each word keeps the view it was made with.
+    cells, so each word keeps the view it was made with.  On the last slice
+    a grown word's hash is the word's plus the block's less the cut slice's,
+    both shifted to the slice by b_a^(k-1) (see the module docstring).
     """
 
-    __slots__ = ("part", "grown", "_extents", "_k", "_take", "_put")
+    __slots__ = ("part", "grown", "_extents", "_k", "_take", "_put", "_shift")
 
     def __init__(self, extents, a, k):
         # take(cells) gathers the slice's cells out of a word's, put(cells + block)
@@ -426,6 +455,9 @@ class Slicing:
         self.grown = GridShape(*extents[:a], e + 1, *extents[a + 1:])
         self._extents = extents
         self._k = k if a == len(extents) - 1 else None  # along x
+        # the hash factor of the slice's position, None on an inner slice, whose
+        # successors move along the axis, so grown words are hashed afresh
+        self._shift = pow(_BASES[len(extents) - 1 - a], k - 1, _P) if k == e else None
 
     def _held(self, word: GridWord):
         """The word's x-slices if this is an x-slicing and it holds them or is one."""
@@ -445,20 +477,30 @@ class Slicing:
         and so not checked again, merged in the order they are made."""
         if s.shape.extents != self._extents:
             raise ShapeError(f"a {s.shape} sum has no slice of {GridShape(*self._extents)}")
-        k, grown, put = self._k, self.grown, self._put
+        k, grown, put, shift = self._k, self.grown, self._put, self._shift
         acc = {}
         get = acc.get
+        h = None
         for word, coeff in s._terms.items():
             slices = self._held(word)
             if slices is not None:
-                head, tail = slices[:k - 1], slices[k:]
-                for b, c in split(slices[k - 1])._terms.items():
-                    w = _from_slices(grown, head + (b._slices or b._x_slices()) + tail)
+                head, cut, tail = slices[:k - 1], slices[k - 1], slices[k:]
+                if shift is not None:
+                    base = word._hash - shift * cut._hash
+                for b, c in split(cut)._terms.items():
+                    if shift is not None:
+                        h = (base + shift * b._hash) % _P
+                    w = _from_slices(grown, head + (b._slices or b._x_slices()) + tail, h)
                     acc[w] = get(w, 0j) + coeff * c
             else:
                 cells = word._cells or word.cells
-                for b, c in split(_from_cells(self.part, self._take(cells)))._terms.items():
-                    w = _from_cells(grown, put(cells + (b._cells or b.cells)))
+                cut = _from_cells(self.part, self._take(cells))
+                if shift is not None:
+                    base = word._hash - shift * cut._hash
+                for b, c in split(cut)._terms.items():
+                    if shift is not None:
+                        h = (base + shift * b._hash) % _P
+                    w = _from_cells(grown, put(cells + (b._cells or b.cells)), h)
                     acc[w] = get(w, 0j) + coeff * c
         return _made(grown, _drop_small(acc))
 
@@ -603,8 +645,9 @@ def sum_difference(a: FormalSum, b: FormalSum) -> float:
     if a.shape != b.shape:
         return float("inf")
     ta, tb = a._terms, b._terms
-    return max(chain((abs(c - tb.get(w, 0j)) for w, c in ta.items()),
-                     (abs(c) for w, c in tb.items() if w not in ta)), default=0.0)
+    return max(chain(map(abs, map(sub, ta.values(), map(tb.get, ta, repeat(0j)))),
+                     map(abs, map(tb.__getitem__, filterfalse(ta.__contains__, tb)))),
+               default=0.0)
 
 
 def worst_word(got: FormalSum, want: FormalSum) -> dict:

@@ -123,30 +123,41 @@ def evaluate_display_2x2(s: FormalSum, rep: Representation) -> np.ndarray:
     return evaluate(s.map_words(to_display), rep).toarray()
 
 
-def boxplus_2x2_display(gen: str, q) -> np.ndarray:
-    """The 2 x 2 lattice generator as a 16 x 16 operator in display layout."""
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    return evaluate_display_2x2(boxplus(ex, gen, 2, 2), rep)
+def _k_swap(al) -> dict:
+    """K+ and K- of alphabet ``al`` trading places."""
+    return {al["K+"]: al["K-"], al["K-"]: al["K+"]}
+
+
+def _permuted(s: FormalSum, swap: dict) -> FormalSum:
+    """``s`` with every letter of ``swap`` swapped in its grids."""
+    return s.map_words(lambda word: GridWord(word.shape, tuple(swap.get(c, c)
+                                                               for c in word.cells)))
 
 
 def boxplus_perm_sum(gen: str, q, n: int = 2, m: int = 2) -> FormalSum:
     """The permuted n x m element: every K letter swapped in the grids."""
     ex = make_uq_symbolic(q)
-    al = ex.alphabet
-    swap = {al["K+"]: al["K-"], al["K-"]: al["K+"]}
+    return _permuted(boxplus(ex, gen, n, m), _k_swap(ex.alphabet))
 
-    def flip(word):
-        return GridWord(word.shape, tuple(swap.get(c, c) for c in word.cells))
 
-    return boxplus(ex, gen, n, m).map_words(flip)
+def plaquette_pair(gen: str, q) -> tuple[np.ndarray, np.ndarray]:
+    """The 2 x 2 lattice generator and its permuted element as 16 x 16
+    operators in display layout, grown and evaluated from one example."""
+    ex = make_uq_symbolic(q)
+    rep = spin_half_rep(q, ex.alphabet)
+    s = boxplus(ex, gen, 2, 2)
+    return (evaluate_display_2x2(s, rep),
+            evaluate_display_2x2(_permuted(s, _k_swap(ex.alphabet)), rep))
+
+
+def boxplus_2x2_display(gen: str, q) -> np.ndarray:
+    """The 2 x 2 lattice generator as a 16 x 16 operator in display layout."""
+    return plaquette_pair(gen, q)[0]
 
 
 def boxplus_perm(gen: str, q) -> np.ndarray:
     """Permuted plaquette operator (16 x 16, display layout)."""
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    return evaluate_display_2x2(boxplus_perm_sum(gen, q), rep)
+    return plaquette_pair(gen, q)[1]
 
 
 def classical_r() -> np.ndarray:
@@ -298,9 +309,8 @@ def conjugation_chain(q, sgen="S+"):
     """
     q = _require_regular(q)
     ex = make_uq_symbolic(q)
-    al = ex.alphabet
-    rep = spin_half_rep(q, al)
-    flip = {al["K+"]: al["K-"], al["K-"]: al["K+"]}
+    rep = spin_half_rep(q, ex.alphabet)
+    flip = _k_swap(ex.alphabet)
     s = boxplus(ex, sgen, 2, 2)
     steps, ops = [s], [evaluate_display_2x2(s, rep)]
     residuals, gs = [], []
@@ -312,7 +322,7 @@ def conjugation_chain(q, sgen="S+"):
         cur = evaluate_display_2x2(s, rep)
         residuals.append(float(np.abs(cur - g @ ops[-1] @ ginv).max()))
         ops.append(cur)
-    want = boxplus_perm_sum(sgen, q)
+    want = _permuted(steps[0], flip)
     if not sums_equal(s, want):
         worst = worst_word(s, want)
         raise ValueError(f"the chain ends off the permuted element at [{worst['word']}]: "

@@ -5,7 +5,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopf2d.coalgebra import CoalgebraExample, Splitter, grow
+from hopf2d import grids
+from hopf2d.coalgebra import CoalgebraExample, Splitter, boxplus, check_xy_compat, grow
 from hopf2d.grids import (
     Alphabet,
     FormalSum,
@@ -22,6 +23,7 @@ from hopf2d.grids import (
     sums_equal,
     word1,
 )
+from hopf2d.instances import make_pivot, make_uq_symbolic
 
 AB = Alphabet(["a", "b", "v"])
 A, B, V = AB["a"], AB["b"], AB["v"]
@@ -216,10 +218,15 @@ def test_planar_shapes_keep_their_repr_json_hash_and_key():
     assert (shape.rows, shape.cols, shape.sites, repr(shape)) == (3, 4, 12, "3x4")
     assert shape.extents == (3, 4) and shape == GridShape(3, 4) and shape != GridShape(4, 3)
     word = w([["a", "v"], ["b", "b"]])
-    # the hash is taken over the extents and the x-slice (column) hashes, and
-    # a column's over its symbol ids, bottom first
-    assert hash(word) == hash((2, 2, hash((B.id, A.id)), hash((B.id, V.id))))
-    assert hash(word.col(1)) == hash((B.id, A.id))
+    # the hash is the site polynomial sum (id + 1)·bx^(x-1)·by^(y-1) mod 2^61 - 1,
+    # and a word held as columns weights each column's hash by bx^(x-1)
+    bx, by, _ = grids._BASES
+    P = 2 ** 61 - 1
+    col1, col2 = (B.id + 1) + (A.id + 1) * by, (B.id + 1) + (V.id + 1) * by
+    assert hash(word.col(1)) == col1 % P == 1089357896855742842
+    assert hash(word.col(2)) == col2 % P == 962230681353534571
+    assert hash(word) == (col1 + bx * col2) % P == 517395355789816751
+    assert hash(_by_x_slices(word)) == hash(word) and hash(word.row(2)) == 1045315497510195590
     assert word._key() == (2, 2, (B.id, B.id, A.id, V.id))
     assert json.loads(FormalSum.unit(word).to_json())["shape"] == [2, 2]
     with pytest.raises(AttributeError):
@@ -456,6 +463,10 @@ def test_a_growth_step_is_the_sum_built_from_coordinates(data, base, c1, c2):
             got = grow(ex, s, axis, k)
             assert got.shape == want.shape
             assert _bits(got.unordered_items()) == _bits(want.unordered_items())
+            # the hash a step sets is the one the grown word's cells or x-slices give
+            for word, _ in got.unordered_items():
+                assert hash(word) == hash(GridWord(word.shape, word.cells))
+                assert hash(word) == hash(_by_x_slices(GridWord(word.shape, word.cells)))
 
 
 # a column grows through its cells, a row held as x-slices through its x-slices
@@ -498,3 +509,41 @@ def test_a_sum_leaves_the_dict_it_was_built_from_untouched():
     assert dict(s.unordered_items()) == {kept: 2 + 0j}
     total = s + s
     assert dict(s.unordered_items()) == {kept: 2 + 0j} and total.coeff(kept) == 4
+
+
+# -- colliding hashes ------------------------------------------------------------
+
+
+def _xy_compat_runs():
+    """check_xy_compat's reports and every sum boxplus grows at 5 x 5 for
+    pivot(0) and uq, from fresh examples, with coefficient bits."""
+    out = []
+    for make, sym in ((lambda: make_pivot(theta=0.0), "v"), (lambda: make_uq_symbolic(1.3), "S+")):
+        out.append(check_xy_compat(make(), 5, 5).to_json())
+        for order in ("y_first", "x_first"):
+            s = boxplus(make(), sym, 5, 5, order=order)
+            out.append([(w.cells, c.real.hex(), c.imag.hex()) for w, c in s.unordered_items()])
+    return out
+
+
+@pytest.mark.parametrize("modulus, bases", [(1, None), (7, (3, 5, 2))])
+def test_words_that_collide_all_the_time_give_the_same_sums_and_reports(modulus, bases):
+    """With a modulus of 1 every word hashes to 0, with 7 to one of seven
+    values: equality, which compares cells or x-slices, still decides every
+    merge, so sums, their order and reports stay as they are."""
+    want = _xy_compat_runs()
+    saved = grids._P, grids._BASES
+
+    def reset(p, b):
+        grids._P, grids._BASES = p, b
+        grids._weights.cache_clear()
+        grids.slicing.cache_clear()
+
+    reset(modulus, bases or saved[1])
+    try:
+        assert hash(GridWord(GridShape(2, 3), (A, B, V, V, B, A))) < modulus
+        test_a_growth_step_is_the_sum_built_from_coordinates()
+        test_a_word_is_the_same_word_however_it_was_reached()
+        assert _xy_compat_runs() == want
+    finally:
+        reset(*saved)
