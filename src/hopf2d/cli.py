@@ -48,6 +48,7 @@ from .coalgebra import (
 )
 from .grids import word1
 from .instances import (
+    UQ_NAMES,
     cyclic_regular_rep,
     example_from_config,
     taft_regular_rep,
@@ -284,6 +285,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build_op(args) -> int:
+    if not (args.rmatrix2d or args.gen):
+        raise CliConfigError("build-op needs --gen or --rmatrix2d")
+    if not args.rmatrix2d and args.gen not in UQ_NAMES:
+        raise CliConfigError(f"unknown generator {args.gen!r}; --gen takes {', '.join(UQ_NAMES)}")
     outdir = args.out or "operators"
     os.makedirs(outdir, exist_ok=True)
     qs = _parse_q_list(args.q, args.seed, 1)
@@ -296,8 +301,6 @@ def cmd_build_op(args) -> int:
         manifest = {"generator": "rmatrix2d", "q": [q.real, q.imag], "n": 2, "m": 2,
                     "dim": 16, "nnz": nnz, "file": name}
     else:
-        if not args.gen:
-            raise CliConfigError("build-op needs --gen or --rmatrix2d")
         sizes = _parse_sizes(args.size or "2x2")
         n, m = sizes[0]
         op = uqsu2.boxplus_op(args.gen, q, n, m)

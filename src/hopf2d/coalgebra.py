@@ -17,7 +17,9 @@ y-splits and the lower layer for z-splits.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 import json
 import math
@@ -53,6 +55,9 @@ class SingularParameterError(ValueError):
     """A parameter value makes a required expression singular."""
 
 
+_memo_tables = partial(defaultdict, dict)  # shape extents -> cells -> stored value
+
+
 @dataclass
 class Splitter:
     """Partial map doubling a slice of extent 1 along its axis ('x' doubles
@@ -60,23 +65,26 @@ class Splitter:
 
     ``rule`` and ``domain`` must be pure functions of the word, and the
     :class:`FormalSum` a rule returns is immutable, like every sum.  So each
-    in-domain word is checked and split once: the result is stored in this
-    splitter's memo, keyed by the word, and later calls with an equal word
-    return the stored sum.  The check raises :class:`ShapeError` for a word
-    whose extent along the axis is not 1 and for a result whose extent is
-    not 2, and :class:`DomainError` for an out-of-domain word; none of these
-    enter the memo, so they raise on every call.  The memo belongs to the
-    splitter and so lives exactly as long as the example that holds it.
+    in-domain word is checked and split once, and the sum and the word's
+    hash are stored in this splitter's memo under the word's shape extents
+    and then its cells, a tuple hashed and compared in C, which is how
+    :meth:`~hopf2d.grids.Slicing.grow` finds a slice without making a word
+    of it.  The check raises :class:`ShapeError` for a word whose extent
+    along the axis is not 1 and for a result whose extent is not 2, and
+    :class:`DomainError` for an out-of-domain word; none of these enter the
+    memo, so they raise on every call.  The memo belongs to the splitter and
+    so lives exactly as long as the example that holds it.
     """
 
     direction: str
     rule: object          # GridWord -> FormalSum over the doubled shape
     domain: object        # GridWord -> bool
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=_memo_tables, init=False, repr=False, compare=False)
 
     def __call__(self, word: GridWord) -> FormalSum:
-        out = self._memo.get(word)
-        if out is None:
+        table = self._memo[word.shape.extents]
+        entry = table.get(word.cells)
+        if entry is None:
             axis, shape = self.direction, word.shape
             if shape.extents[shape.axis(axis)] != 1:
                 raise ShapeError(f"{axis}-splitter wants extent 1 along {axis}, got {shape}")
@@ -85,8 +93,8 @@ class Splitter:
             out, want = self.rule(word), shape.slicing(axis, 1).grown
             if out.shape != want:
                 raise ShapeError(f"splitter returned {out.shape}, expected {want}")
-            self._memo[word] = out
-        return out
+            entry = table[word.cells] = (out, hash(word))
+        return entry[0]
 
 
 def _cellwise_splitter(direction, rules, domain=None) -> Splitter:
@@ -121,14 +129,15 @@ class CounitRule:
     direction: str
     rule: object          # GridWord -> complex
     domain: object
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=_memo_tables, init=False, repr=False, compare=False)
 
     def __call__(self, word: GridWord) -> complex:
-        out = self._memo.get(word)
+        table = self._memo[word.shape.extents]
+        out = table.get(word.cells)
         if out is None:
             if not self.domain(word):
                 raise DomainError(f"{word!r} outside the {self.direction}-counit domain")
-            out = self._memo[word] = complex(self.rule(word))
+            out = table[word.cells] = complex(self.rule(word))
         return out
 
 

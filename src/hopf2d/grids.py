@@ -25,20 +25,21 @@ rolling hash of Karp and Rabin (IBM J. Res. Dev. 31, 249 (1987))::
 
 From cells it is a dot product with the shape's site weights, from
 x-slices ``sum_j b_x^(j-1)·H(slice j)``, so it is the same however the
-word was made.  Growth along x (a :class:`Slicing` step) hands the splitter
-the column the word holds and replaces that one x-slice by the block's two:
-O(m) for m x-slices, and the grown word shares every other x-slice object
-with the word it came from.  Its cells are built only if they are read.  A
-step along y or z changes every x-slice, so it gathers the cells through
-index maps, O(n·m), as a step along x does on a word that holds only cells;
-the grown word holds cells, and its x-slices are built when they are asked
-for.  A step on the last slice k along axis a, which is every boundary
-step, takes each grown word's hash from the word's, the cut slice's and
-the block's in O(1): ``H + b_a^(k-1)·(H(block) - H(cut))``; only growth
-of an inner slice hashes the grown word afresh.  Growing a column first
-and then its rows (``y_first``) therefore costs O(m) per term in every
-x-step, while growing the rows first pays O(n·m) per term in every y-step
-to gather the cells.
+word was made.  A growth step (a :class:`Slicing` step) finds each term's
+slice in the splitter's memo by its cells and makes a word of the slice
+only on a miss.  Along x the slice is the column the word holds, and the
+step replaces that one x-slice by the block's two: O(m) for m x-slices, and
+the grown word shares every other x-slice object with the word it came
+from.  Its cells are built only if they are read.  A step along y or z
+changes every x-slice, so it gathers the cells through index maps, O(n·m),
+as a step along x does on a word that holds only cells; the grown word
+holds cells, and its x-slices are built when they are asked for.  A step
+on the last slice k along axis a, which is every boundary step, takes each
+grown word's hash from the word's, the cut slice's and the block's in
+O(1): ``H + b_a^(k-1)·(H(block) - H(cut))``; only growth of an inner slice
+hashes the grown word afresh.  Growing a column first and then its rows
+(``y_first``) therefore costs O(m) per term in every x-step, while growing
+the rows first pays O(n·m) per term in every y-step to gather the cells.
 
 Formal sums are accumulated one way throughout the package: the terms of a
 result, repeats allowed, are merged into one dict in the order they come,
@@ -472,32 +473,40 @@ class Slicing:
 
     def grow(self, s: "FormalSum", split) -> "FormalSum":
         """One growth step: the sum of c·c'·(w with b in place of its slice)
-        over the terms c·w of ``s`` and c'·b of ``split(slice of w)``, with
-        ``split`` called once per term and the grown words, built to shape
-        and so not checked again, merged in the order they are made."""
+        over the terms c·w of ``s`` and c'·b of ``split(slice of w)``, the
+        grown words, built to shape and so not checked again, merged in the
+        order they are made.  ``split`` is a
+        :class:`~hopf2d.coalgebra.Splitter`: each slice is found in its memo
+        by cells, and only a slice it lacks is made a word and handed to
+        ``split``, which checks, splits and stores it."""
         if s.shape.extents != self._extents:
             raise ShapeError(f"a {s.shape} sum has no slice of {GridShape(*self._extents)}")
-        k, grown, put, shift = self._k, self.grown, self._put, self._shift
+        k, grown, put, shift, part = self._k, self.grown, self._put, self._shift, self.part
+        table = split._memo[part.extents]
         acc = {}
         get = acc.get
         h = None
         for word, coeff in s._terms.items():
             slices = self._held(word)
-            if slices is not None:
-                head, cut, tail = slices[:k - 1], slices[k - 1], slices[k:]
-                if shift is not None:
-                    base = word._hash - shift * cut._hash
-                for b, c in split(cut)._terms.items():
+            cells = None if slices is not None else word._cells or word.cells
+            # a word one x-slice wide always holds its cells
+            key = slices[k - 1]._cells if cells is None else self._take(cells)
+            entry = table.get(key)
+            if entry is None:
+                split(slices[k - 1] if cells is None else _from_cells(part, key))
+                entry = table[key]
+            out, cut_hash = entry
+            if shift is not None:
+                base = word._hash - shift * cut_hash
+            if cells is None:
+                head, tail = slices[:k - 1], slices[k:]
+                for b, c in out._terms.items():
                     if shift is not None:
                         h = (base + shift * b._hash) % _P
                     w = _from_slices(grown, head + (b._slices or b._x_slices()) + tail, h)
                     acc[w] = get(w, 0j) + coeff * c
             else:
-                cells = word._cells or word.cells
-                cut = _from_cells(self.part, self._take(cells))
-                if shift is not None:
-                    base = word._hash - shift * cut._hash
-                for b, c in split(cut)._terms.items():
+                for b, c in out._terms.items():
                     if shift is not None:
                         h = (base + shift * b._hash) % _P
                     w = _from_cells(grown, put(cells + (b._cells or b.cells)), h)

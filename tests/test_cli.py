@@ -162,6 +162,15 @@ def test_build_op_size_cap(tmp_path):
     assert code == 2
 
 
+def test_build_op_unknown_generator_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "ops"
+    code = main(["build-op", "--gen", "Q", "--q", "1.3", "--size", "2x2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: unknown generator 'Q'")
+    assert all(gen in err for gen in ("S+", "S-", "Sz", "K+2", "K-2"))
+
+
 def test_peps_d4_pass_and_mutation(tmp_path):
     assert main(["peps", "--rep", "d4", "--sizes", "1x1,1x2,2x2,3x3",
                  "--out", str(tmp_path / "a")]) == 0

@@ -30,8 +30,8 @@ from hopf2d.coalgebra import (
     dual_product,
     grow,
 )
-from hopf2d.grids import (FormalSum, GridShape, GridWord, ShapeError, sum_difference, sums_equal,
-                          word1)
+from hopf2d.grids import (Alphabet, FormalSum, GridShape, GridWord, ShapeError, join, slicing,
+                          sum_difference, sums_equal, word1)
 from hopf2d.instances import (
     cyclic_regular_rep,
     make_cross,
@@ -424,6 +424,11 @@ def _counting(rule, runs):
     return counted
 
 
+def _memo_words(rule):
+    """(shape extents, cells) of every word a splitter's or counit's memo holds."""
+    return {(ext, cells) for ext, table in rule._memo.items() for cells in table}
+
+
 def test_splitter_rule_runs_once_per_distinct_word():
     ex = make_pivot(theta=0.0)
     runs = {"x": Counter(), "y": Counter()}
@@ -432,11 +437,50 @@ def test_splitter_rule_runs_once_per_distinct_word():
     ex.splitters["y"] = Splitter("y", _counting(ex.splitter("y").rule, runs["y"]),
                                  ex.splitter("y").domain)
     assert boxplus(ex, "v", 5, 5).items() == boxplus(make_pivot(theta=0.0), "v", 5, 5).items()
+    # apply_splitter meets the columns growth split, and growth the one it split first
+    for word in list(runs["x"]):
+        apply_splitter(ex, "x", word)
+    apply_splitter(ex, "x", w(ex, [["b"], ["v"], ["a"], ["a"]]))
+    assert check_xy_compat(ex, 4, 5).ok
     for d in "xy":
         assert set(runs[d].values()) == {1}
-        assert set(runs[d]) == set(ex.splitter(d)._memo)
+        split = {(word.shape.extents, word.cells) for word in runs[d]}
+        assert split == _memo_words(ex.splitter(d))
     # the 5 x 5 growth makes 1+2+3+4 row splits and 5+10+15+20 column splits
     assert sum(len(r) for r in runs.values()) < 60
+
+
+def _grow_with(split, s):
+    """``s`` grown by its last x-slice through ``split``."""
+    return slicing(s.shape.extents, "x").grow(s, split)
+
+
+def test_equal_cells_of_different_shapes_are_different_memo_entries():
+    """A cube's x-splitter meets the cells (a, v) as a z-stack (2x1x1) and as
+    a y-stack (1x2x1): each gets its own entry and its own blocks, whichever
+    came first, through the splitter and through growth alike."""
+    from hopf2d.instances import MarkedFamily
+
+    def family():
+        return MarkedFamily(markers={cv: (ca, cb)}, cut_pairs=[(ca, cb)], grouplike={ca, cb},
+                            key=lambda x, y, z: (z, y, x))
+
+    alphabet = Alphabet(["a", "b", "v"])
+    ca, cb, cv = alphabet.symbols
+    words = [GridWord(GridShape(2, 1, 1), (ca, cv)), GridWord(GridShape(1, 2, 1), (ca, cv))]
+    fresh = [family().splitter("x")(word) for word in words]
+    assert fresh[0].shape != fresh[1].shape
+    for first in (0, 1):
+        split = family().splitter("x")
+        order = (first, 1 - first)
+        for i in order:
+            assert split(words[i]).items() == fresh[i].items()
+        assert _memo_words(split) == {((2, 1, 1), (ca, cv)), ((1, 2, 1), (ca, cv))}
+        for i in order:
+            grown = _grow_with(split, FormalSum.unit(words[i]))
+            want = _grow_with(family().splitter("x"), FormalSum.unit(words[i]))
+            assert grown.items() == want.items()
+            assert set(grown.unordered_items()) == set(fresh[i].unordered_items())
 
 
 def test_out_of_domain_words_never_enter_the_memo():
@@ -446,7 +490,78 @@ def test_out_of_domain_words_never_enter_the_memo():
         for _ in range(2):
             with pytest.raises(DomainError):
                 rule(bad)
-        assert rule._memo == {}
+        assert not _memo_words(rule)
+    # growth reaches the bad column held as an x-slice and gathered from cells
+    a, b, v = ex.alphabet.symbols
+    held = FormalSum.unit(join("x", w(ex, [["b"], ["v"], ["a"]]), bad))
+    gathered = FormalSum.unit(GridWord(GridShape(3, 2), (a, b, v, v, b, a)))
+    assert held.items() == gathered.items()
+    for s in (held, gathered, FormalSum.unit(bad)):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="a/v/b outside the x-splitter domain"):
+                grow(ex, s, "x")
+    assert ((3, 1), bad.cells) not in _memo_words(ex.splitter("x"))
+    # growth out of the domain fails the same instances with the same words on a warm memo
+    planted = _out_of_domain_pivot()
+    reports = [check_xy_compat(planted, 3, 3).to_json() for _ in range(2)]
+    assert reports[0] == reports[1]
+    assert [i["details"]["domain_error"] for i in json.loads(reports[1])["instances"]
+            if "domain_error" in i.get("details", {})] == [
+        "v/b outside the x-splitter domain", "b/v/b outside the x-splitter domain",
+        "b/v/b outside the x-splitter domain"]
+    assert ((2, 1), (b, v)) not in _memo_words(planted.splitter("x"))
+
+
+def _cube_example():
+    """The marked-symbol cube of :func:`cube_xyz_compat`, with its z-splitter."""
+    from hopf2d.instances import MarkedFamily
+
+    alphabet = Alphabet(["a", "b", "v"])
+    a, b, v = alphabet.symbols
+    family = MarkedFamily(markers={v: (a, b)}, cut_pairs=[(a, b)], grouplike={a, b},
+                          key=lambda x, y, z: (z, y, x))
+    ex = family.example("cube", alphabet)
+    ex.splitters["z"] = family.splitter("z")
+    return ex
+
+
+GROWN = {"pivot": lambda: make_pivot(theta=0.0), "uq": lambda: make_uq_symbolic(1.3),
+         "taft": lambda: make_taft(TaftConfig(3, cmath.exp(2j * math.pi / 3))),
+         "cube": _cube_example}
+WARM = {name: make() for name, make in GROWN.items()}  # memos kept across examples
+
+
+def _grown_bits(grow_step):
+    """The terms of ``grow_step()`` in ``unordered_items()`` order, with word
+    hashes and coefficient bits, or the message of the DomainError it raised."""
+    try:
+        s = grow_step()
+    except DomainError as exc:
+        return None, str(exc)
+    return s, [(word.shape.extents, word.cells, hash(word), c.real.hex(), c.imag.hex())
+               for word, c in s.unordered_items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GROWN)), st.data())
+def test_growth_through_a_warm_memo_is_bit_identical_to_fresh_growth(name, data):
+    """Growth on an example whose memos earlier growth filled gives the same
+    words, order, hashes and coefficient bits at every step, inner slices
+    included, as growth with a fresh example per step."""
+    warm = WARM[name]
+    sym = data.draw(st.sampled_from(warm.alphabet.symbols))
+    s = FormalSum.unit(GridWord(GridShape(*(1,) * (3 if name == "cube" else 2)), (sym,)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        axis = data.draw(st.sampled_from(sorted(warm.splitters)))
+        extent = s.shape.extents[s.shape.axis(axis)]
+        if extent == 4:
+            continue
+        block = data.draw(st.integers(1, extent))
+        fresh = _grown_bits(lambda: grow(GROWN[name](), s, axis, block))
+        s, got = _grown_bits(lambda: grow(warm, s, axis, block))
+        assert got == fresh[1]
+        if s is None:
+            break
 
 
 def test_examples_from_one_constructor_share_no_memo():
