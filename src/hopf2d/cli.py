@@ -53,7 +53,7 @@ from .instances import (
     example_from_config,
     taft_regular_rep,
 )
-from .linops import ResourceLimitError, write_matrix_market
+from .linops import ResourceLimitError, SparseOperator
 
 
 class CliConfigError(Exception):
@@ -135,7 +135,7 @@ def _run_checks(args):
     ex = example_from_config(_example_config(args))
     max_n = max(n for n, _ in sizes)
     max_m = max(m for _, m in sizes)
-    qs = uq_reports = None
+    uq_reports = None
     names = [c.strip() for c in checks if c.strip()]
     reports = []
     for name in names:
@@ -167,12 +167,11 @@ def _run_checks(args):
         elif name in ("ks", "commutator", "kernel", "singlets"):
             if args.example != "uq":
                 raise CliConfigError(f"check {name!r} needs --example uq")
-            qs = qs or _parse_q_list(args.q, args.seed)
-            uq_reports = uq_reports or _uq_checks(names, qs, sizes, tol)
+            uq_reports = uq_reports or _uq_checks(names, _parse_q_list(args.q, args.seed),
+                                                  sizes, tol)
             reports.append(uq_reports[name])
         elif name in ("rmatrix1d", "rmatrix2d", "semiclassical"):
-            qs = qs or _parse_q_list(args.q, args.seed, 20)
-            reports.append(_rmatrix_check(name, qs, tol))
+            reports.append(_rmatrix_check(name, _parse_q_list(args.q, args.seed, 20), tol))
         else:
             raise CliConfigError(f"unknown check {name!r}")
     return ex, reports
@@ -263,8 +262,6 @@ def _prefixed(report, prefix):
 
 def cmd_verify(args) -> int:
     ex, reports = _run_checks(args)
-    outdir = args.out or "reports"
-    os.makedirs(outdir, exist_ok=True)
     all_ok = True
     counters = {}
     for rep in reports:
@@ -275,9 +272,7 @@ def cmd_verify(args) -> int:
         payload = json.loads(rep.to_json())
         payload["example"] = ex.name
         payload["seed"] = args.seed
-        path = os.path.join(outdir, stem + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_report(args, stem + ".json", json.dumps(payload, sort_keys=True))
         status = "pass" if rep.ok else "FAIL"
         print(f"{rep.check}: {status} (max residual {rep.max_residual:.3e})")
         all_ok = all_ok and rep.ok
@@ -289,26 +284,20 @@ def cmd_build_op(args) -> int:
         raise CliConfigError("build-op needs --gen or --rmatrix2d")
     if not args.rmatrix2d and args.gen not in UQ_NAMES:
         raise CliConfigError(f"unknown generator {args.gen!r}; --gen takes {', '.join(UQ_NAMES)}")
+    q = _parse_q_list(args.q, args.seed, 1)[0]
+    if args.rmatrix2d:
+        gen, (n, m) = "rmatrix2d", (2, 2)
+        op = SparseOperator(rmx.r2d(q))
+        name = f"rmatrix2d_q{q.real:g}{'+' if q.imag >= 0 else ''}{q.imag:g}j.mtx"
+    else:
+        gen, (n, m) = args.gen, _parse_sizes(args.size or "2x2")[0]
+        op = uqsu2.boxplus_op(gen, q, n, m)
+        name = f"boxplus_{gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
     outdir = args.out or "operators"
     os.makedirs(outdir, exist_ok=True)
-    qs = _parse_q_list(args.q, args.seed, 1)
-    q = qs[0]
-    if args.rmatrix2d:
-        mat = rmx.r2d(q)
-        name = f"rmatrix2d_q{q.real:g}{'+' if q.imag >= 0 else ''}{q.imag:g}j.mtx"
-        path = os.path.join(outdir, name)
-        nnz = write_matrix_market(np.asarray(mat), path)
-        manifest = {"generator": "rmatrix2d", "q": [q.real, q.imag], "n": 2, "m": 2,
-                    "dim": 16, "nnz": nnz, "file": name}
-    else:
-        sizes = _parse_sizes(args.size or "2x2")
-        n, m = sizes[0]
-        op = uqsu2.boxplus_op(args.gen, q, n, m)
-        name = f"boxplus_{args.gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
-        path = os.path.join(outdir, name)
-        nnz = op.write_matrix_market(path)
-        manifest = {"generator": args.gen, "q": [q.real, q.imag], "n": n, "m": m,
-                    "dim": op.dim, "nnz": nnz, "file": name}
+    nnz = op.write_matrix_market(os.path.join(outdir, name))
+    manifest = {"generator": gen, "q": [q.real, q.imag], "n": n, "m": m,
+                "dim": op.dim, "nnz": nnz, "file": name}
     mpath = os.path.join(outdir, "manifest.json")
     with open(mpath, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
@@ -319,8 +308,6 @@ def cmd_build_op(args) -> int:
 def cmd_peps(args) -> int:
     from .instances import make_pivot
 
-    outdir = args.out or "reports"
-    os.makedirs(outdir, exist_ok=True)
     ex = make_pivot(theta=0.0)
     sizes = _parse_sizes(args.sizes or "1x1,1x2,2x1,2x2,3x3")
     if args.rep == "d4":
@@ -331,26 +318,27 @@ def cmd_peps(args) -> int:
                 raise CliConfigError(f"unknown mutation {args.mutate!r}, expected drop:K")
             inst = pepsmod.mutate_drop(inst, int(idx))
         report = pepsmod.check_peps_vs_boxplus(inst, ex, "v", sizes, tol=args.tol)
-        path = os.path.join(outdir, "peps_d4.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_report(args, "peps_d4.json", report.to_json())
         print(f"peps d4: {'pass' if report.ok else 'FAIL'} (max residual {report.max_residual:.3e})")
         return 0 if report.ok else 1
-    if args.rep == "d2":
-        inst = pepsmod.d2_instance()
-        if not args.solve_boundary:
-            raise CliConfigError("the d2 tensor has an unsolved boundary; use --solve-boundary")
-        targets = {s: boxplus(ex, "v", *s) for s in sizes}
-        result = pepsmod.solve_boundary(inst, targets, sizes)
-        path = os.path.join(outdir, "boundary_d2.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
-        if result.feasible:
-            print(f"boundary solved (solution space dim {result.solution_space_dim})")
-        else:
-            print("boundary infeasible; certificate written")
-        return 0
-    raise CliConfigError(f"unknown PEPS representation {args.rep!r}")
+    if not args.solve_boundary:
+        raise CliConfigError("the d2 tensor has an unsolved boundary; use --solve-boundary")
+    targets = {s: boxplus(ex, "v", *s) for s in sizes}
+    result = pepsmod.solve_boundary(pepsmod.d2_instance(), targets, sizes)
+    _write_report(args, "boundary_d2.json", result.to_json())
+    if result.feasible:
+        print(f"boundary solved (solution space dim {result.solution_space_dim})")
+    else:
+        print("boundary infeasible; certificate written")
+    return 0
+
+
+def _write_report(args, name, text):
+    """Write one report file into ``--out`` (default ``reports``), made only now."""
+    outdir = args.out or "reports"
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def build_parser():
@@ -359,16 +347,22 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default=None)
+        p.add_argument("--config", default=None)
+
+    def tol(p):
         p.add_argument("--tol", type=float, default=1e-10,
                        help="residual bound of every check; rmatrix1d uses min(TOL, 1e-12), "
                             "semiclassical uses its own slope window [0.9, 1.1] and "
                             "refinement bounds instead")
+
+    def q_list(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--q", action="append", default=None)
-        p.add_argument("--config", default=None)
 
     v = sub.add_parser("verify", help="run axiom and relation checks")
     common(v)
+    tol(v)
+    q_list(v)
     v.add_argument("--example", default="pivot",
                    choices=["pivot", "taft", "uq", "group", "lie",
                             "quasi1d-group", "quasi1d-lie", "cross"])
@@ -380,6 +374,7 @@ def build_parser():
 
     b = sub.add_parser("build-op", help="export lattice operators as Matrix Market")
     common(b)
+    q_list(b)
     b.add_argument("--gen", default=None)
     b.add_argument("--size", default=None)
     b.add_argument("--rmatrix2d", action="store_true")
@@ -387,6 +382,7 @@ def build_parser():
 
     p = sub.add_parser("peps", help="PEPS contraction checks and boundary solving")
     common(p)
+    tol(p)
     p.add_argument("--rep", default="d4", choices=["d4", "d2"])
     p.add_argument("--sizes", default=None)
     p.add_argument("--solve-boundary", action="store_true")

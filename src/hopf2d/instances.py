@@ -34,7 +34,7 @@ from .coalgebra import (
     Splitter,
     _cellwise_splitter,
 )
-from .grids import CANON_TOL, Alphabet, FormalSum, GridShape, GridWord, join
+from .grids import Alphabet, FormalSum, GridShape, GridWord, _drop_small, join
 from .linops import Representation
 
 THETA_STEP = math.pi / 8.0
@@ -46,6 +46,8 @@ THETA_STEP = math.pi / 8.0
 
 def quantize_theta(theta: float) -> float:
     """Validate and snap an angle to the pi/8 grid in [0, 2*pi)."""
+    if not math.isfinite(theta):
+        raise ConfigurationError(f"theta must be finite, got {theta}")
     k = theta / THETA_STEP
     if abs(k - round(k)) > 1e-9:
         raise ConfigurationError(f"theta must be a multiple of pi/8, got {theta}")
@@ -581,7 +583,7 @@ class TaftConfig:
         if self.n < 2:
             raise ConfigurationError("order must be at least 2")
         w = complex(self.omega)
-        if abs(w ** self.n - 1) > 1e-12:
+        if not cmath.isfinite(w) or abs(w ** self.n - 1) > 1e-12:
             raise ConfigurationError("omega must be an n-th root of unity")
         for k in range(1, self.n):
             if abs(w ** k - 1) < 1e-12:
@@ -667,7 +669,7 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
                 if p1 is not None and p2 is not None:
                     k = (p1[0], p2[0])
                     out[k] = out.get(k, 0j) + c * d * p1[1] * p2[1]
-        return {k: v for k, v in out.items() if abs(v) > CANON_TOL}
+        return _drop_small(out)
 
     # full 1-site coproduct on the basis: delta(g^i x^j) = (g x g)^i (1 x x + x x g)^j
     delta_g = {(g, g): 1.0 + 0j}
@@ -724,8 +726,8 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
     downstream numeric checks only.
     """
     q = complex(q)
-    if q == 0:
-        raise ConfigurationError("q must be nonzero")
+    if not cmath.isfinite(q) or q == 0:
+        raise ConfigurationError(f"q must be finite and nonzero, got {q}")
     alphabet = Alphabet(UQ_NAMES)
     one, sp, sm, sz, kp, km, kp2, km2 = alphabet.symbols
     family = MarkedFamily(
@@ -765,34 +767,28 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
 
 
 def example_from_config(cfg: dict) -> CoalgebraExample:
-    """Build an example from a JSON-style config dict.
-
-    Recognized forms include {"example": "pivot", "theta_over_pi": 0.25},
-    {"example": "taft", "n": 2}, {"example": "uq", "q_re": 1.3, "q_im": 0.0},
-    plus "group", "lie", "quasi1d-group", "quasi1d-lie" and "cross".
-    """
+    """Build an example from the CLI's config dict: {"example": "pivot",
+    "theta_over_pi": 0.25}, {"example": "taft", "n": 2}, {"example": "uq",
+    "q_re": 1.3, "q_im": 0.0}, or one of "group", "lie", "quasi1d-group",
+    "quasi1d-lie" and "cross" with no other key."""
     kind = cfg.get("example")
     if kind == "pivot":
         theta = float(cfg.get("theta_over_pi", 0.0)) * math.pi
         return make_pivot(theta=theta)
     if kind == "taft":
         n = int(cfg.get("n", 2))
-        omega = cfg.get("omega")
-        if omega is None:
-            omega = cmath.exp(2j * math.pi / n)
-            if n == 2:
-                omega = -1.0 + 0j
+        omega = -1.0 + 0j if n == 2 else cmath.exp(2j * math.pi / n)
         return make_taft(TaftConfig(n=n, omega=omega))
     if kind == "uq":
         q = complex(float(cfg.get("q_re", 2.0)), float(cfg.get("q_im", 0.0)))
         return make_uq_symbolic(q)
     if kind == "group":
-        return make_cyclic_group(int(cfg.get("order", 3)))
+        return make_cyclic_group(3)
     if kind == "lie":
-        return make_lie_like(cfg.get("primitives", ["a", "c"]))
-    if kind in ("quasi1d-group", "quasi1d_group"):
+        return make_lie_like(["a", "c"])
+    if kind == "quasi1d-group":
         return make_quasi1d_group()
-    if kind in ("quasi1d-lie", "quasi1d_lie"):
+    if kind == "quasi1d-lie":
         return make_quasi1d_lie()
     if kind == "cross":
         return make_cross()

@@ -24,7 +24,8 @@ class RepresentationError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """Requested operator exceeds the configured dimension cap."""
+    """Requested operator exceeds a size cap: :data:`uqsu2.SITE_CAP`, or the
+    int64 entry keys of :func:`kron_terms`."""
 
 
 class Representation:
@@ -217,39 +218,28 @@ def kron_terms(terms, d: int, sites: int) -> SparseOperator:
     return SparseOperator._wrap(sp.csr_matrix((data, uniq % dim, indptr), shape=(dim, dim)))
 
 
-def evaluate(s: FormalSum, rep: Representation, dim_cap: int | None = None) -> SparseOperator:
-    """Evaluate a formal sum in a representation as a sparse operator.
-
-    The resulting dimension is d**(n*m); ``dim_cap`` rejects larger requests.
-    """
-    sites = s.shape.sites
-    dim = rep.dim ** sites
-    if dim_cap is not None and dim > dim_cap:
-        raise ResourceLimitError(f"dimension {dim} exceeds cap {dim_cap}")
+def evaluate(s: FormalSum, rep: Representation) -> SparseOperator:
+    """Evaluate a formal sum in a representation as a sparse operator of
+    dimension d**(n*m)."""
     terms = [(coeff, [rep[c] for c in word.cells]) for word, coeff in s.items()]
-    return kron_terms(terms, rep.dim, sites)
+    return kron_terms(terms, rep.dim, s.shape.sites)
 
 
 def write_matrix_market(mat, path) -> int:
-    """Write a sparse or dense complex matrix in Matrix Market coordinate
-    format (1-based) and return the number of entries written.
+    """Write the canonical complex CSR matrix of a :class:`SparseOperator`
+    (as :meth:`SparseOperator.write_matrix_market` hands it over) in Matrix
+    Market coordinate format, 1-based, and return the number of entries.
 
-    Entries go out in row-major order, duplicates summed, stored zeros of a
-    sparse matrix kept.  Each line reads as ``"%d %d %.17g %.17g\n"`` of its
-    row, column, real and imaginary part, but each distinct row, column and
-    (real, imaginary) pair is formatted only once: values are told apart by
-    their bit patterns, so ``-0.0`` and ``0.0`` or NaNs of different payload
-    keep their own text.  The body is one join over an object array that
-    holds, for every entry, its row, column and value texts.
+    Entries go out in row-major order.  Each line reads as
+    ``"%d %d %.17g %.17g\n"`` of its row, column, real and imaginary part,
+    but each distinct row, column and (real, imaginary) pair is formatted
+    only once: values are told apart by their bit patterns, so ``-0.0`` and
+    ``0.0`` or NaNs of different payload keep their own text.  The body is
+    one join over an object array that holds, for every entry, its row,
+    column and value texts.
     """
-    if sp.issparse(mat) and mat.format == "csr" and mat.has_canonical_format:
-        row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        col, data = mat.indices, mat.data
-    else:
-        coo = sp.coo_matrix(mat)
-        coo.sum_duplicates()
-        order = np.lexsort((coo.col, coo.row))
-        row, col, data = coo.row[order], coo.col[order], coo.data[order]
+    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    col, data = mat.indices, mat.data
     nnz = len(data)
     bits = np.ascontiguousarray(data, dtype=complex).view(np.int64).reshape(nnz, 2)
     _, re_key = np.unique(bits[:, 0], return_inverse=True)

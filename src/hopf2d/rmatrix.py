@@ -10,13 +10,13 @@ as tensor positions 1..4 (display layout), so products like R_12 R_34 read
 literally.  Lattice elements built in the engine's bottom-row-first linear
 order are converted through :data:`uqsu2.DISPLAY_TO_LINEAR_2X2`.
 
-A pair operator is placed on its two sites by :func:`linops.kron_terms`,
-one Kronecker term per nonzero entry.  The plaquette R-matrix :func:`r2d`
-is the conjugator of the six steps of :data:`CHAIN_STEPS`, which carry the
-plaquette element to its permuted version, and the plaquette classical r
-is the matching signed sum of pair r's.  :func:`conjugation_chain` runs
-those steps on the engine's own 2 x 2 ``boxplus`` sum and checks that it
-ends at :func:`boxplus_perm_sum`.
+:func:`embed` places a one- or two-site operator on the plaquette through
+:func:`linops.kron_terms`, one matrix-unit term per nonzero entry.  The
+plaquette R-matrix :func:`r2d` is the conjugator of the six steps of
+:data:`CHAIN_STEPS`, which carry the plaquette element to its permuted
+version, and the plaquette classical r is the matching signed sum of pair
+r's.  :func:`conjugation_chain` runs those steps on the engine's own 2 x 2
+``boxplus`` sum and checks that it ends at :func:`boxplus_perm_sum`.
 """
 
 from __future__ import annotations
@@ -71,20 +71,22 @@ def delta_perm(gen: str, q) -> np.ndarray:
     return evaluate(boxplus_perm_sum(gen, q, 1, 2), spin_half_rep(q)).toarray()
 
 
-def embed_pair(mat4: np.ndarray, i: int, j: int, n_sites: int = 4) -> np.ndarray:
-    """Place a two-site operator on (1-based) tensor positions i and j.
+def embed(mat: np.ndarray, *sites: int) -> np.ndarray:
+    """Place an operator on k of the four plaquette sites: ``mat`` is
+    2**k x 2**k and ``sites`` lists the (1-based) tensor positions of its
+    k factors, first factor first.
 
-    One Kronecker term per nonzero entry (r, c) of ``mat4``, whose row bits
-    are r = 2 r_i + r_j and column bits c = 2 c_i + c_j: the matrix unit
-    |r_i><c_i| on site i, |r_j><c_j| on site j and the identity elsewhere.
+    One Kronecker term per nonzero entry (r, c) of ``mat``: on the t-th
+    listed site the matrix unit |r_t><c_t| of the t-th bits of r and c
+    (the first site the most significant), the identity elsewhere.
     """
     terms = []
-    for r, c in zip(*np.nonzero(mat4)):
-        factors = [ID2] * n_sites
-        factors[i - 1] = _UNITS[r >> 1][c >> 1]
-        factors[j - 1] = _UNITS[r & 1][c & 1]
-        terms.append((mat4[r, c], factors))
-    return kron_terms(terms, 2, n_sites).toarray()
+    for r, c in zip(*np.nonzero(mat)):
+        factors = [ID2] * 4
+        for t, site in enumerate(reversed(sites)):
+            factors[site - 1] = _UNITS[(r >> t) & 1][(c >> t) & 1]
+        terms.append((mat[r, c], factors))
+    return kron_terms(terms, 2, 4).toarray()
 
 
 # the six-step conjugation chain: R_pair (.) R_pair^-1 for conj, the inverse for inv
@@ -95,7 +97,7 @@ CHAIN_STEPS = (((1, 2), "conj"), ((3, 4), "conj"), ((2, 3), "inv"),
 def _step(q, pair, mode):
     """A chain step's conjugator and its inverse: (R_pair, R_pair^-1) for
     'conj', (R_pair^-1, R_pair) for 'inv'."""
-    rp = embed_pair(r_matrix(q), *pair)
+    rp = embed(r_matrix(q), *pair)
     rinv = np.linalg.inv(rp)
     return (rp, rinv) if mode == "conj" else (rinv, rp)
 
@@ -168,13 +170,7 @@ def classical_r() -> np.ndarray:
 def classical_r2d() -> np.ndarray:
     """Signed six-pair sum solving the plaquette first-order intertwining."""
     r = classical_r()
-    return _signed_pair_sum(lambda i, j: embed_pair(r, i, j))
-
-
-def single_site(mat, i, n_sites=4) -> np.ndarray:
-    """``mat`` on tensor position i (1-based), the identity elsewhere."""
-    return kron_terms([(1.0, [mat if k == i else ID2 for k in range(1, n_sites + 1)])],
-                      2, n_sites).toarray()
+    return _signed_pair_sum(lambda i, j: embed(r, i, j))
 
 
 def classical_identities_residual() -> dict:
@@ -192,18 +188,18 @@ def classical_identities_residual() -> dict:
         out[f"pair {name}"] = float(np.abs(lhs - rhs).max())
 
         def a_pm(i, j):
-            return -single_site(s, i) @ single_site(SZ, j) + single_site(SZ, i) @ single_site(s, j)
+            return -embed(s, i) @ embed(SZ, j) + embed(SZ, i) @ embed(s, j)
 
-        total = sum(single_site(s, k) for k in range(1, 5))
+        total = sum(embed(s, k) for k in range(1, 5))
         rb = classical_r2d()
         lhs4 = rb @ total - total @ rb
         rhs4 = _signed_pair_sum(a_pm)
         out[f"plaquette {name}"] = float(np.abs(lhs4 - rhs4).max())
         rhs_lit = (
-            single_site(s, 1) @ (-single_site(SZ, 2) + single_site(SZ, 3) + single_site(SZ, 4))
-            + single_site(s, 2) @ (single_site(SZ, 1) + single_site(SZ, 3) + single_site(SZ, 4))
-            - single_site(s, 3) @ (single_site(SZ, 1) + single_site(SZ, 2) + single_site(SZ, 4))
-            - single_site(s, 4) @ (single_site(SZ, 1) + single_site(SZ, 2) - single_site(SZ, 3))
+            embed(s, 1) @ (-embed(SZ, 2) + embed(SZ, 3) + embed(SZ, 4))
+            + embed(s, 2) @ (embed(SZ, 1) + embed(SZ, 3) + embed(SZ, 4))
+            - embed(s, 3) @ (embed(SZ, 1) + embed(SZ, 2) + embed(SZ, 4))
+            - embed(s, 4) @ (embed(SZ, 1) + embed(SZ, 2) - embed(SZ, 3))
         )
         out[f"plaquette literal {name}"] = float(np.abs(lhs4 - rhs_lit).max())
     return out
@@ -214,9 +210,10 @@ def _traceless(m):
     return m - (np.trace(m) / n) * np.eye(n, dtype=complex)
 
 
-def check_semiclassical(h_values, tol_slope=(0.9, 1.1)) -> CheckReport:
+def check_semiclassical(h_values) -> CheckReport:
     """Difference quotients of R and the plaquette R converge to their
-    classical r-matrices at first order in h = log q."""
+    classical r-matrices at first order in h = log q: the slope of log error
+    against log h lies in [0.9, 1.1]."""
     hs = sorted(float(h) for h in h_values)
     if len(hs) < 4 or hs[0] <= 1e-4 or hs[-1] >= 0.3:
         raise ValueError("need at least 4 h values inside (1e-4, 0.3)")
@@ -231,7 +228,7 @@ def check_semiclassical(h_values, tol_slope=(0.9, 1.1)) -> CheckReport:
         errs2.append(float(e2))
     for label, errs in (("pair", errs1), ("plaquette", errs2)):
         slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-        ok = tol_slope[0] <= slope <= tol_slope[1]
+        ok = 0.9 <= slope <= 1.1
         instances.append(
             CheckInstance(
                 f"{label} slope", ok, abs(slope - 1.0),

@@ -11,11 +11,14 @@ mapped onto the internal bottom-row-first linear order by
 :data:`DISPLAY_TO_LINEAR_2X2`.
 
 A lattice operator is built by :func:`boxplus_op`: grown through the
-coalgebra engine, evaluated, and cross-checked against the placement
-construction.  The checks take their operators from an
-:class:`OperatorTable` of one (q, n, m), which builds each generator on its
-first lookup and shares it with every later check given the same table; a
-check called without a table builds its own.  The CLI keeps one table per
+coalgebra engine, evaluated, and always cross-checked against the placement
+construction.  A q-singlet on one site pair or a product of them on many
+comes from :func:`singlet_product`.  A q that is not finite is a
+:class:`coalgebra.ConfigurationError`, and q = 0 a
+:class:`coalgebra.SingularParameterError`.  The checks take their
+operators from an :class:`OperatorTable` of one (q, n, m), which builds each
+generator on its first lookup and shares it with every later check given
+the same table; a check called without a table builds its own.  The CLI keeps one table per
 (q, size) step of ``verify`` and drops it when the step ends.
 """
 
@@ -30,11 +33,10 @@ import scipy.sparse as sp
 from .coalgebra import (
     CheckInstance,
     CheckReport,
+    ConfigurationError,
     SingularParameterError,
     _instance,
     boxplus,
-    check_antipode,
-    check_counit,
 )
 from .grids import Alphabet
 from .instances import UQ_NAMES, make_uq_symbolic
@@ -77,6 +79,8 @@ BLOCK_ROWS = 1024
 
 def _require_regular(q):
     q = complex(q)
+    if not cmath.isfinite(q):
+        raise ConfigurationError(f"q must be finite, got {q}")
     if q == 0:
         raise SingularParameterError("q must be nonzero")
     return q
@@ -136,23 +140,22 @@ def direct_boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
     return kron_terms([(1.0, [by_name[nm] for nm in word]) for word in names], 2, sites)
 
 
-def boxplus_op(gen: str, q, n: int, m: int, cross_check: bool = True) -> SparseOperator:
+def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
     """Lattice operator for a generator, built through the coalgebra engine.
 
-    With ``cross_check`` the result is compared against the independent
-    placement construction; a mismatch raises and names the worst entry.
+    The result is compared against the independent placement construction
+    :func:`direct_boxplus_op`; a mismatch raises and names the worst entry.
     """
     q = _require_regular(q)
     _check_sites(n, m)
     ex = make_uq_symbolic(q)
     rep = spin_half_rep(q, ex.alphabet)
     op = evaluate(boxplus(ex, gen, n, m), rep)
-    if cross_check:
-        ref = direct_boxplus_op(gen, q, n, m)
-        res = operator_difference(op, ref)
-        if not res <= 1e-10:
-            raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
-                                 f"worst entry (engine vs placement) {worst_entry(op, ref)}")
+    ref = direct_boxplus_op(gen, q, n, m)
+    res = operator_difference(op, ref)
+    if not res <= 1e-10:
+        raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
+                             f"worst entry (engine vs placement) {worst_entry(op, ref)}")
     return op
 
 
@@ -303,22 +306,10 @@ def _pair_product(pairs, total_sites) -> np.ndarray:
     return psi
 
 
-def _singlet_amplitudes(q) -> dict:
-    return {bits: singlet_amplitude(q, *bits) for bits in ((0, 1), (1, 0))}
-
-
-def q_singlet(q, site_pair=(1, 2), total_sites=2) -> np.ndarray:
-    """The two-site q-singlet embedded on an ordered site pair.
-
-    Site indices are linear (1-based); any remaining sites are filled with
-    the spin-up basis state so products can be assembled by pairs.
-    """
-    return _pair_product([(site_pair, _singlet_amplitudes(q))], total_sites)
-
-
 def singlet_product(q, pairs, total_sites) -> np.ndarray:
-    """Product of q-singlets on disjoint ordered pairs of linear sites."""
-    amplitudes = _singlet_amplitudes(q)
+    """Product of q-singlets on disjoint ordered pairs of linear sites
+    (1-based); sites outside every pair are spin up."""
+    amplitudes = {bits: singlet_amplitude(q, *bits) for bits in ((0, 1), (1, 0))}
     return _pair_product([(pair, amplitudes) for pair in pairs], total_sites)
 
 
@@ -334,7 +325,7 @@ def singlet_pair_checks(q, tol=1e-10) -> CheckReport:
     and K- x K+ maps it onto the inverse-q singlet with the stated ratio."""
     q = _require_nonsingular(q)
     instances = []
-    s = q_singlet(q)
+    s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):
         res = float(np.abs(delta_op(gen, q) @ s).max())
         instances.append(CheckInstance(f"annihilation {gen}", res <= tol, res))
@@ -346,7 +337,7 @@ def singlet_pair_checks(q, tol=1e-10) -> CheckReport:
     kp = rep.matrices[rep.alphabet["K+"]]
     lhs = np.kron(km, kp) @ s
     ratio = cmath.sqrt(1.0 / q - q) / cmath.sqrt(q - 1.0 / q)
-    rhs = ratio * q_singlet(1.0 / q)
+    rhs = ratio * singlet_product(1.0 / q, [(1, 2)], 2)
     res = float(np.abs(lhs - rhs).max())
     instances.append(CheckInstance("K-xK+ inversion", res <= tol, res))
     return CheckReport("singlet_pair", [(1, 2)], instances)
@@ -442,24 +433,3 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
         "reversed_orientation_residual": reversed_residual,
     }
 
-
-def check_counit_antipode_families(q, n, tol=1e-10) -> CheckReport:
-    """Counit contraction and numeric antipode law on the listed families.
-
-    Runs over the instance's canonical column and row words of length n:
-    K strings, squared K strings, raising/lowering marks at every position
-    and the Cartan mark.
-    """
-    if n > 6:
-        raise ResourceLimitError("family check capped at n = 6")
-    q = _require_regular(q)
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    instances = []
-    for direction in ("x", "y"):
-        rc = check_counit(ex, direction, n, tol=tol)
-        ra = check_antipode(ex, rep, direction, n, tol=tol)
-        for inst in rc.instances + ra.instances:
-            inst.input = f"{direction}:{inst.input}"
-            instances.append(inst)
-    return CheckReport("counit_antipode_families", [(n, 1), (1, n)], instances)

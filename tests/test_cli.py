@@ -42,12 +42,12 @@ def test_verify_uq_checks(tmp_path):
 def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatch):
     real, calls, built = cli.uqsu2.boxplus_op, {}, []
 
-    def op(gen, q, n, m, cross_check=True):
+    def op(gen, q, n, m):
         step = (complex(q), n, m)
         # every operator of an earlier (q, size) step is gone before this one's are built
         assert all(ref() is None for s, ref in built if s != step), (gen, step)
         calls[(gen, *step)] = calls.get((gen, *step), 0) + 1
-        out = real(gen, q, n, m, cross_check=cross_check)
+        out = real(gen, q, n, m)
         built.append((step, weakref.ref(out)))
         return out
 
@@ -169,6 +169,71 @@ def test_build_op_unknown_generator_is_a_config_error(tmp_path, capsys):
     assert code == 2 and not out.exists()
     assert err.startswith("error: unknown generator 'Q'")
     assert all(gen in err for gen in ("S+", "S-", "Sz", "K+2", "K-2"))
+
+
+def test_config_errors_leave_no_output_directory(tmp_path):
+    runs = [["build-op", "--gen", "S+", "--q", "1.3", "--size", "4x5"],
+            ["build-op", "--rmatrix2d", "--q", "0"],
+            ["peps", "--rep", "d2"],
+            ["peps", "--rep", "d4", "--mutate", "drop:x", "--sizes", "1x2"],
+            ["peps", "--rep", "d4", "--sizes", "2y2"],
+            ["verify", "--example", "pivot", "--checks", "nonsense"]]
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theta-over-pi", "nan"],
+    ["verify", "--theta-over-pi", "inf"],
+    ["verify", "--example", "uq", "--q", "nan", "--checks", "ks", "--sizes", "2x2"],
+    ["verify", "--example", "uq", "--q", "1e400", "--checks", "commutator", "--sizes", "2x2"],
+    ["verify", "--example", "pivot", "--q", "nan", "--checks", "rmatrix1d"],
+    ["build-op", "--gen", "S+", "--q", "nan"],
+    ["build-op", "--rmatrix2d", "--q", "inf"],
+])
+def test_non_finite_parameters_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_q_lists_do_not_depend_on_the_check_order(tmp_path):
+    argv = ["verify", "--example", "uq", "--sizes", "2x2", "--checks"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["ks,rmatrix1d", "--out", str(a)]) == 0
+    assert main(argv + ["rmatrix1d,ks", "--out", str(b)]) == 0
+    assert read_all(a) == read_all(b)
+    # ten default q for the operator checks, twenty for the R-matrix checks
+    assert len(json.loads((a / "ks.json").read_text())["instances"]) == 10 * 4
+    assert len(json.loads((a / "rmatrix1d.json").read_text())["instances"]) == 20 * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["peps", "--rep", "d4", "--sizes", "1x1", "--q", "1.3"],
+    ["peps", "--rep", "d4", "--sizes", "1x1", "--seed", "7"],
+    ["build-op", "--gen", "S+", "--q", "1.3", "--tol", "1e-9"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_a_subcommand_does_not_read_are_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for argv, bad in ((["peps", "--rep", "d4", "--sizes", "1x1"], {"q": "1.3"}),
+                      (["peps", "--rep", "d4", "--sizes", "1x1"], {"seed": 7}),
+                      (["build-op", "--gen", "S+", "--q", "1.3"], {"tol": 1e-9})):
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "r"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, bad
+        assert not out.exists(), bad
 
 
 def test_peps_d4_pass_and_mutation(tmp_path):

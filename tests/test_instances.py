@@ -13,7 +13,17 @@ from hopf2d.coalgebra import (
     boxplus,
     check_xy_compat,
 )
-from hopf2d.grids import AXES, Alphabet, FormalSum, GridShape, GridWord, join, sums_equal, word1
+from hopf2d.grids import (
+    AXES,
+    Alphabet,
+    FormalSum,
+    GridShape,
+    GridWord,
+    NonFiniteError,
+    join,
+    sums_equal,
+    word1,
+)
 from hopf2d.instances import (
     MarkedFamily,
     PivotConfig,
@@ -143,6 +153,17 @@ def test_theta_validation():
         make_pivot(PivotConfig(theta=0.1))
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_a_configuration_error(theta):
+    # checked before round(), which raises ValueError on nan and OverflowError on inf
+    with pytest.raises(ConfigurationError, match="finite"):
+        quantize_theta(theta)
+    with pytest.raises(ConfigurationError, match="finite"):
+        make_pivot(theta=theta)
+    with pytest.raises(ConfigurationError, match="finite"):
+        example_from_config({"example": "pivot", "theta_over_pi": theta})
+
+
 def test_half_plane_grid_reproduces_published_4x4():
     grid = half_plane_grid(math.pi / 4, GridShape(4, 4), (3, 2))
     assert grid.rows_top_down() == [
@@ -211,6 +232,21 @@ def test_taft_config_validation():
     with pytest.raises(ConfigurationError):
         TaftConfig(3, -1.0)         # not a cube root
     TaftConfig(3, cmath.exp(2j * math.pi / 3))
+
+
+def test_non_finite_taft_omega_never_vanishes():
+    for omega in (math.nan, complex(math.nan, 1.0), math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(ConfigurationError, match="root of unity"):
+            TaftConfig(3, omega)
+    # past the config check, a NaN coefficient of the 1-site coproduct raises
+    # instead of dropping its term: x2 has three terms, (1, x2), (x, xg), (x2, g2)
+    cfg = TaftConfig(3, cmath.exp(2j * math.pi / 3))
+    ex = make_taft(cfg)
+    assert len(ex.meta["delta_1site"][ex.alphabet["x2"]]) == 3
+    for omega in (math.nan, complex(math.nan, 1.0)):
+        cfg.omega = omega
+        with pytest.raises(NonFiniteError):
+            make_taft(cfg)
 
 
 def test_taft_products_normal_form():
@@ -325,8 +361,9 @@ def test_example_from_config():
     assert ex.meta["q"] == 1.3
     for kind in ("group", "lie", "quasi1d-group", "quasi1d-lie", "cross"):
         example_from_config({"example": kind})
-    with pytest.raises(ConfigurationError):
-        example_from_config({"example": "nope"})
+    for kind in ("nope", "quasi1d_group", "quasi1d_lie"):  # the CLI's choices only
+        with pytest.raises(ConfigurationError):
+            example_from_config({"example": kind})
 
 
 # ---------------------------------------------------------------------------

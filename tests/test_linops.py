@@ -14,7 +14,6 @@ from hopf2d.linops import (
     operator_difference,
     worst_entry,
     read_matrix_market,
-    write_matrix_market,
 )
 from hopf2d.instances import make_uq_symbolic
 from hopf2d.uqsu2 import boxplus_op, spin_half_rep
@@ -70,13 +69,6 @@ def test_evaluate_unknown_symbol():
     rep = Representation(ab, {"u": np.eye(2)})
     with pytest.raises(RepresentationError):
         evaluate(FormalSum.unit(word1(ab["w"])), rep)
-
-
-def test_evaluate_dim_cap():
-    ex = make_uq_symbolic(2.0)
-    rep = spin_half_rep(2.0, ex.alphabet)
-    with pytest.raises(ResourceLimitError):
-        evaluate(boxplus(ex, "K+", 2, 2), rep, dim_cap=8)
 
 
 @settings(max_examples=20, deadline=None)
@@ -146,9 +138,11 @@ def test_matrix_market_complex_entries(tmp_path):
 
 
 def _write_matrix_market_per_entry(mat, path):
-    """The per-entry writer the formatted-once writer replaced, as its oracle."""
+    """The per-entry writer the formatted-once writer replaced, as its oracle:
+    every nonzero entry of ``mat``, duplicates summed, in row-major order."""
     coo = sp.coo_matrix(mat)
     coo.sum_duplicates()
+    coo.eliminate_zeros()
     order = np.lexsort((coo.col, coo.row))
     data = coo.data[order]
     cells = zip((coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(),
@@ -197,7 +191,7 @@ def _writer_cases():
 def test_matrix_market_writer_matches_the_per_entry_writer(tmp_path, case):
     mat = _writer_cases()[case]
     got, want = tmp_path / "got.mtx", tmp_path / "want.mtx"
-    nnz = write_matrix_market(mat, got)
+    nnz = SparseOperator(mat).write_matrix_market(got)
     _write_matrix_market_per_entry(mat, want)
     assert got.read_bytes() == want.read_bytes()
     assert nnz == int(got.read_text().splitlines()[1].split()[2])

@@ -14,8 +14,9 @@ name its two-site size ``[[1, 2]]``, and the ``uq-relations`` ``kernel.json``
 re-taken when those reports began to name the sizes they run at, ``[[2, 2]]``
 and ``[[1, 2], [2, 2]]``, instead of ``--sizes``; the CHANGES.md entries of
 those changes record both digests.  The ``build-op-rmatrix2d`` pin
-was taken before ``embed_pair`` and ``r2d`` moved onto ``kron_terms`` and
-the chain steps, and held after.
+was taken before the pair placement and ``r2d`` moved onto ``kron_terms``
+and the chain steps, and held after, and after ``build-op --rmatrix2d``
+began writing ``r2d`` through ``SparseOperator``.
 """
 
 import contextlib

@@ -79,7 +79,7 @@ def test_embed_pair_oracle():
                     br, bc = bits[r], bits[c]
                     if all(br[k] == bc[k] for k in rest):
                         ref[r, c] = a[2 * br[i - 1] + br[j - 1], 2 * bc[i - 1] + bc[j - 1]]
-            assert np.array_equal(rm.embed_pair(a, i, j), ref), (i, j)
+            assert np.array_equal(rm.embed(a, i, j), ref), (i, j)
 
 
 def test_plaquette_intertwining_exact():
@@ -247,8 +247,11 @@ def test_pair_conjugation_identities():
 
 
 def test_single_site_matches_its_loop_reference():
-    for i in range(1, 5):
-        ref = np.ones((1, 1))
-        for k in range(1, 5):
-            ref = np.kron(ref, rm.SZ if k == i else rm.ID2)
-        assert np.array_equal(rm.single_site(rm.SZ, i), ref)
+    rng = np.random.RandomState(6)
+    dense = rng.uniform(0.5, 2.0, (2, 2)) + 1j * rng.uniform(-2.0, -0.5, (2, 2))
+    for mat in (rm.SZ, rm.SP, rm.SM, rm.ID2, dense):
+        for i in range(1, 5):
+            ref = np.ones((1, 1))
+            for k in range(1, 5):
+                ref = np.kron(ref, mat if k == i else rm.ID2)
+            assert np.array_equal(rm.embed(mat, i), ref), (mat, i)

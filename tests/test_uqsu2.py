@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hopf2d.coalgebra import SingularParameterError
-from hopf2d.linops import ResourceLimitError, SparseOperator, operator_difference, worst_entry
+from hopf2d.coalgebra import (
+    ConfigurationError,
+    SingularParameterError,
+    boxplus,
+    check_antipode,
+    check_counit,
+)
+from hopf2d.linops import (
+    ResourceLimitError,
+    SparseOperator,
+    evaluate,
+    operator_difference,
+    worst_entry,
+)
 from hopf2d import uqsu2 as uq
 from hopf2d.instances import make_uq_symbolic
 
@@ -34,6 +46,16 @@ def test_spin_half_rep_limits():
     assert np.allclose(m4["K+"], np.diag([2.0, 0.5]))
     with pytest.raises(SingularParameterError):
         uq.spin_half_rep(0.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, complex(1.3, math.nan), complex(-math.inf, 1)])
+def test_non_finite_q_is_a_configuration_error(q):
+    # a NaN q must stop here, not reach the engine, whose cross-check would
+    # report it as an engine vs placement mismatch
+    for build in (make_uq_symbolic, uq.spin_half_rep, lambda q: uq.boxplus_op("S+", q, 2, 2),
+                  lambda q: uq.check_ks_relation(q, 2, 2), uq.singlet_pair_checks):
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(q)
 
 
 def test_spin_half_rep_names_the_example_symbols_without_building_it(monkeypatch):
@@ -65,6 +87,13 @@ def test_boxplus_op_size_cap():
         uq.boxplus_op("S+", 2.0, 1, uq.SITE_CAP + 1)
 
 
+def _engine_op(gen, q, n, m):
+    """The generator grown by the engine and evaluated, without the placement
+    cross-check that :func:`uqsu2.boxplus_op` runs."""
+    ex = make_uq_symbolic(q)
+    return evaluate(boxplus(ex, gen, n, m), uq.spin_half_rep(q, ex.alphabet))
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.one_of(
     st.floats(min_value=0.5, max_value=2.0).map(complex),
@@ -73,7 +102,7 @@ def test_boxplus_op_size_cap():
 def test_boxplus_engine_matches_placement(q, size):
     n, m = size
     for gen in ("S+", "S-", "K+", "Sz"):
-        a = uq.boxplus_op(gen, q, n, m, cross_check=False)
+        a = _engine_op(gen, q, n, m)
         b = uq.direct_boxplus_op(gen, q, n, m)
         assert operator_difference(a, b) < 1e-10
 
@@ -104,8 +133,8 @@ def _planted(real, gen, entry, delta=0.5):
 
 def _planted_at(real, gen, deltas):
     """``boxplus_op`` with ``deltas[entry]`` added at each entry of one generator."""
-    def op(g, q, n, m, cross_check=True):
-        out = real(g, q, n, m, cross_check=cross_check)
+    def op(g, q, n, m):
+        out = real(g, q, n, m)
         if g != gen:
             return out
         mat = out.mat.tolil()
@@ -269,9 +298,9 @@ def _counting(monkeypatch):
     """Patch ``boxplus_op`` to count its calls per (gen, q, n, m)."""
     real, calls = uq.boxplus_op, {}
 
-    def op(gen, q, n, m, cross_check=True):
+    def op(gen, q, n, m):
         calls[(gen, complex(q), n, m)] = calls.get((gen, complex(q), n, m), 0) + 1
-        return real(gen, q, n, m, cross_check=cross_check)
+        return real(gen, q, n, m)
 
     monkeypatch.setattr(uq, "boxplus_op", op)
     return calls
@@ -323,17 +352,17 @@ def test_singlet_pair_identities():
 def test_singlet_inversion_ratio_branch_q2():
     # at q = 2 the ratio sqrt(1/q - q)/sqrt(q - 1/q) is the imaginary unit
     q = 2.0
-    s = uq.q_singlet(q)
+    s = uq.singlet_product(q, [(1, 2)], 2)
     rep = uq.spin_half_rep(q)
     km = rep.matrices[rep.alphabet["K-"]]
     kp = rep.matrices[rep.alphabet["K+"]]
     lhs = np.kron(km, kp) @ s
-    assert np.abs(lhs - 1j * uq.q_singlet(0.5)).max() < 1e-12
+    assert np.abs(lhs - 1j * uq.singlet_product(0.5, [(1, 2)], 2)).max() < 1e-12
 
 
 def test_singlet_singular_normalization():
     with pytest.raises(SingularParameterError):
-        uq.q_singlet(1.0)
+        uq.singlet_product(1.0, [(1, 2)], 2)
 
 
 def test_kernel_2x2_dimension_and_family():
@@ -379,13 +408,12 @@ def test_vertical_singlet_coefficient_vanishes_towards_q1():
 
 def test_counit_antipode_families():
     for q in (2.0, 1.3, cmath.exp(0.4j)):
+        ex = make_uq_symbolic(q)
+        rep = uq.spin_half_rep(q, ex.alphabet)
         for n in (1, 2, 3):
-            assert uq.check_counit_antipode_families(q, n).ok
-
-
-def test_family_check_size_cap():
-    with pytest.raises(ResourceLimitError):
-        uq.check_counit_antipode_families(2.0, 7)
+            for direction in ("x", "y"):
+                assert check_counit(ex, direction, n, tol=1e-10).ok
+                assert check_antipode(ex, rep, direction, n, tol=1e-10).ok
 
 
 def test_engine_matches_placement_all_shapes_up_to_nine_sites():
@@ -393,7 +421,7 @@ def test_engine_matches_placement_all_shapes_up_to_nine_sites():
     shapes = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
     for (n, m) in shapes:
         for gen in ("S+", "K-", "Sz"):
-            a = uq.boxplus_op(gen, q, n, m, cross_check=False)
+            a = _engine_op(gen, q, n, m)
             b = uq.direct_boxplus_op(gen, q, n, m)
             assert operator_difference(a, b) < 1e-10, (gen, n, m)
 
@@ -418,5 +446,3 @@ def test_singlet_states_match_the_basis_state_loop():
             covered = {s for pair in pairs for s in pair}
             ref[b] = 0j if any(bits[s - 1] for s in range(1, sites + 1) if s not in covered) else amp
         assert np.array_equal(uq.singlet_product(q, pairs, sites), ref)
-        if len(pairs) == 1:
-            assert np.array_equal(uq.q_singlet(q, pairs[0], sites), ref)
