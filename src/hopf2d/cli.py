@@ -92,6 +92,14 @@ def _parse_q_list(values, seed, count=10):
     return qs
 
 
+def _tolerance(args):
+    """``--tol``, which must be a finite number >= 0: a NaN or negative bound
+    fails every check, an infinite one passes every check."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
+    return args.tol
+
+
 def _example_config(args):
     cfg = {"example": args.example}
     if args.example == "pivot":
@@ -131,7 +139,7 @@ def _rep_for(ex, example_kind):
 def _run_checks(args):
     sizes = _parse_sizes(args.sizes or "2x2,3x3")
     checks = (args.checks or "assoc,xycompat,counit").split(",")
-    tol = args.tol
+    tol = _tolerance(args)
     ex = example_from_config(_example_config(args))
     max_n = max(n for n, _ in sizes)
     max_m = max(m for _, m in sizes)
@@ -310,6 +318,7 @@ def cmd_peps(args) -> int:
 
     ex = make_pivot(theta=0.0)
     sizes = _parse_sizes(args.sizes or "1x1,1x2,2x1,2x2,3x3")
+    tol = _tolerance(args)
     if args.rep == "d4":
         inst = pepsmod.d4_instance()
         if args.mutate:
@@ -317,7 +326,7 @@ def cmd_peps(args) -> int:
             if kind != "drop" or not idx.isdigit():
                 raise CliConfigError(f"unknown mutation {args.mutate!r}, expected drop:K")
             inst = pepsmod.mutate_drop(inst, int(idx))
-        report = pepsmod.check_peps_vs_boxplus(inst, ex, "v", sizes, tol=args.tol)
+        report = pepsmod.check_peps_vs_boxplus(inst, ex, "v", sizes, tol=tol)
         _write_report(args, "peps_d4.json", report.to_json())
         print(f"peps d4: {'pass' if report.ok else 'FAIL'} (max residual {report.max_residual:.3e})")
         return 0 if report.ok else 1

@@ -19,6 +19,16 @@ carries, so each (word, pattern) pair is enumerated once, however many bond
 assignments lead to it.  Only the consumers turn a pattern into walk order:
 :func:`contract` for its trace cycle, :func:`solve_boundary` for its rows.
 
+A chi = 1 boundary, such as d4's, has 1 x 1 matrices, and :func:`contract`
+traces its perimeter as the product of their entries: Python complex
+products from 1, in the order the matrix products take.  A 1 x 1 matrix
+product is that same complex product, so the trace keeps the matrix path's
+bits; ``tests/test_peps.py`` checks this bit for bit against numpy's ``@``
+on weights whose products are exact, which holds whatever the BLAS, and to
+1e-15 on random weights, where a BLAS that fuses multiply-adds may round
+differently.  Wider boundaries keep numpy's matrix products, whose sums a
+Python 2 x 2 product would round differently.
+
 Output is a formal sum over symbol grids, directly comparable with the
 grown coalgebra elements.
 """
@@ -26,19 +36,21 @@ grown coalgebra elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 import json
+from math import prod
 
 import numpy as np
 
 from .coalgebra import CheckReport, ConfigurationError, _compared, _json_numbers, boxplus
-from .grids import Alphabet, FormalSum, GridShape, GridWord
+from .grids import Alphabet, FormalSum, GridShape, _from_cells
 from .linops import ResourceLimitError
 
 # budget on the states of one sweep step (partial rows or partial patches),
 # from measured work on a 2-core x86 machine (min of 3): a dense
 # bond-dimension-3 tensor over three symbols passes it in 0.34 s (1x3 rows)
 # to 0.82 s (2x2 patches) at about 90 MiB peak resident memory, while the
-# shipped d4 tensor needs 570 states at 6 x 6 and 15350 at 10 x 10 (0.23 s)
+# shipped d4 tensor needs 570 states at 6 x 6 and 15350 at 10 x 10 (0.31 s)
 SWEEP_STATE_CAP = 100_000
 
 
@@ -180,9 +192,9 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
             by_bottom.setdefault(bs, []).append((rid, (l,), ts, (r,), amp))
             if ok_b is None or ok_b.issuperset(bs):
                 states[(rid, (l,), (r,), bs, ts)] = amp
-    row_cells = list(row_ids)
     shared = {(s.id, s.name): s for s in symbols}
     syms = {s.name: shared.get((s.id, s.name), s) for s in tensor.alphabet}
+    row_syms = [tuple(syms[c] for c in cells) for cells in row_ids]
     for n in range(1, max(shapes, default=0) + 1):
         if n > 1:
             nxt = {}
@@ -205,8 +217,8 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
                 continue
             patterns = words.get(ids)
             if patterns is None:
-                cells = tuple(syms[c] for i in ids for c in row_cells[i])
-                patterns = words[ids] = table[GridWord(shapes[n], cells)] = {}
+                cells = tuple(chain.from_iterable(map(row_syms.__getitem__, ids)))
+                patterns = words[ids] = table[_from_cells(shapes[n], cells)] = {}
             patterns[(ls, ts, rs, bs)] = amp
         yield n, table
 
@@ -216,7 +228,13 @@ def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) ->
 
     Each distinct perimeter pattern is traced once, its cycle walking the
     lefts, the tops, the rights reversed, the bottoms reversed, then the
-    corner.  The contributions of a word are summed before
+    corner, as ``np.eye(chi)`` times the cycle's matrices, left to right,
+    then the trace.  At chi = 1 the matrices are single complex numbers and
+    the trace is their product from ``1 + 0j``, in the same order: a 1 x 1
+    matrix product computes the same complex product, without numpy's
+    per-call setup, which dominated a small patch's contraction.  A
+    non-finite weight makes the product non-finite, and with it every word
+    total it enters.  The contributions of a word are summed before
     :class:`grids.FormalSum` drops a total of magnitude at most
     :data:`grids.CANON_TOL` or raises :class:`grids.NonFiniteError` on a
     non-finite one.  ``rotate`` shifts the starting point of the closed
@@ -229,10 +247,16 @@ def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) ->
         raise ConfigurationError("boundary specification is incomplete")
     ((_, table),) = _sweep(tensor, boundary, m, [n], symbols)
     # every side is set, so the sweep left no annihilated bond
-    left, top, right, bottom = ({bond: np.asarray(mat, dtype=complex)
+    scalar = boundary.chi == 1
+
+    def weight(mat):
+        arr = np.asarray(mat, dtype=complex)
+        return arr.item() if scalar else arr
+
+    left, top, right, bottom = ({bond: weight(mat)
                                  for bond, mat in boundary.sides[s].items() if mat is not None}
                                 for s in "ltrb")
-    corner = np.asarray(boundary.corner, dtype=complex)
+    corner = weight(boundary.corner)
     k = rotate % (2 * (n + m) + 1)
     traces, terms = {}, []
     for word, patterns in table.items():
@@ -243,10 +267,14 @@ def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) ->
                 cycle = ([left[b] for b in ls] + [top[b] for b in ts]
                          + [right[b] for b in rs[::-1]] + [bottom[b] for b in bs[::-1]]
                          + [corner])
-                acc = np.eye(boundary.chi, dtype=complex)
-                for mat in cycle[k:] + cycle[:k]:
-                    acc = acc @ mat
-                tr = traces[pattern] = complex(np.trace(acc))
+                if scalar:
+                    tr = prod(cycle[k:] + cycle[:k], start=1 + 0j)
+                else:
+                    acc = np.eye(boundary.chi, dtype=complex)
+                    for mat in cycle[k:] + cycle[:k]:
+                        acc = acc @ mat
+                    tr = complex(np.trace(acc))
+                traces[pattern] = tr
             terms.append((word, tr * amp))
     return FormalSum(GridShape(n, m), terms)
 
@@ -408,7 +436,7 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySol
     for size in sizes:
         table = tables[size]
         target = targets[size]
-        words = set(table) | set(w for w in target)
+        words = set(table) | set(target._terms)
         for word in sorted(words, key=lambda w: w._key()):
             row = [0j] * (2 * nb)
             for (ls, _, rs, _), amp in table.get(word, {}).items():

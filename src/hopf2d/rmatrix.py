@@ -32,7 +32,7 @@ from .grids import FormalSum, GridWord, sums_equal, worst_word
 from .instances import make_uq_symbolic
 from .linops import Representation, evaluate, kron_terms
 from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, spin_half_rep, _require_regular
-from .uqsu2 import delta_op as delta_2site  # the two-site coproduct, dense 4 x 4
+from .uqsu2 import delta_2site  # the two-site coproduct, dense 4 x 4
 
 _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
 

@@ -313,7 +313,7 @@ def singlet_product(q, pairs, total_sites) -> np.ndarray:
     return _pair_product([(pair, amplitudes) for pair in pairs], total_sites)
 
 
-def delta_op(gen: str, q) -> np.ndarray:
+def delta_2site(gen: str, q) -> np.ndarray:
     """Two-site coproduct of a generator, dense 4 x 4."""
     ex = make_uq_symbolic(q)
     rep = spin_half_rep(q, ex.alphabet)
@@ -327,10 +327,10 @@ def singlet_pair_checks(q, tol=1e-10) -> CheckReport:
     instances = []
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):
-        res = float(np.abs(delta_op(gen, q) @ s).max())
+        res = float(np.abs(delta_2site(gen, q) @ s).max())
         instances.append(CheckInstance(f"annihilation {gen}", res <= tol, res))
     for gen in ("K+", "K-"):
-        res = float(np.abs(delta_op(gen, q) @ s - s).max())
+        res = float(np.abs(delta_2site(gen, q) @ s - s).max())
         instances.append(CheckInstance(f"invariance {gen}", res <= tol, res))
     rep = spin_half_rep(q)
     km = rep.matrices[rep.alphabet["K-"]]

@@ -200,6 +200,28 @@ def test_non_finite_parameters_are_config_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sizes", "2x2", "--checks", "counit", "--tol", "nan"],
+    ["verify", "--sizes", "2x2", "--checks", "counit", "--tol", "-1"],
+    ["verify", "--sizes", "2x2", "--checks", "counit", "--tol", "inf"],
+    ["peps", "--rep", "d4", "--sizes", "2x2", "--tol", "-1"],
+    ["peps", "--rep", "d4", "--sizes", "1x1", "--tol", "nan"],
+])
+def test_non_finite_or_negative_tolerances_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--tol must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_tolerance_from_the_config_file_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rep": "d4", "sizes": [[1, 1]], "tol": -1e-3}))
+    out = tmp_path / "r"
+    assert main(["peps", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_default_q_lists_do_not_depend_on_the_check_order(tmp_path):
     argv = ["verify", "--example", "uq", "--sizes", "2x2", "--checks"]
     a, b = tmp_path / "a", tmp_path / "b"

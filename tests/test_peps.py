@@ -104,6 +104,24 @@ def test_non_finite_numbers_raise():
         peps.contract(peps.PepsInstance(inst.tensor, inf_corner), 1, 2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+@pytest.mark.parametrize("side", ["l", "t", "r", "b", "corner"])
+def test_non_finite_boundary_weights_raise(side, bad):
+    # each chi = 1 weight of d4's boundary in turn, and its corner
+    inst = peps.d4_instance()
+    bonds = [None] if side == "corner" else list(inst.boundary.sides[side])
+    for bond in bonds:
+        sides = {s: dict(table) for s, table in inst.boundary.sides.items()}
+        corner = inst.boundary.corner
+        if bond is None:
+            corner = np.array([[bad]])
+        else:
+            sides[side][bond] = np.array([[bad]])
+        spoilt = peps.PepsInstance(inst.tensor, peps.BoundarySpec(1, sides, corner))
+        with pytest.raises(NonFiniteError, match=r"of \[.+\] is not finite"):
+            peps.contract(spoilt, 2, 2)
+
+
 @pytest.mark.parametrize("mark,kept", [(grids.CANON_TOL, []),
                                         (1.0000001e-14, [["a", "v"], ["v", "b"]])])
 def test_contract_drops_contributions_up_to_the_canonical_tolerance(mark, kept):
@@ -424,6 +442,68 @@ def test_sweep_and_contract_match_brute_force(n, m, case):
     want = _oracle_contract(tensor, full_spec, n, m, table)
     scale = 1.0 + max((abs(c) for _, c in want.unordered_items()), default=0.0)
     assert sums_equal(got, want, 1e-10 * scale)
+
+
+def _matrix_trace_reference(inst, n, m, rotate):
+    """:func:`peps.contract` with every pattern traced as chi x chi
+    matrices: ``np.eye(chi)`` times the rotated cycle, left to right, with
+    ``@``."""
+    spec = inst.boundary
+    ((_, table),) = peps._sweep(inst.tensor, spec, m, [n])
+    k = rotate % (2 * (n + m) + 1)
+    terms = []
+    for word, patterns in table.items():
+        for pattern, amp in patterns.items():
+            cycle = [spec.sides[s][b] for s, b in _walk(pattern)] + [spec.corner]
+            acc = np.eye(spec.chi, dtype=complex)
+            for mat in cycle[k:] + cycle[:k]:
+                acc = acc @ np.asarray(mat, dtype=complex)
+            terms.append((word, complex(np.trace(acc)) * amp))
+    return FormalSum(GridShape(n, m), terms)
+
+
+def _bits(s):
+    return [(w, c.real.hex(), c.imag.hex()) for w, c in s.unordered_items()]
+
+
+def _chi1_instance(rng, weight):
+    """d4's components and a chi = 1 boundary, all drawn by ``weight``; each
+    side keeps each of the four bonds with probability 3/4."""
+    base = peps.d4_instance()
+    comps = {key: weight() for key in base.tensor.components}
+    sides = {s: {b: np.array([[weight()]]) for b in range(4) if rng.random() < 0.75}
+             for s in "ltrb"}
+    return peps.PepsInstance(peps.PepsTensor(base.tensor.alphabet, 4, comps),
+                             peps.BoundarySpec(1, sides, np.array([[weight()]])))
+
+
+SCALAR_SIZES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+EXACT_WEIGHTS = [1, -1, 1j, -1j, 2, -2, 0.5, -0.5]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scalar_trace_has_the_bits_of_the_1x1_products(seed):
+    # every product of these weights is exact, so the two traces must agree
+    # bit for bit whatever the matrix product's rounding on this platform
+    rng = np.random.default_rng(seed)
+    inst = _chi1_instance(rng, lambda: complex(EXACT_WEIGHTS[rng.integers(8)]))
+    for n, m in SCALAR_SIZES:
+        for rotate in range(2 * (n + m) + 1):
+            got = peps.contract(inst, n, m, rotate=rotate)
+            assert _bits(got) == _bits(_matrix_trace_reference(inst, n, m, rotate))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_trace_matches_the_1x1_products_for_random_weights(seed):
+    rng = np.random.default_rng(100 + seed)
+    inst = _chi1_instance(rng, lambda: complex(*rng.normal(size=2)))
+    for n, m in SCALAR_SIZES:
+        for rotate in range(2 * (n + m) + 1):
+            got = peps.contract(inst, n, m, rotate=rotate)
+            want = _matrix_trace_reference(inst, n, m, rotate)
+            scale = max((abs(c) for _, c in want.unordered_items()), default=0.0)
+            assert list(got._terms) == list(want._terms)
+            assert sums_equal(got, want, 1e-15 * scale)
 
 
 GAUGE_SIZES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
