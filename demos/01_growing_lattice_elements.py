@@ -54,15 +54,15 @@ print("\n== naive cellwise growth is a different object ==")
 # require those to match.
 v = pivot.alphabet["v"]
 one_step = apply_splitter(pivot, "x", word1(v))
-cellwise = FormalSum.zero(GridShape(2, 2))
+terms = []
 for term, coeff in one_step.items():
     left = apply_splitter(pivot, "y", GridWord(GridShape(1, 1), (term.cells[0],)))
     right = apply_splitter(pivot, "y", GridWord(GridShape(1, 1), (term.cells[1],)))
     for lw, lc in left.items():
         for rw, rc in right.items():
             cells = (lw.cells[0], rw.cells[0], lw.cells[1], rw.cells[1])
-            cellwise = cellwise + FormalSum.unit(GridWord(GridShape(2, 2), cells),
-                                                 coeff * lc * rc)
+            terms.append((GridWord(GridShape(2, 2), cells), coeff * lc * rc))
+cellwise = FormalSum(GridShape(2, 2), terms)
 print("cellwise double-split:", cellwise)
 print("grown 2x2 element:    ", boxplus(pivot, "v", 2, 2))
 print("equal?", sums_equal(cellwise, boxplus(pivot, "v", 2, 2)))

@@ -6,8 +6,6 @@ from .grids import (
     GridShape,
     GridWord,
     Symbol,
-    concat_h,
-    concat_v,
     site_index,
     sums_equal,
 )

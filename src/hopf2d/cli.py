@@ -46,7 +46,7 @@ from .coalgebra import (
     check_xy_compat,
     cube_xyz_compat,
 )
-from .grids import word1
+from .grids import EQ_TOL, word1
 from .instances import (
     UQ_NAMES,
     cyclic_regular_rep,
@@ -93,8 +93,11 @@ def _parse_q_list(values, seed, count=10):
 
 
 def _tolerance(args):
-    """``--tol``, which must be a finite number >= 0: a NaN or negative bound
-    fails every check, an infinite one passes every check."""
+    """``--tol``, or ``EQ_TOL`` when it is not given.  A given bound must be a
+    finite number >= 0: a NaN or negative one fails every check, an infinite
+    one passes every check."""
+    if args.tol is None:
+        return EQ_TOL
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
     return args.tol
@@ -318,8 +321,10 @@ def cmd_peps(args) -> int:
 
     ex = make_pivot(theta=0.0)
     sizes = _parse_sizes(args.sizes or "1x1,1x2,2x1,2x2,3x3")
-    tol = _tolerance(args)
     if args.rep == "d4":
+        if args.solve_boundary:
+            raise CliConfigError("--solve-boundary goes with --rep d2; d4's boundary is given")
+        tol = _tolerance(args)
         inst = pepsmod.d4_instance()
         if args.mutate:
             kind, _, idx = args.mutate.partition(":")
@@ -330,6 +335,9 @@ def cmd_peps(args) -> int:
         _write_report(args, "peps_d4.json", report.to_json())
         print(f"peps d4: {'pass' if report.ok else 'FAIL'} (max residual {report.max_residual:.3e})")
         return 0 if report.ok else 1
+    for flag, value in (("--tol", args.tol), ("--mutate", args.mutate)):
+        if value is not None:
+            raise CliConfigError(f"{flag} goes with --rep d4; --rep d2 does not read it")
     if not args.solve_boundary:
         raise CliConfigError("the d2 tensor has an unsolved boundary; use --solve-boundary")
     targets = {s: boxplus(ex, "v", *s) for s in sizes}
@@ -359,7 +367,7 @@ def build_parser():
         p.add_argument("--config", default=None)
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=float, default=None,
                        help="residual bound of every check; rmatrix1d uses min(TOL, 1e-12), "
                             "semiclassical uses its own slope window [0.9, 1.1] and "
                             "refinement bounds instead")

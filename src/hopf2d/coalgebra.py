@@ -369,17 +369,15 @@ def _instance(label, res, tol, where) -> CheckInstance:
 # axiom checks
 
 
-def check_quasi_1d_assoc(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
-    """(split x id) o split == (id x split) o split on the given slice words.
+def check_quasi_1d_assoc(ex, direction, n, tol=EQ_TOL) -> CheckReport:
+    """(split x id) o split == (id x split) o split on the sample slice words.
 
     The two sides grow the split word's first and second slice.  A word
     outside the splitter domain raises :class:`DomainError`; growth that
     leaves it fails the word's instance (see :func:`_checked`).
     """
-    if words is None:
-        words = ex.samples(direction, n)
     instances = []
-    for w in words:
+    for w in ex.samples(direction, n):
         label, doubled = repr(w), apply_splitter(ex, direction, w)
         instances.append(_checked(label, lambda: _compared(
             label, grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
@@ -416,8 +414,9 @@ def _halves(axis, block: GridWord):
     return block.slice(axis, 1), block.slice(axis, 2)
 
 
-def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
-    """Corner growth in both orders, per symbol, at every size up to n x m.
+def check_xy_compat(ex, n, m, tol=EQ_TOL) -> CheckReport:
+    """Corner growth in both orders, per symbol of ``ex.grow_symbols``, at
+    every size up to n x m.
 
     At every corner (k, l) with 1 <= k < n and 1 <= l < m, the canonical
     k x l element is grown by a row and then a column, and by a column and
@@ -431,12 +430,9 @@ def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
     fails the instances that need it (see :func:`_checked`).  The report
     names the single size [n, m], which stands for every size up to n x m.
     """
-    if symbols is None:
-        symbols = ex.grow_symbols
     corners = [(k, l) for k in range(1, n) for l in range(1, m)] or [(1, 1)]
     instances = []
-    for sym in symbols:
-        sym = ex.alphabet[sym] if isinstance(sym, str) else sym
+    for sym in ex.grow_symbols:
         grown = {"": FormalSum.unit(word1(sym))}  # axis sequence -> sum
 
         def along(axes):
@@ -458,15 +454,13 @@ def check_xy_compat(ex, n, m, symbols=None, tol=EQ_TOL) -> CheckReport:
     return CheckReport("xy_compat", [(n, m)], instances)
 
 
-def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
-    """Both one-sided counit contractions undo the splitter on the given words.
+def check_counit(ex, direction, n, tol=EQ_TOL) -> CheckReport:
+    """Both one-sided counit contractions undo the splitter on the sample words.
 
     A failing instance names the worst word of the worse side.  A word
     outside the splitter domain raises :class:`DomainError`; a split half
     outside the counit domain fails the word's instance (see :func:`_checked`).
     """
-    if words is None:
-        words = ex.samples(direction, n)
     eps = ex.counit(direction)
 
     def contracted(label, w, doubled):
@@ -482,7 +476,7 @@ def check_counit(ex, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
         return _compared(label, sides[worse], target, tol, max(gaps))
 
     instances = []
-    for w in words:
+    for w in ex.samples(direction, n):
         label, doubled = repr(w), apply_splitter(ex, direction, w)
         instances.append(_checked(label, lambda: contracted(label, w, doubled)))
     return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances)
@@ -512,8 +506,9 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
     return CheckReport("homomorphism", [(n, m)], instances)
 
 
-def check_antipode(ex, rep: Representation, direction, n, words=None, tol=EQ_TOL) -> CheckReport:
-    """mu (S x id) split == counit times identity, numerically in ``rep``.
+def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckReport:
+    """mu (S x id) split == counit times identity, numerically in ``rep``, on
+    the sample slice words.
 
     Two words of one shape multiply site by site, so each side is one
     :func:`kron_terms` sum whose factors are the products ``rep[x] @ rep[y]``.
@@ -521,15 +516,13 @@ def check_antipode(ex, rep: Representation, direction, n, words=None, tol=EQ_TOL
     """
     if ex.antipode is None:
         raise ConfigurationError(f"{ex.name} carries no antipode rule")
-    if words is None:
-        words = ex.samples(direction, n)
     eps = ex.counit(direction)
 
     def sitewise(coeff, u, w):  # the term of coeff * (u . w)
         return coeff, [rep[x] @ rep[y] for x, y in zip(u.cells, w.cells)]
 
     instances = []
-    for w in words:
+    for w in ex.samples(direction, n):
         left, right = [], []
         for b, c in apply_splitter(ex, direction, w).unordered_items():
             first, second = _halves(direction, b)
@@ -561,19 +554,6 @@ def _as_functional(f):
         return complex(table.get(sym, 0.0))
 
     return lookup
-
-
-def matrix_element_functional(rep: Representation, bra, ket):
-    """Per-site functional sym -> <bra| M_sym |ket> from dual/state vectors."""
-    import numpy as np
-
-    bra = np.asarray(bra, dtype=complex).reshape(1, -1)
-    ket = np.asarray(ket, dtype=complex).reshape(-1, 1)
-
-    def f(sym):
-        return complex((bra @ rep[sym] @ ket)[0, 0])
-
-    return f
 
 
 def dual_product(functionals, ex, v, n, m, gathering="cols") -> complex:

@@ -66,7 +66,7 @@ import sys
 
 # Coefficients below this magnitude are dropped during canonicalization.
 CANON_TOL = 1e-14
-# Default tolerance for comparing formal sums coefficientwise.
+# Tolerance of sums_equal, and the default residual bound of the checks.
 EQ_TOL = 1e-10
 _FLOAT_MAX = sys.float_info.max
 # axis names, fastest first: x is a shape's last extent, y the one before it
@@ -342,14 +342,6 @@ class GridWord:
         """The word on slice ``k`` (1-based) along ``axis``, extent 1 there."""
         return self._shape.slicing(axis, k).cut(self)
 
-    def row(self, i) -> "GridWord":
-        """The 1 x m row word at height ``i`` (1 = bottom)."""
-        return self.slice("y", i)
-
-    def col(self, j) -> "GridWord":
-        """The n x 1 column word at column ``j`` (1 = leftmost)."""
-        return self.slice("x", j)
-
     def rows_top_down(self):
         """Rows of a planar word as lists of names, top row first (the layout
         grids are displayed in)."""
@@ -551,10 +543,6 @@ class FormalSum:
     def unit(word: GridWord, coeff=1.0) -> "FormalSum":
         return FormalSum(word.shape, [(word, coeff)])
 
-    @staticmethod
-    def zero(shape: GridShape) -> "FormalSum":
-        return FormalSum(shape)
-
     def items(self):
         """Terms in deterministic (lexicographic) order."""
         return sorted(self._terms.items(), key=lambda kv: kv[0]._key())
@@ -610,16 +598,6 @@ class FormalSum:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(data: str, alphabet: Alphabet) -> "FormalSum":
-        obj = json.loads(data)
-        shape = GridShape(*obj["shape"])
-        terms = []
-        for t in obj["terms"]:
-            word = GridWord(shape, alphabet.words(t["cells"]))
-            terms.append((word, complex(t["re"], t["im"])))
-        return FormalSum(shape, terms)
-
 
 def _drop_small(acc: dict) -> dict:
     """Canonicalize merged terms in place: drop each word whose coefficient
@@ -644,9 +622,9 @@ def _made(shape: GridShape, terms: dict) -> FormalSum:
     return out
 
 
-def sums_equal(a: FormalSum, b: FormalSum, tol: float = EQ_TOL) -> bool:
-    """True iff shapes match and coefficients agree within ``tol`` on the union of terms."""
-    return sum_difference(a, b) <= tol if a.shape == b.shape else False
+def sums_equal(a: FormalSum, b: FormalSum) -> bool:
+    """True iff shapes match and coefficients agree within ``EQ_TOL`` on the union of terms."""
+    return sum_difference(a, b) <= EQ_TOL
 
 
 def sum_difference(a: FormalSum, b: FormalSum) -> float:
@@ -698,18 +676,3 @@ def _joined(axis, a: tuple, b: tuple) -> GridShape:
         raise ShapeError(f"cannot join {a} and {b} along {axis}")
     return a.resized(axis, a.extents[a.axis(axis)] + b.extents[b.axis(axis)])
 
-
-def concat_h(a: FormalSum, b: FormalSum) -> FormalSum:
-    """Juxtapose two sums side by side (``a`` on the left); bilinear."""
-    return _concat("x", a, b)
-
-
-def concat_v(a: FormalSum, b: FormalSum) -> FormalSum:
-    """Stack two sums vertically (``a`` at the bottom); bilinear."""
-    return _concat("y", a, b)
-
-
-def _concat(axis, a: FormalSum, b: FormalSum) -> FormalSum:
-    return FormalSum(_joined(axis, a.shape.extents, b.shape.extents),
-                     [(join(axis, wa, wb), ca * cb)
-                      for wa, ca in a._terms.items() for wb, cb in b._terms.items()])

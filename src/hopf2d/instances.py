@@ -311,40 +311,34 @@ def _product_counit(eps_table) -> object:
 # group-like and Lie-like instances
 
 
-def make_group_like(names, table=None, unit=None) -> CoalgebraExample:
+def make_group_like(names, table, unit) -> CoalgebraExample:
     """Every basis symbol is group-like; both splitters copy slices verbatim.
 
-    ``table`` is an optional multiplication table {(name, name): name}; with
-    it the example carries a multiplication rule and the inverse antipode.
+    ``table`` is the multiplication table {(name, name): name} with unit
+    ``unit``; the example carries its multiplication rule and the inverse
+    antipode.
     """
     alphabet = Alphabet(names)
     rules = {s: [(1.0, s, s)] for s in alphabet}
-    mult = None
-    antipode = None
-    unit_sym = alphabet[unit] if unit else None
-    if table is not None:
-        lookup = {(alphabet[u], alphabet[w]): alphabet[p] for (u, w), p in table.items()}
+    unit_sym = alphabet[unit]
+    lookup = {(alphabet[u], alphabet[w]): alphabet[p] for (u, w), p in table.items()}
 
-        def product(u, w):
-            return FormalSum.unit(GridWord(GridShape(1, 1), (lookup[(u, w)],)))
+    def product(u, w):
+        return FormalSum.unit(GridWord(GridShape(1, 1), (lookup[(u, w)],)))
 
-        if unit_sym is None:
-            raise ConfigurationError("a group table needs a designated unit")
-        inverse = {}
-        for (u, w), p in lookup.items():
-            if p == unit_sym:
-                inverse[u] = w
-        if set(inverse) != set(alphabet.symbols):
-            raise ConfigurationError("group table has no inverse for some symbol")
-        mult = MultiplicationRule(product)
-        antipode = _sitewise_antipode({s: (1.0, inverse[s]) for s in alphabet})
+    inverse = {}
+    for (u, w), p in lookup.items():
+        if p == unit_sym:
+            inverse[u] = w
+    if set(inverse) != set(alphabet.symbols):
+        raise ConfigurationError("group table has no inverse for some symbol")
 
     return CoalgebraExample(
         "group_like", alphabet,
         **_cellwise_tables(rules, {s: 1.0 for s in alphabet},
                            lambda axis: _constant_samples(axis, alphabet)),
-        multiplication=mult,
-        antipode=antipode,
+        multiplication=MultiplicationRule(product),
+        antipode=_sitewise_antipode({s: (1.0, inverse[s]) for s in alphabet}),
         unit=unit_sym,
         grow_symbols=tuple(alphabet.symbols),
     )
@@ -621,7 +615,7 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
     def product(u, w):
         uw = mul(u, w)
         if uw is None:
-            return FormalSum.zero(GridShape(1, 1))
+            return FormalSum(GridShape(1, 1))
         return FormalSum.unit(GridWord(GridShape(1, 1), uw[:1]), uw[1])
 
     mult = MultiplicationRule(product)

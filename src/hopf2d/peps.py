@@ -68,23 +68,6 @@ class PepsTensor:
             if not all(0 <= x < self.bond_dim for x in (l, t, r, b)):
                 raise ConfigurationError(f"bond index out of range in {key}")
 
-    def to_json(self) -> str:
-        comps = sorted(
-            [list(k) + [complex(v).real, complex(v).imag] for k, v in self.components.items()]
-        )
-        return json.dumps(_json_numbers({"bond_dim": self.bond_dim,
-                                         "alphabet": [s.name for s in self.alphabet],
-                                         "components": comps}),
-                          sort_keys=True, allow_nan=False)
-
-    @staticmethod
-    def from_json(data: str) -> "PepsTensor":
-        obj = json.loads(data)
-        comps = {}
-        for phys, l, t, r, b, re, im in obj["components"]:
-            comps[(phys, int(l), int(t), int(r), int(b))] = complex(float(re), float(im))
-        return PepsTensor(Alphabet(obj["alphabet"]), int(obj["bond_dim"]), comps)
-
 
 @dataclass
 class BoundarySpec:
@@ -92,12 +75,25 @@ class BoundarySpec:
 
     ``sides[s][bond]`` is a chi x chi array for s in 'l', 't', 'r', 'b';
     missing bonds mean the side annihilates that value.  Trivial boundaries
-    use chi = 1.  Unset sides (None) leave the boundary incomplete.
+    use chi = 1.  Unset sides (None) leave the boundary incomplete.  A
+    matrix that is not chi x chi raises :class:`ConfigurationError` naming
+    its side and bond, or the corner; an unset one (None) is not checked.
     """
 
     chi: int = 1
     sides: dict = field(default_factory=dict)
     corner: object = None  # chi x chi array, or None while unsolved
+
+    def __post_init__(self):
+        want = (self.chi, self.chi)
+        for s, table in self.sides.items():
+            for bond, mat in (table or {}).items():
+                if mat is not None and np.shape(mat) != want:
+                    raise ConfigurationError(f"boundary side {s!r} bond {bond}: a "
+                                             f"{np.shape(mat)} matrix, not chi x chi = {want}")
+        if self.corner is not None and np.shape(self.corner) != want:
+            raise ConfigurationError(f"boundary corner: a {np.shape(self.corner)} matrix, "
+                                     f"not chi x chi = {want}")
 
     def complete(self) -> bool:
         return self.corner is not None and all(
@@ -116,18 +112,6 @@ class BoundarySpec:
         if self.corner is not None:
             obj["corner"] = enc(self.corner)
         return json.dumps(_json_numbers(obj), sort_keys=True, allow_nan=False)
-
-    @staticmethod
-    def from_json(data: str) -> "BoundarySpec":
-        obj = json.loads(data)
-
-        def dec(rows):
-            return np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
-
-        sides = {s: {int(k): dec(v) for k, v in table.items()}
-                 for s, table in obj["sides"].items()}
-        corner = dec(obj["corner"]) if obj.get("corner") is not None else None
-        return BoundarySpec(int(obj["chi"]), sides, corner)
 
 
 @dataclass
@@ -403,9 +387,10 @@ class BoundarySolveResult:
         return json.dumps(_json_numbers(obj), sort_keys=True, allow_nan=False)
 
 
-def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySolveResult:
+def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveResult:
     """Solve for the free left/right boundary of a partially specified
-    instance against target formal sums, or certify the attempt hopeless.
+    instance against the target formal sums of ``sizes``, or certify the
+    attempt hopeless.
 
     Ansatz: a chi = 2 boundary in which unexcited bonds pass through and
     each bond value contributes one nilpotent excitation, closed by a
@@ -419,8 +404,6 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes=None) -> BoundarySol
     boundary of any kind can reproduce the targets; the returned
     certificate records such a pair.
     """
-    if sizes is None:
-        sizes = sorted(targets)
     tensor, boundary = inst.tensor, inst.boundary
     nb = tensor.bond_dim
     # unknowns: beta[bond] for left edges, then delta[bond] for right edges

@@ -247,15 +247,39 @@ def test_options_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+D2_SOLVE = ["peps", "--rep", "d2", "--solve-boundary", "--sizes", "1x1,2x2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (D2_SOLVE + ["--tol", "0.5"], "--tol"),
+    (D2_SOLVE + ["--tol", "1e-10"], "--tol"),  # given, even at the value d4 defaults to
+    (D2_SOLVE + ["--mutate", "drop:3"], "--mutate"),
+    (["peps", "--rep", "d4", "--solve-boundary", "--sizes", "1x1"], "--solve-boundary"),
+])
+def test_peps_options_its_rep_does_not_read_are_config_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {flag} goes with --rep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_keys_a_subcommand_does_not_read_are_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     for argv, bad in ((["peps", "--rep", "d4", "--sizes", "1x1"], {"q": "1.3"}),
                       (["peps", "--rep", "d4", "--sizes", "1x1"], {"seed": 7}),
-                      (["build-op", "--gen", "S+", "--q", "1.3"], {"tol": 1e-9})):
+                      (["build-op", "--gen", "S+", "--q", "1.3"], {"tol": 1e-9}),
+                      (D2_SOLVE, {"tol": 0.5}), (D2_SOLVE, {"mutate": "drop:3"}),
+                      (["peps", "--sizes", "1x1"], {"rep": "d2", "solve_boundary": True,
+                                                    "tol": 1e-10}),
+                      (["peps", "--rep", "d4", "--sizes", "1x1"], {"solve_boundary": True})):
         cfg.write_text(json.dumps(bad))
         out = tmp_path / "r"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, bad
         assert not out.exists(), bad
+    # a key left null in the file is not given
+    cfg.write_text(json.dumps({"tol": None, "mutate": None}))
+    for argv in (D2_SOLVE, ["peps", "--rep", "d4", "--sizes", "1x1"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / argv[2])]) == 0
 
 
 def test_peps_d4_pass_and_mutation(tmp_path):

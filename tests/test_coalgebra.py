@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -143,7 +144,7 @@ def test_boxplus_from_1d_matches_engine():
     ex = make_taft(TaftConfig(3, complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))))
     for sym in ("1", "g", "x"):
         got = boxplus_from_1d(ex.meta["delta_1site"], ex.alphabet[sym], 2, 3)
-        assert sums_equal(got, boxplus(ex, sym, 2, 3), 1e-12)
+        assert sum_difference(got, boxplus(ex, sym, 2, 3)) <= 1e-12
 
 
 def test_counit_contraction_shrinks_lattice():
@@ -151,13 +152,14 @@ def test_counit_contraction_shrinks_lattice():
     for n, m in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         s = boxplus(PIVOT, "v", n, m)
         eps = PIVOT.counit("x")
-        reduced = FormalSum.zero(GridShape(n, m - 1))
+        terms = []
         for term, c in s.items():
-            val = eps(term.col(m))
+            val = eps(term.slice("x", m))
             rest = GridWord(GridShape(n, m - 1), tuple(
                 term.cell(i, j) for i in range(1, n + 1) for j in range(1, m)
             ))
-            reduced = reduced + FormalSum.unit(rest, c * val)
+            terms.append((rest, c * val))
+        reduced = FormalSum(GridShape(n, m - 1), terms)
         assert sums_equal(reduced, boxplus(PIVOT, "v", n, m - 1))
 
 
@@ -303,16 +305,15 @@ def test_cube_xyz_compat():
 
 def test_dual_product_from_representation_vectors():
     # functionals built as matrix elements in a representation
-    from hopf2d.coalgebra import matrix_element_functional
     from hopf2d.instances import make_uq_symbolic
     from hopf2d.uqsu2 import spin_half_rep
 
     ex = make_uq_symbolic(2.0)
     rep = spin_half_rep(2.0, ex.alphabet)
-    up, down = [1.0, 0.0], [0.0, 1.0]
+    up, down = 0, 1
     # <up| M |down> picks the raising entry; diagonal letters weight by K
-    f_raise = matrix_element_functional(rep, up, down)
-    f_diag = matrix_element_functional(rep, up, up)
+    f_raise = lambda sym: complex(rep[sym][up, down])
+    f_diag = lambda sym: complex(rep[sym][up, up])
     functionals = [[f_raise, f_diag], [f_diag, f_diag]]
     cols = dual_product(functionals, ex, "S+", 2, 2, gathering="cols")
     rows = dual_product(functionals, ex, "S+", 2, 2, gathering="rows")
@@ -362,7 +363,7 @@ def test_growth_order_independence_property(case, n, m):
 def test_taft_engine_matches_1d_oracle_property(sym, n, m):
     got = boxplus(TAFT3, sym, n, m)
     oracle = boxplus_from_1d(TAFT3.meta["delta_1site"], TAFT3.alphabet[sym], n, m)
-    assert sums_equal(got, oracle, 1e-12)
+    assert sum_difference(got, oracle) <= 1e-12
 
 
 def test_pivot_growth_12x12_placement_terms():
@@ -584,21 +585,26 @@ def _planted_pivot():
     return ex
 
 
+def _growing_v(ex):
+    """A copy of ``ex`` whose xy-compatibility check grows only the symbol v."""
+    return dataclasses.replace(ex, grow_symbols=(ex.alphabet["v"],))
+
+
 def test_xy_compat_walks_every_corner():
-    report = check_xy_compat(make_pivot(theta=0.0), 2, 3, symbols=["v"])
+    report = check_xy_compat(_growing_v(make_pivot(theta=0.0)), 2, 3)
     assert [i.input for i in report.instances] == [
         "base2x2:v", "corner1x2:v", "corner1x2:v:vs_canonical"]
     assert report.sizes == [(2, 3)]
     corners = {i.input.split(":")[0] for i in check_xy_compat(PIVOT, 4, 3).instances}
     assert corners == {"base2x2"} | {f"corner{k}x{l}" for k in (1, 2, 3) for l in (1, 2)} - {
         "corner1x1"}
-    assert [i.input for i in check_xy_compat(PIVOT, 1, 4, symbols=["v"]).instances] == [
+    assert [i.input for i in check_xy_compat(_growing_v(PIVOT), 1, 4).instances] == [
         "base2x2:v"]
 
 
 def test_planted_splitter_fails_and_names_its_worst_word():
     ex = _planted_pivot()
-    reports = [check_xy_compat(ex, 2, 3, symbols=["v"]), check_quasi_1d_assoc(ex, "x", 2),
+    reports = [check_xy_compat(_growing_v(ex), 2, 3), check_quasi_1d_assoc(ex, "x", 2),
                check_counit(ex, "x", 2)]
     failed = {r.check: [i.input for i in r.instances if not i.passed] for r in reports}
     assert failed == {"xy_compat": ["corner1x2:v"], "quasi_1d_assoc_x": ["b/v"],
@@ -613,7 +619,7 @@ def test_planted_splitter_fails_and_names_its_worst_word():
                 assert abs(complex(*worst["got"]) - complex(*worst["want"])) == inst.residual
     counit_worst = reports[2].instances[2].details["worst_word"]
     assert counit_worst == {"word": "b/b", "got": [2.0, 0.0], "want": [1.0, 0.0]}
-    honest = check_xy_compat(make_pivot(theta=0.0), 2, 3, symbols=["v"])
+    honest = check_xy_compat(_growing_v(make_pivot(theta=0.0)), 2, 3)
     assert honest.ok and all(i.details == {} for i in honest.instances)
 
 
@@ -659,10 +665,11 @@ def test_growth_out_of_the_domain_fails_the_instance_and_names_the_word():
                       ("corner2x2:v:vs_canonical", "b/v/b outside the x-splitter domain")],
         "quasi_1d_assoc_x": [("v/a", "v/b outside the x-splitter domain")],
         "counit_x": [("v/a", "v/b outside the x-counit domain")]}
-    outside = [w(ex, [["a"], ["v"]])]  # a above v: an input word off the domain still raises
+    outside = [w(ex, [["a"], ["v"]])]  # a above v: a sample word off the domain still raises
+    ex.samplers["x"] = lambda n: outside
     for check in (check_quasi_1d_assoc, check_counit):
         with pytest.raises(DomainError):
-            check(ex, "x", 2, words=outside)
+            check(ex, "x", 2)
 
 
 SHIPPED = [make_cyclic_group(3), make_lie_like(["a", "c"]), make_quasi1d_group(),
@@ -678,9 +685,10 @@ def _contract_last(s: FormalSum, direction, eps) -> FormalSum:
         shape = GridShape(n, m - 1)
         return FormalSum(shape, [
             (GridWord(shape, tuple(c for i in range(n) for c in word.cells[i * m:(i + 1) * m - 1])),
-             coeff * eps(word.col(m))) for word, coeff in s.unordered_items()])
+             coeff * eps(word.slice("x", m))) for word, coeff in s.unordered_items()])
     shape = GridShape(n - 1, m)
-    return FormalSum(shape, [(GridWord(shape, word.cells[:(n - 1) * m]), coeff * eps(word.row(n)))
+    return FormalSum(shape, [(GridWord(shape, word.cells[:(n - 1) * m]),
+                              coeff * eps(word.slice("y", n)))
                              for word, coeff in s.unordered_items()])
 
 
@@ -895,7 +903,7 @@ def test_only_symbols_outside_the_first_splitter_fall_back_to_the_1d_rule():
         boxplus_sum(ex, FormalSum.unit(word1(x)), 2, 3)
     # gx is outside it: the product symbol still takes the 1D rule
     want = boxplus_from_1d(ex.meta["delta_1site"], gx, 2, 3)
-    assert sums_equal(boxplus_sum(ex, FormalSum.unit(word1(gx), 2.0), 2, 3), want * 2.0, 0.0)
+    assert sum_difference(boxplus_sum(ex, FormalSum.unit(word1(gx), 2.0), 2, 3), want * 2.0) == 0.0
     report = check_homomorphism(ex, taft_regular_rep(ex), 2, 3, [("g", "g"), ("x", "g")])
     assert [(i.input, i.passed, i.residual) for i in report.instances] == [
         ("g*g", True, 0.0), ("x*g", False, math.inf)]

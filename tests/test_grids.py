@@ -15,8 +15,6 @@ from hopf2d.grids import (
     NonFiniteError,
     ShapeError,
     SiteRangeError,
-    concat_h,
-    concat_v,
     join,
     site_index,
     sum_difference,
@@ -61,8 +59,8 @@ def test_site_index_range_errors():
 def test_gridword_row_col_accessors():
     word = w([["b", "b"], ["a", "v"]])
     assert word.cell(1, 2) is V
-    assert word.row(2).cells == (B, B)
-    assert word.col(2).cells == (V, B)
+    assert word.slice("y", 2).cells == (B, B)
+    assert word.slice("x", 2).cells == (V, B)
     assert word.rows_top_down() == [["b", "b"], ["a", "v"]]
 
 
@@ -97,29 +95,38 @@ def test_add_scale_commute(t1, t2, c):
     assert sum_difference((x + y) * c, x * c + y * c) <= 1e-12 * (1 + abs(c))
 
 
+def joined(axis, a, b):
+    """Every term of ``a`` joined along ``axis`` with every term of ``b``,
+    the products of their coefficients summed by one constructor."""
+    k = a.shape.axis(axis)
+    shape = a.shape.resized(axis, a.shape.extents[k] + b.shape.extents[k])
+    return FormalSum(shape, [(join(axis, wa, wb), ca * cb)
+                             for wa, ca in a.unordered_items() for wb, cb in b.unordered_items()])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(cells3, coeffs), max_size=3),
        st.lists(st.tuples(cells3, coeffs), max_size=3),
        st.lists(st.tuples(cells3, coeffs), max_size=3))
 def test_concat_h_bilinear(t1, t2, t3):
     x, y, z = sum_1x3(t1), sum_1x3(t2), sum_1x3(t3)
-    lhs = concat_h(x + y, z)
-    rhs = concat_h(x, z) + concat_h(y, z)
+    lhs = joined("x", x + y, z)
+    rhs = joined("x", x, z) + joined("x", y, z)
     assert sum_difference(lhs, rhs) <= 1e-9
 
 
 def test_concat_layouts():
     col_v = FormalSum.unit(word1(V))
     col_b = FormalSum.unit(word1(B))
-    horizontal = concat_h(col_v, col_b)
+    horizontal = joined("x", col_v, col_b)
     assert list(horizontal)[0].rows_top_down() == [["v", "b"]]
-    vertical = concat_v(col_v, col_b)  # first factor is the bottom row
+    vertical = joined("y", col_v, col_b)  # first factor is the bottom row
     assert list(vertical)[0].rows_top_down() == [["b"], ["v"]]
 
 
 def test_concat_v_shape_error():
     with pytest.raises(ShapeError):
-        concat_v(FormalSum.unit(w([["a", "b"]])), FormalSum.unit(word1(V)))
+        join("y", w([["a", "b"]]), word1(V))
 
 
 def _union_difference(a, b):
@@ -144,21 +151,11 @@ def test_sum_difference_is_the_max_over_the_union_of_supports(t1, t2, disjoint):
 
 def test_sums_equal_tolerance_and_support():
     x = FormalSum.unit(word1(B))
-    assert sums_equal(x, x, 1e-10)
+    assert sums_equal(x, x)
     y = FormalSum.unit(word1(B), 1 + 1e-12)
-    assert sums_equal(x, y, 1e-10)
-    assert not sums_equal(FormalSum.unit(word1(V)), FormalSum.unit(word1(A)), 1e-3)
-
-
-def test_json_round_trip():
-    shape = GridShape(2, 2)
-    s = FormalSum(shape, [(w([["b", "b"], ["v", "b"]]), 1.5 - 0.5j),
-                          (w([["a", "a"], ["a", "v"]]), 2.0)])
-    data = s.to_json()
-    obj = json.loads(data)
-    assert obj["shape"] == [2, 2]
-    back = FormalSum.from_json(data, AB)
-    assert sums_equal(s, back, 0.0)
+    assert sums_equal(x, y)
+    assert not sums_equal(x, FormalSum.unit(word1(B), 1 + 2 * grids.EQ_TOL))
+    assert sum_difference(FormalSum.unit(word1(V)), FormalSum.unit(word1(A))) > 1e-3
 
 
 def test_term_iteration_deterministic():
@@ -174,7 +171,7 @@ def test_non_finite_coefficient_raises(bad):
         FormalSum.unit(word1(V), bad)
     # a NaN must not vanish and so compare equal to zero
     with pytest.raises(ValueError):
-        sums_equal(FormalSum.unit(word1(V)) * bad, FormalSum.zero(GridShape(1, 1)))
+        sums_equal(FormalSum.unit(word1(V)) * bad, FormalSum(GridShape(1, 1)))
 
 
 def test_overflow_to_infinity_raises():
@@ -204,15 +201,6 @@ def test_gridword_is_immutable():
         word.cells = (B, B)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(cells3, coeffs), max_size=6))
-def test_json_round_trip_property(terms):
-    s = sum_1x3(terms)
-    back = FormalSum.from_json(s.to_json(), AB)
-    assert sums_equal(s, back, 0.0)
-    assert back.to_json() == s.to_json()
-
-
 def test_planar_shapes_keep_their_repr_json_hash_and_key():
     shape = GridShape(3, 4)
     assert (shape.rows, shape.cols, shape.sites, repr(shape)) == (3, 4, 12, "3x4")
@@ -223,10 +211,11 @@ def test_planar_shapes_keep_their_repr_json_hash_and_key():
     bx, by, _ = grids._BASES
     P = 2 ** 61 - 1
     col1, col2 = (B.id + 1) + (A.id + 1) * by, (B.id + 1) + (V.id + 1) * by
-    assert hash(word.col(1)) == col1 % P == 1089357896855742842
-    assert hash(word.col(2)) == col2 % P == 962230681353534571
+    assert hash(word.slice("x", 1)) == col1 % P == 1089357896855742842
+    assert hash(word.slice("x", 2)) == col2 % P == 962230681353534571
     assert hash(word) == (col1 + bx * col2) % P == 517395355789816751
-    assert hash(_by_x_slices(word)) == hash(word) and hash(word.row(2)) == 1045315497510195590
+    assert hash(_by_x_slices(word)) == hash(word)
+    assert hash(word.slice("y", 2)) == 1045315497510195590
     assert word._key() == (2, 2, (B.id, B.id, A.id, V.id))
     assert json.loads(FormalSum.unit(word).to_json())["shape"] == [2, 2]
     with pytest.raises(AttributeError):
@@ -253,7 +242,8 @@ def test_cube_shapes_name_their_axes_and_print_every_layer():
     with pytest.raises(SiteRangeError):
         cube.slice("x", 3)
     s = FormalSum.unit(cube, 0.5j)
-    assert sums_equal(FormalSum.from_json(s.to_json(), AB), s, 0.0)
+    assert json.loads(s.to_json()) == {"shape": [2, 2, 2], "terms": [
+        {"cells": ["a", "a", "a", "a", "a", "v", "b", "b"], "re": 0.0, "im": 0.5}]}
 
 
 def test_planar_site_accessors_refuse_a_cube_word():

@@ -551,7 +551,7 @@ def _taft_reference(ex, n, omega):
     def product(u, w):
         (i1, j1), (i2, j2) = exponents[u], exponents[w]
         if j1 + j2 >= n:
-            return FormalSum.zero(GridShape(1, 1))
+            return FormalSum(GridShape(1, 1))
         coef = omega ** (j1 * i2)
         sym = idx[((i1 + i2) % n, j1 + j2)]
         return FormalSum.unit(GridWord(GridShape(1, 1), (sym,)), coef)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, word1, concat_h, concat_v
+from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, join, word1
 from hopf2d.linops import (
     Representation,
     RepresentationError,
@@ -88,13 +88,12 @@ def test_concat_evaluate_consistency_1x2_2x1(uq2):
     ex, rep = uq2
     for sym1 in ("S+", "K-"):
         for sym2 in ("K+", "S-"):
-            u = FormalSum.unit(word1(ex.alphabet[sym1]))
-            w = FormalSum.unit(word1(ex.alphabet[sym2]))
+            u, w = word1(ex.alphabet[sym1]), word1(ex.alphabet[sym2])
             m1 = rep.matrices[ex.alphabet[sym1]]
             m2 = rep.matrices[ex.alphabet[sym2]]
-            got_h = evaluate(concat_h(u, w), rep).toarray()
+            got_h = evaluate(FormalSum.unit(join("x", u, w)), rep).toarray()
             assert np.allclose(got_h, np.kron(m1, m2))
-            got_v = evaluate(concat_v(u, w), rep).toarray()
+            got_v = evaluate(FormalSum.unit(join("y", u, w)), rep).toarray()
             # first factor is the bottom row = earlier linear site = left factor
             assert np.allclose(got_v, np.kron(m1, m2))
 
@@ -103,10 +102,11 @@ def test_concat_evaluate_2x2_interleaving(uq2):
     # columns interleave: kron of column evaluations needs the middle swap
     ex, rep = uq2
     al = ex.alphabet
-    left = FormalSum.unit(GridWord(GridShape(2, 1), (al["S+"], al["K+"])))
-    right = FormalSum.unit(GridWord(GridShape(2, 1), (al["K-"], al["K-"])))
-    combined = evaluate(concat_h(left, right), rep).toarray()
-    kron_cols = np.kron(evaluate(left, rep).toarray(), evaluate(right, rep).toarray())
+    left = GridWord(GridShape(2, 1), (al["S+"], al["K+"]))
+    right = GridWord(GridShape(2, 1), (al["K-"], al["K-"]))
+    combined = evaluate(FormalSum.unit(join("x", left, right)), rep).toarray()
+    kron_cols = np.kron(evaluate(FormalSum.unit(left), rep).toarray(),
+                        evaluate(FormalSum.unit(right), rep).toarray())
     swap_mid = np.zeros((16, 16))
     for b in range(16):
         bits = [(b >> k) & 1 for k in (3, 2, 1, 0)]
