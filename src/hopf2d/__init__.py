@@ -29,7 +29,6 @@ from .coalgebra import (
 from .instances import (
     PivotConfig,
     TaftConfig,
-    example_from_config,
     half_plane_grid,
     make_cross,
     make_cyclic_group,

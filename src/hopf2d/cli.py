@@ -49,8 +49,16 @@ from .coalgebra import (
 from .grids import EQ_TOL, word1
 from .instances import (
     UQ_NAMES,
+    TaftConfig,
     cyclic_regular_rep,
-    example_from_config,
+    make_cross,
+    make_cyclic_group,
+    make_lie_like,
+    make_pivot,
+    make_quasi1d_group,
+    make_quasi1d_lie,
+    make_taft,
+    make_uq_symbolic,
     taft_regular_rep,
 )
 from .linops import ResourceLimitError, SparseOperator
@@ -103,16 +111,34 @@ def _tolerance(args):
     return args.tol
 
 
-def _example_config(args):
-    cfg = {"example": args.example}
-    if args.example == "pivot":
-        cfg["theta_over_pi"] = args.theta_over_pi or 0.0
-    if args.example == "taft":
-        cfg["n"] = args.taft_n or 2
-    if args.example == "uq":
-        q = _parse_q_list(args.q, args.seed, 1)[0]
-        cfg["q_re"], cfg["q_im"] = q.real, q.imag
-    return cfg
+def _taft(n):
+    return make_taft(TaftConfig(n=n, omega=-1.0 + 0j if n == 2 else cmath.exp(2j * math.pi / n)))
+
+
+# the --example choices and their constructors; pivot reads --theta-over-pi,
+# taft --taft-n and uq its first --q (or the first q of --seed's draw)
+_EXAMPLES = {
+    "pivot": lambda args: make_pivot(theta=(args.theta_over_pi or 0.0) * math.pi),
+    "taft": lambda args: _taft(args.taft_n or 2),
+    "uq": lambda args: make_uq_symbolic(_parse_q_list(args.q, args.seed, 1)[0]),
+    "group": lambda args: make_cyclic_group(3),
+    "lie": lambda args: make_lie_like(["a", "c"]),
+    "quasi1d-group": lambda args: make_quasi1d_group(),
+    "quasi1d-lie": lambda args: make_quasi1d_lie(),
+    "cross": lambda args: make_cross(),
+}
+
+
+def _make_example(args):
+    """The example ``--example`` names.  ``--theta-over-pi`` without
+    ``--example pivot``, or ``--taft-n`` without ``--example taft``, is a
+    :class:`CliConfigError`: no other example reads them."""
+    for flag, value, reader in (("--theta-over-pi", args.theta_over_pi, "pivot"),
+                                ("--taft-n", args.taft_n, "taft")):
+        if value is not None and args.example != reader:
+            raise CliConfigError(f"{flag} goes with --example {reader}; "
+                                 f"--example {args.example} does not read it")
+    return _EXAMPLES[args.example](args)
 
 
 def _one_site_rules(ex):
@@ -143,7 +169,7 @@ def _run_checks(args):
     sizes = _parse_sizes(args.sizes or "2x2,3x3")
     checks = (args.checks or "assoc,xycompat,counit").split(",")
     tol = _tolerance(args)
-    ex = example_from_config(_example_config(args))
+    ex = _make_example(args)
     max_n = max(n for n, _ in sizes)
     max_m = max(m for _, m in sizes)
     uq_reports = None
@@ -291,17 +317,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build_op(args) -> int:
-    if not (args.rmatrix2d or args.gen):
-        raise CliConfigError("build-op needs --gen or --rmatrix2d")
-    if not args.rmatrix2d and args.gen not in UQ_NAMES:
-        raise CliConfigError(f"unknown generator {args.gen!r}; --gen takes {', '.join(UQ_NAMES)}")
     q = _parse_q_list(args.q, args.seed, 1)[0]
     if args.rmatrix2d:
+        for flag, value in (("--gen", args.gen), ("--size", args.size)):
+            if value is not None:
+                raise CliConfigError(f"{flag} goes without --rmatrix2d; the 2x2 R-matrix "
+                                     f"does not read it")
         gen, (n, m) = "rmatrix2d", (2, 2)
         op = SparseOperator(rmx.r2d(q))
         name = f"rmatrix2d_q{q.real:g}{'+' if q.imag >= 0 else ''}{q.imag:g}j.mtx"
     else:
-        gen, (n, m) = args.gen, _parse_sizes(args.size or "2x2")[0]
+        if not args.gen:
+            raise CliConfigError("build-op needs --gen or --rmatrix2d")
+        if args.gen not in UQ_NAMES:
+            raise CliConfigError(f"unknown generator {args.gen!r}; --gen takes {', '.join(UQ_NAMES)}")
+        sizes = _parse_sizes(args.size or "2x2")
+        if len(sizes) > 1:
+            raise CliConfigError(f"--size takes one size, got {args.size!r}")
+        gen, ((n, m),) = args.gen, sizes
         op = uqsu2.boxplus_op(gen, q, n, m)
         name = f"boxplus_{gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
     outdir = args.out or "operators"
@@ -317,8 +350,6 @@ def cmd_build_op(args) -> int:
 
 
 def cmd_peps(args) -> int:
-    from .instances import make_pivot
-
     ex = make_pivot(theta=0.0)
     sizes = _parse_sizes(args.sizes or "1x1,1x2,2x1,2x2,3x3")
     if args.rep == "d4":
@@ -381,8 +412,7 @@ def build_parser():
     tol(v)
     q_list(v)
     v.add_argument("--example", default="pivot",
-                   choices=["pivot", "taft", "uq", "group", "lie",
-                            "quasi1d-group", "quasi1d-lie", "cross"])
+                   choices=list(_EXAMPLES))
     v.add_argument("--sizes", default=None)
     v.add_argument("--checks", default=None)
     v.add_argument("--theta-over-pi", type=float, default=None)

@@ -60,7 +60,6 @@ from functools import lru_cache
 from itertools import chain, filterfalse, product, repeat
 import json
 import math
-import operator
 from operator import attrgetter, itemgetter, mul, sub
 import sys
 
@@ -93,46 +92,23 @@ class NonFiniteError(ValueError):
 class Symbol(int):
     """A named generator, identified by a small integer id within its alphabet.
 
-    A symbol is its id as an ``int``, so a word's cells hash as their ids in
-    C, without an attribute lookup per cell.  Otherwise it behaves as a
-    (id, name) record: it equals only a symbol of the same id and name,
-    orders by (id, name), is true, and prints as its name.
+    A symbol is its id as an ``int``: it equals, hashes and orders as that
+    id, in C, so a word's cells hash and compare without a Python call per
+    cell.  Symbols of two alphabets with the same id are therefore equal,
+    and a symbol equals its id as an ``int``; code where two alphabets meet
+    checks their names itself.  A symbol is true, prints as its name and is
+    immutable.
     """
 
     def __new__(cls, id: int, name: str):
         sym = super().__new__(cls, id)
         object.__setattr__(sym, "name", name)
-        object.__setattr__(sym, "_record", (int(id), name))  # compared in C
         return sym
 
     def __setattr__(self, key, value):
         raise AttributeError(f"Symbol is immutable; cannot set {key!r}")
 
     id = property(int.__int__, doc="The symbol's id within its alphabet.")
-    __hash__ = int.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._record == other._record
-
-    def __ne__(self, other):
-        return not self == other
-
-    def _compare(self, other, op):
-        if other.__class__ is not self.__class__:  # not NotImplemented: int would answer
-            raise TypeError(f"cannot order a symbol and {type(other).__name__!r}")
-        return op(self._record, other._record)
-
-    def __lt__(self, other):
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._compare(other, operator.ge)
 
     def __bool__(self):
         return True
@@ -360,7 +336,7 @@ class GridWord:
         return GridWord(GridShape(n, m), tuple(cells))
 
     def _key(self):
-        return (*self._shape.extents, tuple(map(operator.index, self.cells)))
+        return (*self._shape.extents, self.cells)
 
     def __lt__(self, other):
         return self._key() < other._key()

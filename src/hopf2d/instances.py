@@ -185,7 +185,7 @@ class MarkedFamily:
                 for site in order:
                     cells[site] = a
                     free.append(tuple(cells))
-            free += [(g,) * len(rank) for g in sorted(self.grouplike, key=lambda s: s.id)]
+            free += [(g,) * len(rank) for g in sorted(self.grouplike)]
             for cells in free:
                 if not marks(cells):
                     table.setdefault(cells, None)
@@ -755,35 +755,3 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
     ex.meta = {"q": q, "family": family}
     return ex
 
-
-# ---------------------------------------------------------------------------
-# config-driven selection
-
-
-def example_from_config(cfg: dict) -> CoalgebraExample:
-    """Build an example from the CLI's config dict: {"example": "pivot",
-    "theta_over_pi": 0.25}, {"example": "taft", "n": 2}, {"example": "uq",
-    "q_re": 1.3, "q_im": 0.0}, or one of "group", "lie", "quasi1d-group",
-    "quasi1d-lie" and "cross" with no other key."""
-    kind = cfg.get("example")
-    if kind == "pivot":
-        theta = float(cfg.get("theta_over_pi", 0.0)) * math.pi
-        return make_pivot(theta=theta)
-    if kind == "taft":
-        n = int(cfg.get("n", 2))
-        omega = -1.0 + 0j if n == 2 else cmath.exp(2j * math.pi / n)
-        return make_taft(TaftConfig(n=n, omega=omega))
-    if kind == "uq":
-        q = complex(float(cfg.get("q_re", 2.0)), float(cfg.get("q_im", 0.0)))
-        return make_uq_symbolic(q)
-    if kind == "group":
-        return make_cyclic_group(3)
-    if kind == "lie":
-        return make_lie_like(["a", "c"])
-    if kind == "quasi1d-group":
-        return make_quasi1d_group()
-    if kind == "quasi1d-lie":
-        return make_quasi1d_lie()
-    if kind == "cross":
-        return make_cross()
-    raise ConfigurationError(f"unknown example selector {kind!r}")

@@ -30,7 +30,10 @@ differently.  Wider boundaries keep numpy's matrix products, whose sums a
 Python 2 x 2 product would round differently.
 
 Output is a formal sum over symbol grids, directly comparable with the
-grown coalgebra elements.
+grown coalgebra elements: its words hold the tensor's own symbols, which
+compare as their ids, so :func:`check_peps_vs_boxplus` and
+:func:`solve_boundary` first check that the symbols they compare against
+name each id as the tensor's alphabet does.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class PepsInstance:
     boundary: BoundarySpec
 
 
-def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=()):
+def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
     """Bond-consistent m-wide patches, swept one row at a time.
 
     Yields ``(n, {grid word: {perimeter pattern: amplitude}})`` for each n in
@@ -134,9 +137,7 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
     more than :data:`SWEEP_STATE_CAP` states raises
     :class:`ResourceLimitError`.  The states hold symbol names, a patch's
     rows as ids of distinct row words; a yielded word's cells are the
-    tensor's symbols, each replaced by the same symbol (same id and name)
-    from ``symbols`` where that holds one, so the words compare with words
-    made from ``symbols`` by identity.
+    symbols of the tensor's alphabet.
     """
     shapes = {n: GridShape(n, m) for n in heights}
     live = {s: {bond for bond, mat in table.items() if mat is not None}
@@ -176,9 +177,7 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
             by_bottom.setdefault(bs, []).append((rid, (l,), ts, (r,), amp))
             if ok_b is None or ok_b.issuperset(bs):
                 states[(rid, (l,), (r,), bs, ts)] = amp
-    shared = {(s.id, s.name): s for s in symbols}
-    syms = {s.name: shared.get((s.id, s.name), s) for s in tensor.alphabet}
-    row_syms = [tuple(syms[c] for c in cells) for cells in row_ids]
+    row_syms = [tensor.alphabet.words(cells) for cells in row_ids]
     for n in range(1, max(shapes, default=0) + 1):
         if n > 1:
             nxt = {}
@@ -207,7 +206,7 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights, symbols=
         yield n, table
 
 
-def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) -> FormalSum:
+def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0) -> FormalSum:
     """Exact contraction of an n x m patch into a symbolic formal sum.
 
     Each distinct perimeter pattern is traced once, its cycle walking the
@@ -223,13 +222,12 @@ def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0, symbols=()) ->
     :data:`grids.CANON_TOL` or raises :class:`grids.NonFiniteError` on a
     non-finite one.  ``rotate`` shifts the starting point of the closed
     perimeter cycle; by cyclicity of the trace the result must not depend
-    on it.  The words take their symbols from ``symbols`` where it holds
-    the same ones, as in :func:`_sweep`.
+    on it.
     """
     tensor, boundary = inst.tensor, inst.boundary
     if not boundary.complete():
         raise ConfigurationError("boundary specification is incomplete")
-    ((_, table),) = _sweep(tensor, boundary, m, [n], symbols)
+    ((_, table),) = _sweep(tensor, boundary, m, [n])
     # every side is set, so the sweep left no annihilated bond
     scalar = boundary.chi == 1
 
@@ -402,7 +400,8 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
     If the pattern-multiplicity table itself is inconsistent (two grids
     whose constraint rows are proportional but whose targets are not), no
     boundary of any kind can reproduce the targets; the returned
-    certificate records such a pair.
+    certificate records such a pair.  A target symbol whose id the
+    tensor's alphabet names differently raises :class:`ConfigurationError`.
     """
     tensor, boundary = inst.tensor, inst.boundary
     nb = tensor.bond_dim
@@ -410,10 +409,11 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
     heights = {}
     for n, m in sizes:
         heights.setdefault(m, set()).add(n)
-    symbols = {c for target in targets.values() for w, _ in target.unordered_items()
-               for c in w.cells}
+    _check_names(tensor.alphabet, "the targets",
+                 {c for target in targets.values() for w, _ in target.unordered_items()
+                  for c in w.cells})
     swept = {(n, m): table for m, hs in heights.items()
-             for n, table in _sweep(tensor, boundary, m, hs, symbols)}
+             for n, table in _sweep(tensor, boundary, m, hs)}
     tables = {size: swept[size] for size in sizes}
     rows, rhs = [], []
     for size in sizes:
@@ -485,8 +485,23 @@ def _infeasibility_certificate(tables, targets):
     return None
 
 
+def _check_names(alphabet: Alphabet, where: str, symbols):
+    """Raise :class:`ConfigurationError` if one of ``symbols`` has an id that
+    ``alphabet`` names differently: symbols compare as their ids, so the
+    words of two alphabets meet only where their names agree."""
+    names = [s.name for s in alphabet]
+    for s in symbols:
+        if s < len(names) and s.name != names[s]:
+            raise ConfigurationError(f"symbol id {int(s)} is {s.name!r} in {where} but "
+                                     f"{names[s]!r} in the tensor's alphabet")
+
+
 def check_peps_vs_boxplus(inst, example, v, sizes, tol=1e-10) -> CheckReport:
-    """Contracted patches match the grown coalgebra elements, term by term."""
-    instances = [_compared(f"{n}x{m}", contract(inst, n, m, symbols=example.alphabet),
+    """Contracted patches match the grown coalgebra elements, term by term.
+
+    An example whose alphabet names an id of the tensor's alphabet
+    differently raises :class:`ConfigurationError`."""
+    _check_names(inst.tensor.alphabet, "the example's alphabet", example.alphabet)
+    instances = [_compared(f"{n}x{m}", contract(inst, n, m),
                            boxplus(example, v, n, m), tol) for n, m in sizes]
     return CheckReport("peps_vs_boxplus", list(sizes), instances)

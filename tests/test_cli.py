@@ -192,6 +192,7 @@ def test_config_errors_leave_no_output_directory(tmp_path):
     ["verify", "--example", "pivot", "--q", "nan", "--checks", "rmatrix1d"],
     ["build-op", "--gen", "S+", "--q", "nan"],
     ["build-op", "--rmatrix2d", "--q", "inf"],
+    ["verify", "--theta-over-pi=-inf"],
 ])
 def test_non_finite_parameters_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "r"
@@ -282,6 +283,69 @@ def test_config_keys_a_subcommand_does_not_read_are_rejected(tmp_path):
         assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / argv[2])]) == 0
 
 
+def _example(*argv):
+    return cli._make_example(cli.build_parser().parse_args(["verify", *argv]))
+
+
+def test_each_example_is_built_from_the_options_it_reads(tmp_path):
+    assert _example("--theta-over-pi", "0.25").meta["theta"] == pytest.approx(np.pi / 4)
+    assert _example("--example", "taft", "--taft-n", "2").name == "taft(n=2)"
+    assert _example("--example", "taft", "--taft-n", "3").name == "taft(n=3)"
+    assert _example("--example", "uq", "--q", "1.3").meta["q"] == 1.3
+    names = {kind: _example("--example", kind).name
+             for kind in ("pivot", "taft", "group", "lie", "quasi1d-group", "quasi1d-lie", "cross")}
+    assert names == {"pivot": "pivot(theta=0)", "taft": "taft(n=2)", "group": "group_like",
+                     "lie": "lie_like", "quasi1d-group": "quasi1d_group",
+                     "quasi1d-lie": "quasi1d_lie", "cross": "cross"}
+    cfg = tmp_path / "cfg.json"
+    for kind in ("nope", "quasi1d_group", "quasi1d_lie"):  # the parser's choices only
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--example", kind, "--out", str(tmp_path / "a")])
+        assert exc.value.code == 2
+        cfg.write_text(json.dumps({"example": kind}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("argv, cfg, flag", [
+    (["--example", "taft", "--theta-over-pi", "0.25"], {}, "--theta-over-pi"),
+    (["--example", "pivot", "--taft-n", "3"], {}, "--taft-n"),
+    (["--taft-n", "2"], {}, "--taft-n"),  # pivot is the default example
+    (["--example", "uq", "--q", "1.3", "--theta-over-pi", "0"], {}, "--theta-over-pi"),
+    (["--example", "cross"], {"theta_over_pi": 0.0}, "--theta-over-pi"),
+    ([], {"example": "taft", "theta_over_pi": 0.25}, "--theta-over-pi"),
+    (["--example", "lie"], {"taft_n": 2}, "--taft-n"),
+])
+def test_example_options_another_example_reads_are_config_errors(tmp_path, capsys, argv, cfg,
+                                                                   flag):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert main(["verify", *argv, "--sizes", "2x2", "--checks", "counit",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {flag} goes with --example" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["--rmatrix2d", "--gen", "S+", "--q", "1.5"], {}, "--gen goes without --rmatrix2d"),
+    (["--rmatrix2d", "--size", "3x3", "--q", "1.5"], {}, "--size goes without --rmatrix2d"),
+    (["--gen", "S+", "--q", "1.3", "--size", "2x2,2x3"], {}, "--size takes one size"),
+    (["--rmatrix2d", "--q", "1.5"], {"gen": "S+"}, "--gen goes without --rmatrix2d"),
+    (["--rmatrix2d", "--q", "1.5"], {"size": "2x2"}, "--size goes without --rmatrix2d"),
+    (["--gen", "S+", "--q", "1.5"], {"rmatrix2d": True}, "--gen goes without --rmatrix2d"),
+    (["--gen", "S+", "--q", "1.3"], {"size": "2x2,2x3"}, "--size takes one size"),
+])
+def test_build_op_options_its_run_does_not_read_are_config_errors(tmp_path, capsys, argv, cfg,
+                                                                    message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert main(["build-op", *argv, "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_peps_d4_pass_and_mutation(tmp_path):
     assert main(["peps", "--rep", "d4", "--sizes", "1x1,1x2,2x2,3x3",
                  "--out", str(tmp_path / "a")]) == 0
@@ -344,7 +408,7 @@ def test_engine_error_is_not_a_config_error(tmp_path, monkeypatch):
 def test_growth_out_of_the_domain_is_a_failed_check(tmp_path, monkeypatch):
     from tests.test_coalgebra import _out_of_domain_pivot
 
-    monkeypatch.setattr(cli, "example_from_config", lambda cfg: _out_of_domain_pivot())
+    monkeypatch.setattr(cli, "_make_example", lambda args: _out_of_domain_pivot())
     out = tmp_path / "r"
     assert main(["verify", "--sizes", "3x3", "--checks", "assoc,xycompat,counit",
                  "--out", str(out)]) == 1

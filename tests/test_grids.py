@@ -380,12 +380,13 @@ def test_symbols_are_their_ids_and_keep_their_names():
 
     other = Alphabet(["a", "x"])
     assert A.id == 0 and int(A) == 0 and hash(A) == 0 and hash(V) == V.id == 2
-    assert A == AB["a"] and A == other["a"] and A != other["x"] and A != 0 and A != "a"
+    assert A == AB["a"] and A == other["a"] and A != "a"
+    # a symbol compares and orders as its id, whatever its name or alphabet
+    assert A == 0 and B == other["x"] and hash(other["x"]) == hash(B) == 1
     assert (str(A), repr(V), f"{B}*{V:>3}", bool(A)) == ("a", "v", "b*  v", True)
-    assert sorted([V, other["x"], B, A]) == [A, B, other["x"], V]  # by (id, name)
-    assert A < B < other["x"] < V and not A < A and A <= A and V >= B
-    with pytest.raises(TypeError):
-        A < 1
+    assert sorted([V, other["x"], A]) == [A, other["x"], V]  # by id
+    assert A < other["x"] < V and not A < A and A <= A and V >= B and A < 1 < V
+    assert {A, other["a"], 0} == {0} and len({B, other["x"]}) == 1
     with pytest.raises(AttributeError):
         A.name = "z"
     for back in (copy.copy(V), pickle.loads(pickle.dumps(V))):

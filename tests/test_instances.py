@@ -28,7 +28,6 @@ from hopf2d.instances import (
     MarkedFamily,
     PivotConfig,
     TaftConfig,
-    example_from_config,
     half_plane_grid,
     make_cross,
     make_cyclic_group,
@@ -160,8 +159,6 @@ def test_non_finite_theta_is_a_configuration_error(theta):
         quantize_theta(theta)
     with pytest.raises(ConfigurationError, match="finite"):
         make_pivot(theta=theta)
-    with pytest.raises(ConfigurationError, match="finite"):
-        example_from_config({"example": "pivot", "theta_over_pi": theta})
 
 
 def test_half_plane_grid_reproduces_published_4x4():
@@ -348,22 +345,6 @@ def test_uq_k_and_sz_patterns():
 def test_uq_invalid_q():
     with pytest.raises(ConfigurationError):
         make_uq_symbolic(0.0)
-
-
-# ---------------------------------------------------------------------------
-# config selection
-
-
-def test_example_from_config():
-    assert example_from_config({"example": "pivot", "theta_over_pi": 0.25}).meta["theta"] == pytest.approx(math.pi / 4)
-    assert example_from_config({"example": "taft", "n": 2}).name == "taft(n=2)"
-    ex = example_from_config({"example": "uq", "q_re": 1.3, "q_im": 0.0})
-    assert ex.meta["q"] == 1.3
-    for kind in ("group", "lie", "quasi1d-group", "quasi1d-lie", "cross"):
-        example_from_config({"example": kind})
-    for kind in ("nope", "quasi1d_group", "quasi1d_lie"):  # the CLI's choices only
-        with pytest.raises(ConfigurationError):
-            example_from_config({"example": kind})
 
 
 # ---------------------------------------------------------------------------

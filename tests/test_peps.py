@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopf2d.coalgebra import ConfigurationError, boxplus
 from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, NonFiniteError, sum_difference
-from hopf2d.instances import make_pivot
+from hopf2d.instances import PivotConfig, make_pivot
 from hopf2d.linops import ResourceLimitError
 from hopf2d import grids, peps
 
@@ -263,21 +263,40 @@ def test_d2_solver_feasible_on_strips():
         assert sum_difference(peps.contract(completed, 2, 1, rotate=k), base) <= 1e-12
 
 
-def test_peps_words_share_the_target_symbols(monkeypatch):
-    # the tensors have their own alphabet; comparing their words with the
-    # grown targets must not fall back to the Python-level Symbol.__eq__
-    calls, real = [], grids.Symbol.__eq__
-    monkeypatch.setattr(grids.Symbol, "__eq__", lambda a, b: calls.append(1) or real(a, b))
+def test_peps_words_share_the_target_symbols():
+    # the tensors have their own alphabet; their words meet the grown targets'
+    # through int's C-level comparisons, which see only the ids
+    assert grids.Symbol.__eq__ is int.__eq__
+    assert grids.Symbol.__hash__ is int.__hash__
+    assert grids.Symbol.__lt__ is int.__lt__
     sizes = [(n, m) for n in range(1, 4) for m in range(1, 4)]
     targets = {s: boxplus(PIVOT, "v", *s) for s in sizes}
-    calls.clear()
     assert peps.solve_boundary(peps.d2_instance(), targets, sizes).certificate is not None
     assert peps.check_peps_vs_boxplus(peps.d4_instance(), PIVOT, "v", sizes).ok
-    assert calls == []
-    # a symbol of another id keeps the tensor's own object, so it still differs
-    other = Alphabet(["v", "a", "b"])
-    got = peps.contract(peps.d4_instance(), 1, 2, symbols=other)
-    assert all(c.name != "a" or c.id == 0 for w in got for c in w.cells)
+    got = peps.contract(peps.d4_instance(), 2, 2)
+    assert {c.name for w in got for c in w.cells} == {"a", "b", "v"}
+    assert sum_difference(got, targets[(2, 2)]) == 0.0
+
+
+@pytest.mark.parametrize("names, mark, where, named", [
+    (("x", "y", "z"), "z", 0, "'x'"),
+    (("a", "b", "w"), "w", 2, "'w'"),
+    (("b", "a", "v"), "v", 0, "'b'"),
+])
+def test_an_example_naming_the_tensors_ids_otherwise_is_a_config_error(names, mark, where,
+                                                                         named):
+    # symbols compare as their ids, so without the name check a renamed
+    # example would pass against d4 and share d2's certificate
+    ex = make_pivot(PivotConfig(names, 0.0))
+    tensor_name = repr(peps.d4_instance().tensor.alphabet.symbols[where].name)
+    with pytest.raises(ConfigurationError, match=f"symbol id {where} is {named} in the "
+                                                 f"example's alphabet but {tensor_name}"):
+        peps.check_peps_vs_boxplus(peps.d4_instance(), ex, mark, [(1, 1), (2, 2), (3, 3)])
+    sizes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+    targets = {s: boxplus(ex, mark, *s) for s in sizes}
+    with pytest.raises(ConfigurationError, match=f"symbol id {where} is {named} in the "
+                                                 f"targets but {tensor_name}"):
+        peps.solve_boundary(peps.d2_instance(), targets, sizes)
 
 
 def test_d2_solver_scaled_target_scales_corner_linearly():
