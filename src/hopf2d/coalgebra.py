@@ -39,8 +39,8 @@ from .grids import (
     word1,
     worst_word,
 )
-from .linops import (Representation, evaluate, identity_operator, kron_terms,
-                     operator_difference, worst_entry)
+from .linops import (Representation, _require_names, evaluate, identity_operator,
+                     kron_terms, operator_difference, worst_entry)
 
 
 class DomainError(ValueError):
@@ -487,10 +487,12 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
 
     A failing instance names its worst entry (:func:`worst_entry`).  Growth
     that leaves a splitter's domain fails the pair's instance (see
-    :func:`_checked`).
+    :func:`_checked`).  An example whose alphabet names an id differently
+    from ``rep``'s raises :class:`linops.RepresentationError`.
     """
     if ex.multiplication is None:
         raise ConfigurationError(f"{ex.name} carries no multiplication rule")
+    _require_names(rep, ex.alphabet, "the example's alphabet")
 
     def compared(u, w):
         lhs = evaluate(boxplus(ex, u, n, m), rep) @ evaluate(boxplus(ex, w, n, m), rep)
@@ -513,9 +515,12 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
     Two words of one shape multiply site by site, so each side is one
     :func:`kron_terms` sum whose factors are the products ``rep[x] @ rep[y]``.
     A failing instance names the worst side's worst entry (:func:`worst_entry`).
+    An example whose alphabet names an id differently from ``rep``'s raises
+    :class:`linops.RepresentationError`.
     """
     if ex.antipode is None:
         raise ConfigurationError(f"{ex.name} carries no antipode rule")
+    _require_names(rep, ex.alphabet, "the example's alphabet")
     eps = ex.counit(direction)
 
     def sitewise(coeff, u, w):  # the term of coeff * (u . w)

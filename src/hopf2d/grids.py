@@ -96,8 +96,8 @@ class Symbol(int):
     id, in C, so a word's cells hash and compare without a Python call per
     cell.  Symbols of two alphabets with the same id are therefore equal,
     and a symbol equals its id as an ``int``; code where two alphabets meet
-    checks their names itself.  A symbol is true, prints as its name and is
-    immutable.
+    checks their names with :meth:`Alphabet.misnamed`.  A symbol is true,
+    prints as its name and is immutable.
     """
 
     def __new__(cls, id: int, name: str):
@@ -157,6 +157,14 @@ class Alphabet:
     def words(self, cells) -> tuple[Symbol, ...]:
         """Map an iterable of names to a tuple of symbols."""
         return tuple(self[c] if isinstance(c, str) else c for c in cells)
+
+    def misnamed(self, symbols) -> Symbol | None:
+        """The first of ``symbols`` whose id this alphabet names differently,
+        or None.  Symbols compare as their ids, so the words of two
+        alphabets mean the same only where the names agree; an id past this
+        alphabet's last symbol is not checked."""
+        own = self.symbols
+        return next((s for s in symbols if s < len(own) and s.name != own[s].name), None)
 
 
 @dataclass(frozen=True, order=True, init=False)

@@ -9,15 +9,19 @@ left column bottom to top, top row left to right, right column top to
 bottom, bottom row right to left.
 
 Both :func:`contract` and :func:`solve_boundary` enumerate patches with one
-row-transfer sweep (:func:`_sweep`): the single-row configurations of width
-m are built once, column by column, with their internal horizontal bonds
-summed out; the patch then grows one row at a time, and each internal
-vertical bond is summed out as soon as the next row covers it.  What
-survives of an n x m patch is its grid word and its perimeter bond pattern,
-the four bond tuples (lefts, tops, rights, bottoms) the sweep state already
-carries, so each (word, pattern) pair is enumerated once, however many bond
-assignments lead to it.  Only the consumers turn a pattern into walk order:
-:func:`contract` for its trace cycle, :func:`solve_boundary` for its rows.
+row-transfer sweep (:func:`_sweep`), and the sweep runs one transfer step
+(:func:`_chains`) twice: a row of width m is a chain of site tiles joined
+left to right where one site's right bond meets the next one's left, and a
+patch is a chain of row tiles joined bottom to top where one row's tops meet
+the next one's bottoms.  Each join sums out the bonds it covers, so rows are
+built once with their internal horizontal bonds summed out, and each
+internal vertical bond is summed out as soon as the next row covers it.
+What survives of an n x m patch is its grid word and its perimeter bond
+pattern, the four bond tuples (lefts, tops, rights, bottoms) the chains
+already carry, so each (word, pattern) pair is enumerated once, however
+many bond assignments lead to it.  Only the consumers turn a pattern into
+walk order: :func:`contract` for its trace cycle, :func:`solve_boundary`
+for its rows.
 
 A chi = 1 boundary, such as d4's, has 1 x 1 matrices, and :func:`contract`
 traces its perimeter as the product of their entries: Python complex
@@ -50,10 +54,11 @@ from .grids import Alphabet, FormalSum, GridShape, _from_cells
 from .linops import ResourceLimitError
 
 # budget on the states of one sweep step (partial rows or partial patches),
-# from measured work on a 2-core x86 machine (min of 3): a dense
-# bond-dimension-3 tensor over three symbols passes it in 0.34 s (1x3 rows)
-# to 0.82 s (2x2 patches) at about 90 MiB peak resident memory, while the
-# shipped d4 tensor needs 570 states at 6 x 6 and 15350 at 10 x 10 (0.31 s)
+# from measured work on a 2-core Intel Xeon machine: a dense bond-dimension-3
+# tensor over three symbols passes it in 0.23 s (1x3 rows, 3x1 patches) to
+# 0.48 s (2x2 patches), min of 3, at about 95 MiB peak resident memory, while
+# the shipped d4 tensor needs 570 states at 6 x 6 and 15350 at 10 x 10, where
+# a whole contract takes 0.16 s (min of 5)
 SWEEP_STATE_CAP = 100_000
 
 
@@ -123,6 +128,49 @@ class PepsInstance:
     boundary: BoundarySpec
 
 
+def _chains(tiles, ok_in, ok_out, lengths, what):
+    """Chains of ``tiles``, each tile joined where its in bonds equal the
+    out bonds of the chain so far.
+
+    A chain is ``(pieces, in bonds, sides a, sides b, out bonds)`` and a tile
+    a chain of one piece, both given as ``(chain, amplitude)`` pairs.  A join
+    concatenates the pieces and both sides, keeps the chain's in bonds, takes
+    the tile's out bonds and multiplies the amplitudes.  Chains that agree on
+    all five are one, their amplitudes summed, in the order of their first
+    join.  Only tiles whose in bonds pass ``ok_in`` start a chain.  For each
+    length in ``lengths``, in increasing order, yields ``(length, items)``:
+    the ``(chain, amplitude)`` pairs whose out bonds pass ``ok_out``.  A set
+    of bonds passes a bond tuple whose every bond it holds; None passes
+    every tuple.  A step holding more than :data:`SWEEP_STATE_CAP` chains
+    raises :class:`ResourceLimitError` naming ``what``, formatted with the
+    length.
+    """
+    joins, chains = {}, {}
+    for tile, amp in tiles:
+        i = tile[1]
+        joins.setdefault(i, []).append((tile, amp))
+        if ok_in is None or ok_in.issuperset(i):
+            chains[tile] = amp
+    for k in range(1, max(lengths, default=0) + 1):
+        if k > 1:
+            nxt = {}
+            for (pieces, i, sa, sb, o), amp in chains.items():
+                for (piece, _, a, b, out), tamp in joins.get(o, ()):
+                    key = (pieces + piece, i, sa + a, sb + b, out)
+                    old = nxt.get(key)
+                    if old is None:
+                        if len(nxt) >= SWEEP_STATE_CAP:
+                            raise ResourceLimitError(f"{what.format(k)} pass the "
+                                                     f"{SWEEP_STATE_CAP}-state sweep budget")
+                        nxt[key] = amp * tamp
+                    else:
+                        nxt[key] = old + amp * tamp
+            chains = nxt
+        if k in lengths:
+            yield k, (chains.items() if ok_out is None else
+                      [item for item in chains.items() if ok_out.issuperset(item[0][4])])
+
+
 def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
     """Bond-consistent m-wide patches, swept one row at a time.
 
@@ -130,9 +178,12 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
     ``heights``, in increasing order.  A pattern is the bond tuples
     ``(lefts, tops, rights, bottoms)``: lefts and rights bottom to top, tops
     and bottoms left to right; the amplitude sums the component products
-    over every internal bond assignment.  A side whose table is set prunes
-    the bonds it annihilates; an unset side (None) prunes nothing.  Words
-    and patterns appear in the order of their first assignment in row-major
+    over every internal bond assignment.  Both stages are :func:`_chains`:
+    a row is a chain of site tiles joined left to right, a patch a chain of
+    row tiles joined bottom to top.  A side whose table is set prunes the
+    bonds it annihilates, the left and bottom at a chain's start, the right
+    and top at its end; an unset side (None) prunes nothing.  Words and
+    patterns appear in the order of their first assignment in row-major
     site order, components in the tensor's insertion order.  A step holding
     more than :data:`SWEEP_STATE_CAP` states raises
     :class:`ResourceLimitError`.  The states hold symbol names, a patch's
@@ -143,61 +194,19 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
     live = {s: {bond for bond, mat in table.items() if mat is not None}
             for s, table in boundary.sides.items() if table is not None}
     ok_l, ok_t, ok_r, ok_b = (live.get(s) for s in "ltrb")
-
-    def over_budget(what):
-        return ResourceLimitError(
-            f"{what} of width {m} pass the {SWEEP_STATE_CAP}-state sweep budget")
-
-    # one row, left to right: (cells, left bond, bottoms, tops, right frontier)
-    by_left, rows = {}, {}
-    for (phys, l, t, r, b), val in tensor.components.items():
-        by_left.setdefault(l, []).append(((phys,), (t,), r, (b,), val))
-        if ok_l is None or l in ok_l:
-            rows[((phys,), l, (b,), (t,), r)] = val
-    for _ in range(1, m):
-        nxt = {}
-        for (cells, l, bs, ts, f), amp in rows.items():
-            for cell, t, r, b, val in by_left.get(f, ()):
-                key = (cells + cell, l, bs + b, ts + t, r)
-                old = nxt.get(key)
-                if old is None:
-                    if len(nxt) >= SWEEP_STATE_CAP:
-                        raise over_budget("partial rows")
-                    nxt[key] = amp * val
-                else:
-                    nxt[key] = old + amp * val
-        rows = nxt
-
-    # the patch, bottom to top: (row ids, lefts, rights, bottoms, top frontier);
-    # an id stands for one row's cells, so a step extends the key by one id
-    by_bottom, states, row_ids = {}, {}, {}
-    for (cells, l, bs, ts, r), amp in rows.items():
-        if ok_r is None or r in ok_r:
-            rid = row_ids.setdefault(cells, (len(row_ids),))
-            by_bottom.setdefault(bs, []).append((rid, (l,), ts, (r,), amp))
-            if ok_b is None or ok_b.issuperset(bs):
-                states[(rid, (l,), (r,), bs, ts)] = amp
+    # a site tile: (phys,), its left, bottom, top and right bond
+    sites = [(((phys,), (l,), (b,), (t,), (r,)), val)
+             for (phys, l, t, r, b), val in tensor.components.items()]
+    ((_, rows),) = _chains(sites, ok_l, ok_r, [m], f"partial rows of width {m}")
+    # a row tile: an id that stands for the row's cells, its bottoms, left,
+    # right and tops, so a patch step extends the chain's pieces by one id
+    row_ids = {}
+    tiles = [((row_ids.setdefault(cells, (len(row_ids),)), bs, l, r, ts), amp)
+             for (cells, l, bs, ts, r), amp in rows]
     row_syms = [tensor.alphabet.words(cells) for cells in row_ids]
-    for n in range(1, max(shapes, default=0) + 1):
-        if n > 1:
-            nxt = {}
-            for (ids, ls, rs, bs, f), amp in states.items():
-                for rid, l, ts, r, ramp in by_bottom.get(f, ()):
-                    key = (ids + rid, ls + l, rs + r, bs, ts)
-                    old = nxt.get(key)
-                    if old is None:
-                        if len(nxt) >= SWEEP_STATE_CAP:
-                            raise over_budget(f"{n}-row patches")
-                        nxt[key] = amp * ramp
-                    else:
-                        nxt[key] = old + amp * ramp
-            states = nxt
-        if n not in shapes:
-            continue
+    for n, patches in _chains(tiles, ok_b, ok_t, shapes, f"{{}}-row patches of width {m}"):
         table, words = {}, {}
-        for (ids, ls, rs, bs, ts), amp in states.items():
-            if ok_t is not None and not ok_t.issuperset(ts):
-                continue
+        for (ids, bs, ls, rs, ts), amp in patches:
             patterns = words.get(ids)
             if patterns is None:
                 cells = tuple(chain.from_iterable(map(row_syms.__getitem__, ids)))
@@ -409,9 +418,11 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
     heights = {}
     for n, m in sizes:
         heights.setdefault(m, set()).add(n)
-    _check_names(tensor.alphabet, "the targets",
-                 {c for target in targets.values() for w, _ in target.unordered_items()
-                  for c in w.cells})
+    bad = tensor.alphabet.misnamed({c for target in targets.values()
+                                    for w, _ in target.unordered_items() for c in w.cells})
+    if bad is not None:
+        raise ConfigurationError(f"symbol id {int(bad)} is {bad.name!r} in the targets but "
+                                 f"{tensor.alphabet.symbols[bad].name!r} in the tensor's alphabet")
     swept = {(n, m): table for m, hs in heights.items()
              for n, table in _sweep(tensor, boundary, m, hs)}
     tables = {size: swept[size] for size in sizes}
@@ -485,23 +496,16 @@ def _infeasibility_certificate(tables, targets):
     return None
 
 
-def _check_names(alphabet: Alphabet, where: str, symbols):
-    """Raise :class:`ConfigurationError` if one of ``symbols`` has an id that
-    ``alphabet`` names differently: symbols compare as their ids, so the
-    words of two alphabets meet only where their names agree."""
-    names = [s.name for s in alphabet]
-    for s in symbols:
-        if s < len(names) and s.name != names[s]:
-            raise ConfigurationError(f"symbol id {int(s)} is {s.name!r} in {where} but "
-                                     f"{names[s]!r} in the tensor's alphabet")
-
-
 def check_peps_vs_boxplus(inst, example, v, sizes, tol=1e-10) -> CheckReport:
     """Contracted patches match the grown coalgebra elements, term by term.
 
     An example whose alphabet names an id of the tensor's alphabet
     differently raises :class:`ConfigurationError`."""
-    _check_names(inst.tensor.alphabet, "the example's alphabet", example.alphabet)
+    own = inst.tensor.alphabet
+    bad = own.misnamed(example.alphabet)
+    if bad is not None:
+        raise ConfigurationError(f"symbol id {int(bad)} is {bad.name!r} in the example's "
+                                 f"alphabet but {own.symbols[bad].name!r} in the tensor's alphabet")
     instances = [_compared(f"{n}x{m}", contract(inst, n, m),
                            boxplus(example, v, n, m), tol) for n, m in sizes]
     return CheckReport("peps_vs_boxplus", list(sizes), instances)

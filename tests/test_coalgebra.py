@@ -46,6 +46,7 @@ from hopf2d.instances import (
     TaftConfig,
     taft_regular_rep,
 )
+from hopf2d.linops import Representation, RepresentationError
 
 PIVOT = make_pivot(theta=0.0)
 AB = PIVOT.alphabet
@@ -964,3 +965,15 @@ def test_uq_and_taft_12x12_match_their_oracles():
     want = boxplus_from_1d(taft.meta["delta_1site"], taft.alphabet["x"], 12, 12)
     assert len(got) == 144 and all(c == 1 for _, c in got.unordered_items())
     assert sum_difference(got, want) == 0.0
+
+
+def test_checks_reject_a_representation_naming_the_ids_otherwise():
+    ex = make_cyclic_group(3)
+    rep = cyclic_regular_rep(ex)
+    renamed = Representation(Alphabet(["1", "h", "h2"]), rep.matrices)
+    match = "symbol id 1 is 'g' in the example's alphabet but 'h' "
+    with pytest.raises(RepresentationError, match=match):
+        check_homomorphism(ex, renamed, 2, 2, [("g", "g")])
+    with pytest.raises(RepresentationError, match=match):
+        check_antipode(ex, renamed, "x", 2)
+    assert check_homomorphism(ex, rep, 2, 2, [("g", "g")]).ok and check_antipode(ex, rep, "x", 2).ok

@@ -15,7 +15,7 @@ from hopf2d.linops import (
     worst_entry,
     read_matrix_market,
 )
-from hopf2d.instances import make_uq_symbolic
+from hopf2d.instances import make_pivot, make_uq_symbolic
 from hopf2d.uqsu2 import boxplus_op, spin_half_rep
 from hopf2d.coalgebra import boxplus
 
@@ -69,6 +69,14 @@ def test_evaluate_unknown_symbol():
     rep = Representation(ab, {"u": np.eye(2)})
     with pytest.raises(RepresentationError):
         evaluate(FormalSum.unit(word1(ab["w"])), rep)
+
+
+def test_evaluate_rejects_a_sum_of_another_alphabet():
+    # symbols compare as their ids: pivot's a, b, v are ids 0-2, which the
+    # deformed-su(2) alphabet names 1, S+, S-
+    s = boxplus(make_pivot(theta=0.0), "v", 1, 2)
+    with pytest.raises(RepresentationError, match="symbol id 0 is 'a' in the sum but '1' "):
+        evaluate(s, spin_half_rep(1.3))
 
 
 @settings(max_examples=20, deadline=None)

@@ -81,15 +81,21 @@ def _dense_d3():
 
 def test_contract_caps():
     # a 1x3 row of the dense tensor has 3**11 bond-consistent states, past
-    # the sweep budget; the d4 tensor at the same size has a handful
+    # the sweep budget, and so has a 3x1 column; each message names the
+    # stage that overflowed.  The d4 tensor at the same sizes has a handful
     inst = _dense_d3()
-    with pytest.raises(ResourceLimitError):
+    rows = "partial rows of width 3 pass the 100000-state sweep budget"
+    with pytest.raises(ResourceLimitError, match=rows):
         peps.contract(inst, 1, 3)
     open_sides = peps.BoundarySpec(1, dict(inst.boundary.sides, l=None, r=None))
     target = FormalSum(GridShape(1, 3))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=rows):
         peps.solve_boundary(peps.PepsInstance(inst.tensor, open_sides), {(1, 3): target}, [(1, 3)])
+    with pytest.raises(ResourceLimitError,
+                       match="3-row patches of width 1 pass the 100000-state sweep budget"):
+        peps.contract(inst, 3, 1)
     assert len(peps.contract(peps.d4_instance(), 1, 3)) == 3
+    assert len(peps.contract(peps.d4_instance(), 3, 1)) == 3
 
 
 def test_non_finite_numbers_raise():
