@@ -31,6 +31,7 @@ from .coalgebra import (
     ConfigurationError,
     CounitRule,
     MultiplicationRule,
+    SingularParameterError,
     Splitter,
     _cellwise_splitter,
 )
@@ -711,17 +712,35 @@ def taft_regular_rep(ex: CoalgebraExample) -> Representation:
 UQ_NAMES = ("1", "S+", "S-", "Sz", "K+", "K-", "K+2", "K-2")
 
 
+def regular_q(q) -> complex:
+    """``q`` as a complex number: a non-finite q is a
+    :class:`ConfigurationError` and q = 0 a :class:`SingularParameterError`."""
+    q = complex(q)
+    if not cmath.isfinite(q):
+        raise ConfigurationError(f"q must be finite, got {q}")
+    if q == 0:
+        raise SingularParameterError("q must be nonzero")
+    return q
+
+
+def nonsingular_q(q) -> complex:
+    """:func:`regular_q`, and q**2 = 1, where 1/(q - 1/q) is singular, a
+    :class:`SingularParameterError` too."""
+    q = regular_q(q)
+    if abs(q * q - 1.0) <= 1e-12:
+        raise SingularParameterError("q**2 = 1 makes 1/(q - 1/q) singular")
+    return q
+
+
 def make_uq_symbolic(q: complex) -> CoalgebraExample:
     """Deformed su(2) generators on the lattice, as a marked-symbol instance.
 
     Raising/lowering marks spread with K- before and K+ after; the Cartan
     mark spreads with identities; K letters and their squares are
     group-like.  The deformation parameter enters the antipode scaling and
-    downstream numeric checks only.
+    downstream numeric checks only; it must pass :func:`regular_q`.
     """
-    q = complex(q)
-    if not cmath.isfinite(q) or q == 0:
-        raise ConfigurationError(f"q must be finite and nonzero, got {q}")
+    q = regular_q(q)
     alphabet = Alphabet(UQ_NAMES)
     one, sp, sm, sz, kp, km, kp2, km2 = alphabet.symbols
     family = MarkedFamily(

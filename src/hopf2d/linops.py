@@ -5,9 +5,10 @@ matrix; a grid word then maps to the Kronecker product of its cell matrices
 taken in linear site order (site 1 = leftmost Kronecker factor), and a
 formal sum to the corresponding linear combination.
 
-Every :class:`SparseOperator` stores at most one entry per coordinate.
-Canonical form (sorted columns in each row, no stored zeros) is established
-only where order or the entry count can be seen: ``nnz``, ``entries``,
+Every :class:`SparseOperator` stores at most one entry per coordinate, so
+its entry count ``nnz`` is the count of its nonzero stored values, read
+without reordering anything.  Canonical form (sorted columns in each row, no
+stored zeros) is established only where order can be seen: ``entries``,
 ``write_matrix_market`` and :func:`worst_entry`.
 """
 
@@ -75,8 +76,9 @@ class SparseOperator:
     :func:`kron_terms` and :func:`identity_operator` wrap scipy's
     duplicate-free result as it comes, columns possibly unsorted and zeros
     possibly stored; neither changes what ``max_abs``, ``toarray`` and
-    ``mat @ v`` return.  ``nnz``, ``entries`` and ``write_matrix_market``
-    canonicalize in place first.
+    ``mat @ v`` return.  ``nnz`` counts the nonzero stored values (NaN
+    counts) and leaves the matrix as it is; ``entries`` and
+    ``write_matrix_market`` canonicalize in place first.
     """
 
     def __init__(self, mat):
@@ -106,7 +108,7 @@ class SparseOperator:
 
     @property
     def nnz(self):
-        return self._canonicalize().nnz
+        return int(np.count_nonzero(self.mat.data))
 
     def entries(self):
         """Canonical coordinate list [(row, col, value)], row-major sorted, 0-based."""

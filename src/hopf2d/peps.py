@@ -50,7 +50,7 @@ from math import prod
 import numpy as np
 
 from .coalgebra import CheckReport, ConfigurationError, _compared, _json_numbers, boxplus
-from .grids import Alphabet, FormalSum, GridShape, _from_cells
+from .grids import EQ_TOL, Alphabet, FormalSum, GridShape, _from_cells
 from .linops import ResourceLimitError
 
 # budget on the states of one sweep step (partial rows or partial patches),
@@ -444,7 +444,7 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
     b = np.array(rhs)
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.abs(a @ sol - b).max()) if len(b) else 0.0
-    if residual <= 1e-10:
+    if residual <= EQ_TOL:
         rank = np.linalg.matrix_rank(a, tol=1e-10)
         eye = np.eye(2, dtype=complex)
         sig_plus = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -483,7 +483,7 @@ def _infeasibility_certificate(tables, targets):
                     continue
                 lam = ratios.pop()
                 t1, t2 = target.coeff(g1), target.coeff(g2)
-                if abs(t2 - lam * t1) > 1e-10:
+                if abs(t2 - lam * t1) > EQ_TOL:
                     return {
                         "size": list(size),
                         "grid_1": repr(g1),
@@ -496,7 +496,7 @@ def _infeasibility_certificate(tables, targets):
     return None
 
 
-def check_peps_vs_boxplus(inst, example, v, sizes, tol=1e-10) -> CheckReport:
+def check_peps_vs_boxplus(inst, example, v, sizes, tol=EQ_TOL) -> CheckReport:
     """Contracted patches match the grown coalgebra elements, term by term.
 
     An example whose alphabet names an id of the tensor's alphabet

@@ -27,11 +27,11 @@ import math
 
 import numpy as np
 
-from .coalgebra import CheckInstance, CheckReport, boxplus
+from .coalgebra import CheckInstance, CheckReport
 from .grids import FormalSum, GridWord, sums_equal, worst_word
-from .instances import make_uq_symbolic
+from .instances import regular_q
 from .linops import Representation, evaluate, kron_terms
-from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, spin_half_rep, _require_regular
+from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, spin_half_element
 from .uqsu2 import delta_2site  # the two-site coproduct, dense 4 x 4
 
 _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
@@ -39,7 +39,7 @@ _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| 
 
 def r_matrix(q) -> np.ndarray:
     """Closed-form two-site R-matrix in the spin-1/2 representation."""
-    q = _require_regular(q)
+    q = regular_q(q)
     return np.array(
         [
             [q, 0, 0, 0],
@@ -53,7 +53,7 @@ def r_matrix(q) -> np.ndarray:
 
 def r_matrix_factorized(q) -> np.ndarray:
     """The same operator as q^(2 Sz x Sz) q^(1/2) (1 + (q - 1/q) S+ x S-)."""
-    q = _require_regular(q)
+    q = regular_q(q)
     logq = cmath.log(q)
     diag = np.exp(2.0 * logq * np.kron(SZ, SZ).diagonal())
     core = np.eye(4, dtype=complex) + (q - 1.0 / q) * np.kron(SP, SM)
@@ -63,12 +63,13 @@ def r_matrix_factorized(q) -> np.ndarray:
 def delta_perm(gen: str, q) -> np.ndarray:
     """Permuted coproduct: the 1 x 2 element of S+ or S- with its K letters
     swapped; a group-like K letter's is its coproduct."""
-    q = _require_regular(q)
+    q = regular_q(q)
     if gen in ("K+", "K-"):
         return delta_2site(gen, q)
     if gen not in ("S+", "S-"):
         raise ValueError(f"no permuted coproduct for {gen!r}")
-    return evaluate(boxplus_perm_sum(gen, q, 1, 2), spin_half_rep(q)).toarray()
+    s, rep = spin_half_element(gen, q, 1, 2)
+    return evaluate(_permuted(s, _k_swap(rep.alphabet)), rep).toarray()
 
 
 def embed(mat: np.ndarray, *sites: int) -> np.ndarray:
@@ -105,7 +106,7 @@ def _step(q, pair, mode):
 def r2d(q) -> np.ndarray:
     """Plaquette R-matrix: the conjugator of :data:`CHAIN_STEPS`, the product
     of the steps' conjugators with the first step rightmost."""
-    q = _require_regular(q)
+    q = regular_q(q)
     return reduce(np.matmul, [_step(q, pair, mode)[0] for pair, mode in reversed(CHAIN_STEPS)])
 
 
@@ -138,18 +139,16 @@ def _permuted(s: FormalSum, swap: dict) -> FormalSum:
 
 def boxplus_perm_sum(gen: str, q, n: int = 2, m: int = 2) -> FormalSum:
     """The permuted n x m element: every K letter swapped in the grids."""
-    ex = make_uq_symbolic(q)
-    return _permuted(boxplus(ex, gen, n, m), _k_swap(ex.alphabet))
+    s, rep = spin_half_element(gen, q, n, m)
+    return _permuted(s, _k_swap(rep.alphabet))
 
 
 def plaquette_pair(gen: str, q) -> tuple[np.ndarray, np.ndarray]:
     """The 2 x 2 lattice generator and its permuted element as 16 x 16
     operators in display layout, grown and evaluated from one example."""
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    s = boxplus(ex, gen, 2, 2)
+    s, rep = spin_half_element(gen, q, 2, 2)
     return (evaluate_display_2x2(s, rep),
-            evaluate_display_2x2(_permuted(s, _k_swap(ex.alphabet)), rep))
+            evaluate_display_2x2(_permuted(s, _k_swap(rep.alphabet)), rep))
 
 
 def boxplus_2x2_display(gen: str, q) -> np.ndarray:
@@ -304,11 +303,8 @@ def conjugation_chain(q, sgen="S+"):
     of the steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)``
     bit for bit.
     """
-    q = _require_regular(q)
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    flip = _k_swap(ex.alphabet)
-    s = boxplus(ex, sgen, 2, 2)
+    s, rep = spin_half_element(sgen, q, 2, 2)
+    flip = _k_swap(rep.alphabet)
     steps, ops = [s], [evaluate_display_2x2(s, rep)]
     residuals, gs = [], []
     for (pair, mode) in CHAIN_STEPS:

@@ -10,16 +10,24 @@ in the singlet and R-matrix sections follow the top-row-first numbering
 mapped onto the internal bottom-row-first linear order by
 :data:`DISPLAY_TO_LINEAR_2X2`.
 
-A lattice operator is built by :func:`boxplus_op`: grown through the
-coalgebra engine, evaluated, and always cross-checked against the placement
-construction.  A q-singlet on one site pair or a product of them on many
-comes from :func:`singlet_product`.  A q that is not finite is a
-:class:`coalgebra.ConfigurationError`, and q = 0 a
-:class:`coalgebra.SingularParameterError`.  The checks take their
-operators from an :class:`OperatorTable` of one (q, n, m), which builds each
-generator on its first lookup and shares it with every later check given
-the same table; a check called without a table builds its own.  The CLI keeps one table per
-(q, size) step of ``verify`` and drops it when the step ends.
+Every deformed-su(2) element is grown and represented by one step,
+:func:`spin_half_element`: the engine's n x m element of a generator and the
+spin-1/2 matrices of its example's alphabet.  A lattice operator is built by
+:func:`boxplus_op`, which evaluates that element and always cross-checks it
+against the placement construction.  A q-singlet on one site pair or a
+product of them on many comes from :func:`singlet_product`.
+
+One q rule holds at every entry point, through :func:`instances.regular_q`
+and :func:`instances.nonsingular_q`: a q that is not finite is a
+:class:`coalgebra.ConfigurationError`; q = 0, and q**2 = 1 wherever
+1/(q - 1/q) appears (the commutator, the q-singlets and the checks built on
+them), is a :class:`coalgebra.SingularParameterError`.
+
+The checks take their operators from an :class:`OperatorTable` of one
+(q, n, m), which builds each generator on its first lookup and shares it
+with every later check given the same table; a check called without a table
+builds its own.  The CLI keeps one table per (q, size) step of ``verify``
+and drops it when the step ends.
 """
 
 from __future__ import annotations
@@ -30,16 +38,9 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .coalgebra import (
-    CheckInstance,
-    CheckReport,
-    ConfigurationError,
-    SingularParameterError,
-    _instance,
-    boxplus,
-)
-from .grids import Alphabet
-from .instances import UQ_NAMES, make_uq_symbolic
+from .coalgebra import CheckInstance, CheckReport, _instance, boxplus
+from .grids import EQ_TOL, Alphabet, FormalSum
+from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
 from .linops import (
     Representation,
     ResourceLimitError,
@@ -77,29 +78,13 @@ SITE_CAP = 18
 BLOCK_ROWS = 1024
 
 
-def _require_regular(q):
-    q = complex(q)
-    if not cmath.isfinite(q):
-        raise ConfigurationError(f"q must be finite, got {q}")
-    if q == 0:
-        raise SingularParameterError("q must be nonzero")
-    return q
-
-
-def _require_nonsingular(q):
-    q = _require_regular(q)
-    if abs(q * q - 1.0) <= 1e-12:
-        raise SingularParameterError("q**2 = 1 makes 1/(q - 1/q) singular")
-    return q
-
-
 def spin_half_rep(q, alphabet=None) -> Representation:
     """Spin-1/2 matrices for the deformed-su(2) alphabet at a given q.
 
     Without ``alphabet`` the symbols are a fresh alphabet of the names and
     ids that :func:`make_uq_symbolic` uses, without building the example.
     """
-    q = _require_regular(q)
+    q = regular_q(q)
     if alphabet is None:
         alphabet = Alphabet(UQ_NAMES)
     rq = cmath.sqrt(q)
@@ -116,6 +101,14 @@ def spin_half_rep(q, alphabet=None) -> Representation:
     return Representation(alphabet, mats)
 
 
+def spin_half_element(gen: str, q, n: int, m: int) -> tuple[FormalSum, Representation]:
+    """The n x m element of a generator, grown by the coalgebra engine from
+    the deformed-su(2) example at q, and the spin-1/2 representation of that
+    example's alphabet, in which it evaluates."""
+    ex = make_uq_symbolic(q)
+    return boxplus(ex, gen, n, m), spin_half_rep(q, ex.alphabet)
+
+
 def _check_sites(n, m):
     if n * m > SITE_CAP:
         raise ResourceLimitError(f"{n}x{m} lattice exceeds the {SITE_CAP}-site cap")
@@ -124,7 +117,7 @@ def _check_sites(n, m):
 def direct_boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
     """Placement construction: the generator at one site, the matching
     group-like letters before and after it in linear order."""
-    q = _require_regular(q)
+    q = regular_q(q)
     _check_sites(n, m)
     rep = spin_half_rep(q)
     by_name = {s.name: rep.matrices[s] for s in rep.alphabet}
@@ -146,14 +139,12 @@ def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
     The result is compared against the independent placement construction
     :func:`direct_boxplus_op`; a mismatch raises and names the worst entry.
     """
-    q = _require_regular(q)
+    q = regular_q(q)
     _check_sites(n, m)
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    op = evaluate(boxplus(ex, gen, n, m), rep)
+    op = evaluate(*spin_half_element(gen, q, n, m))
     ref = direct_boxplus_op(gen, q, n, m)
     res = operator_difference(op, ref)
-    if not res <= 1e-10:
+    if not res <= EQ_TOL:
         raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
                              f"worst entry (engine vs placement) {worst_entry(op, ref)}")
     return op
@@ -201,7 +192,7 @@ def _on_coordinates(mat, data) -> SparseOperator:
     return SparseOperator._wrap(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
 
 
-def check_ks_relation(q, n, m, tol=1e-10, ops=None) -> CheckReport:
+def check_ks_relation(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
     """K S = q^(+-1) S K lifted to the whole lattice, max-entry residual.
 
     The K strings are diagonal, so no sparse product is formed: ``K S`` is
@@ -212,7 +203,7 @@ def check_ks_relation(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     operators come from ``ops``, an :class:`OperatorTable` of this (q, n, m),
     or from a new table.
     """
-    q = _require_regular(q)
+    q = regular_q(q)
     instances = []
     table = _table(ops, q, n, m)
     # S+ and S- first: built after the K strings, they raised the peak
@@ -233,7 +224,7 @@ def check_ks_relation(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     return CheckReport("ks_relation", [(n, m)], instances)
 
 
-def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
+def check_commutator(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
     """[raise, lower] telescopes to the difference of squared K strings.
 
     The residual is accumulated over blocks of :data:`BLOCK_ROWS` rows: each
@@ -244,7 +235,7 @@ def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
     before any number, as :func:`worst_entry` does on the whole matrices.
     The operators come from ``ops`` as in :func:`check_ks_relation`.
     """
-    q = _require_nonsingular(q)
+    q = nonsingular_q(q)
     ops = _table(ops, q, n, m)
     sp_, sm_, kp2, km2 = (ops[g].mat for g in ("S+", "S-", "K+2", "K-2"))
     scale = 1.0 / (q - 1.0 / q)
@@ -272,19 +263,6 @@ def check_commutator(q, n, m, tol=1e-10, ops=None) -> CheckReport:
 # q-singlets
 
 
-def singlet_amplitude(q, bi: int, bj: int) -> complex:
-    """Coefficient of |bi bj> in the normalized two-site q-singlet."""
-    q = _require_regular(q)
-    den = cmath.sqrt(q - 1.0 / q)
-    if abs(den) < 1e-12:
-        raise SingularParameterError("singlet normalization vanishes at q = +-1")
-    if (bi, bj) == (0, 1):
-        return cmath.sqrt(q) / den
-    if (bi, bj) == (1, 0):
-        return -1.0 / cmath.sqrt(q) / den
-    return 0j
-
-
 def _pair_product(pairs, total_sites) -> np.ndarray:
     """Product of two-site factors on disjoint ordered pairs of linear sites.
 
@@ -308,22 +286,26 @@ def _pair_product(pairs, total_sites) -> np.ndarray:
 
 def singlet_product(q, pairs, total_sites) -> np.ndarray:
     """Product of q-singlets on disjoint ordered pairs of linear sites
-    (1-based); sites outside every pair are spin up."""
-    amplitudes = {bits: singlet_amplitude(q, *bits) for bits in ((0, 1), (1, 0))}
+    (1-based); sites outside every pair are spin up.
+
+    The normalized two-site q-singlet is (q^(1/2) |01> - q^(-1/2) |10>) /
+    sqrt(q - 1/q).
+    """
+    q = nonsingular_q(q)
+    den = cmath.sqrt(q - 1.0 / q)
+    amplitudes = {(0, 1): cmath.sqrt(q) / den, (1, 0): -1.0 / cmath.sqrt(q) / den}
     return _pair_product([(pair, amplitudes) for pair in pairs], total_sites)
 
 
 def delta_2site(gen: str, q) -> np.ndarray:
     """Two-site coproduct of a generator, dense 4 x 4."""
-    ex = make_uq_symbolic(q)
-    rep = spin_half_rep(q, ex.alphabet)
-    return evaluate(boxplus(ex, gen, 1, 2), rep).toarray()
+    return evaluate(*spin_half_element(gen, q, 1, 2)).toarray()
 
 
-def singlet_pair_checks(q, tol=1e-10) -> CheckReport:
+def singlet_pair_checks(q, tol=EQ_TOL) -> CheckReport:
     """The two-site singlet identities: K fixes it, raising/lowering kill it,
     and K- x K+ maps it onto the inverse-q singlet with the stated ratio."""
-    q = _require_nonsingular(q)
+    q = nonsingular_q(q)
     instances = []
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):
@@ -356,7 +338,7 @@ def _display_state(specs) -> np.ndarray:
          for (i, j), kind in specs.items()], 4)
 
 
-def vertical_singlet_residual(q, tol=1e-10, ops=None) -> dict:
+def vertical_singlet_residual(q, tol=EQ_TOL, ops=None) -> dict:
     """Image of two vertical q-singlets under the plaquette operators.
 
     The vertical singlets sit on display columns (3,1) and (4,2), bottom site
@@ -366,7 +348,7 @@ def vertical_singlet_residual(q, tol=1e-10, ops=None) -> dict:
     against the signed support pattern.  The operators come from ``ops``,
     an :class:`OperatorTable` of (q, 2, 2), or from a new table.
     """
-    q = _require_nonsingular(q)
+    q = nonsingular_q(q)
     ops = _table(ops, q, 2, 2)
     pairs = [(DISPLAY_TO_LINEAR_2X2[3], DISPLAY_TO_LINEAR_2X2[1]),
              (DISPLAY_TO_LINEAR_2X2[4], DISPLAY_TO_LINEAR_2X2[2])]
@@ -401,7 +383,7 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
     printed) and the reversed-orientation control.  The operators come from
     ``ops`` as in :func:`vertical_singlet_residual`.
     """
-    q = _require_nonsingular(q)
+    q = nonsingular_q(q)
     ops = _table(ops, q, 2, 2)
     sp_op, sm_op = ops["S+"].toarray(), ops["S-"].toarray()
     stacked = np.vstack([sp_op, sm_op])

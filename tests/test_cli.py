@@ -70,11 +70,19 @@ def test_kernel_and_singlets_name_the_sizes_they_run_at(tmp_path):
     assert json.loads((out / "singlets.json").read_text())["sizes"] == [[1, 2], [2, 2]]
 
 
-def test_verify_singular_q_is_config_error(tmp_path):
+def test_verify_singular_q_is_config_error(tmp_path, capsys):
     code = main(["verify", "--example", "uq", "--q", "1.0",
                  "--checks", "commutator", "--sizes", "2x2",
                  "--out", str(tmp_path / "r")])
     assert code == 2
+    # q = 0 stops the example itself; q**2 = 1 stops whatever divides by q - 1/q
+    for k, (q, checks, says) in enumerate([("0", "assoc", "q must be nonzero"),
+                                           ("1.0000000000001", "singlets", "singular")]):
+        out = tmp_path / str(k)
+        assert main(["verify", "--example", "uq", "--q", q, "--checks", checks,
+                     "--out", str(out)]) == 2
+        assert says in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_verify_unknown_check(tmp_path):

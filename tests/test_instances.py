@@ -8,6 +8,7 @@ from hopf2d.coalgebra import (
     ConfigurationError,
     CounitRule,
     DomainError,
+    SingularParameterError,
     Splitter,
     apply_splitter,
     boxplus,
@@ -343,8 +344,10 @@ def test_uq_k_and_sz_patterns():
 
 
 def test_uq_invalid_q():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(SingularParameterError):
         make_uq_symbolic(0.0)
+    with pytest.raises(ConfigurationError):
+        make_uq_symbolic(complex(1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def test_kron_terms_stores_each_sum_as_added_to_zero(copies):
     for _ in range(copies):
         want += 1.0 * np.kron(a, b)
     got = kron_terms([(1.0, [a, b])] * copies, 2, 2)
-    assert got.nnz == 4  # in canonical order; toarray would add each entry to a zero
+    assert got.nnz == 4  # stored row-major; toarray would add each entry to a zero
     assert np.array_equal(got.mat.data.view(np.int64), want[want != 0].view(np.int64))
 
 
@@ -325,6 +325,17 @@ def _lazy_operators():
             [(1.0, [raising] + [k] * 5), (-1.0, [raising] + [k] * 5),
              (1.0, [k] * 5 + [raising])], 2, 6),
     }, SparseOperator((sp_ + sm_).mat)
+
+
+def test_nnz_leaves_an_unsorted_product_as_it_is():
+    sp_, sm_ = boxplus_op("S+", 1.0, 2, 3), boxplus_op("S-", 1.0, 2, 3)
+    op = sm_ @ sp_
+    assert not op.mat.has_sorted_indices
+    indices, data = op.mat.indices.copy(), op.mat.data.copy()
+    assert op.nnz == SparseOperator(op.mat).nnz
+    assert np.array_equal(op.mat.indices, indices)
+    assert np.array_equal(op.mat.data.view(np.int64), data.view(np.int64))
+    assert not op.mat.has_sorted_indices
 
 
 @pytest.mark.parametrize("case", sorted(_lazy_operators()[0]))

@@ -16,7 +16,10 @@ and ``[[1, 2], [2, 2]]``, instead of ``--sizes``; the CHANGES.md entries of
 those changes record both digests.  The ``build-op-rmatrix2d`` pin
 was taken before the pair placement and ``r2d`` moved onto ``kron_terms``
 and the chain steps, and held after, and after ``build-op --rmatrix2d``
-began writing ``r2d`` through ``SparseOperator``.
+began writing ``r2d`` through ``SparseOperator``.  The three Hopf-check runs
+(``taft-hopf``, ``uq-antipode``, ``group-hopf``) were pinned at the parent
+of the change that added them, where each wrote the same bytes in two runs,
+and held after it.
 """
 
 import contextlib
@@ -37,6 +40,12 @@ RUNS = {
                       "--checks", "ks,commutator,kernel,singlets"], 0),
     "uq-rmatrix": (["verify", "--example", "uq",
                     "--checks", "rmatrix1d,rmatrix2d,semiclassical"], 0),
+    "taft-hopf": (["verify", "--example", "taft", "--sizes", "2x2",
+                   "--checks", "homomorphism,antipode"], 0),
+    "uq-antipode": (["verify", "--example", "uq", "--q", "1.3", "--sizes", "3x3",
+                     "--checks", "antipode"], 0),
+    "group-hopf": (["verify", "--example", "group", "--sizes", "2x2",
+                    "--checks", "homomorphism,antipode"], 0),
     "build-op": (["build-op", "--gen", "S+", "--q", "1.3", "--size", "2x3"], 0),
     "build-op-rmatrix2d": (["build-op", "--rmatrix2d", "--q", "1.5"], 0),
     "peps-d4": (["peps", "--rep", "d4", "--sizes", "1x1,1x2,2x2,3x3"], 0),
@@ -200,6 +209,20 @@ DIGESTS = {
         "rmatrix1d.json": "afe0f2ed0a95d45436526f34a11e3fac161f1a41d41a08feed688297e564196e",
         "rmatrix2d.json": "97c6e750a2a430f448163eb518fdfb3e83984fad4ef350c9c5ef27bf6f98dea2",
         "semiclassical.json": "416e8529e5e01179583c720913802cc1a619f1f25f70f0e2c8d2888293aa5652",
+    },
+    "taft-hopf": {
+        "antipode_x.json": "9dafacc014dd318d7127c7c4fc7eb4a2df6a9e446f821c3b5ab23616af415e04",
+        "antipode_y.json": "8781e93b4add8af946769cd3abd42529ddbb425efa9ffae8b5a379a8834efcbd",
+        "homomorphism.json": "ebec28a48e88c4f88ccb01555b05ab268a3918f0d8c3d7d5da45661bf13882c4",
+    },
+    "uq-antipode": {
+        "antipode_x.json": "1adee4f41cdc83cea920847658d939a840a5afbfb7324a6909c2b7c48c5a6739",
+        "antipode_y.json": "3aa9c6de1b22d9b2c90f6f6817e9727b9657a5f743f7a0513b3205232e11269a",
+    },
+    "group-hopf": {
+        "antipode_x.json": "d2a5ec6e5b5edb2a5da0845131c5d29b879a5ebef5790a974881b234550142e7",
+        "antipode_y.json": "911b57d30f11289a1503c649c0879c734ada10ba7cba01c0eb542e6025b27da6",
+        "homomorphism.json": "14262a99c392421163e59c86bafe0754de6c8bedfe60863b59c90532b1303f55",
     },
     "build-op": {
         "boxplus_Sp_2x3.mtx": "d8dd083687a4adc6c2f6c0319aacae1018cd6cf24b306a8044598b409cacf705",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hopf2d import rmatrix as rm
+from hopf2d.uqsu2 import spin_half_rep
 
 
 def seeded_qs(count=20, seed=11):
@@ -100,7 +101,7 @@ def test_plaquette_r_invertible():
 def test_permuted_plaquette_decomposition():
     # perm-pair on the top row with K-pair below, plus the mirror
     for q in (1.5, 2.0):
-        rep = rm.spin_half_rep(q)
+        rep = spin_half_rep(q)
         m = {s.name: rep.matrices[s] for s in rep.alphabet}
         for gen in ("S+", "S-"):
             top_perm = rm.delta_perm(gen, q)
@@ -235,7 +236,7 @@ def test_pair_conjugation_identities():
     # the two 4x4 conjugation identities powering the chain, as printed:
     # R (S1 K2+ + K1- S2) R^-1 = S1 K2- + K1+ S2, and the inverse version
     for q in (1.5, 2.0, 0.7):
-        rep = rm.spin_half_rep(q)
+        rep = spin_half_rep(q)
         m = {s.name: rep.matrices[s] for s in rep.alphabet}
         r = rm.r_matrix(q)
         rinv = np.linalg.inv(r)

@@ -20,7 +20,7 @@ from hopf2d.linops import (
     operator_difference,
     worst_entry,
 )
-from hopf2d import uqsu2 as uq
+from hopf2d import rmatrix as rm, uqsu2 as uq
 from hopf2d.instances import make_uq_symbolic
 
 
@@ -48,14 +48,48 @@ def test_spin_half_rep_limits():
         uq.spin_half_rep(0.0)
 
 
+# every entry point that takes q, under the one q rule of instances.regular_q
+Q_ENTRY_POINTS = {
+    "make_uq_symbolic": make_uq_symbolic,
+    "spin_half_rep": uq.spin_half_rep,
+    "boxplus_op": lambda q: uq.boxplus_op("S+", q, 2, 2),
+    "check_ks_relation": lambda q: uq.check_ks_relation(q, 2, 2),
+    "singlet_product": lambda q: uq.singlet_product(q, [(1, 2)], 2),
+    "singlet_pair_checks": uq.singlet_pair_checks,
+    "r_matrix": rm.r_matrix,
+    "conjugation_chain": rm.conjugation_chain,
+}
+
+# the entry points where 1/(q - 1/q) appears, under instances.nonsingular_q
+NONSINGULAR_ENTRY_POINTS = {
+    "singlet_product": Q_ENTRY_POINTS["singlet_product"],
+    "singlet_pair_checks": uq.singlet_pair_checks,
+    "vertical_singlet_residual": uq.vertical_singlet_residual,
+    "check_commutator": lambda q: uq.check_commutator(q, 2, 2),
+    "kernel_2x2": uq.kernel_2x2,
+}
+
+
 @pytest.mark.parametrize("q", [math.nan, math.inf, complex(1.3, math.nan), complex(-math.inf, 1)])
 def test_non_finite_q_is_a_configuration_error(q):
     # a NaN q must stop here, not reach the engine, whose cross-check would
     # report it as an engine vs placement mismatch
-    for build in (make_uq_symbolic, uq.spin_half_rep, lambda q: uq.boxplus_op("S+", q, 2, 2),
-                  lambda q: uq.check_ks_relation(q, 2, 2), uq.singlet_pair_checks):
+    for build in Q_ENTRY_POINTS.values():
         with pytest.raises(ConfigurationError, match="finite"):
             build(q)
+
+
+@pytest.mark.parametrize("entry", sorted(Q_ENTRY_POINTS))
+def test_zero_q_is_a_singular_parameter_at_every_entry_point(entry):
+    with pytest.raises(SingularParameterError, match="nonzero"):
+        Q_ENTRY_POINTS[entry](0.0)
+
+
+@pytest.mark.parametrize("entry", sorted(NONSINGULAR_ENTRY_POINTS))
+@pytest.mark.parametrize("q", [1 + 1e-13, -1.0, complex(-1, 1e-13)])
+def test_q_squared_one_is_singular_wherever_one_over_q_minus_inverse_q_appears(entry, q):
+    with pytest.raises(SingularParameterError, match=r"q\*\*2 = 1"):
+        NONSINGULAR_ENTRY_POINTS[entry](q)
 
 
 def test_spin_half_rep_names_the_example_symbols_without_building_it(monkeypatch):
@@ -435,6 +469,9 @@ def test_singlet_identities_below_unit_q():
 
 def test_singlet_states_match_the_basis_state_loop():
     q = 0.848 + 0.530j
+    # the normalized two-site singlet (q^(1/2) |01> - q^(-1/2) |10>) / sqrt(q - 1/q)
+    den = cmath.sqrt(q - 1.0 / q)
+    amplitude = {(0, 1): cmath.sqrt(q) / den, (1, 0): -1.0 / cmath.sqrt(q) / den}
     for sites, pairs in ((2, [(1, 2)]), (3, [(3, 1)]), (4, [(3, 1), (4, 2)]),
                          (4, [(1, 2), (3, 4)]), (4, [(3, 2), (4, 1)])):
         ref = np.zeros(2 ** sites, dtype=complex)
@@ -442,7 +479,7 @@ def test_singlet_states_match_the_basis_state_loop():
             bits = [(b >> (sites - 1 - s)) & 1 for s in range(sites)]
             amp = 1.0 + 0j
             for i, j in pairs:
-                amp *= uq.singlet_amplitude(q, bits[i - 1], bits[j - 1])
+                amp *= amplitude.get((bits[i - 1], bits[j - 1]), 0j)
             covered = {s for pair in pairs for s in pair}
             ref[b] = 0j if any(bits[s - 1] for s in range(1, sites + 1) if s not in covered) else amp
         assert np.array_equal(uq.singlet_product(q, pairs, sites), ref)
