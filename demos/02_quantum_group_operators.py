@@ -20,7 +20,7 @@ for name in ("S+", "K+", "K-"):
 print("\n== lattice operators ==")
 op = uq.boxplus_op("S+", q, 2, 2)
 print("plaquette raising operator: dim", op.dim, "nnz", op.nnz)
-print("engine construction matches direct placement (cross-checked).")
+print("engine element matches the direct placement word by word.")
 
 print("\n== defining relations on grids ==")
 for (n, m) in [(2, 2), (2, 3), (3, 3)]:

@@ -13,9 +13,10 @@ mapped onto the internal bottom-row-first linear order by
 Every deformed-su(2) element is grown and represented by one step,
 :func:`spin_half_element`: the engine's n x m element of a generator and the
 spin-1/2 matrices of its example's alphabet.  A lattice operator is built by
-:func:`boxplus_op`, which evaluates that element and always cross-checks it
-against the placement construction.  A q-singlet on one site pair or a
-product of them on many comes from :func:`singlet_product`.
+:func:`boxplus_op`, which compares that element word by word with the
+placement construction and then evaluates it, so each operator is built
+once.  A q-singlet on one site pair or a product of them on many comes from
+:func:`singlet_product`.
 
 One q rule holds at every entry point, through :func:`instances.regular_q`
 and :func:`instances.nonsingular_q`: a q that is not finite is a
@@ -39,14 +40,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coalgebra import CheckInstance, CheckReport, _instance, boxplus
-from .grids import EQ_TOL, Alphabet, FormalSum
+from .grids import EQ_TOL, Alphabet, FormalSum, GridWord, sum_difference, worst_word
 from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
 from .linops import (
     Representation,
     ResourceLimitError,
     SparseOperator,
     evaluate,
-    kron_terms,
     operator_difference,
     worst_entry,
 )
@@ -64,10 +64,11 @@ for _mat in (ID2, SP, SM, SZ):
 
 # site cap for lattice operators, from measured work: at 18 sites (dimension
 # 2**18 = 262144) a `verify --checks ks,commutator --sizes 3x6` process takes
-# about 4.4 s and 319 MiB peak resident memory with one q and 11 s and
-# 340 MiB with three, the peak set by building and cross-checking S+ and S-
-# (medians of 5 and 9 runs on a 2-core x86 machine); at 20 sites (4x5) one
-# run took 33 s and 1.2 GiB
+# about 3.0 s and 315 MiB peak resident memory with one q and 8.1 s and
+# 329 MiB with three (medians of 5 runs on a 2-core x86 machine); building
+# S+ and S- reaches about 280 MiB, and the ks relations' per-entry arrays,
+# formed while S+, S- and the K strings are alive, set the peak; at 20 sites
+# (4x5) one run took 33 s and 1.2 GiB
 SITE_CAP = 18
 
 # rows per block of the commutator check, whose peak memory is that of one
@@ -114,48 +115,45 @@ def _check_sites(n, m):
         raise ResourceLimitError(f"{n}x{m} lattice exceeds the {SITE_CAP}-site cap")
 
 
-def direct_boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
+def _placement(gen: str, alphabet: Alphabet, shape) -> FormalSum:
     """Placement construction: the generator at one site, the matching
-    group-like letters before and after it in linear order."""
-    q = regular_q(q)
-    _check_sites(n, m)
-    rep = spin_half_rep(q)
-    by_name = {s.name: rep.matrices[s] for s in rep.alphabet}
-    sites = n * m
-    if gen in ("K+", "K-", "K+2", "K-2", "1"):
-        names = [[gen] * sites]
-    elif gen in ("S+", "S-"):
-        names = [["K-"] * k + [gen] + ["K+"] * (sites - k - 1) for k in range(sites)]
-    elif gen == "Sz":
-        names = [["1"] * k + ["Sz"] + ["1"] * (sites - k - 1) for k in range(sites)]
+    group-like letters before and after it in linear order (K- and K+ around
+    S+ and S-, 1 around Sz), or one constant word for 1 and the K letters;
+    the names are looked up in ``alphabet``."""
+    sites = shape.sites
+    if gen in ("S+", "S-", "Sz"):
+        before, after = ("1", "1") if gen == "Sz" else ("K-", "K+")
+        names = [[before] * k + [gen] + [after] * (sites - k - 1) for k in range(sites)]
     else:
-        raise ValueError(f"unknown generator {gen!r}")
-    return kron_terms([(1.0, [by_name[nm] for nm in word]) for word in names], 2, sites)
+        names = [[gen] * sites]
+    return FormalSum(shape, [(GridWord(shape, alphabet.words(word)), 1.0) for word in names])
 
 
 def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
     """Lattice operator for a generator, built through the coalgebra engine.
 
-    The result is compared against the independent placement construction
-    :func:`direct_boxplus_op`; a mismatch raises and names the worst entry.
+    The grown element is compared word by word with the independent
+    placement construction :func:`_placement`; a mismatch raises and names
+    the worst word, and otherwise the element is evaluated, once.
     """
     q = regular_q(q)
     _check_sites(n, m)
-    op = evaluate(*spin_half_element(gen, q, n, m))
-    ref = direct_boxplus_op(gen, q, n, m)
-    res = operator_difference(op, ref)
+    element, rep = spin_half_element(gen, q, n, m)
+    placed = _placement(gen, rep.alphabet, element.shape)
+    res = sum_difference(element, placed)
     if not res <= EQ_TOL:
         raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
-                             f"worst entry (engine vs placement) {worst_entry(op, ref)}")
-    return op
+                             f"worst word (engine vs placement) {worst_word(element, placed)}")
+    return evaluate(element, rep)
 
 
 class OperatorTable(dict):
     """The lattice operators of one (q, n, m), by generator name.
 
-    Each operator is built through :func:`boxplus_op`, and so cross-checked
-    against the placement construction, on its first lookup; later lookups
-    return the same operator.  The operators live as long as the table.
+    Each operator is built through :func:`boxplus_op`, its grown element
+    checked word by word against the placement construction, on its first
+    lookup; later lookups return the same operator.  The operators live as
+    long as the table.
     """
 
     def __init__(self, q, n: int, m: int):

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import re
 import struct
 
 import numpy as np
@@ -16,12 +18,12 @@ from hopf2d.coalgebra import (
 from hopf2d.linops import (
     ResourceLimitError,
     SparseOperator,
-    evaluate,
     operator_difference,
     worst_entry,
 )
-from hopf2d import rmatrix as rm, uqsu2 as uq
-from hopf2d.instances import make_uq_symbolic
+from hopf2d import cli, linops, rmatrix as rm, uqsu2 as uq
+from hopf2d.grids import FormalSum, GridWord, sum_difference
+from hopf2d.instances import UQ_NAMES, make_uq_symbolic
 
 
 def test_spin_half_rep_invariants():
@@ -72,8 +74,8 @@ NONSINGULAR_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, complex(1.3, math.nan), complex(-math.inf, 1)])
 def test_non_finite_q_is_a_configuration_error(q):
-    # a NaN q must stop here, not reach the engine, whose cross-check would
-    # report it as an engine vs placement mismatch
+    # a NaN q must stop here, not reach the representation, whose K matrices
+    # would carry it into the operators as NaN entries
     for build in Q_ENTRY_POINTS.values():
         with pytest.raises(ConfigurationError, match="finite"):
             build(q)
@@ -100,7 +102,6 @@ def test_spin_half_rep_names_the_example_symbols_without_building_it(monkeypatch
 
     monkeypatch.setattr(uq, "make_uq_symbolic", refuse)
     assert [(int(s), s.name) for s in uq.spin_half_rep(1.3).alphabet] == want
-    assert uq.direct_boxplus_op("S+", 1.3, 2, 2).nnz == 32
 
 
 def test_boxplus_op_q1_is_plain_sum():
@@ -121,11 +122,19 @@ def test_boxplus_op_size_cap():
         uq.boxplus_op("S+", 2.0, 1, uq.SITE_CAP + 1)
 
 
-def _engine_op(gen, q, n, m):
-    """The generator grown by the engine and evaluated, without the placement
-    cross-check that :func:`uqsu2.boxplus_op` runs."""
-    ex = make_uq_symbolic(q)
-    return evaluate(boxplus(ex, gen, n, m), uq.spin_half_rep(q, ex.alphabet))
+def _dense_placement(gen, q, n, m) -> np.ndarray:
+    """The generator placed on an n x m lattice with dense ``np.kron``: at one
+    site with K- before and K+ after it for S+ and S-, 1 around Sz, and on
+    every site for 1 and the K letters."""
+    rep = uq.spin_half_rep(q)
+    mats = {s.name: rep.matrices[s] for s in rep.alphabet}
+    sites = n * m
+    if gen in ("S+", "S-", "Sz"):
+        before, after = ("1", "1") if gen == "Sz" else ("K-", "K+")
+        words = [[before] * k + [gen] + [after] * (sites - k - 1) for k in range(sites)]
+    else:
+        words = [[gen] * sites]
+    return sum(functools.reduce(np.kron, [mats[name] for name in word]) for word in words)
 
 
 @settings(max_examples=12, deadline=None)
@@ -135,10 +144,33 @@ def _engine_op(gen, q, n, m):
 ), st.sampled_from([(1, 2), (2, 2), (3, 2), (3, 3)]))
 def test_boxplus_engine_matches_placement(q, size):
     n, m = size
-    for gen in ("S+", "S-", "K+", "Sz"):
-        a = _engine_op(gen, q, n, m)
-        b = uq.direct_boxplus_op(gen, q, n, m)
-        assert operator_difference(a, b) < 1e-10
+    for gen in UQ_NAMES:
+        got = uq.boxplus_op(gen, q, n, m).toarray()
+        assert np.abs(got - _dense_placement(gen, q, n, m)).max() < 1e-10, gen
+
+
+def test_placement_equals_the_grown_element_at_every_shape_up_to_the_cap():
+    for q in (1.3, 0.7 + 0.2j):
+        for gen in UQ_NAMES:
+            for n in range(1, uq.SITE_CAP + 1):
+                for m in range(1, uq.SITE_CAP // n + 1):
+                    element, rep = uq.spin_half_element(gen, q, n, m)
+                    placed = uq._placement(gen, rep.alphabet, element.shape)
+                    assert sum_difference(element, placed) == 0.0, (q, gen, n, m)
+
+
+def test_boxplus_op_runs_kron_terms_once(monkeypatch):
+    real, calls = linops.kron_terms, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linops, "kron_terms", counted)
+    # a build through a kron_terms imported into uqsu2 counts too
+    monkeypatch.setattr(uq, "kron_terms", counted, raising=False)
+    uq.boxplus_op("S+", 1.3, 2, 3)
+    assert len(calls) == 1
 
 
 def test_ks_relation_and_commutator():
@@ -315,17 +347,45 @@ def test_complex_q_ks_residuals_agree_with_the_products_to_rounding(r, theta, si
     assert _bits(comm.residual) == _bits(operator_difference(*comm_sides))
 
 
-def test_cross_check_mismatch_names_the_planted_entry(monkeypatch):
-    real = uq.direct_boxplus_op
+def _plant(monkeypatch, plant):
+    """Make the engine grow S+ on 2 x 2 with one word error: ``plant`` is
+    "swap" (K+ for K- at the first site of K- S+ K+ K+, linear order),
+    "drop" (that word left out) or "coefficient" (its coefficient 2.0).
+    Returns the word the mismatch names and its engine and placement
+    coefficients."""
+    ex = make_uq_symbolic(1.3)
+    grown = boxplus(ex, "S+", 2, 2)
+    terms = dict(grown.unordered_items())
+    word = GridWord(grown.shape, ex.alphabet.words(["K-", "S+", "K+", "K+"]))
+    assert terms[word] == 1.0
+    if plant == "swap":
+        swapped = GridWord(grown.shape, ex.alphabet.words(["K+", "S+", "K+", "K+"]))
+        terms[swapped] = terms.pop(word)
+        named, got, want = swapped, 1.0, 0.0
+    elif plant == "drop":
+        del terms[word]
+        named, got, want = word, 0.0, 1.0
+    else:
+        terms[word] = 2.0
+        named, got, want = word, 2.0, 1.0
+    monkeypatch.setattr(uq, "boxplus", lambda *args: FormalSum(grown.shape, terms))
+    return named, got, want
 
-    def placement(gen, q, n, m):
-        mat = real(gen, q, n, m).mat.tolil()
-        mat[3, 7] += 1.0
-        return SparseOperator(mat)
 
-    monkeypatch.setattr(uq, "direct_boxplus_op", placement)
-    with pytest.raises(AssertionError, match=r"'row': 3, 'col': 7"):
-        uq.boxplus_op("S-", 1.3, 2, 2)
+@pytest.mark.parametrize("plant", ["swap", "drop", "coefficient"])
+def test_word_mismatch_names_the_planted_word(monkeypatch, plant):
+    named, got, want = _plant(monkeypatch, plant)
+    message = f"'word': '{named!r}', 'got': [{got}, 0.0], 'want': [{want}, 0.0]"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        uq.boxplus_op("S+", 1.3, 2, 2)
+
+
+def test_build_op_surfaces_a_planted_word_as_the_engine_error(monkeypatch, tmp_path):
+    named, _, _ = _plant(monkeypatch, "swap")
+    out = tmp_path / "operators"
+    with pytest.raises(AssertionError, match=re.escape(f"'word': '{named!r}'")):
+        cli.main(["build-op", "--gen", "S+", "--q", "1.3", "--size", "2x2", "--out", str(out)])
+    assert not out.exists()
 
 
 def _counting(monkeypatch):
@@ -414,8 +474,8 @@ def test_kernel_q1_su2_decomposition():
     # undeformed: half**4 = 0 (x2) + 1 (x3) + 2; joint kernel of totals is 2
     k = uq.kernel_2x2(1.0 + 1e-8)  # just off the singular normalization
     assert k["dimension"] == 2
-    sp = uq.direct_boxplus_op("S+", 1.0, 2, 2).toarray()
-    sm = uq.direct_boxplus_op("S-", 1.0, 2, 2).toarray()
+    sp = uq.boxplus_op("S+", 1.0, 2, 2).toarray()
+    sm = uq.boxplus_op("S-", 1.0, 2, 2).toarray()
     stacked = np.vstack([sp, sm])
     sigma = np.linalg.svd(stacked, compute_uv=False)
     assert int((sigma < 1e-10 * sigma.max()).sum()) + 16 - len(sigma) == 2
@@ -454,10 +514,9 @@ def test_engine_matches_placement_all_shapes_up_to_nine_sites():
     q = 1.7
     shapes = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
     for (n, m) in shapes:
-        for gen in ("S+", "K-", "Sz"):
-            a = _engine_op(gen, q, n, m)
-            b = uq.direct_boxplus_op(gen, q, n, m)
-            assert operator_difference(a, b) < 1e-10, (gen, n, m)
+        for gen in UQ_NAMES:
+            got = uq.boxplus_op(gen, q, n, m).toarray()
+            assert np.abs(got - _dense_placement(gen, q, n, m)).max() < 1e-10, (gen, n, m)
 
 
 def test_singlet_identities_below_unit_q():
