@@ -68,10 +68,20 @@ class CliConfigError(Exception):
     pass
 
 
+def _unrepeated(values, labels, what):
+    """``values``, or a :class:`CliConfigError` naming the first one that
+    repeats an earlier one, by its label in ``labels``."""
+    seen = set()
+    for value, label in zip(values, labels):
+        if value in seen:
+            raise CliConfigError(f"repeated {what} {label!r}")
+        seen.add(value)
+    return values
+
+
 def _parse_sizes(text):
-    sizes = []
-    for chunk in text.split(","):
-        chunk = chunk.strip().lower()
+    sizes, chunks = [], [chunk.strip().lower() for chunk in text.split(",")]
+    for chunk in chunks:
         try:
             n, m = chunk.split("x")
             sizes.append((int(n), int(m)))
@@ -79,7 +89,7 @@ def _parse_sizes(text):
             raise CliConfigError(f"bad size {chunk!r}, expected NxM")
     if not sizes or any(n < 1 or m < 1 for n, m in sizes):
         raise CliConfigError("sizes must be positive NxM pairs")
-    return sizes
+    return _unrepeated(sizes, chunks, "size")
 
 
 def _parse_q_list(values, seed, count=10):
@@ -90,7 +100,7 @@ def _parse_q_list(values, seed, count=10):
                 out.append(complex(v))
             except ValueError:
                 raise CliConfigError(f"bad q value {v!r}")
-        return out
+        return _unrepeated(out, values, "q value")
     rng = np.random.RandomState(seed)
     qs = []
     for _ in range(count // 2):
@@ -168,12 +178,15 @@ def _rep_for(ex, example_kind):
 def _run_checks(args):
     sizes = _parse_sizes(args.sizes or "2x2,3x3")
     checks = (args.checks or "assoc,xycompat,counit").split(",")
+    names = [c.strip() for c in checks if c.strip()]
+    _unrepeated(names, names, "check")
+    if not names:
+        raise CliConfigError(f"--checks {args.checks!r} names no check")
     tol = _tolerance(args)
     ex = _make_example(args)
     max_n = max(n for n, _ in sizes)
     max_m = max(m for _, m in sizes)
     uq_reports = None
-    names = [c.strip() for c in checks if c.strip()]
     reports = []
     for name in names:
         if name == "assoc":
@@ -217,19 +230,21 @@ def _run_checks(args):
 def _uq_checks(names, qs, sizes, tol):
     """The deformed-su(2) operator checks among ``names``, one report each.
 
-    The loop runs over q, then size, then check, and every check of one
-    (q, size) step takes its operators from one :class:`uqsu2.OperatorTable`,
-    dropped when the step ends; ``kernel`` and ``singlets`` run at the
-    (q, 2x2) step, and their reports name 2x2 (and 1x2 for the singlets'
-    pair checks).  Each report lists its instances q first, then size.
-    Neither check forms an array larger than S+ or S-, so a step's peak
-    memory is that of building its operators; both checks build S+ and S-
-    first, which keeps it lowest, and the order of the checks in a step does
-    not change it.
+    The loop runs over q, then size, then check.  Each (q, size) step that
+    runs a check makes one :class:`uqsu2.OperatorTable`, which builds one
+    example and each operator once for every check of the step and is
+    dropped when the step ends; a size with no check of its own makes no
+    table.  ``kernel`` and ``singlets`` run at the (q, 2x2) step, and their
+    reports name 2x2 (and 1x2 for the singlets' pair checks, which read a
+    1x2 table of their own).  Each report lists its instances q first, then
+    size.  At 3x6 a step's peak memory is set by the ``ks`` relations'
+    per-entry arrays, formed while S+, S- and the K strings are alive, not
+    by the builds or the commutator's blocks; both checks build S+ and S-
+    first, which keeps the builds' peak lowest.
     """
     per_size = [nm for nm in ("commutator", "ks") if nm in names]
     per_q = [nm for nm in ("kernel", "singlets") if nm in names]
-    steps = [(size, list(per_size)) for size in sizes]
+    steps = [(size, list(per_size)) for size in sizes if per_size]  # no table without a check
     if per_q:  # at the first 2x2 step, or at one of their own
         at_2x2 = next((checks for size, checks in steps if size == (2, 2)), None)
         if at_2x2 is None:
@@ -253,7 +268,9 @@ def _uq_instances(name, q, n, m, ops, tol):
         return _prefixed(uqsu2.check_commutator(q, n, m, tol=tol, ops=ops), f"q={q:g},{n}x{m}")
     if name == "kernel":
         k = uqsu2.kernel_2x2(q, ops=ops)
-        ok = k["dimension"] == 2 and all(v <= tol for v in k["family_residuals"].values())
+        # the reversed-orientation control must leave the kernel
+        ok = (k["dimension"] == 2 and all(v <= tol for v in k["family_residuals"].values())
+              and k["reversed_orientation_residual"] > tol)
         res = max(k["family_residuals"].values())
         basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
         return [CheckInstance(f"q={q:g}", ok, res, {"dimension": k["dimension"], "basis": basis})]

@@ -16,7 +16,9 @@ plaquette R-matrix :func:`r2d` is the conjugator of the six steps of
 :data:`CHAIN_STEPS`, which carry the plaquette element to its permuted
 version, and the plaquette classical r is the matching signed sum of pair
 r's.  :func:`conjugation_chain` runs those steps on the engine's own 2 x 2
-``boxplus`` sum and checks that it ends at :func:`boxplus_perm_sum`.
+element and checks that it ends at the permuted element: that element with
+every K letter swapped.  Elements and their representation come from a
+:class:`uqsu2.OperatorTable` of their q and size.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .coalgebra import CheckInstance, CheckReport
 from .grids import FormalSum, GridWord, sums_equal, worst_word
 from .instances import regular_q
 from .linops import Representation, evaluate, kron_terms
-from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, spin_half_element
+from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, OperatorTable
 from .uqsu2 import delta_2site  # the two-site coproduct, dense 4 x 4
 
 _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
@@ -63,13 +65,12 @@ def r_matrix_factorized(q) -> np.ndarray:
 def delta_perm(gen: str, q) -> np.ndarray:
     """Permuted coproduct: the 1 x 2 element of S+ or S- with its K letters
     swapped; a group-like K letter's is its coproduct."""
-    q = regular_q(q)
+    table = OperatorTable(q, 1, 2)
     if gen in ("K+", "K-"):
-        return delta_2site(gen, q)
+        return table[gen].toarray()
     if gen not in ("S+", "S-"):
         raise ValueError(f"no permuted coproduct for {gen!r}")
-    s, rep = spin_half_element(gen, q, 1, 2)
-    return evaluate(_permuted(s, _k_swap(rep.alphabet)), rep).toarray()
+    return evaluate(_permuted(table.element(gen), _k_swap(table.rep.alphabet)), table.rep).toarray()
 
 
 def embed(mat: np.ndarray, *sites: int) -> np.ndarray:
@@ -137,16 +138,11 @@ def _permuted(s: FormalSum, swap: dict) -> FormalSum:
                                                                for c in word.cells)))
 
 
-def boxplus_perm_sum(gen: str, q, n: int = 2, m: int = 2) -> FormalSum:
-    """The permuted n x m element: every K letter swapped in the grids."""
-    s, rep = spin_half_element(gen, q, n, m)
-    return _permuted(s, _k_swap(rep.alphabet))
-
-
 def plaquette_pair(gen: str, q) -> tuple[np.ndarray, np.ndarray]:
     """The 2 x 2 lattice generator and its permuted element as 16 x 16
-    operators in display layout, grown and evaluated from one example."""
-    s, rep = spin_half_element(gen, q, 2, 2)
+    operators in display layout, grown and evaluated from one table."""
+    table = OperatorTable(q, 2, 2)
+    s, rep = table.element(gen), table.rep
     return (evaluate_display_2x2(s, rep),
             evaluate_display_2x2(_permuted(s, _k_swap(rep.alphabet)), rep))
 
@@ -293,17 +289,19 @@ def conjugation_chain(q, sgen="S+"):
     """Run the six conjugation steps on the plaquette element, returning
     the sums, residuals and the chain's conjugator.
 
-    The chain starts from the engine's ``boxplus`` of ``sgen`` on 2 x 2 and
-    rewrites its words one step of :data:`CHAIN_STEPS` at a time, so
-    ``steps`` holds seven :class:`FormalSum` s.  Each step's sum, evaluated
-    by :func:`evaluate_display_2x2` into ``operators``, is compared
-    numerically against the actual conjugation of the previous operator;
-    the last sum must equal :func:`boxplus_perm_sum`, or ``ValueError``
+    The chain starts from the 2 x 2 element of ``sgen`` that an
+    :class:`uqsu2.OperatorTable` of (q, 2, 2) grows, and rewrites its words
+    one step of :data:`CHAIN_STEPS` at a time, so ``steps`` holds seven
+    :class:`FormalSum` s.  Each step's sum, evaluated by
+    :func:`evaluate_display_2x2` into ``operators``, is compared numerically
+    against the actual conjugation of the previous operator; the last sum
+    must equal the first with every K letter swapped, or ``ValueError``
     names the word where they differ most.  ``conjugator`` is the product
     of the steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)``
     bit for bit.
     """
-    s, rep = spin_half_element(sgen, q, 2, 2)
+    table = OperatorTable(q, 2, 2)
+    s, rep = table.element(sgen), table.rep
     flip = _k_swap(rep.alphabet)
     steps, ops = [s], [evaluate_display_2x2(s, rep)]
     residuals, gs = [], []

@@ -10,13 +10,15 @@ in the singlet and R-matrix sections follow the top-row-first numbering
 mapped onto the internal bottom-row-first linear order by
 :data:`DISPLAY_TO_LINEAR_2X2`.
 
-Every deformed-su(2) element is grown and represented by one step,
-:func:`spin_half_element`: the engine's n x m element of a generator and the
-spin-1/2 matrices of its example's alphabet.  A lattice operator is built by
-:func:`boxplus_op`, which compares that element word by word with the
-placement construction and then evaluates it, so each operator is built
-once.  A q-singlet on one site pair or a product of them on many comes from
-:func:`singlet_product`.
+Every deformed-su(2) element is grown and represented by one step, an
+:class:`OperatorTable` of one (q, n, m): it builds one example at q and the
+spin-1/2 representation of that example's alphabet, grows every generator
+it is asked for from that example (:meth:`OperatorTable.element`), and
+builds each lattice operator on its first lookup, comparing the element
+word by word with the placement construction and then evaluating it, so
+each operator is built once.  :func:`boxplus_op` is a one-off table's
+lookup.  A q-singlet on one site pair or a product of them on many comes
+from :func:`singlet_product`.
 
 One q rule holds at every entry point, through :func:`instances.regular_q`
 and :func:`instances.nonsingular_q`: a q that is not finite is a
@@ -24,11 +26,11 @@ and :func:`instances.nonsingular_q`: a q that is not finite is a
 1/(q - 1/q) appears (the commutator, the q-singlets and the checks built on
 them), is a :class:`coalgebra.SingularParameterError`.
 
-The checks take their operators from an :class:`OperatorTable` of one
-(q, n, m), which builds each generator on its first lookup and shares it
-with every later check given the same table; a check called without a table
-builds its own.  The CLI keeps one table per (q, size) step of ``verify``
-and drops it when the step ends.
+The checks take their operators from an :class:`OperatorTable` of their
+(q, n, m) and share it with every later check given the same table; a
+check called without a table makes its own.  The CLI keeps one table per
+(q, size) step of ``verify`` that runs a check, and drops it when the step
+ends.  No table outlives its caller: nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -102,14 +104,6 @@ def spin_half_rep(q, alphabet=None) -> Representation:
     return Representation(alphabet, mats)
 
 
-def spin_half_element(gen: str, q, n: int, m: int) -> tuple[FormalSum, Representation]:
-    """The n x m element of a generator, grown by the coalgebra engine from
-    the deformed-su(2) example at q, and the spin-1/2 representation of that
-    example's alphabet, in which it evaluates."""
-    ex = make_uq_symbolic(q)
-    return boxplus(ex, gen, n, m), spin_half_rep(q, ex.alphabet)
-
-
 def _check_sites(n, m):
     if n * m > SITE_CAP:
         raise ResourceLimitError(f"{n}x{m} lattice exceeds the {SITE_CAP}-site cap")
@@ -130,38 +124,44 @@ def _placement(gen: str, alphabet: Alphabet, shape) -> FormalSum:
 
 
 def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
-    """Lattice operator for a generator, built through the coalgebra engine.
-
-    The grown element is compared word by word with the independent
-    placement construction :func:`_placement`; a mismatch raises and names
-    the worst word, and otherwise the element is evaluated, once.
-    """
-    q = regular_q(q)
-    _check_sites(n, m)
-    element, rep = spin_half_element(gen, q, n, m)
-    placed = _placement(gen, rep.alphabet, element.shape)
-    res = sum_difference(element, placed)
-    if not res <= EQ_TOL:
-        raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
-                             f"worst word (engine vs placement) {worst_word(element, placed)}")
-    return evaluate(element, rep)
+    """Lattice operator for one generator, built through a one-off
+    :class:`OperatorTable` of (q, n, m)."""
+    return OperatorTable(q, n, m)[gen]
 
 
 class OperatorTable(dict):
     """The lattice operators of one (q, n, m), by generator name.
 
-    Each operator is built through :func:`boxplus_op`, its grown element
-    checked word by word against the placement construction, on its first
-    lookup; later lookups return the same operator.  The operators live as
+    Made after the q rule and the site cap, the table builds one
+    deformed-su(2) example at q and its spin-1/2 representation ``rep``;
+    :meth:`element` grows every generator from that example.  An operator
+    is built on its first lookup: its grown element is compared word by word
+    with the independent placement construction :func:`_placement`, a
+    mismatch raises and names the worst word, and otherwise the element is
+    evaluated, once.  Later lookups return the same operator, which lives as
     long as the table.
     """
 
     def __init__(self, q, n: int, m: int):
         super().__init__()
+        q = regular_q(q)
+        _check_sites(n, m)
         self.q, self.n, self.m = q, n, m
+        self.example = make_uq_symbolic(q)
+        self.rep = spin_half_rep(q, self.example.alphabet)
+
+    def element(self, gen: str) -> FormalSum:
+        """The engine's n x m element of a generator, grown from the table's example."""
+        return boxplus(self.example, gen, self.n, self.m)
 
     def __missing__(self, gen):
-        op = self[gen] = boxplus_op(gen, self.q, self.n, self.m)
+        element = self.element(gen)
+        placed = _placement(gen, self.rep.alphabet, element.shape)
+        res = sum_difference(element, placed)
+        if not res <= EQ_TOL:
+            raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
+                                 f"worst word (engine vs placement) {worst_word(element, placed)}")
+        op = self[gen] = evaluate(element, self.rep)
         return op
 
 
@@ -297,24 +297,26 @@ def singlet_product(q, pairs, total_sites) -> np.ndarray:
 
 def delta_2site(gen: str, q) -> np.ndarray:
     """Two-site coproduct of a generator, dense 4 x 4."""
-    return evaluate(*spin_half_element(gen, q, 1, 2)).toarray()
+    return OperatorTable(q, 1, 2)[gen].toarray()
 
 
 def singlet_pair_checks(q, tol=EQ_TOL) -> CheckReport:
     """The two-site singlet identities: K fixes it, raising/lowering kill it,
-    and K- x K+ maps it onto the inverse-q singlet with the stated ratio."""
+    and K- x K+ maps it onto the inverse-q singlet with the stated ratio.
+    The coproducts and K matrices come from one :class:`OperatorTable` of
+    (q, 1, 2)."""
     q = nonsingular_q(q)
+    ops = OperatorTable(q, 1, 2)
     instances = []
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):
-        res = float(np.abs(delta_2site(gen, q) @ s).max())
+        res = float(np.abs(ops[gen].toarray() @ s).max())
         instances.append(CheckInstance(f"annihilation {gen}", res <= tol, res))
     for gen in ("K+", "K-"):
-        res = float(np.abs(delta_2site(gen, q) @ s - s).max())
+        res = float(np.abs(ops[gen].toarray() @ s - s).max())
         instances.append(CheckInstance(f"invariance {gen}", res <= tol, res))
-    rep = spin_half_rep(q)
-    km = rep.matrices[rep.alphabet["K-"]]
-    kp = rep.matrices[rep.alphabet["K+"]]
+    km = ops.rep.matrices[ops.rep.alphabet["K-"]]
+    kp = ops.rep.matrices[ops.rep.alphabet["K+"]]
     lhs = np.kron(km, kp) @ s
     ratio = cmath.sqrt(1.0 / q - q) / cmath.sqrt(q - 1.0 / q)
     rhs = ratio * singlet_product(1.0 / q, [(1, 2)], 2)

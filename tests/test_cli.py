@@ -40,26 +40,55 @@ def test_verify_uq_checks(tmp_path):
 
 
 def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatch):
-    real, calls, built = cli.uqsu2.boxplus_op, {}, []
+    real, calls, built = cli.uqsu2.OperatorTable.__missing__, {}, []
 
-    def op(gen, q, n, m):
-        step = (complex(q), n, m)
+    def missing(table, gen):
+        step = (complex(table.q), table.n, table.m)
+        pair_table = (table.n, table.m) == (1, 2)  # the singlets' own, inside the 2x2 step
         # every operator of an earlier (q, size) step is gone before this one's are built
-        assert all(ref() is None for s, ref in built if s != step), (gen, step)
+        assert pair_table or all(ref() is None for s, ref in built if s != step), (gen, step)
         calls[(gen, *step)] = calls.get((gen, *step), 0) + 1
-        out = real(gen, q, n, m)
-        built.append((step, weakref.ref(out)))
+        out = real(table, gen)
+        if not pair_table:
+            built.append((step, weakref.ref(out)))
         return out
 
-    monkeypatch.setattr(cli.uqsu2, "boxplus_op", op)
+    monkeypatch.setattr(cli.uqsu2.OperatorTable, "__missing__", missing)
     argv = ["verify", "--example", "uq", "--checks", "ks,commutator,kernel,singlets",
             "--sizes", "2x2,2x3", "--out", str(tmp_path / "r")]
     assert main(argv[:3] + ["--q", "1.3"] + argv[3:]) == 0
     gens = ("K+", "K-", "S+", "S-", "K+2", "K-2")
-    assert calls == {(g, 1.3, n, m): 1 for g in gens for n, m in ((2, 2), (2, 3))}
+    assert calls == ({(g, 1.3, n, m): 1 for g in gens for n, m in ((2, 2), (2, 3))}
+                     | {(g, 1.3, 1, 2): 1 for g in ("S+", "S-", "K+", "K-")})
     calls.clear()
     assert main(argv[:3] + ["--q", "1.3", "--q", "0.7"] + argv[3:]) == 0
-    assert set(calls.values()) == {1} and len(calls) == 24
+    assert set(calls.values()) == {1} and len(calls) == 32
+
+
+def _counted_examples(monkeypatch):
+    """Record the q of every deformed-su(2) example the CLI and its checks build."""
+    real, built = cli.make_uq_symbolic, []
+
+    def make(q):
+        built.append(q)
+        return real(q)
+
+    for module in (cli, cli.uqsu2):
+        monkeypatch.setattr(module, "make_uq_symbolic", make)
+    return built
+
+
+@pytest.mark.parametrize("checks, examples", [
+    # the CLI's example, the 2x2 and 3x3 tables and the singlets' 1x2 table
+    ("ks,commutator,kernel,singlets", 4),
+    # no 3x3 table: that step runs no check
+    ("kernel,singlets", 3),
+])
+def test_verify_uq_builds_one_example_per_q_and_size(tmp_path, monkeypatch, checks, examples):
+    built = _counted_examples(monkeypatch)
+    assert main(["verify", "--example", "uq", "--q", "2.0", "--checks", checks,
+                 "--out", str(tmp_path / "r")]) == 0
+    assert len(built) == examples and set(built) == {2.0}
 
 
 def test_kernel_and_singlets_name_the_sizes_they_run_at(tmp_path):
@@ -89,6 +118,46 @@ def test_verify_unknown_check(tmp_path):
     code = main(["verify", "--example", "pivot", "--checks", "nonsense",
                  "--out", str(tmp_path / "r")])
     assert code == 2
+
+
+@pytest.mark.parametrize("checks", [",", " , "])
+def test_an_empty_check_list_is_a_configuration_error(tmp_path, capsys, checks):
+    out = tmp_path / "r"
+    assert main(["verify", "--sizes", "2x2", "--checks", checks, "--out", str(out)]) == 2
+    assert "names no check" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--sizes", "2x2,2x2", "--checks", "counit"], "repeated size '2x2'"),
+    (["verify", "--sizes", "1x2, 2X2,2x2", "--checks", "counit"], "repeated size '2x2'"),
+    (["verify", "--example", "uq", "--q", "2.0", "--sizes", "2x2", "--checks", "ks,ks"],
+     "repeated check 'ks'"),
+    (["verify", "--sizes", "2x2", "--checks", "counit, counit"], "repeated check 'counit'"),
+    (["verify", "--example", "uq", "--q", "2", "--q", "2.0", "--sizes", "2x2", "--checks", "ks"],
+     "repeated q value '2.0'"),
+    (["build-op", "--gen", "S+", "--q", "1.3", "--q", "1.3"], "repeated q value '1.3'"),
+    (["peps", "--rep", "d4", "--sizes", "1x1,1x1"], "repeated size '1x1'"),
+])
+def test_a_repeated_value_is_a_configuration_error(tmp_path, capsys, argv, named):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_fails_when_its_reversed_orientation_control_stays_in_the_kernel(
+        tmp_path, monkeypatch):
+    real = cli.uqsu2.kernel_2x2
+
+    def kernel(q, **kwargs):
+        return {**real(q, **kwargs), "reversed_orientation_residual": 0.0}
+
+    argv = ["verify", "--example", "uq", "--q", "2.0", "--checks", "kernel",
+            "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli.uqsu2, "kernel_2x2", kernel)
+    assert main(argv) == 1
 
 
 def test_verify_rmatrix_and_semiclassical(tmp_path):

@@ -122,7 +122,7 @@ def test_permuted_plaquette_symbol_swap_oracle():
         al = ex.alphabet
         swap = {al["K+"]: al["K-"], al["K-"]: al["K+"]}
         for gen in ("S+", "S-"):
-            grids = rm.boxplus_perm_sum(gen, q)
+            grids = rm._permuted(boxplus(ex, gen, 2, 2), swap)
             back = grids.map_words(
                 lambda w: GridWord(w.shape, tuple(swap.get(c, c) for c in w.cells)))
             assert sums_equal(back, boxplus(ex, gen, 2, 2))

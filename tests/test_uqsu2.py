@@ -55,6 +55,7 @@ Q_ENTRY_POINTS = {
     "make_uq_symbolic": make_uq_symbolic,
     "spin_half_rep": uq.spin_half_rep,
     "boxplus_op": lambda q: uq.boxplus_op("S+", q, 2, 2),
+    "OperatorTable": lambda q: uq.OperatorTable(q, 2, 2),
     "check_ks_relation": lambda q: uq.check_ks_relation(q, 2, 2),
     "singlet_product": lambda q: uq.singlet_product(q, [(1, 2)], 2),
     "singlet_pair_checks": uq.singlet_pair_checks,
@@ -122,6 +123,35 @@ def test_boxplus_op_size_cap():
         uq.boxplus_op("S+", 2.0, 1, uq.SITE_CAP + 1)
 
 
+def test_a_table_builds_one_example_for_every_generator(monkeypatch):
+    built = []
+
+    def make(q):
+        built.append(q)
+        return make_uq_symbolic(q)
+
+    monkeypatch.setattr(uq, "make_uq_symbolic", make)
+    table = uq.OperatorTable(1.3, 2, 3)
+    assert built == [1.3]
+    for gen in UQ_NAMES:
+        table[gen]
+        table.element(gen)
+    assert sorted(table) == sorted(UQ_NAMES)
+    assert built == [1.3]
+    assert table.rep.alphabet is table.example.alphabet
+
+
+def test_a_table_checks_q_and_the_cap_before_it_grows_anything(monkeypatch):
+    def refuse(q):
+        raise AssertionError("the table built an example")
+
+    monkeypatch.setattr(uq, "make_uq_symbolic", refuse)
+    with pytest.raises(ResourceLimitError):
+        uq.OperatorTable(2.0, 4, 5)
+    with pytest.raises(ConfigurationError):  # the q rule comes before the cap
+        uq.OperatorTable(math.nan, 4, 5)
+
+
 def _dense_placement(gen, q, n, m) -> np.ndarray:
     """The generator placed on an n x m lattice with dense ``np.kron``: at one
     site with K- before and K+ after it for S+ and S-, 1 around Sz, and on
@@ -151,11 +181,12 @@ def test_boxplus_engine_matches_placement(q, size):
 
 def test_placement_equals_the_grown_element_at_every_shape_up_to_the_cap():
     for q in (1.3, 0.7 + 0.2j):
-        for gen in UQ_NAMES:
-            for n in range(1, uq.SITE_CAP + 1):
-                for m in range(1, uq.SITE_CAP // n + 1):
-                    element, rep = uq.spin_half_element(gen, q, n, m)
-                    placed = uq._placement(gen, rep.alphabet, element.shape)
+        for n in range(1, uq.SITE_CAP + 1):
+            for m in range(1, uq.SITE_CAP // n + 1):
+                table = uq.OperatorTable(q, n, m)
+                for gen in UQ_NAMES:
+                    element = table.element(gen)
+                    placed = uq._placement(gen, table.rep.alphabet, element.shape)
                     assert sum_difference(element, placed) == 0.0, (q, gen, n, m)
 
 
@@ -192,22 +223,27 @@ def test_ks_relation_and_commutator_at_the_18_site_cap():
     assert uq.check_ks_relation(1.3, 3, 6, ops=ops).ok
 
 
-def _planted(real, gen, entry, delta=0.5):
-    """``boxplus_op`` with ``delta`` added at one entry of one generator."""
-    return _planted_at(real, gen, {entry: delta})
+BUILD = uq.OperatorTable.__missing__
 
 
-def _planted_at(real, gen, deltas):
-    """``boxplus_op`` with ``deltas[entry]`` added at each entry of one generator."""
-    def op(g, q, n, m):
-        out = real(g, q, n, m)
+def _planted(gen, entry, delta=0.5):
+    """``OperatorTable.__missing__`` with ``delta`` added at one entry of one generator."""
+    return _planted_at(gen, {entry: delta})
+
+
+def _planted_at(gen, deltas):
+    """``OperatorTable.__missing__`` with ``deltas[entry]`` added at each
+    entry of one generator; the table keeps the planted operator."""
+    def missing(table, g):
+        out = BUILD(table, g)
         if g != gen:
             return out
         mat = out.mat.tolil()
         for entry, delta in deltas.items():
             mat[entry] += delta
-        return SparseOperator(mat)
-    return op
+        op = table[g] = SparseOperator(mat)
+        return op
+    return missing
 
 
 def _assert_names(inst, entry):
@@ -218,7 +254,7 @@ def _assert_names(inst, entry):
 
 
 def test_failing_ks_relation_names_the_planted_entry(monkeypatch):
-    monkeypatch.setattr(uq, "boxplus_op", _planted(uq.boxplus_op, "S+", (5, 5)))
+    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", (5, 5)))
     report = uq.check_ks_relation(1.3, 2, 2)
     failing = [i for i in report.instances if not i.passed]
     assert sorted(i.input for i in failing) == ["K+*S+", "K-*S+"]
@@ -228,7 +264,7 @@ def test_failing_ks_relation_names_the_planted_entry(monkeypatch):
 
 
 def test_failing_commutator_names_the_planted_entry(monkeypatch):
-    monkeypatch.setattr(uq, "boxplus_op", _planted(uq.boxplus_op, "K+2", (9, 9)))
+    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K+2", (9, 9)))
     (inst,) = uq.check_commutator(1.3, 2, 2).instances
     assert not inst.passed
     _assert_names(inst, (9, 9))
@@ -268,18 +304,18 @@ DIM_3X4 = 2 ** 12
 
 
 def test_planted_entries_at_block_edges_are_named(monkeypatch):
-    real, b = uq.boxplus_op, uq.BLOCK_ROWS
+    b = uq.BLOCK_ROWS
     assert DIM_3X4 >= 3 * b  # 3x4 spans a first, a middle and a last block
     # the last row, the first row of a block (on and off the diagonal) and the
     # last row before that block boundary
     for entry in ((DIM_3X4 - 1, DIM_3X4 - 1), (b, b), (2 * b, 7), (b - 1, b - 1)):
-        monkeypatch.setattr(uq, "boxplus_op", _planted(real, "K+2", entry))
+        monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K+2", entry))
         (inst,) = uq.check_commutator(1.3, 3, 4).instances
         assert not inst.passed
         _assert_names(inst, entry)
         _same_as_whole_matrix(1.3, 3, 4)
         if entry[0] == entry[1]:
-            monkeypatch.setattr(uq, "boxplus_op", _planted(real, "S+", entry))
+            monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", entry))
             report = uq.check_ks_relation(1.3, 3, 4)
             assert sorted(i.input for i in report.instances if not i.passed) == ["K+*S+", "K-*S+"]
             for inst in report.instances:
@@ -289,8 +325,8 @@ def test_planted_entries_at_block_edges_are_named(monkeypatch):
 
 
 def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
-    real, entry = uq.boxplus_op, (DIM_3X4 - 2, DIM_3X4 - 2)
-    monkeypatch.setattr(uq, "boxplus_op", _planted(real, "S+", entry, math.nan))
+    entry = (DIM_3X4 - 2, DIM_3X4 - 2)
+    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", entry, math.nan))
     ks = uq.check_ks_relation(1.3, 3, 4)
     (comm,) = uq.check_commutator(1.3, 3, 4).instances
     for inst in [comm] + [i for i in ks.instances if i.input == "K+*S+"]:
@@ -298,7 +334,8 @@ def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
     assert math.isnan(ks.max_residual)
     _same_as_whole_matrix(1.3, 3, 4)
     # a NaN in the last block beats a larger finite residual in the first one
-    monkeypatch.setattr(uq, "boxplus_op", _planted_at(real, "K+2", {(5, 5): 1e6, entry: math.nan}))
+    monkeypatch.setattr(uq.OperatorTable, "__missing__",
+                        _planted_at("K+2", {(5, 5): 1e6, entry: math.nan}))
     (comm,) = uq.check_commutator(1.3, 3, 4).instances
     assert math.isnan(comm.residual) and not comm.passed
     worst = comm.details["worst_entry"]
@@ -307,7 +344,7 @@ def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
 
 
 def test_ks_relation_refuses_a_k_string_off_the_diagonal(monkeypatch):
-    monkeypatch.setattr(uq, "boxplus_op", _planted(uq.boxplus_op, "K-", (1, 0)))
+    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K-", (1, 0)))
     with pytest.raises(AssertionError, match="off-diagonal"):
         uq.check_ks_relation(1.3, 2, 2)
 
@@ -389,14 +426,15 @@ def test_build_op_surfaces_a_planted_word_as_the_engine_error(monkeypatch, tmp_p
 
 
 def _counting(monkeypatch):
-    """Patch ``boxplus_op`` to count its calls per (gen, q, n, m)."""
-    real, calls = uq.boxplus_op, {}
+    """Patch ``OperatorTable.__missing__`` to count its builds per (gen, q, n, m)."""
+    calls = {}
 
-    def op(gen, q, n, m):
-        calls[(gen, complex(q), n, m)] = calls.get((gen, complex(q), n, m), 0) + 1
-        return real(gen, q, n, m)
+    def missing(table, gen):
+        key = (gen, complex(table.q), table.n, table.m)
+        calls[key] = calls.get(key, 0) + 1
+        return BUILD(table, gen)
 
-    monkeypatch.setattr(uq, "boxplus_op", op)
+    monkeypatch.setattr(uq.OperatorTable, "__missing__", missing)
     return calls
 
 
