@@ -6,6 +6,23 @@ Subcommands::
     hopf2d build-op --gen S+ --q 1.3 --size 2x3
     hopf2d peps     --rep d4 --sizes 1x1,1x2,2x2
 
+One rule (:func:`_runs`) gives the sizes each ``verify`` check runs at,
+and its reports name exactly those.  With n and m the largest row and
+column counts of ``--sizes``: ``assoc`` and ``counit`` run on columns
+(k x 1) of every length k up to n and rows (1 x k) up to m; ``xycompat``
+and ``homomorphism`` at n x m; ``antipode`` on columns of n sites and rows
+of m sites; ``ks`` and ``commutator`` at each size asked; ``kernel`` at 2x2
+and ``singlets`` at 1x2 and 2x2.  The checks that build operators
+(``homomorphism``, ``antipode`` and the deformed-su(2) checks) share the
+budget :data:`uqsu2.SITE_CAP` measured: with d the dimension of one site
+in the example's representation, every run needs d**sites <= 2**SITE_CAP.
+It is checked for every run before any check starts, and a run past it
+exits 2 and writes nothing.  Near the budget, one fresh process each on a
+2-core x86 machine (min of 3): taft(2) ``homomorphism`` at 3x3 (4**9) takes
+1.5 s and 165 MiB, taft(2) ``antipode`` on 9-site slices 1.7 s and 103 MiB,
+taft(3) ``antipode`` on 5-site slices (9**5) 0.6 s and 64 MiB, and uq
+``antipode`` on 18-site slices 9.0 s and 125 MiB.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 Growth that leaves a splitter's domain fails its check instance (residual
 inf, ``details.domain_error``).  Any other exception (a ``ShapeError``
@@ -166,16 +183,34 @@ def _one_site_rules(ex):
 
 
 def _rep_for(ex, example_kind):
-    if example_kind == "taft":
-        return taft_regular_rep(ex)
-    if example_kind == "group":
-        return cyclic_regular_rep(ex)
-    if example_kind == "uq":
-        return uqsu2.spin_half_rep(ex.meta["q"], ex.alphabet)
-    raise CliConfigError(f"no canonical representation for example {example_kind!r}")
+    reps = {"taft": taft_regular_rep, "group": cyclic_regular_rep,
+            "uq": lambda ex: uqsu2.spin_half_rep(ex.meta["q"], ex.alphabet)}
+    if example_kind not in reps:
+        raise CliConfigError(f"no canonical representation for example {example_kind!r}")
+    return reps[example_kind](ex)
+
+
+def _runs(name, sizes):
+    """The runs of check ``name`` given ``--sizes``, each (direction, n, m)
+    with direction None for a check on whole n x m lattices: the one size
+    rule of the module docstring, read by both the run and the report.  A
+    check that does not read ``--sizes`` has no runs here."""
+    max_n, max_m = max(n for n, _ in sizes), max(m for _, m in sizes)
+    slices = [("x", k, 1) for k in range(1, max_n + 1)] + [("y", 1, k) for k in range(1, max_m + 1)]
+    largest, each = [(None, max_n, max_m)], [(None, n, m) for n, m in sizes]
+    rule = {"assoc": slices, "counit": slices, "xycompat": largest, "homomorphism": largest,
+            "antipode": [("x", max_n, 1), ("y", 1, max_m)], "ks": each, "commutator": each,
+            "kernel": [(None, 2, 2)], "singlets": [(None, 1, 2), (None, 2, 2)],
+            **dict.fromkeys(("proposition", "cube", "rmatrix1d", "rmatrix2d", "semiclassical"), [])}
+    if name not in rule:
+        raise CliConfigError(f"unknown check {name!r}")
+    return rule[name]
 
 
 def _run_checks(args):
+    """The example and the reports of ``--checks``, run at the sizes
+    :func:`_runs` gives them once every run of a check that builds
+    operators has passed the budget (:class:`ResourceLimitError`)."""
     sizes = _parse_sizes(args.sizes or "2x2,3x3")
     checks = (args.checks or "assoc,xycompat,counit").split(",")
     names = [c.strip() for c in checks if c.strip()]
@@ -184,81 +219,73 @@ def _run_checks(args):
         raise CliConfigError(f"--checks {args.checks!r} names no check")
     tol = _tolerance(args)
     ex = _make_example(args)
-    max_n = max(n for n, _ in sizes)
-    max_m = max(m for _, m in sizes)
-    uq_reports = None
+    runs = {name: _runs(name, sizes) for name in names}
+    uq_names = [name for name in names if name in ("ks", "commutator", "kernel", "singlets")]
+    if uq_names and args.example != "uq":
+        raise CliConfigError(f"check {uq_names[0]!r} needs --example uq")
+    built = [(name, n, m) for name in names if name in ("homomorphism", "antipode", *uq_names)
+             for _, n, m in runs[name]]
+    rep = _rep_for(ex, args.example) if built else None
+    for name, n, m in built:
+        if rep.dim ** (n * m) > 2 ** uqsu2.SITE_CAP:
+            raise ResourceLimitError(f"check {name!r} at {n}x{m} needs dimension "
+                                     f"{rep.dim}**{n * m}, past the budget 2**{uqsu2.SITE_CAP}")
+    uq_reports = _uq_checks({name: runs[name] for name in uq_names},
+                            _parse_q_list(args.q, args.seed), tol) if uq_names else {}
     reports = []
     for name in names:
-        if name == "assoc":
-            for direction, extent in (("x", max_n), ("y", max_m)):
-                for k in range(1, extent + 1):
-                    reports.append(check_quasi_1d_assoc(ex, direction, k, tol=tol))
+        if name in ("assoc", "counit"):
+            check = check_quasi_1d_assoc if name == "assoc" else check_counit
+            reports += [check(ex, d, n if d == "x" else m, tol=tol) for d, n, m in runs[name]]
         elif name == "xycompat":
-            reports.append(check_xy_compat(ex, max_n, max_m, tol=tol))
-        elif name == "counit":
-            for direction, extent in (("x", max_n), ("y", max_m)):
-                for k in range(1, extent + 1):
-                    reports.append(check_counit(ex, direction, k, tol=tol))
+            reports += [check_xy_compat(ex, n, m, tol=tol) for _, n, m in runs[name]]
         elif name == "homomorphism":
-            rep = _rep_for(ex, args.example)
-            syms = [s.name for s in ex.grow_symbols]
-            pairs = [(u, w) for u in syms for w in syms]
-            reports.append(check_homomorphism(ex, rep, min(max_n, 2), min(max_m, 2), pairs, tol=tol))
+            pairs = [(u, w) for u in ex.grow_symbols for w in ex.grow_symbols]
+            reports += [check_homomorphism(ex, rep, n, m, pairs, tol=tol) for _, n, m in runs[name]]
         elif name == "antipode":
-            rep = _rep_for(ex, args.example)
-            for direction in ("x", "y"):
-                reports.append(check_antipode(ex, rep, direction, min(max_n, 3), tol=tol))
+            reports += [check_antipode(ex, rep, d, n if d == "x" else m, tol=tol)
+                        for d, n, m in runs[name]]
         elif name == "proposition":
             dx, dy = _one_site_rules(ex)
             common = [s for s in dx if s in dy]
             reports.append(check_trivial_proposition(dx, dy, common, tol=tol))
         elif name == "cube":
             reports.append(cube_xyz_compat(tol=tol))
-        elif name in ("ks", "commutator", "kernel", "singlets"):
-            if args.example != "uq":
-                raise CliConfigError(f"check {name!r} needs --example uq")
-            uq_reports = uq_reports or _uq_checks(names, _parse_q_list(args.q, args.seed),
-                                                  sizes, tol)
+        elif name in uq_reports:
             reports.append(uq_reports[name])
-        elif name in ("rmatrix1d", "rmatrix2d", "semiclassical"):
-            reports.append(_rmatrix_check(name, _parse_q_list(args.q, args.seed, 20), tol))
         else:
-            raise CliConfigError(f"unknown check {name!r}")
+            reports.append(_rmatrix_check(name, _parse_q_list(args.q, args.seed, 20), tol))
     return ex, reports
 
 
-def _uq_checks(names, qs, sizes, tol):
-    """The deformed-su(2) operator checks among ``names``, one report each.
+def _uq_checks(runs, qs, tol):
+    """The deformed-su(2) operator checks, one report each, from their runs
+    (:func:`_runs`) by check name.
 
-    The loop runs over q, then size, then check.  Each (q, size) step that
-    runs a check makes one :class:`uqsu2.OperatorTable`, which builds one
-    example and each operator once for every check of the step and is
-    dropped when the step ends; a size with no check of its own makes no
-    table.  ``kernel`` and ``singlets`` run at the (q, 2x2) step, and their
-    reports name 2x2 (and 1x2 for the singlets' pair checks, which read a
-    1x2 table of their own).  Each report lists its instances q first, then
-    size.  At 3x6 a step's peak memory is set by the ``ks`` relations'
-    per-entry arrays, formed while S+, S- and the K strings are alive, not
-    by the builds or the commutator's blocks; both checks build S+ and S-
-    first, which keeps the builds' peak lowest.
+    The loop runs over q, then size.  Each (q, size) step makes one
+    :class:`uqsu2.OperatorTable`, which builds one example and each operator
+    once for every check that runs at that size, and is dropped when the
+    step ends.  Each report names its check's sizes and lists its instances
+    q first, then in the order of those sizes.  At 3x6 a step's peak memory
+    is set by the ``ks`` relations' per-entry arrays, formed while S+, S-
+    and the K strings are alive, not by the builds or the commutator's
+    blocks; both checks build S+ and S- first, which keeps the builds' peak
+    lowest.
     """
-    per_size = [nm for nm in ("commutator", "ks") if nm in names]
-    per_q = [nm for nm in ("kernel", "singlets") if nm in names]
-    steps = [(size, list(per_size)) for size in sizes if per_size]  # no table without a check
-    if per_q:  # at the first 2x2 step, or at one of their own
-        at_2x2 = next((checks for size, checks in steps if size == (2, 2)), None)
-        if at_2x2 is None:
-            steps.append(((2, 2), at_2x2 := []))
-        at_2x2 += per_q
-    instances = {name: [] for name in per_size + per_q}
-    for q in qs:
-        for (n, m), checks in steps:
+    steps = {}
+    for name, check_runs in runs.items():
+        for _, n, m in check_runs:
+            steps.setdefault((n, m), []).append(name)
+    done = {}
+    for i, q in enumerate(qs):
+        for (n, m), names in steps.items():
             ops = uqsu2.OperatorTable(q, n, m)
-            for name in checks:
-                instances[name] += _uq_instances(name, q, n, m, ops, tol)
-    ran = {"kernel": [(2, 2)], "singlets": [(1, 2), (2, 2)]}
-    return {name: CheckReport(name, ran.get(name, list(sizes)), instances[name])
-            for name in instances}
+            for name in names:
+                done[name, i, n, m] = _uq_instances(name, q, n, m, ops, tol)
+    return {name: CheckReport(name, [(n, m) for _, n, m in check_runs],
+                              [inst for i in range(len(qs)) for _, n, m in check_runs
+                               for inst in done[name, i, n, m]])
+            for name, check_runs in runs.items()}
 
 
 def _uq_instances(name, q, n, m, ops, tol):
@@ -274,10 +301,11 @@ def _uq_instances(name, q, n, m, ops, tol):
         res = max(k["family_residuals"].values())
         basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
         return [CheckInstance(f"q={q:g}", ok, res, {"dimension": k["dimension"], "basis": basis})]
-    out = _prefixed(uqsu2.singlet_pair_checks(q, tol=tol), f"q={q:g}")
+    if (n, m) == (1, 2):
+        return _prefixed(uqsu2._singlet_pairs(ops, tol), f"q={q:g}")
     vres = uqsu2.vertical_singlet_residual(q, tol=tol, ops=ops)
-    return out + [CheckInstance(f"q={q:g} vertical {gen}", vres[gen]["pass"],
-                                vres[gen]["residual_vs_pattern"]) for gen in ("S+", "S-")]
+    return [CheckInstance(f"q={q:g} vertical {gen}", vres[gen]["pass"],
+                          vres[gen]["residual_vs_pattern"]) for gen in ("S+", "S-")]
 
 
 def _rmatrix_check(name, qs, tol):

@@ -39,7 +39,7 @@ from .grids import (
     word1,
     worst_word,
 )
-from .linops import (Representation, _require_names, evaluate, identity_operator,
+from .linops import (Representation, RepresentationError, evaluate, identity_operator,
                      kron_terms, operator_difference, worst_entry)
 
 
@@ -492,7 +492,8 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
     """
     if ex.multiplication is None:
         raise ConfigurationError(f"{ex.name} carries no multiplication rule")
-    _require_names(rep, ex.alphabet, "the example's alphabet")
+    rep.alphabet.require_names(ex.alphabet, "the example's alphabet", "the representation",
+                               RepresentationError)
 
     def compared(u, w):
         lhs = evaluate(boxplus(ex, u, n, m), rep) @ evaluate(boxplus(ex, w, n, m), rep)
@@ -520,7 +521,8 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
     """
     if ex.antipode is None:
         raise ConfigurationError(f"{ex.name} carries no antipode rule")
-    _require_names(rep, ex.alphabet, "the example's alphabet")
+    rep.alphabet.require_names(ex.alphabet, "the example's alphabet", "the representation",
+                               RepresentationError)
     eps = ex.counit(direction)
 
     def sitewise(coeff, u, w):  # the term of coeff * (u . w)

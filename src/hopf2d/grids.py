@@ -96,7 +96,7 @@ class Symbol(int):
     id, in C, so a word's cells hash and compare without a Python call per
     cell.  Symbols of two alphabets with the same id are therefore equal,
     and a symbol equals its id as an ``int``; code where two alphabets meet
-    checks their names with :meth:`Alphabet.misnamed`.  A symbol is true,
+    checks their names with :meth:`Alphabet.require_names`.  A symbol is true,
     prints as its name and is immutable.
     """
 
@@ -158,13 +158,17 @@ class Alphabet:
         """Map an iterable of names to a tuple of symbols."""
         return tuple(self[c] if isinstance(c, str) else c for c in cells)
 
-    def misnamed(self, symbols) -> Symbol | None:
-        """The first of ``symbols`` whose id this alphabet names differently,
-        or None.  Symbols compare as their ids, so the words of two
-        alphabets mean the same only where the names agree; an id past this
-        alphabet's last symbol is not checked."""
-        own = self.symbols
-        return next((s for s in symbols if s < len(own) and s.name != own[s].name), None)
+    def require_names(self, symbols, where: str, own: str, error: type[Exception]):
+        """Raise ``error`` naming the first of ``symbols`` whose id this
+        alphabet, called ``own``, names differently from ``where``.
+        Symbols compare as their ids, so the words of two alphabets mean
+        the same only where the names agree; an id past this alphabet's
+        last symbol is not checked."""
+        names = self.symbols
+        bad = next((s for s in symbols if s < len(names) and s.name != names[s].name), None)
+        if bad is not None:
+            raise error(f"symbol id {int(bad)} is {bad.name!r} in {where} but "
+                        f"{names[bad].name!r} in {own}")
 
 
 @dataclass(frozen=True, order=True, init=False)

@@ -58,15 +58,6 @@ class Representation:
             raise RepresentationError(f"no matrix for symbol {sym}") from None
 
 
-def _require_names(rep: Representation, symbols, where: str):
-    """Raise :class:`RepresentationError` if one of ``symbols`` has an id
-    that ``rep``'s alphabet names differently (:meth:`Alphabet.misnamed`)."""
-    bad = rep.alphabet.misnamed(symbols)
-    if bad is not None:
-        raise RepresentationError(f"symbol id {int(bad)} is {bad.name!r} in {where} but "
-                                  f"{rep.alphabet.symbols[bad].name!r} in the representation")
-
-
 class SparseOperator:
     """Sparse complex operator on the lattice Hilbert space.
 
@@ -235,8 +226,8 @@ def evaluate(s: FormalSum, rep: Representation) -> SparseOperator:
     """Evaluate a formal sum in a representation as a sparse operator of
     dimension d**(n*m).  A cell whose id the representation's alphabet
     names differently raises :class:`RepresentationError`."""
-    _require_names(rep, set(chain.from_iterable(w.cells for w, _ in s.unordered_items())),
-                   "the sum")
+    rep.alphabet.require_names(set(chain.from_iterable(w.cells for w, _ in s.unordered_items())),
+                               "the sum", "the representation", RepresentationError)
     terms = [(coeff, [rep[c] for c in word.cells]) for word, coeff in s.items()]
     return kron_terms(terms, rep.dim, s.shape.sites)
 

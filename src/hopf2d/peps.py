@@ -418,11 +418,9 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
     heights = {}
     for n, m in sizes:
         heights.setdefault(m, set()).add(n)
-    bad = tensor.alphabet.misnamed({c for target in targets.values()
-                                    for w, _ in target.unordered_items() for c in w.cells})
-    if bad is not None:
-        raise ConfigurationError(f"symbol id {int(bad)} is {bad.name!r} in the targets but "
-                                 f"{tensor.alphabet.symbols[bad].name!r} in the tensor's alphabet")
+    tensor.alphabet.require_names({c for target in targets.values()
+                                   for w, _ in target.unordered_items() for c in w.cells},
+                                  "the targets", "the tensor's alphabet", ConfigurationError)
     swept = {(n, m): table for m, hs in heights.items()
              for n, table in _sweep(tensor, boundary, m, hs)}
     tables = {size: swept[size] for size in sizes}
@@ -501,11 +499,8 @@ def check_peps_vs_boxplus(inst, example, v, sizes, tol=EQ_TOL) -> CheckReport:
 
     An example whose alphabet names an id of the tensor's alphabet
     differently raises :class:`ConfigurationError`."""
-    own = inst.tensor.alphabet
-    bad = own.misnamed(example.alphabet)
-    if bad is not None:
-        raise ConfigurationError(f"symbol id {int(bad)} is {bad.name!r} in the example's "
-                                 f"alphabet but {own.symbols[bad].name!r} in the tensor's alphabet")
+    inst.tensor.alphabet.require_names(example.alphabet, "the example's alphabet",
+                                       "the tensor's alphabet", ConfigurationError)
     instances = [_compared(f"{n}x{m}", contract(inst, n, m),
                            boxplus(example, v, n, m), tol) for n, m in sizes]
     return CheckReport("peps_vs_boxplus", list(sizes), instances)

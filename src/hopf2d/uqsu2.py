@@ -305,8 +305,12 @@ def singlet_pair_checks(q, tol=EQ_TOL) -> CheckReport:
     and K- x K+ maps it onto the inverse-q singlet with the stated ratio.
     The coproducts and K matrices come from one :class:`OperatorTable` of
     (q, 1, 2)."""
-    q = nonsingular_q(q)
-    ops = OperatorTable(q, 1, 2)
+    return _singlet_pairs(OperatorTable(nonsingular_q(q), 1, 2), tol)
+
+
+def _singlet_pairs(ops: OperatorTable, tol) -> CheckReport:
+    """:func:`singlet_pair_checks` on the operators of ``ops``, a table of (q, 1, 2)."""
+    q = nonsingular_q(ops.q)
     instances = []
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):

@@ -7,8 +7,9 @@ import pytest
 
 from hopf2d import cli
 from hopf2d.cli import main
-from hopf2d.coalgebra import DomainError
+from hopf2d.coalgebra import DomainError, MultiplicationRule
 from hopf2d.grids import ShapeError
+from hopf2d.instances import taft_basis_name
 from hopf2d.linops import read_matrix_market
 
 
@@ -97,6 +98,141 @@ def test_kernel_and_singlets_name_the_sizes_they_run_at(tmp_path):
                  "--sizes", "3x3", "--out", str(out)]) == 0
     assert json.loads((out / "kernel.json").read_text())["sizes"] == [[2, 2]]
     assert json.loads((out / "singlets.json").read_text())["sizes"] == [[1, 2], [2, 2]]
+
+
+def _slice(direction, k):
+    return (k, 1) if direction == "x" else (1, k)
+
+
+# check -> (its example's options, the dimension of one site in the example's
+# representation for checks that build operators, and each library function
+# it calls with the size one call runs at, from the call's arguments)
+RULE_CHECKS = {
+    "assoc": ([], None, {(cli, "check_quasi_1d_assoc"): lambda ex, d, k, **_: _slice(d, k)}),
+    "counit": ([], None, {(cli, "check_counit"): lambda ex, d, k, **_: _slice(d, k)}),
+    "xycompat": ([], None, {(cli, "check_xy_compat"): lambda ex, n, m, **_: (n, m)}),
+    "homomorphism": (["--example", "taft"], 4,
+                     {(cli, "check_homomorphism"): lambda ex, rep, n, m, pairs, **_: (n, m)}),
+    "antipode": (["--example", "taft"], 4,
+                 {(cli, "check_antipode"): lambda ex, rep, d, k, **_: _slice(d, k)}),
+    "ks": (["--example", "uq", "--q", "1.3"], 2,
+           {(cli.uqsu2, "check_ks_relation"): lambda q, n, m, **_: (n, m)}),
+    "commutator": (["--example", "uq", "--q", "1.3"], 2,
+                   {(cli.uqsu2, "check_commutator"): lambda q, n, m, **_: (n, m)}),
+    "kernel": (["--example", "uq", "--q", "1.3"], 2,
+               {(cli.uqsu2, "kernel_2x2"): lambda q, ops, **_: (ops.n, ops.m)}),
+    "singlets": (["--example", "uq", "--q", "1.3"], 2,
+                 {(cli.uqsu2, "_singlet_pairs"): lambda ops, tol: (ops.n, ops.m),
+                  (cli.uqsu2, "vertical_singlet_residual"): lambda q, ops, **_: (ops.n, ops.m)}),
+}
+
+
+def _ruled_sizes(check, sizes):
+    """The sizes ``check`` must run at and name for ``--sizes``: slices of
+    every length up to each axis's extent, the largest extents, slices of
+    the largest extent along each axis, each size asked, or fixed sizes."""
+    max_n, max_m = max(n for n, _ in sizes), max(m for _, m in sizes)
+    slices = [(k, 1) for k in range(1, max_n + 1)] + [(1, k) for k in range(1, max_m + 1)]
+    return {"assoc": slices, "counit": slices, "xycompat": [(max_n, max_m)],
+            "homomorphism": [(max_n, max_m)], "antipode": [(max_n, 1), (1, max_m)],
+            "ks": sizes, "commutator": sizes, "kernel": [(2, 2)],
+            "singlets": [(1, 2), (2, 2)]}[check]
+
+
+def _recorded_calls(monkeypatch, functions):
+    """Record the size of every call of ``functions`` (as in RULE_CHECKS)."""
+    ran = []
+    for (module, name), size_of in functions.items():
+        def wrapped(*args, real=getattr(module, name), size_of=size_of, **kwargs):
+            ran.append(size_of(*args, **kwargs))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    return ran
+
+
+@pytest.mark.parametrize("sizes", ["1x5", "5x1", "2x2,3x4"])
+@pytest.mark.parametrize("check", list(RULE_CHECKS))
+def test_every_check_runs_at_the_sizes_its_reports_name(tmp_path, monkeypatch, check, sizes):
+    options, dim, functions = RULE_CHECKS[check]
+    ran = _recorded_calls(monkeypatch, functions)
+    want = _ruled_sizes(check, [tuple(map(int, s.split("x"))) for s in sizes.split(",")])
+    out = tmp_path / "r"
+    code = main(["verify", *options, "--sizes", sizes, "--checks", check, "--out", str(out)])
+    if dim is not None and any(dim ** (n * m) > 2 ** cli.uqsu2.SITE_CAP for n, m in want):
+        assert (code, ran, out.exists()) == (2, [], False)  # past the budget: nothing runs
+        return
+    assert code == 0
+    named = [tuple(size) for report in read_all(out).values()
+             for size in json.loads(report)["sizes"]]
+    assert sorted(ran) == sorted(named) == sorted(want)
+
+
+def _planted_taft(monkeypatch, plant):
+    """Make ``--example taft`` build taft(n) with ``plant(ex, exponents)``
+    applied, ``exponents`` mapping each basis symbol g^i x^j to (i, j)."""
+    real = cli.make_taft
+
+    def make(cfg):
+        ex = real(cfg)
+        plant(ex, {ex.alphabet[taft_basis_name(i, j)]: (i, j)
+                   for i in range(cfg.n) for j in range(cfg.n)})
+        return ex
+
+    monkeypatch.setattr(cli, "make_taft", make)
+
+
+def test_a_wrong_taft_omega_exponent_fails_homomorphism_at_3x3(tmp_path, monkeypatch):
+    def plant(ex, exponents):  # x g = omega^2 g x instead of omega g x
+        real, omega = ex.multiplication, ex.meta["taft"].omega
+        ex.multiplication = MultiplicationRule(
+            lambda u, w: real(u, w) * omega ** (exponents[u][1] * exponents[w][0]))
+
+    _planted_taft(monkeypatch, plant)
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "taft", "--sizes", "3x3", "--checks", "homomorphism",
+                 "--out", str(out)]) == 1
+    report = json.loads((out / "homomorphism.json").read_text())
+    assert report["sizes"] == [[3, 3]]
+    failed = [i for i in report["instances"] if not i["pass"]]
+    assert failed and all(set(i["details"]["worst_entry"]) == {"row", "col", "lhs", "rhs"}
+                          for i in failed)
+    assert failed[0]["details"]["worst_entry"]["lhs"] != failed[0]["details"]["worst_entry"]["rhs"]
+
+
+def test_a_flipped_antipode_sign_fails_on_5_site_slices(tmp_path, monkeypatch):
+    def plant(ex, exponents):  # a marked row's antipode loses its minus sign
+        rules = ex.antipode.rules
+        real = rules["y"]
+        rules["y"] = lambda word: real(word) * (-1 if any(exponents[c][1] for c in word.cells)
+                                               else 1)
+
+    _planted_taft(monkeypatch, plant)
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "taft", "--sizes", "1x5", "--checks", "antipode",
+                 "--out", str(out)]) == 1
+    by_axis = {axis: json.loads((out / f"antipode_{axis}.json").read_text()) for axis in "xy"}
+    assert all(i["pass"] for i in by_axis["x"]["instances"]) and by_axis["x"]["sizes"] == [[1, 1]]
+    assert by_axis["y"]["sizes"] == [[1, 5]]
+    failed = [i for i in by_axis["y"]["instances"] if not i["pass"]]
+    assert failed and all(set(i["details"]["worst_entry"]) == {"row", "col", "lhs", "rhs"}
+                          for i in failed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "taft", "--sizes", "4x4", "--checks", "homomorphism"],
+    ["--example", "taft", "--sizes", "4x4", "--checks", "counit,antipode,homomorphism"],
+    ["--example", "taft", "--taft-n", "3", "--checks", "homomorphism"],
+    ["--example", "uq", "--q", "1.3", "--sizes", "2x2,4x5", "--checks", "ks"],
+])
+def test_a_run_past_the_budget_is_a_configuration_error_before_any_check(
+        tmp_path, monkeypatch, capsys, argv):
+    checks = argv[argv.index("--checks") + 1].split(",")
+    ran = _recorded_calls(monkeypatch, {key: size_of for check in checks
+                                        for key, size_of in RULE_CHECKS[check][2].items()})
+    out = tmp_path / "r"
+    assert main(["verify", *argv, "--out", str(out)]) == 2
+    assert ran == [] and not out.exists()
+    assert "past the budget 2**18" in capsys.readouterr().err
 
 
 def test_verify_singular_q_is_config_error(tmp_path, capsys):
