@@ -34,8 +34,8 @@ for k, (words, (pair, mode)) in enumerate(zip(chain["steps"][1:], rm.CHAIN_STEPS
 print("\n== the plaquette intertwining ==")
 big = rm.r2d(q)
 for gen in ("S+", "S-"):
-    res = np.abs(big @ rm.boxplus_2x2_display(gen, q)
-                 - rm.boxplus_perm(gen, q) @ big).max()
+    display, perm = rm.plaquette_pair(gen, q)
+    res = np.abs(big @ display - perm @ big).max()
     print(f"plaquette intertwining for {gen}: residual {res:.1e}")
 
 print("\n== semiclassical limit ==")

@@ -11,17 +11,21 @@ and its reports name exactly those.  With n and m the largest row and
 column counts of ``--sizes``: ``assoc`` and ``counit`` run on columns
 (k x 1) of every length k up to n and rows (1 x k) up to m; ``xycompat``
 and ``homomorphism`` at n x m; ``antipode`` on columns of n sites and rows
-of m sites; ``ks`` and ``commutator`` at each size asked; ``kernel`` at 2x2
-and ``singlets`` at 1x2 and 2x2.  The checks that build operators
-(``homomorphism``, ``antipode`` and the deformed-su(2) checks) share the
-budget :data:`uqsu2.SITE_CAP` measured: with d the dimension of one site
-in the example's representation, every run needs d**sites <= 2**SITE_CAP.
-It is checked for every run before any check starts, and a run past it
-exits 2 and writes nothing.  Near the budget, one fresh process each on a
-2-core x86 machine (min of 3): taft(2) ``homomorphism`` at 3x3 (4**9) takes
-1.5 s and 165 MiB, taft(2) ``antipode`` on 9-site slices 1.7 s and 103 MiB,
-taft(3) ``antipode`` on 5-site slices (9**5) 0.6 s and 64 MiB, and uq
-``antipode`` on 18-site slices 9.0 s and 125 MiB.
+of m sites; ``ks`` and ``commutator`` at each size asked; ``kernel`` and
+``rmatrix2d`` at 2x2, ``rmatrix1d`` at 1x2 and ``singlets`` at 1x2 and 2x2.
+The deformed-su(2) checks need ``--example uq``, as ``semiclassical`` does;
+each runs at its own q list, and every check that runs at one (q, size)
+shares one :class:`uqsu2.OperatorTable` there (:func:`_uq_checks`).  The
+checks that build operators (``homomorphism``, ``antipode`` and the
+deformed-su(2) checks) share the budget :data:`uqsu2.SITE_CAP` measured:
+with d the dimension of one site in the example's representation, every
+run needs d**sites <= 2**SITE_CAP.  It is checked for every run before any
+check starts, and a run past it exits 2 and writes nothing.  Near the
+budget, one fresh process each on a 2-core x86 machine (min of 3): taft(2)
+``homomorphism`` at 3x3 (4**9) takes 1.5 s and 165 MiB, taft(2)
+``antipode`` on 9-site slices 1.7 s and 103 MiB, taft(3) ``antipode`` on
+5-site slices (9**5) 0.6 s and 64 MiB, and uq ``antipode`` on 18-site
+slices 9.0 s and 125 MiB.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 Growth that leaves a splitter's domain fails its check instance (residual
@@ -201,7 +205,8 @@ def _runs(name, sizes):
     rule = {"assoc": slices, "counit": slices, "xycompat": largest, "homomorphism": largest,
             "antipode": [("x", max_n, 1), ("y", 1, max_m)], "ks": each, "commutator": each,
             "kernel": [(None, 2, 2)], "singlets": [(None, 1, 2), (None, 2, 2)],
-            **dict.fromkeys(("proposition", "cube", "rmatrix1d", "rmatrix2d", "semiclassical"), [])}
+            "rmatrix1d": [(None, 1, 2)], "rmatrix2d": [(None, 2, 2)],
+            **dict.fromkeys(("proposition", "cube", "semiclassical"), [])}
     if name not in rule:
         raise CliConfigError(f"unknown check {name!r}")
     return rule[name]
@@ -220,9 +225,11 @@ def _run_checks(args):
     tol = _tolerance(args)
     ex = _make_example(args)
     runs = {name: _runs(name, sizes) for name in names}
-    uq_names = [name for name in names if name in ("ks", "commutator", "kernel", "singlets")]
-    if uq_names and args.example != "uq":
-        raise CliConfigError(f"check {uq_names[0]!r} needs --example uq")
+    uq_only = [name for name in names if name in ("ks", "commutator", "kernel", "singlets",
+                                                  "rmatrix1d", "rmatrix2d", "semiclassical")]
+    if uq_only and args.example != "uq":
+        raise CliConfigError(f"check {uq_only[0]!r} needs --example uq")
+    uq_names = [name for name in uq_only if runs[name]]
     built = [(name, n, m) for name in names if name in ("homomorphism", "antipode", *uq_names)
              for _, n, m in runs[name]]
     rep = _rep_for(ex, args.example) if built else None
@@ -230,8 +237,10 @@ def _run_checks(args):
         if rep.dim ** (n * m) > 2 ** uqsu2.SITE_CAP:
             raise ResourceLimitError(f"check {name!r} at {n}x{m} needs dimension "
                                      f"{rep.dim}**{n * m}, past the budget 2**{uqsu2.SITE_CAP}")
-    uq_reports = _uq_checks({name: runs[name] for name in uq_names},
-                            _parse_q_list(args.q, args.seed), tol) if uq_names else {}
+    # ten seeded q for the relation checks, twenty for the R-matrix checks
+    qs = {name: _parse_q_list(args.q, args.seed, 20 if name.startswith("rmatrix") else 10)
+          for name in uq_names}
+    uq_reports = _uq_checks({name: runs[name] for name in uq_names}, qs, tol)
     reports = []
     for name in names:
         if name in ("assoc", "counit"):
@@ -251,40 +260,41 @@ def _run_checks(args):
             reports.append(check_trivial_proposition(dx, dy, common, tol=tol))
         elif name == "cube":
             reports.append(cube_xyz_compat(tol=tol))
-        elif name in uq_reports:
-            reports.append(uq_reports[name])
+        elif name == "semiclassical":
+            reports.append(rmx.check_semiclassical([0.2, 0.1, 0.05, 0.025, 0.0125]))
         else:
-            reports.append(_rmatrix_check(name, _parse_q_list(args.q, args.seed, 20), tol))
+            reports.append(uq_reports[name])
     return ex, reports
 
 
 def _uq_checks(runs, qs, tol):
-    """The deformed-su(2) operator checks, one report each, from their runs
-    (:func:`_runs`) by check name.
+    """The deformed-su(2) checks, one report each, from their runs
+    (:func:`_runs`) and their q lists by check name.
 
-    The loop runs over q, then size.  Each (q, size) step makes one
+    Each distinct (q, size) step that some check runs at makes one
     :class:`uqsu2.OperatorTable`, which builds one example and each operator
-    once for every check that runs at that size, and is dropped when the
-    step ends.  Each report names its check's sizes and lists its instances
-    q first, then in the order of those sizes.  At 3x6 a step's peak memory
-    is set by the ``ks`` relations' per-entry arrays, formed while S+, S-
-    and the K strings are alive, not by the builds or the commutator's
-    blocks; both checks build S+ and S- first, which keeps the builds' peak
-    lowest.
+    once for every check that runs there, and is dropped before the next
+    step's table is built.  Each report names its check's sizes and lists
+    its instances in the order of its own q list, then of those sizes.  At
+    3x6 a step's peak memory is set by the ``ks`` relations' per-entry
+    arrays, formed while S+, S- and the K strings are alive, not by the
+    builds or the commutator's blocks; both checks build S+ and S- first,
+    which keeps the builds' peak lowest.
     """
     steps = {}
     for name, check_runs in runs.items():
-        for _, n, m in check_runs:
-            steps.setdefault((n, m), []).append(name)
+        for q in qs[name]:
+            for _, n, m in check_runs:
+                steps.setdefault((q, n, m), []).append(name)
     done = {}
-    for i, q in enumerate(qs):
-        for (n, m), names in steps.items():
-            ops = uqsu2.OperatorTable(q, n, m)
-            for name in names:
-                done[name, i, n, m] = _uq_instances(name, q, n, m, ops, tol)
+    for (q, n, m), names in steps.items():
+        ops = uqsu2.OperatorTable(q, n, m)
+        for name in names:
+            done[name, q, n, m] = _uq_instances(name, q, n, m, ops, tol)
+        del ops
     return {name: CheckReport(name, [(n, m) for _, n, m in check_runs],
-                              [inst for i in range(len(qs)) for _, n, m in check_runs
-                               for inst in done[name, i, n, m]])
+                              [inst for q in qs[name] for _, n, m in check_runs
+                               for inst in done[name, q, n, m]])
             for name, check_runs in runs.items()}
 
 
@@ -301,39 +311,33 @@ def _uq_instances(name, q, n, m, ops, tol):
         res = max(k["family_residuals"].values())
         basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
         return [CheckInstance(f"q={q:g}", ok, res, {"dimension": k["dimension"], "basis": basis})]
-    if (n, m) == (1, 2):
-        return _prefixed(uqsu2._singlet_pairs(ops, tol), f"q={q:g}")
-    vres = uqsu2.vertical_singlet_residual(q, tol=tol, ops=ops)
-    return [CheckInstance(f"q={q:g} vertical {gen}", vres[gen]["pass"],
-                          vres[gen]["residual_vs_pattern"]) for gen in ("S+", "S-")]
-
-
-def _rmatrix_check(name, qs, tol):
-    if name == "semiclassical":
-        return rmx.check_semiclassical([0.2, 0.1, 0.05, 0.025, 0.0125])
-    # the two-site checks keep their own 1e-12 ceiling; --tol can only tighten it
-    tol_1d = min(tol, 1e-12)
+    if name == "singlets":
+        if (n, m) == (1, 2):
+            return _prefixed(uqsu2.singlet_pair_checks(q, tol=tol, ops=ops), f"q={q:g}")
+        vres = uqsu2.vertical_singlet_residual(q, tol=tol, ops=ops)
+        return [CheckInstance(f"q={q:g} vertical {gen}", vres[gen]["pass"],
+                              vres[gen]["residual_vs_pattern"]) for gen in ("S+", "S-")]
+    if name == "rmatrix1d":
+        # the two-site checks keep their own 1e-12 ceiling; --tol can only tighten it
+        tol_1d = min(tol, 1e-12)
+        r = rmx.r_matrix(q)
+        res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
+        instances = [CheckInstance(f"q={q:g} closed==factorized", res <= tol_1d, res)]
+        for gen in ("S+", "S-"):
+            res = float(np.abs(r @ rmx.delta_2site(gen, q, ops=ops)
+                               - rmx.delta_perm(gen, q, ops=ops) @ r).max())
+            instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol_1d, res))
+        return instances
+    chain = rmx.conjugation_chain(q, "S+", ops=ops)
+    big = chain["conjugator"]  # r2d(q), from the chain's own steps
+    ends = chain["operators"]  # S+'s plaquette element first, its permuted one last
     instances = []
-    for q in qs:
-        if name == "rmatrix1d":
-            r = rmx.r_matrix(q)
-            res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
-            instances.append(CheckInstance(f"q={q:g} closed==factorized", res <= tol_1d, res))
-            for gen in ("S+", "S-"):
-                res = float(np.abs(r @ rmx.delta_2site(gen, q)
-                                   - rmx.delta_perm(gen, q) @ r).max())
-                instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol_1d, res))
-        else:
-            chain = rmx.conjugation_chain(q, "S+")
-            big = chain["conjugator"]  # r2d(q), from the chain's own steps
-            ops = chain["operators"]  # S+'s plaquette element first, its permuted one last
-            for gen, (display, perm) in (("S+", (ops[0], ops[-1])),
-                                         ("S-", rmx.plaquette_pair("S-", q))):
-                res = float(np.abs(big @ display - perm @ big).max())
-                instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
-            res = max(chain["residuals"])
-            instances.append(CheckInstance(f"q={q:g} chain", res <= tol, res))
-    return CheckReport(name, [(1, 2)] if name == "rmatrix1d" else [(2, 2)], instances)
+    for gen, (display, perm) in (("S+", (ends[0], ends[-1])),
+                                 ("S-", rmx.plaquette_pair("S-", q, ops=ops))):
+        res = float(np.abs(big @ display - perm @ big).max())
+        instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
+    res = max(chain["residuals"])
+    return instances + [CheckInstance(f"q={q:g} chain", res <= tol, res)]
 
 
 def _prefixed(report, prefix):

@@ -18,7 +18,10 @@ version, and the plaquette classical r is the matching signed sum of pair
 r's.  :func:`conjugation_chain` runs those steps on the engine's own 2 x 2
 element and checks that it ends at the permuted element: that element with
 every K letter swapped.  Elements and their representation come from a
-:class:`uqsu2.OperatorTable` of their q and size.
+table, ``ops``, an :class:`uqsu2.OperatorTable` of their q and size, or
+from a new one, so a caller that shares one table per (q, size) builds one
+example there (:func:`delta_perm` at 1 x 2, :func:`plaquette_pair` and
+:func:`conjugation_chain` at 2 x 2).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .coalgebra import CheckInstance, CheckReport
 from .grids import FormalSum, GridWord, sums_equal, worst_word
 from .instances import regular_q
 from .linops import Representation, evaluate, kron_terms
-from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, OperatorTable
+from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, _table
 from .uqsu2 import delta_2site  # the two-site coproduct, dense 4 x 4
 
 _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
@@ -62,10 +65,10 @@ def r_matrix_factorized(q) -> np.ndarray:
     return np.diag(diag) * cmath.exp(0.5 * logq) @ core
 
 
-def delta_perm(gen: str, q) -> np.ndarray:
+def delta_perm(gen: str, q, ops=None) -> np.ndarray:
     """Permuted coproduct: the 1 x 2 element of S+ or S- with its K letters
     swapped; a group-like K letter's is its coproduct."""
-    table = OperatorTable(q, 1, 2)
+    table = _table(ops, q, 1, 2)
     if gen in ("K+", "K-"):
         return table[gen].toarray()
     if gen not in ("S+", "S-"):
@@ -138,23 +141,13 @@ def _permuted(s: FormalSum, swap: dict) -> FormalSum:
                                                                for c in word.cells)))
 
 
-def plaquette_pair(gen: str, q) -> tuple[np.ndarray, np.ndarray]:
+def plaquette_pair(gen: str, q, ops=None) -> tuple[np.ndarray, np.ndarray]:
     """The 2 x 2 lattice generator and its permuted element as 16 x 16
     operators in display layout, grown and evaluated from one table."""
-    table = OperatorTable(q, 2, 2)
+    table = _table(ops, q, 2, 2)
     s, rep = table.element(gen), table.rep
     return (evaluate_display_2x2(s, rep),
             evaluate_display_2x2(_permuted(s, _k_swap(rep.alphabet)), rep))
-
-
-def boxplus_2x2_display(gen: str, q) -> np.ndarray:
-    """The 2 x 2 lattice generator as a 16 x 16 operator in display layout."""
-    return plaquette_pair(gen, q)[0]
-
-
-def boxplus_perm(gen: str, q) -> np.ndarray:
-    """Permuted plaquette operator (16 x 16, display layout)."""
-    return plaquette_pair(gen, q)[1]
 
 
 def classical_r() -> np.ndarray:
@@ -285,14 +278,14 @@ def _chain_transform(s: FormalSum, pair, mode, flip) -> FormalSum:
     return s.map_words(step)
 
 
-def conjugation_chain(q, sgen="S+"):
+def conjugation_chain(q, sgen="S+", ops=None):
     """Run the six conjugation steps on the plaquette element, returning
     the sums, residuals and the chain's conjugator.
 
-    The chain starts from the 2 x 2 element of ``sgen`` that an
-    :class:`uqsu2.OperatorTable` of (q, 2, 2) grows, and rewrites its words
-    one step of :data:`CHAIN_STEPS` at a time, so ``steps`` holds seven
-    :class:`FormalSum` s.  Each step's sum, evaluated by
+    The chain starts from the 2 x 2 element of ``sgen`` that ``ops``, an
+    :class:`uqsu2.OperatorTable` of (q, 2, 2), or a new table grows, and
+    rewrites its words one step of :data:`CHAIN_STEPS` at a time, so
+    ``steps`` holds seven :class:`FormalSum` s.  Each step's sum, evaluated by
     :func:`evaluate_display_2x2` into ``operators``, is compared numerically
     against the actual conjugation of the previous operator; the last sum
     must equal the first with every K letter swapped, or ``ValueError``
@@ -300,10 +293,10 @@ def conjugation_chain(q, sgen="S+"):
     of the steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)``
     bit for bit.
     """
-    table = OperatorTable(q, 2, 2)
+    table = _table(ops, q, 2, 2)
     s, rep = table.element(sgen), table.rep
     flip = _k_swap(rep.alphabet)
-    steps, ops = [s], [evaluate_display_2x2(s, rep)]
+    steps, operators = [s], [evaluate_display_2x2(s, rep)]
     residuals, gs = [], []
     for (pair, mode) in CHAIN_STEPS:
         s = _chain_transform(s, pair, mode, flip)
@@ -311,12 +304,12 @@ def conjugation_chain(q, sgen="S+"):
         g, ginv = _step(q, pair, mode)
         gs.append(g)
         cur = evaluate_display_2x2(s, rep)
-        residuals.append(float(np.abs(cur - g @ ops[-1] @ ginv).max()))
-        ops.append(cur)
+        residuals.append(float(np.abs(cur - g @ operators[-1] @ ginv).max()))
+        operators.append(cur)
     want = _permuted(steps[0], flip)
     if not sums_equal(s, want):
         worst = worst_word(s, want)
         raise ValueError(f"the chain ends off the permuted element at [{worst['word']}]: "
                          f"coefficient {worst['got']}, want {worst['want']}")
-    return {"steps": steps, "residuals": residuals, "operators": ops,
+    return {"steps": steps, "residuals": residuals, "operators": operators,
             "conjugator": reduce(np.matmul, gs[::-1])}

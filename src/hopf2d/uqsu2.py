@@ -26,11 +26,13 @@ and :func:`instances.nonsingular_q`: a q that is not finite is a
 1/(q - 1/q) appears (the commutator, the q-singlets and the checks built on
 them), is a :class:`coalgebra.SingularParameterError`.
 
-The checks take their operators from an :class:`OperatorTable` of their
-(q, n, m) and share it with every later check given the same table; a
-check called without a table makes its own.  The CLI keeps one table per
-(q, size) step of ``verify`` that runs a check, and drops it when the step
-ends.  No table outlives its caller: nothing is cached across calls.
+The checks, :func:`delta_2site` and the R-matrix entry points of
+:mod:`hopf2d.rmatrix` take their operators and elements from an
+:class:`OperatorTable` of their (q, n, m), ``ops``, and share it with every
+later call given the same table; a call without a table makes its own.
+The CLI keeps one table per distinct (q, size) that a ``verify`` check runs
+at, shared by every check that runs there, and drops it before it builds
+the next.  No table outlives its caller: nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -295,22 +297,19 @@ def singlet_product(q, pairs, total_sites) -> np.ndarray:
     return _pair_product([(pair, amplitudes) for pair in pairs], total_sites)
 
 
-def delta_2site(gen: str, q) -> np.ndarray:
-    """Two-site coproduct of a generator, dense 4 x 4."""
-    return OperatorTable(q, 1, 2)[gen].toarray()
+def delta_2site(gen: str, q, ops=None) -> np.ndarray:
+    """Two-site coproduct of a generator, dense 4 x 4, from ``ops``, an
+    :class:`OperatorTable` of (q, 1, 2), or from a new table."""
+    return _table(ops, q, 1, 2)[gen].toarray()
 
 
-def singlet_pair_checks(q, tol=EQ_TOL) -> CheckReport:
+def singlet_pair_checks(q, tol=EQ_TOL, ops=None) -> CheckReport:
     """The two-site singlet identities: K fixes it, raising/lowering kill it,
     and K- x K+ maps it onto the inverse-q singlet with the stated ratio.
-    The coproducts and K matrices come from one :class:`OperatorTable` of
-    (q, 1, 2)."""
-    return _singlet_pairs(OperatorTable(nonsingular_q(q), 1, 2), tol)
-
-
-def _singlet_pairs(ops: OperatorTable, tol) -> CheckReport:
-    """:func:`singlet_pair_checks` on the operators of ``ops``, a table of (q, 1, 2)."""
-    q = nonsingular_q(ops.q)
+    The coproducts and K matrices come from ``ops`` as in
+    :func:`delta_2site`."""
+    q = nonsingular_q(q)
+    ops = _table(ops, q, 1, 2)
     instances = []
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):

@@ -161,8 +161,8 @@ def test_c06_rmatrix_2d():
     for q in seeded_qs(20, seed=42):
         big = rm.r2d(q)
         for gen in ("S+", "S-"):
-            res = float(np.abs(big @ rm.boxplus_2x2_display(gen, q)
-                               - rm.boxplus_perm(gen, q) @ big).max())
+            display, perm = rm.plaquette_pair(gen, q)
+            res = float(np.abs(big @ display - perm @ big).max())
             worst = max(worst, res)
     chain = rm.conjugation_chain(1.5, "S+")
     symbolic_ok = all(

@@ -45,13 +45,11 @@ def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatc
 
     def missing(table, gen):
         step = (complex(table.q), table.n, table.m)
-        pair_table = (table.n, table.m) == (1, 2)  # the singlets' own, inside the 2x2 step
         # every operator of an earlier (q, size) step is gone before this one's are built
-        assert pair_table or all(ref() is None for s, ref in built if s != step), (gen, step)
+        assert all(ref() is None for s, ref in built if s != step), (gen, step)
         calls[(gen, *step)] = calls.get((gen, *step), 0) + 1
         out = real(table, gen)
-        if not pair_table:
-            built.append((step, weakref.ref(out)))
+        built.append((step, weakref.ref(out)))
         return out
 
     monkeypatch.setattr(cli.uqsu2.OperatorTable, "__missing__", missing)
@@ -64,6 +62,16 @@ def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatc
     calls.clear()
     assert main(argv[:3] + ["--q", "1.3", "--q", "0.7"] + argv[3:]) == 0
     assert set(calls.values()) == {1} and len(calls) == 32
+    # the default lists: 10 seeded q for kernel, 20 for rmatrix2d, 5 of them shared
+    calls.clear()
+    assert main(argv[:3] + ["--checks", "kernel,rmatrix2d", "--out", str(tmp_path / "d")]) == 0
+    kernel_qs, rmatrix_qs = cli._parse_q_list(None, 42, 10), cli._parse_q_list(None, 42, 20)
+    assert len(set(kernel_qs) & set(rmatrix_qs)) == 5
+    assert calls == {(g, q, 2, 2): 1 for g in ("S+", "S-") for q in kernel_qs}
+    # and one table, so one example, at each of the 25 distinct q, besides the CLI's own
+    examples = _counted_examples(monkeypatch)
+    assert main(argv[:3] + ["--checks", "kernel,rmatrix2d", "--out", str(tmp_path / "e")]) == 0
+    assert len(examples) == 1 + 25
 
 
 def _counted_examples(monkeypatch):
@@ -84,12 +92,34 @@ def _counted_examples(monkeypatch):
     ("ks,commutator,kernel,singlets", 4),
     # no 3x3 table: that step runs no check
     ("kernel,singlets", 3),
+    # the CLI's example, the 1x2 table and the 2x2 table
+    ("rmatrix1d,rmatrix2d", 3),
+    # one table per (q, size), shared by the relation and the R-matrix checks
+    ("kernel,singlets,rmatrix1d,rmatrix2d", 3),
 ])
 def test_verify_uq_builds_one_example_per_q_and_size(tmp_path, monkeypatch, checks, examples):
     built = _counted_examples(monkeypatch)
     assert main(["verify", "--example", "uq", "--q", "2.0", "--checks", checks,
                  "--out", str(tmp_path / "r")]) == 0
     assert len(built) == examples and set(built) == {2.0}
+
+
+def test_the_readme_rmatrix_run_builds_one_example_per_q_and_size(tmp_path, monkeypatch):
+    built = _counted_examples(monkeypatch)
+    assert main(["verify", "--example", "uq", "--checks", "rmatrix1d,rmatrix2d,semiclassical",
+                 "--out", str(tmp_path / "r")]) == 0
+    # the CLI's example, then a 1x2 and a 2x2 table at each of the 20 seeded q
+    assert len(built) == 41
+    assert all(built.count(q) == 2 for q in cli._parse_q_list(None, 42, 20))
+
+
+def test_shared_tables_keep_every_report_byte(tmp_path):
+    argv = ["verify", "--example", "uq", "--q", "1.3", "--checks"]
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    assert main(argv + ["kernel,singlets,rmatrix1d,rmatrix2d", "--out", str(together)]) == 0
+    assert main(argv + ["kernel,singlets", "--out", str(apart)]) == 0
+    assert main(argv + ["rmatrix1d,rmatrix2d", "--out", str(apart)]) == 0
+    assert read_all(together) == read_all(apart)
 
 
 def test_kernel_and_singlets_name_the_sizes_they_run_at(tmp_path):
@@ -122,8 +152,14 @@ RULE_CHECKS = {
     "kernel": (["--example", "uq", "--q", "1.3"], 2,
                {(cli.uqsu2, "kernel_2x2"): lambda q, ops, **_: (ops.n, ops.m)}),
     "singlets": (["--example", "uq", "--q", "1.3"], 2,
-                 {(cli.uqsu2, "_singlet_pairs"): lambda ops, tol: (ops.n, ops.m),
+                 {(cli.uqsu2, "singlet_pair_checks"): lambda q, ops, **_: (ops.n, ops.m),
                   (cli.uqsu2, "vertical_singlet_residual"): lambda q, ops, **_: (ops.n, ops.m)}),
+    # delta_perm runs once for each generator: the S+ call stands for the run
+    "rmatrix1d": (["--example", "uq", "--q", "1.3"], 2,
+                  {(cli.rmx, "delta_perm"): lambda gen, q, ops, **_: (ops.n, ops.m)
+                   if gen == "S+" else None}),
+    "rmatrix2d": (["--example", "uq", "--q", "1.3"], 2,
+                  {(cli.rmx, "conjugation_chain"): lambda q, sgen, ops, **_: (ops.n, ops.m)}),
 }
 
 
@@ -136,15 +172,18 @@ def _ruled_sizes(check, sizes):
     return {"assoc": slices, "counit": slices, "xycompat": [(max_n, max_m)],
             "homomorphism": [(max_n, max_m)], "antipode": [(max_n, 1), (1, max_m)],
             "ks": sizes, "commutator": sizes, "kernel": [(2, 2)],
-            "singlets": [(1, 2), (2, 2)]}[check]
+            "singlets": [(1, 2), (2, 2)], "rmatrix1d": [(1, 2)], "rmatrix2d": [(2, 2)]}[check]
 
 
 def _recorded_calls(monkeypatch, functions):
-    """Record the size of every call of ``functions`` (as in RULE_CHECKS)."""
+    """Record the size of every call of ``functions`` (as in RULE_CHECKS)
+    that stands for a run: one whose size is not None."""
     ran = []
     for (module, name), size_of in functions.items():
         def wrapped(*args, real=getattr(module, name), size_of=size_of, **kwargs):
-            ran.append(size_of(*args, **kwargs))
+            size = size_of(*args, **kwargs)
+            if size is not None:
+                ran.append(size)
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
     return ran
@@ -254,6 +293,15 @@ def test_verify_unknown_check(tmp_path):
     code = main(["verify", "--example", "pivot", "--checks", "nonsense",
                  "--out", str(tmp_path / "r")])
     assert code == 2
+
+
+@pytest.mark.parametrize("check", ["ks", "kernel", "rmatrix1d", "rmatrix2d", "semiclassical"])
+def test_a_deformed_su2_check_needs_the_uq_example(tmp_path, capsys, check):
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "pivot", "--q", "1.3", "--checks", check,
+                 "--out", str(out)]) == 2
+    assert f"check {check!r} needs --example uq" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("checks", [",", " , "])
@@ -402,7 +450,7 @@ def test_config_errors_leave_no_output_directory(tmp_path):
     ["verify", "--theta-over-pi", "inf"],
     ["verify", "--example", "uq", "--q", "nan", "--checks", "ks", "--sizes", "2x2"],
     ["verify", "--example", "uq", "--q", "1e400", "--checks", "commutator", "--sizes", "2x2"],
-    ["verify", "--example", "pivot", "--q", "nan", "--checks", "rmatrix1d"],
+    ["verify", "--example", "uq", "--q", "nan", "--checks", "rmatrix1d"],
     ["build-op", "--gen", "S+", "--q", "nan"],
     ["build-op", "--rmatrix2d", "--q", "inf"],
     ["verify", "--theta-over-pi=-inf"],

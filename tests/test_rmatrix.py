@@ -87,8 +87,8 @@ def test_plaquette_intertwining_exact():
     for q in [1.5] + seeded_qs(20):
         big = rm.r2d(q)
         for gen in ("S+", "S-"):
-            res = np.abs(big @ rm.boxplus_2x2_display(gen, q)
-                         - rm.boxplus_perm(gen, q) @ big).max()
+            display, perm = rm.plaquette_pair(gen, q)
+            res = np.abs(big @ display - perm @ big).max()
             assert res < 1e-10, (q, gen, res)
 
 
@@ -108,7 +108,7 @@ def test_permuted_plaquette_decomposition():
             kplus = np.kron(m["K+"], m["K+"])
             kminus = np.kron(m["K-"], m["K-"])
             composed = np.kron(top_perm, kplus) + np.kron(kminus, rm.delta_perm(gen, q))
-            assert np.abs(rm.boxplus_perm(gen, q) - composed).max() < 1e-12
+            assert np.abs(rm.plaquette_pair(gen, q)[1] - composed).max() < 1e-12
 
 
 def test_permuted_plaquette_symbol_swap_oracle():
@@ -170,7 +170,7 @@ def test_conjugation_chain_ends_at_permuted_element():
         for gen in ("S+", "S-"):
             chain = rm.conjugation_chain(q, gen)
             assert max(chain["residuals"]) < 1e-10
-            assert np.abs(chain["operators"][-1] - rm.boxplus_perm(gen, q)).max() < 1e-12
+            assert np.abs(chain["operators"][-1] - rm.plaquette_pair(gen, q)[1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", range(len(rm.CHAIN_STEPS)))
@@ -229,7 +229,8 @@ def test_semiclassical_rejects_bad_grid():
 def test_permuted_plaquette_undeformed_is_plain():
     # at q = 1 the K letters coincide, so the swap does nothing
     for gen in ("S+", "S-"):
-        assert np.abs(rm.boxplus_perm(gen, 1.0) - rm.boxplus_2x2_display(gen, 1.0)).max() < 1e-14
+        display, perm = rm.plaquette_pair(gen, 1.0)
+        assert np.abs(perm - display).max() < 1e-14
 
 
 def test_pair_conjugation_identities():
