@@ -162,10 +162,11 @@ _EXAMPLES = {
 
 def _make_example(args):
     """The example ``--example`` names.  ``--theta-over-pi`` without
-    ``--example pivot``, or ``--taft-n`` without ``--example taft``, is a
-    :class:`CliConfigError`: no other example reads them."""
+    ``--example pivot``, ``--taft-n`` without ``--example taft``, or ``--q``
+    without ``--example uq``, is a :class:`CliConfigError`: no other example
+    reads them."""
     for flag, value, reader in (("--theta-over-pi", args.theta_over_pi, "pivot"),
-                                ("--taft-n", args.taft_n, "taft")):
+                                ("--taft-n", args.taft_n, "taft"), ("--q", args.q, "uq")):
         if value is not None and args.example != reader:
             raise CliConfigError(f"{flag} goes with --example {reader}; "
                                  f"--example {args.example} does not read it")
@@ -223,12 +224,12 @@ def _run_checks(args):
     if not names:
         raise CliConfigError(f"--checks {args.checks!r} names no check")
     tol = _tolerance(args)
-    ex = _make_example(args)
-    runs = {name: _runs(name, sizes) for name in names}
     uq_only = [name for name in names if name in ("ks", "commutator", "kernel", "singlets",
                                                   "rmatrix1d", "rmatrix2d", "semiclassical")]
     if uq_only and args.example != "uq":
         raise CliConfigError(f"check {uq_only[0]!r} needs --example uq")
+    ex = _make_example(args)
+    runs = {name: _runs(name, sizes) for name in names}
     uq_names = [name for name in uq_only if runs[name]]
     built = [(name, n, m) for name in names if name in ("homomorphism", "antipode", *uq_names)
              for _, n, m in runs[name]]

@@ -21,9 +21,15 @@ pattern, the four bond tuples (lefts, tops, rights, bottoms) the chains
 already carry, so each (word, pattern) pair is enumerated once, however
 many bond assignments lead to it.  Only the consumers turn a pattern into
 walk order: :func:`contract` for its trace cycle, :func:`solve_boundary`
-for its rows.
+for its rows.  A list of sizes, as :func:`check_peps_vs_boxplus` and
+:func:`solve_boundary` take it, is swept once per width, over every height
+asked at that width; :func:`contract` is the one-size case of that step.
 
-A chi = 1 boundary, such as d4's, has 1 x 1 matrices, and :func:`contract`
+A :class:`BoundarySpec` is the one reader of the boundary format.  It
+drops a None bond entry, so a missing key is the one spelling of a bond a
+side annihilates, and it converts each matrix once, when it is built, into
+the arrays and trace factors the sweep, the trace and JSON read.  A chi = 1
+boundary, such as d4's, has 1 x 1 matrices, and :func:`contract`
 traces its perimeter as the product of their entries: Python complex
 products from 1, in the order the matrix products take.  A 1 x 1 matrix
 product is that same complex product, so the trace keeps the matrix path's
@@ -81,11 +87,18 @@ class PepsTensor:
 class BoundarySpec:
     """Per-side boundary matrices and the closing corner matrix.
 
-    ``sides[s][bond]`` is a chi x chi array for s in 'l', 't', 'r', 'b';
-    missing bonds mean the side annihilates that value.  Trivial boundaries
-    use chi = 1.  Unset sides (None) leave the boundary incomplete.  A
-    matrix that is not chi x chi raises :class:`ConfigurationError` naming
-    its side and bond, or the corner; an unset one (None) is not checked.
+    ``sides[s][bond]`` is a chi x chi array for s in 'l', 't', 'r', 'b'; a
+    bond without a key is one the side annihilates, and a None entry given
+    for a bond is dropped, so a missing key is the one way to spell it.
+    Trivial boundaries use chi = 1.  Unset sides (None) leave the boundary
+    incomplete.  A matrix that is not chi x chi raises
+    :class:`ConfigurationError` naming its side and bond, or the corner; an
+    unset one (None) is not checked.
+
+    The spec reads the caller's matrices once, into complex arrays held in
+    its own dicts, and prepares the trace factors :func:`contract` reads:
+    complex numbers at chi = 1, the arrays otherwise.  A spec is not changed
+    after construction.
     """
 
     chi: int = 1
@@ -94,14 +107,22 @@ class BoundarySpec:
 
     def __post_init__(self):
         want = (self.chi, self.chi)
-        for s, table in self.sides.items():
-            for bond, mat in (table or {}).items():
-                if mat is not None and np.shape(mat) != want:
-                    raise ConfigurationError(f"boundary side {s!r} bond {bond}: a "
-                                             f"{np.shape(mat)} matrix, not chi x chi = {want}")
-        if self.corner is not None and np.shape(self.corner) != want:
-            raise ConfigurationError(f"boundary corner: a {np.shape(self.corner)} matrix, "
-                                     f"not chi x chi = {want}")
+
+        def read(mat, where):
+            if np.shape(mat) != want:
+                raise ConfigurationError(f"boundary {where}: a {np.shape(mat)} matrix, "
+                                         f"not chi x chi = {want}")
+            return np.array(mat, dtype=complex)
+
+        self.sides = {s: None if table is None else
+                      {bond: read(mat, f"side {s!r} bond {bond}")
+                       for bond, mat in table.items() if mat is not None}
+                      for s, table in self.sides.items()}
+        self.corner = None if self.corner is None else read(self.corner, "corner")
+        factor = np.ndarray.item if self.chi == 1 else np.asarray
+        self._factors = {s: {bond: factor(mat) for bond, mat in table.items()}
+                         for s, table in self.sides.items() if table is not None}
+        self._corner_factor = None if self.corner is None else factor(self.corner)
 
     def complete(self) -> bool:
         return self.corner is not None and all(
@@ -109,16 +130,12 @@ class BoundarySpec:
         )
 
     def to_json(self) -> str:
-        def enc(m):
-            arr = np.asarray(m, dtype=complex)
+        def enc(arr):
             return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
 
-        obj = {"chi": self.chi, "sides": {}, "corner": None}
-        for s, table in self.sides.items():
-            if table is not None:
-                obj["sides"][s] = {str(k): enc(v) for k, v in table.items()}
-        if self.corner is not None:
-            obj["corner"] = enc(self.corner)
+        obj = {"chi": self.chi, "corner": None if self.corner is None else enc(self.corner),
+               "sides": {s: {str(k): enc(v) for k, v in table.items()}
+                         for s, table in self.sides.items() if table is not None}}
         return json.dumps(_json_numbers(obj), sort_keys=True, allow_nan=False)
 
 
@@ -191,9 +208,8 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
     symbols of the tensor's alphabet.
     """
     shapes = {n: GridShape(n, m) for n in heights}
-    live = {s: {bond for bond, mat in table.items() if mat is not None}
-            for s, table in boundary.sides.items() if table is not None}
-    ok_l, ok_t, ok_r, ok_b = (live.get(s) for s in "ltrb")
+    ok_l, ok_t, ok_r, ok_b = (None if boundary.sides.get(s) is None else set(boundary.sides[s])
+                              for s in "ltrb")
     # a site tile: (phys,), its left, bottom, top and right bond
     sites = [(((phys,), (l,), (b,), (t,), (r,)), val)
              for (phys, l, t, r, b), val in tensor.components.items()]
@@ -215,6 +231,49 @@ def _sweep(tensor: PepsTensor, boundary: BoundarySpec, m: int, heights):
         yield n, table
 
 
+def _tables(tensor: PepsTensor, boundary: BoundarySpec, sizes) -> list:
+    """The :func:`_sweep` table of each size in ``sizes``, in list order and
+    with its repeats, from one sweep per width over every height asked at
+    that width."""
+    swept = {(n, m): table for m in dict.fromkeys(m for _, m in sizes)
+             for n, table in _sweep(tensor, boundary, m, {h for h, w in sizes if w == m})}
+    return [swept[size] for size in sizes]
+
+
+def _contracted(inst: PepsInstance, sizes, rotate: int = 0) -> list:
+    """:func:`contract` of each size in ``sizes``, in list order and with
+    its repeats, from the tables of :func:`_tables`."""
+    boundary = inst.boundary
+    if not boundary.complete():
+        raise ConfigurationError("boundary specification is incomplete")
+    # every side is set, so the sweep left no annihilated bond
+    left, top, right, bottom = (boundary._factors[s] for s in "ltrb")
+    corner, scalar = boundary._corner_factor, boundary.chi == 1
+    sums = []
+    for (n, m), table in zip(sizes, _tables(inst.tensor, boundary, sizes)):
+        k = rotate % (2 * (n + m) + 1)
+        traces, terms = {}, []
+        for word, patterns in table.items():
+            for pattern, amp in patterns.items():
+                tr = traces.get(pattern)
+                if tr is None:
+                    ls, ts, rs, bs = pattern
+                    cycle = ([left[b] for b in ls] + [top[b] for b in ts]
+                             + [right[b] for b in rs[::-1]] + [bottom[b] for b in bs[::-1]]
+                             + [corner])
+                    if scalar:
+                        tr = prod(cycle[k:] + cycle[:k], start=1 + 0j)
+                    else:
+                        acc = np.eye(boundary.chi, dtype=complex)
+                        for mat in cycle[k:] + cycle[:k]:
+                            acc = acc @ mat
+                        tr = complex(np.trace(acc))
+                    traces[pattern] = tr
+                terms.append((word, tr * amp))
+        sums.append(FormalSum(GridShape(n, m), terms))
+    return sums
+
+
 def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0) -> FormalSum:
     """Exact contraction of an n x m patch into a symbolic formal sum.
 
@@ -224,50 +283,19 @@ def contract(inst: PepsInstance, n: int, m: int, rotate: int = 0) -> FormalSum:
     then the trace.  At chi = 1 the matrices are single complex numbers and
     the trace is their product from ``1 + 0j``, in the same order: a 1 x 1
     matrix product computes the same complex product, without numpy's
-    per-call setup, which dominated a small patch's contraction.  A
+    per-call setup, which dominated a small patch's contraction.  The
+    factors are the ones the boundary prepared when it was built.  A
     non-finite weight makes the product non-finite, and with it every word
     total it enters.  The contributions of a word are summed before
     :class:`grids.FormalSum` drops a total of magnitude at most
     :data:`grids.CANON_TOL` or raises :class:`grids.NonFiniteError` on a
     non-finite one.  ``rotate`` shifts the starting point of the closed
     perimeter cycle; by cyclicity of the trace the result must not depend
-    on it.
+    on it.  An incomplete boundary raises :class:`ConfigurationError`
+    before anything is swept.
     """
-    tensor, boundary = inst.tensor, inst.boundary
-    if not boundary.complete():
-        raise ConfigurationError("boundary specification is incomplete")
-    ((_, table),) = _sweep(tensor, boundary, m, [n])
-    # every side is set, so the sweep left no annihilated bond
-    scalar = boundary.chi == 1
-
-    def weight(mat):
-        arr = np.asarray(mat, dtype=complex)
-        return arr.item() if scalar else arr
-
-    left, top, right, bottom = ({bond: weight(mat)
-                                 for bond, mat in boundary.sides[s].items() if mat is not None}
-                                for s in "ltrb")
-    corner = weight(boundary.corner)
-    k = rotate % (2 * (n + m) + 1)
-    traces, terms = {}, []
-    for word, patterns in table.items():
-        for pattern, amp in patterns.items():
-            tr = traces.get(pattern)
-            if tr is None:
-                ls, ts, rs, bs = pattern
-                cycle = ([left[b] for b in ls] + [top[b] for b in ts]
-                         + [right[b] for b in rs[::-1]] + [bottom[b] for b in bs[::-1]]
-                         + [corner])
-                if scalar:
-                    tr = prod(cycle[k:] + cycle[:k], start=1 + 0j)
-                else:
-                    acc = np.eye(boundary.chi, dtype=complex)
-                    for mat in cycle[k:] + cycle[:k]:
-                        acc = acc @ mat
-                    tr = complex(np.trace(acc))
-                traces[pattern] = tr
-            terms.append((word, tr * amp))
-    return FormalSum(GridShape(n, m), terms)
+    (out,) = _contracted(inst, [(n, m)], rotate)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +443,12 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
     tensor, boundary = inst.tensor, inst.boundary
     nb = tensor.bond_dim
     # unknowns: beta[bond] for left edges, then delta[bond] for right edges
-    heights = {}
-    for n, m in sizes:
-        heights.setdefault(m, set()).add(n)
     tensor.alphabet.require_names({c for target in targets.values()
                                    for w, _ in target.unordered_items() for c in w.cells},
                                   "the targets", "the tensor's alphabet", ConfigurationError)
-    swept = {(n, m): table for m, hs in heights.items()
-             for n, table in _sweep(tensor, boundary, m, hs)}
-    tables = {size: swept[size] for size in sizes}
+    tables = list(zip(sizes, _tables(tensor, boundary, sizes)))
     rows, rhs = [], []
-    for size in sizes:
-        table = tables[size]
+    for size, table in tables:
         target = targets[size]
         words = set(table) | set(target._terms)
         for word in sorted(words, key=lambda w: w._key()):
@@ -468,7 +490,7 @@ def solve_boundary(inst: PepsInstance, targets: dict, sizes) -> BoundarySolveRes
 def _infeasibility_certificate(tables, targets):
     """Two grids with proportional pattern-multiplicity rows but targets
     violating the same proportion: no perimeter weighting can match both."""
-    for size, table in tables.items():
+    for size, table in tables:
         target = targets[size]
         grids = sorted(table, key=lambda w: w._key())
         for i, g1 in enumerate(grids):
@@ -501,6 +523,6 @@ def check_peps_vs_boxplus(inst, example, v, sizes, tol=EQ_TOL) -> CheckReport:
     differently raises :class:`ConfigurationError`."""
     inst.tensor.alphabet.require_names(example.alphabet, "the example's alphabet",
                                        "the tensor's alphabet", ConfigurationError)
-    instances = [_compared(f"{n}x{m}", contract(inst, n, m),
-                           boxplus(example, v, n, m), tol) for n, m in sizes]
+    instances = [_compared(f"{n}x{m}", got, boxplus(example, v, n, m), tol)
+                 for (n, m), got in zip(sizes, _contracted(inst, sizes))]
     return CheckReport("peps_vs_boxplus", list(sizes), instances)

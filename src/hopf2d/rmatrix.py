@@ -20,8 +20,8 @@ element and checks that it ends at the permuted element: that element with
 every K letter swapped.  Elements and their representation come from a
 table, ``ops``, an :class:`uqsu2.OperatorTable` of their q and size, or
 from a new one, so a caller that shares one table per (q, size) builds one
-example there (:func:`delta_perm` at 1 x 2, :func:`plaquette_pair` and
-:func:`conjugation_chain` at 2 x 2).
+example there and grows each element once (:func:`delta_perm` at 1 x 2,
+:func:`plaquette_pair` and :func:`conjugation_chain` at 2 x 2).
 """
 
 from __future__ import annotations

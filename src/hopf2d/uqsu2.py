@@ -13,7 +13,7 @@ mapped onto the internal bottom-row-first linear order by
 Every deformed-su(2) element is grown and represented by one step, an
 :class:`OperatorTable` of one (q, n, m): it builds one example at q and the
 spin-1/2 representation of that example's alphabet, grows every generator
-it is asked for from that example (:meth:`OperatorTable.element`), and
+it is asked for from that example once (:meth:`OperatorTable.element`), and
 builds each lattice operator on its first lookup, comparing the element
 word by word with the placement construction and then evaluating it, so
 each operator is built once.  :func:`boxplus_op` is a one-off table's
@@ -136,12 +136,12 @@ class OperatorTable(dict):
 
     Made after the q rule and the site cap, the table builds one
     deformed-su(2) example at q and its spin-1/2 representation ``rep``;
-    :meth:`element` grows every generator from that example.  An operator
-    is built on its first lookup: its grown element is compared word by word
-    with the independent placement construction :func:`_placement`, a
-    mismatch raises and names the worst word, and otherwise the element is
-    evaluated, once.  Later lookups return the same operator, which lives as
-    long as the table.
+    :meth:`element` grows each generator from that example once and keeps
+    it.  An operator is built on its first lookup: its element is compared
+    word by word with the independent placement construction
+    :func:`_placement`, a mismatch raises and names the worst word, and
+    otherwise the element is evaluated, once.  Later lookups return the same
+    operator, which lives as long as the table, as the elements do.
     """
 
     def __init__(self, q, n: int, m: int):
@@ -151,10 +151,14 @@ class OperatorTable(dict):
         self.q, self.n, self.m = q, n, m
         self.example = make_uq_symbolic(q)
         self.rep = spin_half_rep(q, self.example.alphabet)
+        self._elements = {}
 
     def element(self, gen: str) -> FormalSum:
-        """The engine's n x m element of a generator, grown from the table's example."""
-        return boxplus(self.example, gen, self.n, self.m)
+        """The engine's n x m element of a generator, grown from the table's
+        example on the first call and kept for the later ones."""
+        if gen not in self._elements:
+            self._elements[gen] = boxplus(self.example, gen, self.n, self.m)
+        return self._elements[gen]
 
     def __missing__(self, gen):
         element = self.element(gen)

@@ -113,6 +113,20 @@ def test_the_readme_rmatrix_run_builds_one_example_per_q_and_size(tmp_path, monk
     assert all(built.count(q) == 2 for q in cli._parse_q_list(None, 42, 20))
 
 
+def test_the_rmatrix_checks_grow_each_element_once(tmp_path, monkeypatch):
+    # rmatrix1d's permuted coproduct reads the element its operator was built from
+    real, grown = cli.uqsu2.boxplus, []
+
+    def counted(ex, gen, n, m):
+        grown.append((gen, n, m))
+        return real(ex, gen, n, m)
+
+    monkeypatch.setattr(cli.uqsu2, "boxplus", counted)
+    assert main(["verify", "--example", "uq", "--q", "1.3", "--checks", "rmatrix1d,rmatrix2d",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert sorted(grown) == [(g, n, 2) for g in ("S+", "S-") for n in (1, 2)]
+
+
 def test_shared_tables_keep_every_report_byte(tmp_path):
     argv = ["verify", "--example", "uq", "--q", "1.3", "--checks"]
     together, apart = tmp_path / "together", tmp_path / "apart"
@@ -576,6 +590,8 @@ def test_each_example_is_built_from_the_options_it_reads(tmp_path):
     (["--example", "cross"], {"theta_over_pi": 0.0}, "--theta-over-pi"),
     ([], {"example": "taft", "theta_over_pi": 0.25}, "--theta-over-pi"),
     (["--example", "lie"], {"taft_n": 2}, "--taft-n"),
+    (["--example", "pivot", "--q", "1.3"], {}, "--q"),
+    (["--example", "taft"], {"q": 1.3}, "--q"),
 ])
 def test_example_options_another_example_reads_are_config_errors(tmp_path, capsys, argv, cfg,
                                                                    flag):

@@ -10,7 +10,7 @@ from hopf2d.coalgebra import ConfigurationError, boxplus
 from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, NonFiniteError, sum_difference
 from hopf2d.instances import PivotConfig, make_pivot
 from hopf2d.linops import ResourceLimitError
-from hopf2d import grids, peps
+from hopf2d import cli, grids, peps
 
 PIVOT = make_pivot(theta=0.0)
 ALL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
@@ -63,10 +63,38 @@ def test_published_interior_entry_leaks_double_marks():
     assert sum_difference(got, boxplus(PIVOT, "v", 2, 2)) > 1e-10
 
 
-def test_d4_exact_to_6x6():
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (width, heights) of every :func:`peps._sweep` call, in call order."""
+    real, calls = peps._sweep, []
+
+    def counted(tensor, boundary, m, heights):
+        calls.append((m, sorted(heights)))
+        return real(tensor, boundary, m, heights)
+
+    monkeypatch.setattr(peps, "_sweep", counted)
+    return calls
+
+
+def test_d4_exact_to_6x6(sweeps):
     sizes = [(n, m) for n in range(1, 7) for m in range(1, 7)]
     report = peps.check_peps_vs_boxplus(peps.d4_instance(), PIVOT, "v", sizes, tol=1e-12)
     assert report.ok and len(report.instances) == 36
+    # one sweep per width, over every height
+    assert sweeps == [(m, list(range(1, 7))) for m in range(1, 7)]
+
+
+def test_a_size_list_is_swept_once_per_width(sweeps, tmp_path):
+    assert cli.main(["peps", "--rep", "d4", "--sizes", "1x1,1x2,2x2,3x3",
+                     "--out", str(tmp_path / "r")]) == 0
+    assert sweeps == [(1, [1]), (2, [1, 2]), (3, [3])]
+    # a repeated size is one more instance, not one more sweep
+    sweeps.clear()
+    sizes = [(2, 2), (1, 1), (2, 2), (1, 2)]
+    report = peps.check_peps_vs_boxplus(peps.d4_instance(), PIVOT, "v", sizes)
+    assert report.ok and [i.input for i in report.instances] == ["2x2", "1x1", "2x2", "1x2"]
+    assert report.sizes == sizes
+    assert sweeps == [(2, [1, 2]), (1, [1])]
 
 
 def _dense_d3():
@@ -236,6 +264,29 @@ def test_boundary_matrices_that_are_not_chi_by_chi_are_config_errors(chi, dim):
     assert len(peps.contract(inst, 2, 2)) > 0
     # unset sides and unset matrices stay allowed
     peps.BoundarySpec(chi, {"l": None, "t": {0: None, 1: good}}, None)
+
+
+def test_a_none_bond_entry_is_a_missing_key():
+    # d4's boundary with an explicit None at an annihilated bond of each side
+    base = peps.d4_instance()
+    dropped = {"l": 2, "b": 3, "t": 0, "r": 1}
+    given = {s: {**table, dropped[s]: None} for s, table in base.boundary.sides.items()}
+    spec = peps.BoundarySpec(1, given, base.boundary.corner)
+    assert given["l"][2] is None  # the caller's dicts are left as they are
+    assert {s: set(t) for s, t in spec.sides.items()} == {
+        s: set(t) for s, t in base.boundary.sides.items()}
+    assert spec.to_json() == base.boundary.to_json()
+    for n, m in [(1, 1), (2, 3), (3, 3)]:
+        got = peps.contract(peps.PepsInstance(base.tensor, spec), n, m, rotate=n)
+        assert _bits(got) == _bits(peps.contract(base, n, m, rotate=n))
+    # and d2's: solved, certified and written alike
+    d2 = peps.d2_instance()
+    sides = dict(d2.boundary.sides, t={1: np.eye(2), 0: None})
+    with_none = peps.PepsInstance(d2.tensor, peps.BoundarySpec(2, sides))
+    for sizes in ([(1, 1), (1, 2), (2, 1), (1, 3)], [(1, 1), (2, 2), (3, 3)]):
+        targets = {s: boxplus(PIVOT, "v", *s) for s in sizes}
+        assert (peps.solve_boundary(with_none, targets, sizes).to_json()
+                == peps.solve_boundary(d2, targets, sizes).to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +503,11 @@ def _walk(pattern):
             *(("r", b) for b in rs[::-1]), *(("b", b) for b in bs[::-1]))
 
 
+def _table_bits(table):
+    return [(word, [(p, a.real.hex(), a.imag.hex()) for p, a in patterns.items()])
+            for word, patterns in table.items()]
+
+
 def _close(a, b):
     return abs(a - b) <= 1e-12 * (1.0 + abs(b))
 
@@ -469,6 +525,14 @@ def test_sweep_and_contract_match_brute_force(n, m, case):
             walked = {_walk(p): a for p, a in table[word].items()}
             assert list(walked) == list(patterns)
             assert all(_close(walked[p], a) for p, a in patterns.items())
+    # a size list, widths mixed and one size repeated, has each size's own
+    # one-height sweep table, bit for bit
+    sizes = [(h, w) for h in range(n, 0, -1) for w in range(1, m + 1)] + [(n, m)]
+    for spec in (open_spec, full_spec):
+        listed = peps._tables(tensor, spec, sizes)
+        for (h, w), table in zip(sizes, listed):
+            ((_, alone),) = peps._sweep(tensor, spec, w, [h])
+            assert _table_bits(table) == _table_bits(alone)
     # the contraction of the complete boundary, perimeter start rotated
     table = _oracle_table(tensor, full_spec, n, m)
     got = peps.contract(peps.PepsInstance(tensor, full_spec), n, m, rotate=rotate)
