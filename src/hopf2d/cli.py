@@ -17,10 +17,15 @@ The deformed-su(2) checks need ``--example uq``, as ``semiclassical`` does;
 each runs at its own q list, and every check that runs at one (q, size)
 shares one :class:`uqsu2.OperatorTable` there (:func:`_uq_checks`).  The
 checks that build operators (``homomorphism``, ``antipode`` and the
-deformed-su(2) checks) share the budget :data:`uqsu2.SITE_CAP` measured:
-with d the dimension of one site in the example's representation, every
-run needs d**sites <= 2**SITE_CAP.  It is checked for every run before any
-check starts, and a run past it exits 2 and writes nothing.  Near the
+deformed-su(2) checks) work in one representation: the left regular one of
+an example with a multiplication rule (``taft``, ``group``;
+:func:`instances.regular_rep`), spin-1/2 for ``uq``.  They share one
+budget, :func:`uqsu2.require_budget`, from the work :data:`uqsu2.SITE_CAP`
+measured: with d the dimension of one site in that representation, every
+run needs d**sites <= 2**SITE_CAP.  It is checked for every run from d
+alone, before the representation or any check is built, and a run past it
+exits 2 and writes nothing; ``build-op`` reads the same budget through its
+:class:`uqsu2.OperatorTable`.  Near the
 budget, one fresh process each on a 2-core x86 machine (min of 3): taft(2)
 ``homomorphism`` at 3x3 (4**9) takes 1.5 s and 165 MiB, taft(2)
 ``antipode`` on 9-site slices 1.7 s and 103 MiB, taft(3) ``antipode`` on
@@ -71,7 +76,6 @@ from .grids import EQ_TOL, word1
 from .instances import (
     UQ_NAMES,
     TaftConfig,
-    cyclic_regular_rep,
     make_cross,
     make_cyclic_group,
     make_lie_like,
@@ -80,7 +84,7 @@ from .instances import (
     make_quasi1d_lie,
     make_taft,
     make_uq_symbolic,
-    taft_regular_rep,
+    regular_rep,
 )
 from .linops import ResourceLimitError, SparseOperator
 
@@ -187,12 +191,20 @@ def _one_site_rules(ex):
     return dx, dy
 
 
-def _rep_for(ex, example_kind):
-    reps = {"taft": taft_regular_rep, "group": cyclic_regular_rep,
-            "uq": lambda ex: uqsu2.spin_half_rep(ex.meta["q"], ex.alphabet)}
-    if example_kind not in reps:
+def _rep_for(ex, example_kind, built):
+    """The representation of the checks that build operators: the regular
+    one of an example with a multiplication rule, spin-1/2 for uq.  It is
+    built only once every (check, n, m) run in ``built`` has passed the
+    budget from the site dimension alone."""
+    if ex.multiplication is not None:
+        dim, make = len(ex.alphabet), regular_rep
+    elif example_kind == "uq":
+        dim, make = 2, lambda ex: uqsu2.spin_half_rep(ex.meta["q"], ex.alphabet)
+    else:
         raise CliConfigError(f"no canonical representation for example {example_kind!r}")
-    return reps[example_kind](ex)
+    for name, n, m in built:
+        uqsu2.require_budget(f"check {name!r}", dim, n, m)
+    return make(ex)
 
 
 def _runs(name, sizes):
@@ -216,7 +228,7 @@ def _runs(name, sizes):
 def _run_checks(args):
     """The example and the reports of ``--checks``, run at the sizes
     :func:`_runs` gives them once every run of a check that builds
-    operators has passed the budget (:class:`ResourceLimitError`)."""
+    operators has passed the budget (:func:`_rep_for`)."""
     sizes = _parse_sizes(args.sizes or "2x2,3x3")
     checks = (args.checks or "assoc,xycompat,counit").split(",")
     names = [c.strip() for c in checks if c.strip()]
@@ -233,11 +245,7 @@ def _run_checks(args):
     uq_names = [name for name in uq_only if runs[name]]
     built = [(name, n, m) for name in names if name in ("homomorphism", "antipode", *uq_names)
              for _, n, m in runs[name]]
-    rep = _rep_for(ex, args.example) if built else None
-    for name, n, m in built:
-        if rep.dim ** (n * m) > 2 ** uqsu2.SITE_CAP:
-            raise ResourceLimitError(f"check {name!r} at {n}x{m} needs dimension "
-                                     f"{rep.dim}**{n * m}, past the budget 2**{uqsu2.SITE_CAP}")
+    rep = _rep_for(ex, args.example, built) if built else None
     # ten seeded q for the relation checks, twenty for the R-matrix checks
     qs = {name: _parse_q_list(args.q, args.seed, 20 if name.startswith("rmatrix") else 10)
           for name in uq_names}

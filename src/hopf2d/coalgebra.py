@@ -528,6 +528,7 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
     def sitewise(coeff, u, w):  # the term of coeff * (u . w)
         return coeff, [rep[x] @ rep[y] for x, y in zip(u.cells, w.cells)]
 
+    identity = identity_operator(rep.dim ** n)  # every sample is a slice of n sites
     instances = []
     for w in ex.samples(direction, n):
         left, right = [], []
@@ -537,7 +538,7 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
                      for u, a in ex.antipode(direction, first).unordered_items()]
             right += [sitewise(c * a, first, u)
                       for u, a in ex.antipode(direction, second).unordered_items()]
-        target = eps(w) * identity_operator(rep.dim ** w.shape.sites)
+        target = eps(w) * identity
         sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
         gaps = [operator_difference(side, target) for side in sides]
         worse = 0 if gaps[0] >= gaps[1] or gaps[0] != gaps[0] else 1  # NaN is worse
@@ -578,7 +579,7 @@ def dual_product(functionals, ex, v, n, m, gathering="cols") -> complex:
     order = "y_first" if gathering == "cols" else "x_first"
     element = boxplus(ex, v, n, m, order=order)
     total = 0j
-    for word, coeff in element.items():
+    for word, coeff in element.unordered_items():
         val = coeff
         for i in range(1, n + 1):
             for j in range(1, m + 1):

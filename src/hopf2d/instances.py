@@ -355,18 +355,6 @@ def make_cyclic_group(k: int) -> CoalgebraExample:
     return make_group_like(names, table=table, unit="1")
 
 
-def cyclic_regular_rep(ex: CoalgebraExample) -> Representation:
-    """Permutation-matrix regular representation of a cyclic group example."""
-    k = len(ex.alphabet)
-    mats = {}
-    for i, s in enumerate(ex.alphabet):
-        m = np.zeros((k, k), dtype=complex)
-        for j in range(k):
-            m[(i + j) % k, j] = 1.0
-        mats[s] = m
-    return Representation(ex.alphabet, mats)
-
-
 def make_lie_like(primitive_names, unit="1") -> CoalgebraExample:
     """Cellwise primitive coproduct: the unit is group-like, the rest primitive."""
     alphabet = Alphabet([unit] + list(primitive_names))
@@ -548,9 +536,12 @@ class PivotConfig:
 def make_pivot(cfg: PivotConfig | None = None, theta: float | None = None) -> CoalgebraExample:
     """Marked-symbol instance: "a" before the mark, "b" after, in the
     reading order induced by the angle (theta = 0: bottom rows first,
-    left to right)."""
+    left to right).  ``theta`` stands for ``PivotConfig(theta=theta)``, so
+    giving both is a :class:`ConfigurationError`."""
     if cfg is None:
         cfg = PivotConfig(theta=theta or 0.0)
+    elif theta is not None:
+        raise ConfigurationError("make_pivot takes cfg or theta, not both")
     theta_q = quantize_theta(cfg.theta)
     alphabet = Alphabet(list(cfg.symbols))
     a, b, v = (alphabet[n] for n in cfg.symbols)
@@ -687,20 +678,19 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
     return ex
 
 
-def taft_regular_rep(ex: CoalgebraExample) -> Representation:
-    """Left regular representation on the n^2-dimensional basis."""
-    cfg = ex.meta["taft"]
-    n = cfg.n
-    basis = list(ex.alphabet.symbols)
-    pos = {s: k for k, s in enumerate(basis)}
+def regular_rep(ex: CoalgebraExample) -> Representation:
+    """Left regular representation of an example's multiplication rule: one
+    basis vector per alphabet symbol, in id order, and each symbol h sent to
+    the matrix of e -> h e."""
+    if ex.multiplication is None:
+        raise ConfigurationError(f"{ex.name} carries no multiplication rule")
+    basis = ex.alphabet.symbols
     mats = {}
     for h in basis:
-        m = np.zeros((len(basis), len(basis)), dtype=complex)
+        mat = mats[h] = np.zeros((len(basis), len(basis)), dtype=complex)
         for e in basis:
-            out = ex.multiplication(h, e)
-            for word, c in out.items():
-                m[pos[word.cells[0]], pos[e]] = c
-        mats[h] = m
+            for word, c in ex.multiplication(h, e).unordered_items():
+                mat[word.cells[0], e] = c
     return Representation(ex.alphabet, mats)
 
 

@@ -27,8 +27,8 @@ class RepresentationError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """Requested operator exceeds a size cap: :data:`uqsu2.SITE_CAP`, or the
-    int64 entry keys of :func:`kron_terms`."""
+    """Requested operator exceeds a size cap: the operator budget of
+    :func:`uqsu2.require_budget`, or the int64 entry keys of :func:`kron_terms`."""
 
 
 class Representation:
@@ -228,7 +228,7 @@ def evaluate(s: FormalSum, rep: Representation) -> SparseOperator:
     names differently raises :class:`RepresentationError`."""
     rep.alphabet.require_names(set(chain.from_iterable(w.cells for w, _ in s.unordered_items())),
                                "the sum", "the representation", RepresentationError)
-    terms = [(coeff, [rep[c] for c in word.cells]) for word, coeff in s.items()]
+    terms = [(coeff, [rep[c] for c in word.cells]) for word, coeff in s.unordered_items()]
     return kron_terms(terms, rep.dim, s.shape.sites)
 
 

@@ -106,9 +106,14 @@ def spin_half_rep(q, alphabet=None) -> Representation:
     return Representation(alphabet, mats)
 
 
-def _check_sites(n, m):
-    if n * m > SITE_CAP:
-        raise ResourceLimitError(f"{n}x{m} lattice exceeds the {SITE_CAP}-site cap")
+def require_budget(what: str, dim: int, n: int, m: int):
+    """The one operator budget: ``what`` at n x m, with sites of dimension
+    ``dim``, needs dim**(n*m) <= 2**SITE_CAP, or raises
+    :class:`ResourceLimitError` naming ``what``, the size and the dimension.
+    It is read from the dimension alone, before anything is built."""
+    if dim ** (n * m) > 2 ** SITE_CAP:
+        raise ResourceLimitError(f"{what} at {n}x{m} needs dimension {dim}**{n * m}, "
+                                 f"past the budget 2**{SITE_CAP}")
 
 
 def _placement(gen: str, alphabet: Alphabet, shape) -> FormalSum:
@@ -134,20 +139,20 @@ def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
 class OperatorTable(dict):
     """The lattice operators of one (q, n, m), by generator name.
 
-    Made after the q rule and the site cap, the table builds one
-    deformed-su(2) example at q and its spin-1/2 representation ``rep``;
-    :meth:`element` grows each generator from that example once and keeps
-    it.  An operator is built on its first lookup: its element is compared
-    word by word with the independent placement construction
-    :func:`_placement`, a mismatch raises and names the worst word, and
-    otherwise the element is evaluated, once.  Later lookups return the same
+    Made after the q rule and the operator budget (:func:`require_budget`),
+    the table builds one deformed-su(2) example at q and its spin-1/2
+    representation ``rep``; :meth:`element` grows each generator from that
+    example once and keeps it.  An operator is built on its first lookup:
+    its element is compared word by word with the independent placement
+    construction :func:`_placement`, a mismatch raises and names the worst
+    word, and otherwise the element is evaluated, once.  Later lookups return the same
     operator, which lives as long as the table, as the elements do.
     """
 
     def __init__(self, q, n: int, m: int):
         super().__init__()
         q = regular_q(q)
-        _check_sites(n, m)
+        require_budget("an operator table", 2, n, m)
         self.q, self.n, self.m = q, n, m
         self.example = make_uq_symbolic(q)
         self.rep = spin_half_rep(q, self.example.alphabet)

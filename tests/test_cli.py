@@ -276,16 +276,35 @@ def test_a_flipped_antipode_sign_fails_on_5_site_slices(tmp_path, monkeypatch):
     ["--example", "taft", "--sizes", "4x4", "--checks", "counit,antipode,homomorphism"],
     ["--example", "taft", "--taft-n", "3", "--checks", "homomorphism"],
     ["--example", "uq", "--q", "1.3", "--sizes", "2x2,4x5", "--checks", "ks"],
+    ["--example", "taft", "--taft-n", "30", "--checks", "antipode"],
 ])
 def test_a_run_past_the_budget_is_a_configuration_error_before_any_check(
         tmp_path, monkeypatch, capsys, argv):
     checks = argv[argv.index("--checks") + 1].split(",")
     ran = _recorded_calls(monkeypatch, {key: size_of for check in checks
                                         for key, size_of in RULE_CHECKS[check][2].items()})
+    # the budget is read from the site dimension: no representation is built
+    refuse = lambda *args: pytest.fail("a representation was built past the budget")
+    monkeypatch.setattr(cli, "regular_rep", refuse)
+    monkeypatch.setattr(cli.uqsu2, "spin_half_rep", refuse)
     out = tmp_path / "r"
     assert main(["verify", *argv, "--out", str(out)]) == 2
     assert ran == [] and not out.exists()
     assert "past the budget 2**18" in capsys.readouterr().err
+
+
+def test_build_op_and_verify_report_the_budget_alike(tmp_path, capsys):
+    said = []
+    for argv, what in ((["build-op", "--gen", "S+", "--q", "1.3", "--size", "3x7"],
+                        "an operator table"),
+                       (["verify", "--example", "uq", "--q", "1.3", "--checks", "ks",
+                         "--sizes", "3x7"], "check 'ks'")):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} at 3x7"), err
+        said.append(err[len(f"error: {what}"):])
+    assert said[0] == said[1] == " at 3x7 needs dimension 2**21, past the budget 2**18\n"
 
 
 def test_verify_singular_q_is_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hopf2d.coalgebra import (
@@ -12,6 +13,8 @@ from hopf2d.coalgebra import (
     Splitter,
     apply_splitter,
     boxplus,
+    check_antipode,
+    check_homomorphism,
     check_xy_compat,
 )
 from hopf2d.grids import (
@@ -32,6 +35,7 @@ from hopf2d.instances import (
     half_plane_grid,
     make_cross,
     make_cyclic_group,
+    make_group_like,
     make_lie_like,
     make_pivot,
     make_quasi1d_group,
@@ -40,8 +44,10 @@ from hopf2d.instances import (
     make_uq_symbolic,
     quantize_theta,
     reading_order_key,
+    regular_rep,
     taft_basis_name,
 )
+from hopf2d.linops import Representation, evaluate, operator_difference
 
 
 def w(ex, rows):
@@ -162,6 +168,12 @@ def test_non_finite_theta_is_a_configuration_error(theta):
         make_pivot(theta=theta)
 
 
+def test_a_config_and_a_theta_together_are_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="cfg or theta, not both"):
+        make_pivot(PivotConfig(theta=0.0), theta=math.pi / 4)
+    assert make_pivot(PivotConfig(theta=math.pi / 4)).name == make_pivot(theta=math.pi / 4).name
+
+
 def test_half_plane_grid_reproduces_published_4x4():
     grid = half_plane_grid(math.pi / 4, GridShape(4, 4), (3, 2))
     assert grid.rows_top_down() == [
@@ -274,15 +286,54 @@ def test_taft_counit():
     assert ex.counit("x")(one_site("1")) == 1.0
 
 
-def test_taft_homomorphism_regular_rep():
-    from hopf2d.coalgebra import check_homomorphism
-    from hopf2d.instances import taft_regular_rep
-    from hopf2d.linops import evaluate, operator_difference
-    import itertools
+def _cyclic_positions_rep(ex):
+    """The regular representation as read from alphabet positions, (i + j) % k:
+    right only for a cyclic group whose symbols are listed as its powers."""
+    k = len(ex.alphabet)
+    mats = {}
+    for i, s in enumerate(ex.alphabet):
+        m = np.zeros((k, k), dtype=complex)
+        for j in range(k):
+            m[(i + j) % k, j] = 1.0
+        mats[s] = m
+    return Representation(ex.alphabet, mats)
 
+
+def _taft_products_rep(ex):
+    """The regular representation as read from the sorted products, by position."""
+    basis = list(ex.alphabet.symbols)
+    pos = {s: k for k, s in enumerate(basis)}
+    mats = {}
+    for h in basis:
+        m = np.zeros((len(basis), len(basis)), dtype=complex)
+        for e in basis:
+            for word, c in ex.multiplication(h, e).items():
+                m[pos[word.cells[0]], pos[e]] = c
+        mats[h] = m
+    return Representation(ex.alphabet, mats)
+
+
+@pytest.mark.parametrize("ex,oracle", [
+    *[(make_cyclic_group(k), _cyclic_positions_rep) for k in (2, 3, 4, 5)],
+    (make_taft(TaftConfig(2, -1.0)), _taft_products_rep),
+    (make_taft(TaftConfig(3, cmath.exp(2j * math.pi / 3))), _taft_products_rep),
+], ids=["group2", "group3", "group4", "group5", "taft2", "taft3"])
+def test_regular_rep_is_the_old_constructions_bit_for_bit(ex, oracle):
+    got, want = regular_rep(ex), oracle(ex)
+    assert got.alphabet is ex.alphabet and got.dim == len(ex.alphabet)
+    assert list(got.matrices) == list(want.matrices) == list(ex.alphabet.symbols)
+    assert all(got[s].tobytes() == want[s].tobytes() for s in ex.alphabet)
+
+
+def test_regular_rep_needs_a_multiplication_rule():
+    with pytest.raises(ConfigurationError, match="carries no multiplication rule"):
+        regular_rep(make_pivot())
+
+
+def test_taft_homomorphism_regular_rep():
     for n, om in [(2, -1.0 + 0j), (3, cmath.exp(2j * math.pi / 3))]:
         ex = make_taft(TaftConfig(n, om))
-        rep = taft_regular_rep(ex)
+        rep = regular_rep(ex)
         pairs = list(itertools.product(["1", "g", "x"], repeat=2))
         assert check_homomorphism(ex, rep, 2, 2, pairs).ok, n
         # the lattice operators inherit x g = omega g x
@@ -291,28 +342,35 @@ def test_taft_homomorphism_regular_rep():
 
 
 def test_taft_antipode_both_directions():
-    from hopf2d.coalgebra import check_antipode
-    from hopf2d.instances import taft_regular_rep
-
     for n, om in [(2, -1.0 + 0j), (3, cmath.exp(2j * math.pi / 3))]:
         ex = make_taft(TaftConfig(n, om))
-        rep = taft_regular_rep(ex)
+        rep = regular_rep(ex)
         for direction in "xy":
             for k in (1, 2):
                 assert check_antipode(ex, rep, direction, k).ok, (n, direction, k)
 
 
 def test_group_like_homomorphism_and_antipode():
-    from hopf2d.coalgebra import check_antipode, check_homomorphism
-    from hopf2d.instances import cyclic_regular_rep
-    import itertools
-
     ex = make_cyclic_group(3)
-    rep = cyclic_regular_rep(ex)
+    rep = regular_rep(ex)
     pairs = list(itertools.product(["1", "g", "g2"], repeat=2))
     assert check_homomorphism(ex, rep, 2, 2, pairs).ok
     for direction in "xy":
         assert check_antipode(ex, rep, direction, 2).ok
+
+
+def test_klein_four_group_passes_in_its_regular_representation():
+    names = ["1", "a", "b", "c"]  # a b = c: the product is the xor of the positions
+    ex = make_group_like(names, {(u, w): names[i ^ j] for i, u in enumerate(names)
+                                 for j, w in enumerate(names)}, "1")
+    pairs = list(itertools.product(names, repeat=2))
+    rep = regular_rep(ex)
+    assert check_homomorphism(ex, rep, 2, 2, pairs).ok
+    assert all(check_antipode(ex, rep, direction, 2).ok for direction in "xy")
+    # read from positions as if the group were cyclic, both checks fail
+    wrong = _cyclic_positions_rep(ex)
+    assert not check_homomorphism(ex, wrong, 2, 2, pairs).ok
+    assert not all(check_antipode(ex, wrong, direction, 2).ok for direction in "xy")
 
 
 # ---------------------------------------------------------------------------
