@@ -62,6 +62,7 @@ from .coalgebra import (
     ConfigurationError,
     DomainError,
     SingularParameterError,
+    _instance,
     apply_splitter,
     boxplus,
     check_counit,
@@ -71,6 +72,7 @@ from .coalgebra import (
     check_trivial_proposition,
     check_xy_compat,
     cube_xyz_compat,
+    worst_residual,
 )
 from .grids import EQ_TOL, word1
 from .instances import (
@@ -89,17 +91,13 @@ from .instances import (
 from .linops import ResourceLimitError, SparseOperator
 
 
-class CliConfigError(Exception):
-    pass
-
-
 def _unrepeated(values, labels, what):
-    """``values``, or a :class:`CliConfigError` naming the first one that
+    """``values``, or a :class:`ConfigurationError` naming the first one that
     repeats an earlier one, by its label in ``labels``."""
     seen = set()
     for value, label in zip(values, labels):
         if value in seen:
-            raise CliConfigError(f"repeated {what} {label!r}")
+            raise ConfigurationError(f"repeated {what} {label!r}")
         seen.add(value)
     return values
 
@@ -111,9 +109,9 @@ def _parse_sizes(text):
             n, m = chunk.split("x")
             sizes.append((int(n), int(m)))
         except ValueError:
-            raise CliConfigError(f"bad size {chunk!r}, expected NxM")
+            raise ConfigurationError(f"bad size {chunk!r}, expected NxM")
     if not sizes or any(n < 1 or m < 1 for n, m in sizes):
-        raise CliConfigError("sizes must be positive NxM pairs")
+        raise ConfigurationError("sizes must be positive NxM pairs")
     return _unrepeated(sizes, chunks, "size")
 
 
@@ -124,7 +122,7 @@ def _parse_q_list(values, seed, count=10):
             try:
                 out.append(complex(v))
             except ValueError:
-                raise CliConfigError(f"bad q value {v!r}")
+                raise ConfigurationError(f"bad q value {v!r}")
         return _unrepeated(out, values, "q value")
     rng = np.random.RandomState(seed)
     qs = []
@@ -142,7 +140,7 @@ def _tolerance(args):
     if args.tol is None:
         return EQ_TOL
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise CliConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
+        raise ConfigurationError(f"--tol must be finite and non-negative, got {args.tol!r}")
     return args.tol
 
 
@@ -167,13 +165,13 @@ _EXAMPLES = {
 def _make_example(args):
     """The example ``--example`` names.  ``--theta-over-pi`` without
     ``--example pivot``, ``--taft-n`` without ``--example taft``, or ``--q``
-    without ``--example uq``, is a :class:`CliConfigError`: no other example
+    without ``--example uq``, is a :class:`ConfigurationError`: no other example
     reads them."""
     for flag, value, reader in (("--theta-over-pi", args.theta_over_pi, "pivot"),
                                 ("--taft-n", args.taft_n, "taft"), ("--q", args.q, "uq")):
         if value is not None and args.example != reader:
-            raise CliConfigError(f"{flag} goes with --example {reader}; "
-                                 f"--example {args.example} does not read it")
+            raise ConfigurationError(f"{flag} goes with --example {reader}; "
+                                     f"--example {args.example} does not read it")
     return _EXAMPLES[args.example](args)
 
 
@@ -201,7 +199,7 @@ def _rep_for(ex, example_kind, built):
     elif example_kind == "uq":
         dim, make = 2, lambda ex: uqsu2.spin_half_rep(ex.meta["q"], ex.alphabet)
     else:
-        raise CliConfigError(f"no canonical representation for example {example_kind!r}")
+        raise ConfigurationError(f"no canonical representation for example {example_kind!r}")
     for name, n, m in built:
         uqsu2.require_budget(f"check {name!r}", dim, n, m)
     return make(ex)
@@ -221,7 +219,7 @@ def _runs(name, sizes):
             "rmatrix1d": [(None, 1, 2)], "rmatrix2d": [(None, 2, 2)],
             **dict.fromkeys(("proposition", "cube", "semiclassical"), [])}
     if name not in rule:
-        raise CliConfigError(f"unknown check {name!r}")
+        raise ConfigurationError(f"unknown check {name!r}")
     return rule[name]
 
 
@@ -234,12 +232,12 @@ def _run_checks(args):
     names = [c.strip() for c in checks if c.strip()]
     _unrepeated(names, names, "check")
     if not names:
-        raise CliConfigError(f"--checks {args.checks!r} names no check")
+        raise ConfigurationError(f"--checks {args.checks!r} names no check")
     tol = _tolerance(args)
     uq_only = [name for name in names if name in ("ks", "commutator", "kernel", "singlets",
                                                   "rmatrix1d", "rmatrix2d", "semiclassical")]
     if uq_only and args.example != "uq":
-        raise CliConfigError(f"check {uq_only[0]!r} needs --example uq")
+        raise ConfigurationError(f"check {uq_only[0]!r} needs --example uq")
     ex = _make_example(args)
     runs = {name: _runs(name, sizes) for name in names}
     uq_names = [name for name in uq_only if runs[name]]
@@ -317,25 +315,25 @@ def _uq_instances(name, q, n, m, ops, tol):
         # the reversed-orientation control must leave the kernel
         ok = (k["dimension"] == 2 and all(v <= tol for v in k["family_residuals"].values())
               and k["reversed_orientation_residual"] > tol)
-        res = max(k["family_residuals"].values())
+        res = worst_residual(list(k["family_residuals"].values()))[1]
         basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
         return [CheckInstance(f"q={q:g}", ok, res, {"dimension": k["dimension"], "basis": basis})]
     if name == "singlets":
         if (n, m) == (1, 2):
             return _prefixed(uqsu2.singlet_pair_checks(q, tol=tol, ops=ops), f"q={q:g}")
         vres = uqsu2.vertical_singlet_residual(q, tol=tol, ops=ops)
-        return [CheckInstance(f"q={q:g} vertical {gen}", vres[gen]["pass"],
-                              vres[gen]["residual_vs_pattern"]) for gen in ("S+", "S-")]
+        return [_instance(f"q={q:g} vertical {gen}", vres[gen]["residual_vs_pattern"], tol)
+                for gen in ("S+", "S-")]
     if name == "rmatrix1d":
         # the two-site checks keep their own 1e-12 ceiling; --tol can only tighten it
         tol_1d = min(tol, 1e-12)
         r = rmx.r_matrix(q)
         res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
-        instances = [CheckInstance(f"q={q:g} closed==factorized", res <= tol_1d, res)]
+        instances = [_instance(f"q={q:g} closed==factorized", res, tol_1d)]
         for gen in ("S+", "S-"):
             res = float(np.abs(r @ rmx.delta_2site(gen, q, ops=ops)
                                - rmx.delta_perm(gen, q, ops=ops) @ r).max())
-            instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol_1d, res))
+            instances.append(_instance(f"q={q:g} intertwine {gen}", res, tol_1d))
         return instances
     chain = rmx.conjugation_chain(q, "S+", ops=ops)
     big = chain["conjugator"]  # r2d(q), from the chain's own steps
@@ -344,9 +342,8 @@ def _uq_instances(name, q, n, m, ops, tol):
     for gen, (display, perm) in (("S+", (ends[0], ends[-1])),
                                  ("S-", rmx.plaquette_pair("S-", q, ops=ops))):
         res = float(np.abs(big @ display - perm @ big).max())
-        instances.append(CheckInstance(f"q={q:g} intertwine {gen}", res <= tol, res))
-    res = max(chain["residuals"])
-    return instances + [CheckInstance(f"q={q:g} chain", res <= tol, res)]
+        instances.append(_instance(f"q={q:g} intertwine {gen}", res, tol))
+    return instances + [_instance(f"q={q:g} chain", worst_residual(chain["residuals"])[1], tol)]
 
 
 def _prefixed(report, prefix):
@@ -379,19 +376,20 @@ def cmd_build_op(args) -> int:
     if args.rmatrix2d:
         for flag, value in (("--gen", args.gen), ("--size", args.size)):
             if value is not None:
-                raise CliConfigError(f"{flag} goes without --rmatrix2d; the 2x2 R-matrix "
-                                     f"does not read it")
+                raise ConfigurationError(f"{flag} goes without --rmatrix2d; the 2x2 R-matrix "
+                                         f"does not read it")
         gen, (n, m) = "rmatrix2d", (2, 2)
         op = SparseOperator(rmx.r2d(q))
         name = f"rmatrix2d_q{q.real:g}{'+' if q.imag >= 0 else ''}{q.imag:g}j.mtx"
     else:
         if not args.gen:
-            raise CliConfigError("build-op needs --gen or --rmatrix2d")
+            raise ConfigurationError("build-op needs --gen or --rmatrix2d")
         if args.gen not in UQ_NAMES:
-            raise CliConfigError(f"unknown generator {args.gen!r}; --gen takes {', '.join(UQ_NAMES)}")
+            raise ConfigurationError(f"unknown generator {args.gen!r}; "
+                                     f"--gen takes {', '.join(UQ_NAMES)}")
         sizes = _parse_sizes(args.size or "2x2")
         if len(sizes) > 1:
-            raise CliConfigError(f"--size takes one size, got {args.size!r}")
+            raise ConfigurationError(f"--size takes one size, got {args.size!r}")
         gen, ((n, m),) = args.gen, sizes
         op = uqsu2.boxplus_op(gen, q, n, m)
         name = f"boxplus_{gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
@@ -412,13 +410,13 @@ def cmd_peps(args) -> int:
     sizes = _parse_sizes(args.sizes or "1x1,1x2,2x1,2x2,3x3")
     if args.rep == "d4":
         if args.solve_boundary:
-            raise CliConfigError("--solve-boundary goes with --rep d2; d4's boundary is given")
+            raise ConfigurationError("--solve-boundary goes with --rep d2; d4's boundary is given")
         tol = _tolerance(args)
         inst = pepsmod.d4_instance()
         if args.mutate:
             kind, _, idx = args.mutate.partition(":")
             if kind != "drop" or not idx.isdigit():
-                raise CliConfigError(f"unknown mutation {args.mutate!r}, expected drop:K")
+                raise ConfigurationError(f"unknown mutation {args.mutate!r}, expected drop:K")
             inst = pepsmod.mutate_drop(inst, int(idx))
         report = pepsmod.check_peps_vs_boxplus(inst, ex, "v", sizes, tol=tol)
         _write_report(args, "peps_d4.json", report.to_json())
@@ -426,9 +424,9 @@ def cmd_peps(args) -> int:
         return 0 if report.ok else 1
     for flag, value in (("--tol", args.tol), ("--mutate", args.mutate)):
         if value is not None:
-            raise CliConfigError(f"{flag} goes with --rep d4; --rep d2 does not read it")
+            raise ConfigurationError(f"{flag} goes with --rep d4; --rep d2 does not read it")
     if not args.solve_boundary:
-        raise CliConfigError("the d2 tensor has an unsolved boundary; use --solve-boundary")
+        raise ConfigurationError("the d2 tensor has an unsolved boundary; use --solve-boundary")
     targets = {s: boxplus(ex, "v", *s) for s in sizes}
     result = pepsmod.solve_boundary(pepsmod.d2_instance(), targets, sizes)
     _write_report(args, "boundary_d2.json", result.to_json())
@@ -505,7 +503,7 @@ def _apply_config_file(args, argv):
     equals the default.  Each config value goes through the same conversion
     as on the command line: the option's ``type`` and ``choices``, with
     lists of sizes, checks and q values joined as their flags spell them.
-    A value the parser would reject is a :class:`CliConfigError`.
+    A value the parser would reject is a :class:`ConfigurationError`.
     """
     if not args.config:
         return args
@@ -513,7 +511,7 @@ def _apply_config_file(args, argv):
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise CliConfigError(f"config file {args.config}: {exc}") from None
+            raise ConfigurationError(f"config file {args.config}: {exc}") from None
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
@@ -524,7 +522,7 @@ def _apply_config_file(args, argv):
         attr = key.replace("-", "_")
         action = actions.get(attr)
         if action is None:
-            raise CliConfigError(f"unknown config key {key!r}")
+            raise ConfigurationError(f"unknown config key {key!r}")
         if attr not in given:
             setattr(args, attr, _config_value(action, key, value))
     return args
@@ -536,7 +534,7 @@ def _config_value(action, key, value):
         return None
     if action.nargs == 0:  # store_true flags
         if not isinstance(value, bool):
-            raise CliConfigError(f"config key {key!r} wants true or false, got {value!r}")
+            raise ConfigurationError(f"config key {key!r} wants true or false, got {value!r}")
         return value
     convert = action.type or str
     try:
@@ -548,10 +546,10 @@ def _config_value(action, key, value):
             return [convert(str(v)) for v in (value if isinstance(value, list) else [value])]
         value = convert(str(value))
     except (TypeError, ValueError) as exc:
-        raise CliConfigError(f"bad config value for {key!r}: {value!r} ({exc})") from None
+        raise ConfigurationError(f"bad config value for {key!r}: {value!r} ({exc})") from None
     if action.choices is not None and value not in action.choices:
-        raise CliConfigError(f"config key {key!r} must be one of {sorted(action.choices)}, "
-                             f"got {value!r}")
+        raise ConfigurationError(f"config key {key!r} must be one of {sorted(action.choices)}, "
+                                 f"got {value!r}")
     return value
 
 
@@ -561,8 +559,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(args, argv)
         return args.fn(args)
-    except (CliConfigError, ConfigurationError, SingularParameterError,
-            ResourceLimitError) as exc:
+    except (ConfigurationError, SingularParameterError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

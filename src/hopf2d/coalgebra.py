@@ -13,6 +13,16 @@ that leaves a splitter's domain fails the check instance that needed it.
 Tensor-factor convention: the first factor of a split is the earlier block
 in linear site order, i.e. the left column for x-splits, the bottom row for
 y-splits and the lower layer for z-splits.
+
+One verdict rule holds for every check instance of one residual and one
+bound, in this package and its CLI.  The instance passes when its residual
+is at most the bound (:func:`_instance`); a NaN residual fails and is
+written as ``"nan"``.  The worst of several residuals is the first NaN,
+else the first largest (:func:`worst_residual`, what ``np.argmax`` picks).
+An instance whose growth left a partial map's domain fails at any bound
+(:func:`_checked`).  Only the compound verdicts of the ``kernel`` and
+``proposition`` checks and the slope windows of ``semiclassical`` weigh
+more than one residual against one bound.
 """
 
 from __future__ import annotations
@@ -321,11 +331,9 @@ class CheckReport:
 
     @property
     def max_residual(self) -> float:
-        """Largest instance residual; NaN if any residual is NaN, 0.0 if there are none."""
+        """The worst instance residual (:func:`worst_residual`), 0.0 if there are none."""
         residuals = [i.residual for i in self.instances]
-        if any(r != r for r in residuals):
-            return math.nan
-        return max(residuals, default=0.0)
+        return worst_residual(residuals)[1] if residuals else 0.0
 
     @property
     def ok(self) -> bool:
@@ -357,12 +365,25 @@ def _json_numbers(value):
     return value
 
 
-def _instance(label, res, tol, where) -> CheckInstance:
+def _instance(label, res, tol, where=dict) -> CheckInstance:
     """The instance of residual ``res``: passing if ``res <= tol``, else
-    failing with the details that ``where()`` returns (NaN fails)."""
+    failing with the details that ``where()`` returns (NaN fails).  Every
+    verdict of one residual against one bound is made here."""
     if res <= tol:
         return CheckInstance(label, True, res)
     return CheckInstance(label, False, res, where())
+
+
+def worst_residual(residuals) -> tuple:
+    """The worst of a non-empty sequence of residuals as (index, residual):
+    the first NaN, else the first largest, which is what ``np.argmax`` picks."""
+    worst = 0
+    for i, res in enumerate(residuals):
+        if res != res:
+            return i, res
+        if res > residuals[worst]:
+            worst = i
+    return worst, residuals[worst]
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +492,8 @@ def check_counit(ex, direction, n, tol=EQ_TOL) -> CheckReport:
             right.append((first, c * eps(second)))
         target = FormalSum.unit(w)
         sides = [FormalSum(w.shape, left), FormalSum(w.shape, right)]
-        gaps = [sum_difference(side, target) for side in sides]
-        worse = 1 if gaps[1] > gaps[0] else 0
-        return _compared(label, sides[worse], target, tol, max(gaps))
+        worse, res = worst_residual([sum_difference(side, target) for side in sides])
+        return _compared(label, sides[worse], target, tol, res)
 
     instances = []
     for w in ex.samples(direction, n):
@@ -540,9 +560,8 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
                       for u, a in ex.antipode(direction, second).unordered_items()]
         target = eps(w) * identity
         sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
-        gaps = [operator_difference(side, target) for side in sides]
-        worse = 0 if gaps[0] >= gaps[1] or gaps[0] != gaps[0] else 1  # NaN is worse
-        instances.append(_instance(repr(w), gaps[worse], tol,
+        worse, res = worst_residual([operator_difference(side, target) for side in sides])
+        instances.append(_instance(repr(w), res, tol,
                                    lambda: {"worst_entry": worst_entry(sides[worse], target)}))
     return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances)
 
@@ -633,7 +652,7 @@ def check_trivial_proposition(dx, dy, instance_syms, tol=EQ_TOL) -> CheckReport:
             details["dx_eq_dy_residual"] = same
             details["cocommutative_residual"] = cocomm
             passed = same <= tol and cocomm <= tol
-            res = max(res, same, cocomm)
+            res = worst_residual([res, same, cocomm])[1]
         instances.append(CheckInstance(str(sym), passed, res, details))
     return CheckReport("trivial_proposition", [(2, 2)], instances)
 
@@ -683,9 +702,8 @@ def cube_xyz_compat(tol=EQ_TOL) -> CheckReport:
             def compared():
                 got = [_grown(ex, FormalSum.unit(GridWord(GridShape(1, 1, 1), (sym,))),
                               "".join(axis * (k - 1) for axis in order)) for order in orders]
-                gaps = [sum_difference(g, want) for g in got]
-                worst = max(range(len(got)), key=gaps.__getitem__)
-                inst = _compared(label, got[worst], want, tol, gaps[worst])
+                worst, res = worst_residual([sum_difference(g, want) for g in got])
+                inst = _compared(label, got[worst], want, tol, res)
                 if sym == v:
                     inst.details["terms"] = len(got[worst])
                 return inst

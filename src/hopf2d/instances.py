@@ -657,17 +657,17 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
                     out[k] = out.get(k, 0j) + c * d * p1[1] * p2[1]
         return _drop_small(out)
 
-    # full 1-site coproduct on the basis: delta(g^i x^j) = (g x g)^i (1 x x + x x g)^j
+    # full 1-site coproduct on the basis: delta(g^i x^j) = (g x g)^i (1 x x + x x g)^j,
+    # each entry one factor past an earlier one: (i, j) from (i, j-1), (i, 0) from (i-1, 0)
     delta_g = {(g, g): 1.0 + 0j}
     delta_x = {(one, x): 1.0 + 0j, (x, g): 1.0 + 0j}
-    delta_1site = {}
+    deltas, delta_1site = {(0, 0): {(one, one): 1.0 + 0j}}, {}
     for (i, j), sym in idx.items():
-        acc = {(one, one): 1.0 + 0j}
-        for _ in range(i):
-            acc = tensor_mul(acc, delta_g)
-        for _ in range(j):
-            acc = tensor_mul(acc, delta_x)
-        delta_1site[sym] = [(c, s1, s2) for (s1, s2), c in acc.items()]
+        if j:
+            deltas[i, j] = tensor_mul(deltas[i, j - 1], delta_x)
+        elif i:
+            deltas[i, j] = tensor_mul(deltas[i - 1, j], delta_g)
+        delta_1site[sym] = [(c, s1, s2) for (s1, s2), c in deltas[i, j].items()]
 
     ex = family.example(f"taft(n={n})", alphabet,
                         multiplication=mult,

@@ -43,7 +43,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .coalgebra import CheckInstance, CheckReport, _instance, boxplus
+from .coalgebra import CheckReport, _instance, boxplus, worst_residual
 from .grids import EQ_TOL, Alphabet, FormalSum, GridWord, sum_difference, worst_word
 from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
 from .linops import (
@@ -255,16 +255,15 @@ def check_commutator(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
                 SparseOperator._wrap((kp2[b] - km2[b]) * scale))
 
     starts = range(0, sp_.shape[0], BLOCK_ROWS)
-    maxima = np.array([operator_difference(*block(start)) for start in starts])
-    # the first NaN if there is one, else the first maximum
-    start = starts[int(np.argmax(maxima))]
+    worst, res = worst_residual([operator_difference(*block(start)) for start in starts])
+    start = starts[worst]
 
     def where():
         entry = worst_entry(*block(start))
         entry["row"] += start
         return {"worst_entry": entry}
 
-    inst = _instance(f"commutator q={q:g}", float(maxima.max()), tol, where)
+    inst = _instance(f"commutator q={q:g}", res, tol, where)
     return CheckReport("commutator", [(n, m)], [inst])
 
 
@@ -323,17 +322,16 @@ def singlet_pair_checks(q, tol=EQ_TOL, ops=None) -> CheckReport:
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):
         res = float(np.abs(ops[gen].toarray() @ s).max())
-        instances.append(CheckInstance(f"annihilation {gen}", res <= tol, res))
+        instances.append(_instance(f"annihilation {gen}", res, tol))
     for gen in ("K+", "K-"):
         res = float(np.abs(ops[gen].toarray() @ s - s).max())
-        instances.append(CheckInstance(f"invariance {gen}", res <= tol, res))
+        instances.append(_instance(f"invariance {gen}", res, tol))
     km = ops.rep.matrices[ops.rep.alphabet["K-"]]
     kp = ops.rep.matrices[ops.rep.alphabet["K+"]]
     lhs = np.kron(km, kp) @ s
     ratio = cmath.sqrt(1.0 / q - q) / cmath.sqrt(q - 1.0 / q)
     rhs = ratio * singlet_product(1.0 / q, [(1, 2)], 2)
-    res = float(np.abs(lhs - rhs).max())
-    instances.append(CheckInstance("K-xK+ inversion", res <= tol, res))
+    instances.append(_instance("K-xK+ inversion", float(np.abs(lhs - rhs).max()), tol))
     return CheckReport("singlet_pair", [(1, 2)], instances)
 
 
@@ -381,7 +379,7 @@ def vertical_singlet_residual(q, tol=EQ_TOL, ops=None) -> dict:
         out[gen] = {
             "residual_vs_pattern": res,
             "measured_coefficient": measured,
-            "pass": res <= tol,
+            "pass": _instance(gen, res, tol).passed,
         }
     return out
 

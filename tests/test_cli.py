@@ -127,6 +127,23 @@ def test_the_rmatrix_checks_grow_each_element_once(tmp_path, monkeypatch):
     assert sorted(grown) == [(g, n, 2) for g in ("S+", "S-") for n in (1, 2)]
 
 
+def test_a_nan_in_the_chain_residuals_is_the_chain_residual(tmp_path, monkeypatch):
+    # planted values: the real chain only reaches NaN through overflowing products
+    real = cli.rmx.conjugation_chain
+
+    def planted(*args, **kwargs):
+        return {**real(*args, **kwargs), "residuals": [1.0, float("nan"), 1.0]}
+
+    monkeypatch.setattr(cli.rmx, "conjugation_chain", planted)
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "uq", "--q", "1.3", "--checks", "rmatrix2d",
+                 "--out", str(out)]) == 1
+    report = json.loads(read_all(out)["rmatrix2d.json"])
+    assert [(i["input"], i["pass"], i["residual"]) for i in report["instances"]
+            if not i["pass"]] == [("q=1.3+0j chain", False, "nan")]
+    assert report["max_residual"] == "nan"
+
+
 def test_shared_tables_keep_every_report_byte(tmp_path):
     argv = ["verify", "--example", "uq", "--q", "1.3", "--checks"]
     together, apart = tmp_path / "together", tmp_path / "apart"

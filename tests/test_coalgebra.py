@@ -30,6 +30,7 @@ from hopf2d.coalgebra import (
     cube_xyz_compat,
     dual_product,
     grow,
+    worst_residual,
 )
 from hopf2d.grids import (Alphabet, FormalSum, GridShape, GridWord, ShapeError, join, slicing,
                           sum_difference, sums_equal, word1)
@@ -412,6 +413,61 @@ def test_report_finite_json_unchanged():
         "check": "demo", "sizes": [[2, 2]], "max_residual": 2.5e-16,
         "instances": [{"input": "a", "pass": True, "residual": 0.0},
                       {"input": "b", "pass": True, "residual": 2.5e-16}]}, sort_keys=True)
+
+
+
+def _argmax(rs):
+    a = np.array(rs)
+    return int(np.argmax(a)), float(a.max())
+
+
+# the reductions that worst_residual replaced, by their old site, each as
+# (lengths it was applied to or None for any, residuals -> (index or None, value))
+REPLACED_REDUCTIONS = {
+    "CheckReport.max_residual": (None, lambda rs: (
+        None, math.nan if any(r != r for r in rs) else max(rs, default=0.0))),
+    "check_counit": ({2}, lambda rs: (1 if rs[1] > rs[0] else 0, max(rs))),
+    "check_antipode": ({2}, lambda rs: (
+        (i := 0 if rs[0] >= rs[1] or rs[0] != rs[0] else 1), rs[i])),
+    "check_trivial_proposition": ({3}, lambda rs: (None, max(rs[0], rs[1], rs[2]))),
+    "cube_xyz_compat": (None, lambda rs: (
+        (i := max(range(len(rs)), key=rs.__getitem__)), rs[i])),
+    "check_commutator": (None, _argmax),
+    "kernel and chain": (None, lambda rs: (None, max(rs))),
+}
+ties = st.sampled_from([0.0, 1e-13, 1.0, math.inf])
+finite_or_inf = st.one_of(ties, st.floats(min_value=0.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite_or_inf, min_size=1, max_size=6))
+def test_worst_residual_is_every_replaced_reduction_on_numbers(rs):
+    index, value = worst_residual(rs)
+    for name, (lengths, oracle) in REPLACED_REDUCTIONS.items():
+        if lengths is None or len(rs) in lengths:
+            want_index, want_value = oracle(rs)
+            assert value == want_value, name
+            if want_index is not None:
+                assert index == want_index, name
+    assert rs[index] == value and index == rs.index(max(rs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(finite_or_inf, st.just(math.nan)), min_size=1, max_size=6)
+       .filter(lambda rs: any(r != r for r in rs)))
+def test_worst_residual_is_the_first_nan(rs):
+    index, value = worst_residual(rs)
+    assert math.isnan(value) and index == next(i for i, r in enumerate(rs) if r != r)
+    assert index == _argmax(rs)[0]
+
+
+def test_a_domain_error_fails_at_any_bound():
+    ex = _out_of_domain_pivot()
+    for tol in (1e-10, 1e308, math.inf):
+        report = check_quasi_1d_assoc(ex, "x", 2, tol=tol)
+        failed = [(i.input, i.residual, i.details) for i in report.instances if not i.passed]
+        assert failed == [("v/a", math.inf, {"domain_error": "v/b outside the x-splitter domain"})]
+        assert report.max_residual == math.inf
 
 
 # ---------------------------------------------------------------------------
