@@ -193,7 +193,8 @@ def _rep_for(ex, example_kind, built):
     """The representation of the checks that build operators: the regular
     one of an example with a multiplication rule, spin-1/2 for uq.  It is
     built only once every (check, n, m) run in ``built`` has passed the
-    budget from the site dimension alone."""
+    budget from the site dimension alone, and the regular one only once its
+    own d**3 entries have passed :data:`uqsu2.REP_ENTRY_CAP`."""
     if ex.multiplication is not None:
         dim, make = len(ex.alphabet), regular_rep
     elif example_kind == "uq":
@@ -202,6 +203,9 @@ def _rep_for(ex, example_kind, built):
         raise ConfigurationError(f"no canonical representation for example {example_kind!r}")
     for name, n, m in built:
         uqsu2.require_budget(f"check {name!r}", dim, n, m)
+    if ex.multiplication is not None and dim ** 3 > uqsu2.REP_ENTRY_CAP:
+        raise ResourceLimitError(f"the regular representation of {ex.name} needs {dim}**3 "
+                                 f"entries, past the budget {uqsu2.REP_ENTRY_CAP}")
     return make(ex)
 
 
@@ -281,8 +285,11 @@ def _uq_checks(runs, qs, tol):
     Each distinct (q, size) step that some check runs at makes one
     :class:`uqsu2.OperatorTable`, which builds one example and each operator
     once for every check that runs there, and is dropped before the next
-    step's table is built.  Each report names its check's sizes and lists
-    its instances in the order of its own q list, then of those sizes.  At
+    step's table is built.  A step runs with numpy's overflow and invalid
+    value warnings off: a q whose numbers overflow fails its checks through
+    their residuals (NaN is written ``"nan"``), with no warning or
+    traceback.  Each report names its check's sizes and lists its instances
+    in the order of its own q list, then of those sizes.  At
     3x6 a step's peak memory is set by the ``ks`` relations' per-entry
     arrays, formed while S+, S- and the K strings are alive, not by the
     builds or the commutator's blocks; both checks build S+ and S- first,
@@ -295,10 +302,11 @@ def _uq_checks(runs, qs, tol):
                 steps.setdefault((q, n, m), []).append(name)
     done = {}
     for (q, n, m), names in steps.items():
-        ops = uqsu2.OperatorTable(q, n, m)
-        for name in names:
-            done[name, q, n, m] = _uq_instances(name, q, n, m, ops, tol)
-        del ops
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails as "nan"
+            ops = uqsu2.OperatorTable(q, n, m)
+            for name in names:
+                done[name, q, n, m] = _uq_instances(name, q, n, m, ops, tol)
+            del ops
     return {name: CheckReport(name, [(n, m) for _, n, m in check_runs],
                               [inst for q in qs[name] for _, n, m in check_runs
                                for inst in done[name, q, n, m]])
@@ -312,12 +320,14 @@ def _uq_instances(name, q, n, m, ops, tol):
         return _prefixed(uqsu2.check_commutator(q, n, m, tol=tol, ops=ops), f"q={q:g},{n}x{m}")
     if name == "kernel":
         k = uqsu2.kernel_2x2(q, ops=ops)
+        dim = k["dimension"]
         # the reversed-orientation control must leave the kernel
-        ok = (k["dimension"] == 2 and all(v <= tol for v in k["family_residuals"].values())
+        ok = (dim == 2 and all(v <= tol for v in k["family_residuals"].values())
               and k["reversed_orientation_residual"] > tol)
-        res = worst_residual(list(k["family_residuals"].values()))[1]
+        # operators that are not finite measure no dimension: the residual is NaN
+        res = math.nan if dim is None else worst_residual(list(k["family_residuals"].values()))[1]
         basis = [[[c.real, c.imag] for c in col] for col in np.asarray(k["basis"]).T]
-        return [CheckInstance(f"q={q:g}", ok, res, {"dimension": k["dimension"], "basis": basis})]
+        return [CheckInstance(f"q={q:g}", ok, res, {"dimension": dim, "basis": basis})]
     if name == "singlets":
         if (n, m) == (1, 2):
             return _prefixed(uqsu2.singlet_pair_checks(q, tol=tol, ops=ops), f"q={q:g}")

@@ -22,7 +22,10 @@ else the first largest (:func:`worst_residual`, what ``np.argmax`` picks).
 An instance whose growth left a partial map's domain fails at any bound
 (:func:`_checked`).  Only the compound verdicts of the ``kernel`` and
 ``proposition`` checks and the slope windows of ``semiclassical`` weigh
-more than one residual against one bound.
+more than one residual against one bound.  The ``kernel`` residual is the
+worst, by the same rule, of its singlet family's residuals, each the worst
+of its S+ and S- residual; a kernel whose operators are not finite has no
+measured dimension, and its residual is NaN.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .grids import (
     worst_word,
 )
 from .linops import (Representation, RepresentationError, evaluate, identity_operator,
-                     kron_terms, operator_difference, worst_entry)
+                     kron_terms, worst_entry)
 
 
 class DomainError(ValueError):
@@ -518,7 +521,7 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
     def compared(u, w):
         lhs = evaluate(boxplus(ex, u, n, m), rep) @ evaluate(boxplus(ex, w, n, m), rep)
         rhs = evaluate(boxplus_sum(ex, ex.multiplication(u, w), n, m), rep)
-        return _instance(f"{u}*{w}", operator_difference(lhs, rhs), tol,
+        return _instance(f"{u}*{w}", (lhs - rhs).max_abs(), tol,
                          lambda: {"worst_entry": worst_entry(lhs, rhs)})
 
     instances = []
@@ -560,7 +563,7 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
                       for u, a in ex.antipode(direction, second).unordered_items()]
         target = eps(w) * identity
         sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
-        worse, res = worst_residual([operator_difference(side, target) for side in sides])
+        worse, res = worst_residual([(side - target).max_abs() for side in sides])
         instances.append(_instance(repr(w), res, tol,
                                    lambda: {"worst_entry": worst_entry(sides[worse], target)}))
     return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances)

@@ -10,6 +10,10 @@ its entry count ``nnz`` is the count of its nonzero stored values, read
 without reordering anything.  Canonical form (sorted columns in each row, no
 stored zeros) is established only where order can be seen: ``entries``,
 ``write_matrix_market`` and :func:`worst_entry`.
+
+Two operators are compared one way: by the max-abs entry of their
+difference, ``(a - b).max_abs()``, with :func:`worst_entry` naming where a
+failing comparison is worst.
 """
 
 from __future__ import annotations
@@ -129,22 +133,6 @@ class SparseOperator:
 
     def write_matrix_market(self, path) -> int:
         return write_matrix_market(self._canonicalize(), path)
-
-
-def operator_difference(a: SparseOperator, b: SparseOperator) -> float:
-    """Max-abs-entry norm of a - b.
-
-    When a and b store the same coordinates in the same order this reads
-    ``max |a.data - b.data|`` without building a - b; each entry is the same
-    one subtraction either way, so the bits agree, NaN and inf included.
-    """
-    x, y = a.mat, b.mat
-    if (x.shape == y.shape and np.array_equal(x.indptr, y.indptr)
-            and np.array_equal(x.indices, y.indices)):
-        with np.errstate(invalid="ignore", over="ignore"):  # as quiet as scipy's a - b
-            diff = x.data - y.data
-        return 0.0 if x.nnz == 0 else float(np.abs(diff).max())
-    return (a - b).max_abs()
 
 
 def worst_entry(a: SparseOperator, b: SparseOperator) -> dict:

@@ -46,14 +46,7 @@ import scipy.sparse as sp
 from .coalgebra import CheckReport, _instance, boxplus, worst_residual
 from .grids import EQ_TOL, Alphabet, FormalSum, GridWord, sum_difference, worst_word
 from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
-from .linops import (
-    Representation,
-    ResourceLimitError,
-    SparseOperator,
-    evaluate,
-    operator_difference,
-    worst_entry,
-)
+from .linops import Representation, ResourceLimitError, SparseOperator, evaluate, worst_entry
 
 # display plaquette label -> linear site index (bottom row first)
 DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
@@ -74,6 +67,15 @@ for _mat in (ID2, SP, SM, SZ):
 # formed while S+, S- and the K strings are alive, set the peak; at 20 sites
 # (4x5) one run took 33 s and 1.2 GiB
 SITE_CAP = 18
+
+# entry cap of a representation's own matrices, d dense d x d ones for the
+# regular representation (d**3 entries), from measured work: `verify
+# --example taft --taft-n N --sizes 1x1 --checks antipode` (d = N**2) peaks
+# at 57, 94, 196, 279 and 333 MiB for N = 8, 12, 16, 18 and 19 (one fresh
+# process each on a 2-core x86 machine), so the cap keeps N <= 18 (d**3 =
+# 3.4e7), under the 315 MiB of the site cap's 3x6 run; N = 30 (d**3 = 7.3e8)
+# would allocate 10.9 GiB
+REP_ENTRY_CAP = 40 * 2 ** 20
 
 # rows per block of the commutator check, whose peak memory is that of one
 # block's products: a 4x4 `verify --checks ks,commutator` process takes
@@ -197,7 +199,7 @@ def _diagonal(op: SparseOperator) -> np.ndarray:
 def _on_coordinates(mat, data) -> SparseOperator:
     """The operator with ``data`` at the stored coordinates of ``mat``, in their
     order.  It shares ``mat``'s index arrays, so it is only to be read:
-    :func:`operator_difference` and :func:`worst_entry` leave it as it is."""
+    :func:`worst_entry` leaves it as it is."""
     return SparseOperator._wrap(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
 
 
@@ -208,9 +210,11 @@ def check_ks_relation(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
     S's stored entries scaled by K at their row and ``S K`` the same entries
     scaled by K at their column.  Each entry is the one product that
     ``K @ S`` and ``S @ K`` would form, and both sides keep S's coordinates,
-    so :func:`operator_difference` compares them entry by entry.  The
-    operators come from ``ops``, an :class:`OperatorTable` of this (q, n, m),
-    or from a new table.
+    so the residual compares the two arrays entry by entry, the one
+    subtraction per entry of ``(K S - q^(+-1) S K).max_abs()``.  Only a
+    failing relation wraps them as operators (:func:`_on_coordinates`), for
+    :func:`worst_entry`.  The operators come from ``ops``, an
+    :class:`OperatorTable` of this (q, n, m), or from a new table.
     """
     q = regular_q(q)
     instances = []
@@ -227,9 +231,10 @@ def check_ks_relation(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
             rhs = k[kname][mat.indices]  # K at each entry's column
             np.multiply(mat.data, rhs, out=rhs)
             rhs *= q ** (sign * alpha)
-            lhs, rhs = _on_coordinates(mat, lhs), _on_coordinates(mat, rhs)
-            instances.append(_instance(f"{kname}*{sname}", operator_difference(lhs, rhs), tol,
-                                       lambda: {"worst_entry": worst_entry(lhs, rhs)}))
+            with np.errstate(invalid="ignore", over="ignore"):  # as quiet as scipy's a - b
+                res = float(np.abs(lhs - rhs).max(initial=0.0))
+            instances.append(_instance(f"{kname}*{sname}", res, tol, lambda: {
+                "worst_entry": worst_entry(_on_coordinates(mat, lhs), _on_coordinates(mat, rhs))}))
     return CheckReport("ks_relation", [(n, m)], instances)
 
 
@@ -255,7 +260,7 @@ def check_commutator(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
                 SparseOperator._wrap((kp2[b] - km2[b]) * scale))
 
     starts = range(0, sp_.shape[0], BLOCK_ROWS)
-    worst, res = worst_residual([operator_difference(*block(start)) for start in starts])
+    worst, res = worst_residual([(a - b).max_abs() for a, b in map(block, starts)])
     start = starts[worst]
 
     def where():
@@ -388,19 +393,25 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
     """Joint null space of the 2 x 2 plaquette raising/lowering operators.
 
     Computed by SVD of the stacked 32 x 16 matrix with a relative singular
-    value threshold.  Also measures the two-parameter singlet family that
-    spans the kernel (horizontal pair and crossed pair, orientations as
-    printed) and the reversed-orientation control.  The operators come from
+    value threshold; if an operator holds an entry that is not finite (an
+    overflowing q), no SVD runs and the dimension and singular values are
+    None.  Also measures the two-parameter singlet family that spans the
+    kernel (horizontal pair and crossed pair, orientations as printed) and
+    the reversed-orientation control, each residual the worst of its S+ and
+    S- residual (:func:`coalgebra.worst_residual`).  The operators come from
     ``ops`` as in :func:`vertical_singlet_residual`.
     """
     q = nonsingular_q(q)
     ops = _table(ops, q, 2, 2)
     sp_op, sm_op = ops["S+"].toarray(), ops["S-"].toarray()
     stacked = np.vstack([sp_op, sm_op])
-    u, sigma, vh = np.linalg.svd(stacked)
-    cutoff = svd_tol * (sigma.max() if sigma.size else 1.0)
-    dim = int(np.sum(sigma < cutoff)) + (16 - len(sigma))
-    basis = vh.conj().T[:, 16 - dim:] if dim else np.zeros((16, 0))
+    dim, sigma, basis = None, None, np.zeros((16, 0))
+    if np.isfinite(stacked).all():
+        _, sigma, vh = np.linalg.svd(stacked)
+        cutoff = svd_tol * (sigma.max() if sigma.size else 1.0)
+        dim = int(np.sum(sigma < cutoff)) + (16 - len(sigma))
+        if dim:
+            basis = vh.conj().T[:, 16 - dim:]
 
     def lin(pairs_display):
         return [(DISPLAY_TO_LINEAR_2X2[i], DISPLAY_TO_LINEAR_2X2[j]) for i, j in pairs_display]
@@ -408,20 +419,18 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
     horizontal = singlet_product(q, lin([(1, 2), (3, 4)]), 4)
     crossed = singlet_product(q, lin([(3, 2), (4, 1)]), 4)
     reversed_crossed = singlet_product(q, lin([(2, 3), (1, 4)]), 4)
+
+    def residual(state):
+        return worst_residual([float(np.abs(op @ state).max()) for op in (sp_op, sm_op)])[1]
+
     family = {}
     for label, (alpha, beta) in {"(1,0)": (1, 0), "(0,1)": (0, 1), "(1,1)": (1, 1)}.items():
-        state = alpha * horizontal + beta * crossed
-        res = max(float(np.abs(sp_op @ state).max()), float(np.abs(sm_op @ state).max()))
-        family[label] = res
-    reversed_residual = max(
-        float(np.abs(sp_op @ reversed_crossed).max()),
-        float(np.abs(sm_op @ reversed_crossed).max()),
-    )
+        family[label] = residual(alpha * horizontal + beta * crossed)
     return {
         "dimension": dim,
         "basis": basis,
         "singular_values": sigma,
         "family_residuals": family,
-        "reversed_orientation_residual": reversed_residual,
+        "reversed_orientation_residual": residual(reversed_crossed),
     }
 

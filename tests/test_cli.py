@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 import weakref
 
 import numpy as np
@@ -142,6 +143,23 @@ def test_a_nan_in_the_chain_residuals_is_the_chain_residual(tmp_path, monkeypatc
     assert [(i["input"], i["pass"], i["residual"]) for i in report["instances"]
             if not i["pass"]] == [("q=1.3+0j chain", False, "nan")]
     assert report["max_residual"] == "nan"
+
+
+@pytest.mark.parametrize("q, check, failed", [
+    ("1e-125", "rmatrix2d", "q=1e-125+0j chain"),
+    ("1e-300", "kernel", "q=1e-300+0j"),
+])
+def test_an_overflowing_q_writes_a_failing_report_and_no_warning(tmp_path, q, check, failed):
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--example", "uq", "--q", q, "--checks", check,
+                     "--out", str(out)]) == 1
+    report = json.loads(read_all(out)[f"{check}.json"])
+    assert {i["input"]: i["residual"] for i in report["instances"]}[failed] == "nan"
+    assert report["max_residual"] == "nan"
+    if check == "kernel":
+        assert report["instances"][0]["details"] == {"basis": [], "dimension": None}
 
 
 def test_shared_tables_keep_every_report_byte(tmp_path):
@@ -308,6 +326,30 @@ def test_a_run_past_the_budget_is_a_configuration_error_before_any_check(
     assert main(["verify", *argv, "--out", str(out)]) == 2
     assert ran == [] and not out.exists()
     assert "past the budget 2**18" in capsys.readouterr().err
+
+
+class _Built(Exception):
+    pass
+
+
+def test_the_budget_counts_the_regular_representations_own_entries(
+        tmp_path, monkeypatch, capsys):
+    def built(ex):
+        raise _Built(ex.name)
+
+    argv = ["verify", "--example", "taft", "--sizes", "1x1", "--checks", "antipode"]
+    assert main([*argv, "--taft-n", "12", "--out", str(tmp_path / "12")]) == 0
+    monkeypatch.setattr(cli, "regular_rep", built)
+    # taft-n 18 (d**3 = 324**3) is within the cap and gets to build
+    with pytest.raises(_Built, match=r"taft\(n=18\)"):
+        main([*argv, "--taft-n", "18", "--out", str(tmp_path / "18")])
+    for n in ("19", "30"):
+        out = tmp_path / n
+        assert main([*argv, "--taft-n", n, "--out", str(out)]) == 2 and not out.exists()
+        d = int(n) ** 2
+        assert capsys.readouterr().err == (
+            f"error: the regular representation of taft(n={n}) needs {d}**3 entries, "
+            f"past the budget {cli.uqsu2.REP_ENTRY_CAP}\n")
 
 
 def test_build_op_and_verify_report_the_budget_alike(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hopf2d.linops import (
     SparseOperator,
     evaluate,
     kron_terms,
-    operator_difference,
     worst_entry,
     read_matrix_market,
 )
@@ -61,7 +60,7 @@ def test_evaluate_2x2_splus_matches_hand_kronecker(uq2):
     ]
     hand = sum(kron4(bot + top) for bot, top in terms)
     op = evaluate(boxplus(ex, "S+", 2, 2), rep)
-    assert operator_difference(op, type(op)(hand)) < 1e-12
+    assert (op - type(op)(hand)).max_abs() < 1e-12
 
 
 def test_evaluate_unknown_symbol():
@@ -89,7 +88,7 @@ def test_evaluate_linear(al, be):
     y = boxplus(ex, "K-", 1, 2)
     lhs = evaluate(x * al + y * be, rep)
     rhs = evaluate(x, rep) * al + evaluate(y, rep) * be
-    assert operator_difference(lhs, rhs) <= 1e-10 * (1 + abs(al) + abs(be))
+    assert (lhs - rhs).max_abs() <= 1e-10 * (1 + abs(al) + abs(be))
 
 
 def test_concat_evaluate_consistency_1x2_2x1(uq2):
@@ -355,49 +354,3 @@ def test_output_boundaries_read_like_the_canonical_operator(tmp_path, case):
     assert make().write_matrix_market(got) == eager.write_matrix_market(want)
     assert got.read_bytes() == want.read_bytes()
 
-
-_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
-                   st.floats(-4, 4))
-
-
-@st.composite
-def _operator_pairs(draw):
-    """Two duplicate-free n x n operators with columns in any order and zeros
-    possibly stored: the second has the first's coordinates in the same order,
-    in another order within each row, or coordinates of its own."""
-    n = draw(st.integers(1, 5))
-
-    def pattern():
-        rows = [draw(st.permutations(range(n)))[:draw(st.integers(0, n))] for _ in range(n)]
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        return indptr, np.array([c for r in rows for c in r], dtype=np.int32)
-
-    def operator(indptr, indices):
-        data = np.array([complex(draw(_value), draw(_value)) for _ in indices], dtype=complex)
-        return SparseOperator._wrap(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-
-    a_coords = pattern()
-    indptr, indices = a_coords
-    kind = draw(st.sampled_from(["same order", "reordered", "own"]))
-    if kind == "same order":
-        b_coords = a_coords
-    elif kind == "reordered":
-        b_coords = (indptr, np.array([c for i, j in zip(indptr[:-1], indptr[1:])
-                                      for c in draw(st.permutations(indices[i:j].tolist()))],
-                                     dtype=np.int32))
-    else:
-        b_coords = pattern()
-    return operator(*a_coords), operator(*b_coords)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_operator_pairs())
-def test_operator_difference_has_the_bits_of_the_subtraction(pair):
-    a, b = pair
-    got, want = operator_difference(a, b), (a - b).max_abs()
-    with np.errstate(invalid="ignore"):  # inf - inf
-        dense = np.abs(a.toarray() - b.toarray()).max()
-    if np.isnan(want) or np.isnan(dense):
-        assert np.isnan(got) and np.isnan(want) and np.isnan(dense)
-    else:
-        assert np.float64(got).tobytes() == np.float64(want).tobytes() == np.float64(dense).tobytes()

@@ -1,11 +1,14 @@
 import cmath
 import functools
+import itertools
+import json
 import math
 import re
 import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from hopf2d.coalgebra import (
@@ -15,12 +18,7 @@ from hopf2d.coalgebra import (
     check_antipode,
     check_counit,
 )
-from hopf2d.linops import (
-    ResourceLimitError,
-    SparseOperator,
-    operator_difference,
-    worst_entry,
-)
+from hopf2d.linops import ResourceLimitError, SparseOperator, worst_entry
 from hopf2d import cli, linops, rmatrix as rm, uqsu2 as uq
 from hopf2d.grids import FormalSum, GridWord, sum_difference
 from hopf2d.instances import UQ_NAMES, make_uq_symbolic
@@ -291,7 +289,7 @@ def _same_as_whole_matrix(q, n, m):
     """Each instance has the residual bits and ``worst_entry`` of the whole-matrix check."""
     ops = uq.OperatorTable(q, n, m)
     for inst, (lhs, rhs) in zip(_checked_instances(q, n, m, ops), _whole_matrix_sides(q, ops)):
-        assert _bits(inst.residual) == _bits(operator_difference(lhs, rhs)), inst.input
+        assert _bits(inst.residual) == _bits((lhs - rhs).max_abs()), inst.input
         want = {} if inst.passed else {"worst_entry": worst_entry(lhs, rhs)}
         assert repr(inst.details) == repr(want), inst.input  # repr: nan == nan
 
@@ -343,6 +341,52 @@ def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
     _same_as_whole_matrix(1.3, 3, 4)
 
 
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                   st.floats(-4, 4))
+
+
+@st.composite
+def _ks_tables(draw):
+    """A 1 x 2 operator table at a real q whose S+ and S- store any
+    duplicate-free coordinates (none at all, zeros, NaN and inf included),
+    columns in any order, and whose K strings store every diagonal entry,
+    zero or not.  Real K entries and a real q keep the scaled entries free
+    of rounding differences between numpy's and scipy's complex products."""
+    table, n = uq.OperatorTable(draw(st.sampled_from([1.3, -0.7, 2.0])), 1, 2), 4
+    for g in ("S+", "S-"):
+        rows = [draw(st.permutations(range(n)))[:draw(st.integers(0, n))] for _ in range(n)]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = np.array([c for r in rows for c in r], dtype=np.int32)
+        data = np.array([complex(draw(_VALUE), draw(_VALUE)) for _ in indices], dtype=complex)
+        table[g] = SparseOperator._wrap(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    for g in ("K+", "K-"):
+        diagonal = np.array([draw(_VALUE) for _ in range(n)], dtype=complex)
+        table[g] = SparseOperator._wrap(
+            sp.csr_matrix((diagonal, np.arange(n), np.arange(n + 1)), shape=(n, n)))
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ks_tables())
+def test_ks_array_comparison_has_the_bits_of_the_whole_matrix_difference(table):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf
+        report = uq.check_ks_relation(table.q, 1, 2, ops=table)
+        for inst, (lhs, rhs) in zip(report.instances,
+                                    itertools.islice(_whole_matrix_sides(table.q, table), 4)):
+            want = (lhs - rhs).max_abs()
+            dense = np.abs(lhs.toarray() - rhs.toarray()).max()
+            if np.isnan(want) or np.isnan(dense):
+                assert np.isnan(inst.residual) and np.isnan(want) and np.isnan(dense)
+            else:
+                assert _bits(inst.residual) == _bits(want) == _bits(dense), inst.input
+            assert inst.passed == (want <= uq.EQ_TOL), inst.input
+
+
+def test_a_passing_ks_relation_wraps_no_operator(monkeypatch):
+    monkeypatch.setattr(uq, "_on_coordinates", lambda *args: pytest.fail("wrapped an operator"))
+    assert uq.check_ks_relation(1.3, 3, 4).ok
+
+
 def test_ks_relation_refuses_a_k_string_off_the_diagonal(monkeypatch):
     monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K-", (1, 0)))
     with pytest.raises(AssertionError, match="off-diagonal"):
@@ -380,8 +424,9 @@ def test_complex_q_ks_residuals_agree_with_the_products_to_rounding(r, theta, si
     *ks_sides, comm_sides = _whole_matrix_sides(q, ops)
     for inst, (lhs, rhs) in zip(ks, ks_sides):
         largest = max(lhs.max_abs(), rhs.max_abs())
-        assert abs(inst.residual - operator_difference(lhs, rhs)) <= KS_ROUNDING * largest
-    assert _bits(comm.residual) == _bits(operator_difference(*comm_sides))
+        assert abs(inst.residual - (lhs - rhs).max_abs()) <= KS_ROUNDING * largest
+    lhs, rhs = comm_sides
+    assert _bits(comm.residual) == _bits((lhs - rhs).max_abs())
 
 
 def _plant(monkeypatch, plant):
@@ -517,6 +562,17 @@ def test_kernel_q1_su2_decomposition():
     stacked = np.vstack([sp, sm])
     sigma = np.linalg.svd(stacked, compute_uv=False)
     assert int((sigma < 1e-10 * sigma.max()).sum()) + 16 - len(sigma) == 2
+
+
+def test_an_inf_in_one_stored_entry_of_s_minus_fails_the_kernel_as_nan(tmp_path, monkeypatch):
+    entry = tuple(np.argwhere(uq.boxplus_op("S-", 2.0, 2, 2).toarray())[0].tolist())
+    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted_at("S-", {entry: math.inf}))
+    out = tmp_path / "r"
+    argv = ["verify", "--example", "uq", "--q", "2.0", "--checks", "kernel", "--out", str(out)]
+    assert cli.main(argv) == 1
+    (inst,) = json.loads((out / "kernel.json").read_text())["instances"]
+    assert (inst["pass"], inst["residual"]) == (False, "nan")
+    assert inst["details"] == {"basis": [], "dimension": None}  # not measured
 
 
 def test_vertical_singlet_residual_matches_coefficient():
