@@ -33,6 +33,9 @@ budget, one fresh process each on a 2-core x86 machine (min of 3): taft(2)
 slices 9.0 s and 125 MiB.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+``build-op`` builds its operator with numpy's overflow and invalid value
+warnings off and exits 1, writing nothing, when a stored value is not
+finite; the one line it prints names the first such entry, row-major.
 Growth that leaves a splitter's domain fails its check instance (residual
 inf, ``details.domain_error``).  Any other exception (a ``ShapeError``
 inside a check, or a sample word outside its own splitter's domain, say) is
@@ -389,7 +392,6 @@ def cmd_build_op(args) -> int:
                 raise ConfigurationError(f"{flag} goes without --rmatrix2d; the 2x2 R-matrix "
                                          f"does not read it")
         gen, (n, m) = "rmatrix2d", (2, 2)
-        op = SparseOperator(rmx.r2d(q))
         name = f"rmatrix2d_q{q.real:g}{'+' if q.imag >= 0 else ''}{q.imag:g}j.mtx"
     else:
         if not args.gen:
@@ -401,8 +403,17 @@ def cmd_build_op(args) -> int:
         if len(sizes) > 1:
             raise ConfigurationError(f"--size takes one size, got {args.size!r}")
         gen, ((n, m),) = args.gen, sizes
-        op = uqsu2.boxplus_op(gen, q, n, m)
         name = f"boxplus_{gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed operator is refused below
+        op = SparseOperator(rmx.r2d(q)) if args.rmatrix2d else uqsu2.boxplus_op(gen, q, n, m)
+    data, cols = op.mat.data, op.mat.indices
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:  # name the first in row-major order: a row may hold its columns unsorted
+        rows = np.searchsorted(op.mat.indptr, bad, side="right") - 1
+        k = int(np.argmin(rows * op.dim + cols[bad]))
+        print(f"error: {name} not written: its entry at row {rows[k]}, column {cols[bad[k]]} "
+              f"(0-based) is {complex(data[bad[k]])}, not finite", file=sys.stderr)
+        return 1
     outdir = args.out or "operators"
     os.makedirs(outdir, exist_ok=True)
     nnz = op.write_matrix_market(os.path.join(outdir, name))

@@ -198,7 +198,6 @@ class CoalgebraExample:
     samplers: dict        # axis -> (n -> list[GridWord])
     multiplication: MultiplicationRule | None = None
     antipode: AntipodeRule | None = None
-    unit: Symbol | None = None
     grow_symbols: tuple = ()
     meta: dict = field(default_factory=dict)
 
@@ -396,21 +395,28 @@ def worst_residual(residuals) -> tuple:
 def check_quasi_1d_assoc(ex, direction, n, tol=EQ_TOL) -> CheckReport:
     """(split x id) o split == (id x split) o split on the sample slice words.
 
-    The two sides grow the split word's first and second slice.  A word
-    outside the splitter domain raises :class:`DomainError`; growth that
-    leaves it fails the word's instance (see :func:`_checked`).
+    It runs through :func:`_slice_report`, and the two sides grow the split
+    word's first and second slice with :func:`grow`.  A word outside the
+    splitter domain raises :class:`DomainError`; growth that leaves it fails
+    the word's instance (see :func:`_checked`).
     """
-    instances = []
-    for w in ex.samples(direction, n):
-        label, doubled = repr(w), apply_splitter(ex, direction, w)
-        instances.append(_checked(label, lambda: _compared(
-            label, grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol)))
-    return CheckReport("quasi_1d_assoc_" + direction, _slice_sizes(direction, n), instances)
+    def compared(label, w, doubled):
+        return _checked(label, lambda: _compared(
+            label, grow(ex, doubled, direction, 1), grow(ex, doubled, direction, 2), tol))
+
+    return _slice_report("quasi_1d_assoc", ex, direction, n, compared)
 
 
-def _slice_sizes(direction, n):
-    """The report sizes of a check on planar slices of n sites along ``direction``."""
-    return [GridShape(n, n).resized(direction, 1).extents]
+def _slice_report(name, ex, direction, n, instance) -> CheckReport:
+    """The report ``name_direction`` of ``instance(label, w, doubled)`` for
+    each sample word ``w`` of n sites along ``direction``, in sample order:
+    ``label`` is ``repr(w)`` and ``doubled`` the word split by
+    :func:`apply_splitter`, which raises :class:`DomainError` for a sample
+    outside the splitter domain.  The report names the one slice size."""
+    instances = [instance(repr(w), w, apply_splitter(ex, direction, w))
+                 for w in ex.samples(direction, n)]
+    return CheckReport(f"{name}_{direction}", [GridShape(n, n).resized(direction, 1).extents],
+                       instances)
 
 
 def _compared(label, got: FormalSum, want: FormalSum, tol, res=None) -> CheckInstance:
@@ -481,9 +487,10 @@ def check_xy_compat(ex, n, m, tol=EQ_TOL) -> CheckReport:
 def check_counit(ex, direction, n, tol=EQ_TOL) -> CheckReport:
     """Both one-sided counit contractions undo the splitter on the sample words.
 
-    A failing instance names the worst word of the worse side.  A word
-    outside the splitter domain raises :class:`DomainError`; a split half
-    outside the counit domain fails the word's instance (see :func:`_checked`).
+    It runs through :func:`_slice_report`.  A failing instance names the
+    worst word of the worse side.  A word outside the splitter domain raises
+    :class:`DomainError`; a split half outside the counit domain fails the
+    word's instance (see :func:`_checked`).
     """
     eps = ex.counit(direction)
 
@@ -498,11 +505,8 @@ def check_counit(ex, direction, n, tol=EQ_TOL) -> CheckReport:
         worse, res = worst_residual([sum_difference(side, target) for side in sides])
         return _compared(label, sides[worse], target, tol, res)
 
-    instances = []
-    for w in ex.samples(direction, n):
-        label, doubled = repr(w), apply_splitter(ex, direction, w)
-        instances.append(_checked(label, lambda: contracted(label, w, doubled)))
-    return CheckReport("counit_" + direction, _slice_sizes(direction, n), instances)
+    return _slice_report("counit", ex, direction, n, lambda label, w, doubled: _checked(
+        label, lambda: contracted(label, w, doubled)))
 
 
 def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> CheckReport:
@@ -536,11 +540,12 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
     """mu (S x id) split == counit times identity, numerically in ``rep``, on
     the sample slice words.
 
-    Two words of one shape multiply site by site, so each side is one
-    :func:`kron_terms` sum whose factors are the products ``rep[x] @ rep[y]``.
-    A failing instance names the worst side's worst entry (:func:`worst_entry`).
-    An example whose alphabet names an id differently from ``rep``'s raises
-    :class:`linops.RepresentationError`.
+    It runs through :func:`_slice_report`.  Two words of one shape multiply
+    site by site, so each side is one :func:`kron_terms` sum whose factors
+    are the products ``rep[x] @ rep[y]``.  A failing instance names the worst
+    side's worst entry (:func:`worst_entry`).  A :class:`DomainError`
+    propagates, as a bug in the engine.  An example whose alphabet names an
+    id differently from ``rep``'s raises :class:`linops.RepresentationError`.
     """
     if ex.antipode is None:
         raise ConfigurationError(f"{ex.name} carries no antipode rule")
@@ -552,10 +557,10 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
         return coeff, [rep[x] @ rep[y] for x, y in zip(u.cells, w.cells)]
 
     identity = identity_operator(rep.dim ** n)  # every sample is a slice of n sites
-    instances = []
-    for w in ex.samples(direction, n):
+
+    def compared(label, w, doubled):
         left, right = [], []
-        for b, c in apply_splitter(ex, direction, w).unordered_items():
+        for b, c in doubled.unordered_items():
             first, second = _halves(direction, b)
             left += [sitewise(c * a, u, second)
                      for u, a in ex.antipode(direction, first).unordered_items()]
@@ -564,9 +569,10 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
         target = eps(w) * identity
         sides = [kron_terms(terms, rep.dim, w.shape.sites) for terms in (left, right)]
         worse, res = worst_residual([(side - target).max_abs() for side in sides])
-        instances.append(_instance(repr(w), res, tol,
-                                   lambda: {"worst_entry": worst_entry(sides[worse], target)}))
-    return CheckReport("antipode_" + direction, _slice_sizes(direction, n), instances)
+        return _instance(label, res, tol,
+                         lambda: {"worst_entry": worst_entry(sides[worse], target)})
+
+    return _slice_report("antipode", ex, direction, n, compared)
 
 
 # ---------------------------------------------------------------------------
@@ -627,23 +633,20 @@ def check_trivial_proposition(dx, dy, instance_syms, tol=EQ_TOL) -> CheckReport:
     """Test the factorized xy-compatibility premise and its consequences.
 
     ``dx``/``dy`` map each symbol to Sweedler pairs ``[(coeff, s1, s2)]``
-    read as 1-site splitter rules.  For each instance the premise
-    (dy x dy) dx == (dx x dx) dy is measured; when it holds on every
-    instance, the conclusions dx == dy and dx == dx-opposite are asserted
-    as literal rule equalities on those instances.
+    read as 1-site rules of two cellwise splitters, held by one example.
+    For each instance the premise (dy x dy) dx == (dx x dx) dy is measured
+    on the symbol grown by :func:`grow` along x then y and along y then x;
+    when it holds on every instance, the conclusions dx == dy and
+    dx == dx-opposite are asserted as literal rule equalities on those
+    instances.
     """
-    split_x, split_y = _cellwise_splitter("x", dx), _cellwise_splitter("y", dy)
-    row, column = GridShape(1, 2), GridShape(2, 1)
+    ex = CoalgebraExample("trivial_proposition", None, {
+        "x": _cellwise_splitter("x", dx), "y": _cellwise_splitter("y", dy)}, {}, {})
     instances = []
     results = []
-    shape = GridShape(2, 2)
     for sym in instance_syms:
-        # dx gives a 1 x 2 row whose cells dy splits, dy a 2 x 1 column for dx
-        lhs = FormalSum(shape, [t for c, s1, s2 in dx[sym]
-                                for t in _scaled(split_y(GridWord(row, (s1, s2))), c)])
-        rhs = FormalSum(shape, [t for c, s1, s2 in dy[sym]
-                                for t in _scaled(split_x(GridWord(column, (s1, s2))), c)])
-        res = sum_difference(lhs, rhs)
+        unit = FormalSum.unit(word1(sym))
+        res = sum_difference(_grown(ex, unit, "xy"), _grown(ex, unit, "yx"))
         results.append((sym, res <= tol, res))
     premise_all = all(h for _, h, _ in results)
     for sym, holds, res in results:

@@ -340,7 +340,6 @@ def make_group_like(names, table, unit) -> CoalgebraExample:
                            lambda axis: _constant_samples(axis, alphabet)),
         multiplication=MultiplicationRule(product),
         antipode=_sitewise_antipode({s: (1.0, inverse[s]) for s in alphabet}),
-        unit=unit_sym,
         grow_symbols=tuple(alphabet.symbols),
     )
 
@@ -368,7 +367,6 @@ def make_lie_like(primitive_names, unit="1") -> CoalgebraExample:
         **_cellwise_tables(rules, {s: (1.0 if s == u else 0.0) for s in alphabet},
                            lambda axis: _one_letter_samples(axis, u, alphabet)),
         antipode=_sitewise_antipode({s: ((1.0, s) if s == u else (-1.0, s)) for s in alphabet}),
-        unit=u,
         grow_symbols=tuple(alphabet.symbols),
     )
 
@@ -385,14 +383,28 @@ def _inner_rules(alphabet, inner):
     return rules
 
 
+def _quasi1d_rule(inner, inner_counit, names, *units):
+    """The inner rule, its counit and the names, given all three or none.
+    None gives the default rule, v marked between a and b, with each of
+    ``units`` group-like in front.  Any other choice is a
+    :class:`ConfigurationError` naming what is missing."""
+    given = {"inner": inner, "inner_counit": inner_counit, "names": names}
+    missing = [key for key, value in given.items() if value is None]
+    if 0 < len(missing) < len(given):
+        raise ConfigurationError(f"the quasi-1D inner rule, its counit and names go together; "
+                                 f"missing {', '.join(missing)}")
+    if missing:
+        letters = ("a", "b", *units)
+        inner = {"v": [(1.0, "a", "v"), (1.0, "v", "b")], **{s: [(1.0, s, s)] for s in letters}}
+        inner_counit, names = {"v": 0.0, **dict.fromkeys(letters, 1.0)}, [*units, "a", "b", "v"]
+    return inner, inner_counit, names
+
+
 def make_quasi1d_group(inner=None, inner_counit=None, names=None) -> CoalgebraExample:
     """Vertical splitter copies rows verbatim; the horizontal one acts on
-    constant columns through an arbitrary inner 1D coproduct."""
-    if names is None:
-        names = ["a", "b", "v"]
-        inner = {"v": [(1.0, "a", "v"), (1.0, "v", "b")],
-                 "a": [(1.0, "a", "a")], "b": [(1.0, "b", "b")]}
-        inner_counit = {"v": 0.0, "a": 1.0, "b": 1.0}
+    constant columns through an arbitrary inner 1D coproduct.  The inner
+    rule, its counit and the names go together (:func:`_quasi1d_rule`)."""
+    inner, inner_counit, names = _quasi1d_rule(inner, inner_counit, names)
     alphabet = Alphabet(names)
     rules = _inner_rules(alphabet, inner)
     eps_in = {alphabet[k]: complex(v) for k, v in inner_counit.items()}
@@ -426,13 +438,10 @@ def make_quasi1d_group(inner=None, inner_counit=None, names=None) -> CoalgebraEx
 
 def make_quasi1d_lie(inner=None, inner_counit=None, names=None, unit="1") -> CoalgebraExample:
     """Vertical splitter embeds a row next to a unit row; horizontal one is
-    the cellwise inner coproduct.  The inner coproduct must fix the unit."""
-    if names is None:
-        names = ["1", "a", "b", "v"]
-        inner = {"v": [(1.0, "a", "v"), (1.0, "v", "b")],
-                 "a": [(1.0, "a", "a")], "b": [(1.0, "b", "b")],
-                 "1": [(1.0, "1", "1")]}
-        inner_counit = {"v": 0.0, "a": 1.0, "b": 1.0, "1": 1.0}
+    the cellwise inner coproduct.  The inner coproduct must fix the unit.
+    The inner rule, its counit and the names go together
+    (:func:`_quasi1d_rule`); the default rule has ``unit`` in front."""
+    inner, inner_counit, names = _quasi1d_rule(inner, inner_counit, names, unit)
     alphabet = Alphabet(names)
     u = alphabet[unit]
     rules = _inner_rules(alphabet, inner)
@@ -460,7 +469,6 @@ def make_quasi1d_lie(inner=None, inner_counit=None, names=None, unit="1") -> Coa
                                  total)},
         samplers={"x": _one_letter_samples("x", u, [s for s in alphabet if s in rules]),
                   "y": _one_letter_samples("y", u, [u, *alphabet])},
-        unit=u,
         grow_symbols=tuple(alphabet.symbols),
     )
 
@@ -672,7 +680,6 @@ def make_taft(cfg: TaftConfig) -> CoalgebraExample:
     ex = family.example(f"taft(n={n})", alphabet,
                         multiplication=mult,
                         antipode=AntipodeRule({"x": sitewise, "y": anti_y}),
-                        unit=one,
                         grow_symbols=(one, g, x))
     ex.meta = {"taft": cfg, "family": family, "delta_1site": delta_1site}
     return ex
@@ -759,7 +766,7 @@ def make_uq_symbolic(q: complex) -> CoalgebraExample:
         return FormalSum.unit(word, scale[marks[0]])
 
     ex = family.example(f"uq(q={q:g})", alphabet,
-                        antipode=AntipodeRule({"x": sitewise, "y": anti_y}), unit=one,
+                        antipode=AntipodeRule({"x": sitewise, "y": anti_y}),
                         grow_symbols=tuple(alphabet.symbols))
     ex.meta = {"q": q, "family": family}
     return ex

@@ -67,10 +67,8 @@ def r_matrix_factorized(q) -> np.ndarray:
 
 def delta_perm(gen: str, q, ops=None) -> np.ndarray:
     """Permuted coproduct: the 1 x 2 element of S+ or S- with its K letters
-    swapped; a group-like K letter's is its coproduct."""
+    swapped."""
     table = _table(ops, q, 1, 2)
-    if gen in ("K+", "K-"):
-        return table[gen].toarray()
     if gen not in ("S+", "S-"):
         raise ValueError(f"no permuted coproduct for {gen!r}")
     return evaluate(_permuted(table.element(gen), _k_swap(table.rep.alphabet)), table.rep).toarray()

@@ -394,18 +394,18 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
 
     Computed by SVD of the stacked 32 x 16 matrix with a relative singular
     value threshold; if an operator holds an entry that is not finite (an
-    overflowing q), no SVD runs and the dimension and singular values are
-    None.  Also measures the two-parameter singlet family that spans the
-    kernel (horizontal pair and crossed pair, orientations as printed) and
-    the reversed-orientation control, each residual the worst of its S+ and
-    S- residual (:func:`coalgebra.worst_residual`).  The operators come from
-    ``ops`` as in :func:`vertical_singlet_residual`.
+    overflowing q), no SVD runs and the dimension is None.  Also measures
+    the two-parameter singlet family that spans the kernel (horizontal pair
+    and crossed pair, orientations as printed) and the reversed-orientation
+    control, each residual the worst of its S+ and S- residual
+    (:func:`coalgebra.worst_residual`).  The operators come from ``ops`` as
+    in :func:`vertical_singlet_residual`.
     """
     q = nonsingular_q(q)
     ops = _table(ops, q, 2, 2)
     sp_op, sm_op = ops["S+"].toarray(), ops["S-"].toarray()
     stacked = np.vstack([sp_op, sm_op])
-    dim, sigma, basis = None, None, np.zeros((16, 0))
+    dim, basis = None, np.zeros((16, 0))
     if np.isfinite(stacked).all():
         _, sigma, vh = np.linalg.svd(stacked)
         cutoff = svd_tol * (sigma.max() if sigma.size else 1.0)
@@ -429,7 +429,6 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
     return {
         "dimension": dim,
         "basis": basis,
-        "singular_values": sigma,
         "family_residuals": family,
         "reversed_orientation_residual": residual(reversed_crossed),
     }

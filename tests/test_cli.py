@@ -5,13 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hopf2d import cli
 from hopf2d.cli import main
 from hopf2d.coalgebra import DomainError, MultiplicationRule
 from hopf2d.grids import ShapeError
 from hopf2d.instances import taft_basis_name
-from hopf2d.linops import read_matrix_market
+from hopf2d.linops import SparseOperator, read_matrix_market
 
 
 def read_all(outdir):
@@ -851,3 +852,51 @@ def test_explicit_flags_beat_the_config_file_even_at_their_defaults(tmp_path):
                  "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "counit_x.json").read_text())
     assert (payload["seed"], payload["example"]) == (7, "pivot(theta=0)")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["verify", "--sizes", "0x2"], "sizes must be positive NxM pairs"),
+    (["verify", "--example", "uq", "--q", "abc", "--checks", "ks"], "bad q value 'abc'"),
+    (["verify", "--example", "pivot", "--checks", "homomorphism"],
+     "no canonical representation for example 'pivot'"),
+    (["build-op", "--q", "1.3"], "build-op needs --gen or --rmatrix2d"),
+], ids=["zero-size", "bad-q", "no-representation", "build-op-nothing"])
+def test_each_refused_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, fragment):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {fragment}\n"
+    assert not out.exists()
+
+
+def test_verify_runs_the_cube(tmp_path):
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "pivot", "--checks", "cube", "--out", str(out)]) == 0
+    report = json.loads(read_all(out)["cube_xyz_compat.json"])
+    assert report["sizes"] == [[k, k, k] for k in (2, 3, 4)] and report["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("argv, name, row, col", [
+    (["--gen", "S+", "--q", "1e-300", "--size", "2x2"], "boxplus_Sp_2x2.mtx", 0, 1),
+    (["--rmatrix2d", "--q", "1e-300"], "rmatrix2d_q1e-300+0j.mtx", 0, 0),
+], ids=["S+", "rmatrix2d"])
+def test_build_op_refuses_an_overflowed_operator(tmp_path, capsys, argv, name, row, col):
+    out = tmp_path / "ops"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["build-op", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: {name} not written: its entry at row {row}, column {col} "
+                            f"(0-based) is (nan+nanj), not finite\n")
+
+
+def test_build_op_names_the_first_nonfinite_entry_in_row_major_order(tmp_path, capsys,
+                                                                      monkeypatch):
+    # row 1 holds its columns unsorted: column 3 (inf) is stored before column 0 (nan)
+    mat = sp.csr_matrix((np.array([1.0, 2.0, np.inf, np.nan, 3.0], dtype=complex),
+                         np.array([0, 2, 3, 0, 1]), np.array([0, 2, 5, 5, 5])), shape=(4, 4))
+    monkeypatch.setattr(cli.uqsu2, "boxplus_op", lambda *_: SparseOperator._wrap(mat))
+    out = tmp_path / "ops"
+    assert main(["build-op", "--gen", "S+", "--q", "1.3", "--out", str(out)]) == 1
+    assert "its entry at row 1, column 0 (0-based) is (nan+0j)" in capsys.readouterr().err
+    assert not out.exists()

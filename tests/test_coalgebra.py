@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from hopf2d.coalgebra import (
     AntipodeRule,
     CheckInstance,
     CheckReport,
+    ConfigurationError,
     DomainError,
     MultiplicationRule,
     Splitter,
@@ -30,10 +32,11 @@ from hopf2d.coalgebra import (
     cube_xyz_compat,
     dual_product,
     grow,
+    _cellwise_splitter,
     worst_residual,
 )
-from hopf2d.grids import (Alphabet, FormalSum, GridShape, GridWord, ShapeError, join, slicing,
-                          sum_difference, sums_equal, word1)
+from hopf2d.grids import (EQ_TOL, Alphabet, FormalSum, GridShape, GridWord, ShapeError, join,
+                          slicing, sum_difference, sums_equal, word1)
 from hopf2d.instances import (
     make_cross,
     make_cyclic_group,
@@ -923,7 +926,7 @@ def test_samples_and_rules_exist_only_along_the_example_axes():
     assert PIVOT.samples("x", 2) and PIVOT.samples("y", 2)
     uq = make_uq_symbolic(1.3)
     for read in (lambda: PIVOT.samples("z", 2), lambda: PIVOT.splitter("z"),
-                 lambda: PIVOT.counit("w"), lambda: uq.antipode("z", word1(uq.unit))):
+                 lambda: PIVOT.counit("w"), lambda: uq.antipode("z", word1(uq.alphabet["1"]))):
         with pytest.raises(ValueError):
             read()
 
@@ -1035,3 +1038,49 @@ def test_checks_reject_a_representation_naming_the_ids_otherwise():
     with pytest.raises(RepresentationError, match=match):
         check_antipode(ex, renamed, "x", 2)
     assert check_homomorphism(ex, rep, 2, 2, [("g", "g")]).ok and check_antipode(ex, rep, "x", 2).ok
+
+
+def _wrong_shape_split():
+    split = Splitter("x", lambda w: FormalSum.unit(w), lambda w: True)  # 1 x 1, not 1 x 2
+    split(word1(PIVOT.alphabet["v"]))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (_wrong_shape_split, ShapeError, "splitter returned 1x1, expected 1x2"),
+    (lambda: boxplus(PIVOT, "v", 2, 2, order="diagonal"), ValueError,
+     "unknown growth order 'diagonal'"),
+    (lambda: boxplus_sum(PIVOT, boxplus(PIVOT, "v", 1, 2), 2, 2), ShapeError,
+     "wants a 1 x 1 sum"),
+    (lambda: check_homomorphism(make_lie_like(["a"]), None, 2, 2, []), ConfigurationError,
+     "lie_like carries no multiplication rule"),
+    (lambda: check_antipode(make_quasi1d_group(), None, "x", 2), ConfigurationError,
+     "quasi1d_group carries no antipode rule"),
+    (lambda: dual_product([[{}], [{}]], PIVOT, "v", 2, 2), ShapeError,
+     "functional grid does not match"),
+], ids=["splitter-shape", "growth-order", "boxplus-sum-shape", "no-multiplication",
+        "no-antipode", "functional-grid"])
+def test_each_refused_input_raises_its_error(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+@pytest.mark.parametrize("example", [
+    make_cyclic_group(3), make_lie_like(["a", "c"]), make_uq_symbolic(1.3),
+    make_taft(TaftConfig(3, cmath.exp(2j * math.pi / 3))), make_pivot(theta=math.pi / 4),
+], ids=lambda ex: ex.name)
+def test_the_grown_premise_keeps_the_bits_of_the_hand_built_one(example):
+    """The premise residual, measured on the symbol grown x then y and y then
+    x, has the bits of splitting hand-built rows and columns cell by cell."""
+    dx, dy = _rules_from(example, [s.name for s in example.grow_symbols])
+    split_x, split_y = _cellwise_splitter("x", dx), _cellwise_splitter("y", dy)
+
+    def hand_built(rules, split, shape):
+        return FormalSum(GridShape(2, 2), [(w, c * a) for a, s1, s2 in rules
+                                           for w, c in split(GridWord(shape, (s1, s2))).items()])
+
+    report = check_trivial_proposition(dx, dy, list(dx))
+    premise = [sum_difference(hand_built(dx[sym], split_y, GridShape(1, 2)),
+                              hand_built(dy[sym], split_x, GridShape(2, 1))) for sym in dx]
+    assert [i.details["premise_holds"] for i in report.instances] == [r <= EQ_TOL for r in premise]
+    if not all(r <= EQ_TOL for r in premise):
+        assert [i.residual for i in report.instances] == premise

@@ -538,3 +538,20 @@ def test_words_that_collide_all_the_time_give_the_same_sums_and_reports(modulus,
         assert _xy_compat_runs() == want
     finally:
         reset(*saved)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: Alphabet(["a", ""]), ValueError, "symbol names must be nonempty"),
+    (lambda: Alphabet(["a", "b", "a"]), ValueError, "duplicate symbol name 'a'"),
+    (lambda: Alphabet(["a"])["zz"], KeyError, "unknown symbol 'zz'"),
+    (lambda: GridWord(GridShape(2, 2), tuple(Alphabet(["a"]).symbols)), ShapeError,
+     "1 cells do not fill 2x2"),
+    (lambda: GridWord.from_rows_top_down(Alphabet(["a", "b"]), [["a", "b"], ["a"]]), ShapeError,
+     "ragged rows"),
+    (lambda: FormalSum(GridShape(1, 2), [(word1(Alphabet(["a"])["a"]), 1.0)]), ShapeError,
+     "term shape 1x1 != sum shape 1x2"),
+], ids=["empty-name", "duplicate-name", "unknown-name", "short-cells", "ragged-rows",
+        "term-shape"])
+def test_each_refused_input_raises_its_error(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

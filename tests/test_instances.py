@@ -105,6 +105,31 @@ def test_quasi1d_lie_rejects_bad_unit_rule():
                          names=["1", "a"])
 
 
+# an inner rule that copies v, unlike the default one, which marks v between a and b
+COPY_V = ({"v": [(1.0, "v", "v")], "a": [(1.0, "a", "a")], "b": [(1.0, "b", "b")]},
+          {"v": 1.0, "a": 1.0, "b": 1.0}, ["a", "b", "v"])
+
+
+def _with_unit(inner, counit, names):
+    return {**inner, "1": [(1.0, "1", "1")]}, {**counit, "1": 1.0}, ["1", *names]
+
+
+@pytest.mark.parametrize("make, rule", [(make_quasi1d_group, COPY_V),
+                                        (make_quasi1d_lie, _with_unit(*COPY_V))],
+                         ids=["group", "lie"])
+@pytest.mark.parametrize("given, missing", [
+    ({"inner"}, "inner_counit, names"), ({"inner", "inner_counit"}, "names"),
+    ({"names"}, "inner, inner_counit"), ({"inner_counit", "names"}, "inner"),
+])
+def test_a_quasi1d_rule_goes_with_its_counit_and_names(make, rule, given, missing):
+    kwargs = dict(zip(("inner", "inner_counit", "names"), rule))
+    ex = make(**kwargs)  # all three: the given rule splits v, so v v
+    split = apply_splitter(ex, "x", word1(ex.alphabet["v"]))
+    assert [w.cells for w in split] == [(ex.alphabet["v"],) * 2]
+    with pytest.raises(ConfigurationError, match=f"missing {missing}$"):
+        make(**{key: value for key, value in kwargs.items() if key in given})
+
+
 def test_cross_boxplus_3x3():
     ex = make_cross()
     s = boxplus(ex, "v", 3, 3)
@@ -686,3 +711,17 @@ def test_taft_tables_keep_the_bits_of_the_formal_sum_products(n, k):
                 got, want = ex.multiplication(u, v), product(u, v)
                 assert got.items() == want.items()
                 assert _sum_bits(got) == _sum_bits(want)
+
+
+def _group_without_inverse():
+    table = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "g"}
+    make_group_like(["e", "g"], table=table, unit="e")
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (_group_without_inverse, "group table has no inverse for some symbol"),
+    (lambda: TaftConfig(n=1), "order must be at least 2"),
+], ids=["no-inverse", "taft-order"])
+def test_each_refused_input_raises_its_error(call, fragment):
+    with pytest.raises(ConfigurationError, match=fragment):
+        call()

@@ -354,3 +354,13 @@ def test_output_boundaries_read_like_the_canonical_operator(tmp_path, case):
     assert make().write_matrix_market(got) == eager.write_matrix_market(want)
     assert got.read_bytes() == want.read_bytes()
 
+
+
+@pytest.mark.parametrize("matrices, fragment", [
+    ({"a": np.zeros((2, 3))}, "is not square"),
+    ({"a": np.eye(2), "b": np.eye(3)}, "all matrices must share one dimension"),
+], ids=["not-square", "two-dimensions"])
+def test_a_representation_refuses_matrices_it_cannot_hold(matrices, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Representation(Alphabet(["a", "b"]), matrices)
+

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -639,3 +640,12 @@ def test_every_mutation_of_a_gauged_d4_is_caught(g, h):
         failed = [i for i in report.instances if not i.passed]
         assert failed, key
         assert all(i.details["worst_word"]["word"] for i in failed)
+
+
+@pytest.mark.parametrize("components, fragment", [
+    ({("zz", 0, 0, 0, 0): 1.0}, "unknown physical symbol 'zz'"),
+    ({("v", 0, 0, 0, 2): 1.0}, "bond index out of range in ('v', 0, 0, 0, 2)"),
+], ids=["unknown-symbol", "bond-range"])
+def test_a_tensor_refuses_components_outside_its_alphabet_and_bonds(components, fragment):
+    with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+        peps.PepsTensor(Alphabet(["a", "b", "v"]), 2, components)

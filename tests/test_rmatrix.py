@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hopf2d import rmatrix as rm
+from hopf2d.grids import FormalSum, GridShape, GridWord
+from hopf2d.instances import make_uq_symbolic
 from hopf2d.uqsu2 import spin_half_rep
 
 
@@ -257,3 +259,18 @@ def test_single_site_matches_its_loop_reference():
             for k in range(1, 5):
                 ref = np.kron(ref, mat if k == i else rm.ID2)
             assert np.array_equal(rm.embed(mat, i), ref), (mat, i)
+
+
+def test_a_chain_step_refuses_a_mixed_spectator_k_pair():
+    al = make_uq_symbolic(1.5).alphabet
+    li, lj = (rm.DISPLAY_TO_LINEAR_2X2[k] - 1 for k in (1, 2))
+    cells = [al["1"]] * 4
+    cells[li], cells[lj] = al["K+"], al["K-"]
+    s = FormalSum.unit(GridWord(GridShape(2, 2), tuple(cells)))
+    with pytest.raises(ValueError, match=re.escape("mixed spectator K pair on (1, 2)")):
+        rm._chain_transform(s, (1, 2), "conj", rm._k_swap(al))
+
+
+def test_only_s_plus_and_s_minus_have_a_permuted_coproduct():
+    with pytest.raises(ValueError, match="no permuted coproduct for 'K\\+'"):
+        rm.delta_perm("K+", 1.5)

@@ -636,3 +636,8 @@ def test_singlet_states_match_the_basis_state_loop():
             covered = {s for pair in pairs for s in pair}
             ref[b] = 0j if any(bits[s - 1] for s in range(1, sites + 1) if s not in covered) else amp
         assert np.array_equal(uq.singlet_product(q, pairs, sites), ref)
+
+
+def test_singlet_pairs_must_be_disjoint():
+    with pytest.raises(ValueError, match="pairs must be disjoint"):
+        uq.singlet_product(1.3, [(1, 2), (2, 3)], 3)
