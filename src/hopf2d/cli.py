@@ -15,9 +15,11 @@ of m sites; ``ks`` and ``commutator`` at each size asked; ``kernel`` and
 ``rmatrix2d`` at 2x2, ``rmatrix1d`` at 1x2 and ``singlets`` at 1x2 and 2x2.
 The deformed-su(2) checks need ``--example uq``, as ``semiclassical`` does;
 each runs at its own q list, and every check that runs at one (q, size)
-shares one :class:`uqsu2.OperatorTable` there (:func:`_uq_checks`).  The
-checks that build operators (``homomorphism``, ``antipode`` and the
-deformed-su(2) checks) work in one representation: the left regular one of
+shares one :class:`uqsu2.OperatorTable` there (:func:`_uq_checks`);
+``homomorphism`` reads its operators from one
+:class:`coalgebra.OperatorTable`, the table that every example uses and
+the uq one extends.  The checks that build operators (``homomorphism``,
+``antipode`` and the deformed-su(2) checks) work in one representation: the left regular one of
 an example with a multiplication rule (``taft``, ``group``;
 :func:`instances.regular_rep`), spin-1/2 for ``uq``.  They share one
 budget, :func:`uqsu2.require_budget`, from the work :data:`uqsu2.SITE_CAP`
@@ -27,15 +29,18 @@ alone, before the representation or any check is built, and a run past it
 exits 2 and writes nothing; ``build-op`` reads the same budget through its
 :class:`uqsu2.OperatorTable`.  Near the
 budget, one fresh process each on a 2-core x86 machine (min of 3): taft(2)
-``homomorphism`` at 3x3 (4**9) takes 1.5 s and 165 MiB, taft(2)
-``antipode`` on 9-site slices 1.7 s and 103 MiB, taft(3) ``antipode`` on
-5-site slices (9**5) 0.6 s and 64 MiB, and uq ``antipode`` on 18-site
-slices 9.0 s and 125 MiB.
+``homomorphism`` at 3x3 (4**9) takes 1.0 s and 201 MiB, taft(2)
+``antipode`` on 9-site slices 2.0 s and 94 MiB, taft(3) ``antipode`` on
+5-site slices (9**5) 0.6 s and 63 MiB, and uq ``antipode`` on 18-site
+slices 11.5 s and 111 MiB.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-``build-op`` builds its operator with numpy's overflow and invalid value
-warnings off and exits 1, writing nothing, when a stored value is not
-finite; the one line it prints names the first such entry, row-major.
+Every subcommand runs with numpy's overflow and invalid value warnings off
+(:func:`main`; a library caller keeps them): a number that overflows fails
+its check instance through its residual (NaN is written ``"nan"``), with
+no warning or traceback, and ``build-op`` exits 1, writing nothing, when a
+stored value is not finite; the one line it prints names the first such
+entry, row-major.
 Growth that leaves a splitter's domain fails its check instance (residual
 inf, ``details.domain_error``).  Any other exception (a ``ShapeError``
 inside a check, or a sample word outside its own splitter's domain, say) is
@@ -288,11 +293,11 @@ def _uq_checks(runs, qs, tol):
     Each distinct (q, size) step that some check runs at makes one
     :class:`uqsu2.OperatorTable`, which builds one example and each operator
     once for every check that runs there, and is dropped before the next
-    step's table is built.  A step runs with numpy's overflow and invalid
-    value warnings off: a q whose numbers overflow fails its checks through
-    their residuals (NaN is written ``"nan"``), with no warning or
-    traceback.  Each report names its check's sizes and lists its instances
-    in the order of its own q list, then of those sizes.  At
+    step's table is built.  A q whose numbers overflow fails its checks
+    through their residuals (NaN is written ``"nan"``), with no warning or
+    traceback, under the numeric guard of :func:`main`.  Each report names
+    its check's sizes and lists its instances in the order of its own q
+    list, then of those sizes.  At
     3x6 a step's peak memory is set by the ``ks`` relations' per-entry
     arrays, formed while S+, S- and the K strings are alive, not by the
     builds or the commutator's blocks; both checks build S+ and S- first,
@@ -305,11 +310,10 @@ def _uq_checks(runs, qs, tol):
                 steps.setdefault((q, n, m), []).append(name)
     done = {}
     for (q, n, m), names in steps.items():
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails as "nan"
-            ops = uqsu2.OperatorTable(q, n, m)
-            for name in names:
-                done[name, q, n, m] = _uq_instances(name, q, n, m, ops, tol)
-            del ops
+        ops = uqsu2.OperatorTable(q, n, m)
+        for name in names:
+            done[name, q, n, m] = _uq_instances(name, q, n, m, ops, tol)
+        del ops
     return {name: CheckReport(name, [(n, m) for _, n, m in check_runs],
                               [inst for q in qs[name] for _, n, m in check_runs
                                for inst in done[name, q, n, m]])
@@ -404,8 +408,7 @@ def cmd_build_op(args) -> int:
             raise ConfigurationError(f"--size takes one size, got {args.size!r}")
         gen, ((n, m),) = args.gen, sizes
         name = f"boxplus_{gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed operator is refused below
-        op = SparseOperator(rmx.r2d(q)) if args.rmatrix2d else uqsu2.boxplus_op(gen, q, n, m)
+    op = SparseOperator(rmx.r2d(q)) if args.rmatrix2d else uqsu2.boxplus_op(gen, q, n, m)
     data, cols = op.mat.data, op.mat.indices
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:  # name the first in row-major order: a row may hold its columns unsorted
@@ -579,7 +582,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(args, argv)
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails as "nan"
+            return args.fn(args)
     except (ConfigurationError, SingularParameterError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,10 @@ by repeatedly splitting slices along the axes produces the lattice
 elements checked here for quasi-1D associativity, xy-compatibility,
 counit, homomorphism and antipode laws, and the marked-symbol cube; growth
 that leaves a splitter's domain fails the check instance that needed it.
+One :class:`OperatorTable` of an example, a representation and a size
+grows each element once and evaluates each generator once; the
+homomorphism check reads its operators from one, and the deformed-su(2)
+table of :mod:`hopf2d.uqsu2` is one with a placement check added.
 
 Tensor-factor convention: the first factor of a split is the earlier block
 in linear site order, i.e. the left column for x-splits, the bottom row for
@@ -263,35 +267,6 @@ def _grown(ex, s: FormalSum, axes) -> FormalSum:
     return s
 
 
-def boxplus_sum(ex: CoalgebraExample, s: FormalSum, n: int, m: int) -> FormalSum:
-    """Linear extension of :func:`boxplus` to a 1 x 1 formal sum.
-
-    A symbol whose 1 x 1 word is outside the domain of the first splitter
-    :func:`boxplus` grows it through (a product of generators) falls back to
-    the rearranged 1D coproduct when the example carries a 1-site Sweedler
-    rule in ``meta['delta_1site']``.  A :class:`DomainError` met later in the
-    growth of any other symbol propagates.
-    """
-    if s.shape != GridShape(1, 1):
-        raise ShapeError("boxplus_sum wants a 1 x 1 sum")
-    rule = ex.meta.get("delta_1site")
-    first = "y" if n > 1 else "x" if m > 1 else None  # boxplus grows the column first
-    terms = []
-    for word, coeff in s.unordered_items():
-        sym = word.cells[0]
-        if rule is not None and first is not None and not ex.splitter(first).domain(word):
-            grown = boxplus_from_1d(rule, sym, n, m)
-        else:
-            grown = boxplus(ex, sym, n, m)
-        terms += _scaled(grown, coeff)
-    return FormalSum(GridShape(n, m), terms)
-
-
-def _scaled(s: FormalSum, scalar):
-    """The terms of ``scalar * s``, unordered, for one merged build by the caller."""
-    return ((w, c * scalar) for w, c in s.unordered_items())
-
-
 def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int) -> FormalSum:
     """Rearrange the (n*m - 1)-fold 1D coproduct onto the lattice.
 
@@ -311,6 +286,57 @@ def boxplus_from_1d(delta_rule, sym: Symbol, n: int, m: int) -> FormalSum:
         terms = new
     shape = GridShape(n, m)
     return FormalSum(shape, [(GridWord(shape, word), coeff) for word, coeff in terms.items()])
+
+
+class OperatorTable(dict):
+    """The operators of one example's elements at n x m in one
+    representation ``rep``, by the name or symbol they were looked up with.
+
+    :meth:`element` grows each symbol once and keeps it.  A generator's
+    operator is evaluated on its first lookup, once, and later lookups
+    return the same operator; it lives as long as the table, as the
+    elements do.  :meth:`product` evaluates a product from the kept
+    elements of its symbols.
+    """
+
+    def __init__(self, ex: CoalgebraExample, rep: Representation, n: int, m: int):
+        super().__init__()
+        self.example, self.rep, self.n, self.m = ex, rep, n, m
+        self._elements = {}
+
+    def element(self, sym) -> FormalSum:
+        """The n x m element of a symbol, given as a symbol or its name,
+        grown on the first call and kept for the later ones.
+
+        A symbol whose 1 x 1 word is outside the domain of the first
+        splitter :func:`boxplus` grows it through (a product of generators)
+        takes the rearranged 1D coproduct (:func:`boxplus_from_1d`) when the
+        example carries a 1-site Sweedler rule in ``meta['delta_1site']``.
+        Any other symbol grows through :func:`boxplus`, and a
+        :class:`DomainError` met later in its growth propagates.
+        """
+        if sym not in self._elements:
+            ex, rule, n, m = self.example, self.example.meta.get("delta_1site"), self.n, self.m
+            v = ex.alphabet[sym] if isinstance(sym, str) else sym
+            first = "y" if n > 1 else "x" if m > 1 else None  # boxplus grows the column first
+            inside = rule is None or first is None or ex.splitter(first).domain(word1(v))
+            self._elements[sym] = boxplus(ex, sym, n, m) if inside else boxplus_from_1d(rule, v, n, m)
+        return self._elements[sym]
+
+    def __missing__(self, gen):
+        op = self[gen] = evaluate(self.element(gen), self.rep)
+        return op
+
+    def product(self, u: Symbol, w: Symbol):
+        """The operator of the product u w: the sum of its symbols' elements,
+        each scaled by its coefficient, evaluated on every call.  A product
+        that is not a 1 x 1 sum raises :class:`ShapeError`."""
+        s = self.example.multiplication(u, w)
+        if s.shape != GridShape(1, 1):
+            raise ShapeError(f"the product {u}*{w} is {s.shape}, not a 1 x 1 sum")
+        terms = [(t, c * coeff) for word, coeff in s.unordered_items()
+                 for t, c in self.element(word.cells[0]).unordered_items()]
+        return evaluate(FormalSum(GridShape(self.n, self.m), terms), self.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +538,22 @@ def check_counit(ex, direction, n, tol=EQ_TOL) -> CheckReport:
 def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> CheckReport:
     """boxplus(u) . boxplus(w) == boxplus(u w) as operators in ``rep``.
 
-    A failing instance names its worst entry (:func:`worst_entry`).  Growth
-    that leaves a splitter's domain fails the pair's instance (see
-    :func:`_checked`).  An example whose alphabet names an id differently
-    from ``rep``'s raises :class:`linops.RepresentationError`.
+    Every operator comes from one :class:`OperatorTable` of the example, so
+    each generator is grown and evaluated once, and each product is
+    evaluated from the kept elements of its symbols.  A failing instance
+    names its worst entry (:func:`worst_entry`).  Growth that leaves a
+    splitter's domain fails the pair's instance (see :func:`_checked`).  An
+    example whose alphabet names an id differently from ``rep``'s raises
+    :class:`linops.RepresentationError`.
     """
     if ex.multiplication is None:
         raise ConfigurationError(f"{ex.name} carries no multiplication rule")
     rep.alphabet.require_names(ex.alphabet, "the example's alphabet", "the representation",
                                RepresentationError)
+    ops = OperatorTable(ex, rep, n, m)
 
     def compared(u, w):
-        lhs = evaluate(boxplus(ex, u, n, m), rep) @ evaluate(boxplus(ex, w, n, m), rep)
-        rhs = evaluate(boxplus_sum(ex, ex.multiplication(u, w), n, m), rep)
+        lhs, rhs = ops[u] @ ops[w], ops.product(u, w)
         return _instance(f"{u}*{w}", (lhs - rhs).max_abs(), tol,
                          lambda: {"worst_entry": worst_entry(lhs, rhs)})
 

@@ -11,14 +11,15 @@ mapped onto the internal bottom-row-first linear order by
 :data:`DISPLAY_TO_LINEAR_2X2`.
 
 Every deformed-su(2) element is grown and represented by one step, an
-:class:`OperatorTable` of one (q, n, m): it builds one example at q and the
-spin-1/2 representation of that example's alphabet, grows every generator
-it is asked for from that example once (:meth:`OperatorTable.element`), and
-builds each lattice operator on its first lookup, comparing the element
-word by word with the placement construction and then evaluating it, so
-each operator is built once.  :func:`boxplus_op` is a one-off table's
-lookup.  A q-singlet on one site pair or a product of them on many comes
-from :func:`singlet_product`.
+:class:`OperatorTable` of one (q, n, m), the :class:`coalgebra.OperatorTable`
+that serves every example: it builds one example at q and the spin-1/2
+representation of that example's alphabet, grows every generator it is
+asked for from that example once (:meth:`coalgebra.OperatorTable.element`),
+and builds each lattice operator on its first lookup, once.  The one step
+it adds is uq's own: before the evaluation, the element is compared word by
+word with the placement construction.  :func:`boxplus_op` is a one-off
+table's lookup.  A q-singlet on one site pair or a product of them on many
+comes from :func:`singlet_product`.
 
 One q rule holds at every entry point, through :func:`instances.regular_q`
 and :func:`instances.nonsingular_q`: a q that is not finite is a
@@ -43,7 +44,8 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .coalgebra import CheckReport, _instance, boxplus, worst_residual
+from . import coalgebra
+from .coalgebra import CheckReport, _instance, worst_residual
 from .grids import EQ_TOL, Alphabet, FormalSum, GridWord, sum_difference, worst_word
 from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
 from .linops import Representation, ResourceLimitError, SparseOperator, evaluate, worst_entry
@@ -138,34 +140,23 @@ def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
     return OperatorTable(q, n, m)[gen]
 
 
-class OperatorTable(dict):
-    """The lattice operators of one (q, n, m), by generator name.
+class OperatorTable(coalgebra.OperatorTable):
+    """The lattice operators of one (q, n, m), by generator name: a
+    :class:`coalgebra.OperatorTable` of one deformed-su(2) example at q in
+    its spin-1/2 representation ``rep``.
 
-    Made after the q rule and the operator budget (:func:`require_budget`),
-    the table builds one deformed-su(2) example at q and its spin-1/2
-    representation ``rep``; :meth:`element` grows each generator from that
-    example once and keeps it.  An operator is built on its first lookup:
-    its element is compared word by word with the independent placement
-    construction :func:`_placement`, a mismatch raises and names the worst
-    word, and otherwise the element is evaluated, once.  Later lookups return the same
-    operator, which lives as long as the table, as the elements do.
+    It is made after the q rule and the operator budget
+    (:func:`require_budget`).  On an operator's first lookup its element is
+    compared word by word with the independent placement construction
+    :func:`_placement`, and a mismatch raises and names the worst word;
+    otherwise the element is evaluated, once, as in every table.
     """
 
     def __init__(self, q, n: int, m: int):
-        super().__init__()
-        q = regular_q(q)
+        self.q = q = regular_q(q)
         require_budget("an operator table", 2, n, m)
-        self.q, self.n, self.m = q, n, m
-        self.example = make_uq_symbolic(q)
-        self.rep = spin_half_rep(q, self.example.alphabet)
-        self._elements = {}
-
-    def element(self, gen: str) -> FormalSum:
-        """The engine's n x m element of a generator, grown from the table's
-        example on the first call and kept for the later ones."""
-        if gen not in self._elements:
-            self._elements[gen] = boxplus(self.example, gen, self.n, self.m)
-        return self._elements[gen]
+        example = make_uq_symbolic(q)
+        super().__init__(example, spin_half_rep(q, example.alphabet), n, m)
 
     def __missing__(self, gen):
         element = self.element(gen)
@@ -174,8 +165,7 @@ class OperatorTable(dict):
         if not res <= EQ_TOL:
             raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
                                  f"worst word (engine vs placement) {worst_word(element, placed)}")
-        op = self[gen] = evaluate(element, self.rep)
-        return op
+        return super().__missing__(gen)
 
 
 def _table(ops, q, n, m) -> OperatorTable:

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from hopf2d import cli
 from hopf2d.cli import main
-from hopf2d.coalgebra import DomainError, MultiplicationRule
+from hopf2d.coalgebra import DomainError, MultiplicationRule, check_antipode
 from hopf2d.grids import ShapeError
 from hopf2d.instances import taft_basis_name
 from hopf2d.linops import SparseOperator, read_matrix_market
@@ -117,13 +117,13 @@ def test_the_readme_rmatrix_run_builds_one_example_per_q_and_size(tmp_path, monk
 
 def test_the_rmatrix_checks_grow_each_element_once(tmp_path, monkeypatch):
     # rmatrix1d's permuted coproduct reads the element its operator was built from
-    real, grown = cli.uqsu2.boxplus, []
+    real, grown = cli.uqsu2.coalgebra.boxplus, []
 
     def counted(ex, gen, n, m):
         grown.append((gen, n, m))
         return real(ex, gen, n, m)
 
-    monkeypatch.setattr(cli.uqsu2, "boxplus", counted)
+    monkeypatch.setattr(cli.uqsu2.coalgebra, "boxplus", counted)
     assert main(["verify", "--example", "uq", "--q", "1.3", "--checks", "rmatrix1d,rmatrix2d",
                  "--out", str(tmp_path / "r")]) == 0
     assert sorted(grown) == [(g, n, 2) for g in ("S+", "S-") for n in (1, 2)]
@@ -161,6 +161,25 @@ def test_an_overflowing_q_writes_a_failing_report_and_no_warning(tmp_path, q, ch
     assert report["max_residual"] == "nan"
     if check == "kernel":
         assert report["instances"][0]["details"] == {"basis": [], "dimension": None}
+
+
+def test_an_overflowing_antipode_run_writes_both_reports_and_no_warning(tmp_path):
+    # the antipode runs outside the deformed-su(2) steps: the one numeric
+    # guard around every subcommand covers it too
+    out = tmp_path / "r"
+    argv = ["verify", "--example", "uq", "--q", "1e160", "--sizes", "3x3", "--checks", "antipode"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == 1
+    reports = read_all(out)
+    assert sorted(reports) == ["antipode_x.json", "antipode_y.json"]
+    worst = {name: json.loads(text)["max_residual"] for name, text in reports.items()}
+    assert worst["antipode_y.json"] == "nan"
+    assert not all(i["pass"] for i in json.loads(reports["antipode_y.json"])["instances"])
+    # a library caller keeps numpy's warnings
+    ex = cli.make_uq_symbolic(1e160)
+    with pytest.warns(RuntimeWarning):
+        check_antipode(ex, cli.uqsu2.spin_half_rep(1e160, ex.alphabet), "y", 3)
 
 
 def test_shared_tables_keep_every_report_byte(tmp_path):

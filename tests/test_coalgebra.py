@@ -18,11 +18,11 @@ from hopf2d.coalgebra import (
     ConfigurationError,
     DomainError,
     MultiplicationRule,
+    OperatorTable,
     Splitter,
     apply_splitter,
     boxplus,
     boxplus_from_1d,
-    boxplus_sum,
     check_antipode,
     check_counit,
     check_homomorphism,
@@ -49,7 +49,8 @@ from hopf2d.instances import (
     TaftConfig,
     regular_rep,
 )
-from hopf2d.linops import Representation, RepresentationError
+from hopf2d import coalgebra
+from hopf2d.linops import Representation, RepresentationError, evaluate
 
 PIVOT = make_pivot(theta=0.0)
 AB = PIVOT.alphabet
@@ -957,12 +958,14 @@ def test_only_symbols_outside_the_first_splitter_fall_back_to_the_1d_rule():
     x, gx = ex.alphabet["x"], ex.alphabet["gx"]
     with pytest.raises(DomainError, match="x/g outside the x-splitter domain"):
         boxplus(ex, x, 2, 3)
+    table = OperatorTable(ex, regular_rep(ex), 2, 3)
     # x is in the y-splitter's domain, so its growth error is not papered over
     with pytest.raises(DomainError, match="x/g outside the x-splitter domain"):
-        boxplus_sum(ex, FormalSum.unit(word1(x)), 2, 3)
-    # gx is outside it: the product symbol still takes the 1D rule
+        table.element(x)
+    # gx is outside it: the product symbol still takes the 1D rule, by symbol or by name
     want = boxplus_from_1d(ex.meta["delta_1site"], gx, 2, 3)
-    assert sum_difference(boxplus_sum(ex, FormalSum.unit(word1(gx), 2.0), 2, 3), want * 2.0) == 0.0
+    assert sum_difference(table.element(gx), want) == 0.0
+    assert sum_difference(table.element("gx"), want) == 0.0
     report = check_homomorphism(ex, regular_rep(ex), 2, 3, [("g", "g"), ("x", "g")])
     assert [(i.input, i.passed, i.residual) for i in report.instances] == [
         ("g*g", True, 0.0), ("x*g", False, math.inf)]
@@ -992,6 +995,50 @@ def test_a_failing_homomorphism_pair_names_its_worst_entry():
     assert good.details == {} and good.residual == 0.0
     written = json.loads(report.to_json())["instances"]
     assert ["details" in i for i in written] == [True, False]
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls of each named function at its binding in the coalgebra module."""
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(coalgebra, name, counting(name, getattr(coalgebra, name)))
+    return calls
+
+
+def test_homomorphism_grows_and_evaluates_each_generator_once(monkeypatch):
+    ex = make_taft(TaftConfig(2, -1.0))
+    rep = regular_rep(ex)
+    pairs = [(u, w) for u in ex.grow_symbols for w in ex.grow_symbols]
+    calls = _counted(monkeypatch, "evaluate", "boxplus", "boxplus_from_1d")
+    report = check_homomorphism(ex, rep, 2, 2, pairs)
+    assert report.ok and len(report.instances) == 9
+    # the three generators and the nine products are evaluated; the
+    # generators 1, g and x are grown once each, and gx, which only the
+    # products hold, takes the 1D rule once
+    assert calls == {"evaluate": 12, "boxplus": 3, "boxplus_from_1d": 1}
+
+
+def test_a_table_keeps_each_element_and_operator_it_builds(monkeypatch):
+    ex = make_cyclic_group(3)
+    rep = regular_rep(ex)
+    table = OperatorTable(ex, rep, 2, 2)
+    calls = _counted(monkeypatch, "evaluate", "boxplus")
+    g = ex.alphabet["g"]
+    assert table[g] is table[g] and table.element(g) is table.element(g)
+    for sym in ex.grow_symbols:
+        want = evaluate(boxplus(ex, sym, 2, 2), rep)
+        assert (table[sym] - want).max_abs() == 0.0
+    # the test's own calls above go through the linops and coalgebra names
+    # it imported, so the counts are the table's: one growth and one
+    # evaluation per generator
+    assert calls == {"evaluate": 3, "boxplus": 3}
 
 
 def _placement(shape, mark, before, after, key):
@@ -1045,19 +1092,26 @@ def _wrong_shape_split():
     split(word1(PIVOT.alphabet["v"]))
 
 
+def _wide_product():
+    ex = make_cyclic_group(3)
+    g = ex.alphabet["g"]
+    # a planted rule whose product is a 1 x 2 sum, not a 1 x 1 one
+    ex.multiplication = MultiplicationRule(lambda u, w: boxplus(ex, u, 1, 2))
+    OperatorTable(ex, regular_rep(ex), 2, 2).product(g, g)
+
+
 @pytest.mark.parametrize("call, error, fragment", [
     (_wrong_shape_split, ShapeError, "splitter returned 1x1, expected 1x2"),
     (lambda: boxplus(PIVOT, "v", 2, 2, order="diagonal"), ValueError,
      "unknown growth order 'diagonal'"),
-    (lambda: boxplus_sum(PIVOT, boxplus(PIVOT, "v", 1, 2), 2, 2), ShapeError,
-     "wants a 1 x 1 sum"),
+    (_wide_product, ShapeError, "the product g*g is 1x2, not a 1 x 1 sum"),
     (lambda: check_homomorphism(make_lie_like(["a"]), None, 2, 2, []), ConfigurationError,
      "lie_like carries no multiplication rule"),
     (lambda: check_antipode(make_quasi1d_group(), None, "x", 2), ConfigurationError,
      "quasi1d_group carries no antipode rule"),
     (lambda: dual_product([[{}], [{}]], PIVOT, "v", 2, 2), ShapeError,
      "functional grid does not match"),
-], ids=["splitter-shape", "growth-order", "boxplus-sum-shape", "no-multiplication",
+], ids=["splitter-shape", "growth-order", "product-shape", "no-multiplication",
         "no-antipode", "functional-grid"])
 def test_each_refused_input_raises_its_error(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):

@@ -450,7 +450,7 @@ def _plant(monkeypatch, plant):
     else:
         terms[word] = 2.0
         named, got, want = word, 2.0, 1.0
-    monkeypatch.setattr(uq, "boxplus", lambda *args: FormalSum(grown.shape, terms))
+    monkeypatch.setattr(uq.coalgebra, "boxplus", lambda *args: FormalSum(grown.shape, terms))
     return named, got, want
 
 
