@@ -15,7 +15,8 @@ of m sites; ``ks`` and ``commutator`` at each size asked; ``kernel`` and
 ``rmatrix2d`` at 2x2, ``rmatrix1d`` at 1x2 and ``singlets`` at 1x2 and 2x2.
 The deformed-su(2) checks need ``--example uq``, as ``semiclassical`` does;
 each runs at its own q list, and every check that runs at one (q, size)
-shares one :class:`uqsu2.OperatorTable` there (:func:`_uq_checks`);
+shares one :class:`uqsu2.OperatorTable` there (:func:`_uq_checks`), the
+one input from which it reads its q, its size and its operators;
 ``homomorphism`` reads its operators from one
 :class:`coalgebra.OperatorTable`, the table that every example uses and
 the uq one extends.  The checks that build operators (``homomorphism``,
@@ -29,7 +30,7 @@ alone, before the representation or any check is built, and a run past it
 exits 2 and writes nothing; ``build-op`` reads the same budget through its
 :class:`uqsu2.OperatorTable`.  Near the
 budget, one fresh process each on a 2-core x86 machine (min of 3): taft(2)
-``homomorphism`` at 3x3 (4**9) takes 1.0 s and 201 MiB, taft(2)
+``homomorphism`` at 3x3 (4**9) takes 0.74 s and 192 MiB, taft(2)
 ``antipode`` on 9-site slices 2.0 s and 94 MiB, taft(3) ``antipode`` on
 5-site slices (9**5) 0.6 s and 63 MiB, and uq ``antipode`` on 18-site
 slices 11.5 s and 111 MiB.
@@ -312,7 +313,7 @@ def _uq_checks(runs, qs, tol):
     for (q, n, m), names in steps.items():
         ops = uqsu2.OperatorTable(q, n, m)
         for name in names:
-            done[name, q, n, m] = _uq_instances(name, q, n, m, ops, tol)
+            done[name, q, n, m] = _uq_instances(name, ops, tol)
         del ops
     return {name: CheckReport(name, [(n, m) for _, n, m in check_runs],
                               [inst for q in qs[name] for _, n, m in check_runs
@@ -320,13 +321,15 @@ def _uq_checks(runs, qs, tol):
             for name, check_runs in runs.items()}
 
 
-def _uq_instances(name, q, n, m, ops, tol):
+def _uq_instances(name, ops, tol):
+    """The instances of check ``name`` at the q and size of table ``ops``."""
+    q, n, m = ops.q, ops.n, ops.m
     if name == "ks":
-        return _prefixed(uqsu2.check_ks_relation(q, n, m, tol=tol, ops=ops), f"q={q:g},{n}x{m}")
+        return _prefixed(uqsu2.check_ks_relation(ops, tol), f"q={q:g},{n}x{m}")
     if name == "commutator":
-        return _prefixed(uqsu2.check_commutator(q, n, m, tol=tol, ops=ops), f"q={q:g},{n}x{m}")
+        return _prefixed(uqsu2.check_commutator(ops, tol), f"q={q:g},{n}x{m}")
     if name == "kernel":
-        k = uqsu2.kernel_2x2(q, ops=ops)
+        k = uqsu2.kernel_2x2(ops)
         dim = k["dimension"]
         # the reversed-orientation control must leave the kernel
         ok = (dim == 2 and all(v <= tol for v in k["family_residuals"].values())
@@ -337,8 +340,8 @@ def _uq_instances(name, q, n, m, ops, tol):
         return [CheckInstance(f"q={q:g}", ok, res, {"dimension": dim, "basis": basis})]
     if name == "singlets":
         if (n, m) == (1, 2):
-            return _prefixed(uqsu2.singlet_pair_checks(q, tol=tol, ops=ops), f"q={q:g}")
-        vres = uqsu2.vertical_singlet_residual(q, tol=tol, ops=ops)
+            return _prefixed(uqsu2.singlet_pair_checks(ops, tol), f"q={q:g}")
+        vres = uqsu2.vertical_singlet_residual(ops, tol)
         return [_instance(f"q={q:g} vertical {gen}", vres[gen]["residual_vs_pattern"], tol)
                 for gen in ("S+", "S-")]
     if name == "rmatrix1d":
@@ -348,16 +351,15 @@ def _uq_instances(name, q, n, m, ops, tol):
         res = float(np.abs(r - rmx.r_matrix_factorized(q)).max())
         instances = [_instance(f"q={q:g} closed==factorized", res, tol_1d)]
         for gen in ("S+", "S-"):
-            res = float(np.abs(r @ rmx.delta_2site(gen, q, ops=ops)
-                               - rmx.delta_perm(gen, q, ops=ops) @ r).max())
+            res = float(np.abs(r @ ops[gen].toarray() - rmx.delta_perm(ops, gen) @ r).max())
             instances.append(_instance(f"q={q:g} intertwine {gen}", res, tol_1d))
         return instances
-    chain = rmx.conjugation_chain(q, "S+", ops=ops)
+    chain = rmx.conjugation_chain(ops, "S+")
     big = chain["conjugator"]  # r2d(q), from the chain's own steps
     ends = chain["operators"]  # S+'s plaquette element first, its permuted one last
     instances = []
     for gen, (display, perm) in (("S+", (ends[0], ends[-1])),
-                                 ("S-", rmx.plaquette_pair("S-", q, ops=ops))):
+                                 ("S-", rmx.plaquette_pair(ops, "S-"))):
         res = float(np.abs(big @ display - perm @ big).max())
         instances.append(_instance(f"q={q:g} intertwine {gen}", res, tol))
     return instances + [_instance(f"q={q:g} chain", worst_residual(chain["residuals"])[1], tol)]
@@ -389,7 +391,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build_op(args) -> int:
-    q = _parse_q_list(args.q, args.seed, 1)[0]
+    q, *more = _parse_q_list(args.q, args.seed, 1)
+    if more:
+        raise ConfigurationError(f"--q takes one value, got {args.q!r}")
     if args.rmatrix2d:
         for flag, value in (("--gen", args.gen), ("--size", args.size)):
             if value is not None:

@@ -295,7 +295,8 @@ class OperatorTable(dict):
     :meth:`element` grows each symbol once and keeps it.  A generator's
     operator is evaluated on its first lookup, once, and later lookups
     return the same operator; it lives as long as the table, as the
-    elements do.  :meth:`product` evaluates a product from the kept
+    elements do.  :meth:`product` returns a kept operator for a product
+    that is one of its symbols, or evaluates the product from the kept
     elements of its symbols.
     """
 
@@ -328,13 +329,18 @@ class OperatorTable(dict):
         return op
 
     def product(self, u: Symbol, w: Symbol):
-        """The operator of the product u w: the sum of its symbols' elements,
-        each scaled by its coefficient, evaluated on every call.  A product
-        that is not a 1 x 1 sum raises :class:`ShapeError`."""
+        """The operator of the product u w.  A product that is one symbol
+        with coefficient 1, whose operator the table holds, is that kept
+        operator; any other is the sum of its symbols' elements, each
+        scaled by its coefficient, evaluated on every call and not kept.  A
+        product that is not a 1 x 1 sum raises :class:`ShapeError`."""
         s = self.example.multiplication(u, w)
         if s.shape != GridShape(1, 1):
             raise ShapeError(f"the product {u}*{w} is {s.shape}, not a 1 x 1 sum")
-        terms = [(t, c * coeff) for word, coeff in s.unordered_items()
+        items = list(s.unordered_items())
+        if len(items) == 1 and items[0][1] == 1 and items[0][0].cells[0] in self:
+            return self[items[0][0].cells[0]]
+        terms = [(t, c * coeff) for word, coeff in items
                  for t, c in self.element(word.cells[0]).unordered_items()]
         return evaluate(FormalSum(GridShape(self.n, self.m), terms), self.rep)
 
@@ -539,8 +545,10 @@ def check_homomorphism(ex, rep: Representation, n, m, pairs, tol=EQ_TOL) -> Chec
     """boxplus(u) . boxplus(w) == boxplus(u w) as operators in ``rep``.
 
     Every operator comes from one :class:`OperatorTable` of the example, so
-    each generator is grown and evaluated once, and each product is
-    evaluated from the kept elements of its symbols.  A failing instance
+    each generator is grown and evaluated once, and each product is the
+    kept operator of a generator already looked up, when it is that one
+    generator with coefficient 1, or is evaluated from the kept elements of
+    its symbols (:meth:`OperatorTable.product`).  A failing instance
     names its worst entry (:func:`worst_entry`).  Growth that leaves a
     splitter's domain fails the pair's instance (see :func:`_checked`).  An
     example whose alphabet names an id differently from ``rep``'s raises

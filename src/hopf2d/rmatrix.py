@@ -17,11 +17,13 @@ plaquette R-matrix :func:`r2d` is the conjugator of the six steps of
 version, and the plaquette classical r is the matching signed sum of pair
 r's.  :func:`conjugation_chain` runs those steps on the engine's own 2 x 2
 element and checks that it ends at the permuted element: that element with
-every K letter swapped.  Elements and their representation come from a
-table, ``ops``, an :class:`uqsu2.OperatorTable` of their q and size, or
-from a new one, so a caller that shares one table per (q, size) builds one
-example there and grows each element once (:func:`delta_perm` at 1 x 2,
-:func:`plaquette_pair` and :func:`conjugation_chain` at 2 x 2).
+every K letter swapped.  The entry points that read the engine's
+elements, :func:`delta_perm` at 1 x 2, :func:`plaquette_pair` and
+:func:`conjugation_chain` at 2 x 2, take one table, ``ops``, an
+:class:`uqsu2.OperatorTable`, first, read their q, their elements and
+their representation from it and refuse a table of another size.  A
+caller that shares one table per (q, size) builds one example there and
+grows each element once.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from .coalgebra import CheckInstance, CheckReport
 from .grids import FormalSum, GridWord, sums_equal, worst_word
 from .instances import regular_q
 from .linops import Representation, evaluate, kron_terms
-from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, _table
-from .uqsu2 import delta_2site  # the two-site coproduct, dense 4 x 4
+from .uqsu2 import DISPLAY_TO_LINEAR_2X2, ID2, SM, SP, SZ, _require_size
 
 _UNITS = [[np.outer(ID2[a], ID2[b]) for b in (0, 1)] for a in (0, 1)]  # |a><b| on one site
 
@@ -65,13 +66,14 @@ def r_matrix_factorized(q) -> np.ndarray:
     return np.diag(diag) * cmath.exp(0.5 * logq) @ core
 
 
-def delta_perm(gen: str, q, ops=None) -> np.ndarray:
-    """Permuted coproduct: the 1 x 2 element of S+ or S- with its K letters
-    swapped."""
-    table = _table(ops, q, 1, 2)
+def delta_perm(ops, gen: str) -> np.ndarray:
+    """Permuted coproduct: the 1 x 2 element of S+ or S- in ``ops``, a
+    table of 1 x 2, with its K letters swapped.  The coproduct itself is
+    ``ops[gen].toarray()``."""
+    _require_size(ops, 1, 2)
     if gen not in ("S+", "S-"):
         raise ValueError(f"no permuted coproduct for {gen!r}")
-    return evaluate(_permuted(table.element(gen), _k_swap(table.rep.alphabet)), table.rep).toarray()
+    return evaluate(_permuted(ops.element(gen), _k_swap(ops.rep.alphabet)), ops.rep).toarray()
 
 
 def embed(mat: np.ndarray, *sites: int) -> np.ndarray:
@@ -139,11 +141,12 @@ def _permuted(s: FormalSum, swap: dict) -> FormalSum:
                                                                for c in word.cells)))
 
 
-def plaquette_pair(gen: str, q, ops=None) -> tuple[np.ndarray, np.ndarray]:
+def plaquette_pair(ops, gen: str) -> tuple[np.ndarray, np.ndarray]:
     """The 2 x 2 lattice generator and its permuted element as 16 x 16
-    operators in display layout, grown and evaluated from one table."""
-    table = _table(ops, q, 2, 2)
-    s, rep = table.element(gen), table.rep
+    operators in display layout, grown and evaluated from ``ops``, a table
+    of 2 x 2."""
+    _require_size(ops, 2, 2)
+    s, rep = ops.element(gen), ops.rep
     return (evaluate_display_2x2(s, rep),
             evaluate_display_2x2(_permuted(s, _k_swap(rep.alphabet)), rep))
 
@@ -276,30 +279,30 @@ def _chain_transform(s: FormalSum, pair, mode, flip) -> FormalSum:
     return s.map_words(step)
 
 
-def conjugation_chain(q, sgen="S+", ops=None):
+def conjugation_chain(ops, sgen="S+"):
     """Run the six conjugation steps on the plaquette element, returning
     the sums, residuals and the chain's conjugator.
 
     The chain starts from the 2 x 2 element of ``sgen`` that ``ops``, an
-    :class:`uqsu2.OperatorTable` of (q, 2, 2), or a new table grows, and
-    rewrites its words one step of :data:`CHAIN_STEPS` at a time, so
-    ``steps`` holds seven :class:`FormalSum` s.  Each step's sum, evaluated by
+    :class:`uqsu2.OperatorTable` of 2 x 2, grows, and rewrites its words
+    one step of :data:`CHAIN_STEPS` at a time, so ``steps`` holds seven
+    :class:`FormalSum` s.  Each step's sum, evaluated by
     :func:`evaluate_display_2x2` into ``operators``, is compared numerically
     against the actual conjugation of the previous operator; the last sum
     must equal the first with every K letter swapped, or ``ValueError``
     names the word where they differ most.  ``conjugator`` is the product
-    of the steps' conjugators in :func:`r2d`'s order, so it is ``r2d(q)``
-    bit for bit.
+    of the steps' conjugators at ``ops.q`` in :func:`r2d`'s order, so it is
+    ``r2d(ops.q)`` bit for bit.
     """
-    table = _table(ops, q, 2, 2)
-    s, rep = table.element(sgen), table.rep
+    _require_size(ops, 2, 2)
+    s, rep = ops.element(sgen), ops.rep
     flip = _k_swap(rep.alphabet)
     steps, operators = [s], [evaluate_display_2x2(s, rep)]
     residuals, gs = [], []
     for (pair, mode) in CHAIN_STEPS:
         s = _chain_transform(s, pair, mode, flip)
         steps.append(s)
-        g, ginv = _step(q, pair, mode)
+        g, ginv = _step(ops.q, pair, mode)
         gs.append(g)
         cur = evaluate_display_2x2(s, rep)
         residuals.append(float(np.abs(cur - g @ operators[-1] @ ginv).max()))

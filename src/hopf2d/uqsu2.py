@@ -25,15 +25,20 @@ One q rule holds at every entry point, through :func:`instances.regular_q`
 and :func:`instances.nonsingular_q`: a q that is not finite is a
 :class:`coalgebra.ConfigurationError`; q = 0, and q**2 = 1 wherever
 1/(q - 1/q) appears (the commutator, the q-singlets and the checks built on
-them), is a :class:`coalgebra.SingularParameterError`.
+them), is a :class:`coalgebra.SingularParameterError`.  A check reads its
+q from its table, so the table refuses a q that is not finite, or 0, when
+it is made, and a check that needs 1/(q - 1/q) refuses a table at
+q**2 = 1 before it touches an operator.
 
-The checks, :func:`delta_2site` and the R-matrix entry points of
-:mod:`hopf2d.rmatrix` take their operators and elements from an
-:class:`OperatorTable` of their (q, n, m), ``ops``, and share it with every
-later call given the same table; a call without a table makes its own.
-The CLI keeps one table per distinct (q, size) that a ``verify`` check runs
-at, shared by every check that runs there, and drops it before it builds
-the next.  No table outlives its caller: nothing is cached across calls.
+The checks and the R-matrix entry points of :mod:`hopf2d.rmatrix` take
+one :class:`OperatorTable`, ``ops``, first, and read their q, their size
+and their operators and elements from it; one that runs at a fixed size
+(1 x 2 or 2 x 2) refuses a table of another size with a ``ValueError``
+naming both.  Every later call given the same table shares what it has
+built.  The CLI keeps one table per distinct (q, size) that a ``verify``
+check runs at, shared by every check that runs there, and drops it before
+it builds the next.  No table outlives its caller: nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -168,13 +173,11 @@ class OperatorTable(coalgebra.OperatorTable):
         return super().__missing__(gen)
 
 
-def _table(ops, q, n, m) -> OperatorTable:
-    """``ops``, or a new table if it is None; a table of another (q, n, m) raises."""
-    if ops is None:
-        return OperatorTable(q, n, m)
-    if (ops.q, ops.n, ops.m) != (q, n, m):
-        raise ValueError(f"operator table of q={ops.q}, {ops.n}x{ops.m} used at q={q}, {n}x{m}")
-    return ops
+def _require_size(ops, n: int, m: int):
+    """The guard of the fixed-size checks: a table of another size than
+    n x m raises ``ValueError`` naming both sizes."""
+    if (ops.n, ops.m) != (n, m):
+        raise ValueError(f"operator table of {ops.n}x{ops.m} used at {n}x{m}")
 
 
 def _diagonal(op: SparseOperator) -> np.ndarray:
@@ -193,7 +196,7 @@ def _on_coordinates(mat, data) -> SparseOperator:
     return SparseOperator._wrap(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
 
 
-def check_ks_relation(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
+def check_ks_relation(ops, tol=EQ_TOL) -> CheckReport:
     """K S = q^(+-1) S K lifted to the whole lattice, max-entry residual.
 
     The K strings are diagonal, so no sparse product is formed: ``K S`` is
@@ -203,16 +206,14 @@ def check_ks_relation(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
     so the residual compares the two arrays entry by entry, the one
     subtraction per entry of ``(K S - q^(+-1) S K).max_abs()``.  Only a
     failing relation wraps them as operators (:func:`_on_coordinates`), for
-    :func:`worst_entry`.  The operators come from ``ops``, an
-    :class:`OperatorTable` of this (q, n, m), or from a new table.
+    :func:`worst_entry`.  The q, the size and the operators come from
+    ``ops``, an :class:`OperatorTable`.
     """
-    q = regular_q(q)
-    instances = []
-    table = _table(ops, q, n, m)
+    q, instances = ops.q, []
     # S+ and S- first: built after the K strings, they raised the peak
     # memory of a 4x4 `verify --checks ks` run from 115 to 135 MiB
-    s = {g: table[g].mat for g in ("S+", "S-")}
-    k = {g: _diagonal(table[g]) for g in ("K+", "K-")}
+    s = {g: ops[g].mat for g in ("S+", "S-")}
+    k = {g: _diagonal(ops[g]) for g in ("K+", "K-")}
     for alpha, kname in ((1, "K+"), (-1, "K-")):
         for sign, sname in ((1, "S+"), (-1, "S-")):
             mat = s[sname]
@@ -225,10 +226,10 @@ def check_ks_relation(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
                 res = float(np.abs(lhs - rhs).max(initial=0.0))
             instances.append(_instance(f"{kname}*{sname}", res, tol, lambda: {
                 "worst_entry": worst_entry(_on_coordinates(mat, lhs), _on_coordinates(mat, rhs))}))
-    return CheckReport("ks_relation", [(n, m)], instances)
+    return CheckReport("ks_relation", [(ops.n, ops.m)], instances)
 
 
-def check_commutator(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
+def check_commutator(ops, tol=EQ_TOL) -> CheckReport:
     """[raise, lower] telescopes to the difference of squared K strings.
 
     The residual is accumulated over blocks of :data:`BLOCK_ROWS` rows: each
@@ -237,10 +238,10 @@ def check_commutator(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
     entry is the same arithmetic as in the whole-matrix difference.  A
     failing instance names the first worst entry in row-major order, NaN
     before any number, as :func:`worst_entry` does on the whole matrices.
-    The operators come from ``ops`` as in :func:`check_ks_relation`.
+    The q, the size and the operators come from ``ops`` as in
+    :func:`check_ks_relation`.
     """
-    q = nonsingular_q(q)
-    ops = _table(ops, q, n, m)
+    q = nonsingular_q(ops.q)
     sp_, sm_, kp2, km2 = (ops[g].mat for g in ("S+", "S-", "K+2", "K-2"))
     scale = 1.0 / (q - 1.0 / q)
 
@@ -259,7 +260,7 @@ def check_commutator(q, n, m, tol=EQ_TOL, ops=None) -> CheckReport:
         return {"worst_entry": entry}
 
     inst = _instance(f"commutator q={q:g}", res, tol, where)
-    return CheckReport("commutator", [(n, m)], [inst])
+    return CheckReport("commutator", [(ops.n, ops.m)], [inst])
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +301,13 @@ def singlet_product(q, pairs, total_sites) -> np.ndarray:
     return _pair_product([(pair, amplitudes) for pair in pairs], total_sites)
 
 
-def delta_2site(gen: str, q, ops=None) -> np.ndarray:
-    """Two-site coproduct of a generator, dense 4 x 4, from ``ops``, an
-    :class:`OperatorTable` of (q, 1, 2), or from a new table."""
-    return _table(ops, q, 1, 2)[gen].toarray()
-
-
-def singlet_pair_checks(q, tol=EQ_TOL, ops=None) -> CheckReport:
+def singlet_pair_checks(ops, tol=EQ_TOL) -> CheckReport:
     """The two-site singlet identities: K fixes it, raising/lowering kill it,
     and K- x K+ maps it onto the inverse-q singlet with the stated ratio.
-    The coproducts and K matrices come from ``ops`` as in
-    :func:`delta_2site`."""
-    q = nonsingular_q(q)
-    ops = _table(ops, q, 1, 2)
+    The q, the two-site coproducts and the K matrices come from ``ops``, an
+    :class:`OperatorTable` of 1 x 2."""
+    q = nonsingular_q(ops.q)
+    _require_size(ops, 1, 2)
     instances = []
     s = singlet_product(q, [(1, 2)], 2)
     for gen in ("S+", "S-"):
@@ -343,18 +338,18 @@ def _display_state(specs) -> np.ndarray:
          for (i, j), kind in specs.items()], 4)
 
 
-def vertical_singlet_residual(q, tol=EQ_TOL, ops=None) -> dict:
+def vertical_singlet_residual(ops, tol=EQ_TOL) -> dict:
     """Image of two vertical q-singlets under the plaquette operators.
 
     The vertical singlets sit on display columns (3,1) and (4,2), bottom site
     first; one overall normalization 1/sqrt(q - 1/q) is stripped so the
     component magnitude is exactly (q^(1/2) - q^(-1/2))/sqrt(q - 1/q).
     Returns the measured coefficient, its predicted value and the residual
-    against the signed support pattern.  The operators come from ``ops``,
-    an :class:`OperatorTable` of (q, 2, 2), or from a new table.
+    against the signed support pattern.  The q and the operators come from
+    ``ops``, an :class:`OperatorTable` of 2 x 2.
     """
-    q = nonsingular_q(q)
-    ops = _table(ops, q, 2, 2)
+    q = nonsingular_q(ops.q)
+    _require_size(ops, 2, 2)
     pairs = [(DISPLAY_TO_LINEAR_2X2[3], DISPLAY_TO_LINEAR_2X2[1]),
              (DISPLAY_TO_LINEAR_2X2[4], DISPLAY_TO_LINEAR_2X2[2])]
     psi = singlet_product(q, pairs, 4) * cmath.sqrt(q - 1.0 / q)
@@ -379,7 +374,7 @@ def vertical_singlet_residual(q, tol=EQ_TOL, ops=None) -> dict:
     return out
 
 
-def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
+def kernel_2x2(ops, svd_tol=1e-10) -> dict:
     """Joint null space of the 2 x 2 plaquette raising/lowering operators.
 
     Computed by SVD of the stacked 32 x 16 matrix with a relative singular
@@ -388,11 +383,11 @@ def kernel_2x2(q, svd_tol=1e-10, ops=None) -> dict:
     the two-parameter singlet family that spans the kernel (horizontal pair
     and crossed pair, orientations as printed) and the reversed-orientation
     control, each residual the worst of its S+ and S- residual
-    (:func:`coalgebra.worst_residual`).  The operators come from ``ops`` as
-    in :func:`vertical_singlet_residual`.
+    (:func:`coalgebra.worst_residual`).  The q and the operators come from
+    ``ops`` as in :func:`vertical_singlet_residual`.
     """
-    q = nonsingular_q(q)
-    ops = _table(ops, q, 2, 2)
+    q = nonsingular_q(ops.q)
+    _require_size(ops, 2, 2)
     sp_op, sm_op = ops["S+"].toarray(), ops["S-"].toarray()
     stacked = np.vstack([sp_op, sm_op])
     dim, basis = None, np.zeros((16, 0))

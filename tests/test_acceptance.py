@@ -110,8 +110,9 @@ def test_c03_uq_bialgebra_relations():
     worst = 0.0
     for q in qs:
         for (n, m) in [(2, 2), (2, 3), (3, 3)]:
-            r1 = uq.check_ks_relation(q, n, m, tol=1e-10)
-            r2 = uq.check_commutator(q, n, m, tol=1e-10)
+            ops = uq.OperatorTable(q, n, m)
+            r1 = uq.check_ks_relation(ops, tol=1e-10)
+            r2 = uq.check_commutator(ops, tol=1e-10)
             assert r1.ok and r2.ok, (q, n, m)
             worst = max(worst, r1.max_residual, r2.max_residual)
     elapsed = time.perf_counter() - t0
@@ -123,18 +124,19 @@ def test_c04_q_singlets():
     qs = [2.0, 3.0, cmath.exp(1j * math.pi / 5)]
     worst = 0.0
     for q in qs:
-        pair = uq.singlet_pair_checks(q, tol=1e-10)
+        pair = uq.singlet_pair_checks(uq.OperatorTable(q, 1, 2), tol=1e-10)
         assert pair.ok, q
         worst = max(worst, pair.max_residual)
-        kernel = uq.kernel_2x2(q, svd_tol=1e-10)
+        plaquette = uq.OperatorTable(q, 2, 2)
+        kernel = uq.kernel_2x2(plaquette, svd_tol=1e-10)
         assert kernel["dimension"] == 2, q
         assert max(kernel["family_residuals"].values()) < 1e-10, q
-        vert = uq.vertical_singlet_residual(q, tol=1e-10)
+        vert = uq.vertical_singlet_residual(plaquette, tol=1e-10)
         coef = abs(vert["coefficient"])
         for gen in ("S+", "S-"):
             assert vert[gen]["residual_vs_pattern"] < 1e-10, (q, gen)
             assert abs(vert[gen]["measured_coefficient"] - coef) < 1e-10, (q, gen)
-    coefs = [abs(uq.vertical_singlet_residual(q)["coefficient"])
+    coefs = [abs(uq.vertical_singlet_residual(uq.OperatorTable(q, 2, 2))["coefficient"])
              for q in (1.5, 1.1, 1.01)]
     assert coefs[0] > coefs[1] > coefs[2]
     _line(4, True, f"kernel dim 2, vertical coefficient {coefs[0]:.3f} > "
@@ -144,12 +146,11 @@ def test_c04_q_singlets():
 def test_c05_rmatrix_1d():
     worst = 0.0
     for q in seeded_qs(20, seed=42):
-        r = rm.r_matrix(q)
+        r, ops = rm.r_matrix(q), uq.OperatorTable(q, 1, 2)
         res = float(np.abs(r - rm.r_matrix_factorized(q)).max())
         worst = max(worst, res)
         for gen in ("S+", "S-"):
-            res = float(np.abs(r @ rm.delta_2site(gen, q)
-                               - rm.delta_perm(gen, q) @ r).max())
+            res = float(np.abs(r @ ops[gen].toarray() - rm.delta_perm(ops, gen) @ r).max())
             worst = max(worst, res)
     _line(5, worst < 1e-12, f"20 seeded q, max residual {worst:.2e}")
 
@@ -159,12 +160,12 @@ def test_c06_rmatrix_2d():
 
     worst = 0.0
     for q in seeded_qs(20, seed=42):
-        big = rm.r2d(q)
+        big, ops = rm.r2d(q), uq.OperatorTable(q, 2, 2)
         for gen in ("S+", "S-"):
-            display, perm = rm.plaquette_pair(gen, q)
+            display, perm = rm.plaquette_pair(ops, gen)
             res = float(np.abs(big @ display - perm @ big).max())
             worst = max(worst, res)
-    chain = rm.conjugation_chain(1.5, "S+")
+    chain = rm.conjugation_chain(uq.OperatorTable(1.5, 2, 2), "S+")
     symbolic_ok = all(
         _normalize(got) == _normalize(want)
         for got, want in zip(chain["steps"], FROZEN_CHAIN)

@@ -215,20 +215,20 @@ RULE_CHECKS = {
     "antipode": (["--example", "taft"], 4,
                  {(cli, "check_antipode"): lambda ex, rep, d, k, **_: _slice(d, k)}),
     "ks": (["--example", "uq", "--q", "1.3"], 2,
-           {(cli.uqsu2, "check_ks_relation"): lambda q, n, m, **_: (n, m)}),
+           {(cli.uqsu2, "check_ks_relation"): lambda ops, *_: (ops.n, ops.m)}),
     "commutator": (["--example", "uq", "--q", "1.3"], 2,
-                   {(cli.uqsu2, "check_commutator"): lambda q, n, m, **_: (n, m)}),
+                   {(cli.uqsu2, "check_commutator"): lambda ops, *_: (ops.n, ops.m)}),
     "kernel": (["--example", "uq", "--q", "1.3"], 2,
-               {(cli.uqsu2, "kernel_2x2"): lambda q, ops, **_: (ops.n, ops.m)}),
+               {(cli.uqsu2, "kernel_2x2"): lambda ops, *_: (ops.n, ops.m)}),
     "singlets": (["--example", "uq", "--q", "1.3"], 2,
-                 {(cli.uqsu2, "singlet_pair_checks"): lambda q, ops, **_: (ops.n, ops.m),
-                  (cli.uqsu2, "vertical_singlet_residual"): lambda q, ops, **_: (ops.n, ops.m)}),
+                 {(cli.uqsu2, "singlet_pair_checks"): lambda ops, *_: (ops.n, ops.m),
+                  (cli.uqsu2, "vertical_singlet_residual"): lambda ops, *_: (ops.n, ops.m)}),
     # delta_perm runs once for each generator: the S+ call stands for the run
     "rmatrix1d": (["--example", "uq", "--q", "1.3"], 2,
-                  {(cli.rmx, "delta_perm"): lambda gen, q, ops, **_: (ops.n, ops.m)
+                  {(cli.rmx, "delta_perm"): lambda ops, gen: (ops.n, ops.m)
                    if gen == "S+" else None}),
     "rmatrix2d": (["--example", "uq", "--q", "1.3"], 2,
-                  {(cli.rmx, "conjugation_chain"): lambda q, sgen, ops, **_: (ops.n, ops.m)}),
+                  {(cli.rmx, "conjugation_chain"): lambda ops, *_: (ops.n, ops.m)}),
 }
 
 
@@ -446,8 +446,8 @@ def test_kernel_fails_when_its_reversed_orientation_control_stays_in_the_kernel(
         tmp_path, monkeypatch):
     real = cli.uqsu2.kernel_2x2
 
-    def kernel(q, **kwargs):
-        return {**real(q, **kwargs), "reversed_orientation_residual": 0.0}
+    def kernel(ops, *args):
+        return {**real(ops, *args), "reversed_orientation_residual": 0.0}
 
     argv = ["verify", "--example", "uq", "--q", "2.0", "--checks", "kernel",
             "--out", str(tmp_path / "r")]
@@ -710,6 +710,9 @@ def test_example_options_another_example_reads_are_config_errors(tmp_path, capsy
     (["--rmatrix2d", "--q", "1.5"], {"size": "2x2"}, "--size goes without --rmatrix2d"),
     (["--gen", "S+", "--q", "1.5"], {"rmatrix2d": True}, "--gen goes without --rmatrix2d"),
     (["--gen", "S+", "--q", "1.3"], {"size": "2x2,2x3"}, "--size takes one size"),
+    (["--gen", "S+", "--q", "1.3", "--q", "2.0", "--size", "1x2"], {}, "--q takes one value"),
+    (["--rmatrix2d", "--q", "1.3", "--q", "2.0"], {}, "--q takes one value"),
+    (["--gen", "S+", "--size", "1x2"], {"q": [1.3, 2.0]}, "--q takes one value"),
 ])
 def test_build_op_options_its_run_does_not_read_are_config_errors(tmp_path, capsys, argv, cfg,
                                                                     message):

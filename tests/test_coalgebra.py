@@ -1019,10 +1019,19 @@ def test_homomorphism_grows_and_evaluates_each_generator_once(monkeypatch):
     calls = _counted(monkeypatch, "evaluate", "boxplus", "boxplus_from_1d")
     report = check_homomorphism(ex, rep, 2, 2, pairs)
     assert report.ok and len(report.instances) == 9
-    # the three generators and the nine products are evaluated; the
-    # generators 1, g and x are grown once each, and gx, which only the
-    # products hold, takes the 1D rule once
-    assert calls == {"evaluate": 12, "boxplus": 3, "boxplus_from_1d": 1}
+    # the three generators are evaluated, and the three products that are
+    # not one generator with coefficient 1 (g*x = gx, x*g = -gx, x*x = 0);
+    # the other six are the generators' kept operators.  The generators
+    # 1, g and x are grown once each, and gx, which only the products
+    # hold, takes the 1D rule once
+    assert calls == {"evaluate": 6, "boxplus": 3, "boxplus_from_1d": 1}
+    # every product of the group is one of its elements: only the three
+    # generators are evaluated
+    group = make_cyclic_group(3)
+    calls.clear()
+    pairs = [(u, w) for u in group.grow_symbols for w in group.grow_symbols]
+    assert check_homomorphism(group, regular_rep(group), 2, 2, pairs).ok
+    assert calls == {"evaluate": 3, "boxplus": 3}
 
 
 def test_a_table_keeps_each_element_and_operator_it_builds(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hopf2d import rmatrix as rm
 from hopf2d.grids import FormalSum, GridShape, GridWord
 from hopf2d.instances import make_uq_symbolic
-from hopf2d.uqsu2 import spin_half_rep
+from hopf2d.uqsu2 import OperatorTable, spin_half_rep
 
 
 def seeded_qs(count=20, seed=11):
@@ -42,9 +42,9 @@ def test_closed_equals_factorized():
 
 def test_pair_intertwining_seeded():
     for q in seeded_qs(20):
-        r = rm.r_matrix(q)
+        r, ops = rm.r_matrix(q), OperatorTable(q, 1, 2)
         for gen in ("S+", "S-"):
-            res = np.abs(r @ rm.delta_2site(gen, q) - rm.delta_perm(gen, q) @ r).max()
+            res = np.abs(r @ ops[gen].toarray() - rm.delta_perm(ops, gen) @ r).max()
             assert res < 1e-12, (q, gen, res)
 
 
@@ -56,11 +56,13 @@ def test_delta_perm_swap_conjugation():
         [0, 0, 0, 1],
     ], dtype=complex)
     for q in (2.0, 0.7):
+        ops = OperatorTable(q, 1, 2)
         for gen in ("S+", "S-"):
-            direct = rm.delta_perm(gen, q)
-            conj = swap @ rm.delta_2site(gen, q) @ swap
+            direct = rm.delta_perm(ops, gen)
+            conj = swap @ ops[gen].toarray() @ swap
             assert np.abs(direct - conj).max() < 1e-12
-    assert np.allclose(rm.delta_perm("S+", 1.0), rm.delta_2site("S+", 1.0))
+    undeformed = OperatorTable(1.0, 1, 2)
+    assert np.allclose(rm.delta_perm(undeformed, "S+"), undeformed["S+"].toarray())
 
 
 def test_embed_pair_oracle():
@@ -87,9 +89,9 @@ def test_embed_pair_oracle():
 
 def test_plaquette_intertwining_exact():
     for q in [1.5] + seeded_qs(20):
-        big = rm.r2d(q)
+        big, ops = rm.r2d(q), OperatorTable(q, 2, 2)
         for gen in ("S+", "S-"):
-            display, perm = rm.plaquette_pair(gen, q)
+            display, perm = rm.plaquette_pair(ops, gen)
             res = np.abs(big @ display - perm @ big).max()
             assert res < 1e-10, (q, gen, res)
 
@@ -105,12 +107,13 @@ def test_permuted_plaquette_decomposition():
     for q in (1.5, 2.0):
         rep = spin_half_rep(q)
         m = {s.name: rep.matrices[s] for s in rep.alphabet}
+        pair, plaquette = OperatorTable(q, 1, 2), OperatorTable(q, 2, 2)
         for gen in ("S+", "S-"):
-            top_perm = rm.delta_perm(gen, q)
+            top_perm = rm.delta_perm(pair, gen)
             kplus = np.kron(m["K+"], m["K+"])
             kminus = np.kron(m["K-"], m["K-"])
-            composed = np.kron(top_perm, kplus) + np.kron(kminus, rm.delta_perm(gen, q))
-            assert np.abs(rm.plaquette_pair(gen, q)[1] - composed).max() < 1e-12
+            composed = np.kron(top_perm, kplus) + np.kron(kminus, top_perm)
+            assert np.abs(rm.plaquette_pair(plaquette, gen)[1] - composed).max() < 1e-12
 
 
 def test_permuted_plaquette_symbol_swap_oracle():
@@ -160,7 +163,7 @@ def _normalize(grids):
 
 
 def test_conjugation_chain_reproduces_printed_grids():
-    chain = rm.conjugation_chain(1.5, "S+")
+    chain = rm.conjugation_chain(OperatorTable(1.5, 2, 2), "S+")
     assert len(chain["steps"]) == 7
     for got, want in zip(chain["steps"], FROZEN_CHAIN):
         assert _normalize(got) == _normalize(want)
@@ -169,10 +172,11 @@ def test_conjugation_chain_reproduces_printed_grids():
 
 def test_conjugation_chain_ends_at_permuted_element():
     for q in (1.5, 2.0, cmath.exp(0.3j)):
+        ops = OperatorTable(q, 2, 2)
         for gen in ("S+", "S-"):
-            chain = rm.conjugation_chain(q, gen)
+            chain = rm.conjugation_chain(ops, gen)
             assert max(chain["residuals"]) < 1e-10
-            assert np.abs(chain["operators"][-1] - rm.plaquette_pair(gen, q)[1]).max() < 1e-12
+            assert np.abs(chain["operators"][-1] - rm.plaquette_pair(ops, gen)[1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", range(len(rm.CHAIN_STEPS)))
@@ -182,7 +186,7 @@ def test_a_flipped_step_mode_breaks_the_chain_at_its_pair(monkeypatch, k):
     steps[k] = (pair, "inv" if mode == "conj" else "conj")
     monkeypatch.setattr(rm, "CHAIN_STEPS", tuple(steps))
     with pytest.raises(ValueError, match=re.escape(f"pair {pair} pattern")):
-        rm.conjugation_chain(1.5, "S+")
+        rm.conjugation_chain(OperatorTable(1.5, 2, 2), "S+")
 
 
 @pytest.mark.parametrize("sgen", ["S+", "S-"])
@@ -190,12 +194,12 @@ def test_a_chain_short_of_its_last_step_ends_off_the_permuted_element(monkeypatc
     monkeypatch.setattr(rm, "CHAIN_STEPS", rm.CHAIN_STEPS[:-1])
     word = re.escape(f"[K+ K-/K+ {sgen}]")  # display layout: its S on site 4 of pair (1, 4)
     with pytest.raises(ValueError, match=f"ends off the permuted element at {word}"):
-        rm.conjugation_chain(1.5, sgen)
+        rm.conjugation_chain(OperatorTable(1.5, 2, 2), sgen)
 
 
 @pytest.mark.parametrize("q", [1.37, 0.8 + 0.6j])
 def test_the_chain_conjugator_is_r2d_bit_for_bit(q):
-    got, want = rm.conjugation_chain(q, "S+")["conjugator"], rm.r2d(q)
+    got, want = rm.conjugation_chain(OperatorTable(q, 2, 2), "S+")["conjugator"], rm.r2d(q)
     assert got.dtype == want.dtype and got.shape == want.shape == (16, 16)
     assert got.tobytes() == want.tobytes()
 
@@ -230,8 +234,9 @@ def test_semiclassical_rejects_bad_grid():
 
 def test_permuted_plaquette_undeformed_is_plain():
     # at q = 1 the K letters coincide, so the swap does nothing
+    ops = OperatorTable(1.0, 2, 2)
     for gen in ("S+", "S-"):
-        display, perm = rm.plaquette_pair(gen, 1.0)
+        display, perm = rm.plaquette_pair(ops, gen)
         assert np.abs(perm - display).max() < 1e-14
 
 
@@ -273,4 +278,4 @@ def test_a_chain_step_refuses_a_mixed_spectator_k_pair():
 
 def test_only_s_plus_and_s_minus_have_a_permuted_coproduct():
     with pytest.raises(ValueError, match="no permuted coproduct for 'K\\+'"):
-        rm.delta_perm("K+", 1.5)
+        rm.delta_perm(OperatorTable(1.5, 1, 2), "K+")

@@ -48,26 +48,43 @@ def test_spin_half_rep_limits():
         uq.spin_half_rep(0.0)
 
 
-# every entry point that takes q, under the one q rule of instances.regular_q
+def _on_table(check, n, m):
+    """``check`` on a new operator table of q at n x m, as a function of q."""
+    return lambda q: check(uq.OperatorTable(q, n, m))
+
+
+# every entry point that takes q, under the one q rule of instances.regular_q;
+# a check reads its q from its table, so the table refuses the q first
 Q_ENTRY_POINTS = {
     "make_uq_symbolic": make_uq_symbolic,
     "spin_half_rep": uq.spin_half_rep,
     "boxplus_op": lambda q: uq.boxplus_op("S+", q, 2, 2),
     "OperatorTable": lambda q: uq.OperatorTable(q, 2, 2),
-    "check_ks_relation": lambda q: uq.check_ks_relation(q, 2, 2),
+    "check_ks_relation": _on_table(uq.check_ks_relation, 2, 2),
     "singlet_product": lambda q: uq.singlet_product(q, [(1, 2)], 2),
-    "singlet_pair_checks": uq.singlet_pair_checks,
+    "singlet_pair_checks": _on_table(uq.singlet_pair_checks, 1, 2),
     "r_matrix": rm.r_matrix,
-    "conjugation_chain": rm.conjugation_chain,
+    "conjugation_chain": _on_table(rm.conjugation_chain, 2, 2),
 }
 
-# the entry points where 1/(q - 1/q) appears, under instances.nonsingular_q
+# the entry points where 1/(q - 1/q) appears, under instances.nonsingular_q;
+# a table at q = +-1 is legal, and the check refuses it
 NONSINGULAR_ENTRY_POINTS = {
     "singlet_product": Q_ENTRY_POINTS["singlet_product"],
-    "singlet_pair_checks": uq.singlet_pair_checks,
-    "vertical_singlet_residual": uq.vertical_singlet_residual,
-    "check_commutator": lambda q: uq.check_commutator(q, 2, 2),
-    "kernel_2x2": uq.kernel_2x2,
+    "singlet_pair_checks": Q_ENTRY_POINTS["singlet_pair_checks"],
+    "vertical_singlet_residual": _on_table(uq.vertical_singlet_residual, 2, 2),
+    "check_commutator": _on_table(uq.check_commutator, 2, 2),
+    "kernel_2x2": _on_table(uq.kernel_2x2, 2, 2),
+}
+
+# the entry points that run at one size, each with its size
+FIXED_SIZE_ENTRY_POINTS = {
+    "singlet_pair_checks": (uq.singlet_pair_checks, (1, 2)),
+    "vertical_singlet_residual": (uq.vertical_singlet_residual, (2, 2)),
+    "kernel_2x2": (uq.kernel_2x2, (2, 2)),
+    "delta_perm": (lambda ops: rm.delta_perm(ops, "S+"), (1, 2)),
+    "plaquette_pair": (lambda ops: rm.plaquette_pair(ops, "S+"), (2, 2)),
+    "conjugation_chain": (rm.conjugation_chain, (2, 2)),
 }
 
 
@@ -91,6 +108,27 @@ def test_zero_q_is_a_singular_parameter_at_every_entry_point(entry):
 def test_q_squared_one_is_singular_wherever_one_over_q_minus_inverse_q_appears(entry, q):
     with pytest.raises(SingularParameterError, match=r"q\*\*2 = 1"):
         NONSINGULAR_ENTRY_POINTS[entry](q)
+
+
+@pytest.mark.parametrize("entry, size", [("check_commutator", (2, 2)), ("kernel_2x2", (2, 2)),
+                                         ("singlet_pair_checks", (1, 2)),
+                                         ("vertical_singlet_residual", (2, 2))])
+def test_a_table_at_q_squared_one_is_refused_before_any_operator_is_built(entry, size):
+    table = uq.OperatorTable(-1.0, *size)
+    with pytest.raises(SingularParameterError, match=r"q\*\*2 = 1"):
+        getattr(uq, entry)(table)
+    assert not table
+
+
+@pytest.mark.parametrize("entry", sorted(FIXED_SIZE_ENTRY_POINTS))
+def test_a_table_of_another_size_is_refused_naming_both_sizes(entry):
+    check, (n, m) = FIXED_SIZE_ENTRY_POINTS[entry]
+    other = (2, 2) if (n, m) == (1, 2) else (1, 2)
+    table = uq.OperatorTable(1.3, *other)
+    with pytest.raises(ValueError, match=f"operator table of {other[0]}x{other[1]} "
+                                         f"used at {n}x{m}"):
+        check(table)
+    assert not table
 
 
 def test_spin_half_rep_names_the_example_symbols_without_building_it(monkeypatch):
@@ -203,22 +241,22 @@ def test_boxplus_op_runs_kron_terms_once(monkeypatch):
 
 
 def test_ks_relation_and_commutator():
-    for q in (2.0, 1.1, cmath.exp(1j * math.pi / 5)):
-        assert uq.check_ks_relation(q, 2, 2).ok
-        assert uq.check_commutator(q, 2, 2).ok
-    assert uq.check_ks_relation(1.1, 3, 2).ok
-    assert uq.check_commutator(1.1, 3, 2).ok
+    for q, n, m in ((2.0, 2, 2), (1.1, 2, 2), (cmath.exp(1j * math.pi / 5), 2, 2), (1.1, 3, 2)):
+        ops = uq.OperatorTable(q, n, m)
+        assert uq.check_ks_relation(ops).ok
+        assert uq.check_commutator(ops).ok
 
 
 def test_ks_relation_and_commutator_at_the_16_site_cap():
-    assert uq.check_ks_relation(1.3, 4, 4).ok
-    assert uq.check_commutator(1.3, 4, 4).ok
+    ops = uq.OperatorTable(1.3, 4, 4)
+    assert uq.check_ks_relation(ops).ok
+    assert uq.check_commutator(ops).ok
 
 
 def test_ks_relation_and_commutator_at_the_18_site_cap():
     ops = uq.OperatorTable(1.3, 3, 6)
-    assert uq.check_commutator(1.3, 3, 6, ops=ops).ok
-    assert uq.check_ks_relation(1.3, 3, 6, ops=ops).ok
+    assert uq.check_commutator(ops).ok
+    assert uq.check_ks_relation(ops).ok
 
 
 BUILD = uq.OperatorTable.__missing__
@@ -253,7 +291,7 @@ def _assert_names(inst, entry):
 
 def test_failing_ks_relation_names_the_planted_entry(monkeypatch):
     monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", (5, 5)))
-    report = uq.check_ks_relation(1.3, 2, 2)
+    report = uq.check_ks_relation(uq.OperatorTable(1.3, 2, 2))
     failing = [i for i in report.instances if not i.passed]
     assert sorted(i.input for i in failing) == ["K+*S+", "K-*S+"]
     for inst in failing:
@@ -263,7 +301,7 @@ def test_failing_ks_relation_names_the_planted_entry(monkeypatch):
 
 def test_failing_commutator_names_the_planted_entry(monkeypatch):
     monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K+2", (9, 9)))
-    (inst,) = uq.check_commutator(1.3, 2, 2).instances
+    (inst,) = uq.check_commutator(uq.OperatorTable(1.3, 2, 2)).instances
     assert not inst.passed
     _assert_names(inst, (9, 9))
 
@@ -280,15 +318,14 @@ def _whole_matrix_sides(q, ops):
     yield sp_ @ sm_ - sm_ @ sp_, (ops["K+2"] - ops["K-2"]) * (1.0 / (q - 1.0 / q))
 
 
-def _checked_instances(q, n, m, ops):
-    return (uq.check_ks_relation(q, n, m, ops=ops).instances
-            + uq.check_commutator(q, n, m, ops=ops).instances)
+def _checked_instances(ops):
+    return uq.check_ks_relation(ops).instances + uq.check_commutator(ops).instances
 
 
 def _same_as_whole_matrix(q, n, m):
     """Each instance has the residual bits and ``worst_entry`` of the whole-matrix check."""
     ops = uq.OperatorTable(q, n, m)
-    for inst, (lhs, rhs) in zip(_checked_instances(q, n, m, ops), _whole_matrix_sides(q, ops)):
+    for inst, (lhs, rhs) in zip(_checked_instances(ops), _whole_matrix_sides(q, ops)):
         assert _bits(inst.residual) == _bits((lhs - rhs).max_abs()), inst.input
         want = {} if inst.passed else {"worst_entry": worst_entry(lhs, rhs)}
         assert repr(inst.details) == repr(want), inst.input  # repr: nan == nan
@@ -308,13 +345,13 @@ def test_planted_entries_at_block_edges_are_named(monkeypatch):
     # last row before that block boundary
     for entry in ((DIM_3X4 - 1, DIM_3X4 - 1), (b, b), (2 * b, 7), (b - 1, b - 1)):
         monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K+2", entry))
-        (inst,) = uq.check_commutator(1.3, 3, 4).instances
+        (inst,) = uq.check_commutator(uq.OperatorTable(1.3, 3, 4)).instances
         assert not inst.passed
         _assert_names(inst, entry)
         _same_as_whole_matrix(1.3, 3, 4)
         if entry[0] == entry[1]:
             monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", entry))
-            report = uq.check_ks_relation(1.3, 3, 4)
+            report = uq.check_ks_relation(uq.OperatorTable(1.3, 3, 4))
             assert sorted(i.input for i in report.instances if not i.passed) == ["K+*S+", "K-*S+"]
             for inst in report.instances:
                 if not inst.passed:
@@ -325,8 +362,8 @@ def test_planted_entries_at_block_edges_are_named(monkeypatch):
 def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
     entry = (DIM_3X4 - 2, DIM_3X4 - 2)
     monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", entry, math.nan))
-    ks = uq.check_ks_relation(1.3, 3, 4)
-    (comm,) = uq.check_commutator(1.3, 3, 4).instances
+    ks = uq.check_ks_relation(uq.OperatorTable(1.3, 3, 4))
+    (comm,) = uq.check_commutator(uq.OperatorTable(1.3, 3, 4)).instances
     for inst in [comm] + [i for i in ks.instances if i.input == "K+*S+"]:
         assert math.isnan(inst.residual) and not inst.passed
     assert math.isnan(ks.max_residual)
@@ -334,7 +371,7 @@ def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
     # a NaN in the last block beats a larger finite residual in the first one
     monkeypatch.setattr(uq.OperatorTable, "__missing__",
                         _planted_at("K+2", {(5, 5): 1e6, entry: math.nan}))
-    (comm,) = uq.check_commutator(1.3, 3, 4).instances
+    (comm,) = uq.check_commutator(uq.OperatorTable(1.3, 3, 4)).instances
     assert math.isnan(comm.residual) and not comm.passed
     worst = comm.details["worst_entry"]
     assert (worst["row"], worst["col"]) == entry and math.isnan(worst["rhs"][0])
@@ -370,7 +407,7 @@ def _ks_tables(draw):
 @given(_ks_tables())
 def test_ks_array_comparison_has_the_bits_of_the_whole_matrix_difference(table):
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf
-        report = uq.check_ks_relation(table.q, 1, 2, ops=table)
+        report = uq.check_ks_relation(table)
         for inst, (lhs, rhs) in zip(report.instances,
                                     itertools.islice(_whole_matrix_sides(table.q, table), 4)):
             want = (lhs - rhs).max_abs()
@@ -384,13 +421,13 @@ def test_ks_array_comparison_has_the_bits_of_the_whole_matrix_difference(table):
 
 def test_a_passing_ks_relation_wraps_no_operator(monkeypatch):
     monkeypatch.setattr(uq, "_on_coordinates", lambda *args: pytest.fail("wrapped an operator"))
-    assert uq.check_ks_relation(1.3, 3, 4).ok
+    assert uq.check_ks_relation(uq.OperatorTable(1.3, 3, 4)).ok
 
 
 def test_ks_relation_refuses_a_k_string_off_the_diagonal(monkeypatch):
     monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K-", (1, 0)))
     with pytest.raises(AssertionError, match="off-diagonal"):
-        uq.check_ks_relation(1.3, 2, 2)
+        uq.check_ks_relation(uq.OperatorTable(1.3, 2, 2))
 
 
 _REAL_Q = st.floats(min_value=0.2, max_value=5.0).filter(lambda x: abs(x - 1) > 1e-3)
@@ -420,7 +457,7 @@ KS_ROUNDING = 4 * np.finfo(float).eps
 def test_complex_q_ks_residuals_agree_with_the_products_to_rounding(r, theta, size):
     q = r * cmath.exp(1j * theta)
     ops = uq.OperatorTable(q, *size)
-    *ks, comm = _checked_instances(q, *size, ops)
+    *ks, comm = _checked_instances(ops)
     *ks_sides, comm_sides = _whole_matrix_sides(q, ops)
     for inst, (lhs, rhs) in zip(ks, ks_sides):
         largest = max(lhs.max_abs(), rhs.max_abs())
@@ -486,33 +523,28 @@ def _counting(monkeypatch):
 def test_checks_sharing_a_table_build_each_operator_once(monkeypatch):
     calls = _counting(monkeypatch)
     ops = uq.OperatorTable(1.3, 2, 3)
-    assert uq.check_ks_relation(1.3, 2, 3, ops=ops).ok
-    assert uq.check_commutator(1.3, 2, 3, ops=ops).ok
+    assert uq.check_ks_relation(ops).ok
+    assert uq.check_commutator(ops).ok
     assert calls == {(g, 1.3, 2, 3): 1 for g in ("K+", "K-", "S+", "S-", "K+2", "K-2")}
     plaquette = uq.OperatorTable(1.3, 2, 2)
-    uq.kernel_2x2(1.3, ops=plaquette)
-    uq.vertical_singlet_residual(1.3, ops=plaquette)
+    uq.kernel_2x2(plaquette)
+    uq.vertical_singlet_residual(plaquette)
     assert sorted(plaquette) == ["S+", "S-"]
     assert calls[("S+", 1.3, 2, 2)] == calls[("S-", 1.3, 2, 2)] == 1
-    # called on its own, a check builds its own table
-    uq.check_commutator(1.3, 2, 3)
-    assert calls[("S+", 1.3, 2, 3)] == 2
-    with pytest.raises(ValueError, match="operator table"):
-        uq.check_ks_relation(1.7, 2, 3, ops=ops)
 
 
 def test_commutator_rejects_singular_q():
     with pytest.raises(SingularParameterError):
-        uq.check_commutator(1.0, 2, 2)
+        uq.check_commutator(uq.OperatorTable(1.0, 2, 2))
     with pytest.raises(SingularParameterError):
-        uq.check_commutator(-1.0, 2, 2)
+        uq.check_commutator(uq.OperatorTable(-1.0, 2, 2))
 
 
 def test_telescoping_residual_flat_in_q():
     # residual stays at machine-epsilon scale even for large q
     res = []
     for q in (1.5, 3.0, 8.0):
-        report = uq.check_commutator(q, 2, 2, tol=1e-8)
+        report = uq.check_commutator(uq.OperatorTable(q, 2, 2), tol=1e-8)
         res.append(report.max_residual)
     assert max(res) < 1e-10 * 8 ** 2
 
@@ -523,7 +555,7 @@ def test_telescoping_residual_flat_in_q():
 
 def test_singlet_pair_identities():
     for q in (2.0, 3.0, cmath.exp(1j * math.pi / 5)):
-        assert uq.singlet_pair_checks(q).ok
+        assert uq.singlet_pair_checks(uq.OperatorTable(q, 1, 2)).ok
 
 
 def test_singlet_inversion_ratio_branch_q2():
@@ -547,7 +579,7 @@ def test_kernel_2x2_dimension_and_family():
     qs = [complex(x) for x in rng.uniform(1.2, 2.5, 5)]
     qs += [cmath.exp(1j * t) for t in rng.uniform(0.3, 2.5, 5)]
     for q in qs:
-        k = uq.kernel_2x2(q)
+        k = uq.kernel_2x2(uq.OperatorTable(q, 2, 2))
         assert k["dimension"] == 2, q
         assert max(k["family_residuals"].values()) < 1e-10
         assert k["reversed_orientation_residual"] > 1e-2
@@ -555,7 +587,7 @@ def test_kernel_2x2_dimension_and_family():
 
 def test_kernel_q1_su2_decomposition():
     # undeformed: half**4 = 0 (x2) + 1 (x3) + 2; joint kernel of totals is 2
-    k = uq.kernel_2x2(1.0 + 1e-8)  # just off the singular normalization
+    k = uq.kernel_2x2(uq.OperatorTable(1.0 + 1e-8, 2, 2))  # just off the singular normalization
     assert k["dimension"] == 2
     sp = uq.boxplus_op("S+", 1.0, 2, 2).toarray()
     sm = uq.boxplus_op("S-", 1.0, 2, 2).toarray()
@@ -577,14 +609,14 @@ def test_an_inf_in_one_stored_entry_of_s_minus_fails_the_kernel_as_nan(tmp_path,
 
 def test_vertical_singlet_residual_matches_coefficient():
     for q in (2.0, 3.0, cmath.exp(1j * math.pi / 5)):
-        out = uq.vertical_singlet_residual(q)
+        out = uq.vertical_singlet_residual(uq.OperatorTable(q, 2, 2))
         for gen in ("S+", "S-"):
             assert out[gen]["pass"], (q, gen, out[gen])
             assert abs(out[gen]["measured_coefficient"] - abs(out["coefficient"])) < 1e-10
 
 
 def test_vertical_singlet_coefficient_vanishes_towards_q1():
-    values = [abs(uq.vertical_singlet_residual(q)["coefficient"])
+    values = [abs(uq.vertical_singlet_residual(uq.OperatorTable(q, 2, 2))["coefficient"])
               for q in (1.5, 1.1, 1.01)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 0.08
@@ -615,8 +647,8 @@ def test_engine_matches_placement_all_shapes_up_to_nine_sites():
 
 def test_singlet_identities_below_unit_q():
     # 0 < q < 1 makes the normalization imaginary; identities hold as stated
-    assert uq.singlet_pair_checks(0.5).ok
-    out = uq.vertical_singlet_residual(0.5)
+    assert uq.singlet_pair_checks(uq.OperatorTable(0.5, 1, 2)).ok
+    out = uq.vertical_singlet_residual(uq.OperatorTable(0.5, 2, 2))
     assert out["S+"]["pass"] and out["S-"]["pass"]
 
 
