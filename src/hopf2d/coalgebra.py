@@ -99,8 +99,8 @@ class Splitter:
     _memo: dict = field(default_factory=_memo_tables, init=False, repr=False, compare=False)
 
     def __call__(self, word: GridWord) -> FormalSum:
-        table = self._memo[word.shape.extents]
-        entry = table.get(word.cells)
+        table, cells = self._memo[word.shape.extents], word.cells
+        entry = table.get(cells)
         if entry is None:
             axis, shape = self.direction, word.shape
             if shape.extents[shape.axis(axis)] != 1:
@@ -108,9 +108,9 @@ class Splitter:
             if not self.domain(word):
                 raise DomainError(f"{word!r} outside the {axis}-splitter domain")
             out, want = self.rule(word), shape.slicing(axis, 1).grown
-            if out.shape != want:
+            if out.shape.extents != want.extents:
                 raise ShapeError(f"splitter returned {out.shape}, expected {want}")
-            entry = table[word.cells] = (out, hash(word))
+            entry = table[cells] = (out, hash(word))
         return entry[0]
 
 
@@ -149,12 +149,12 @@ class CounitRule:
     _memo: dict = field(default_factory=_memo_tables, init=False, repr=False, compare=False)
 
     def __call__(self, word: GridWord) -> complex:
-        table = self._memo[word.shape.extents]
-        out = table.get(word.cells)
+        table, cells = self._memo[word.shape.extents], word.cells
+        out = table.get(cells)
         if out is None:
             if not self.domain(word):
                 raise DomainError(f"{word!r} outside the {self.direction}-counit domain")
-            out = table[word.cells] = complex(self.rule(word))
+            out = table[cells] = complex(self.rule(word))
         return out
 
 

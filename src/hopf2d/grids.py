@@ -41,6 +41,15 @@ hashes the grown word afresh.  Growing a column first and then its rows
 (``y_first``) therefore costs O(m) per term in every x-step, while growing
 the rows first pays O(n·m) per term in every y-step to gather the cells.
 
+Equality never trusts a hash and makes no Python call per slice or cell:
+two words of equal hash and extents that both hold x-slices compare the
+tuples of their x-slices' cells (an x-slice always holds its cells),
+otherwise they compare their cells, and shapes compare by their extents
+tuples.  :func:`sum_difference` looks each word of one sum up once in the
+other, so comparing two sums of the same t words makes t word hashes and,
+where the words are not the same objects, t word comparisons; sums of
+different words take a second pass over the union of their words.
+
 Formal sums are accumulated one way throughout the package: the terms of a
 result, repeats allowed, are merged into one dict in the order they come,
 and one filter canonicalizes that dict once, dropping coefficients of
@@ -248,6 +257,7 @@ def slicing(extents, axis, k=None) -> "Slicing":
 
 _HASH = attrgetter("_hash")
 _CELLS = attrgetter("_cells")
+_NAME = attrgetter("name")
 
 
 def site_index(i: int, j: int, shape: GridShape) -> int:
@@ -270,9 +280,11 @@ class GridWord:
     the word is made, because every accumulation step probes a dict with it;
     a growth step sets it from the word it grew, the cut slice and the block.
     How a word was made never shows: it equals another word of the same
-    shape and cells, and nothing else, which equality decides by comparing
-    x-slices or cells (a hash only tells unequal words apart), and it is
-    immutable.
+    shape and cells, and nothing else, and it is immutable.  Equality
+    decides in one comparison made in C, of the x-slices' cells when
+    both words hold x-slices and of the cells otherwise; a hash only tells
+    unequal words apart.  Every x-slice, a word one x-slice wide, holds its
+    cells: only :func:`_from_cells` makes such a word.
     """
 
     # ``shape`` and ``cells`` are read-only properties over slots that only
@@ -319,8 +331,8 @@ class GridWord:
         if self._hash != other._hash or self._shape.extents != other._shape.extents:
             return False
         a, b = self._slices, other._slices
-        if a is not None and b is not None:
-            return a == b
+        if a is not None and b is not None:  # every x-slice holds its cells
+            return list(map(_CELLS, a)) == list(map(_CELLS, b))
         return (self._cells or self.cells) == (other._cells or other.cells)
 
     def cell(self, i, j):
@@ -356,7 +368,7 @@ class GridWord:
     def __repr__(self):
         """Rows top first, separated by '/'; the layers of a cube z = 1 first,
         separated by ' | '."""
-        names = [c.name for c in self.cells]
+        names = list(map(_NAME, self.cells))
         m, layer = self.shape.cols, self.shape.rows * self.shape.cols
         return " | ".join("/".join(" ".join(names[r:r + m])
                                    for r in range(start + layer - m, start - 1, -m))
@@ -521,8 +533,9 @@ class FormalSum:
         acc = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
+            extents = shape.extents
             for word, coeff in items:
-                if word.shape is not shape and word.shape != shape:
+                if word._shape.extents != extents:
                     raise ShapeError(f"term shape {word.shape} != sum shape {shape}")
                 acc[word] = acc.get(word, 0j) + complex(coeff)
         self._terms = _drop_small(acc)
@@ -549,7 +562,7 @@ class FormalSum:
         return iter(sorted(self._terms, key=lambda w: w._key()))
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        if self.shape != other.shape:
+        if self.shape.extents != other.shape.extents:
             raise ShapeError(f"cannot add {self.shape} and {other.shape} sums")
         terms = dict(self._terms)
         for w, c in other._terms.items():
@@ -616,10 +629,19 @@ def sums_equal(a: FormalSum, b: FormalSum) -> bool:
 
 
 def sum_difference(a: FormalSum, b: FormalSum) -> float:
-    """Max coefficient mismatch over the union of terms (inf on shape mismatch)."""
-    if a.shape != b.shape:
+    """Max coefficient mismatch over the union of terms (inf on shape mismatch).
+
+    Each word of ``a`` is looked up once in ``b``.  When both sums hold
+    the same number of words and every lookup hits, they hold the same
+    words and that one pass decides; otherwise a second pass adds the
+    words only ``b`` holds."""
+    if a.shape.extents != b.shape.extents:
         return float("inf")
     ta, tb = a._terms, b._terms
+    if len(ta) == len(tb):
+        got = list(map(tb.get, ta))
+        if None not in got:
+            return max(map(abs, map(sub, ta.values(), got)), default=0.0)
     return max(chain(map(abs, map(sub, ta.values(), map(tb.get, ta, repeat(0j)))),
                      map(abs, map(tb.__getitem__, filterfalse(ta.__contains__, tb)))),
                default=0.0)

@@ -227,13 +227,14 @@ def write_matrix_market(mat, path) -> int:
 
     Entries go out in row-major order.  Each line reads as
     ``"%d %d %.17g %.17g\n"`` of its row, column, real and imaginary part,
-    but each distinct row, column and (real, imaginary) pair is formatted
-    only once: values are told apart by their bit patterns, so ``-0.0`` and
-    ``0.0`` or NaNs of different payload keep their own text.  The body is
-    one join over an object array that holds, for every entry, its row,
-    column and value texts.
+    but no text is formatted twice: the 1-based labels ``1 `` to
+    ``max(shape) `` are formatted once, each row's label is repeated for
+    its entries and the column labels are indexed, and each distinct
+    (real, imaginary) pair is formatted once, values told apart by their
+    bit patterns, so ``-0.0`` and ``0.0`` or NaNs of different payload keep
+    their own text.  The body is one join over an object array that holds,
+    for every entry, its row, column and value texts.
     """
-    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     col, data = mat.indices, mat.data
     nnz = len(data)
     bits = np.ascontiguousarray(data, dtype=complex).view(np.int64).reshape(nnz, 2)
@@ -243,19 +244,15 @@ def write_matrix_market(mat, path) -> int:
     values = ["%.17g %.17g\n" % (re, im) for re, im in bits[first].view(np.float64).tolist()]
     # every line's three parts refer to the distinct texts, so no line is built
     parts = np.empty((nnz, 3), dtype=object)
-    parts[:, 0], parts[:, 1] = _labels(row), _labels(col)
+    labels = np.array([f"{i} " for i in range(1, max(mat.shape) + 1)], dtype=object)
+    parts[:, 0] = np.repeat(labels[:mat.shape[0]], np.diff(mat.indptr))
+    parts[:, 1] = labels[col]
     parts[:, 2] = np.array(values, dtype=object)[value]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate complex general\n")
         fh.write(f"{mat.shape[0]} {mat.shape[1]} {nnz}\n")
         fh.write("".join(parts.ravel().tolist()))
     return nnz
-
-
-def _labels(index):
-    """The 1-based labels of 0-based indices, each followed by a space."""
-    distinct, at = np.unique(index, return_inverse=True)
-    return np.array([f"{i + 1} " for i in distinct.tolist()], dtype=object)[at]
 
 
 def read_matrix_market(path):

@@ -1,9 +1,10 @@
+from collections import Counter
 import json
 import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopf2d import grids
 from hopf2d.coalgebra import CoalgebraExample, Splitter, boxplus, check_xy_compat, grow
@@ -393,6 +394,94 @@ def test_symbols_are_their_ids_and_keep_their_names():
         assert back == V and back.name == "v" and back.id == 2
 
 
+# -- comparing two sums ----------------------------------------------------------
+
+SHAPE23 = GridShape(2, 3)
+cells6 = st.tuples(*[st.sampled_from([A, B, V])] * 6)
+
+
+def _sum23(terms, by_slices):
+    """The 2 x 3 sum of ``terms``, its words held as x-slices or as cells."""
+    held = _by_x_slices if by_slices else (lambda word: word)
+    return FormalSum(SHAPE23, [(held(GridWord(SHAPE23, c)), k) for c, k in terms])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(cells6, coeffs), min_size=1, max_size=5), cells6, coeffs,
+       st.booleans(), st.booleans())
+def test_one_probe_comparison_matches_the_union_at_its_edges(terms, new, c, a_sliced, b_sliced):
+    """Sums of as many words, one of them swapped for another, an empty sum
+    on either side, and words held as x-slices against words held as
+    cells: sum_difference is the maximum over the union of supports."""
+    a = _sum23(terms, a_sliced)
+    held = [(word.cells, k) for word, k in a.unordered_items()]
+    assume(held and new not in [cells for cells, _ in held])
+    # the swapped-in word outweighs every other, so only the union pass finds the maximum
+    top = 1 + 2 * max(abs(k) for _, k in held)
+    swapped = _sum23(held[:-1] + [(new, top)], b_sliced)
+    assert len(swapped) == len(a)
+    rescaled = _sum23([(cells, k * c) for cells, k in held], b_sliced)
+    empty = FormalSum(SHAPE23)
+    for x, y in ((a, swapped), (swapped, a), (a, empty), (empty, a), (empty, empty),
+                 (a, rescaled), (rescaled, a), (a, _sum23(held, b_sliced))):
+        assert sum_difference(x, y) == _union_difference(x, y)
+    assert sum_difference(a, swapped) == sum_difference(swapped, a) == top
+
+
+def test_distinct_x_slices_that_differ_in_the_last_one_are_unequal():
+    """Two words held as x-slices, no slice object shared, equal up to the
+    last slice, differ; built again from the same cells they are equal."""
+    cells = (A, B, V, V, B, A, B, B)
+    other = cells[:3] + (A,) + cells[4:7] + (V,)  # only the last column differs
+    shape = GridShape(2, 4)
+    x, y = (_by_x_slices(GridWord(shape, c)) for c in (cells, other))
+    assert not set(map(id, x._slices)) & set(map(id, y._slices))
+    assert x != y and y != x
+    again = _by_x_slices(GridWord(shape, cells))
+    assert x == again and again == x
+
+
+def test_every_x_slice_of_a_grown_word_holds_its_cells():
+    """Equality of two words held as x-slices compares their slices' cells,
+    so every x-slice growth leaves in a word must hold them."""
+    for ex, sym in ((make_pivot(theta=0.0), "v"), (make_uq_symbolic(1.3), "S+")):
+        for order in ("y_first", "x_first"):
+            for word, _ in boxplus(ex, sym, 3, 4, order=order).unordered_items():
+                for held in (word, _by_x_slices(word)):
+                    slices = held._x_slices()
+                    assert all(s._cells is not None and s._slices is None for s in slices)
+
+
+def test_comparing_two_grown_sums_probes_each_word_once(monkeypatch):
+    """uq S+ at 4 x 4, grown from 3 x 3 by a row then a column, against the
+    same sum grown by a column then a row and against boxplus: each word
+    is hashed and compared once, and no shape is compared as a dataclass."""
+    ex = make_uq_symbolic(1.3)
+    base = FormalSum.unit(word1(ex.alphabet["S+"]))
+    for axis in "yyxx":
+        base = grow(ex, base, axis)
+    yx = grow(ex, grow(ex, base, "y"), "x")
+    others = (grow(ex, grow(ex, base, "x"), "y"), boxplus(ex, "S+", 4, 4))
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def call(*args):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, call)
+
+    for cls, name in ((GridWord, "__eq__"), (GridWord, "__hash__"), (GridShape, "__eq__")):
+        counted(cls, name)
+    for other in others:
+        assert len(yx) == len(other) == 16
+        calls.clear()
+        assert sum_difference(yx, other) <= grids.EQ_TOL
+        assert [calls["GridWord.__eq__"], calls["GridWord.__hash__"],
+                calls["GridShape.__eq__"]] == [16, 16, 0]
+
+
 # -- one growth step -------------------------------------------------------------
 
 
@@ -535,6 +624,8 @@ def test_words_that_collide_all_the_time_give_the_same_sums_and_reports(modulus,
         assert hash(GridWord(GridShape(2, 3), (A, B, V, V, B, A))) < modulus
         test_a_growth_step_is_the_sum_built_from_coordinates()
         test_a_word_is_the_same_word_however_it_was_reached()
+        test_one_probe_comparison_matches_the_union_at_its_edges()
+        test_distinct_x_slices_that_differ_in_the_last_one_are_unequal()
         assert _xy_compat_runs() == want
     finally:
         reset(*saved)
