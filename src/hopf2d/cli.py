@@ -20,20 +20,17 @@ one input from which it reads its q, its size and its operators;
 ``homomorphism`` reads its operators from one
 :class:`coalgebra.OperatorTable`, the table that every example uses and
 the uq one extends.  The checks that build operators (``homomorphism``,
-``antipode`` and the deformed-su(2) checks) work in one representation: the left regular one of
-an example with a multiplication rule (``taft``, ``group``;
-:func:`instances.regular_rep`), spin-1/2 for ``uq``.  They share one
-budget, :func:`uqsu2.require_budget`, from the work :data:`uqsu2.SITE_CAP`
-measured: with d the dimension of one site in that representation, every
-run needs d**sites <= 2**SITE_CAP.  It is checked for every run from d
-alone, before the representation or any check is built, and a run past it
-exits 2 and writes nothing; ``build-op`` reads the same budget through its
-:class:`uqsu2.OperatorTable`.  Near the
-budget, one fresh process each on a 2-core x86 machine (min of 3): taft(2)
-``homomorphism`` at 3x3 (4**9) takes 0.74 s and 192 MiB, taft(2)
-``antipode`` on 9-site slices 2.0 s and 94 MiB, taft(3) ``antipode`` on
-5-site slices (9**5) 0.6 s and 63 MiB, and uq ``antipode`` on 18-site
-slices 11.5 s and 111 MiB.
+``antipode`` and the deformed-su(2) checks) work in one representation:
+the left regular one of an example with a multiplication rule (``taft``,
+``group``; :func:`instances.regular_rep`), spin-1/2 for ``uq``.  Every
+operator the library builds meets one budget, :func:`linops.require_budget`,
+which :func:`linops.kron_terms` enforces: with d the dimension of one site in
+that representation, d**sites <= 2**SITE_CAP.  This module calls it too,
+for every run from d alone, so that a run past it is refused before the
+representation is built or any check starts: it exits 2 and writes
+nothing.  ``build-op`` meets the same budget, with the same message,
+through its :class:`uqsu2.OperatorTable`.  README.md gives the time and
+memory of runs near the budget.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 Every subcommand runs with numpy's overflow and invalid value warnings off
@@ -97,7 +94,7 @@ from .instances import (
     make_uq_symbolic,
     regular_rep,
 )
-from .linops import ResourceLimitError, SparseOperator
+from .linops import REP_ENTRY_CAP, ResourceLimitError, SparseOperator, require_budget
 
 
 def _unrepeated(values, labels, what):
@@ -203,7 +200,7 @@ def _rep_for(ex, example_kind, built):
     one of an example with a multiplication rule, spin-1/2 for uq.  It is
     built only once every (check, n, m) run in ``built`` has passed the
     budget from the site dimension alone, and the regular one only once its
-    own d**3 entries have passed :data:`uqsu2.REP_ENTRY_CAP`."""
+    own d**3 entries have passed :data:`linops.REP_ENTRY_CAP`."""
     if ex.multiplication is not None:
         dim, make = len(ex.alphabet), regular_rep
     elif example_kind == "uq":
@@ -211,10 +208,10 @@ def _rep_for(ex, example_kind, built):
     else:
         raise ConfigurationError(f"no canonical representation for example {example_kind!r}")
     for name, n, m in built:
-        uqsu2.require_budget(f"check {name!r}", dim, n, m)
-    if ex.multiplication is not None and dim ** 3 > uqsu2.REP_ENTRY_CAP:
+        require_budget(f"check {name!r} at {n}x{m}", dim, n * m)
+    if ex.multiplication is not None and dim ** 3 > REP_ENTRY_CAP:
         raise ResourceLimitError(f"the regular representation of {ex.name} needs {dim}**3 "
-                                 f"entries, past the budget {uqsu2.REP_ENTRY_CAP}")
+                                 f"entries, past the budget {REP_ENTRY_CAP}")
     return make(ex)
 
 
@@ -413,13 +410,10 @@ def cmd_build_op(args) -> int:
         gen, ((n, m),) = args.gen, sizes
         name = f"boxplus_{gen.replace('+', 'p').replace('-', 'm')}_{n}x{m}.mtx"
     op = SparseOperator(rmx.r2d(q)) if args.rmatrix2d else uqsu2.boxplus_op(gen, q, n, m)
-    data, cols = op.mat.data, op.mat.indices
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:  # name the first in row-major order: a row may hold its columns unsorted
-        rows = np.searchsorted(op.mat.indptr, bad, side="right") - 1
-        k = int(np.argmin(rows * op.dim + cols[bad]))
-        print(f"error: {name} not written: its entry at row {rows[k]}, column {cols[bad[k]]} "
-              f"(0-based) is {complex(data[bad[k]])}, not finite", file=sys.stderr)
+    if not np.isfinite(op.mat.data).all():
+        row, col, value = next(e for e in op.entries() if not cmath.isfinite(e[2]))
+        print(f"error: {name} not written: its entry at row {row}, column {col} "
+              f"(0-based) is {value}, not finite", file=sys.stderr)
         return 1
     outdir = args.out or "operators"
     os.makedirs(outdir, exist_ok=True)

@@ -41,6 +41,8 @@ from itertools import permutations
 import json
 import math
 
+import numpy as np
+
 from .grids import (
     AXES,
     EQ_TOL,
@@ -56,8 +58,7 @@ from .grids import (
     word1,
     worst_word,
 )
-from .linops import (Representation, RepresentationError, evaluate, identity_operator,
-                     kron_terms, worst_entry)
+from .linops import Representation, RepresentationError, evaluate, kron_terms, worst_entry
 
 
 class DomainError(ValueError):
@@ -297,7 +298,8 @@ class OperatorTable(dict):
     return the same operator; it lives as long as the table, as the
     elements do.  :meth:`product` returns a kept operator for a product
     that is one of its symbols, or evaluates the product from the kept
-    elements of its symbols.
+    elements of its symbols.  Every evaluation meets the operator budget
+    that :func:`linops.kron_terms` enforces.
     """
 
     def __init__(self, ex: CoalgebraExample, rep: Representation, n: int, m: int):
@@ -579,7 +581,9 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
 
     It runs through :func:`_slice_report`.  Two words of one shape multiply
     site by site, so each side is one :func:`kron_terms` sum whose factors
-    are the products ``rep[x] @ rep[y]``.  A failing instance names the worst
+    are the products ``rep[x] @ rep[y]``, and the identity they are compared
+    with is one too, so the operator budget refuses a slice too long for
+    it before any sample is expanded.  A failing instance names the worst
     side's worst entry (:func:`worst_entry`).  A :class:`DomainError`
     propagates, as a bug in the engine.  An example whose alphabet names an
     id differently from ``rep``'s raises :class:`linops.RepresentationError`.
@@ -593,7 +597,8 @@ def check_antipode(ex, rep: Representation, direction, n, tol=EQ_TOL) -> CheckRe
     def sitewise(coeff, u, w):  # the term of coeff * (u . w)
         return coeff, [rep[x] @ rep[y] for x, y in zip(u.cells, w.cells)]
 
-    identity = identity_operator(rep.dim ** n)  # every sample is a slice of n sites
+    # every sample is a slice of n sites
+    identity = kron_terms([(1.0, [np.eye(rep.dim)] * n)], rep.dim, n)
 
     def compared(label, w, doubled):
         left, right = [], []

@@ -14,6 +14,14 @@ stored zeros) is established only where order can be seen: ``entries``,
 Two operators are compared one way: by the max-abs entry of their
 difference, ``(a - b).max_abs()``, with :func:`worst_entry` naming where a
 failing comparison is worst.
+
+Every operator the library builds from a lattice description (a grown
+element, an antipode side and its identity target, an embedded R-matrix)
+is built by one kernel, :func:`kron_terms`, and that kernel enforces the
+one operator budget, :func:`require_budget`: d**sites <= 2**SITE_CAP,
+read from the dimension alone before any array is allocated.  The CLI
+calls the same function for every run before any check starts, so that a
+run past it is refused before it has written or computed anything.
 """
 
 from __future__ import annotations
@@ -31,8 +39,39 @@ class RepresentationError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """Requested operator exceeds a size cap: the operator budget of
-    :func:`uqsu2.require_budget`, or the int64 entry keys of :func:`kron_terms`."""
+    """Requested work exceeds a size cap: the operator budget of
+    :func:`require_budget`, which :func:`kron_terms` enforces for every
+    operator the library builds, the regular representation's
+    :data:`REP_ENTRY_CAP`, or a PEPS row table's cap."""
+
+
+# site cap for lattice operators, from measured work: at 18 sites (dimension
+# 2**18 = 262144) a `verify --checks ks,commutator --sizes 3x6` process takes
+# about 3.0 s and 315 MiB peak resident memory with one q and 8.1 s and
+# 329 MiB with three (medians of 5 runs on a 2-core x86 machine); building
+# S+ and S- reaches about 280 MiB, and the ks relations' per-entry arrays,
+# formed while S+, S- and the K strings are alive, set the peak; at 20 sites
+# (4x5) one run took 33 s and 1.2 GiB
+SITE_CAP = 18
+
+# entry cap of a representation's own matrices, d dense d x d ones for the
+# regular representation (d**3 entries), from measured work: `verify
+# --example taft --taft-n N --sizes 1x1 --checks antipode` (d = N**2) peaks
+# at 57, 94, 196, 279 and 333 MiB for N = 8, 12, 16, 18 and 19 (one fresh
+# process each on a 2-core x86 machine), so the cap keeps N <= 18 (d**3 =
+# 3.4e7), under the 315 MiB of the site cap's 3x6 run; N = 30 (d**3 = 7.3e8)
+# would allocate 10.9 GiB
+REP_ENTRY_CAP = 40 * 2 ** 20
+
+
+def require_budget(what: str, dim: int, sites: int):
+    """The one operator budget: ``what`` on ``sites`` sites of dimension
+    ``dim`` needs dim**sites <= 2**SITE_CAP, or raises
+    :class:`ResourceLimitError` naming ``what`` and the dimension.  It is
+    read from the dimension alone, before anything is built."""
+    if dim ** sites > 2 ** SITE_CAP:
+        raise ResourceLimitError(f"{what} needs dimension {dim}**{sites}, "
+                                 f"past the budget 2**{SITE_CAP}")
 
 
 class Representation:
@@ -67,18 +106,16 @@ class SparseOperator:
 
     Thin wrapper around a CSR matrix that stores at most one entry per
     coordinate.  The constructor canonicalizes its own copy of the argument
-    (sorted columns, no stored zeros).  Results of ``+ - * @``,
-    :func:`kron_terms` and :func:`identity_operator` wrap scipy's
-    duplicate-free result as it comes, columns possibly unsorted and zeros
-    possibly stored; neither changes what ``max_abs``, ``toarray`` and
-    ``mat @ v`` return.  ``nnz`` counts the nonzero stored values (NaN
-    counts) and leaves the matrix as it is; ``entries`` and
-    ``write_matrix_market`` canonicalize in place first.
+    (sorted columns, no stored zeros).  Results of ``+ - * @`` and
+    :func:`kron_terms` wrap scipy's duplicate-free result as it comes,
+    columns possibly unsorted and zeros possibly stored; neither changes
+    what ``max_abs``, ``toarray`` and ``mat @ v`` return.  ``nnz`` counts
+    the nonzero stored values (NaN counts) and leaves the matrix as it is;
+    ``entries`` and ``write_matrix_market`` canonicalize in place first.
     """
 
     def __init__(self, mat):
         self.mat = sp.csr_matrix(mat, dtype=complex, copy=True)
-        self._canonical = False
         self._canonicalize()
 
     @classmethod
@@ -86,15 +123,15 @@ class SparseOperator:
         """An operator around a duplicate-free complex CSR matrix that nothing
         else holds, taken as it is."""
         op = cls.__new__(cls)
-        op.mat, op._canonical = mat, False
+        op.mat = mat
         return op
 
     def _canonicalize(self):
-        """Sort each row's columns and drop stored zeros, in place; return the matrix."""
-        if not self._canonical:
-            self.mat.sum_duplicates()
-            self.mat.eliminate_zeros()
-            self._canonical = True
+        """Sort each row's columns and drop stored zeros, in place; return the
+        matrix.  On a matrix scipy has marked canonical, ``sum_duplicates``
+        returns at once."""
+        self.mat.sum_duplicates()
+        self.mat.eliminate_zeros()
         return self.mat
 
     @property
@@ -149,10 +186,6 @@ def worst_entry(a: SparseOperator, b: SparseOperator) -> dict:
     return {"row": row, "col": col, "lhs": [va.real, va.imag], "rhs": [vb.real, vb.imag]}
 
 
-def identity_operator(dim) -> SparseOperator:
-    return SparseOperator._wrap(sp.identity(dim, dtype=complex, format="csr"))
-
-
 def kron_terms(terms, d: int, sites: int) -> SparseOperator:
     """Sum of ``coeff * M_1 (x) ... (x) M_sites`` over ``(coeff, [M_1, ..., M_sites])``.
 
@@ -163,11 +196,12 @@ def kron_terms(terms, d: int, sites: int) -> SparseOperator:
     values into ``v[:, None] * fv``.  All terms are then summed into one CSR
     matrix of dimension d**sites.  Entries that several terms share are added
     in term order, so the result equals accumulating the terms' Kronecker
-    products one after another.
+    products one after another.  An operator past the budget
+    (:func:`require_budget`) raises before any array is built; within it,
+    every key is below 2**(2 * SITE_CAP) and fits int64.
     """
+    require_budget(f"an operator on {sites} sites", d, sites)
     dim = d ** sites
-    if dim * dim > np.iinfo(np.int64).max:
-        raise ResourceLimitError(f"dimension {dim} overflows the int64 entry keys")
     coords = {}  # id(matrix) -> (matrix, key offsets, values); the matrix pins the id
     keys, vals = [], []
     for coeff, factors in terms:

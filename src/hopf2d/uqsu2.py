@@ -21,6 +21,11 @@ word with the placement construction.  :func:`boxplus_op` is a one-off
 table's lookup.  A q-singlet on one site pair or a product of them on many
 comes from :func:`singlet_product`.
 
+The operator budget is :func:`linops.require_budget`, which
+:func:`linops.kron_terms` enforces for every operator the library builds.
+A table also calls it when it is made, so a size past the budget is
+refused before the table builds its example or grows anything.
+
 One q rule holds at every entry point, through :func:`instances.regular_q`
 and :func:`instances.nonsingular_q`: a q that is not finite is a
 :class:`coalgebra.ConfigurationError`; q = 0, and q**2 = 1 wherever
@@ -53,7 +58,7 @@ from . import coalgebra
 from .coalgebra import CheckReport, _instance, worst_residual
 from .grids import EQ_TOL, Alphabet, FormalSum, GridWord, sum_difference, worst_word
 from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
-from .linops import Representation, ResourceLimitError, SparseOperator, evaluate, worst_entry
+from .linops import Representation, SparseOperator, evaluate, require_budget, worst_entry
 
 # display plaquette label -> linear site index (bottom row first)
 DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
@@ -65,24 +70,6 @@ SM = np.array([[0, 0], [1, 0]], dtype=complex)
 SZ = np.diag([0.5, -0.5]).astype(complex)
 for _mat in (ID2, SP, SM, SZ):
     _mat.flags.writeable = False
-
-# site cap for lattice operators, from measured work: at 18 sites (dimension
-# 2**18 = 262144) a `verify --checks ks,commutator --sizes 3x6` process takes
-# about 3.0 s and 315 MiB peak resident memory with one q and 8.1 s and
-# 329 MiB with three (medians of 5 runs on a 2-core x86 machine); building
-# S+ and S- reaches about 280 MiB, and the ks relations' per-entry arrays,
-# formed while S+, S- and the K strings are alive, set the peak; at 20 sites
-# (4x5) one run took 33 s and 1.2 GiB
-SITE_CAP = 18
-
-# entry cap of a representation's own matrices, d dense d x d ones for the
-# regular representation (d**3 entries), from measured work: `verify
-# --example taft --taft-n N --sizes 1x1 --checks antipode` (d = N**2) peaks
-# at 57, 94, 196, 279 and 333 MiB for N = 8, 12, 16, 18 and 19 (one fresh
-# process each on a 2-core x86 machine), so the cap keeps N <= 18 (d**3 =
-# 3.4e7), under the 315 MiB of the site cap's 3x6 run; N = 30 (d**3 = 7.3e8)
-# would allocate 10.9 GiB
-REP_ENTRY_CAP = 40 * 2 ** 20
 
 # rows per block of the commutator check, whose peak memory is that of one
 # block's products: a 4x4 `verify --checks ks,commutator` process takes
@@ -115,16 +102,6 @@ def spin_half_rep(q, alphabet=None) -> Representation:
     return Representation(alphabet, mats)
 
 
-def require_budget(what: str, dim: int, n: int, m: int):
-    """The one operator budget: ``what`` at n x m, with sites of dimension
-    ``dim``, needs dim**(n*m) <= 2**SITE_CAP, or raises
-    :class:`ResourceLimitError` naming ``what``, the size and the dimension.
-    It is read from the dimension alone, before anything is built."""
-    if dim ** (n * m) > 2 ** SITE_CAP:
-        raise ResourceLimitError(f"{what} at {n}x{m} needs dimension {dim}**{n * m}, "
-                                 f"past the budget 2**{SITE_CAP}")
-
-
 def _placement(gen: str, alphabet: Alphabet, shape) -> FormalSum:
     """Placement construction: the generator at one site, the matching
     group-like letters before and after it in linear order (K- and K+ around
@@ -151,15 +128,16 @@ class OperatorTable(coalgebra.OperatorTable):
     its spin-1/2 representation ``rep``.
 
     It is made after the q rule and the operator budget
-    (:func:`require_budget`).  On an operator's first lookup its element is
-    compared word by word with the independent placement construction
-    :func:`_placement`, and a mismatch raises and names the worst word;
-    otherwise the element is evaluated, once, as in every table.
+    (:func:`linops.require_budget`), both checked before it builds its
+    example.  On an operator's first lookup its element is compared word by
+    word with the independent placement construction :func:`_placement`,
+    and a mismatch raises and names the worst word; otherwise the element
+    is evaluated, once, as in every table.
     """
 
     def __init__(self, q, n: int, m: int):
         self.q = q = regular_q(q)
-        require_budget("an operator table", 2, n, m)
+        require_budget(f"an operator table at {n}x{m}", 2, n * m)
         example = make_uq_symbolic(q)
         super().__init__(example, spin_half_rep(q, example.alphabet), n, m)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hopf2d import cli
+from hopf2d import cli, linops
 from hopf2d.cli import main
 from hopf2d.coalgebra import DomainError, MultiplicationRule, check_antipode
 from hopf2d.grids import ShapeError
@@ -266,7 +266,7 @@ def test_every_check_runs_at_the_sizes_its_reports_name(tmp_path, monkeypatch, c
     want = _ruled_sizes(check, [tuple(map(int, s.split("x"))) for s in sizes.split(",")])
     out = tmp_path / "r"
     code = main(["verify", *options, "--sizes", sizes, "--checks", check, "--out", str(out)])
-    if dim is not None and any(dim ** (n * m) > 2 ** cli.uqsu2.SITE_CAP for n, m in want):
+    if dim is not None and any(dim ** (n * m) > 2 ** linops.SITE_CAP for n, m in want):
         assert (code, ran, out.exists()) == (2, [], False)  # past the budget: nothing runs
         return
     assert code == 0
@@ -369,7 +369,7 @@ def test_the_budget_counts_the_regular_representations_own_entries(
         d = int(n) ** 2
         assert capsys.readouterr().err == (
             f"error: the regular representation of taft(n={n}) needs {d}**3 entries, "
-            f"past the budget {cli.uqsu2.REP_ENTRY_CAP}\n")
+            f"past the budget {linops.REP_ENTRY_CAP}\n")
 
 
 def test_build_op_and_verify_report_the_budget_alike(tmp_path, capsys):
@@ -921,4 +921,22 @@ def test_build_op_names_the_first_nonfinite_entry_in_row_major_order(tmp_path, c
     out = tmp_path / "ops"
     assert main(["build-op", "--gen", "S+", "--q", "1.3", "--out", str(out)]) == 1
     assert "its entry at row 1, column 0 (0-based) is (nan+0j)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+def test_build_op_names_the_row_major_first_of_two_nonfinite_entries_in_one_row(
+        tmp_path, capsys, monkeypatch, order):
+    # row 0 stores a zero that canonical form drops, shifting every later
+    # entry; row 2 holds 1 at column 0, -inf at 1 and nan at 3, stored in
+    # each column order ``order`` gives
+    cols = np.array([0, 1, 3])[order]
+    vals = np.array([1.0, -np.inf, complex(np.nan, 2.0)])[order]
+    mat = sp.csr_matrix((np.concatenate([[0.0], vals]).astype(complex),
+                         np.concatenate([[2], cols]), np.array([0, 1, 1, 4, 4])), shape=(4, 4))
+    monkeypatch.setattr(cli.uqsu2, "boxplus_op", lambda *_: SparseOperator._wrap(mat))
+    out = tmp_path / "ops"
+    assert main(["build-op", "--gen", "S+", "--q", "1.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: boxplus_Sp_2x2.mtx not written: its entry at "
+                                       "row 2, column 1 (0-based) is (-inf+0j), not finite\n")
     assert not out.exists()

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hopf2d.grids import Alphabet, FormalSum, GridShape, GridWord, join, word1
+from hopf2d import linops
 from hopf2d.linops import (
     Representation,
     RepresentationError,
@@ -14,9 +17,9 @@ from hopf2d.linops import (
     worst_entry,
     read_matrix_market,
 )
-from hopf2d.instances import make_pivot, make_uq_symbolic
+from hopf2d.instances import make_cyclic_group, make_pivot, make_uq_symbolic, regular_rep
 from hopf2d.uqsu2 import boxplus_op, spin_half_rep
-from hopf2d.coalgebra import boxplus
+from hopf2d.coalgebra import boxplus, check_antipode, check_homomorphism
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +291,48 @@ def test_kron_terms_rejects_keys_past_int64():
         kron_terms([(1.0, [raising] * 32)], 2, 32)
 
 
+def test_kron_terms_refuses_past_the_budget_before_it_reads_a_term():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a term was read past the budget")
+
+    for d, sites in ((2, linops.SITE_CAP + 1), (4, linops.SITE_CAP // 2 + 1)):
+        with pytest.raises(ResourceLimitError,
+                           match=re.escape(f"needs dimension {d}**{sites}, past the budget 2**18")):
+            kron_terms(Unread(), d, sites)
+
+
+@pytest.mark.parametrize("d, sites", [(2, 18), (4, 9)])
+def test_kron_terms_builds_at_exactly_the_budget(d, sites):
+    raising = np.eye(d, k=1)  # d - 1 nonzeros: (d - 1)**sites entries
+    op = kron_terms([(1.0, [raising] * sites)], d, sites)
+    assert op.dim == 2 ** linops.SITE_CAP and op.nnz == (d - 1) ** sites
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_kron_terms_identity_is_scipys_bit_for_bit(d):
+    got = kron_terms([(1.0, [np.eye(d)] * 3)], d, 3).mat
+    want = sp.identity(d ** 3, dtype=complex, format="csr")
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def _group3():
+    ex = make_cyclic_group(3)
+    return ex, regular_rep(ex)
+
+
+@pytest.mark.parametrize("build", [
+    lambda uq: evaluate(boxplus(uq[0], "K+", 1, 19), uq[1]),
+    lambda uq: check_homomorphism(*_group3(), 1, 12, [("g", "g")]),
+    lambda uq: check_antipode(*_group3(), "x", 12),
+], ids=["evaluate", "homomorphism", "antipode"])
+def test_library_operators_meet_the_one_budget(uq2, build):
+    with pytest.raises(ResourceLimitError, match=re.escape("past the budget 2**18")):
+        build(uq2)
+
+
 def test_worst_entry_names_largest_difference():
     a = SparseOperator(np.diag([1.0, 2.0, 3.0]))
     b = SparseOperator(np.diag([1.0, 2.5, 3.0]) + np.eye(3, k=1) * 0.1)
@@ -354,6 +399,21 @@ def test_output_boundaries_read_like_the_canonical_operator(tmp_path, case):
     assert make().write_matrix_market(got) == eager.write_matrix_market(want)
     assert got.read_bytes() == want.read_bytes()
 
+
+def test_output_boundaries_read_the_same_twice(tmp_path):
+    sp_, sm_ = boxplus_op("S+", 1.0, 2, 3), boxplus_op("S-", 1.0, 2, 3)
+
+    def make():  # an unsorted product holding stored zeros
+        op = sm_ @ sp_
+        op.mat.data[::3] = 0.0
+        return op
+
+    assert not make().mat.has_sorted_indices and np.count_nonzero(make().mat.data == 0)
+    op, want = make(), SparseOperator(make().mat).entries()
+    assert op.entries() == op.entries() == want
+    op, paths = make(), [tmp_path / "first.mtx", tmp_path / "second.mtx"]
+    assert [op.write_matrix_market(path) for path in paths] == [len(want)] * 2
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("matrices, fragment", [

@@ -156,7 +156,7 @@ def test_boxplus_op_size_cap():
     with pytest.raises(ResourceLimitError):
         uq.boxplus_op("S+", 2.0, 4, 5)
     with pytest.raises(ResourceLimitError):  # the first size past the cap
-        uq.boxplus_op("S+", 2.0, 1, uq.SITE_CAP + 1)
+        uq.boxplus_op("S+", 2.0, 1, linops.SITE_CAP + 1)
 
 
 def test_a_table_builds_one_example_for_every_generator(monkeypatch):
@@ -217,8 +217,8 @@ def test_boxplus_engine_matches_placement(q, size):
 
 def test_placement_equals_the_grown_element_at_every_shape_up_to_the_cap():
     for q in (1.3, 0.7 + 0.2j):
-        for n in range(1, uq.SITE_CAP + 1):
-            for m in range(1, uq.SITE_CAP // n + 1):
+        for n in range(1, linops.SITE_CAP + 1):
+            for m in range(1, linops.SITE_CAP // n + 1):
                 table = uq.OperatorTable(q, n, m)
                 for gen in UQ_NAMES:
                     element = table.element(gen)
