@@ -58,7 +58,9 @@ from .grids import (
     word1,
     worst_word,
 )
-from .linops import Representation, RepresentationError, evaluate, kron_terms, worst_entry
+from .automata import MPO, Automaton
+from .linops import (Representation, RepresentationError, evaluate, kron_terms, require_budget,
+                     worst_entry)
 
 
 class DomainError(ValueError):
@@ -299,13 +301,14 @@ class OperatorTable(dict):
     elements do.  :meth:`product` returns a kept operator for a product
     that is one of its symbols, or evaluates the product from the kept
     elements of its symbols.  Every evaluation meets the operator budget
-    that :func:`linops.kron_terms` enforces.
+    that :func:`linops.kron_terms` enforces, and a generator's first lookup
+    meets it before its element is grown.
     """
 
     def __init__(self, ex: CoalgebraExample, rep: Representation, n: int, m: int):
         super().__init__()
         self.example, self.rep, self.n, self.m = ex, rep, n, m
-        self._elements = {}
+        self._elements, self._mpos = {}, {}
 
     def element(self, sym) -> FormalSum:
         """The n x m element of a symbol, given as a symbol or its name,
@@ -326,7 +329,16 @@ class OperatorTable(dict):
             self._elements[sym] = boxplus(ex, sym, n, m) if inside else boxplus_from_1d(rule, v, n, m)
         return self._elements[sym]
 
+    def mpo(self, sym) -> MPO:
+        """The MPO of a symbol's element in ``rep`` (:mod:`hopf2d.automata`),
+        built from the kept element on the first call and kept.  No
+        operator of the full dimension is built, so no budget applies."""
+        if sym not in self._mpos:
+            self._mpos[sym] = Automaton(self.element(sym)).mpo(self.rep)
+        return self._mpos[sym]
+
     def __missing__(self, gen):
+        require_budget(f"an operator table at {self.n}x{self.m}", self.rep.dim, self.n * self.m)
         op = self[gen] = evaluate(self.element(gen), self.rep)
         return op
 

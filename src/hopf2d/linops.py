@@ -13,7 +13,8 @@ stored zeros) is established only where order can be seen: ``entries``,
 
 Two operators are compared one way: by the max-abs entry of their
 difference, ``(a - b).max_abs()``, with :func:`worst_entry` naming where a
-failing comparison is worst.
+failing comparison is worst.  The deformed-su(2) relation checks build no
+operator: they compare matrix product operators (:mod:`hopf2d.automata`).
 
 Every operator the library builds from a lattice description (a grown
 element, an antipode side and its identity target, an embedded R-matrix)
@@ -46,12 +47,11 @@ class ResourceLimitError(ValueError):
 
 
 # site cap for lattice operators, from measured work: at 18 sites (dimension
-# 2**18 = 262144) a `verify --checks ks,commutator --sizes 3x6` process takes
-# about 3.0 s and 315 MiB peak resident memory with one q and 8.1 s and
-# 329 MiB with three (medians of 5 runs on a 2-core x86 machine); building
-# S+ and S- reaches about 280 MiB, and the ks relations' per-entry arrays,
-# formed while S+, S- and the K strings are alive, set the peak; at 20 sites
-# (4x5) one run took 33 s and 1.2 GiB
+# 2**18 = 262144) a `build-op --gen S+ --size 3x6` process takes 1.5 s and
+# 445 MiB peak resident memory, writing 2.36 million entries (min of 3 runs
+# on a 2-core x86 machine); `verify --checks ks,commutator` builds no
+# operator and is not capped, where its 3x6 run built six and took about
+# 3.0 s and 315 MiB (median of 5), and at 20 sites (4x5) 33 s and 1.2 GiB
 SITE_CAP = 18
 
 # entry cap of a representation's own matrices, d dense d x d ones for the
@@ -59,7 +59,8 @@ SITE_CAP = 18
 # --example taft --taft-n N --sizes 1x1 --checks antipode` (d = N**2) peaks
 # at 57, 94, 196, 279 and 333 MiB for N = 8, 12, 16, 18 and 19 (one fresh
 # process each on a 2-core x86 machine), so the cap keeps N <= 18 (d**3 =
-# 3.4e7), under the 315 MiB of the site cap's 3x6 run; N = 30 (d**3 = 7.3e8)
+# 3.4e7), under the 315 MiB that the site cap's 3x6 `verify --checks
+# ks,commutator` run took when it built operators; N = 30 (d**3 = 7.3e8)
 # would allocate 10.9 GiB
 REP_ENTRY_CAP = 40 * 2 ** 20
 

@@ -14,17 +14,22 @@ Every deformed-su(2) element is grown and represented by one step, an
 :class:`OperatorTable` of one (q, n, m), the :class:`coalgebra.OperatorTable`
 that serves every example: it builds one example at q and the spin-1/2
 representation of that example's alphabet, grows every generator it is
-asked for from that example once (:meth:`coalgebra.OperatorTable.element`),
-and builds each lattice operator on its first lookup, once.  The one step
-it adds is uq's own: before the evaluation, the element is compared word by
-word with the placement construction.  :func:`boxplus_op` is a one-off
-table's lookup.  A q-singlet on one site pair or a product of them on many
-comes from :func:`singlet_product`.
+asked for from that example once (:meth:`OperatorTable.element`), and
+builds each lattice operator on its first lookup, once.  The one step it
+adds is uq's own: every element it hands out is compared word by word with
+the placement construction when it is grown.  :func:`boxplus_op` is a
+one-off table's lookup.  A q-singlet on one site pair or a product of them
+on many comes from :func:`singlet_product`.
 
-The operator budget is :func:`linops.require_budget`, which
-:func:`linops.kron_terms` enforces for every operator the library builds.
-A table also calls it when it is made, so a size past the budget is
-refused before the table builds its example or grows anything.
+The relation checks :func:`check_ks_relation` and :func:`check_commutator`
+build no operator: they read the table's elements and representation,
+turn each element into an MPO (:mod:`hopf2d.automata`) and compare the two
+sides of each identity by their relative Frobenius distance, at any
+lattice size.  The operator budget is :func:`linops.require_budget`, which
+:func:`linops.kron_terms` enforces for every operator the library builds;
+a table also meets it on an operator's first lookup, before it grows the
+element, so an operator past the budget is refused before anything is
+grown.
 
 One q rule holds at every entry point, through :func:`instances.regular_q`
 and :func:`instances.nonsingular_q`: a q that is not finite is a
@@ -52,13 +57,13 @@ import cmath
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import coalgebra
+from .automata import relative_difference, witness_entry
 from .coalgebra import CheckReport, _instance, worst_residual
 from .grids import EQ_TOL, Alphabet, FormalSum, GridWord, sum_difference, worst_word
 from .instances import UQ_NAMES, make_uq_symbolic, nonsingular_q, regular_q
-from .linops import Representation, SparseOperator, evaluate, require_budget, worst_entry
+from .linops import Representation, SparseOperator
 
 # display plaquette label -> linear site index (bottom row first)
 DISPLAY_TO_LINEAR_2X2 = {1: 3, 2: 4, 3: 1, 4: 2}
@@ -70,14 +75,6 @@ SM = np.array([[0, 0], [1, 0]], dtype=complex)
 SZ = np.diag([0.5, -0.5]).astype(complex)
 for _mat in (ID2, SP, SM, SZ):
     _mat.flags.writeable = False
-
-# rows per block of the commutator check, whose peak memory is that of one
-# block's products: a 4x4 `verify --checks ks,commutator` process takes
-# about 1.3 s and 115 MiB peak resident memory, as much as building its
-# operators (medians of 9 runs; whole-matrix products took 1.4 s and 340
-# MiB); at 3x4 a single 4096-row block added 9 MiB to the operators' peak
-BLOCK_ROWS = 1024
-
 
 def spin_half_rep(q, alphabet=None) -> Representation:
     """Spin-1/2 matrices for the deformed-su(2) alphabet at a given q.
@@ -123,32 +120,36 @@ def boxplus_op(gen: str, q, n: int, m: int) -> SparseOperator:
 
 
 class OperatorTable(coalgebra.OperatorTable):
-    """The lattice operators of one (q, n, m), by generator name: a
-    :class:`coalgebra.OperatorTable` of one deformed-su(2) example at q in
-    its spin-1/2 representation ``rep``.
+    """The lattice elements and operators of one (q, n, m), by generator
+    name: a :class:`coalgebra.OperatorTable` of one deformed-su(2) example
+    at q in its spin-1/2 representation ``rep``.
 
-    It is made after the q rule and the operator budget
-    (:func:`linops.require_budget`), both checked before it builds its
-    example.  On an operator's first lookup its element is compared word by
-    word with the independent placement construction :func:`_placement`,
-    and a mismatch raises and names the worst word; otherwise the element
-    is evaluated, once, as in every table.
+    It is made after the q rule, checked before it builds its example.
+    Every element it hands out is compared word by word with the
+    independent placement construction :func:`_placement` when it is
+    grown, whether or not an operator is built from it, and a mismatch
+    raises and names the worst word.  An operator is evaluated on its first
+    lookup, once, within the operator budget, as in every table.
     """
 
     def __init__(self, q, n: int, m: int):
         self.q = q = regular_q(q)
-        require_budget(f"an operator table at {n}x{m}", 2, n * m)
         example = make_uq_symbolic(q)
         super().__init__(example, spin_half_rep(q, example.alphabet), n, m)
 
-    def __missing__(self, gen):
-        element = self.element(gen)
-        placed = _placement(gen, self.rep.alphabet, element.shape)
-        res = sum_difference(element, placed)
-        if not res <= EQ_TOL:
-            raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, "
-                                 f"worst word (engine vs placement) {worst_word(element, placed)}")
-        return super().__missing__(gen)
+    def element(self, gen) -> FormalSum:
+        """The element of generator ``gen``, grown as in every table and
+        compared with its placement on the call that grows it."""
+        grown = gen in self._elements
+        element = super().element(gen)
+        if not grown:
+            placed = _placement(gen, self.rep.alphabet, element.shape)
+            res = sum_difference(element, placed)
+            if not res <= EQ_TOL:
+                del self._elements[gen]  # handed out by no later call either
+                raise AssertionError(f"engine vs placement mismatch for {gen}: {res}, worst "
+                                     f"word (engine vs placement) {worst_word(element, placed)}")
+        return element
 
 
 def _require_size(ops, n: int, m: int):
@@ -158,87 +159,49 @@ def _require_size(ops, n: int, m: int):
         raise ValueError(f"operator table of {ops.n}x{ops.m} used at {n}x{m}")
 
 
-def _diagonal(op: SparseOperator) -> np.ndarray:
-    """The diagonal of an operator that stores no nonzero entry off it."""
-    mat = op.mat
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    if np.any(mat.data[mat.indices != rows] != 0):  # NaN != 0 too
-        raise AssertionError("K string stores an off-diagonal entry")
-    return mat.diagonal()
-
-
-def _on_coordinates(mat, data) -> SparseOperator:
-    """The operator with ``data`` at the stored coordinates of ``mat``, in their
-    order.  It shares ``mat``'s index arrays, so it is only to be read:
-    :func:`worst_entry` leaves it as it is."""
-    return SparseOperator._wrap(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
+# the lattice relations K S = q**power S K, as (K, S, power), in report order
+KS_RELATIONS = (("K+", "S+", 1), ("K+", "S-", -1), ("K-", "S+", -1), ("K-", "S-", 1))
 
 
 def check_ks_relation(ops, tol=EQ_TOL) -> CheckReport:
-    """K S = q^(+-1) S K lifted to the whole lattice, max-entry residual.
-
-    The K strings are diagonal, so no sparse product is formed: ``K S`` is
-    S's stored entries scaled by K at their row and ``S K`` the same entries
-    scaled by K at their column.  Each entry is the one product that
-    ``K @ S`` and ``S @ K`` would form, and both sides keep S's coordinates,
-    so the residual compares the two arrays entry by entry, the one
-    subtraction per entry of ``(K S - q^(+-1) S K).max_abs()``.  Only a
-    failing relation wraps them as operators (:func:`_on_coordinates`), for
-    :func:`worst_entry`.  The q, the size and the operators come from
-    ``ops``, an :class:`OperatorTable`.
+    """K S = q^(+-1) S K lifted to the whole lattice, one instance for each
+    of :data:`KS_RELATIONS`, with residual ||K S - q^(+-1) S K||_F / ||K S||_F
+    (:func:`_relation`).  Both sides are products of the MPOs of the table's
+    elements (:meth:`coalgebra.OperatorTable.mpo`), so no operator of
+    dimension 2**sites is built.  The q, the size and the elements come
+    from ``ops``, an :class:`OperatorTable`.
     """
-    q, instances = ops.q, []
-    # S+ and S- first: built after the K strings, they raised the peak
-    # memory of a 4x4 `verify --checks ks` run from 115 to 135 MiB
-    s = {g: ops[g].mat for g in ("S+", "S-")}
-    k = {g: _diagonal(ops[g]) for g in ("K+", "K-")}
-    for alpha, kname in ((1, "K+"), (-1, "K-")):
-        for sign, sname in ((1, "S+"), (-1, "S-")):
-            mat = s[sname]
-            lhs = np.repeat(k[kname], np.diff(mat.indptr))  # K at each entry's row
-            lhs *= mat.data
-            rhs = k[kname][mat.indices]  # K at each entry's column
-            np.multiply(mat.data, rhs, out=rhs)
-            rhs *= q ** (sign * alpha)
-            with np.errstate(invalid="ignore", over="ignore"):  # as quiet as scipy's a - b
-                res = float(np.abs(lhs - rhs).max(initial=0.0))
-            instances.append(_instance(f"{kname}*{sname}", res, tol, lambda: {
-                "worst_entry": worst_entry(_on_coordinates(mat, lhs), _on_coordinates(mat, rhs))}))
+    instances = []
+    for kname, sname, power in KS_RELATIONS:
+        k, s = ops.mpo(kname), ops.mpo(sname)
+        instances.append(_relation(f"{kname}*{sname}", k @ s, (s @ k) * ops.q ** power, tol))
     return CheckReport("ks_relation", [(ops.n, ops.m)], instances)
 
 
 def check_commutator(ops, tol=EQ_TOL) -> CheckReport:
-    """[raise, lower] telescopes to the difference of squared K strings.
-
-    The residual is accumulated over blocks of :data:`BLOCK_ROWS` rows: each
-    block forms ``S+[B] @ S- - S-[B] @ S+`` and subtracts the block's rows of
-    ``(K+2 - K-2) * (1/(q - 1/q))``, so no full-size product is built.  Every
-    entry is the same arithmetic as in the whole-matrix difference.  A
-    failing instance names the first worst entry in row-major order, NaN
-    before any number, as :func:`worst_entry` does on the whole matrices.
-    The q, the size and the operators come from ``ops`` as in
-    :func:`check_ks_relation`.
+    """[raise, lower] telescopes to the difference of squared K strings,
+    compared as S+ S- = S- S+ + (K+2 - K-2)/(q - 1/q): the residual is
+    ||[S+, S-] - (K+2 - K-2)/(q - 1/q)||_F / ||S+ S-||_F, from the MPOs as in
+    :func:`check_ks_relation`.  [S+, S-] itself vanishes at q = +-i on an
+    even number of sites, so it is no scale to state the residual against.
+    The q, the size and the elements come from ``ops``; a q with q**2 = 1 is
+    refused first.
     """
     q = nonsingular_q(ops.q)
-    sp_, sm_, kp2, km2 = (ops[g].mat for g in ("S+", "S-", "K+2", "K-2"))
-    scale = 1.0 / (q - 1.0 / q)
-
-    def block(start):
-        b = slice(start, start + BLOCK_ROWS)
-        return (SparseOperator._wrap(sp_[b] @ sm_ - sm_[b] @ sp_),
-                SparseOperator._wrap((kp2[b] - km2[b]) * scale))
-
-    starts = range(0, sp_.shape[0], BLOCK_ROWS)
-    worst, res = worst_residual([(a - b).max_abs() for a, b in map(block, starts)])
-    start = starts[worst]
-
-    def where():
-        entry = worst_entry(*block(start))
-        entry["row"] += start
-        return {"worst_entry": entry}
-
-    inst = _instance(f"commutator q={q:g}", res, tol, where)
+    sp_, sm_, kp2, km2 = (ops.mpo(g) for g in ("S+", "S-", "K+2", "K-2"))
+    inst = _relation(f"commutator q={q:g}", sp_ @ sm_,
+                     sm_ @ sp_ - (km2 - kp2) * (1.0 / (q - 1.0 / q)), tol)
     return CheckReport("commutator", [(ops.n, ops.m)], [inst])
+
+
+def _relation(label, lhs, rhs, tol):
+    """The instance of one operator identity lhs = rhs, given as MPOs: its
+    residual is ||lhs - rhs||_F / ||lhs||_F, which ``details.residual`` names,
+    and a failing one names a witness entry (:func:`automata.witness_entry`)."""
+    inst = _instance(label, relative_difference(lhs, rhs), tol,
+                     lambda: {"witness_entry": witness_entry(lhs, rhs)})
+    inst.details = {"residual": "frobenius_relative", **inst.details}
+    return inst
 
 
 # ---------------------------------------------------------------------------

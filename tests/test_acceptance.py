@@ -39,6 +39,8 @@ from hopf2d import peps
 from hopf2d import rmatrix as rm
 from hopf2d import uqsu2 as uq
 
+from .relation_oracle import max_entry_residuals
+
 
 def _line(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -114,7 +116,8 @@ def test_c03_uq_bialgebra_relations():
             r1 = uq.check_ks_relation(ops, tol=1e-10)
             r2 = uq.check_commutator(ops, tol=1e-10)
             assert r1.ok and r2.ok, (q, n, m)
-            worst = max(worst, r1.max_residual, r2.max_residual)
+            # the bound is stated for the max-entry residual of the whole matrices
+            worst = max(worst, *max_entry_residuals(ops).values())
     elapsed = time.perf_counter() - t0
     _line(3, worst < 1e-10 and elapsed < 60.0,
           f"10 q values x 3 sizes, max residual {worst:.2e}, {elapsed:.1f}s")

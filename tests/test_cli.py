@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 import weakref
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hopf2d
 from hopf2d import cli, linops
 from hopf2d.cli import main
 from hopf2d.coalgebra import DomainError, MultiplicationRule, check_antipode
@@ -58,12 +61,13 @@ def test_verify_uq_builds_each_operator_once_per_q_and_size(tmp_path, monkeypatc
     argv = ["verify", "--example", "uq", "--checks", "ks,commutator,kernel,singlets",
             "--sizes", "2x2,2x3", "--out", str(tmp_path / "r")]
     assert main(argv[:3] + ["--q", "1.3"] + argv[3:]) == 0
-    gens = ("K+", "K-", "S+", "S-", "K+2", "K-2")
-    assert calls == ({(g, 1.3, n, m): 1 for g in gens for n, m in ((2, 2), (2, 3))}
+    # ks and commutator build no operator: the kernel's S+ and S- at 2x2 and
+    # the singlet pair checks' four at 1x2 are all, and nothing at 2x3
+    assert calls == ({(g, 1.3, 2, 2): 1 for g in ("S+", "S-")}
                      | {(g, 1.3, 1, 2): 1 for g in ("S+", "S-", "K+", "K-")})
     calls.clear()
     assert main(argv[:3] + ["--q", "1.3", "--q", "0.7"] + argv[3:]) == 0
-    assert set(calls.values()) == {1} and len(calls) == 32
+    assert set(calls.values()) == {1} and len(calls) == 12
     # the default lists: 10 seeded q for kernel, 20 for rmatrix2d, 5 of them shared
     calls.clear()
     assert main(argv[:3] + ["--checks", "kernel,rmatrix2d", "--out", str(tmp_path / "d")]) == 0
@@ -214,9 +218,10 @@ RULE_CHECKS = {
                      {(cli, "check_homomorphism"): lambda ex, rep, n, m, pairs, **_: (n, m)}),
     "antipode": (["--example", "taft"], 4,
                  {(cli, "check_antipode"): lambda ex, rep, d, k, **_: _slice(d, k)}),
-    "ks": (["--example", "uq", "--q", "1.3"], 2,
+    # ks and commutator build no operator, so no budget applies to them
+    "ks": (["--example", "uq", "--q", "1.3"], None,
            {(cli.uqsu2, "check_ks_relation"): lambda ops, *_: (ops.n, ops.m)}),
-    "commutator": (["--example", "uq", "--q", "1.3"], 2,
+    "commutator": (["--example", "uq", "--q", "1.3"], None,
                    {(cli.uqsu2, "check_commutator"): lambda ops, *_: (ops.n, ops.m)}),
     "kernel": (["--example", "uq", "--q", "1.3"], 2,
                {(cli.uqsu2, "kernel_2x2"): lambda ops, *_: (ops.n, ops.m)}),
@@ -330,7 +335,7 @@ def test_a_flipped_antipode_sign_fails_on_5_site_slices(tmp_path, monkeypatch):
     ["--example", "taft", "--sizes", "4x4", "--checks", "homomorphism"],
     ["--example", "taft", "--sizes", "4x4", "--checks", "counit,antipode,homomorphism"],
     ["--example", "taft", "--taft-n", "3", "--checks", "homomorphism"],
-    ["--example", "uq", "--q", "1.3", "--sizes", "2x2,4x5", "--checks", "ks"],
+    ["--example", "uq", "--q", "1.3", "--sizes", "2x2,19x1", "--checks", "antipode"],
     ["--example", "taft", "--taft-n", "30", "--checks", "antipode"],
 ])
 def test_a_run_past_the_budget_is_a_configuration_error_before_any_check(
@@ -374,16 +379,50 @@ def test_the_budget_counts_the_regular_representations_own_entries(
 
 def test_build_op_and_verify_report_the_budget_alike(tmp_path, capsys):
     said = []
-    for argv, what in ((["build-op", "--gen", "S+", "--q", "1.3", "--size", "3x7"],
+    # 21-site columns: antipode_x runs on them, and build-op builds one
+    for argv, what in ((["build-op", "--gen", "S+", "--q", "1.3", "--size", "21x1"],
                         "an operator table"),
-                       (["verify", "--example", "uq", "--q", "1.3", "--checks", "ks",
-                         "--sizes", "3x7"], "check 'ks'")):
+                       (["verify", "--example", "uq", "--q", "1.3", "--checks", "antipode",
+                         "--sizes", "21x1"], "check 'antipode'")):
         out = tmp_path / argv[0]
         assert main([*argv, "--out", str(out)]) == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {what} at 3x7"), err
+        assert err.startswith(f"error: {what} at 21x1"), err
         said.append(err[len(f"error: {what}"):])
-    assert said[0] == said[1] == " at 3x7 needs dimension 2**21, past the budget 2**18\n"
+    assert said[0] == said[1] == " at 21x1 needs dimension 2**21, past the budget 2**18\n"
+
+
+@pytest.mark.parametrize("size", ["4x5", "6x6"])
+def test_ks_and_commutator_run_past_the_operator_budget(tmp_path, size):
+    out = tmp_path / "r"
+    assert main(["verify", "--example", "uq", "--q", "1.3", "--sizes", size,
+                 "--checks", "ks,commutator", "--out", str(out)]) == 0
+    n, m = map(int, size.split("x"))
+    for name in ("ks.json", "commutator.json"):
+        report = json.loads((out / name).read_text())
+        assert report["sizes"] == [[n, m]] and report["instances"]
+        assert all(i["pass"] and i["details"] == {"residual": "frobenius_relative"}
+                   for i in report["instances"])
+
+
+def test_an_overflowing_q_fails_ks_and_commutator_as_nan_without_a_traceback(tmp_path):
+    # K strings on 9 sites at q = 1e160 pass 1e308: every residual is NaN
+    out = tmp_path / "r"
+    argv = ["verify", "--example", "uq", "--q", "1e160", "--sizes", "3x3",
+            "--checks", "ks,commutator", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", "import sys; from hopf2d.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+                               "PYTHONPATH": os.path.dirname(os.path.dirname(hopf2d.__file__))},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "LinAlgError" not in proc.stderr
+    assert proc.stderr == ""
+    for name in ("ks.json", "commutator.json"):
+        report = json.loads((out / name).read_text())
+        assert report["sizes"] == [[3, 3]] and report["max_residual"] == "nan"
+        assert report["instances"] and all(i["residual"] == "nan" and not i["pass"]
+                                           for i in report["instances"])
 
 
 def test_verify_singular_q_is_config_error(tmp_path, capsys):

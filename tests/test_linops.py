@@ -284,8 +284,8 @@ def test_kron_terms_rejects_wrong_factor_count_and_shape():
         kron_terms([(1.0, [np.eye(3), np.eye(3)])], 2, 2)
 
 
-def test_kron_terms_rejects_keys_past_int64():
-    # one nonzero per factor: cheap to expand, but row * dim + col would wrap
+def test_kron_terms_refuses_a_32_site_operator_by_the_budget():
+    # one nonzero per factor: cheap to expand, but 2**32 is past the budget
     raising = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ResourceLimitError):
         kron_terms([(1.0, [raising] * 32)], 2, 32)

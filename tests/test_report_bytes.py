@@ -19,7 +19,13 @@ and the chain steps, and held after, and after ``build-op --rmatrix2d``
 began writing ``r2d`` through ``SparseOperator``.  The three Hopf-check runs
 (``taft-hopf``, ``uq-antipode``, ``group-hopf``) were pinned at the parent
 of the change that added them, where each wrote the same bytes in two runs,
-and held after it.
+and held after it.  The ``uq-relations`` ``ks.json``
+(614badcea4bb02403631cf3d11bedc1c0f3a51749ec72157d973a8aa60cfe001 ->
+8d1730bc649dcc4cad3f3bba9e8ceb7f799c9a71a1d6c2f07f5659f789939db9) and
+``commutator.json`` (add0515702d20fcbca74505999225c26bef67ba9457f51f81ef398c16238af84
+-> 42b80e5f7afdd92d7ae1aba5be1288cdb3352221c8354c832d18367aecd98dec) pins were
+re-taken when those checks moved from max-entry residuals of whole matrices
+to relative Frobenius residuals of MPOs, named in ``details.residual``.
 """
 
 import contextlib
@@ -200,9 +206,9 @@ DIGESTS = {
         "xy_compat.json": "b0aa659457efdec8831bfa3db8e3b5625ecbf88415c5bb210702e40af818e553",
     },
     "uq-relations": {
-        "commutator.json": "add0515702d20fcbca74505999225c26bef67ba9457f51f81ef398c16238af84",
+        "commutator.json": "42b80e5f7afdd92d7ae1aba5be1288cdb3352221c8354c832d18367aecd98dec",
         "kernel.json": "5ec80cb3d36aead3a9b195e0b8257f6ac9f2f46a10e106fba00a935c74e50aea",
-        "ks.json": "614badcea4bb02403631cf3d11bedc1c0f3a51749ec72157d973a8aa60cfe001",
+        "ks.json": "8d1730bc649dcc4cad3f3bba9e8ceb7f799c9a71a1d6c2f07f5659f789939db9",
         "singlets.json": "b847d8b54ce851298e161234d2fa9df881a621435c70da2af10cbae70e6edc13",
     },
     "uq-rmatrix": {

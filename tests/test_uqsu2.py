@@ -1,14 +1,12 @@
 import cmath
 import functools
-import itertools
 import json
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 from hypothesis import example, given, settings, strategies as st
 
 from hopf2d.coalgebra import (
@@ -18,10 +16,12 @@ from hopf2d.coalgebra import (
     check_antipode,
     check_counit,
 )
-from hopf2d.linops import ResourceLimitError, SparseOperator, worst_entry
+from hopf2d.linops import ResourceLimitError, SparseOperator
 from hopf2d import cli, linops, rmatrix as rm, uqsu2 as uq
 from hopf2d.grids import FormalSum, GridWord, sum_difference
 from hopf2d.instances import UQ_NAMES, make_uq_symbolic
+
+from .relation_oracle import KS_POWERS, max_entry_residuals, relation_sides
 
 
 def test_spin_half_rep_invariants():
@@ -178,13 +178,15 @@ def test_a_table_builds_one_example_for_every_generator(monkeypatch):
 
 
 def test_a_table_checks_q_and_the_cap_before_it_grows_anything(monkeypatch):
-    def refuse(q):
-        raise AssertionError("the table built an example")
+    def refuse(*args):
+        raise AssertionError("the table built an example or grew an element")
 
+    table = uq.OperatorTable(2.0, 4, 5)  # an MPO needs no operator: the size is no error
+    monkeypatch.setattr(uq.coalgebra, "boxplus", refuse)
+    with pytest.raises(ResourceLimitError, match=r"an operator table at 4x5 needs dimension 2\*\*20"):
+        table["S+"]
     monkeypatch.setattr(uq, "make_uq_symbolic", refuse)
-    with pytest.raises(ResourceLimitError):
-        uq.OperatorTable(2.0, 4, 5)
-    with pytest.raises(ConfigurationError):  # the q rule comes before the cap
+    with pytest.raises(ConfigurationError):  # the q rule comes before the example
         uq.OperatorTable(math.nan, 4, 5)
 
 
@@ -259,211 +261,227 @@ def test_ks_relation_and_commutator_at_the_18_site_cap():
     assert uq.check_ks_relation(ops).ok
 
 
-BUILD = uq.OperatorTable.__missing__
+@pytest.mark.parametrize("q", [1.3, 0.7 + 0.2j, cmath.exp(0.9j)])
+@pytest.mark.parametrize("size", [(4, 5), (6, 6), (10, 10)])
+def test_ks_relation_and_commutator_past_the_operator_budget(q, size):
+    ops = uq.OperatorTable(q, *size)
+    reports = [uq.check_ks_relation(ops), uq.check_commutator(ops)]
+    assert all(r.ok and r.sizes == [size] for r in reports)
+    assert all(i.details == {"residual": "frobenius_relative"} and i.residual < 1e-13
+               for r in reports for i in r.instances)
+    assert not ops  # no operator was built
 
 
-def _planted(gen, entry, delta=0.5):
-    """``OperatorTable.__missing__`` with ``delta`` added at one entry of one generator."""
-    return _planted_at(gen, {entry: delta})
+ELEMENT = uq.OperatorTable.element
 
 
-def _planted_at(gen, deltas):
-    """``OperatorTable.__missing__`` with ``deltas[entry]`` added at each
-    entry of one generator; the table keeps the planted operator."""
-    def missing(table, g):
-        out = BUILD(table, g)
-        if g != gen:
-            return out
-        mat = out.mat.tolil()
-        for entry, delta in deltas.items():
-            mat[entry] += delta
-        op = table[g] = SparseOperator(mat)
-        return op
-    return missing
+def _planted_elements(monkeypatch, plants):
+    """Make ``OperatorTable.element`` hand out each generator's element
+    changed by ``plants[gen]``, a function of the element and the table,
+    after the placement check has passed on the true element; a later
+    call replaces an earlier one's plants."""
+    def element(table, gen):
+        out = ELEMENT(table, gen)
+        return plants[gen](out, table) if gen in plants else out
+
+    monkeypatch.setattr(uq.OperatorTable, "element", element)
 
 
-def _assert_names(inst, entry):
-    worst = inst.details["worst_entry"]
-    assert (worst["row"], worst["col"]) == entry
-    lhs, rhs = complex(*worst["lhs"]), complex(*worst["rhs"])
-    assert abs(abs(lhs - rhs) - inst.residual) <= 1e-12
+def _plus_word(names, coeff=0.5):
+    """A plant that adds the word of ``names``, in linear site order."""
+    def plant(element, table):
+        word = GridWord(element.shape, table.rep.alphabet.words(names))
+        return element + FormalSum(element.shape, [(word, coeff)])
+    return plant
+
+
+def _assert_witness(inst, sides, entry=None):
+    """The failing instance's witness entry is a coordinate where the
+    oracle's whole matrices ``sides`` = (lhs, rhs) differ, with their values
+    there; and it is ``entry`` when one is given."""
+    assert not inst.passed and inst.details["residual"] == "frobenius_relative"
+    witness = inst.details["witness_entry"]
+    row, col = witness["row"], witness["col"]
+    if entry is not None:
+        assert (row, col) == entry
+    lhs, rhs = (complex(side[row, col]) for side in sides)
+    assert cmath.isclose(complex(*witness["lhs"]), lhs, rel_tol=1e-12, abs_tol=1e-12)
+    assert cmath.isclose(complex(*witness["rhs"]), rhs, rel_tol=1e-12, abs_tol=1e-12)
+    assert abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs))
 
 
 def test_failing_ks_relation_names_the_planted_entry(monkeypatch):
-    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", (5, 5)))
-    report = uq.check_ks_relation(uq.OperatorTable(1.3, 2, 2))
+    # S+ S+ S+ S+ has one nonzero entry, at row 0 (all up) and column 15
+    _planted_elements(monkeypatch, {"S+": _plus_word(["S+"] * 4)})
+    ops = uq.OperatorTable(1.3, 2, 2)
+    report = uq.check_ks_relation(ops)
     failing = [i for i in report.instances if not i.passed]
     assert sorted(i.input for i in failing) == ["K+*S+", "K-*S+"]
+    sides = relation_sides(ops)
     for inst in failing:
-        _assert_names(inst, (5, 5))
-    assert all(not i.details for i in report.instances if i.passed)
+        _assert_witness(inst, sides[inst.input], (0, 15))
+    assert all(i.details == {"residual": "frobenius_relative"}
+               for i in report.instances if i.passed)
 
 
 def test_failing_commutator_names_the_planted_entry(monkeypatch):
-    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K+2", (9, 9)))
-    (inst,) = uq.check_commutator(uq.OperatorTable(1.3, 2, 2)).instances
-    assert not inst.passed
-    _assert_names(inst, (9, 9))
-
-
-def _whole_matrix_sides(q, ops):
-    """The (lhs, rhs) pairs of the four KS relations and the commutator, in
-    report order, as whole-matrix sparse products: the reference the scaled
-    and blocked checks must reproduce."""
-    q = complex(q)
-    for alpha, kname in ((1, "K+"), (-1, "K-")):
-        for sign, sname in ((1, "S+"), (-1, "S-")):
-            yield ops[kname] @ ops[sname], (q ** (sign * alpha)) * (ops[sname] @ ops[kname])
-    sp_, sm_ = ops["S+"], ops["S-"]
-    yield sp_ @ sm_ - sm_ @ sp_, (ops["K+2"] - ops["K-2"]) * (1.0 / (q - 1.0 / q))
-
-
-def _checked_instances(ops):
-    return uq.check_ks_relation(ops).instances + uq.check_commutator(ops).instances
-
-
-def _same_as_whole_matrix(q, n, m):
-    """Each instance has the residual bits and ``worst_entry`` of the whole-matrix check."""
-    ops = uq.OperatorTable(q, n, m)
-    for inst, (lhs, rhs) in zip(_checked_instances(ops), _whole_matrix_sides(q, ops)):
-        assert _bits(inst.residual) == _bits((lhs - rhs).max_abs()), inst.input
-        want = {} if inst.passed else {"worst_entry": worst_entry(lhs, rhs)}
-        assert repr(inst.details) == repr(want), inst.input  # repr: nan == nan
-
-
-def _bits(x):
-    return struct.pack("<d", x)
+    # S- S+ S+ S- sits at row 0b1001 and column 0b0110
+    _planted_elements(monkeypatch, {"K+2": _plus_word(["S-", "S+", "S+", "S-"])})
+    ops = uq.OperatorTable(1.3, 2, 2)
+    (inst,) = uq.check_commutator(ops).instances
+    _assert_witness(inst, relation_sides(ops)["commutator"], (9, 6))
 
 
 DIM_3X4 = 2 ** 12
 
 
-def test_planted_entries_at_block_edges_are_named(monkeypatch):
-    b = uq.BLOCK_ROWS
-    assert DIM_3X4 >= 3 * b  # 3x4 spans a first, a middle and a last block
-    # the last row, the first row of a block (on and off the diagonal) and the
-    # last row before that block boundary
-    for entry in ((DIM_3X4 - 1, DIM_3X4 - 1), (b, b), (2 * b, 7), (b - 1, b - 1)):
-        monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K+2", entry))
-        (inst,) = uq.check_commutator(uq.OperatorTable(1.3, 3, 4)).instances
-        assert not inst.passed
-        _assert_names(inst, entry)
-        _same_as_whole_matrix(1.3, 3, 4)
-        if entry[0] == entry[1]:
-            monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", entry))
-            report = uq.check_ks_relation(uq.OperatorTable(1.3, 3, 4))
-            assert sorted(i.input for i in report.instances if not i.passed) == ["K+*S+", "K-*S+"]
-            for inst in report.instances:
-                if not inst.passed:
-                    _assert_names(inst, entry)
-            _same_as_whole_matrix(1.3, 3, 4)
+def test_planted_entries_at_the_matrix_corners_are_named(monkeypatch):
+    # a word of S+ (bit 1) and S- (bit 0) letters is one entry: each S+
+    # clears its site's row bit and sets its column bit, each S- the reverse
+    for bits in ("1" * 12, "0" * 12, "10" * 6, "0" * 11 + "1"):
+        names = ["S+" if b == "1" else "S-" for b in bits]
+        row, col = int("".join("1" if b == "0" else "0" for b in bits), 2), int(bits, 2)
+        assert row != col and {row, col} <= set(range(DIM_3X4))
+        _planted_elements(monkeypatch, {"K+2": _plus_word(names)})
+        ops = uq.OperatorTable(1.3, 3, 4)
+        (inst,) = uq.check_commutator(ops).instances
+        _assert_witness(inst, relation_sides(ops)["commutator"], (row, col))
+        # K+ is q**(1/2) at an up site and q**(-1/2) at a down one, so K S and
+        # q**(+-1) S K scale the entry alike only if the row has one more up
+        # site than the column has, never on 12 sites
+        _planted_elements(monkeypatch, {"S+": _plus_word(names, 1e-3)})
+        ops = uq.OperatorTable(1.3, 3, 4)
+        sides = relation_sides(ops)
+        failing = [i for i in uq.check_ks_relation(ops).instances if not i.passed]
+        assert [i.input for i in failing] == ["K+*S+", "K-*S+"]
+        for inst in failing:
+            _assert_witness(inst, sides[inst.input], (row, col))
 
 
-def test_nan_in_the_last_block_fails_the_checks(monkeypatch):
-    entry = (DIM_3X4 - 2, DIM_3X4 - 2)
-    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("S+", entry, math.nan))
-    ks = uq.check_ks_relation(uq.OperatorTable(1.3, 3, 4))
-    (comm,) = uq.check_commutator(uq.OperatorTable(1.3, 3, 4)).instances
-    for inst in [comm] + [i for i in ks.instances if i.input == "K+*S+"]:
+def test_nan_in_the_last_block_fails_the_checks():
+    # the last block is the last site's MPO tensor: the sweep meets its NaN
+    # at its last step, after every earlier site was factored
+    ops = uq.OperatorTable(1.3, 3, 4)
+    ops.mpo("S+").tensors[-1, 0, 0, 1, :] = math.nan
+    ks = uq.check_ks_relation(ops)
+    (comm,) = uq.check_commutator(ops).instances
+    for inst in [comm] + [i for i in ks.instances if i.input.endswith("S+")]:
         assert math.isnan(inst.residual) and not inst.passed
+        assert inst.details == {"residual": "frobenius_relative", "witness_entry": {}}
     assert math.isnan(ks.max_residual)
-    _same_as_whole_matrix(1.3, 3, 4)
+    assert all(i.passed for i in ks.instances if i.input.endswith("S-"))
     # a NaN in the last block beats a larger finite residual in the first one
-    monkeypatch.setattr(uq.OperatorTable, "__missing__",
-                        _planted_at("K+2", {(5, 5): 1e6, entry: math.nan}))
-    (comm,) = uq.check_commutator(uq.OperatorTable(1.3, 3, 4)).instances
+    ops = uq.OperatorTable(1.3, 3, 4)
+    ops.mpo("K+2").tensors[0] *= 1e6
+    ops.mpo("K+2").tensors[-1, 0, 1, 1, 0] = math.nan
+    (comm,) = uq.check_commutator(ops).instances
     assert math.isnan(comm.residual) and not comm.passed
-    worst = comm.details["worst_entry"]
-    assert (worst["row"], worst["col"]) == entry and math.isnan(worst["rhs"][0])
-    _same_as_whole_matrix(1.3, 3, 4)
-
-
-_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
-                   st.floats(-4, 4))
-
-
-@st.composite
-def _ks_tables(draw):
-    """A 1 x 2 operator table at a real q whose S+ and S- store any
-    duplicate-free coordinates (none at all, zeros, NaN and inf included),
-    columns in any order, and whose K strings store every diagonal entry,
-    zero or not.  Real K entries and a real q keep the scaled entries free
-    of rounding differences between numpy's and scipy's complex products."""
-    table, n = uq.OperatorTable(draw(st.sampled_from([1.3, -0.7, 2.0])), 1, 2), 4
-    for g in ("S+", "S-"):
-        rows = [draw(st.permutations(range(n)))[:draw(st.integers(0, n))] for _ in range(n)]
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        indices = np.array([c for r in rows for c in r], dtype=np.int32)
-        data = np.array([complex(draw(_VALUE), draw(_VALUE)) for _ in indices], dtype=complex)
-        table[g] = SparseOperator._wrap(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-    for g in ("K+", "K-"):
-        diagonal = np.array([draw(_VALUE) for _ in range(n)], dtype=complex)
-        table[g] = SparseOperator._wrap(
-            sp.csr_matrix((diagonal, np.arange(n), np.arange(n + 1)), shape=(n, n)))
-    return table
-
-
-@settings(max_examples=200, deadline=None)
-@given(_ks_tables())
-def test_ks_array_comparison_has_the_bits_of_the_whole_matrix_difference(table):
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf
-        report = uq.check_ks_relation(table)
-        for inst, (lhs, rhs) in zip(report.instances,
-                                    itertools.islice(_whole_matrix_sides(table.q, table), 4)):
-            want = (lhs - rhs).max_abs()
-            dense = np.abs(lhs.toarray() - rhs.toarray()).max()
-            if np.isnan(want) or np.isnan(dense):
-                assert np.isnan(inst.residual) and np.isnan(want) and np.isnan(dense)
-            else:
-                assert _bits(inst.residual) == _bits(want) == _bits(dense), inst.input
-            assert inst.passed == (want <= uq.EQ_TOL), inst.input
 
 
 def test_a_passing_ks_relation_wraps_no_operator(monkeypatch):
-    monkeypatch.setattr(uq, "_on_coordinates", lambda *args: pytest.fail("wrapped an operator"))
-    assert uq.check_ks_relation(uq.OperatorTable(1.3, 3, 4)).ok
+    monkeypatch.setattr(uq, "witness_entry", lambda *args: pytest.fail("named a witness"))
+    ops = uq.OperatorTable(1.3, 3, 4)
+    assert uq.check_ks_relation(ops).ok and uq.check_commutator(ops).ok
+    assert not ops  # no sparse operator was built, only MPOs
 
 
-def test_ks_relation_refuses_a_k_string_off_the_diagonal(monkeypatch):
-    monkeypatch.setattr(uq.OperatorTable, "__missing__", _planted("K-", (1, 0)))
-    with pytest.raises(AssertionError, match="off-diagonal"):
-        uq.check_ks_relation(uq.OperatorTable(1.3, 2, 2))
+def test_a_one_part_in_1e8_word_coefficient_fails_and_names_its_entry(monkeypatch):
+    def scaled(element, table):  # K- S+ K+ K+ ..., the S+ at site 2, times 1 + 1e-8
+        terms = dict(element.unordered_items())
+        word = GridWord(element.shape, table.rep.alphabet.words(
+            ["K-", "S+"] + ["K+"] * (element.shape.sites - 2)))
+        terms[word] *= 1 + 1e-8
+        return FormalSum(element.shape, terms)
+
+    _planted_elements(monkeypatch, {"S+": scaled})
+    for size in ((2, 2), (3, 4)):
+        ops = uq.OperatorTable(1.3, *size)
+        sides = relation_sides(ops)
+        # each word of S+ meets its K S relations alone, so only the commutator fails
+        assert uq.check_ks_relation(ops).ok
+        (inst,) = uq.check_commutator(ops).instances
+        assert 1e-9 < inst.residual < 1e-7
+        _assert_witness(inst, sides["commutator"])
 
 
-_REAL_Q = st.floats(min_value=0.2, max_value=5.0).filter(lambda x: abs(x - 1) > 1e-3)
+def test_a_dropped_word_fails_and_names_its_entry(monkeypatch):
+    def dropped(element, table):  # the word with S- at the last site
+        word = GridWord(element.shape, table.rep.alphabet.words(
+            ["K-"] * (element.shape.sites - 1) + ["S-"]))
+        return FormalSum(element.shape, [(w, c) for w, c in element.unordered_items()
+                                         if w != word])
+
+    _planted_elements(monkeypatch, {"S-": dropped})
+    for size in ((2, 2), (3, 4)):
+        ops = uq.OperatorTable(1.3, *size)
+        sides = relation_sides(ops)
+        (inst,) = uq.check_commutator(ops).instances
+        assert inst.residual > 0.01
+        _assert_witness(inst, sides["commutator"])
+        # the K S relations hold term by term, so a dropped word leaves them true
+        assert uq.check_ks_relation(ops).ok
 
 
-@settings(max_examples=25, deadline=None)
-@given(_REAL_Q, st.booleans(), st.sampled_from([(2, 2), (3, 4)]))
-def test_real_q_residuals_have_the_bits_of_the_whole_matrix_checks(x, negative, size):
-    _same_as_whole_matrix(-x if negative else x, *size)
+@pytest.mark.parametrize("wrong", range(4))
+def test_a_wrong_power_of_q_fails_its_ks_relation_only(monkeypatch, wrong):
+    relations = list(uq.KS_RELATIONS)
+    kname, sname, power = relations[wrong]
+    relations[wrong] = (kname, sname, 2 * power)
+    monkeypatch.setattr(uq, "KS_RELATIONS", tuple(relations))
+    powers = dict(KS_POWERS, **{f"{kname}*{sname}": 2 * power})
+    for size in ((2, 2), (3, 4)):
+        ops = uq.OperatorTable(0.7 + 0.2j, *size)
+        report = uq.check_ks_relation(ops)
+        (inst,) = [i for i in report.instances if not i.passed]
+        assert inst.input == f"{kname}*{sname}"
+        _assert_witness(inst, relation_sides(ops, powers)[inst.input])
+
+
+ANNULUS = st.builds(lambda r, theta: r * cmath.exp(1j * theta),
+                    st.just(1.0) | st.floats(min_value=0.5, max_value=2.0),
+                    st.floats(min_value=0.1, max_value=math.pi - 0.1)
+                    | st.floats(min_value=math.pi + 0.1, max_value=2 * math.pi - 0.1))
+
+SIZES_TO_3X4 = [(n, m) for n in range(1, 4) for m in range(1, 5) if n * m >= 2]
+
+
+def _agrees_with_the_oracle(ops):
+    """Each instance's verdict is the max-entry oracle's at the same bound,
+    and each residual is the oracle's relative Frobenius residual to
+    rounding."""
+    oracle, sides = max_entry_residuals(ops), relation_sides(ops)
+    checked = uq.check_ks_relation(ops).instances + uq.check_commutator(ops).instances
+    for inst, label in zip(checked, list(KS_POWERS) + ["commutator"]):
+        assert inst.passed == (oracle[label] <= uq.EQ_TOL), (inst.input, oracle[label])
+        lhs, rhs = sides[label]
+        frobenius = sparse_norm(lhs - rhs) / sparse_norm(lhs)
+        assert abs(inst.residual - frobenius) <= 1e-13, (inst.input, inst.residual, frobenius)
+
+
+@settings(max_examples=8, deadline=None)
+@example(1.3)
+@example(cmath.exp(2j))
+@example(1j)  # [S+, S-] = 0 on an even number of sites
+@given(ANNULUS)
+def test_mpo_verdicts_agree_with_the_max_entry_oracle(q):
+    for size in SIZES_TO_3X4:
+        _agrees_with_the_oracle(uq.OperatorTable(q, *size))
 
 
 @settings(max_examples=1, deadline=None)
 @example(-0.8)
-@given(_REAL_Q)
-def test_real_q_residuals_have_the_bits_of_the_whole_matrix_checks_at_4x4(x):
-    _same_as_whole_matrix(x, 4, 4)
-
-
-# the scaled K S and S K entries come from numpy's complex product, not
-# scipy's: for complex q they may differ in the last bits
-KS_ROUNDING = 4 * np.finfo(float).eps
+@given(ANNULUS)
+def test_mpo_verdicts_agree_with_the_max_entry_oracle_at_4x4(q):
+    _agrees_with_the_oracle(uq.OperatorTable(q, 4, 4))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.1, max_value=3.0),
        st.sampled_from([(2, 2), (3, 4)]))
 def test_complex_q_ks_residuals_agree_with_the_products_to_rounding(r, theta, size):
-    q = r * cmath.exp(1j * theta)
-    ops = uq.OperatorTable(q, *size)
-    *ks, comm = _checked_instances(ops)
-    *ks_sides, comm_sides = _whole_matrix_sides(q, ops)
-    for inst, (lhs, rhs) in zip(ks, ks_sides):
-        largest = max(lhs.max_abs(), rhs.max_abs())
-        assert abs(inst.residual - (lhs - rhs).max_abs()) <= KS_ROUNDING * largest
-    lhs, rhs = comm_sides
-    assert _bits(comm.residual) == _bits((lhs - rhs).max_abs())
+    ops = uq.OperatorTable(r * cmath.exp(1j * theta), *size)
+    _agrees_with_the_oracle(ops)
+    assert all(i.residual < 1e-14 for i in uq.check_ks_relation(ops).instances)
 
 
 def _plant(monkeypatch, plant):
@@ -499,12 +517,41 @@ def test_word_mismatch_names_the_planted_word(monkeypatch, plant):
         uq.boxplus_op("S+", 1.3, 2, 2)
 
 
+@pytest.mark.parametrize("check", [uq.check_ks_relation, uq.check_commutator])
+def test_the_relation_checks_compare_every_element_with_the_placement(monkeypatch, check):
+    # they build no operator, yet each element they read is compared: the
+    # planted growth hands every generator the planted S+ sum
+    _plant(monkeypatch, "swap")
+    ops = uq.OperatorTable(1.3, 2, 2)
+    with pytest.raises(AssertionError, match="engine vs placement mismatch"):
+        check(ops)
+    assert not ops
+
+
 def test_build_op_surfaces_a_planted_word_as_the_engine_error(monkeypatch, tmp_path):
     named, _, _ = _plant(monkeypatch, "swap")
     out = tmp_path / "operators"
     with pytest.raises(AssertionError, match=re.escape(f"'word': '{named!r}'")):
         cli.main(["build-op", "--gen", "S+", "--q", "1.3", "--size", "2x2", "--out", str(out)])
     assert not out.exists()
+
+
+BUILD = uq.OperatorTable.__missing__
+
+
+def _planted_at(gen, deltas):
+    """``OperatorTable.__missing__`` with ``deltas[entry]`` added at each
+    entry of one generator; the table keeps the planted operator."""
+    def missing(table, g):
+        out = BUILD(table, g)
+        if g != gen:
+            return out
+        mat = out.mat.tolil()
+        for entry, delta in deltas.items():
+            mat[entry] += delta
+        op = table[g] = SparseOperator(mat)
+        return op
+    return missing
 
 
 def _counting(monkeypatch):
@@ -521,11 +568,18 @@ def _counting(monkeypatch):
 
 
 def test_checks_sharing_a_table_build_each_operator_once(monkeypatch):
-    calls = _counting(monkeypatch)
+    calls, mpos = _counting(monkeypatch), []
+    real = uq.coalgebra.Automaton.mpo
+    monkeypatch.setattr(uq.coalgebra.Automaton, "mpo",
+                        lambda auto, rep: mpos.append(auto) or real(auto, rep))
     ops = uq.OperatorTable(1.3, 2, 3)
     assert uq.check_ks_relation(ops).ok
     assert uq.check_commutator(ops).ok
-    assert calls == {(g, 1.3, 2, 3): 1 for g in ("K+", "K-", "S+", "S-", "K+2", "K-2")}
+    # the relation checks build no operator, and one MPO of each of the six
+    # elements they read, kept for the next check
+    assert calls == {} and not ops and len(mpos) == 6
+    assert uq.check_ks_relation(ops).ok and uq.check_commutator(ops).ok
+    assert len(mpos) == 6
     plaquette = uq.OperatorTable(1.3, 2, 2)
     uq.kernel_2x2(plaquette)
     uq.vertical_singlet_residual(plaquette)
